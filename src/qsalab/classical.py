@@ -17,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingMap, embed_batch
+from .data import ZERO_NORM_TOL, EmbeddingMap, _as_input_rows, embed_batch
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
-
-ZERO_NORM_TOL = 1e-12
 
 
 def _stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -153,20 +151,9 @@ def scsa_forward_batch(inputs: np.ndarray, emap: EmbeddingMap, params: ScsaParam
 
 def scsa_forward(words, emap: EmbeddingMap, params: ScsaParams) -> np.ndarray:
     """Per-step probabilities of the true next word for one sequence."""
-    inputs = _as_input_array(words, emap.vocab_dim)
+    inputs = _as_input_rows(words, emap.vocab_dim)
     _, probs = scsa_forward_batch(inputs[None, ...], emap, params)
     return probs[0]
-
-
-def _as_input_array(words, vocab_dim: int) -> np.ndarray:
-    arr = np.asarray(words)
-    if arr.ndim == 1 and not np.iscomplexobj(arr):
-        one_hot = np.zeros((arr.size, vocab_dim))
-        one_hot[np.arange(arr.size), arr.astype(int)] = 1.0
-        return one_hot
-    if arr.ndim == 2 and arr.shape[1] == vocab_dim:
-        return arr.astype(complex)
-    raise ConfigurationError("words must be an index sequence or (T+1, D) amplitude rows")
 
 
 @dataclass(frozen=True)
@@ -230,6 +217,29 @@ def lcsa_step_probability(
     return float(abs(np.vdot(target / t_norm, z / z_norm)) ** 2)
 
 
+def causal_attention(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray) -> np.ndarray:
+    """Causal linear attention z_j = V sum_{i<=j} (x_j^dag W x_i) x_i at every step.
+
+    ``prefix``: (..., T, d) tokens x_1..x_T; returns (..., T, d).  This is
+    the L-CSA output, the qsa prediction state before normalization and,
+    contracted with a step's target, the qsa branch amplitude.
+    """
+    affinities = np.tril(prefix.conj() @ (prefix @ affinity_map.T).swapaxes(-1, -2))
+    return (affinities @ prefix) @ value_map.T
+
+
+def output_weights(z: np.ndarray) -> np.ndarray:
+    """Squared norms ||z_j||^2 of attention outputs.
+
+    A vanishing output has no direction to predict or normalize, so it
+    raises DegeneratePredictionError instead of yielding NaN.
+    """
+    weights = np.einsum("...d,...d->...", z.conj(), z).real
+    if np.any(weights <= ZERO_NORM_TOL ** 2):
+        raise DegeneratePredictionError("an attention output vanishes")
+    return weights
+
+
 def lcsa_forward_batch(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaParams):
     """Batched raw overlap weights and normalizers.
 
@@ -239,17 +249,11 @@ def lcsa_forward_batch(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaPara
     normalizers[s, j] = ||z_j||^2, so their ratio is the step probability.
     """
     num_steps = x.shape[1] - 1
-    prefix = x[:, :num_steps]
-    affinities = np.einsum("sjd,de,sie->sji", prefix.conj(), params.affinity_map, prefix)
-    mask = np.tril(np.ones((num_steps, num_steps)))
-    z = np.einsum("sji,sid->sjd", affinities * mask, prefix @ params.value_map.T)
+    z = causal_attention(x[:, :num_steps], params.value_map, params.affinity_map)
     targets = x_shift_free[:, 1:]
     t_norms = np.linalg.norm(targets, axis=-1)
     if np.any(t_norms <= ZERO_NORM_TOL):
         raise DegenerateInputError("a target embedding is a zero vector")
+    normalizers = output_weights(z)
     overlaps = np.einsum("sjd,sjd->sj", (targets / t_norms[..., None]).conj(), z)
-    values = np.abs(overlaps) ** 2
-    normalizers = np.einsum("sjd,sjd->sj", z.conj(), z).real
-    if np.any(normalizers <= ZERO_NORM_TOL ** 2):
-        raise DegeneratePredictionError("a linear attention output vanishes")
-    return values, normalizers
+    return np.abs(overlaps) ** 2, normalizers

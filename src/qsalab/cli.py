@@ -5,9 +5,10 @@ Subcommands: ``generate`` (datasets), ``train`` (checkpoint + loss CSV),
 ``audit`` (gate-count tables).  Every command writes outputs atomically and
 drops a run manifest with digests of its inputs and outputs.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 compatibility
-error.  Outputs are byte-reproducible for a fixed seed and config; passing
-``--timing`` records wall times at the cost of that reproducibility.
+Exit codes: 0 success, 2 usage error, 3 numeric failure (a non-finite
+loss or a vanishing prediction), 4 compatibility error.  Outputs are
+byte-reproducible for a fixed seed and config; passing ``--timing`` records
+wall times at the cost of that reproducibility.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ import time
 from dataclasses import asdict
 
 from . import complexity, data, trainer
-from .errors import CompatibilityError, ConfigurationError, DegenerateInputError, NumericFailureError
+from .errors import (
+    CompatibilityError,
+    ConfigurationError,
+    DegenerateInputError,
+    DegeneratePredictionError,
+    NumericFailureError,
+)
 
 TOOL_VERSION = "0.1.0"
 CONFIG_SCHEMA_VERSION = 1
-
-
-def _atomic_write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
 
 
 def _digest(path) -> str:
@@ -53,7 +53,7 @@ def _write_manifest(path, command: str, config: dict, seed, inputs, outputs, wal
         "outputs": {str(p): _digest(p) for p in outputs},
         "wall_time_s": wall_time,
     }
-    _atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    data.atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -186,14 +186,14 @@ def cmd_train(args, parser) -> int:
     try:
         params, report = trainer.train(config, dataset)
     except NumericFailureError as exc:
-        _atomic_write_text(
+        data.atomic_write_text(
             os.path.join(args.out, "diagnostic.json"),
             json.dumps(exc.diagnostic, sort_keys=True, indent=2) + "\n",
         )
         print(f"error: {exc}", file=sys.stderr)
         return 3
     trainer.save_checkpoint(params, config, dataset.kind, checkpoint_path)
-    _atomic_write_text(csv_path, report.to_csv_text())
+    data.atomic_write_text(csv_path, report.to_csv_text())
     wall = time.perf_counter() - started if args.timing else None
     _write_manifest(
         os.path.join(args.out, "manifest.json"),
@@ -228,7 +228,7 @@ def cmd_eval(args, parser) -> int:
             {"path": str(path), **entry} for path, entry in zip(args.data, report.per_set)
         ],
     }
-    _atomic_write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    data.atomic_write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     wall = time.perf_counter() - started if args.timing else None
     _write_manifest(
         f"{args.out}.manifest.json",
@@ -251,7 +251,7 @@ def cmd_predict(args, parser) -> int:
             f"checkpoint was trained on {meta['data_kind']} data, got {dataset.kind}"
         )
     rows = trainer.predict_topk(params, dataset, k=args.top_k)
-    _atomic_write_text(
+    data.atomic_write_text(
         args.out,
         json.dumps({"model_kind": meta["model_kind"], "top_k": args.top_k, "records": rows},
                    sort_keys=True, indent=2) + "\n",
@@ -286,17 +286,17 @@ def cmd_audit(args, parser) -> int:
     counts_path = os.path.join(args.out, "gate_counts.csv")
     slopes_path = os.path.join(args.out, "slopes.csv")
     crossover_path = os.path.join(args.out, "crossover.csv")
-    _atomic_write_text(
+    data.atomic_write_text(
         counts_path,
         _csv_text("variant,T,d,D,L,term,count", complexity.gate_count_rows(),
                   ["variant", "T", "d", "D", "L", "term", "count"]),
     )
-    _atomic_write_text(
+    data.atomic_write_text(
         slopes_path,
         _csv_text("variant,axis,points,slope,expected", complexity.default_slope_rows(),
                   ["variant", "axis", "points", "slope", "expected"]),
     )
-    _atomic_write_text(
+    data.atomic_write_text(
         crossover_path,
         _csv_text("T,d,D,L,winner,total", complexity.default_crossover_rows(),
                   ["T", "d", "D", "L", "winner", "total"]),
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DegenerateInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericFailureError as exc:
+    except (NumericFailureError, DegeneratePredictionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CompatibilityError as exc:

@@ -120,16 +120,8 @@ def embed_sequence(record, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
     Returns (x, x_shift_free), each of shape (T+1, d); attention inputs use
     x and prediction targets use the shift-free rows.
     """
-    rows = _as_input_rows(record, emap.vocab_dim)
-    shift_free = rows @ emap.matrix.T
-    if emap.shifts.shape[0] < rows.shape[0]:
-        raise ConfigurationError("embedding has fewer positional shifts than sequence steps")
-    x = shift_free + emap.gamma * emap.shifts[: rows.shape[0]]
-    if np.any(np.linalg.norm(shift_free, axis=-1) <= ZERO_NORM_TOL) or np.any(
-        np.linalg.norm(x, axis=-1) <= ZERO_NORM_TOL
-    ):
-        raise DegenerateInputError("a token embeds to the zero vector")
-    return x, shift_free
+    x, shift_free = embed_batch(_as_input_rows(record, emap.vocab_dim)[None], emap)
+    return x[0], shift_free[0]
 
 
 def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
@@ -326,28 +318,36 @@ def loads_dataset(text: str) -> SequenceDataset:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ConfigurationError("dataset file is empty")
-    header = json.loads(lines[0])
-    kind = header["kind"]
-    records = []
-    for line in lines[1:]:
-        obj = json.loads(line)
-        if kind == "classical":
-            records.append(obj["words"])
-        else:
-            records.append(
-                np.array([[complex(re, im) for re, im in row] for row in obj["steps"]])
-            )
-    metadata = {"generator": header.get("generator", {})}
-    return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
+    try:
+        header = json.loads(lines[0])
+        kind = header["kind"]
+        records = []
+        for line in lines[1:]:
+            obj = json.loads(line)
+            if kind == "classical":
+                records.append(obj["words"])
+            else:
+                records.append(
+                    np.array([[complex(re, im) for re, im in row] for row in obj["steps"]])
+                )
+        metadata = {"generator": header.get("generator", {})}
+        return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
+    except ConfigurationError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigurationError(f"malformed dataset: {type(exc).__name__}: {exc}") from exc
 
 
-def save_dataset(dataset: SequenceDataset, path) -> None:
-    """Write atomically: temp file in the same directory, then rename."""
-    text = dumps_dataset(dataset)
+def atomic_write_text(path, text: str) -> None:
+    """Write a temp file in the same directory, then rename it over ``path``."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
+
+
+def save_dataset(dataset: SequenceDataset, path) -> None:
+    atomic_write_text(path, dumps_dataset(dataset))
 
 
 def load_dataset(path) -> SequenceDataset:

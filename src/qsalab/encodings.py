@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import ZERO_NORM_TOL
 from .errors import ConfigurationError, DegenerateInputError
 from .statevector import (
     HADAMARD,
@@ -22,8 +23,6 @@ from .statevector import (
     apply_controlled_by_register,
     apply_unitary,
 )
-
-ZERO_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

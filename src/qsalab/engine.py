@@ -26,6 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
+from .classical import causal_attention
+from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, unitary_with_first_column
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities
@@ -154,14 +156,11 @@ def _overlap_core(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matr
     ``tok``: (..., T, d) normalized attention inputs x_1..x_T;
     ``tgt``: (..., T, d) normalized targets for steps 2..T+1.
     """
-    num_steps = tok.shape[-2]
-    va = np.einsum("...jd,de,...ie->...ji", tgt.conj(), v_matrix, tok)
-    wb = np.einsum("...jd,de,...ie->...ji", tok.conj(), w_matrix, tok)
-    mask = np.tril(np.ones((num_steps, num_steps)))
-    a = np.sum(va * wb * mask, axis=-1)
+    z = causal_attention(tok, v_matrix, w_matrix)
+    a = np.einsum("...jd,...jd->...j", tgt.conj(), z)
     # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
     # so the prefix weights sum squared Gram entries, not squared moduli.
-    gram = np.einsum("...id,...jd->...ij", tok.conj(), tok)
+    gram = tok.conj() @ tok.swapaxes(-1, -2)
     prefixes = np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2)
     weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
     return a, weights
@@ -225,7 +224,7 @@ def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, 
     coeff = instance.tokens[step - 1].state.amplitudes.conj() @ (wm @ tok.T)
     z = (vm @ tok.T) @ coeff
     weight = float(np.vdot(z, z).real)
-    if weight <= 1e-24:
+    if weight <= ZERO_NORM_TOL ** 2:
         raise DegeneratePredictionError(f"prediction branch {step} has zero amplitude")
     n = instance.layout.n
     return StateVector(n, z / np.sqrt(weight)), weight

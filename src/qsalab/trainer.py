@@ -6,6 +6,10 @@ versioned JSON checkpoints.  Runs are deterministic for a fixed (config,
 seed, dataset) triple: reductions happen in fixed order and the optional
 thread pool writes results by index.
 
+What differs between the three kinds lives in one table, ``MODELS``, keyed
+by kind; training, evaluation, prediction and the checkpoint codec
+dispatch through it once instead of branching on the kind.
+
 Reported quantities: ``train_loss_offset`` is the comparable per-epoch loss
 (the interference loss without its additive log T constant, which for the
 baselines is the divergence-formula value itself); ``train_loss`` adds the
@@ -22,14 +26,22 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from typing import Sequence
 
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
-from .classical import LcsaParams, ScsaParams, lcsa_forward_batch, linear_attention_layer, scsa_forward_batch
-from .data import EmbeddingMap, SequenceDataset, embed_batch, make_embedding
-from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation, predict_token_state
+from .classical import (
+    LcsaParams,
+    ScsaParams,
+    causal_attention,
+    lcsa_forward_batch,
+    output_weights,
+    scsa_forward_batch,
+)
+from .data import ZERO_NORM_TOL, EmbeddingMap, SequenceDataset, atomic_write_text, embed_batch, make_embedding
+from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -41,7 +53,6 @@ from .objectives import PROBABILITY_FLOOR
 
 THREADS_ENV = "QSALAB_THREADS"
 CHECKPOINT_VERSION = 1
-MODEL_KINDS = ("qsa", "scsa", "lcsa")
 CSV_HEADER = "epoch,train_loss_offset,train_loss,perplexity,grad_norm,seconds"
 
 
@@ -84,16 +95,16 @@ class TrainConfig:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
-        if self.learning_rate <= 0 or self.embedding_learning_rate <= 0:
-            raise ConfigurationError("learning rates must be positive")
+        for name in ("learning_rate", "embedding_learning_rate", "epsilon", "fd_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
         if self.gradient_mode not in ("parameter-shift", "finite-difference"):
             raise ConfigurationError("gradient_mode must be parameter-shift or finite-difference")
         if self.shots is not None and self.shots < 1:
             raise ConfigurationError("shots must be a positive integer when set")
         if self.expectation_route not in ("analytic", "circuit"):
             raise ConfigurationError("expectation_route must be analytic or circuit")
-        if self.fd_step <= 0:
-            raise ConfigurationError("fd_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,12 +122,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}")
-        if self.model_kind == "qsa" and None in (self.v_params, self.w_params, self.r_params):
-            raise ConfigurationError("qsa params need v, w, and phase-layer angles")
-        if self.model_kind == "scsa" and self.scsa is None:
-            raise ConfigurationError("scsa params missing")
-        if self.model_kind == "lcsa" and self.lcsa is None:
-            raise ConfigurationError("lcsa params missing")
+        missing = [name for name in MODELS[self.model_kind].fields if getattr(self, name) is None]
+        if missing:
+            raise ConfigurationError(f"{self.model_kind} params missing {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +175,6 @@ def _to_real_vector(arrays: Sequence[np.ndarray]) -> np.ndarray:
             parts.append(arr.view(np.float64).ravel())
         else:
             parts.append(arr.astype(np.float64).ravel())
-    if not parts:
-        return np.zeros(0)
     return np.concatenate(parts)
 
 
@@ -204,6 +210,188 @@ class _Adam:
         return values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+# model table ---------------------------------------------------------------------
+
+
+class _Model:
+    """One model kind.  Each entry of MODELS provides:
+
+    - ``fields``: the ModelParams attributes the kind owns;
+    - ``check(embed_dim, num_steps)``: why those shapes cannot host it, or None;
+    - ``init(config, dataset, seeds, complex_valued)``: seeded field values;
+    - ``arrays(params)``: (name, array) pairs in circuit-vector order;
+    - ``rebuild(template, parts)``: field values from arrays shaped like ``arrays``;
+    - ``to_payload(params)`` / ``from_payload(payload)``: its checkpoint v1 block;
+    - ``outputs(params, inputs, config)``: what its losses depend on, for
+      (S, T+1, D) input rows;
+    - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
+      of floored probabilities;
+    - ``scores(params, inputs)``: (S, T, D) next-word scores.
+
+    ``circuit`` marks outputs that are measured circuit expectations, to
+    which shot sampling and the parameter-shift rule apply.
+    """
+
+    fields: tuple = ()
+    circuit = False
+
+    def check(self, embed_dim: int, num_steps: int) -> str | None:
+        return None
+
+    def to_payload(self, params: ModelParams) -> dict:
+        return {name: _encode_array(arr) for name, arr in self.arrays(params)}
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _overlap_scores(z: np.ndarray, emap: EmbeddingMap) -> np.ndarray:
+    """Squared overlaps of normalized attention outputs with the embedded vocabulary."""
+    candidates = emap.matrix.T  # row per word
+    cand_norms = np.linalg.norm(candidates, axis=1)
+    if np.any(cand_norms <= ZERO_NORM_TOL):
+        raise ConfigurationError("a vocabulary column embeds to the zero vector")
+    unit = z / np.sqrt(output_weights(z))[..., None]
+    return np.abs(unit @ (candidates / cand_norms[:, None]).conj().T) ** 2
+
+
+class _Qsa(_Model):
+    fields = ("v_params", "w_params", "r_params")
+    circuit = True
+
+    def check(self, embed_dim, num_steps):
+        if embed_dim & (embed_dim - 1) or embed_dim < 2:
+            return "qsa needs a power-of-two embed_dim >= 2"
+        if num_steps & (num_steps - 1) or num_steps < 2:
+            return "qsa needs a power-of-two step count >= 2"
+        return None
+
+    def init(self, config, dataset, seeds, complex_valued):
+        n = int(config.embed_dim).bit_length() - 1
+        t = int(dataset.num_steps).bit_length() - 1
+        return {
+            "v_params": AnsatzParams.random(n, config.num_layers, seeds[0]),
+            "w_params": AnsatzParams.random(n, config.num_layers, seeds[1]),
+            "r_params": PhaseLayerParams.random(t, seeds[2]),
+        }
+
+    def arrays(self, params):
+        return [("v", params.v_params.angles), ("w", params.w_params.angles), ("r", params.r_params.angles)]
+
+    def rebuild(self, template, parts):
+        return {
+            "v_params": replace(template.v_params, angles=parts[0]),
+            "w_params": replace(template.w_params, angles=parts[1]),
+            "r_params": PhaseLayerParams(parts[2]),
+        }
+
+    def to_payload(self, params):
+        return {
+            "v": _ansatz_payload(params.v_params),
+            "w": _ansatz_payload(params.w_params),
+            "r": {"angles": _encode_array(params.r_params.angles)},
+        }
+
+    def from_payload(self, payload):
+        return {
+            "v_params": _ansatz_from_payload(payload["v"]),
+            "w_params": _ansatz_from_payload(payload["w"]),
+            "r_params": PhaseLayerParams(_decode_array(payload["r"]["angles"])),
+        }
+
+    def outputs(self, params, inputs, config):
+        x, shift_free = embed_batch(inputs, params.embedding)
+        if config is not None and config.expectation_route == "circuit":
+            maps = (params.v_params, params.w_params, params.r_params)
+            return np.array([circuit_expectation(QsaInstance.from_vectors(xs, sf[1:], *maps))
+                             for xs, sf in zip(x, shift_free)])
+        return batched_expectations(
+            _unit_rows(x[:, :-1]),
+            _unit_rows(shift_free[:, 1:]),
+            build_ansatz_unitary(params.v_params).matrix,
+            build_ansatz_unitary(params.w_params).matrix,
+            phase_layer_diagonal(params.r_params),
+        )
+
+    def losses(self, exps, num_steps):
+        clamped = int(np.sum(exps < EXPECTATION_FLOOR))
+        return -np.log(np.maximum(exps, EXPECTATION_FLOOR)), clamped
+
+    def scores(self, params, inputs):
+        x, _ = embed_batch(inputs, params.embedding)
+        z = causal_attention(
+            _unit_rows(x[:, :-1]),
+            build_ansatz_unitary(params.v_params).matrix,
+            build_ansatz_unitary(params.w_params).matrix,
+        )
+        return _overlap_scores(z, params.embedding)
+
+
+class _Baseline(_Model):
+    """A classical kind whose arrays are the fields of one params dataclass,
+    held in the ModelParams attribute named after the kind."""
+
+    params_type = None
+
+    def arrays(self, params):
+        part = getattr(params, self.fields[0])
+        return [(f.name, getattr(part, f.name)) for f in dataclass_fields(part)]
+
+    def rebuild(self, template, parts):
+        return {self.fields[0]: self.params_type(*parts)}
+
+    def from_payload(self, payload):
+        return self.rebuild(None, [_decode_array(payload[f.name]) for f in dataclass_fields(self.params_type)])
+
+    def losses(self, ratios, num_steps):
+        clamped = int(np.sum(ratios < PROBABILITY_FLOOR))
+        ratios = np.clip(ratios, PROBABILITY_FLOOR, 1.0)
+        # Divergence-formula loss at alpha = 1/2, without the log T constant
+        # the circuit would add.
+        losses = -2.0 * np.log(np.sum(np.sqrt(ratios), axis=-1)) + 2.0 * np.log(num_steps)
+        return losses, clamped
+
+
+class _Scsa(_Baseline):
+    fields = ("scsa",)
+    params_type = ScsaParams
+
+    def init(self, config, dataset, seeds, complex_valued):
+        return {"scsa": ScsaParams.random(config.embed_dim, dataset.vocab_dim, seeds[0], key_dim=config.key_dim,
+                                          hidden_dim=config.ffn_hidden, complex_valued=complex_valued)}
+
+    def outputs(self, params, inputs, config):
+        _, probs = scsa_forward_batch(inputs, params.embedding, params.scsa)
+        return probs
+
+    def scores(self, params, inputs):
+        distributions, _ = scsa_forward_batch(inputs, params.embedding, params.scsa)
+        return distributions
+
+
+class _Lcsa(_Baseline):
+    fields = ("lcsa",)
+    params_type = LcsaParams
+
+    def init(self, config, dataset, seeds, complex_valued):
+        return {"lcsa": LcsaParams.near_identity(config.embed_dim, seeds[0], complex_valued=complex_valued)}
+
+    def outputs(self, params, inputs, config):
+        x, shift_free = embed_batch(inputs, params.embedding)
+        values, normalizers = lcsa_forward_batch(x, shift_free, params.lcsa)
+        return values / normalizers
+
+    def scores(self, params, inputs):
+        x, _ = embed_batch(inputs, params.embedding)
+        z = causal_attention(x[:, :-1], params.lcsa.value_map, params.lcsa.affinity_map)
+        return _overlap_scores(z, params.embedding)
+
+
+MODELS = {"qsa": _Qsa(), "scsa": _Scsa(), "lcsa": _Lcsa()}
+MODEL_KINDS = tuple(MODELS)
+
+
 def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelParams:
     """Seeded near-identity initialization consistent with the dataset kind."""
     _check_compat(config, dataset)
@@ -217,34 +405,8 @@ def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelPar
         complex_valued=complex_valued,
         gamma=config.gamma,
     )
-    if config.model_kind == "qsa":
-        n = int(config.embed_dim).bit_length() - 1
-        t = int(dataset.num_steps).bit_length() - 1
-        return ModelParams(
-            "qsa",
-            embedding,
-            v_params=AnsatzParams.random(n, config.num_layers, children[1]),
-            w_params=AnsatzParams.random(n, config.num_layers, children[2]),
-            r_params=PhaseLayerParams.random(t, children[3]),
-        )
-    if config.model_kind == "scsa":
-        return ModelParams(
-            "scsa",
-            embedding,
-            scsa=ScsaParams.random(
-                config.embed_dim,
-                dataset.vocab_dim,
-                children[1],
-                key_dim=config.key_dim,
-                hidden_dim=config.ffn_hidden,
-                complex_valued=complex_valued,
-            ),
-        )
-    return ModelParams(
-        "lcsa",
-        embedding,
-        lcsa=LcsaParams.near_identity(config.embed_dim, children[1], complex_valued=complex_valued),
-    )
+    parts = MODELS[config.model_kind].init(config, dataset, children[1:], complex_valued)
+    return ModelParams(config.model_kind, embedding, **parts)
 
 
 def _check_compat(config: TrainConfig, dataset: SequenceDataset) -> None:
@@ -252,19 +414,16 @@ def _check_compat(config: TrainConfig, dataset: SequenceDataset) -> None:
         raise ConfigurationError("dataset holds no records")
     if config.embed_dim >= dataset.vocab_dim:
         raise ConfigurationError("embed_dim must be smaller than the vocabulary dimension")
-    if config.model_kind == "qsa":
-        d, t_steps = config.embed_dim, dataset.num_steps
-        if d & (d - 1) or d < 2:
-            raise ConfigurationError("qsa needs a power-of-two embed_dim >= 2")
-        if t_steps & (t_steps - 1) or t_steps < 2:
-            raise ConfigurationError("qsa needs a power-of-two step count >= 2")
+    problem = MODELS[config.model_kind].check(config.embed_dim, dataset.num_steps)
+    if problem:
+        raise ConfigurationError(problem)
 
 
 class _Adapter:
     """Batched loss/gradient machinery bound to one (params, dataset) pair."""
 
     def __init__(self, params: ModelParams, dataset: SequenceDataset, config: TrainConfig | None):
-        self.kind = params.model_kind
+        self.model = MODELS[params.model_kind]
         self.config = config
         self.num_steps = dataset.num_steps
         self.inputs = dataset.input_rows()
@@ -280,37 +439,16 @@ class _Adapter:
             raise CompatibilityError(
                 f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
             )
-        if self.kind == "qsa":
-            steps = dataset.num_steps
-            if steps & (steps - 1) or steps < 2:
-                raise CompatibilityError("qsa model needs a power-of-two step count >= 2")
-            self._circuit_templates = [
-                np.asarray(params.v_params.angles),
-                np.asarray(params.w_params.angles),
-                np.asarray(params.r_params.angles),
-            ]
-        elif self.kind == "scsa":
-            p = params.scsa
-            self._circuit_templates = [
-                np.asarray(p.w_query), np.asarray(p.w_key), np.asarray(p.w_value),
-                np.asarray(p.ffn_in), np.asarray(p.ffn_out), np.asarray(p.anti_embed),
-            ]
-        else:
-            p = params.lcsa
-            self._circuit_templates = [np.asarray(p.value_map), np.asarray(p.affinity_map)]
-        self._embed_templates = [np.asarray(params.embedding.matrix)]
+        problem = self.model.check(params.embedding.embed_dim, dataset.num_steps)
+        if problem:
+            raise CompatibilityError(problem)
+        self._circuit_templates = [arr for _, arr in self.model.arrays(params)]
+        self._embed_templates = [params.embedding.matrix]
 
     # parameter vector plumbing -------------------------------------------------
 
     def circuit_vector(self, params: ModelParams) -> np.ndarray:
-        if self.kind == "qsa":
-            arrays = [params.v_params.angles, params.w_params.angles, params.r_params.angles]
-        elif self.kind == "scsa":
-            p = params.scsa
-            arrays = [p.w_query, p.w_key, p.w_value, p.ffn_in, p.ffn_out, p.anti_embed]
-        else:
-            arrays = [params.lcsa.value_map, params.lcsa.affinity_map]
-        return _to_real_vector(arrays)
+        return _to_real_vector([arr for _, arr in self.model.arrays(params)])
 
     def embed_vector(self, params: ModelParams) -> np.ndarray:
         return _to_real_vector([params.embedding.matrix])
@@ -320,59 +458,15 @@ class _Adapter:
             _from_real_vector(embed_vec, self._embed_templates)[0]
         )
         parts = _from_real_vector(circuit_vec, self._circuit_templates)
-        if self.kind == "qsa":
-            return replace(
-                self.template,
-                embedding=embedding,
-                v_params=replace(self.template.v_params, angles=parts[0]),
-                w_params=replace(self.template.w_params, angles=parts[1]),
-                r_params=PhaseLayerParams(parts[2]),
-            )
-        if self.kind == "scsa":
-            return replace(
-                self.template,
-                embedding=embedding,
-                scsa=ScsaParams(*parts),
-            )
-        return replace(self.template, embedding=embedding, lcsa=LcsaParams(*parts))
+        return replace(self.template, embedding=embedding, **self.model.rebuild(self.template, parts))
 
     # loss evaluation -----------------------------------------------------------
 
-    def _embedding(self, embed_vec: np.ndarray) -> EmbeddingMap:
-        return self.template.embedding.with_matrix(
-            _from_real_vector(embed_vec, self._embed_templates)[0]
-        )
-
-    def _qsa_expectations(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
-        emap = self._embedding(embed_vec)
-        parts = _from_real_vector(circuit_vec, self._circuit_templates)
-        v_params = replace(self.template.v_params, angles=parts[0])
-        w_params = replace(self.template.w_params, angles=parts[1])
-        r_params = PhaseLayerParams(parts[2])
-        x, shift_free = embed_batch(self.inputs, emap)
-        tok = x[:, : self.num_steps]
-        tgt = shift_free[:, 1:]
-        tok = tok / np.linalg.norm(tok, axis=-1, keepdims=True)
-        tgt = tgt / np.linalg.norm(tgt, axis=-1, keepdims=True)
-        if self.config is not None and self.config.expectation_route == "circuit":
-            exps = np.array(
-                [
-                    circuit_expectation(
-                        QsaInstance.from_vectors(x[s], shift_free[s, 1:], v_params, w_params, r_params)
-                    )
-                    for s in range(x.shape[0])
-                ]
-            )
-        else:
-            exps = batched_expectations(
-                tok, tgt,
-                build_ansatz_unitary(v_params).matrix,
-                build_ansatz_unitary(w_params).matrix,
-                phase_layer_diagonal(r_params),
-            )
-        if self.config is not None and self.config.shots:
-            exps = self._sample(exps, circuit_vec, embed_vec)
-        return exps
+    def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
+        outputs = self.model.outputs(self.rebuild(circuit_vec, embed_vec), self.inputs, self.config)
+        if self.model.circuit and self.config is not None and self.config.shots:
+            outputs = self._sample(outputs, circuit_vec, embed_vec)
+        return outputs
 
     def _sample(self, exps: np.ndarray, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
         # Seed derived from parameter content keeps shot noise reproducible
@@ -382,30 +476,9 @@ class _Adapter:
         clipped = np.clip(exps, 0.0, 1.0)
         return rng.binomial(self.config.shots, clipped) / self.config.shots
 
-    def sequence_losses(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
-        """Per-sequence offset losses and the count of floored probabilities."""
-        if self.kind == "qsa":
-            exps = self._qsa_expectations(circuit_vec, embed_vec)
-            clamped = int(np.sum(exps < EXPECTATION_FLOOR))
-            return -np.log(np.maximum(exps, EXPECTATION_FLOOR)), clamped
-        emap = self._embedding(embed_vec)
-        parts = _from_real_vector(circuit_vec, self._circuit_templates)
-        if self.kind == "scsa":
-            _, probs = scsa_forward_batch(self.inputs, emap, ScsaParams(*parts))
-            ratios = probs
-        else:
-            x, shift_free = embed_batch(self.inputs, emap)
-            values, normalizers = lcsa_forward_batch(x, shift_free, LcsaParams(*parts))
-            ratios = values / normalizers
-        clamped = int(np.sum(ratios < PROBABILITY_FLOOR))
-        ratios = np.clip(ratios, PROBABILITY_FLOOR, 1.0)
-        # Divergence-formula loss at alpha = 1/2, without the log T constant
-        # the circuit would add.
-        losses = -2.0 * np.log(np.sum(np.sqrt(ratios), axis=-1)) + 2.0 * np.log(self.num_steps)
-        return losses, clamped
-
     def mean_loss(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
-        losses, clamped = self.sequence_losses(circuit_vec, embed_vec)
+        """Mean offset loss over the sequences and the count of floored probabilities."""
+        losses, clamped = self.model.losses(self._outputs(circuit_vec, embed_vec), self.num_steps)
         return float(np.mean(losses)), clamped
 
     # gradients -----------------------------------------------------------------
@@ -415,8 +488,8 @@ class _Adapter:
         if config is None:
             raise ConfigurationError("gradients need a training configuration")
         cap = _thread_cap()
-        if self.kind == "qsa" and config.gradient_mode == "parameter-shift":
-            base = self._qsa_expectations(circuit_vec, embed_vec)
+        if self.model.circuit and config.gradient_mode == "parameter-shift":
+            base = self._outputs(circuit_vec, embed_vec)
             scale = np.where(base > EXPECTATION_FLOOR, -1.0 / np.maximum(base, EXPECTATION_FLOOR), 0.0)
 
             def shift_task(i: int) -> float:
@@ -424,40 +497,29 @@ class _Adapter:
                 minus = circuit_vec.copy()
                 plus[i] += np.pi / 2
                 minus[i] -= np.pi / 2
-                delta = self._qsa_expectations(plus, embed_vec) - self._qsa_expectations(minus, embed_vec)
+                delta = self._outputs(plus, embed_vec) - self._outputs(minus, embed_vec)
                 return float(np.mean(scale * delta / 2.0))
 
             grad_circuit = _map_indices(shift_task, circuit_vec.size, cap)
         else:
-            def fd_circuit(i: int) -> float:
-                return self._central_difference(circuit_vec, embed_vec, i, True)
-
-            grad_circuit = _map_indices(fd_circuit, circuit_vec.size, cap)
-
-        if config.embedding_trainable:
-            def fd_embed(i: int) -> float:
-                return self._central_difference(circuit_vec, embed_vec, i, False)
-
-            grad_embed = _map_indices(fd_embed, embed_vec.size, cap)
-        else:
-            grad_embed = np.zeros(embed_vec.size)
+            grad_circuit = _map_indices(
+                lambda i: self._central_difference(circuit_vec, embed_vec, 0, i), circuit_vec.size, cap
+            )
+        if not config.embedding_trainable:
+            return grad_circuit, np.zeros(embed_vec.size)
+        grad_embed = _map_indices(lambda i: self._central_difference(circuit_vec, embed_vec, 1, i), embed_vec.size, cap)
         return grad_circuit, grad_embed
 
-    def _central_difference(self, circuit_vec, embed_vec, index: int, circuit_side: bool) -> float:
+    def _central_difference(self, circuit_vec, embed_vec, side: int, index: int) -> float:
+        """d mean_loss / d vecs[side][index], vecs = (circuit_vec, embed_vec)."""
         h = self.config.fd_step
-        if circuit_side:
-            plus, minus = circuit_vec.copy(), circuit_vec.copy()
-            plus[index] += h
-            minus[index] -= h
-            hi, _ = self.mean_loss(plus, embed_vec)
-            lo, _ = self.mean_loss(minus, embed_vec)
-        else:
-            plus, minus = embed_vec.copy(), embed_vec.copy()
-            plus[index] += h
-            minus[index] -= h
-            hi, _ = self.mean_loss(circuit_vec, plus)
-            lo, _ = self.mean_loss(circuit_vec, minus)
-        return (hi - lo) / (2.0 * h)
+        losses = []
+        for step in (h, -h):
+            vecs = [circuit_vec, embed_vec]
+            vecs[side] = vecs[side].copy()
+            vecs[side][index] += step
+            losses.append(self.mean_loss(*vecs)[0])
+        return (losses[0] - losses[1]) / (2.0 * h)
 
 
 def _map_indices(task, size: int, cap: int) -> np.ndarray:
@@ -479,7 +541,6 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     so row 0 is the untouched initialization and the last row matches a
     forward-only evaluation of the returned parameters.
     """
-    _check_compat(config, dataset)
     params = initialize_params(config, dataset)
     log_offset = math.log(dataset.num_steps)
     if config.epochs == 0:
@@ -562,44 +623,16 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> l
     if k < 1:
         raise ConfigurationError("k must be at least 1")
     adapter = _Adapter(params, dataset, None)
-    emap = params.embedding
-    candidates = emap.matrix.T  # row per word
-    cand_norms = np.linalg.norm(candidates, axis=1)
-    if np.any(cand_norms <= 1e-12):
-        raise ConfigurationError("a vocabulary column embeds to the zero vector")
-    cand_unit = candidates / cand_norms[:, None]
-    inputs = adapter.inputs
-    x, shift_free = embed_batch(inputs, emap)
-    results = []
-    if params.model_kind == "scsa":
-        distributions, _ = scsa_forward_batch(inputs, emap, params.scsa)
-    for s in range(inputs.shape[0]):
-        steps = []
-        if params.model_kind == "qsa":
-            instance = QsaInstance.from_vectors(
-                x[s], shift_free[s, 1:], params.v_params, params.w_params, params.r_params
-            )
-        for j in range(1, dataset.num_steps + 1):
-            if params.model_kind == "qsa":
-                state, _ = predict_token_state(instance, j)
-                scores = np.abs(cand_unit.conj() @ state.amplitudes) ** 2
-            elif params.model_kind == "lcsa":
-                z = linear_attention_layer(list(x[s]), params.lcsa, j)
-                z = z / np.linalg.norm(z)
-                scores = np.abs(cand_unit.conj() @ z) ** 2
-            else:
-                scores = distributions[s, j - 1]
-            order = np.lexsort((np.arange(scores.size), -scores))[:k]
-            steps.append(
-                {
-                    "position": j + 1,
-                    "top": [
-                        {"word": int(w), "score": float(scores[w])} for w in order
-                    ],
-                }
-            )
-        results.append({"id": s, "steps": steps})
-    return results
+    scores = adapter.model.scores(params, adapter.inputs)
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    top = np.take_along_axis(scores, order, axis=-1)
+    return [
+        {"id": s, "steps": [
+            {"position": j + 2, "top": [{"word": int(w), "score": float(v)} for w, v in zip(order[s, j], top[s, j])]}
+            for j in range(dataset.num_steps)
+        ]}
+        for s in range(order.shape[0])
+    ]
 
 
 # checkpoint codec ----------------------------------------------------------------
@@ -630,32 +663,15 @@ def _decode_array(obj: dict) -> np.ndarray:
 
 
 def params_to_payload(params: ModelParams) -> dict:
-    payload = {
+    return {
         "model_kind": params.model_kind,
         "embedding": {
             "matrix": _encode_array(params.embedding.matrix),
             "shifts": _encode_array(params.embedding.shifts),
             "gamma": float(params.embedding.gamma),
         },
+        params.model_kind: MODELS[params.model_kind].to_payload(params),
     }
-    if params.model_kind == "qsa":
-        payload["qsa"] = {
-            "v": _ansatz_payload(params.v_params),
-            "w": _ansatz_payload(params.w_params),
-            "r": {"angles": _encode_array(params.r_params.angles)},
-        }
-    elif params.model_kind == "scsa":
-        p = params.scsa
-        payload["scsa"] = {
-            name: _encode_array(getattr(p, name))
-            for name in ("w_query", "w_key", "w_value", "ffn_in", "ffn_out", "anti_embed")
-        }
-    else:
-        payload["lcsa"] = {
-            "value_map": _encode_array(params.lcsa.value_map),
-            "affinity_map": _encode_array(params.lcsa.affinity_map),
-        }
-    return payload
 
 
 def _ansatz_payload(p: AnsatzParams) -> dict:
@@ -677,29 +693,7 @@ def params_from_payload(payload: dict) -> ModelParams:
     emb = payload["embedding"]
     embedding = EmbeddingMap(_decode_array(emb["matrix"]), _decode_array(emb["shifts"]), emb["gamma"])
     kind = payload["model_kind"]
-    if kind == "qsa":
-        q = payload["qsa"]
-        return ModelParams(
-            "qsa",
-            embedding,
-            v_params=_ansatz_from_payload(q["v"]),
-            w_params=_ansatz_from_payload(q["w"]),
-            r_params=PhaseLayerParams(_decode_array(q["r"]["angles"])),
-        )
-    if kind == "scsa":
-        s = payload["scsa"]
-        return ModelParams(
-            "scsa",
-            embedding,
-            scsa=ScsaParams(*[_decode_array(s[name]) for name in
-                              ("w_query", "w_key", "w_value", "ffn_in", "ffn_out", "anti_embed")]),
-        )
-    return ModelParams(
-        "lcsa",
-        embedding,
-        lcsa=LcsaParams(_decode_array(payload["lcsa"]["value_map"]),
-                        _decode_array(payload["lcsa"]["affinity_map"])),
-    )
+    return ModelParams(kind, embedding, **MODELS[kind].from_payload(payload[kind]))
 
 
 def checkpoint_document(params: ModelParams, config: TrainConfig, data_kind: str) -> dict:
@@ -714,11 +708,7 @@ def checkpoint_document(params: ModelParams, config: TrainConfig, data_kind: str
 
 
 def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, path) -> None:
-    text = json.dumps(checkpoint_document(params, config, data_kind), sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(checkpoint_document(params, config, data_kind), sort_keys=True))
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams, dict]:
@@ -734,12 +724,15 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams
         raise UnsupportedVersionError(
             f"checkpoint version {doc['version']} is not supported (expected {CHECKPOINT_VERSION})"
         )
-    if expected_kind is not None and doc["model_kind"] != expected_kind:
-        raise CompatibilityError(
-            f"checkpoint holds a {doc['model_kind']} model, expected {expected_kind}"
-        )
-    params = params_from_payload(doc["params"])
-    meta = {key: doc[key] for key in ("model_kind", "data_kind", "config_hash", "seed")}
+    try:
+        if expected_kind is not None and doc["model_kind"] != expected_kind:
+            raise CompatibilityError(
+                f"checkpoint holds a {doc['model_kind']} model, expected {expected_kind}"
+            )
+        params = params_from_payload(doc["params"])
+        meta = {key: doc[key] for key in ("model_kind", "data_kind", "config_hash", "seed")}
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"checkpoint field missing or malformed: {exc!r}") from exc
     return params, meta
 
 

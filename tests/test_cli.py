@@ -205,3 +205,70 @@ class TestNumericFailure:
         diagnostic = json.loads((out / "diagnostic.json").read_text())
         assert diagnostic["model_kind"] == "scsa"
         assert not (out / "checkpoint.json").exists()
+
+
+class TestTypedFileErrors:
+    def _train(self, tmp_path, data_path):
+        return run([
+            "train", "--model", "lcsa", "--data", str(data_path),
+            "--epochs", "1", "--out", str(tmp_path / "run"),
+        ])
+
+    def test_truncated_dataset_line_exits_2(self, tmp_path, small_dataset_path):
+        lines = small_dataset_path.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:3] + [lines[3][: len(lines[3]) // 2]]) + "\n")
+        assert self._train(tmp_path, bad) == 2
+
+    def test_record_without_words_exits_2(self, tmp_path, small_dataset_path):
+        lines = small_dataset_path.read_text().splitlines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines[:2] + [json.dumps({"id": 1})] + lines[3:]) + "\n")
+        assert self._train(tmp_path, bad) == 2
+
+    def test_checkpoint_without_params_exits_4(self, tmp_path, small_dataset_path):
+        assert self._train(tmp_path, small_dataset_path) == 0
+        doc = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        del doc["params"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "eval.json"
+        assert run(["eval", "--checkpoint", str(bad), "--data", str(small_dataset_path), "--out", str(out)]) == 4
+
+    def test_nan_learning_rate_exits_2(self, tmp_path, small_dataset_path):
+        code = run([
+            "train", "--model", "lcsa", "--data", str(small_dataset_path),
+            "--learning-rate", "nan", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "run" / "diagnostic.json").exists()
+
+
+class TestDegeneratePrediction:
+    @pytest.fixture()
+    def zero_value_map(self, tmp_path, small_dataset_path):
+        out = tmp_path / "run"
+        assert run([
+            "train", "--model", "lcsa", "--data", str(small_dataset_path),
+            "--epochs", "0", "--out", str(out),
+        ]) == 0
+        path = out / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        value_map = doc["params"]["lcsa"]["value_map"]
+        value_map["data"] = [0.0] * len(value_map["data"])
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return path
+
+    def test_eval_exits_3(self, tmp_path, small_dataset_path, zero_value_map):
+        out = tmp_path / "eval.json"
+        code = run(["eval", "--checkpoint", str(zero_value_map), "--data", str(small_dataset_path),
+                    "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_predict_exits_3_instead_of_writing_nan(self, tmp_path, small_dataset_path, zero_value_map):
+        out = tmp_path / "pred.json"
+        code = run(["predict", "--checkpoint", str(zero_value_map), "--data", str(small_dataset_path),
+                    "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
