@@ -3,12 +3,15 @@
 The data-register ansatz is hardware-efficient: per layer, Ry(theta)Rz(phi)
 on every qubit followed by a linear chain of CNOTs, closed by one final
 rotation-only layer.  The step-register layer is a product of Rz rotations.
-Both families are differentiated exactly by the two-point shift rule.
+Both families are differentiated exactly by the two-point shift rule, and
+in closed form by ``ansatz_gradient`` / ``phase_layer_gradient`` given the
+loss gradient with respect to the matrix or diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -116,10 +119,12 @@ def _rotation_layer(layer_angles: np.ndarray, real_valued: bool) -> np.ndarray:
         mat = rotation_y(layer_angles[q, 0])
         if not real_valued:
             mat = mat @ rotation_z(layer_angles[q, 1])
-        full = np.kron(full, mat)
+        # np.kron(full, mat) without its generic-shape overhead
+        full = (full[:, None, :, None] * mat[None, :, None, :]).reshape(2 * full.shape[0], -1)
     return full
 
 
+@lru_cache(maxsize=None)
 def _cnot_chain_matrix(num_qubits: int) -> np.ndarray:
     dim = 2 ** num_qubits
     chain = np.eye(dim, dtype=complex)
@@ -129,6 +134,7 @@ def _cnot_chain_matrix(num_qubits: int) -> np.ndarray:
             flipped = b ^ (1 << (q + 1)) if (b >> q) & 1 else b
             perm[flipped, b] = 1.0
         chain = perm @ chain
+    chain.setflags(write=False)
     return chain
 
 
@@ -142,6 +148,50 @@ def build_ansatz_unitary(params: AnsatzParams) -> UnitaryBlock:
     return UnitaryBlock(u, tuple(range(params.num_qubits)))
 
 
+@lru_cache(maxsize=None)
+def _qubit_generators(axis: str, num_qubits: int) -> np.ndarray:
+    """(n, 2**n, 2**n) stack of -i sigma_axis / 2 acting on each qubit q."""
+    pauli = {"y": np.array([[0.0, -1j], [1j, 0.0]]), "z": np.diag([1.0, -1.0])}[axis]
+    generators = np.stack([
+        np.kron(np.kron(np.eye(2 ** (num_qubits - 1 - q)), -0.5j * pauli), np.eye(2 ** q))
+        for q in range(num_qubits)
+    ])
+    generators.setflags(write=False)
+    return generators
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def ansatz_gradient(params: AnsatzParams, g_matrix: np.ndarray) -> np.ndarray:
+    """Angle gradient, shaped like ``params.angles``, of a loss whose gradient
+    with respect to the ansatz matrix U is ``g_matrix`` (dL/dRe U + i dL/dIm U).
+
+    With U = after_l R_l before_l around rotation layer l, an Ry angle enters
+    as dR_l = (-i Y_q / 2) R_l and an Rz angle as dR_l = R_l (-i Z_q / 2), so
+    dL/dangle = Re <X, G_q> with X the loss gradient moved through the
+    prefix and suffix products to the generator's position.
+    """
+    n, num_layers = params.num_qubits, params.num_layers
+    layers = np.stack([_rotation_layer(params.angles[l], params.real_valued) for l in range(num_layers + 1)])
+    chain = _cnot_chain_matrix(n)
+    before = [np.eye(2 ** n, dtype=complex)]
+    for layer in layers[:-1]:
+        before.append(chain @ layer @ before[-1])
+    after = [np.eye(2 ** n, dtype=complex)]
+    for layer in layers[:0:-1]:
+        after.insert(0, after[0] @ layer @ chain)
+    before, after = np.stack(before), np.stack(after)
+    grad = np.zeros(params.angles.shape)
+    x_ry = _dagger(after) @ g_matrix @ _dagger(layers @ before)
+    grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
+    if not params.real_valued:
+        x_rz = _dagger(after @ layers) @ g_matrix @ _dagger(before)
+        grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
+    return grad
+
+
 def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:
     """Diagonal of the Rz product over the step register, indexed by basis value."""
     diag = np.ones(1, dtype=complex)
@@ -149,6 +199,14 @@ def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:
         alpha = params.angles[q]
         diag = np.kron(diag, np.array([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)]))
     return diag
+
+
+def phase_layer_gradient(params: PhaseLayerParams, g_diagonal: np.ndarray) -> np.ndarray:
+    """Angle gradient of a loss whose gradient with respect to the phase
+    diagonal is ``g_diagonal``: entry k carries e^{+-i alpha_q / 2} by bit q of k."""
+    diag = phase_layer_diagonal(params)
+    bits = (np.arange(diag.size)[:, None] >> np.arange(params.num_qubits)) & 1
+    return ((g_diagonal.conj() * 0.5j * diag) @ (2 * bits - 1)).real
 
 
 def build_phase_layer(params: PhaseLayerParams) -> UnitaryBlock:

@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ZERO_NORM_TOL, EmbeddingMap, _as_input_rows, embed_batch
+from .data import (
+    ZERO_NORM_TOL,
+    EmbeddingMap,
+    _as_input_rows,
+    embed_batch,
+    linear_map_gradient,
+    unit_rows_backward,
+)
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 
 
@@ -32,6 +39,17 @@ def _split_relu(x: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(x):
         return np.maximum(x.real, 0.0) + 1j * np.maximum(x.imag, 0.0)
     return np.maximum(x, 0.0)
+
+
+def _split_relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(x):
+        return np.where(x.real > 0.0, g.real, 0.0) + 1j * np.where(x.imag > 0.0, g.imag, 0.0)
+    return np.where(x > 0.0, g, 0.0)
+
+
+def _softmax_backward(probs: np.ndarray, g_probs: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax logits along the last axis."""
+    return probs * (g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -128,17 +146,30 @@ def scsa_forward_batch(inputs: np.ndarray, emap: EmbeddingMap, params: ScsaParam
     of the true next items.
     """
     x, _ = embed_batch(inputs, emap)
-    num_steps = x.shape[1] - 1
-    prefix = x[:, :num_steps]
+    distributions, probs, _ = scsa_vjp(x[:, :-1], inputs, params)
+    return distributions, probs
+
+
+def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
+    """The S-CSA block on (S, T, d) embedded tokens, and its backward pass.
+
+    Returns (distributions, probs, backward) as in ``scsa_forward_batch``;
+    ``backward(g_probs)`` gives g_prefix and the gradients of the ScsaParams
+    fields in declaration order.
+    """
+    num_steps = prefix.shape[1]
+    scale = np.sqrt(params.key_dim)
     queries = prefix @ params.w_query.T
     keys = prefix @ params.w_key.T
     values = prefix @ params.w_value.T
-    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / np.sqrt(params.key_dim)
+    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
     causal = np.tril(np.ones((num_steps, num_steps), dtype=bool))
     scores = np.where(causal, scores, -np.inf)
     weights = _stable_softmax(scores, axis=-1)
     attended = np.einsum("sji,sid->sjd", weights, values)
-    hidden = _split_relu((attended + prefix) @ params.ffn_in.T)
+    residual = attended + prefix
+    pre_activation = residual @ params.ffn_in.T
+    hidden = _split_relu(pre_activation)
     transformed = hidden @ params.ffn_out.T
     logits = (transformed @ params.anti_embed.T).real
     distributions = _stable_softmax(logits, axis=-1)
@@ -146,7 +177,34 @@ def scsa_forward_batch(inputs: np.ndarray, emap: EmbeddingMap, params: ScsaParam
     # Born-weighted average for amplitude rows.
     born = np.abs(inputs[:, 1:, :]) ** 2
     probs = np.einsum("sjl,sjl->sj", distributions, born)
-    return distributions, probs
+
+    def backward(g_probs):
+        g_logits = _softmax_backward(distributions, g_probs[..., None] * born)
+        g_transformed = g_logits @ params.anti_embed.conj()
+        g_hidden = g_transformed @ params.ffn_out.conj()
+        g_pre = _split_relu_backward(pre_activation, g_hidden)
+        g_residual = g_pre @ params.ffn_in.conj()
+        g_weights = np.einsum("sjd,sid->sji", g_residual.conj(), values).real
+        g_values = np.einsum("sji,sjd->sid", weights, g_residual)
+        g_scores = _softmax_backward(weights, g_weights) / scale
+        g_queries = g_scores @ keys
+        g_keys = g_scores.swapaxes(-1, -2) @ queries
+        g_prefix = (
+            g_residual
+            + g_queries @ params.w_query.conj()
+            + g_keys @ params.w_key.conj()
+            + g_values @ params.w_value.conj()
+        )
+        return g_prefix, (
+            linear_map_gradient(g_queries, prefix),
+            linear_map_gradient(g_keys, prefix),
+            linear_map_gradient(g_values, prefix),
+            linear_map_gradient(g_pre, residual),
+            linear_map_gradient(g_transformed, hidden),
+            linear_map_gradient(g_logits, transformed),
+        )
+
+    return distributions, probs, backward
 
 
 def scsa_forward(words, emap: EmbeddingMap, params: ScsaParams) -> np.ndarray:
@@ -224,8 +282,35 @@ def causal_attention(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np
     the L-CSA output, the qsa prediction state before normalization and,
     contracted with a step's target, the qsa branch amplitude.
     """
-    affinities = np.tril(prefix.conj() @ (prefix @ affinity_map.T).swapaxes(-1, -2))
-    return (affinities @ prefix) @ value_map.T
+    return causal_attention_vjp(prefix, value_map, affinity_map)[0]
+
+
+def causal_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
+    """``causal_attention`` and its backward pass.
+
+    Returns (z, backward); ``backward(g_z)`` gives the gradients (g_prefix,
+    g_value_map, g_affinity_map), with g = dL/dRe + i dL/dIm for complex
+    quantities.  Batch axes are summed into the map gradients.
+    """
+    keys = prefix @ affinity_map.T  # W x_i
+    affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
+    attended = affinities @ prefix
+    z = attended @ value_map.T
+
+    def backward(g_z):
+        # recomputed, not kept, so forward-only calls hold no extra (..., T, T) array
+        affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
+        g_attended = g_z @ value_map.conj()
+        g_affinities = np.tril(g_attended @ prefix.conj().swapaxes(-1, -2))
+        g_keys = g_affinities.swapaxes(-1, -2) @ prefix
+        g_prefix = (
+            affinities.conj().swapaxes(-1, -2) @ g_attended
+            + g_affinities.conj() @ keys
+            + g_keys @ affinity_map.conj()
+        )
+        return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(g_keys, prefix)
+
+    return z, backward
 
 
 def output_weights(z: np.ndarray) -> np.ndarray:
@@ -248,12 +333,34 @@ def lcsa_forward_batch(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaPara
     (values, normalizers) with values[s, j] = |<t_norm, z_j>|^2 and
     normalizers[s, j] = ||z_j||^2, so their ratio is the step probability.
     """
+    values, normalizers, _ = lcsa_vjp(x, x_shift_free, params)
+    return values, normalizers
+
+
+def lcsa_vjp(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaParams):
+    """``lcsa_forward_batch`` and its backward pass.
+
+    Returns (values, normalizers, backward); ``backward(g_values,
+    g_normalizers)`` gives (g_x, g_x_shift_free, g_value_map, g_affinity_map).
+    """
     num_steps = x.shape[1] - 1
-    z = causal_attention(x[:, :num_steps], params.value_map, params.affinity_map)
+    z, attention_backward = causal_attention_vjp(x[:, :num_steps], params.value_map, params.affinity_map)
     targets = x_shift_free[:, 1:]
     t_norms = np.linalg.norm(targets, axis=-1)
     if np.any(t_norms <= ZERO_NORM_TOL):
         raise DegenerateInputError("a target embedding is a zero vector")
     normalizers = output_weights(z)
-    overlaps = np.einsum("sjd,sjd->sj", (targets / t_norms[..., None]).conj(), z)
-    return np.abs(overlaps) ** 2, normalizers
+    unit_targets = targets / t_norms[..., None]
+    overlaps = np.einsum("sjd,sjd->sj", unit_targets.conj(), z)
+
+    def backward(g_values, g_normalizers):
+        g_overlaps = 2.0 * g_values * overlaps
+        g_z = g_overlaps[..., None] * unit_targets + 2.0 * g_normalizers[..., None] * z
+        g_prefix, g_value_map, g_affinity_map = attention_backward(g_z)
+        g_x = np.zeros_like(g_prefix, shape=x.shape)
+        g_x[:, :num_steps] = g_prefix
+        g_shift_free = np.zeros_like(g_x)
+        g_shift_free[:, 1:] = unit_rows_backward(unit_targets, t_norms, g_overlaps.conj()[..., None] * z)
+        return g_x, g_shift_free, g_value_map, g_affinity_map
+
+    return np.abs(overlaps) ** 2, normalizers, backward

@@ -155,7 +155,12 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            try:
+                doc = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
             raise CompatibilityError(
                 f"config schema_version {doc.get('schema_version')} unsupported"

@@ -138,6 +138,21 @@ def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.
     return x, shift_free
 
 
+def linear_map_gradient(g_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of a map M applied to rows, y = x @ M.T, summed over all rows.
+
+    Gradients of complex quantities follow dL = Re sum conj(g) dz, so that
+    g = dL/dRe + i dL/dIm; this one is sum_rows g_out (x) conj(x).
+    """
+    return g_out.reshape(-1, g_out.shape[-1]).T @ x.reshape(-1, x.shape[-1]).conj()
+
+
+def unit_rows_backward(unit: np.ndarray, norms: np.ndarray, g_unit: np.ndarray) -> np.ndarray:
+    """Gradient with respect to rows u from that of unit = u / ||u||."""
+    radial = np.einsum("...d,...d->...", g_unit.conj(), unit).real
+    return (g_unit - radial[..., None] * unit) / norms[..., None]
+
+
 def _site_operator(op: np.ndarray, site: int, num_qubits: int) -> np.ndarray:
     return np.kron(
         np.kron(np.eye(2 ** (num_qubits - 1 - site)), op), np.eye(2 ** site)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
-from .classical import causal_attention
+from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, unitary_with_first_column
 from .errors import ConfigurationError, DegeneratePredictionError
@@ -156,14 +156,35 @@ def _overlap_core(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matr
     ``tok``: (..., T, d) normalized attention inputs x_1..x_T;
     ``tgt``: (..., T, d) normalized targets for steps 2..T+1.
     """
-    z = causal_attention(tok, v_matrix, w_matrix)
+    a, weights, _ = _overlap_core_vjp(tok, tgt, v_matrix, w_matrix)
+    return a, weights
+
+
+def _overlap_core_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
+    """``_overlap_core`` and its backward pass: ``backward(g_a, g_weights)``
+    gives (g_tok, g_tgt, g_v_matrix, g_w_matrix)."""
+    z, attention_backward = causal_attention_vjp(tok, v_matrix, w_matrix)
     a = np.einsum("...jd,...jd->...j", tgt.conj(), z)
     # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
     # so the prefix weights sum squared Gram entries, not squared moduli.
     gram = tok.conj() @ tok.swapaxes(-1, -2)
     prefixes = np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2)
     weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
-    return a, weights
+
+    def backward(g_a, g_weights):
+        g_tok, g_v, g_w = attention_backward(g_a[..., None] * tgt)
+        g_tgt = g_a.conj()[..., None] * z
+        # M_j = Re sum_{i,i'<=j} G_ii'^2: pair (i, i') feeds every M_j with
+        # j >= max(i, i'); dG^2 = 2 G dG, and each token enters G as a row
+        # and as a column, hence the 4.  The Gram block is recomputed, not
+        # kept, so forward-only calls hold no extra (..., T, T) array.
+        tail = np.cumsum(g_weights[..., ::-1], axis=-1)[..., ::-1]
+        steps = np.arange(tok.shape[-2])
+        pair_weights = tail[..., np.maximum.outer(steps, steps)]
+        g_tok = g_tok + 4.0 * (pair_weights * (tok.conj() @ tok.swapaxes(-1, -2))) @ tok
+        return g_tok, g_tgt, g_v, g_w
+
+    return a, weights, backward
 
 
 def batched_expectations(
@@ -174,10 +195,37 @@ def batched_expectations(
     phase_diagonal: np.ndarray,
 ) -> np.ndarray:
     """Analytic expectations for a batch of sequences, no full-register state."""
-    a, weights = _overlap_core(token_states, target_states, v_matrix, w_matrix)
+    return expectations_vjp(token_states, target_states, v_matrix, w_matrix, phase_diagonal)[0]
+
+
+def expectations_vjp(
+    token_states: np.ndarray,
+    target_states: np.ndarray,
+    v_matrix: np.ndarray,
+    w_matrix: np.ndarray,
+    phase_diagonal: np.ndarray,
+):
+    """``batched_expectations`` and its backward pass.
+
+    Returns (expectations, backward); ``backward(g_expectations)`` gives
+    (g_token_states, g_target_states, g_v_matrix, g_w_matrix,
+    g_phase_diagonal), complex gradients as dL/dRe + i dL/dIm and the batch
+    summed into the shared arrays.
+    """
+    a, weights, core_backward = _overlap_core_vjp(token_states, target_states, v_matrix, w_matrix)
     num_steps = token_states.shape[-2]
-    amp = np.sum(phase_diagonal * a / np.sqrt(weights), axis=-1) / num_steps
-    return np.abs(amp) ** 2
+    root = np.sqrt(weights)
+    terms = phase_diagonal * a / root
+    amp = np.sum(terms, axis=-1) / num_steps
+
+    def backward(g_expectations):
+        g_amp = (2.0 * g_expectations * amp / num_steps)[..., None]
+        g_a = g_amp * phase_diagonal.conj() / root
+        g_phase = np.sum(g_amp * (a / root).conj(), axis=tuple(range(a.ndim - 1)))
+        g_weights = -0.5 * (g_amp.conj() * terms).real / weights
+        return (*core_backward(g_a, g_weights), g_phase)
+
+    return np.abs(amp) ** 2, backward
 
 
 def branch_overlaps(instance: QsaInstance) -> tuple[np.ndarray, np.ndarray]:

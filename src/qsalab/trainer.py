@@ -1,10 +1,14 @@
 """End-to-end optimization for the three sequence models.
 
-Gradient assembly (shift rule for circuit angles, central differences for
-everything else), adaptive-moment updates, per-epoch loss reporting, and
-versioned JSON checkpoints.  Runs are deterministic for a fixed (config,
-seed, dataset) triple: reductions happen in fixed order and the optional
-thread pool writes results by index.
+Gradient assembly, adaptive-moment updates, per-epoch loss reporting, and
+versioned JSON checkpoints.  On the default path (parameter-shift mode,
+analytic route, no shots) gradients are exact: one forward that keeps its
+intermediates and one backward pass per model kind.  Shot sampling, the
+circuit route and ``gradient_mode="finite-difference"`` perturb parameters
+instead (shift rule for circuit angles, central differences for everything
+else); the finite-difference mode is the oracle for the exact gradients.
+Runs are deterministic for a fixed (config, seed, dataset) triple:
+reductions happen in fixed order.
 
 What differs between the three kinds lives in one table, ``MODELS``, keyed
 by kind; training, evaluation, prediction and the checkpoint codec
@@ -24,24 +28,41 @@ import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
+from .ansatz import (
+    AnsatzParams,
+    PhaseLayerParams,
+    ansatz_gradient,
+    build_ansatz_unitary,
+    phase_layer_diagonal,
+    phase_layer_gradient,
+)
 from .classical import (
     LcsaParams,
     ScsaParams,
     causal_attention,
     lcsa_forward_batch,
+    lcsa_vjp,
     output_weights,
     scsa_forward_batch,
+    scsa_vjp,
 )
-from .data import ZERO_NORM_TOL, EmbeddingMap, SequenceDataset, atomic_write_text, embed_batch, make_embedding
-from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation
+from .data import (
+    ZERO_NORM_TOL,
+    EmbeddingMap,
+    SequenceDataset,
+    atomic_write_text,
+    embed_batch,
+    linear_map_gradient,
+    make_embedding,
+    unit_rows_backward,
+)
+from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation, expectations_vjp
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -56,12 +77,14 @@ CHECKPOINT_VERSION = 1
 CSV_HEADER = "epoch,train_loss_offset,train_loss,perplexity,grad_norm,seconds"
 
 
-def _thread_cap() -> int:
+def _check_thread_setting() -> None:
+    """QSALAB_THREADS is still accepted but must be an integer; every
+    gradient path runs serially."""
     raw = os.environ.get(THREADS_ENV)
     if not raw:
-        return 1
+        return
     try:
-        return max(1, int(raw))
+        int(raw)
     except ValueError as exc:
         raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
 
@@ -218,6 +241,8 @@ class _Model:
 
     - ``fields``: the ModelParams attributes the kind owns;
     - ``check(embed_dim, num_steps)``: why those shapes cannot host it, or None;
+    - ``check_arrays(params, num_steps)``: why its arrays do not fit the
+      embedding (and step count), or None;
     - ``init(config, dataset, seeds, complex_valued)``: seeded field values;
     - ``arrays(params)``: (name, array) pairs in circuit-vector order;
     - ``rebuild(template, parts)``: field values from arrays shaped like ``arrays``;
@@ -226,7 +251,15 @@ class _Model:
       (S, T+1, D) input rows;
     - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
       of floored probabilities;
+    - ``loss_slopes(outputs, num_steps)``: d losses / d outputs, zero where
+      a floor clamps the probability;
+    - ``outputs_vjp(params, inputs)``: the analytic outputs and a backward
+      pass from their gradient to the gradients of ``arrays`` (a list) and of
+      the embedded rows ``inputs @ E.T`` (S, T+1, d);
     - ``scores(params, inputs)``: (S, T, D) next-word scores.
+
+    Complex gradients are dL/dRe + i dL/dIm, so ``_to_real_vector`` lays
+    them out like the parameters.
 
     ``circuit`` marks outputs that are measured circuit expectations, to
     which shot sampling and the parameter-shift rule apply.
@@ -237,6 +270,20 @@ class _Model:
 
     def check(self, embed_dim: int, num_steps: int) -> str | None:
         return None
+
+    def check_arrays(self, params: ModelParams, num_steps: int) -> str | None:
+        return None
+
+    def gradients(self, params: ModelParams, inputs: np.ndarray, num_steps: int):
+        """Exact gradient of the mean offset loss with respect to each of
+        ``arrays`` (a list, real arrays get real gradients) and the embedding
+        matrix, from one forward that keeps its intermediates and one backward."""
+        outputs, backward = self.outputs_vjp(params, inputs)
+        grads, g_rows = backward(self.loss_slopes(outputs, num_steps) / outputs.shape[0])
+        grads.append(linear_map_gradient(g_rows, inputs))
+        templates = [arr for _, arr in self.arrays(params)] + [params.embedding.matrix]
+        grads = [g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)]
+        return grads[:-1], grads[-1]
 
     def to_payload(self, params: ModelParams) -> dict:
         return {name: _encode_array(arr) for name, arr in self.arrays(params)}
@@ -265,6 +312,16 @@ class _Qsa(_Model):
             return "qsa needs a power-of-two embed_dim >= 2"
         if num_steps & (num_steps - 1) or num_steps < 2:
             return "qsa needs a power-of-two step count >= 2"
+        return None
+
+    def check_arrays(self, params, num_steps):
+        d = params.embedding.embed_dim
+        for name in ("v_params", "w_params"):
+            qubits = getattr(params, name).num_qubits
+            if 2 ** qubits != d:
+                return f"qsa {name} acts on {qubits} qubits, not a {d}-dimensional token"
+        if 2 ** params.r_params.num_qubits != num_steps:
+            return f"qsa phase layer has {params.r_params.num_qubits} qubits, not {num_steps} steps"
         return None
 
     def init(self, config, dataset, seeds, complex_valued):
@@ -318,6 +375,35 @@ class _Qsa(_Model):
         clamped = int(np.sum(exps < EXPECTATION_FLOOR))
         return -np.log(np.maximum(exps, EXPECTATION_FLOOR)), clamped
 
+    def loss_slopes(self, exps, num_steps):
+        return np.where(exps > EXPECTATION_FLOOR, -1.0 / np.maximum(exps, EXPECTATION_FLOOR), 0.0)
+
+    def outputs_vjp(self, params, inputs):
+        x, shift_free = embed_batch(inputs, params.embedding)
+        tokens, targets = x[:, :-1], shift_free[:, 1:]
+        tok, tgt = _unit_rows(tokens), _unit_rows(targets)
+        exps, backward = expectations_vjp(
+            tok,
+            tgt,
+            build_ansatz_unitary(params.v_params).matrix,
+            build_ansatz_unitary(params.w_params).matrix,
+            phase_layer_diagonal(params.r_params),
+        )
+
+        def model_backward(g_exps):
+            g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
+            g_rows = np.zeros_like(g_tok, shape=x.shape)
+            g_rows[:, :-1] = unit_rows_backward(tok, np.linalg.norm(tokens, axis=-1), g_tok)
+            g_rows[:, 1:] += unit_rows_backward(tgt, np.linalg.norm(targets, axis=-1), g_tgt)
+            grads = [
+                ansatz_gradient(params.v_params, g_v),
+                ansatz_gradient(params.w_params, g_w),
+                phase_layer_gradient(params.r_params, g_phase),
+            ]
+            return grads, g_rows
+
+        return exps, model_backward
+
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
         z = causal_attention(
@@ -344,6 +430,13 @@ class _Baseline(_Model):
     def from_payload(self, payload):
         return self.rebuild(None, [_decode_array(payload[f.name]) for f in dataclass_fields(self.params_type)])
 
+    def check_arrays(self, params, num_steps):
+        part = getattr(params, self.fields[0])
+        if part.embed_dim != params.embedding.embed_dim:
+            return (f"{self.fields[0]} arrays act on {part.embed_dim}-dimensional tokens, "
+                    f"the embedding on {params.embedding.embed_dim}")
+        return None
+
     def losses(self, ratios, num_steps):
         clamped = int(np.sum(ratios < PROBABILITY_FLOOR))
         ratios = np.clip(ratios, PROBABILITY_FLOOR, 1.0)
@@ -351,6 +444,11 @@ class _Baseline(_Model):
         # the circuit would add.
         losses = -2.0 * np.log(np.sum(np.sqrt(ratios), axis=-1)) + 2.0 * np.log(num_steps)
         return losses, clamped
+
+    def loss_slopes(self, ratios, num_steps):
+        roots = np.sqrt(np.clip(ratios, PROBABILITY_FLOOR, 1.0))
+        kept = (ratios >= PROBABILITY_FLOOR) & (ratios <= 1.0)
+        return np.where(kept, -1.0 / (np.sum(roots, axis=-1, keepdims=True) * roots), 0.0)
 
 
 class _Scsa(_Baseline):
@@ -361,9 +459,27 @@ class _Scsa(_Baseline):
         return {"scsa": ScsaParams.random(config.embed_dim, dataset.vocab_dim, seeds[0], key_dim=config.key_dim,
                                           hidden_dim=config.ffn_hidden, complex_valued=complex_valued)}
 
+    def check_arrays(self, params, num_steps):
+        if params.scsa.vocab_dim != params.embedding.vocab_dim:
+            return (f"scsa anti-embedding covers {params.scsa.vocab_dim} words, "
+                    f"the embedding {params.embedding.vocab_dim}")
+        return super().check_arrays(params, num_steps)
+
     def outputs(self, params, inputs, config):
         _, probs = scsa_forward_batch(inputs, params.embedding, params.scsa)
         return probs
+
+    def outputs_vjp(self, params, inputs):
+        x, _ = embed_batch(inputs, params.embedding)
+        _, probs, backward = scsa_vjp(x[:, :-1], inputs, params.scsa)
+
+        def model_backward(g_probs):
+            g_prefix, grads = backward(g_probs)
+            g_rows = np.zeros_like(g_prefix, shape=x.shape)
+            g_rows[:, :-1] = g_prefix
+            return list(grads), g_rows
+
+        return probs, model_backward
 
     def scores(self, params, inputs):
         distributions, _ = scsa_forward_batch(inputs, params.embedding, params.scsa)
@@ -381,6 +497,18 @@ class _Lcsa(_Baseline):
         x, shift_free = embed_batch(inputs, params.embedding)
         values, normalizers = lcsa_forward_batch(x, shift_free, params.lcsa)
         return values / normalizers
+
+    def outputs_vjp(self, params, inputs):
+        x, shift_free = embed_batch(inputs, params.embedding)
+        values, normalizers, backward = lcsa_vjp(x, shift_free, params.lcsa)
+
+        def model_backward(g_ratios):
+            g_x, g_shift_free, g_value_map, g_affinity_map = backward(
+                g_ratios / normalizers, -g_ratios * values / normalizers ** 2
+            )
+            return [g_value_map, g_affinity_map], g_x + g_shift_free
+
+        return values / normalizers, model_backward
 
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
@@ -439,7 +567,9 @@ class _Adapter:
             raise CompatibilityError(
                 f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
             )
-        problem = self.model.check(params.embedding.embed_dim, dataset.num_steps)
+        problem = self.model.check(params.embedding.embed_dim, dataset.num_steps) or self.model.check_arrays(
+            params, dataset.num_steps
+        )
         if problem:
             raise CompatibilityError(problem)
         self._circuit_templates = [arr for _, arr in self.model.arrays(params)]
@@ -487,27 +617,35 @@ class _Adapter:
         config = self.config
         if config is None:
             raise ConfigurationError("gradients need a training configuration")
-        cap = _thread_cap()
+        _check_thread_setting()
+        if config.gradient_mode == "parameter-shift" and not config.shots and config.expectation_route == "analytic":
+            grads, grad_matrix = self.model.gradients(self.rebuild(circuit_vec, embed_vec), self.inputs, self.num_steps)
+            if not config.embedding_trainable:
+                return _to_real_vector(grads), np.zeros(embed_vec.size)
+            return _to_real_vector(grads), _to_real_vector([grad_matrix])
+        return self._perturbation_gradients(circuit_vec, embed_vec)
+
+    def _perturbation_gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
+        """Shift rule for measured circuit angles, central differences otherwise."""
+        config = self.config
+        grad_circuit = np.zeros(circuit_vec.size)
         if self.model.circuit and config.gradient_mode == "parameter-shift":
             base = self._outputs(circuit_vec, embed_vec)
             scale = np.where(base > EXPECTATION_FLOOR, -1.0 / np.maximum(base, EXPECTATION_FLOOR), 0.0)
-
-            def shift_task(i: int) -> float:
+            for i in range(circuit_vec.size):
                 plus = circuit_vec.copy()
                 minus = circuit_vec.copy()
                 plus[i] += np.pi / 2
                 minus[i] -= np.pi / 2
                 delta = self._outputs(plus, embed_vec) - self._outputs(minus, embed_vec)
-                return float(np.mean(scale * delta / 2.0))
-
-            grad_circuit = _map_indices(shift_task, circuit_vec.size, cap)
+                grad_circuit[i] = float(np.mean(scale * delta / 2.0))
         else:
-            grad_circuit = _map_indices(
-                lambda i: self._central_difference(circuit_vec, embed_vec, 0, i), circuit_vec.size, cap
-            )
-        if not config.embedding_trainable:
-            return grad_circuit, np.zeros(embed_vec.size)
-        grad_embed = _map_indices(lambda i: self._central_difference(circuit_vec, embed_vec, 1, i), embed_vec.size, cap)
+            for i in range(circuit_vec.size):
+                grad_circuit[i] = self._central_difference(circuit_vec, embed_vec, 0, i)
+        grad_embed = np.zeros(embed_vec.size)
+        if config.embedding_trainable:
+            for i in range(embed_vec.size):
+                grad_embed[i] = self._central_difference(circuit_vec, embed_vec, 1, i)
         return grad_circuit, grad_embed
 
     def _central_difference(self, circuit_vec, embed_vec, side: int, index: int) -> float:
@@ -520,18 +658,6 @@ class _Adapter:
             vecs[side][index] += step
             losses.append(self.mean_loss(*vecs)[0])
         return (losses[0] - losses[1]) / (2.0 * h)
-
-
-def _map_indices(task, size: int, cap: int) -> np.ndarray:
-    out = np.zeros(size)
-    if cap > 1 and size > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, size)) as pool:
-            for i, value in enumerate(pool.map(task, range(size))):
-                out[i] = value
-    else:
-        for i in range(size):
-            out[i] = task(i)
-    return out
 
 
 def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, LossReport]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +273,66 @@ class TestDegeneratePrediction:
                     "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+
+class TestConfigFileErrors:
+    def _train(self, tmp_path, data_path, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        return run([
+            "train", "--model", "lcsa", "--data", str(data_path),
+            "--config", str(config_path), "--out", str(tmp_path / "run"),
+        ])
+
+    def test_truncated_config_exits_2(self, tmp_path, small_dataset_path):
+        assert self._train(tmp_path, small_dataset_path, '{"epochs": 1') == 2
+
+    def test_config_list_exits_2(self, tmp_path, small_dataset_path):
+        assert self._train(tmp_path, small_dataset_path, '[{"epochs": 1}]') == 2
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestArraysAgainstEmbedding:
+    """Checkpoints whose kind arrays do not fit the embedding dimension end
+    in exit 4, not a numpy traceback."""
+
+    @pytest.fixture(scope="class")
+    def quantum_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "quantum.jsonl"
+        assert run([
+            "generate", "--kind", "quantum", "--qubits", "3", "--len", "5",
+            "--count", "4", "--seed", "4", "--out", str(path),
+        ]) == 0
+        return path
+
+    @pytest.fixture()
+    def small_lcsa_maps(self, tmp_path):
+        doc = json.loads((FIXTURES / "checkpoint_v1_lcsa.json").read_text())
+        for name in ("value_map", "affinity_map"):
+            doc["params"]["lcsa"][name] = {"shape": [2, 2], "complex": True, "data": [1.0, 0.0, 0.0, 0.0] * 2}
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_lcsa_maps_smaller_than_embedding_exit_4(self, tmp_path, quantum_path, small_lcsa_maps, command):
+        out = tmp_path / "out.json"
+        code = run([command, "--checkpoint", str(small_lcsa_maps), "--data", str(quantum_path), "--out", str(out)])
+        assert code == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["qsa", "scsa"])
+    def test_qsa_qubits_and_scsa_vocabulary_checked(self, tmp_path, small_dataset_path, kind):
+        doc = json.loads((FIXTURES / f"checkpoint_v1_{kind}.json").read_text())
+        if kind == "qsa":
+            doc["params"]["qsa"]["v"].update(
+                num_qubits=1, angles={"shape": [6, 1, 2], "complex": False, "data": [0.1] * 12}
+            )
+        else:
+            doc["params"]["scsa"]["anti_embed"] = {"shape": [4, 4], "complex": False, "data": [0.1] * 16}
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        out = tmp_path / "out.json"
+        assert run(["eval", "--checkpoint", str(path), "--data", str(small_dataset_path), "--out", str(out)]) == 4
