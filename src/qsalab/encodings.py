@@ -53,31 +53,25 @@ def amplitude_encode(x, num_qubits: int) -> EncodedToken:
 
 
 def unitary_with_first_column(column) -> np.ndarray:
-    """Complete a unit vector into a unitary via Gram-Schmidt on the standard basis.
+    """A unitary whose first column is the normalized ``column``.
 
-    Only the first column is contractually meaningful; the remaining columns
+    One Householder reflection H maps e_1 to -u/phase, where phase is the
+    phase of u's first entry (1 if that entry is zero), so -phase * H has
+    first column u.  The first column is then set to u exactly; the others
     are a deterministic orthonormal completion.
     """
     col = np.asarray(column, dtype=complex).reshape(-1)
-    dim = col.size
     nrm = np.linalg.norm(col)
     if nrm <= ZERO_NORM_TOL:
         raise DegenerateInputError("first column must be a nonzero vector")
-    cols = [col / nrm]
-    for k in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        for _ in range(2):  # two passes for numerical orthogonality
-            for c in cols:
-                v = v - np.vdot(c, v) * c
-        vn = np.linalg.norm(v)
-        if vn > 1e-9:
-            cols.append(v / vn)
-    if len(cols) != dim:
-        raise ConfigurationError("failed to complete an orthonormal basis")
-    return np.column_stack(cols)
+    unit = col / nrm
+    phase = unit[0] / abs(unit[0]) if unit[0] != 0 else 1.0
+    # v = e_1 + u/phase has |v|^2 = 2 (1 + |u_1|) >= 2, so no cancellation.
+    v = unit / phase
+    v[0] += 1.0
+    out = -phase * (np.eye(col.size) - np.outer(v, v.conj()) / (1.0 + abs(unit[0])))
+    out[:, 0] = unit
+    return out
 
 
 def entangled_prefix_encoding(

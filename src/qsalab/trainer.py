@@ -1,10 +1,11 @@
 """End-to-end optimization for the three sequence models.
 
 Gradient assembly, adaptive-moment updates, per-epoch loss reporting, and
-versioned JSON checkpoints.  On the default path (parameter-shift mode,
-analytic route, no shots) gradients are exact: one forward that keeps its
-intermediates and one backward pass per model kind.  Shot sampling, the
-circuit route and ``gradient_mode="finite-difference"`` perturb parameters
+versioned JSON checkpoints.  Each model kind has one batched forward that
+keeps its intermediates; a training row runs it once for its loss and, on
+the default path (parameter-shift mode, analytic route, no shots), runs its
+backward pass for the exact gradient.  Shot sampling and the circuit route
+(qsa only) and ``gradient_mode="finite-difference"`` perturb parameters
 instead (shift rule for circuit angles, central differences for everything
 else); the finite-difference mode is the oracle for the exact gradients.
 Runs are deterministic for a fixed (config, seed, dataset) triple:
@@ -39,6 +40,7 @@ from .ansatz import (
     PhaseLayerParams,
     ansatz_gradient,
     build_ansatz_unitary,
+    parameter_shift_gradient,
     phase_layer_diagonal,
     phase_layer_gradient,
 )
@@ -46,7 +48,6 @@ from .classical import (
     LcsaParams,
     ScsaParams,
     causal_attention,
-    lcsa_forward_batch,
     lcsa_vjp,
     output_weights,
     scsa_forward_batch,
@@ -62,7 +63,7 @@ from .data import (
     make_embedding,
     unit_rows_backward,
 )
-from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation, expectations_vjp
+from .engine import EXPECTATION_FLOOR, QsaInstance, circuit_expectation, expectations_vjp
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -78,8 +79,8 @@ CSV_HEADER = "epoch,train_loss_offset,train_loss,perplexity,grad_norm,seconds"
 
 
 def _check_thread_setting() -> None:
-    """QSALAB_THREADS is still accepted but must be an integer; every
-    gradient path runs serially."""
+    """QSALAB_THREADS is still accepted but must be an integer; training
+    runs serially."""
     raw = os.environ.get(THREADS_ENV)
     if not raw:
         return
@@ -128,6 +129,9 @@ class TrainConfig:
             raise ConfigurationError("shots must be a positive integer when set")
         if self.expectation_route not in ("analytic", "circuit"):
             raise ConfigurationError("expectation_route must be analytic or circuit")
+        if (self.shots is not None or self.expectation_route == "circuit") and not MODELS[self.model_kind].circuit:
+            raise ConfigurationError(f"{self.model_kind} outputs are not circuit expectations: "
+                                     "shots and the circuit route apply to qsa")
 
 
 @dataclass(frozen=True)
@@ -247,22 +251,22 @@ class _Model:
     - ``arrays(params)``: (name, array) pairs in circuit-vector order;
     - ``rebuild(template, parts)``: field values from arrays shaped like ``arrays``;
     - ``to_payload(params)`` / ``from_payload(payload)``: its checkpoint v1 block;
-    - ``outputs(params, inputs, config)``: what its losses depend on, for
-      (S, T+1, D) input rows;
+    - ``forward(params, inputs)``: for (S, T+1, D) input rows, the outputs
+      its losses depend on and a backward pass from their gradient to the
+      gradients of ``arrays`` (a list) and of the embedded rows
+      ``inputs @ E.T`` (S, T+1, d);
     - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
       of floored probabilities;
     - ``loss_slopes(outputs, num_steps)``: d losses / d outputs, zero where
       a floor clamps the probability;
-    - ``outputs_vjp(params, inputs)``: the analytic outputs and a backward
-      pass from their gradient to the gradients of ``arrays`` (a list) and of
-      the embedded rows ``inputs @ E.T`` (S, T+1, d);
     - ``scores(params, inputs)``: (S, T, D) next-word scores.
 
     Complex gradients are dL/dRe + i dL/dIm, so ``_to_real_vector`` lays
     them out like the parameters.
 
     ``circuit`` marks outputs that are measured circuit expectations, to
-    which shot sampling and the parameter-shift rule apply.
+    which shot sampling, the dense circuit route (``circuit_outputs``) and
+    the parameter-shift rule apply.
     """
 
     fields: tuple = ()
@@ -273,17 +277,6 @@ class _Model:
 
     def check_arrays(self, params: ModelParams, num_steps: int) -> str | None:
         return None
-
-    def gradients(self, params: ModelParams, inputs: np.ndarray, num_steps: int):
-        """Exact gradient of the mean offset loss with respect to each of
-        ``arrays`` (a list, real arrays get real gradients) and the embedding
-        matrix, from one forward that keeps its intermediates and one backward."""
-        outputs, backward = self.outputs_vjp(params, inputs)
-        grads, g_rows = backward(self.loss_slopes(outputs, num_steps) / outputs.shape[0])
-        grads.append(linear_map_gradient(g_rows, inputs))
-        templates = [arr for _, arr in self.arrays(params)] + [params.embedding.matrix]
-        grads = [g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)]
-        return grads[:-1], grads[-1]
 
     def to_payload(self, params: ModelParams) -> dict:
         return {name: _encode_array(arr) for name, arr in self.arrays(params)}
@@ -357,20 +350,6 @@ class _Qsa(_Model):
             "r_params": PhaseLayerParams(_decode_array(payload["r"]["angles"])),
         }
 
-    def outputs(self, params, inputs, config):
-        x, shift_free = embed_batch(inputs, params.embedding)
-        if config is not None and config.expectation_route == "circuit":
-            maps = (params.v_params, params.w_params, params.r_params)
-            return np.array([circuit_expectation(QsaInstance.from_vectors(xs, sf[1:], *maps))
-                             for xs, sf in zip(x, shift_free)])
-        return batched_expectations(
-            _unit_rows(x[:, :-1]),
-            _unit_rows(shift_free[:, 1:]),
-            build_ansatz_unitary(params.v_params).matrix,
-            build_ansatz_unitary(params.w_params).matrix,
-            phase_layer_diagonal(params.r_params),
-        )
-
     def losses(self, exps, num_steps):
         clamped = int(np.sum(exps < EXPECTATION_FLOOR))
         return -np.log(np.maximum(exps, EXPECTATION_FLOOR)), clamped
@@ -378,7 +357,14 @@ class _Qsa(_Model):
     def loss_slopes(self, exps, num_steps):
         return np.where(exps > EXPECTATION_FLOOR, -1.0 / np.maximum(exps, EXPECTATION_FLOOR), 0.0)
 
-    def outputs_vjp(self, params, inputs):
+    def circuit_outputs(self, params, inputs):
+        """The expectations by dense simulation of each sequence's circuit."""
+        x, shift_free = embed_batch(inputs, params.embedding)
+        maps = (params.v_params, params.w_params, params.r_params)
+        return np.array([circuit_expectation(QsaInstance.from_vectors(xs, sf[1:], *maps))
+                         for xs, sf in zip(x, shift_free)])
+
+    def forward(self, params, inputs):
         x, shift_free = embed_batch(inputs, params.embedding)
         tokens, targets = x[:, :-1], shift_free[:, 1:]
         tok, tgt = _unit_rows(tokens), _unit_rows(targets)
@@ -465,11 +451,7 @@ class _Scsa(_Baseline):
                     f"the embedding {params.embedding.vocab_dim}")
         return super().check_arrays(params, num_steps)
 
-    def outputs(self, params, inputs, config):
-        _, probs = scsa_forward_batch(inputs, params.embedding, params.scsa)
-        return probs
-
-    def outputs_vjp(self, params, inputs):
+    def forward(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
         _, probs, backward = scsa_vjp(x[:, :-1], inputs, params.scsa)
 
@@ -493,12 +475,7 @@ class _Lcsa(_Baseline):
     def init(self, config, dataset, seeds, complex_valued):
         return {"lcsa": LcsaParams.near_identity(config.embed_dim, seeds[0], complex_valued=complex_valued)}
 
-    def outputs(self, params, inputs, config):
-        x, shift_free = embed_batch(inputs, params.embedding)
-        values, normalizers = lcsa_forward_batch(x, shift_free, params.lcsa)
-        return values / normalizers
-
-    def outputs_vjp(self, params, inputs):
+    def forward(self, params, inputs):
         x, shift_free = embed_batch(inputs, params.embedding)
         values, normalizers, backward = lcsa_vjp(x, shift_free, params.lcsa)
 
@@ -593,57 +570,78 @@ class _Adapter:
     # loss evaluation -----------------------------------------------------------
 
     def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
-        outputs = self.model.outputs(self.rebuild(circuit_vec, embed_vec), self.inputs, self.config)
-        if self.model.circuit and self.config is not None and self.config.shots:
+        params = self.rebuild(circuit_vec, embed_vec)
+        config = self.config
+        if config is not None and config.expectation_route == "circuit":
+            outputs = self.model.circuit_outputs(params, self.inputs)
+        else:
+            outputs, _ = self.model.forward(params, self.inputs)
+        if config is not None and config.shots:
             outputs = self._sample(outputs, circuit_vec, embed_vec)
         return outputs
 
     def _sample(self, exps: np.ndarray, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
-        # Seed derived from parameter content keeps shot noise reproducible
-        # and thread-safe.
+        # Seed derived from parameter content keeps shot noise reproducible.
         digest = zlib.crc32(circuit_vec.tobytes()) ^ zlib.crc32(embed_vec.tobytes())
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, digest]))
         clipped = np.clip(exps, 0.0, 1.0)
         return rng.binomial(self.config.shots, clipped) / self.config.shots
 
+    def _mean_loss(self, outputs: np.ndarray):
+        losses, clamped = self.model.losses(outputs, self.num_steps)
+        return float(np.mean(losses)), clamped
+
     def mean_loss(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """Mean offset loss over the sequences and the count of floored probabilities."""
-        losses, clamped = self.model.losses(self._outputs(circuit_vec, embed_vec), self.num_steps)
-        return float(np.mean(losses)), clamped
+        return self._mean_loss(self._outputs(circuit_vec, embed_vec))
 
     # gradients -----------------------------------------------------------------
 
-    def gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
+    def step(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
+        """One training row from one forward: (mean loss, clamp count,
+        gradients), where ``gradients()`` returns the circuit and embedding
+        gradient vectors, by the forward's backward pass or by perturbation."""
         config = self.config
         if config is None:
             raise ConfigurationError("gradients need a training configuration")
-        _check_thread_setting()
         if config.gradient_mode == "parameter-shift" and not config.shots and config.expectation_route == "analytic":
-            grads, grad_matrix = self.model.gradients(self.rebuild(circuit_vec, embed_vec), self.inputs, self.num_steps)
-            if not config.embedding_trainable:
-                return _to_real_vector(grads), np.zeros(embed_vec.size)
-            return _to_real_vector(grads), _to_real_vector([grad_matrix])
-        return self._perturbation_gradients(circuit_vec, embed_vec)
+            outputs, backward = self.model.forward(self.rebuild(circuit_vec, embed_vec), self.inputs)
+            gradients = lambda: self._exact_gradients(outputs, backward)
+        else:
+            outputs = self._outputs(circuit_vec, embed_vec)
+            gradients = lambda: self._perturbation_gradients(circuit_vec, embed_vec, outputs)
+        return (*self._mean_loss(outputs), gradients)
 
-    def _perturbation_gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
-        """Shift rule for measured circuit angles, central differences otherwise."""
-        config = self.config
+    def gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
+        """Circuit and embedding gradient vectors at (circuit_vec, embed_vec)."""
+        return self.step(circuit_vec, embed_vec)[2]()
+
+    def _exact_gradients(self, outputs: np.ndarray, backward):
+        """Gradient of the mean offset loss from the forward's backward pass."""
+        grads, g_rows = backward(self.model.loss_slopes(outputs, self.num_steps) / outputs.shape[0])
+        grads.append(linear_map_gradient(g_rows, self.inputs))
+        templates = self._circuit_templates + self._embed_templates
+        grads = [g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)]
+        grad_embed = _to_real_vector(grads[-1:])
+        if not self.config.embedding_trainable:
+            grad_embed = np.zeros(grad_embed.size)
+        return _to_real_vector(grads[:-1]), grad_embed
+
+    def _perturbation_gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray, base: np.ndarray):
+        """Shift rule for measured circuit angles, central differences
+        otherwise; ``base`` holds the outputs at (circuit_vec, embed_vec)."""
         grad_circuit = np.zeros(circuit_vec.size)
-        if self.model.circuit and config.gradient_mode == "parameter-shift":
-            base = self._outputs(circuit_vec, embed_vec)
-            scale = np.where(base > EXPECTATION_FLOOR, -1.0 / np.maximum(base, EXPECTATION_FLOOR), 0.0)
+        # TrainConfig lets only circuit kinds here in parameter-shift mode
+        if self.config.gradient_mode == "parameter-shift":
+            slopes = self.model.loss_slopes(base, self.num_steps)
             for i in range(circuit_vec.size):
-                plus = circuit_vec.copy()
-                minus = circuit_vec.copy()
-                plus[i] += np.pi / 2
-                minus[i] -= np.pi / 2
-                delta = self._outputs(plus, embed_vec) - self._outputs(minus, embed_vec)
-                grad_circuit[i] = float(np.mean(scale * delta / 2.0))
+                shift = parameter_shift_gradient(lambda vec: self._outputs(vec, embed_vec), circuit_vec, i)
+                grad_circuit[i] = float(np.mean(slopes * shift))
         else:
             for i in range(circuit_vec.size):
                 grad_circuit[i] = self._central_difference(circuit_vec, embed_vec, 0, i)
         grad_embed = np.zeros(embed_vec.size)
-        if config.embedding_trainable:
+        if self.config.embedding_trainable:
             for i in range(embed_vec.size):
                 grad_embed[i] = self._central_difference(circuit_vec, embed_vec, 1, i)
         return grad_circuit, grad_embed
@@ -665,12 +663,15 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
 
     Row e reports the loss and gradient at the parameters after e updates,
     so row 0 is the untouched initialization and the last row matches a
-    forward-only evaluation of the returned parameters.
+    forward-only evaluation of the returned parameters.  Each row runs the
+    model forward once; its gradient work starts only after the loss is
+    known to be finite.
     """
     params = initialize_params(config, dataset)
     log_offset = math.log(dataset.num_steps)
     if config.epochs == 0:
         return params, LossReport(rows=[], log_offset=log_offset)
+    _check_thread_setting()
     adapter = _Adapter(params, dataset, config)
     circuit_vec = adapter.circuit_vector(params)
     embed_vec = adapter.embed_vector(params)
@@ -680,7 +681,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     clamp_total = 0
     for epoch in range(config.epochs + 1):
         started = time.perf_counter()
-        loss, clamped = adapter.mean_loss(circuit_vec, embed_vec)
+        loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
         clamp_total += clamped
         if not math.isfinite(loss):
             raise NumericFailureError(
@@ -693,7 +694,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
                     "embedding_norm": float(np.linalg.norm(embed_vec)),
                 },
             )
-        grad_circuit, grad_embed = adapter.gradients(circuit_vec, embed_vec)
+        grad_circuit, grad_embed = gradients()
         grad_norm = float(np.sqrt(np.sum(grad_circuit ** 2) + np.sum(grad_embed ** 2)))
         seconds = time.perf_counter() - started if config.record_timing else 0.0
         rows.append(
@@ -718,7 +719,8 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     per_set = []
     for ds in datasets:
         adapter = _Adapter(params, ds, None)
-        loss, clamped = adapter.mean_loss(adapter.circuit_vector(params), adapter.embed_vector(params))
+        outputs, _ = adapter.model.forward(params, adapter.inputs)
+        loss, clamped = adapter._mean_loss(outputs)
         per_set.append(
             {
                 "loss_offset": loss,
@@ -728,7 +730,7 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
             }
         )
     perps = np.array([entry["perplexity"] for entry in per_set])
-    report = LossReport(
+    return LossReport(
         rows=[],
         log_offset=math.log(datasets[0].num_steps),
         clamp_events=sum(entry["clamped"] for entry in per_set),
@@ -736,7 +738,6 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
         test_perplexity_stdev=float(np.std(perps, ddof=1)) if len(perps) > 1 else 0.0,
         per_set=per_set,
     )
-    return report
 
 
 def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> list:
@@ -771,14 +772,7 @@ def config_hash(config: TrainConfig) -> str:
 
 def _encode_array(arr: np.ndarray) -> dict:
     arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        data = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64).ravel()
-        return {"shape": list(arr.shape), "complex": True, "data": [float(v) for v in data]}
-    return {
-        "shape": list(arr.shape),
-        "complex": False,
-        "data": [float(v) for v in np.asarray(arr, dtype=np.float64).ravel()],
-    }
+    return {"shape": list(arr.shape), "complex": np.iscomplexobj(arr), "data": _to_real_vector([arr]).tolist()}
 
 
 def _decode_array(obj: dict) -> np.ndarray:

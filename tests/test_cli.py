@@ -336,3 +336,21 @@ class TestArraysAgainstEmbedding:
         path.write_text(json.dumps(doc, sort_keys=True))
         out = tmp_path / "out.json"
         assert run(["eval", "--checkpoint", str(path), "--data", str(small_dataset_path), "--out", str(out)]) == 4
+
+
+class TestCircuitOnlySettings:
+    """Shot sampling and the dense circuit route measure qsa's circuit; the
+    classical baselines have none, so asking for either is a usage error."""
+
+    @pytest.mark.parametrize("kind", ["scsa", "lcsa"])
+    @pytest.mark.parametrize("setting", [{"shots": 64}, {"expectation_route": "circuit"}])
+    def test_baseline_with_circuit_setting_exits_2(self, tmp_path, small_dataset_path, kind, setting):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(setting))
+        out = tmp_path / "run"
+        code = run([
+            "train", "--model", kind, "--data", str(small_dataset_path),
+            "--config", str(config_path), "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert not (out / "loss.csv").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsalab.encodings import (
     amplitude_encode,
@@ -176,3 +178,25 @@ class TestBasisEncode:
             basis_encode(8, 3)
         with pytest.raises(ConfigurationError):
             basis_encode(-1, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=2, max_value=256),
+    complex_valued=st.booleans(),
+    zero_first=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_householder_completion_is_unitary_with_exact_first_column(dim, complex_valued, zero_first, seed):
+    rng = np.random.default_rng(seed)
+    col = rng.normal(size=dim) * rng.uniform(1e-3, 1e3)
+    if complex_valued:
+        col = col + 1j * rng.normal(size=dim)
+    if zero_first:
+        col[0] = 0.0
+    u = unitary_with_first_column(col)
+    col = np.asarray(col, dtype=complex)
+    assert np.array_equal(u[:, 0], col / np.linalg.norm(col))
+    assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-12
+    with pytest.raises(DegenerateInputError):
+        unitary_with_first_column(np.zeros(dim))
