@@ -4,8 +4,8 @@ The data-register ansatz is hardware-efficient: per layer, Ry(theta)Rz(phi)
 on every qubit followed by a linear chain of CNOTs, closed by one final
 rotation-only layer.  The step-register layer is a product of Rz rotations.
 Both families are differentiated exactly by the two-point shift rule, and
-in closed form by ``ansatz_gradient`` / ``phase_layer_gradient`` given the
-loss gradient with respect to the matrix or diagonal.
+in closed form by the backward pass of ``ansatz_vjp`` / ``phase_layer_gradient``
+given the loss gradient with respect to the matrix or diagonal.
 """
 
 from __future__ import annotations
@@ -140,12 +140,7 @@ def _cnot_chain_matrix(num_qubits: int) -> np.ndarray:
 
 def build_ansatz_unitary(params: AnsatzParams) -> UnitaryBlock:
     """Dense unitary of the layered ansatz, targeting qubits 0..n-1."""
-    chain = _cnot_chain_matrix(params.num_qubits)
-    u = np.eye(2 ** params.num_qubits, dtype=complex)
-    for layer in range(params.num_layers):
-        u = chain @ _rotation_layer(params.angles[layer], params.real_valued) @ u
-    u = _rotation_layer(params.angles[params.num_layers], params.real_valued) @ u
-    return UnitaryBlock(u, tuple(range(params.num_qubits)))
+    return UnitaryBlock(ansatz_vjp(params)[0], tuple(range(params.num_qubits)))
 
 
 @lru_cache(maxsize=None)
@@ -164,32 +159,39 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def ansatz_gradient(params: AnsatzParams, g_matrix: np.ndarray) -> np.ndarray:
-    """Angle gradient, shaped like ``params.angles``, of a loss whose gradient
-    with respect to the ansatz matrix U is ``g_matrix`` (dL/dRe U + i dL/dIm U).
+def ansatz_vjp(params: AnsatzParams):
+    """The ansatz matrix U and its backward pass: ``backward(g_matrix)``
+    gives the angle gradient, shaped like ``params.angles``, of a loss whose
+    gradient with respect to U is ``g_matrix`` (dL/dRe U + i dL/dIm U).
 
     With U = after_l R_l before_l around rotation layer l, an Ry angle enters
     as dR_l = (-i Y_q / 2) R_l and an Rz angle as dR_l = R_l (-i Z_q / 2), so
     dL/dangle = Re <X, G_q> with X the loss gradient moved through the
-    prefix and suffix products to the generator's position.
+    prefix and suffix products to the generator's position.  The backward
+    reuses the forward's rotation layers and prefix products.
     """
     n, num_layers = params.num_qubits, params.num_layers
-    layers = np.stack([_rotation_layer(params.angles[l], params.real_valued) for l in range(num_layers + 1)])
+    layers = [_rotation_layer(params.angles[l], params.real_valued) for l in range(num_layers + 1)]
     chain = _cnot_chain_matrix(n)
     before = [np.eye(2 ** n, dtype=complex)]
     for layer in layers[:-1]:
         before.append(chain @ layer @ before[-1])
-    after = [np.eye(2 ** n, dtype=complex)]
-    for layer in layers[:0:-1]:
-        after.insert(0, after[0] @ layer @ chain)
-    before, after = np.stack(before), np.stack(after)
-    grad = np.zeros(params.angles.shape)
-    x_ry = _dagger(after) @ g_matrix @ _dagger(layers @ before)
-    grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
-    if not params.real_valued:
-        x_rz = _dagger(after @ layers) @ g_matrix @ _dagger(before)
-        grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
-    return grad
+    matrix = layers[-1] @ before[-1]
+
+    def backward(g_matrix):
+        after = [np.eye(2 ** n, dtype=complex)]
+        for layer in layers[:0:-1]:
+            after.insert(0, after[0] @ layer @ chain)
+        stacked, prefix, suffix = np.stack(layers), np.stack(before), np.stack(after)
+        grad = np.zeros(params.angles.shape)
+        x_ry = _dagger(suffix) @ g_matrix @ _dagger(stacked @ prefix)
+        grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
+        if not params.real_valued:
+            x_rz = _dagger(suffix @ stacked) @ g_matrix @ _dagger(prefix)
+            grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
+        return grad
+
+    return matrix, backward
 
 
 def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:

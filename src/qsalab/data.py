@@ -19,6 +19,12 @@ from .errors import ConfigurationError, DegenerateInputError
 ZERO_NORM_TOL = 1e-12
 
 
+def check_seed(seed) -> None:
+    """Reject a negative integer seed, which numpy's generators refuse with a bare ValueError."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """One-hot words indexed 0..size-1."""
@@ -191,6 +197,7 @@ def build_ising(num_qubits: int, seed) -> IsingModel:
     """Random-coupling Ising model, densely diagonalizable at desk scale."""
     if not 1 <= num_qubits <= 10:
         raise ConfigurationError("num_qubits must lie in 1..10 for dense diagonalization")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     couplings = np.zeros((num_qubits, num_qubits))
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -267,6 +274,7 @@ def generate_classical_dataset(
         raise ConfigurationError("vocabulary needs at least two words")
     if not 1 <= order <= vocab_dim:
         raise ConfigurationError("order must lie in 1..vocab_dim")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     transition = np.zeros((vocab_dim, vocab_dim))
     for row in range(vocab_dim):
@@ -291,6 +299,7 @@ def generate_quantum_dataset(
     """Haar-random initial states evolved for unit time steps by eigendecomposition."""
     if count < 1:
         raise ConfigurationError("count must be at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)
     records = []

@@ -80,7 +80,9 @@ def entangled_prefix_encoding(
     """Normalized state proportional to sum_{i<=j} |x_i>|x_i> and its raw squared norm.
 
     The returned weight M_j is the squared norm of the unnormalized sum of
-    doubled encodings, i.e. sum_{i,i'<=j} |<x_i|x_i'>|^2.
+    doubled encodings, i.e. Re sum_{i,i'<=j} <x_i|x_i'>^2: the overlap of
+    two doubled encodings is the square of the complex overlap, not its
+    squared modulus.
     """
     if not 1 <= prefix_len <= len(tokens):
         raise ConfigurationError(

@@ -19,7 +19,6 @@ final Hadamard projection onto the all-zeros string.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, unitary_with_first_column
 from .errors import ConfigurationError, DegeneratePredictionError
-from .objectives import StepProbabilities
+from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
     HADAMARD,
     OpCounter,
@@ -124,19 +123,10 @@ def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> St
 
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.
-    blocks_a = {}
-    blocks_b = {}
-    for j in range(1, num_steps + 1):
-        target_state = instance.shifted_targets[j - 1].state.amplitudes
-        token_state = instance.tokens[j - 1].state.amplitudes
-        blocks_a[j - 1] = UnitaryBlock(
-            unitary_with_first_column(target_state), lay.a_qubits
-        ).dagger()
-        blocks_b[j - 1] = UnitaryBlock(
-            unitary_with_first_column(token_state), lay.b_qubits
-        ).dagger()
-    psi = apply_controlled_by_register(psi, lay.c_qubits, blocks_a, counter)
-    psi = apply_controlled_by_register(psi, lay.c_qubits, blocks_b, counter)
+    for register, encoded in ((lay.a_qubits, instance.shifted_targets), (lay.b_qubits, instance.tokens[:num_steps])):
+        blocks = {j: UnitaryBlock(unitary_with_first_column(tok.state.amplitudes).conj().T, register)
+                  for j, tok in enumerate(encoded)}
+        psi = apply_controlled_by_register(psi, lay.c_qubits, blocks, counter)
 
     phase_block = build_phase_layer(instance.params_r).retarget(lay.c_qubits)
     psi = apply_unitary(psi, phase_block, counter)
@@ -254,8 +244,7 @@ def step_probabilities(instance: QsaInstance) -> StepProbabilities:
 
 def qsa_loss(instance: QsaInstance) -> float:
     """-log(expectation) + log T, floored so early training stays finite."""
-    e = max(circuit_expectation(instance), EXPECTATION_FLOOR)
-    return -math.log(e) + math.log(instance.num_steps)
+    return renyi_half_from_expectation(circuit_expectation(instance), instance.num_steps)
 
 
 def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, float]:

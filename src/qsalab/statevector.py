@@ -189,8 +189,7 @@ def _apply_matrix(amps: np.ndarray, num_qubits: int, matrix: np.ndarray, targets
     axes = [num_qubits - 1 - t for t in reversed(targets)]
     tensor = matrix.reshape([2] * (2 * k))
     out = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    return out.reshape(-1)
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def apply_unitary(state: StateVector, block: UnitaryBlock, counter: OpCounter | None = None) -> StateVector:
@@ -228,20 +227,25 @@ def apply_controlled_by_register(
     if extra:
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
-    idx = np.arange(2 ** m)
-    ctrl_val = np.zeros(2 ** m, dtype=np.int64)
-    for i, c in enumerate(controls):
-        ctrl_val |= ((idx >> c) & 1) << i
-
-    out = np.zeros(2 ** m, dtype=complex)
-    for j in range(num_values):
-        block = blocks[j]
+    for block in blocks.values():
         if set(block.targets) & set(controls):
             raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
         if any(q >= m for q in block.targets):
             raise ConfigurationError("block targets exceed the register")
-        masked = np.where(ctrl_val == j, state.amplitudes, 0.0)
-        out += _apply_matrix(masked, m, block.matrix, block.targets)
+
+    # Fixing the control axes leaves the slice where the controls read j; its
+    # axes are the remaining qubits, renumbered in ascending order.
+    rest = [q for q in range(m) if q not in controls]
+    psi = state.amplitudes.reshape([2] * m)
+    out = np.empty_like(psi)
+    for j in range(num_values):
+        index = [slice(None)] * m
+        for i, c in enumerate(controls):
+            index[m - 1 - c] = (j >> i) & 1
+        index = tuple(index)
+        block = blocks[j]
+        targets = [rest.index(q) for q in block.targets]
+        out[index] = _apply_matrix(psi[index], len(rest), block.matrix, targets)
         if counter is not None:
             counter.record(block.dimension)
     return StateVector(m, out)

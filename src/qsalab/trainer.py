@@ -38,7 +38,7 @@ import numpy as np
 from .ansatz import (
     AnsatzParams,
     PhaseLayerParams,
-    ansatz_gradient,
+    ansatz_vjp,
     build_ansatz_unitary,
     parameter_shift_gradient,
     phase_layer_diagonal,
@@ -58,6 +58,7 @@ from .data import (
     EmbeddingMap,
     SequenceDataset,
     atomic_write_text,
+    check_seed,
     embed_batch,
     linear_map_gradient,
     make_embedding,
@@ -119,6 +120,7 @@ class TrainConfig:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
+        check_seed(self.seed)
         for name in ("learning_rate", "embedding_learning_rate", "epsilon", "fd_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -183,11 +185,6 @@ class LossReport:
                 f"{_fmt(row.perplexity)},{_fmt(row.grad_norm)},{_fmt(row.seconds)}"
             )
         return "\n".join(lines) + "\n"
-
-    def final_loss_offset(self) -> float:
-        if not self.rows:
-            raise ConfigurationError("report holds no epochs")
-        return self.rows[-1].train_loss_offset
 
 
 def _fmt(value: float) -> str:
@@ -368,24 +365,16 @@ class _Qsa(_Model):
         x, shift_free = embed_batch(inputs, params.embedding)
         tokens, targets = x[:, :-1], shift_free[:, 1:]
         tok, tgt = _unit_rows(tokens), _unit_rows(targets)
-        exps, backward = expectations_vjp(
-            tok,
-            tgt,
-            build_ansatz_unitary(params.v_params).matrix,
-            build_ansatz_unitary(params.w_params).matrix,
-            phase_layer_diagonal(params.r_params),
-        )
+        v_matrix, v_backward = ansatz_vjp(params.v_params)
+        w_matrix, w_backward = ansatz_vjp(params.w_params)
+        exps, backward = expectations_vjp(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
 
         def model_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
             g_rows = np.zeros_like(g_tok, shape=x.shape)
             g_rows[:, :-1] = unit_rows_backward(tok, np.linalg.norm(tokens, axis=-1), g_tok)
             g_rows[:, 1:] += unit_rows_backward(tgt, np.linalg.norm(targets, axis=-1), g_tgt)
-            grads = [
-                ansatz_gradient(params.v_params, g_v),
-                ansatz_gradient(params.w_params, g_w),
-                phase_layer_gradient(params.r_params, g_phase),
-            ]
+            grads = [v_backward(g_v), w_backward(g_w), phase_layer_gradient(params.r_params, g_phase)]
             return grads, g_rows
 
         return exps, model_backward
@@ -747,8 +736,8 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> l
     and the softmax vocabulary distribution for scsa.  Ties break toward
     the lowest word index.
     """
-    if k < 1:
-        raise ConfigurationError("k must be at least 1")
+    if not 1 <= k <= params.embedding.vocab_dim:
+        raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
     adapter = _Adapter(params, dataset, None)
     scores = adapter.model.scores(params, adapter.inputs)
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]

@@ -354,3 +354,51 @@ class TestCircuitOnlySettings:
         ])
         assert code == 2
         assert not (out / "loss.csv").exists()
+
+
+class TestNegativeSeed:
+    """numpy's generators refuse a negative seed; the CLI reports it as a
+    usage error (exit 2) before writing anything."""
+
+    @pytest.mark.parametrize(
+        "kind_args", [["--kind", "classical", "--vocab", "8"], ["--kind", "quantum", "--qubits", "3"]]
+    )
+    def test_generate_exits_2(self, tmp_path, kind_args):
+        out = tmp_path / "d.jsonl"
+        code = run(["generate", *kind_args, "--len", "5", "--count", "3", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_train_flag_exits_2(self, tmp_path, small_dataset_path):
+        out = tmp_path / "run"
+        code = run([
+            "train", "--model", "qsa", "--data", str(small_dataset_path),
+            "--epochs", "1", "--seed", "-3", "--out", str(out),
+        ])
+        assert code == 2
+        assert not (out / "loss.csv").exists()
+
+    def test_train_config_exits_2(self, tmp_path, small_dataset_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": -5}))
+        out = tmp_path / "run"
+        code = run([
+            "train", "--model", "lcsa", "--data", str(small_dataset_path),
+            "--config", str(config_path), "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert not (out / "loss.csv").exists()
+
+
+def test_predict_top_k_above_vocabulary_exits_2(tmp_path, small_dataset_path):
+    checkpoint = tmp_path / "run" / "checkpoint.json"
+    run([
+        "train", "--model", "lcsa", "--data", str(small_dataset_path),
+        "--epochs", "0", "--out", str(checkpoint.parent),
+    ])
+    out = tmp_path / "pred.json"
+    args = ["predict", "--checkpoint", str(checkpoint), "--data", str(small_dataset_path), "--out", str(out)]
+    assert run([*args, "--top-k", "9"]) == 2  # the set has 8 words
+    assert not out.exists()
+    assert run([*args, "--top-k", "8"]) == 0
+    assert len(json.loads(out.read_text())["records"][0]["steps"][0]["top"]) == 8

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
-from qsalab.encodings import amplitude_encode
+from qsalab.encodings import amplitude_encode, entangled_prefix_encoding
 from qsalab.engine import (
     QsaInstance,
     analytic_expectation,
@@ -344,3 +346,45 @@ class TestRealValuedOption:
             a, weights = branch_overlaps(instance)
             assert np.max(np.abs(a.imag)) < 1e-10
             assert np.all(weights > 0)
+
+
+def hypothesis_instance(n, t, layers, seed, spread):
+    """Random complex tokens and targets with ansatz angles in [-spread, spread]."""
+    rng = np.random.default_rng(seed)
+    d, num_steps = 2 ** n, 2 ** t
+    toks = rng.normal(size=(num_steps + 1, d)) + 1j * rng.normal(size=(num_steps + 1, d))
+    tgts = rng.normal(size=(num_steps, d)) + 1j * rng.normal(size=(num_steps, d))
+    return QsaInstance.from_vectors(
+        toks,
+        tgts,
+        AnsatzParams.random(n, layers, rng, spread=spread),
+        AnsatzParams.random(n, layers, rng, spread=spread),
+        PhaseLayerParams.random(t, rng, spread=spread),
+    )
+
+
+instance_shapes = st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda nt: 2 * nt[0] + nt[1] <= 9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=instance_shapes,
+    layers=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    spread=st.sampled_from([0.1, 1.0, np.pi]),
+)
+def test_dual_route_identity_up_to_nine_qubits(shape, layers, seed, spread):
+    instance = hypothesis_instance(*shape, layers, seed, spread)
+    assert abs(circuit_expectation(instance) - analytic_expectation(instance)) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=instance_shapes, seed=st.integers(0, 2 ** 32 - 1))
+def test_prefix_encoding_weight_is_branch_weight(shape, seed):
+    """M_j from the prefix state's raw norm equals the analytic route's
+    Re sum_{i,i'<=j} <x_i|x_i'>^2 for complex tokens."""
+    instance = hypothesis_instance(*shape, 1, seed, 1.0)
+    _, weights = branch_overlaps(instance)
+    for j in range(1, instance.num_steps + 1):
+        _, weight = entangled_prefix_encoding(instance.tokens, j)
+        assert abs(weight - weights[j - 1]) <= 1e-12 * max(1.0, weight)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsalab.errors import ConfigurationError, DegenerateInputError
 from qsalab.statevector import (
@@ -279,3 +281,40 @@ class TestRegisterLayout:
     def test_requires_step_register(self):
         with pytest.raises(ConfigurationError):
             RegisterLayout.standard(1, 0)
+
+
+def explicit_select_matrix(num_qubits, controls, blocks):
+    """sum_j U_j (x) |j><j| column by column: basis state b reads its control
+    value j little-endian from ``controls`` and gets block j's column."""
+    dim = 2 ** num_qubits
+    select = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        j = sum(((b >> c) & 1) << i for i, c in enumerate(controls))
+        block = blocks[j]
+        select[:, b] = dense_apply_oracle(np.eye(dim)[b], block.matrix, block.targets, num_qubits)
+    return select
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
+    num_controls=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# controls (3, 1): two of them, neither the top qubit, not in ascending order;
+# targets drawn from {0, 4, 2}, so some sit below a control
+@example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
+def test_controlled_blocks_match_explicit_select_matrix(order, num_controls, seed):
+    num_qubits = len(order)
+    num_controls = min(num_controls, num_qubits - 1)
+    controls, free = tuple(order[:num_controls]), order[num_controls:]
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for j in range(2 ** num_controls):
+        k = int(rng.integers(1, len(free) + 1))
+        targets = tuple(int(q) for q in rng.permutation(free)[:k])
+        blocks[j] = UnitaryBlock(random_unitary(2 ** k, rng), targets)
+    state = random_state(num_qubits, rng)
+    out = apply_controlled_by_register(state, controls, blocks)
+    expected = explicit_select_matrix(num_qubits, controls, blocks) @ state.amplitudes
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12

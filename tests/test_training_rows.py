@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsalab import data
+from qsalab import ansatz, data
 from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
 from qsalab.errors import ConfigurationError, NumericFailureError
-from qsalab.trainer import MODELS, TrainConfig, _Adapter, train
+from qsalab.trainer import MODELS, TrainConfig, _Adapter, initialize_params, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
 KINDS = ("qsa", "scsa", "lcsa")
@@ -96,3 +96,18 @@ def test_train_config_rejects_circuit_settings_for_baselines(kind, setting):
     with pytest.raises(ConfigurationError):
         TrainConfig(model_kind=kind, **setting)
     TrainConfig(model_kind="qsa", **setting)
+
+
+@pytest.mark.parametrize("data_kind", ["classical", "quantum"])
+def test_default_qsa_row_builds_each_ansatz_once(monkeypatch, data_kind):
+    """One row's forward and backward build V's and W's rotation layers
+    once each: (num_layers + 1) per ansatz."""
+    dataset = classical_set() if data_kind == "classical" else quantum_set()
+    config = TrainConfig(model_kind="qsa", seed=7)
+    adapter = _Adapter(initialize_params(config, dataset), dataset, config)
+    circuit_vec, embed_vec = adapter.circuit_vector(adapter.template), adapter.embed_vector(adapter.template)
+    calls = []
+    original = ansatz._rotation_layer
+    monkeypatch.setattr(ansatz, "_rotation_layer", lambda *args: calls.append(1) or original(*args))
+    adapter.gradients(circuit_vec, embed_vec)
+    assert len(calls) == 2 * (config.num_layers + 1) == 12
