@@ -290,8 +290,70 @@ def causal_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map
 
     Returns (z, backward); ``backward(g_z)`` gives the gradients (g_prefix,
     g_value_map, g_affinity_map), with g = dL/dRe + i dL/dIm for complex
-    quantities.  Batch axes are summed into the map gradients.
+    quantities.  Batch axes are summed into the map gradients.  The
+    contraction order follows ``running_sum_order``.
     """
+    if running_sum_order(*prefix.shape[-2:]):
+        z, _, backward = _running_sum_attention_vjp(prefix, value_map, affinity_map)
+        return z, backward
+    return _pairwise_attention_vjp(prefix, value_map, affinity_map)
+
+
+def running_sum_order(num_steps: int, embed_dim: int) -> bool:
+    """Whether the causal kernel contracts running sums (O(T d^2) per
+    sequence) rather than the pairwise T x T block (O(T^2 d)).
+
+    The one dispatch rule of ``causal_attention_vjp`` and of the qsa prefix
+    weights; it reads only the input's (T, d).  T > d^2 is fitted from
+    timings of both orders over a (T, d) grid (README, "Contraction
+    orders"); it also keeps the running sums' T d^2 entries below the
+    pairwise block's T^2, and every T <= d input, all T=4 training
+    included, on the pairwise order and its bytes.
+    """
+    return num_steps > embed_dim * embed_dim
+
+
+def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
+    """Causal linear attention in prefix-sum order: z_j = V S_j W^T conj(x_j)
+    with the running sums S_j = sum_{i<=j} x_i x_i^T (no conjugate).
+
+    Returns (z, sums, backward); ``backward(g_z, g_sums=None)`` gives
+    (g_prefix, g_value_map, g_affinity_map).  ``g_sums`` is an outside
+    cotangent of the (..., T, d, d) sums (the qsa prefix weights are
+    ||S_j||_F^2); it joins the attention's own before the one reverse
+    cumulative sum that carries every S_j cotangent back to its tokens.
+    No (..., T, T) array is built in either direction.
+    """
+    queries = prefix.conj() @ affinity_map  # W^T conj(x_j)
+    sums = prefix[..., :, None] * prefix[..., None, :]
+    np.cumsum(sums, axis=-3, out=sums)
+    attended = np.einsum("...jab,...jb->...ja", sums, queries)
+    z = attended @ value_map.T
+
+    def backward(g_z, g_sums=None):
+        g_attended = g_z @ value_map.conj()
+        # g_queries_j = S_j^H g_attended_j; both uses read its conjugate, S_j conj(g_attended_j)
+        conj_g_queries = np.einsum("...jab,...jb->...ja", sums, g_attended.conj())
+        tails = g_attended[..., :, None] * queries.conj()[..., None, :]
+        if g_sums is not None:
+            tails = tails + g_sums
+        # token i enters every S_j with j >= i, once on each side of x_i x_i^T
+        reverse = tails[..., ::-1, :, :]
+        np.cumsum(reverse, axis=-3, out=reverse)
+        g_prefix = (
+            np.einsum("...iab,...ib->...ia", tails + tails.swapaxes(-1, -2), prefix.conj())
+            + conj_g_queries @ affinity_map.T
+        )
+        # queries = conj(x) @ W, so g_W = sum_j x_j (x) g_queries_j
+        return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(prefix, conj_g_queries)
+
+    return z, sums, backward
+
+
+def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
+    """Causal linear attention through the (..., T, T) affinity block; the
+    faster order while T is small against d.  Returns (z, backward) as
+    ``causal_attention_vjp`` does."""
     keys = prefix @ affinity_map.T  # W x_i
     affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
     attended = affinities @ prefix

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
-from .classical import causal_attention_vjp
+from .classical import _pairwise_attention_vjp, _running_sum_attention_vjp, running_sum_order
 from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, unitary_with_first_column
 from .errors import ConfigurationError, DegeneratePredictionError
@@ -152,18 +152,24 @@ def _overlap_core(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matr
 
 def _overlap_core_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
     """``_overlap_core`` and its backward pass: ``backward(g_a, g_weights)``
-    gives (g_tok, g_tgt, g_v_matrix, g_w_matrix)."""
-    z, attention_backward = causal_attention_vjp(tok, v_matrix, w_matrix)
-    a = np.einsum("...jd,...jd->...j", tgt.conj(), z)
+    gives (g_tok, g_tgt, g_v_matrix, g_w_matrix).  The contraction order
+    follows ``classical.running_sum_order``, as the attention kernel's does."""
+    if running_sum_order(*tok.shape[-2:]):
+        return _running_sum_overlaps(tok, tgt, v_matrix, w_matrix)
+    return _pairwise_overlaps(tok, tgt, v_matrix, w_matrix)
+
+
+def _pairwise_overlaps(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
+    """The overlap core through (..., T, T) affinity and Gram blocks."""
+    z, attention_backward = _pairwise_attention_vjp(tok, v_matrix, w_matrix)
     # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
     # so the prefix weights sum squared Gram entries, not squared moduli.
     gram = tok.conj() @ tok.swapaxes(-1, -2)
     prefixes = np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2)
     weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
 
-    def backward(g_a, g_weights):
-        g_tok, g_v, g_w = attention_backward(g_a[..., None] * tgt)
-        g_tgt = g_a.conj()[..., None] * z
+    def prefix_backward(g_z, g_weights):
+        g_tok, g_v, g_w = attention_backward(g_z)
         # M_j = Re sum_{i,i'<=j} G_ii'^2: pair (i, i') feeds every M_j with
         # j >= max(i, i'); dG^2 = 2 G dG, and each token enters G as a row
         # and as a column, hence the 4.  The Gram block is recomputed, not
@@ -172,7 +178,31 @@ def _overlap_core_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_
         steps = np.arange(tok.shape[-2])
         pair_weights = tail[..., np.maximum.outer(steps, steps)]
         g_tok = g_tok + 4.0 * (pair_weights * (tok.conj() @ tok.swapaxes(-1, -2))) @ tok
-        return g_tok, g_tgt, g_v, g_w
+        return g_tok, g_v, g_w
+
+    return _with_targets(z, weights, tgt, prefix_backward)
+
+
+def _running_sum_overlaps(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
+    """The overlap core from the running sums S_j = sum_{i<=j} x_i x_i^T:
+    the same sum of squared Gram entries is M_j = ||S_j||_F^2."""
+    z, sums, attention_backward = _running_sum_attention_vjp(tok, v_matrix, w_matrix)
+    weights = np.einsum("...jab,...jab->...j", sums.conj(), sums).real
+
+    def prefix_backward(g_z, g_weights):
+        return attention_backward(g_z, 2.0 * g_weights[..., None, None] * sums)
+
+    return _with_targets(z, weights, tgt, prefix_backward)
+
+
+def _with_targets(z, weights, tgt, prefix_backward):
+    """Branch overlaps a_j = <tgt_j|z_j> beside the prefix weights, and the
+    backward pass that routes g_a through ``prefix_backward(g_z, g_weights)``."""
+    a = np.einsum("...jd,...jd->...j", tgt.conj(), z)
+
+    def backward(g_a, g_weights):
+        g_tok, g_v, g_w = prefix_backward(g_a[..., None] * tgt, g_weights)
+        return g_tok, g_a.conj()[..., None] * z, g_v, g_w
 
     return a, weights, backward
 

@@ -118,6 +118,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}")
+        for name in ("seed", "epochs", "embed_dim", "num_layers", "shots", "key_dim", "ffn_hidden"):
+            value = getattr(self, name)
+            if value is None and name in ("shots", "key_dim", "ffn_hidden"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be non-negative")
         check_seed(self.seed)
@@ -647,6 +653,15 @@ class _Adapter:
         return (losses[0] - losses[1]) / (2.0 * h)
 
 
+def _diagnostic_norm(vec: np.ndarray):
+    """Euclidean norm for a strict-JSON diagnostic.  Scaling by the largest
+    entry keeps a finite norm of entries near 1e200 from overflowing; a norm
+    that is still not finite is written as text, as the loss is."""
+    scale = float(np.max(np.abs(vec), initial=0.0))
+    norm = scale * float(np.linalg.norm(vec / scale)) if 0.0 < scale < math.inf else scale
+    return norm if math.isfinite(norm) else repr(norm)
+
+
 def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, LossReport]:
     """Optimize from a seeded initialization; rows cover epochs 0..epochs.
 
@@ -679,8 +694,8 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
                     "epoch": epoch,
                     "loss": repr(loss),
                     "model_kind": config.model_kind,
-                    "circuit_norm": float(np.linalg.norm(circuit_vec)),
-                    "embedding_norm": float(np.linalg.norm(embed_vec)),
+                    "circuit_norm": _diagnostic_norm(circuit_vec),
+                    "embedding_norm": _diagnostic_norm(embed_vec),
                 },
             )
         grad_circuit, grad_embed = gradients()

@@ -1,0 +1,72 @@
+"""Config integers are typed, and the numeric-failure diagnostic is strict JSON."""
+
+import json
+import warnings
+
+import pytest
+
+from qsalab.cli import main
+
+
+@pytest.fixture(scope="module")
+def dataset_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "train.jsonl"
+    assert main([
+        "generate", "--kind", "classical", "--vocab", "8", "--len", "5",
+        "--count", "12", "--seed", "5", "--out", str(path),
+    ]) == 0
+    return path
+
+
+def train_with_config(tmp_path, data_path, kind, config):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"schema_version": 1, **config}))
+    out = tmp_path / "run"
+    code = main([
+        "train", "--model", kind, "--data", str(data_path),
+        "--config", str(config_path), "--out", str(out),
+    ])
+    return code, out
+
+
+@pytest.mark.parametrize(
+    "kind, config",
+    [
+        ("qsa", {"seed": 1.5, "epochs": 1}),
+        ("qsa", {"epochs": 1.5}),
+        ("qsa", {"epochs": True}),
+        ("qsa", {"embed_dim": 4.0, "epochs": 1}),
+        ("qsa", {"num_layers": True, "epochs": 1}),
+        ("qsa", {"shots": 2.5, "epochs": 1}),
+        ("scsa", {"key_dim": 2.0, "epochs": 1}),
+        ("scsa", {"ffn_hidden": "8", "epochs": 1}),
+    ],
+)
+def test_non_integer_config_field_exits_2(tmp_path, dataset_path, kind, config):
+    code, out = train_with_config(tmp_path, dataset_path, kind, config)
+    assert code == 2
+    assert not (out / "loss.csv").exists()
+
+
+def test_integer_config_fields_still_train(tmp_path, dataset_path):
+    code, out = train_with_config(
+        tmp_path, dataset_path, "scsa", {"seed": 3, "epochs": 1, "embed_dim": 4, "key_dim": 2, "ffn_hidden": 8}
+    )
+    assert code == 0
+    assert (out / "loss.csv").exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_diagnostic_is_strict_json_without_overflow(tmp_path, dataset_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = train_with_config(tmp_path, dataset_path, "scsa", {"learning_rate": 1e200, "epochs": 3})
+    assert code == 3
+    diagnostic = json.loads((out / "diagnostic.json").read_text(), parse_constant=reject_constant)
+    assert diagnostic["model_kind"] == "scsa"
+    # the parameters reach about 1e201, a finite norm that must not overflow
+    assert isinstance(diagnostic["circuit_norm"], float) and diagnostic["circuit_norm"] > 1e200
+    assert not [w for w in caught if "overflow" in str(w.message)]
