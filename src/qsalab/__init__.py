@@ -38,6 +38,7 @@ from .encodings import (
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
+    reflection_with_first_column,
     unitary_with_first_column,
 )
 from .engine import (
@@ -67,6 +68,7 @@ from .objectives import (
 )
 from .statevector import (
     OpCounter,
+    ReflectionBlock,
     RegisterLayout,
     StateVector,
     UnitaryBlock,

@@ -1,8 +1,9 @@
 """Data-dependent state constructions.
 
 Amplitude encodings of token vectors, entangled prefix encodings over the
-paired data registers, the step-indexed input superposition, and plain
-computational-basis encodings.
+paired data registers, the step-indexed input superposition, Householder
+reflections with a given first column, and plain computational-basis
+encodings.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from .errors import ConfigurationError, DegenerateInputError
 from .statevector import (
     HADAMARD,
     OpCounter,
+    ReflectionBlock,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
     apply_controlled_by_register,
     apply_unitary,
+    reflection_matrix,
 )
 
 
@@ -52,13 +55,12 @@ def amplitude_encode(x, num_qubits: int) -> EncodedToken:
     return EncodedToken(vec, StateVector(num_qubits, vec / nrm), nrm)
 
 
-def unitary_with_first_column(column) -> np.ndarray:
-    """A unitary whose first column is the normalized ``column``.
+def _householder(column):
+    """The normalized ``column`` u and the reflection (v, phase) whose first column is u.
 
-    One Householder reflection H maps e_1 to -u/phase, where phase is the
-    phase of u's first entry (1 if that entry is zero), so -phase * H has
-    first column u.  The first column is then set to u exactly; the others
-    are a deterministic orthonormal completion.
+    One Householder reflection H = I - v v^dag / v_1 maps e_1 to -u/phase,
+    where phase is the phase of u's first entry (1 if that entry is zero), so
+    -phase * H has first column u.
     """
     col = np.asarray(column, dtype=complex).reshape(-1)
     nrm = np.linalg.norm(col)
@@ -69,9 +71,48 @@ def unitary_with_first_column(column) -> np.ndarray:
     # v = e_1 + u/phase has |v|^2 = 2 (1 + |u_1|) >= 2, so no cancellation.
     v = unit / phase
     v[0] += 1.0
-    out = -phase * (np.eye(col.size) - np.outer(v, v.conj()) / (1.0 + abs(unit[0])))
+    return unit, v, phase
+
+
+def reflection_with_first_column(column, targets: Sequence[int]) -> ReflectionBlock:
+    """A unitary on ``targets`` whose first column is the normalized ``column``.
+
+    Kept as its Householder vector and phase, so it is checked and applied
+    in O(dim); the first column is u to round-off.
+    """
+    _, vector, phase = _householder(column)
+    return ReflectionBlock(vector, phase, targets)
+
+
+def unitary_with_first_column(column) -> np.ndarray:
+    """The dense view of `reflection_with_first_column`, for any length.
+
+    The first column is set to u exactly; the others are a deterministic
+    orthonormal completion.
+    """
+    unit, vector, phase = _householder(column)
+    out = reflection_matrix(vector, phase)
     out[:, 0] = unit
     return out
+
+
+def _doubled_prefix_sums(tokens: Sequence[EncodedToken], count: int):
+    """The raw sums sum_{i<=j} |x_i>|x_i> for j = 1..count, as one running sum."""
+    n = tokens[0].state.num_qubits
+    if any(tok.state.num_qubits != n for tok in tokens):
+        raise ConfigurationError("all tokens must use the same qubit count")
+    vec = np.zeros(4 ** n, dtype=complex)
+    for tok in tokens[:count]:
+        s = tok.state.amplitudes
+        vec = vec + np.kron(s, s)  # A in the low bits, B in the high bits
+        yield vec
+
+
+def _normalized_prefix(vec: np.ndarray) -> tuple[np.ndarray, float]:
+    weight = float(np.vdot(vec, vec).real)
+    if weight <= ZERO_NORM_TOL ** 2:
+        raise DegenerateInputError("prefix encodings interfere to zero norm")
+    return vec / np.sqrt(weight), weight
 
 
 def entangled_prefix_encoding(
@@ -88,17 +129,9 @@ def entangled_prefix_encoding(
         raise ConfigurationError(
             f"prefix length {prefix_len} outside 1..{len(tokens)}"
         )
-    n = tokens[0].state.num_qubits
-    if any(tok.state.num_qubits != n for tok in tokens):
-        raise ConfigurationError("all tokens must use the same qubit count")
-    vec = np.zeros(4 ** n, dtype=complex)
-    for tok in tokens[:prefix_len]:
-        s = tok.state.amplitudes
-        vec = vec + np.kron(s, s)  # A in the low bits, B in the high bits
-    weight = float(np.vdot(vec, vec).real)
-    if weight <= ZERO_NORM_TOL ** 2:
-        raise DegenerateInputError("prefix encodings interfere to zero norm")
-    return StateVector(2 * n, vec / np.sqrt(weight)), weight
+    *_, vec = _doubled_prefix_sums(tokens, prefix_len)
+    amplitudes, weight = _normalized_prefix(vec)
+    return StateVector(2 * tokens[0].state.num_qubits, amplitudes), weight
 
 
 def prepare_input_superposition(
@@ -110,8 +143,9 @@ def prepare_input_superposition(
     """Uniform superposition over steps j, branch j carrying the prefix-j encoding.
 
     Built the way the circuit does it: Hadamards on register C, then one
-    register-controlled block per step whose first column prepares the
-    normalized prefix state.
+    register-controlled reflection per step whose first column is the
+    normalized prefix state.  The prefix states come from one running sum,
+    the same additions in the same order as `entangled_prefix_encoding`.
     """
     if num_steps < 2 or num_steps & (num_steps - 1):
         raise ConfigurationError("number of steps must be a power of two, at least 2")
@@ -129,11 +163,9 @@ def prepare_input_superposition(
         state = apply_unitary(state, UnitaryBlock(HADAMARD, (q,)), counter)
     targets = layout.a_qubits + layout.b_qubits
     blocks = {}
-    for j in range(1, num_steps + 1):
-        prefix_state, _ = entangled_prefix_encoding(tokens, j)
-        blocks[j - 1] = UnitaryBlock(
-            unitary_with_first_column(prefix_state.amplitudes), targets
-        )
+    for j, vec in enumerate(_doubled_prefix_sums(tokens, num_steps)):
+        prefix, _ = _normalized_prefix(vec)
+        blocks[j] = reflection_with_first_column(prefix, targets)
     return apply_controlled_by_register(state, layout.c_qubits, blocks, counter)
 
 

@@ -6,8 +6,10 @@ whole package:
 
 * Qubit 0 is the least-significant bit of a basis index; the basis state
   with qubit k set contributes ``2**k`` to the amplitude index.
-* A :class:`UnitaryBlock` is indexed the same way over its own targets:
-  ``targets[0]`` is the least-significant bit of the block matrix index.
+* A block (:class:`UnitaryBlock`, dense, or :class:`ReflectionBlock`, a
+  Householder reflection kept as a vector) is indexed the same way over its
+  own targets: ``targets[0]`` is the least-significant bit of its index.
+  Each block applies itself (``act``), so one loop serves both kinds.
 * Every operation is a pure function; amplitude arrays are frozen on
   construction and safe to share across threads.
 """
@@ -137,7 +139,7 @@ class UnitaryBlock:
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(int(q) for q in self.targets)
+        targets = _checked_targets(self.targets)
         object.__setattr__(self, "targets", targets)
         mat = np.array(self.matrix, dtype=complex)
         dim = 2 ** len(targets)
@@ -145,8 +147,6 @@ class UnitaryBlock:
             raise ConfigurationError(
                 f"matrix shape {mat.shape} does not match {len(targets)} target qubits"
             )
-        if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
-            raise ConfigurationError("targets must be distinct non-negative qubit indices")
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
         if defect > UNITARY_ATOL:
             raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
@@ -165,6 +165,85 @@ class UnitaryBlock:
             raise ConfigurationError("retarget must preserve the number of target qubits")
         return UnitaryBlock(self.matrix, tuple(targets))
 
+    def act(self, psi: np.ndarray, axes: list) -> np.ndarray:
+        """This block applied to the tensor ``psi`` along ``axes`` (see `_target_axes`)."""
+        k = len(axes)
+        tensor = self.matrix.reshape([2] * (2 * k))
+        out = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
+        return np.moveaxis(out, list(range(k)), axes)
+
+
+@dataclass(frozen=True)
+class ReflectionBlock:
+    """``-phase * (I - v v^dag / v_1)``, a unitary kept as (v, phase), never as a matrix.
+
+    With ``v = e_1 + u / phase`` for a unit vector u whose first entry has
+    phase ``phase``, ``v_1 = 1 + |u_1|`` is real and the block's first column
+    is u (`encodings.reflection_with_first_column`).  The block is exactly
+    unitary when ``|phase| = 1`` and ``||v||^2 = 2 v_1``, which are checked
+    in O(dim) in place of `UnitaryBlock`'s dense product.
+    """
+
+    vector: np.ndarray
+    phase: complex
+    targets: tuple
+
+    def __post_init__(self):
+        targets = _checked_targets(self.targets)
+        object.__setattr__(self, "targets", targets)
+        vec = np.array(self.vector, dtype=complex).reshape(-1)
+        if vec.size != 2 ** len(targets):
+            raise ConfigurationError(
+                f"reflection vector of length {vec.size} does not match {len(targets)} target qubits"
+            )
+        phase = complex(self.phase)
+        if abs(abs(phase) - 1.0) > UNITARY_ATOL:
+            raise ConfigurationError(f"reflection phase {phase} is not unimodular")
+        norm_defect = abs(np.vdot(vec, vec).real - 2.0 * vec[0].real)
+        if norm_defect > UNITARY_ATOL:
+            raise ConfigurationError(
+                f"reflection is not unitary (||v||^2 - 2 v_1 = {norm_defect:.3e})"
+            )
+        vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "phase", phase)
+
+    @property
+    def dimension(self) -> int:
+        return self.vector.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim view; the simulator never builds it."""
+        return reflection_matrix(self.vector, self.phase)
+
+    def dagger(self) -> "ReflectionBlock":
+        # The reflection I - v v^dag / v_1 is Hermitian; only the phase conjugates.
+        return ReflectionBlock(self.vector, self.phase.conjugate(), self.targets)
+
+    def act(self, psi: np.ndarray, axes: list) -> np.ndarray:
+        """This block applied to the tensor ``psi`` along ``axes``, as a rank-1 update."""
+        k = len(axes)
+        v = self.vector.reshape([2] * k)
+        overlap = np.tensordot(v.conj(), psi, axes=(list(range(k)), axes))
+        out = np.multiply.outer(v, overlap / self.vector[0].real)
+        out -= np.moveaxis(psi, axes, list(range(k)))
+        out *= self.phase
+        return np.moveaxis(out, list(range(k)), axes)
+
+
+def reflection_matrix(vector: np.ndarray, phase: complex) -> np.ndarray:
+    """Dense ``-phase * (I - v v^dag / v_1)`` for any length of v."""
+    vec = np.asarray(vector, dtype=complex)
+    return -phase * (np.eye(vec.size) - np.outer(vec, vec.conj()) / vec[0].real)
+
+
+def _checked_targets(targets) -> tuple:
+    targets = tuple(int(q) for q in targets)
+    if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
+        raise ConfigurationError("targets must be distinct non-negative qubit indices")
+    return targets
+
 
 def identity_block(targets: Sequence[int]) -> UnitaryBlock:
     return UnitaryBlock(np.eye(2 ** len(tuple(targets)), dtype=complex), tuple(targets))
@@ -182,17 +261,18 @@ class OpCounter:
         self.weighted_dim += int(dim)
 
 
-def _apply_matrix(amps: np.ndarray, num_qubits: int, matrix: np.ndarray, targets) -> np.ndarray:
-    # Reshaped tensor axis j corresponds to qubit (num_qubits - 1 - j).
-    k = len(targets)
-    psi = amps.reshape([2] * num_qubits)
-    axes = [num_qubits - 1 - t for t in reversed(targets)]
-    tensor = matrix.reshape([2] * (2 * k))
-    out = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+def _target_axes(num_qubits: int, targets) -> list:
+    """Axes of the reshaped ``[2] * num_qubits`` tensor that a block's index
+    runs over, most significant first.  Tensor axis j holds qubit
+    ``num_qubits - 1 - j``, and a block's index reads ``targets[0]`` as its
+    least-significant bit."""
+    return [num_qubits - 1 - t for t in reversed(targets)]
 
 
-def apply_unitary(state: StateVector, block: UnitaryBlock, counter: OpCounter | None = None) -> StateVector:
+Block = UnitaryBlock | ReflectionBlock
+
+
+def apply_unitary(state: StateVector, block: Block, counter: OpCounter | None = None) -> StateVector:
     """Apply ``block`` to its target qubits, identity elsewhere."""
     if any(q >= state.num_qubits for q in block.targets):
         raise ConfigurationError(
@@ -200,13 +280,14 @@ def apply_unitary(state: StateVector, block: UnitaryBlock, counter: OpCounter | 
         )
     if counter is not None:
         counter.record(block.dimension)
-    return StateVector(state.num_qubits, _apply_matrix(state.amplitudes, state.num_qubits, block.matrix, block.targets))
+    m = state.num_qubits
+    return StateVector(m, block.act(state.amplitudes.reshape([2] * m), _target_axes(m, block.targets)))
 
 
 def apply_controlled_by_register(
     state: StateVector,
     controls: Sequence[int],
-    blocks: Mapping[int, UnitaryBlock],
+    blocks: Mapping[int, Block],
     counter: OpCounter | None = None,
 ) -> StateVector:
     """Apply ``blocks[j]`` on the subspace where the control register reads j.
@@ -244,8 +325,8 @@ def apply_controlled_by_register(
             index[m - 1 - c] = (j >> i) & 1
         index = tuple(index)
         block = blocks[j]
-        targets = [rest.index(q) for q in block.targets]
-        out[index] = _apply_matrix(psi[index], len(rest), block.matrix, targets)
+        axes = _target_axes(len(rest), [rest.index(q) for q in block.targets])
+        out[index] = block.act(psi[index], axes)
         if counter is not None:
             counter.record(block.dimension)
     return StateVector(m, out)

@@ -8,10 +8,11 @@ from qsalab.encodings import (
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
+    reflection_with_first_column,
     unitary_with_first_column,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError
-from qsalab.statevector import RegisterLayout, inner_product
+from qsalab.statevector import RegisterLayout, StateVector, apply_unitary, inner_product
 
 
 def encode_all(vectors, n):
@@ -200,3 +201,33 @@ def test_householder_completion_is_unitary_with_exact_first_column(dim, complex_
     assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) <= 1e-12
     with pytest.raises(DegenerateInputError):
         unitary_with_first_column(np.zeros(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_qubits=st.integers(1, 8),
+    zero_first=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_reflection_dense_view_is_unitary_with_first_column(num_qubits, zero_first, seed):
+    rng = np.random.default_rng(seed)
+    dim = 2 ** num_qubits
+    col = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * rng.uniform(1e-3, 1e3)
+    if zero_first:
+        col[0] = 0.0
+    block = reflection_with_first_column(col, tuple(range(num_qubits)))
+    assert np.max(np.abs(block.matrix - unitary_with_first_column(col))) <= 1e-12
+    first = apply_unitary(StateVector.zero(num_qubits), block).amplitudes
+    assert np.max(np.abs(first - col / np.linalg.norm(col))) <= 1e-12
+    with pytest.raises(DegenerateInputError):
+        reflection_with_first_column(np.zeros(dim), tuple(range(num_qubits)))
+
+
+class TestDegeneratePrefix:
+    """Tokens x and i x: their doubled encodings x(x)x and -x(x)x cancel at j=2."""
+
+    def test_prepare_input_superposition_rejects_cancelling_prefix(self):
+        x = np.array([0.6, 0.8j])
+        tokens = encode_all([x, 1j * x, [1.0, 0.0], [0.0, 1.0]], 1)
+        with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
+            prepare_input_superposition(tokens, 4, RegisterLayout.standard(1, 2))

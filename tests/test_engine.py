@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
@@ -15,7 +15,7 @@ from qsalab.engine import (
     score_candidates,
     step_probabilities,
 )
-from qsalab.errors import ConfigurationError, DegeneratePredictionError
+from qsalab.errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 from qsalab.statevector import OpCounter
 
 
@@ -376,6 +376,54 @@ instance_shapes = st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda 
 def test_dual_route_identity_up_to_nine_qubits(shape, layers, seed, spread):
     instance = hypothesis_instance(*shape, layers, seed, spread)
     assert abs(circuit_expectation(instance) - analytic_expectation(instance)) <= 1e-10
+
+
+# 12-14 qubits: d up to 32, T up to 16.
+large_instance_shapes = st.sampled_from([(4, 4), (5, 2), (5, 3), (5, 4)])
+
+
+# Budget: 12 drawn examples and the 16-qubit one, each held to a 1 s
+# deadline, so a passing run takes under 13 s (about 1 s on a 2-vCPU machine).
+@settings(max_examples=12, deadline=1000)
+@given(
+    shape=large_instance_shapes,
+    layers=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    spread=st.sampled_from([0.1, 1.0, np.pi]),
+)
+@example(shape=(6, 4), layers=2, seed=16, spread=1.0)  # 16 qubits: d=64, T=16
+def test_dual_route_identity_twelve_to_sixteen_qubits(shape, layers, seed, spread):
+    instance = hypothesis_instance(*shape, layers, seed, spread)
+    assert abs(circuit_expectation(instance) - analytic_expectation(instance)) <= 1e-10
+
+
+# (n, t) -> OpCounter (blocks, weighted_dim) of one circuit_expectation:
+# 2t Hadamards, T preparations of dimension d^2, V and W, 2T projections of
+# dimension d and the phase layer of dimension T.  Recorded from the dense
+# route with matrix-built preparation blocks; the reflections count the same.
+RECORDED_COUNTS = {(2, 2): (19, 116), (3, 3): (33, 676), (4, 4): (59, 4672), (5, 4): (59, 17504)}
+
+
+@pytest.mark.parametrize("shape, counts", RECORDED_COUNTS.items())
+def test_op_counter_matches_recorded_counts(shape, counts):
+    counter = OpCounter()
+    circuit_expectation(hypothesis_instance(*shape, 2, 7, 1.0), counter)
+    assert (counter.blocks, counter.weighted_dim) == counts
+
+
+def test_cancelling_prefix_raises_typed_error():
+    """Tokens x and i x make the doubled encodings cancel at j=2; the circuit
+    route reports it as the package's DegenerateInputError."""
+    x = np.array([0.6, 0.8j])
+    instance = QsaInstance.from_vectors(
+        [x, 1j * x, [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        AnsatzParams.zeros(1, 1),
+        AnsatzParams.zeros(1, 1),
+        PhaseLayerParams.zeros(1),
+    )
+    with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
+        circuit_expectation(instance)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsalab.encodings import reflection_with_first_column
 from qsalab.errors import ConfigurationError, DegenerateInputError
 from qsalab.statevector import (
     HADAMARD,
     PAULI_X,
     OpCounter,
+    ReflectionBlock,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
@@ -314,6 +316,98 @@ def test_controlled_blocks_match_explicit_select_matrix(order, num_controls, see
         k = int(rng.integers(1, len(free) + 1))
         targets = tuple(int(q) for q in rng.permutation(free)[:k])
         blocks[j] = UnitaryBlock(random_unitary(2 ** k, rng), targets)
+    state = random_state(num_qubits, rng)
+    out = apply_controlled_by_register(state, controls, blocks)
+    expected = explicit_select_matrix(num_qubits, controls, blocks) @ state.amplitudes
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+def random_reflection(targets, rng):
+    """The reflection block whose first column is a random complex unit vector."""
+    dim = 2 ** len(targets)
+    return reflection_with_first_column(rng.normal(size=dim) + 1j * rng.normal(size=dim), targets)
+
+
+class TestReflectionBlock:
+    @pytest.mark.parametrize("targets", [(0,), (2,), (0, 2), (2, 0), (1, 3, 0)])
+    def test_block_and_dagger_match_dense_oracle(self, targets):
+        rng = np.random.default_rng(sum(3 ** i * q for i, q in enumerate(targets)))
+        block = random_reflection(targets, rng)
+        state = random_state(4, rng)
+        for applied in (block, block.dagger()):
+            out = apply_unitary(state, applied)
+            expected = dense_apply_oracle(state.amplitudes, applied.matrix, targets, 4)
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+    def test_dagger_is_conjugate_transpose_and_inverse(self):
+        rng = np.random.default_rng(29)
+        block = random_reflection((1, 0, 2), rng)
+        assert np.max(np.abs(block.dagger().matrix - block.matrix.conj().T)) <= 1e-12
+        state = random_state(3, rng)
+        back = apply_unitary(apply_unitary(state, block), block.dagger())
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
+
+    def test_dense_view_is_unitary(self):
+        rng = np.random.default_rng(31)
+        matrix = random_reflection((0, 1, 2, 3), rng).matrix
+        assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(16))) <= 1e-12
+
+    def test_counter_records_dimension(self):
+        rng = np.random.default_rng(37)
+        counter = OpCounter()
+        apply_unitary(random_state(3, rng), random_reflection((2, 0), rng), counter)
+        assert (counter.blocks, counter.weighted_dim) == (1, 4)
+
+    def test_corrupted_phase_rejected(self):
+        block = random_reflection((0, 1), np.random.default_rng(41))
+        for phase in (1.001 * block.phase, 0.5j, 0.0):
+            with pytest.raises(ConfigurationError):
+                ReflectionBlock(block.vector, phase, block.targets)
+
+    def test_corrupted_vector_rejected(self):
+        block = random_reflection((0, 1), np.random.default_rng(43))
+        for vector in (1.001 * block.vector, block.vector + 1e-6, -block.vector):
+            with pytest.raises(ConfigurationError):
+                ReflectionBlock(vector, block.phase, block.targets)
+
+    def test_shape_and_targets_rejected(self):
+        block = random_reflection((0, 1), np.random.default_rng(47))
+        with pytest.raises(ConfigurationError):
+            ReflectionBlock(block.vector, block.phase, (0,))
+        with pytest.raises(ConfigurationError):
+            ReflectionBlock(block.vector, block.phase, (1, 1))
+
+    def test_vector_is_frozen(self):
+        block = random_reflection((0,), np.random.default_rng(53))
+        with pytest.raises(ValueError):
+            block.vector[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
+    num_controls=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# controls (3, 1): two of them, neither the top qubit, not in ascending order;
+# targets drawn from {0, 4, 2}, so some sit below a control
+@example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
+def test_controlled_reflections_match_explicit_select_matrix(order, num_controls, seed):
+    """Reflections, their daggers and dense blocks mixed in one select."""
+    num_qubits = len(order)
+    num_controls = min(num_controls, num_qubits - 1)
+    controls, free = tuple(order[:num_controls]), order[num_controls:]
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for j in range(2 ** num_controls):
+        k = int(rng.integers(1, len(free) + 1))
+        targets = tuple(int(q) for q in rng.permutation(free)[:k])
+        kind = j % 3
+        if kind == 2:
+            blocks[j] = UnitaryBlock(random_unitary(2 ** k, rng), targets)
+        else:
+            reflection = random_reflection(targets, rng)
+            blocks[j] = reflection.dagger() if kind else reflection
     state = random_state(num_qubits, rng)
     out = apply_controlled_by_register(state, controls, blocks)
     expected = explicit_select_matrix(num_qubits, controls, blocks) @ state.amplitudes
