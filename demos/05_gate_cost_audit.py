@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 
-from qsalab.classical import LcsaParams, ScsaParams, lcsa_vjp, scsa_vjp
+from qsalab.classical import LcsaParams, ScsaParams, lcsa_forward_batch, scsa_vjp
 from qsalab.complexity import (
     count_gates,
     crossover_report,
     default_slope_rows,
     fit_scaling,
 )
-from qsalab.engine import expectations_vjp
+from qsalab.engine import batched_expectations
 
 print("term breakdown at T=16, d=4, D=16, L=5")
 for variant in ("qsa-amplitude", "csa", "qsa-basis"):
@@ -71,8 +71,8 @@ def forwards(num_steps):
     words = np.eye(vocab)[rng.integers(0, vocab, size=(num_seqs, num_steps + 1))]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=num_steps))
     return {
-        "qsa": lambda: expectations_vjp(unit[:, :-1], unit[:, 1:], v_matrix, w_matrix, phases),
-        "lcsa": lambda: lcsa_vjp(x, x, lcsa_params),
+        "qsa": lambda: batched_expectations(unit[:, :-1], unit[:, 1:], v_matrix, w_matrix, phases),
+        "lcsa": lambda: lcsa_forward_batch(x, x, lcsa_params),
         "scsa": lambda: scsa_vjp(x[:, :-1], words, scsa_params),
     }
 

@@ -70,6 +70,8 @@ class ScsaParams:
         f1 = np.array(self.ffn_in)
         f2 = np.array(self.ffn_out)
         anti = np.array(self.anti_embed)
+        if any(arr.ndim != 2 for arr in (wq, wk, wv, f1, f2, anti)):
+            raise ConfigurationError("S-CSA weights must all be matrices")
         d = wv.shape[1]
         if wv.shape != (d, d):
             raise ConfigurationError("value map must be square d x d")
@@ -78,7 +80,7 @@ class ScsaParams:
         hidden = f1.shape[0]
         if hidden < 1 or f1.shape != (hidden, d) or f2.shape != (d, hidden):
             raise ConfigurationError("feed-forward pair must map d -> h -> d with h >= 1")
-        if anti.ndim != 2 or anti.shape[1] != d:
+        if anti.shape[1] != d:
             raise ConfigurationError("anti-embedding must be D x d")
         for name, arr in (("w_query", wq), ("w_key", wk), ("w_value", wv),
                           ("ffn_in", f1), ("ffn_out", f2), ("anti_embed", anti)):
@@ -275,68 +277,61 @@ def lcsa_step_probability(
     return float(abs(np.vdot(target / t_norm, z / z_norm)) ** 2)
 
 
-def causal_attention(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray) -> np.ndarray:
-    """Causal linear attention z_j = V sum_{i<=j} (x_j^dag W x_i) x_i at every step.
+def causal_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray,
+                         prefix_weights: bool = False):
+    """Causal linear attention z_j = V sum_{i<=j} (x_j^dag W x_i) x_i for
+    (..., T, d) tokens x_1..x_T: the L-CSA output, the qsa prediction state
+    before normalization and, contracted with a target, the qsa branch
+    amplitude.  ``prefix_weights`` adds the qsa prefix weights
+    M_j = Re sum_{i,i'<=j} (x_i^dag x_i')^2, else weights is None.
 
-    ``prefix``: (..., T, d) tokens x_1..x_T; returns (..., T, d).  This is
-    the L-CSA output, the qsa prediction state before normalization and,
-    contracted with a step's target, the qsa branch amplitude.
+    Returns (z, weights, backward); ``backward(g_z, g_weights=None)`` gives
+    (g_prefix, g_value_map, g_affinity_map), g = dL/dRe + i dL/dIm, batch
+    axes summed into the maps.  The order follows ``running_sum_order``.
     """
-    return causal_attention_vjp(prefix, value_map, affinity_map)[0]
-
-
-def causal_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
-    """``causal_attention`` and its backward pass.
-
-    Returns (z, backward); ``backward(g_z)`` gives the gradients (g_prefix,
-    g_value_map, g_affinity_map), with g = dL/dRe + i dL/dIm for complex
-    quantities.  Batch axes are summed into the map gradients.  The
-    contraction order follows ``running_sum_order``.
-    """
-    if running_sum_order(*prefix.shape[-2:]):
-        z, _, backward = _running_sum_attention_vjp(prefix, value_map, affinity_map)
-        return z, backward
-    return _pairwise_attention_vjp(prefix, value_map, affinity_map)
+    order = _running_sum_attention_vjp if running_sum_order(*prefix.shape[-2:]) else _pairwise_attention_vjp
+    return order(prefix, value_map, affinity_map, prefix_weights)
 
 
 def running_sum_order(num_steps: int, embed_dim: int) -> bool:
     """Whether the causal kernel contracts running sums (O(T d^2) per
     sequence) rather than the pairwise T x T block (O(T^2 d)).
 
-    The one dispatch rule of ``causal_attention_vjp`` and of the qsa prefix
-    weights; it reads only the input's (T, d).  T > d^2 is fitted from
-    timings of both orders over a (T, d) grid (README, "Contraction
-    orders"); it also keeps the running sums' T d^2 entries below the
-    pairwise block's T^2, and every T <= d input, all T=4 training
-    included, on the pairwise order and its bytes.
+    The rule of ``causal_attention_vjp``, its one reader; it depends only
+    on the input's (T, d).  T > d^2 is fitted from timings of both orders
+    over a (T, d) grid (README, "Contraction orders"); it also keeps the
+    running sums' T d^2 entries below the pairwise block's T^2, and every
+    T <= d input, all T=4 training included, on the pairwise order and its
+    bytes.
     """
     return num_steps > embed_dim * embed_dim
 
 
-def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
+def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray,
+                               prefix_weights: bool = False):
     """Causal linear attention in prefix-sum order: z_j = V S_j W^T conj(x_j)
-    with the running sums S_j = sum_{i<=j} x_i x_i^T (no conjugate).
+    with the running sums S_j = sum_{i<=j} x_i x_i^T (no conjugate), whose
+    squared Frobenius norms are the prefix weights M_j = ||S_j||_F^2.
 
-    Returns (z, sums, backward); ``backward(g_z, g_sums=None)`` gives
-    (g_prefix, g_value_map, g_affinity_map).  ``g_sums`` is an outside
-    cotangent of the (..., T, d, d) sums (the qsa prefix weights are
-    ||S_j||_F^2); it joins the attention's own before the one reverse
-    cumulative sum that carries every S_j cotangent back to its tokens.
-    No (..., T, T) array is built in either direction.
+    Returns (z, weights, backward) as ``causal_attention_vjp`` does.  The
+    M_j cotangent joins the attention's own S_j cotangent before the one
+    reverse cumulative sum that carries every S_j cotangent back to its
+    tokens.  No (..., T, T) array is built in either direction.
     """
     queries = prefix.conj() @ affinity_map  # W^T conj(x_j)
     sums = prefix[..., :, None] * prefix[..., None, :]
     np.cumsum(sums, axis=-3, out=sums)
     attended = np.einsum("...jab,...jb->...ja", sums, queries)
     z = attended @ value_map.T
+    weights = np.einsum("...jab,...jab->...j", sums.conj(), sums).real if prefix_weights else None
 
-    def backward(g_z, g_sums=None):
+    def backward(g_z, g_weights=None):
         g_attended = g_z @ value_map.conj()
         # g_queries_j = S_j^H g_attended_j; both uses read its conjugate, S_j conj(g_attended_j)
         conj_g_queries = np.einsum("...jab,...jb->...ja", sums, g_attended.conj())
         tails = g_attended[..., :, None] * queries.conj()[..., None, :]
-        if g_sums is not None:
-            tails = tails + g_sums
+        if g_weights is not None:
+            tails = tails + 2.0 * g_weights[..., None, None] * sums
         # token i enters every S_j with j >= i, once on each side of x_i x_i^T
         reverse = tails[..., ::-1, :, :]
         np.cumsum(reverse, axis=-3, out=reverse)
@@ -347,19 +342,28 @@ def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affini
         # queries = conj(x) @ W, so g_W = sum_j x_j (x) g_queries_j
         return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(prefix, conj_g_queries)
 
-    return z, sums, backward
+    return z, weights, backward
 
 
-def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray):
-    """Causal linear attention through the (..., T, T) affinity block; the
-    faster order while T is small against d.  Returns (z, backward) as
+def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_map: np.ndarray,
+                            prefix_weights: bool = False):
+    """Causal linear attention through the (..., T, T) affinity block, and
+    the prefix weights through the (..., T, T) Gram block; the faster order
+    while T is small against d.  Returns (z, weights, backward) as
     ``causal_attention_vjp`` does."""
     keys = prefix @ affinity_map.T  # W x_i
     affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
     attended = affinities @ prefix
     z = attended @ value_map.T
+    weights = None
+    if prefix_weights:
+        # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
+        # so the prefix weights sum squared Gram entries, not squared moduli.
+        gram = prefix.conj() @ prefix.swapaxes(-1, -2)
+        prefixes = np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2)
+        weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
 
-    def backward(g_z):
+    def backward(g_z, g_weights=None):
         # recomputed, not kept, so forward-only calls hold no extra (..., T, T) array
         affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
         g_attended = g_z @ value_map.conj()
@@ -370,9 +374,17 @@ def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_
             + g_affinities.conj() @ keys
             + g_keys @ affinity_map.conj()
         )
+        if g_weights is not None:
+            # M_j = Re sum_{i,i'<=j} G_ii'^2: pair (i, i') feeds every M_j with
+            # j >= max(i, i'); dG^2 = 2 G dG, and each token enters G as a row
+            # and as a column, hence the 4.  The Gram block is recomputed too.
+            tail = np.cumsum(g_weights[..., ::-1], axis=-1)[..., ::-1]
+            steps = np.arange(prefix.shape[-2])
+            pair_weights = tail[..., np.maximum.outer(steps, steps)]
+            g_prefix = g_prefix + 4.0 * (pair_weights * (prefix.conj() @ prefix.swapaxes(-1, -2))) @ prefix
         return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(g_keys, prefix)
 
-    return z, backward
+    return z, weights, backward
 
 
 def output_weights(z: np.ndarray) -> np.ndarray:
@@ -388,25 +400,17 @@ def output_weights(z: np.ndarray) -> np.ndarray:
 
 
 def lcsa_forward_batch(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaParams):
-    """Batched raw overlap weights and normalizers.
+    """Batched raw overlap weights and normalizers, and their backward pass.
 
     ``x``: (S, T+1, d) attention inputs; ``x_shift_free``: (S, T+1, d)
     embedding-only tokens whose rows 2..T+1 are the targets.  Returns
-    (values, normalizers) with values[s, j] = |<t_norm, z_j>|^2 and
-    normalizers[s, j] = ||z_j||^2, so their ratio is the step probability.
-    """
-    values, normalizers, _ = lcsa_vjp(x, x_shift_free, params)
-    return values, normalizers
-
-
-def lcsa_vjp(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaParams):
-    """``lcsa_forward_batch`` and its backward pass.
-
-    Returns (values, normalizers, backward); ``backward(g_values,
-    g_normalizers)`` gives (g_x, g_x_shift_free, g_value_map, g_affinity_map).
+    (values, normalizers, backward) with values[s, j] = |<t_norm, z_j>|^2
+    and normalizers[s, j] = ||z_j||^2, so their ratio is the step
+    probability; ``backward(g_values, g_normalizers)`` gives (g_x,
+    g_x_shift_free, g_value_map, g_affinity_map).
     """
     num_steps = x.shape[1] - 1
-    z, attention_backward = causal_attention_vjp(x[:, :num_steps], params.value_map, params.affinity_map)
+    z, _, attention_backward = causal_attention_vjp(x[:, :num_steps], params.value_map, params.affinity_map)
     targets = x_shift_free[:, 1:]
     t_norms = np.linalg.norm(targets, axis=-1)
     if np.any(t_norms <= ZERO_NORM_TOL):

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
-from .classical import _pairwise_attention_vjp, _running_sum_attention_vjp, running_sum_order
+from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, reflection_with_first_column
 from .errors import ConfigurationError, DegeneratePredictionError
@@ -140,68 +140,15 @@ def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None)
     return all_zeros_expectation(circuit_state(instance, counter))
 
 
-def _overlap_core(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
-    """Branch overlaps a_j and prefix weights M_j for stacked encodings.
-
-    ``tok``: (..., T, d) normalized attention inputs x_1..x_T;
-    ``tgt``: (..., T, d) normalized targets for steps 2..T+1.
-    """
-    a, weights, _ = _overlap_core_vjp(tok, tgt, v_matrix, w_matrix)
-    return a, weights
-
-
-def _overlap_core_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
-    """``_overlap_core`` and its backward pass: ``backward(g_a, g_weights)``
-    gives (g_tok, g_tgt, g_v_matrix, g_w_matrix).  The contraction order
-    follows ``classical.running_sum_order``, as the attention kernel's does."""
-    if running_sum_order(*tok.shape[-2:]):
-        return _running_sum_overlaps(tok, tgt, v_matrix, w_matrix)
-    return _pairwise_overlaps(tok, tgt, v_matrix, w_matrix)
-
-
-def _pairwise_overlaps(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
-    """The overlap core through (..., T, T) affinity and Gram blocks."""
-    z, attention_backward = _pairwise_attention_vjp(tok, v_matrix, w_matrix)
-    # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
-    # so the prefix weights sum squared Gram entries, not squared moduli.
-    gram = tok.conj() @ tok.swapaxes(-1, -2)
-    prefixes = np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2)
-    weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
-
-    def prefix_backward(g_z, g_weights):
-        g_tok, g_v, g_w = attention_backward(g_z)
-        # M_j = Re sum_{i,i'<=j} G_ii'^2: pair (i, i') feeds every M_j with
-        # j >= max(i, i'); dG^2 = 2 G dG, and each token enters G as a row
-        # and as a column, hence the 4.  The Gram block is recomputed, not
-        # kept, so forward-only calls hold no extra (..., T, T) array.
-        tail = np.cumsum(g_weights[..., ::-1], axis=-1)[..., ::-1]
-        steps = np.arange(tok.shape[-2])
-        pair_weights = tail[..., np.maximum.outer(steps, steps)]
-        g_tok = g_tok + 4.0 * (pair_weights * (tok.conj() @ tok.swapaxes(-1, -2))) @ tok
-        return g_tok, g_v, g_w
-
-    return _with_targets(z, weights, tgt, prefix_backward)
-
-
-def _running_sum_overlaps(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
-    """The overlap core from the running sums S_j = sum_{i<=j} x_i x_i^T:
-    the same sum of squared Gram entries is M_j = ||S_j||_F^2."""
-    z, sums, attention_backward = _running_sum_attention_vjp(tok, v_matrix, w_matrix)
-    weights = np.einsum("...jab,...jab->...j", sums.conj(), sums).real
-
-    def prefix_backward(g_z, g_weights):
-        return attention_backward(g_z, 2.0 * g_weights[..., None, None] * sums)
-
-    return _with_targets(z, weights, tgt, prefix_backward)
-
-
-def _with_targets(z, weights, tgt, prefix_backward):
-    """Branch overlaps a_j = <tgt_j|z_j> beside the prefix weights, and the
-    backward pass that routes g_a through ``prefix_backward(g_z, g_weights)``."""
+def _branch_overlaps_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
+    """Branch overlaps a_j = <tgt_j|z_j> and the kernel's prefix weights M_j
+    for (..., T, d) normalized inputs x_1..x_T and targets for steps
+    2..T+1; ``backward(g_a, g_weights)`` gives (g_tok, g_tgt, g_v, g_w)."""
+    z, weights, attention_backward = causal_attention_vjp(tok, v_matrix, w_matrix, prefix_weights=True)
     a = np.einsum("...jd,...jd->...j", tgt.conj(), z)
 
     def backward(g_a, g_weights):
-        g_tok, g_v, g_w = prefix_backward(g_a[..., None] * tgt, g_weights)
+        g_tok, g_v, g_w = attention_backward(g_a[..., None] * tgt, g_weights)
         return g_tok, g_a.conj()[..., None] * z, g_v, g_w
 
     return a, weights, backward
@@ -213,26 +160,16 @@ def batched_expectations(
     v_matrix: np.ndarray,
     w_matrix: np.ndarray,
     phase_diagonal: np.ndarray,
-) -> np.ndarray:
-    """Analytic expectations for a batch of sequences, no full-register state."""
-    return expectations_vjp(token_states, target_states, v_matrix, w_matrix, phase_diagonal)[0]
-
-
-def expectations_vjp(
-    token_states: np.ndarray,
-    target_states: np.ndarray,
-    v_matrix: np.ndarray,
-    w_matrix: np.ndarray,
-    phase_diagonal: np.ndarray,
 ):
-    """``batched_expectations`` and its backward pass.
+    """Analytic expectations for a batch of sequences, no full-register
+    state, and their backward pass.
 
     Returns (expectations, backward); ``backward(g_expectations)`` gives
     (g_token_states, g_target_states, g_v_matrix, g_w_matrix,
     g_phase_diagonal), complex gradients as dL/dRe + i dL/dIm and the batch
     summed into the shared arrays.
     """
-    a, weights, core_backward = _overlap_core_vjp(token_states, target_states, v_matrix, w_matrix)
+    a, weights, core_backward = _branch_overlaps_vjp(token_states, target_states, v_matrix, w_matrix)
     num_steps = token_states.shape[-2]
     root = np.sqrt(weights)
     terms = phase_diagonal * a / root
@@ -255,7 +192,7 @@ def branch_overlaps(instance: QsaInstance) -> tuple[np.ndarray, np.ndarray]:
     tgt = np.stack([t.state.amplitudes for t in instance.shifted_targets])
     vm = build_ansatz_unitary(instance.params_v).matrix
     wm = build_ansatz_unitary(instance.params_w).matrix
-    return _overlap_core(tok, tgt, vm, wm)
+    return _branch_overlaps_vjp(tok, tgt, vm, wm)[:2]
 
 
 def analytic_expectation(instance: QsaInstance) -> float:

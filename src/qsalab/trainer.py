@@ -47,8 +47,8 @@ from .ansatz import (
 from .classical import (
     LcsaParams,
     ScsaParams,
-    causal_attention,
-    lcsa_vjp,
+    causal_attention_vjp,
+    lcsa_forward_batch,
     output_weights,
     scsa_forward_batch,
     scsa_vjp,
@@ -64,7 +64,7 @@ from .data import (
     make_embedding,
     unit_rows_backward,
 )
-from .engine import EXPECTATION_FLOOR, QsaInstance, circuit_expectation, expectations_vjp
+from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -373,7 +373,7 @@ class _Qsa(_Model):
         tok, tgt = _unit_rows(tokens), _unit_rows(targets)
         v_matrix, v_backward = ansatz_vjp(params.v_params)
         w_matrix, w_backward = ansatz_vjp(params.w_params)
-        exps, backward = expectations_vjp(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
+        exps, backward = batched_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
 
         def model_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
@@ -387,11 +387,11 @@ class _Qsa(_Model):
 
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
-        z = causal_attention(
+        z = causal_attention_vjp(
             _unit_rows(x[:, :-1]),
             build_ansatz_unitary(params.v_params).matrix,
             build_ansatz_unitary(params.w_params).matrix,
-        )
+        )[0]
         return _overlap_scores(z, params.embedding)
 
 
@@ -472,7 +472,7 @@ class _Lcsa(_Baseline):
 
     def forward(self, params, inputs):
         x, shift_free = embed_batch(inputs, params.embedding)
-        values, normalizers, backward = lcsa_vjp(x, shift_free, params.lcsa)
+        values, normalizers, backward = lcsa_forward_batch(x, shift_free, params.lcsa)
 
         def model_backward(g_ratios):
             g_x, g_shift_free, g_value_map, g_affinity_map = backward(
@@ -484,7 +484,7 @@ class _Lcsa(_Baseline):
 
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
-        z = causal_attention(x[:, :-1], params.lcsa.value_map, params.lcsa.affinity_map)
+        z = causal_attention_vjp(x[:, :-1], params.lcsa.value_map, params.lcsa.affinity_map)[0]
         return _overlap_scores(z, params.embedding)
 
 
@@ -780,10 +780,14 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(obj: dict) -> np.ndarray:
-    data = np.array(obj["data"], dtype=np.float64)
-    if obj["complex"]:
-        return data.view(np.complex128).reshape(obj["shape"])
-    return data.reshape(obj["shape"])
+    data, shape = obj["data"], obj["shape"]
+    width = 2 if obj["complex"] else 1
+    numbers = all(type(v) in (int, float) for v in data)
+    if not numbers or min(shape, default=0) < 0 or len(data) != width * math.prod(shape):
+        kind = "complex" if width == 2 else "real"
+        raise CheckpointFormatError(f"checkpoint array data do not fill its {kind} shape {shape} with numbers")
+    data = np.array(data, dtype=np.float64)
+    return (data.view(np.complex128) if width == 2 else data).reshape(shape)
 
 
 def params_to_payload(params: ModelParams) -> dict:

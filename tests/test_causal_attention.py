@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary
-from qsalab.classical import LcsaParams, causal_attention, linear_attention_layer
-from qsalab.engine import QsaInstance, _overlap_core, predict_token_state
+from qsalab.classical import LcsaParams, causal_attention_vjp, linear_attention_layer
+from qsalab.engine import QsaInstance, _branch_overlaps_vjp, predict_token_state
 
 TOL = 1e-12
 
@@ -48,7 +48,7 @@ def test_kernel_matches_single_sequence_oracles(num_seqs, num_steps, d, complex_
     prefix = draw(rng, (num_seqs, num_steps, d), complex_valued)
     value_map = draw(rng, (d, d), complex_valued)
     affinity_map = draw(rng, (d, d), complex_valued)
-    z = causal_attention(prefix, value_map, affinity_map)
+    z = causal_attention_vjp(prefix, value_map, affinity_map)[0]
     assert z.shape == (num_seqs, num_steps, d)
 
     # L-CSA layer, one step at a time, for the first, last and one middle sequence
@@ -66,7 +66,7 @@ def test_kernel_matches_single_sequence_oracles(num_seqs, num_steps, d, complex_
     v_params = AnsatzParams.random(n, 2, rng)
     w_params = AnsatzParams.random(n, 2, rng)
     vm, wm = build_ansatz_unitary(v_params).matrix, build_ansatz_unitary(w_params).matrix
-    a, weights = _overlap_core(tok, tgt, vm, wm)
+    a, weights, _ = _branch_overlaps_vjp(tok, tgt, vm, wm)
     a_ref, weights_ref = reference_overlap_core(tok, tgt, vm, wm)
     assert close(a, a_ref)
     assert close(weights, weights_ref)
@@ -78,7 +78,7 @@ def test_kernel_matches_single_sequence_oracles(num_seqs, num_steps, d, complex_
     targets = [draw(rng, d, complex_valued) for _ in range(padded)]
     instance = QsaInstance.from_vectors(tokens, targets, v_params, w_params, PhaseLayerParams.random(
         padded.bit_length() - 1, rng))
-    z_qsa = causal_attention(tok[:1], vm, wm)[0]
+    z_qsa = causal_attention_vjp(tok[:1], vm, wm)[0][0]
     for j in range(1, num_steps + 1):
         state, weight = predict_token_state(instance, j)
         norm = np.linalg.norm(z_qsa[j - 1])

@@ -229,7 +229,7 @@ class TestLcsaStepProbability:
         params = LcsaParams.near_identity(4, seed=16, complex_valued=True)
         x = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
         xt = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
-        values, normalizers = lcsa_forward_batch(x, xt, params)
+        values, normalizers, _ = lcsa_forward_batch(x, xt, params)
         for s in range(3):
             for j in range(1, 5):
                 single = lcsa_step_probability(list(x[s]), list(xt[s, 1:]), params, j)

@@ -1,4 +1,5 @@
-"""Config integers are typed, and the numeric-failure diagnostic is strict JSON."""
+"""Config integers are typed, the numeric-failure diagnostic is strict JSON,
+and a malformed checkpoint array ends in a typed exit code."""
 
 import json
 import warnings
@@ -70,3 +71,49 @@ def test_diagnostic_is_strict_json_without_overflow(tmp_path, dataset_path):
     # the parameters reach about 1e201, a finite norm that must not overflow
     assert isinstance(diagnostic["circuit_norm"], float) and diagnostic["circuit_norm"] > 1e200
     assert not [w for w in caught if "overflow" in str(w.message)]
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory, dataset_path):
+    out = tmp_path_factory.mktemp("runs")
+    for kind in ("qsa", "scsa", "lcsa"):
+        assert main([
+            "train", "--model", kind, "--data", str(dataset_path),
+            "--epochs", "0", "--out", str(out / kind),
+        ]) == 0
+    return out
+
+
+def short_value_map(block):
+    block["value_map"]["data"].pop()
+
+
+def real_value_map_marked_complex(block):
+    block["value_map"]["complex"] = True
+
+
+def text_angle(block):
+    block["r"]["angles"]["data"][0] = "half"
+
+
+def flat_value_map(block):
+    block["w_value"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt, exit_code",
+    [
+        ("lcsa", short_value_map, 4),
+        ("lcsa", real_value_map_marked_complex, 4),
+        ("qsa", text_angle, 4),
+        ("scsa", flat_value_map, 2),
+    ],
+)
+def test_malformed_checkpoint_array_exits_typed(tmp_path, dataset_path, checkpoints, kind, corrupt, exit_code):
+    doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
+    corrupt(doc["params"][kind])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == exit_code
+    assert not out.exists()

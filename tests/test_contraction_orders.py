@@ -13,7 +13,7 @@ from qsalab.classical import (
     causal_attention_vjp,
     running_sum_order,
 )
-from qsalab.engine import _overlap_core_vjp, _pairwise_overlaps, _running_sum_overlaps
+from qsalab.engine import _branch_overlaps_vjp
 
 TOL = 1e-12
 
@@ -49,29 +49,35 @@ def test_orders_agree_forward_and_backward(num_seqs, num_steps, d, complex_token
     complex_out = complex_tokens or complex_maps
 
     # attention outputs z and the gradients (g_prefix, g_value_map, g_affinity_map)
-    z_pair, pair_backward = _pairwise_attention_vjp(tokens, value_map, affinity_map)
+    z_pair, _, pair_backward = _pairwise_attention_vjp(tokens, value_map, affinity_map)
     z_sum, _, sum_backward = _running_sum_attention_vjp(tokens, value_map, affinity_map)
     assert_close(z_sum, z_pair)
     g_z = draw(rng, z_pair.shape, complex_out)
     for g_sum, g_pair in zip(sum_backward(g_z), pair_backward(g_z)):
         assert_close(g_sum, g_pair)
 
-    # qsa branch overlaps a_j, prefix weights M_j and all four gradients,
-    # with a nonzero M_j cotangent
-    a_pair, m_pair, core_pair = _pairwise_overlaps(tok, tgt, value_map, affinity_map)
-    a_sum, m_sum, core_sum = _running_sum_overlaps(tok, tgt, value_map, affinity_map)
+    # qsa branch overlaps a_j = <tgt_j|z_j>, prefix weights M_j and the
+    # gradients of tok, tgt and both maps, with a nonzero M_j cotangent
+    z_pair, m_pair, pair_backward = _pairwise_attention_vjp(tok, value_map, affinity_map, prefix_weights=True)
+    z_sum, m_sum, sum_backward = _running_sum_attention_vjp(tok, value_map, affinity_map, prefix_weights=True)
+    a_pair = np.einsum("sjd,sjd->sj", tgt.conj(), z_pair)
+    a_sum = np.einsum("sjd,sjd->sj", tgt.conj(), z_sum)
     assert_close(a_sum, a_pair)
     assert_close(m_sum, m_pair)
     g_a = draw(rng, a_pair.shape, complex_out)
     g_m = rng.normal(size=m_pair.shape)
-    for g_sum, g_pair in zip(core_sum(g_a, g_m), core_pair(g_a, g_m)):
+    for g_sum, g_pair in zip(sum_backward(g_a[..., None] * tgt, g_m), pair_backward(g_a[..., None] * tgt, g_m)):
         assert_close(g_sum, g_pair)
+    assert_close(g_a.conj()[..., None] * z_sum, g_a.conj()[..., None] * z_pair)
 
     # the dispatched kernel runs exactly the order the rule names
-    z_expected = z_sum if running_sum_order(num_steps, d) else z_pair
-    a_expected = a_sum if running_sum_order(num_steps, d) else a_pair
-    assert np.array_equal(causal_attention_vjp(tokens, value_map, affinity_map)[0], z_expected)
-    assert np.array_equal(_overlap_core_vjp(tok, tgt, value_map, affinity_map)[0], a_expected)
+    expected = (z_sum, z_sum, m_sum, a_sum) if running_sum_order(num_steps, d) else (z_pair, z_pair, m_pair, a_pair)
+    z_plain, no_weights, _ = causal_attention_vjp(tok, value_map, affinity_map)
+    z, m, _ = causal_attention_vjp(tok, value_map, affinity_map, prefix_weights=True)
+    a = _branch_overlaps_vjp(tok, tgt, value_map, affinity_map)[0]
+    assert no_weights is None
+    for actual, wanted in zip((z_plain, z, m, a), expected):
+        assert np.array_equal(actual, wanted)
 
 
 def test_short_sequences_keep_the_pairwise_order():
@@ -92,9 +98,9 @@ def test_long_sequences_build_no_t_by_t_block():
     affinity_map = draw(rng, (d, d), True)
     tracemalloc.start()
     try:
-        z, attention_backward = causal_attention_vjp(tok, value_map, affinity_map)
+        z, _, attention_backward = causal_attention_vjp(tok, value_map, affinity_map)
         attention_backward(z)
-        a, weights, core_backward = _overlap_core_vjp(tok, tgt, value_map, affinity_map)
+        a, weights, core_backward = _branch_overlaps_vjp(tok, tgt, value_map, affinity_map)
         core_backward(a, weights)
         _, peak = tracemalloc.get_traced_memory()
     finally:
