@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -247,6 +248,42 @@ def cmd_eval(args, parser) -> int:
     return 0
 
 
+_PREDICT_ENTRY = '\n            {\n              "score": %s,\n              "word": %s\n            }'
+
+
+def _json_nonfinite(x: float) -> str:
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _predict_text(model_kind: str, top_k: int, rows: list) -> str:
+    """The predict document, byte for byte ``json.dumps({"model_kind":
+    model_kind, "top_k": top_k, "records": rows}, sort_keys=True, indent=2)``.
+
+    Under ``indent`` CPython's json runs its pure-Python encoder, one
+    generator call per dict and list.  Here each record is one ``%`` over a
+    flat value tuple into a template fixed by ``top_k`` and its step count,
+    so every step must hold ``top_k`` entries, as ``trainer.predict_topk``
+    returns them.  ``%s`` spells ints and finite floats as json does
+    (``int.__repr__``, ``float.__repr__``); non-finite scores get json's
+    names.
+    """
+    step = ('\n        {\n          "position": %s,\n          "top": ['
+            + ",".join([_PREDICT_ENTRY] * top_k) + "\n          ]\n        }")
+    records = []
+    for row in rows:
+        steps = row["steps"]
+        values = [row["id"]]
+        for item in steps:
+            values.append(item["position"])
+            for entry in item["top"]:
+                score = entry["score"]
+                values += (score if math.isfinite(score) else _json_nonfinite(score), entry["word"])
+        body = "[" + ",".join([step] * len(steps)) + "\n      ]" if steps else "[]"
+        records.append(('\n    {\n      "id": %s,\n      "steps": ' + body + "\n    }") % tuple(values))
+    body = "[" + ",".join(records) + "\n  ]" if records else "[]"
+    return '{\n  "model_kind": %s,\n  "records": %s,\n  "top_k": %s\n}' % (json.dumps(model_kind), body, top_k)
+
+
 def cmd_predict(args, parser) -> int:
     started = time.perf_counter()
     params, meta = trainer.load_checkpoint(args.checkpoint)
@@ -256,11 +293,7 @@ def cmd_predict(args, parser) -> int:
             f"checkpoint was trained on {meta['data_kind']} data, got {dataset.kind}"
         )
     rows = trainer.predict_topk(params, dataset, k=args.top_k)
-    data.atomic_write_text(
-        args.out,
-        json.dumps({"model_kind": meta["model_kind"], "top_k": args.top_k, "records": rows},
-                   sort_keys=True, indent=2) + "\n",
-    )
+    data.atomic_write_text(args.out, _predict_text(meta["model_kind"], args.top_k, rows) + "\n")
     wall = time.perf_counter() - started if args.timing else None
     _write_manifest(
         f"{args.out}.manifest.json",

@@ -230,7 +230,12 @@ class SequenceDataset:
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
         length = self.num_steps + 1
         if self.kind == "classical":
-            records = [list(int(w) for w in rec) for rec in self.records]
+            # int(w) would pass 1.5, True and "3" as 1, 1 and 3
+            bad = {type(w).__name__ for rec in self.records for w in rec
+                   if type(w) is not int and not isinstance(w, np.integer)}
+            if bad:
+                raise ConfigurationError(f"classical words must be integer indices, got {', '.join(sorted(bad))}")
+            records = [[int(w) for w in rec] for rec in self.records]
             if any(len(rec) != length for rec in records):
                 raise ConfigurationError("all records must have length T+1")
             if any(not 0 <= w < self.vocab_dim for rec in records for w in rec):

@@ -779,13 +779,20 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "complex": np.iscomplexobj(arr), "data": _to_real_vector([arr]).tolist()}
 
 
+def _finite_numbers(values) -> bool:
+    """Every value a JSON number, not a bool, and finite as a float."""
+    try:
+        return all(type(v) in (int, float) and math.isfinite(v) for v in values)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _decode_array(obj: dict) -> np.ndarray:
     data, shape = obj["data"], obj["shape"]
     width = 2 if obj["complex"] else 1
-    numbers = all(type(v) in (int, float) for v in data)
-    if not numbers or min(shape, default=0) < 0 or len(data) != width * math.prod(shape):
+    if not _finite_numbers(data) or min(shape, default=0) < 0 or len(data) != width * math.prod(shape):
         kind = "complex" if width == 2 else "real"
-        raise CheckpointFormatError(f"checkpoint array data do not fill its {kind} shape {shape} with numbers")
+        raise CheckpointFormatError(f"checkpoint array data do not fill its {kind} shape {shape} with finite numbers")
     data = np.array(data, dtype=np.float64)
     return (data.view(np.complex128) if width == 2 else data).reshape(shape)
 
@@ -819,6 +826,8 @@ def _ansatz_from_payload(obj: dict) -> AnsatzParams:
 
 def params_from_payload(payload: dict) -> ModelParams:
     emb = payload["embedding"]
+    if not _finite_numbers([emb["gamma"]]):
+        raise CheckpointFormatError(f"checkpoint embedding gamma {emb['gamma']!r} is not a finite real number")
     embedding = EmbeddingMap(_decode_array(emb["matrix"]), _decode_array(emb["shifts"]), emb["gamma"])
     kind = payload["model_kind"]
     return ModelParams(kind, embedding, **MODELS[kind].from_payload(payload[kind]))

@@ -1,5 +1,6 @@
-"""Config integers are typed, the numeric-failure diagnostic is strict JSON,
-and a malformed checkpoint array ends in a typed exit code."""
+"""Config integers and dataset words are typed, the numeric-failure
+diagnostic is strict JSON, and a malformed or non-finite checkpoint value
+ends in a typed exit code."""
 
 import json
 import warnings
@@ -116,4 +117,55 @@ def test_malformed_checkpoint_array_exits_typed(tmp_path, dataset_path, checkpoi
     path.write_text(json.dumps(doc, sort_keys=True))
     out = tmp_path / "eval.json"
     assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == exit_code
+    assert not out.exists()
+
+
+def set_gamma(value):
+    def corrupt(params):
+        params["embedding"]["gamma"] = value
+    return corrupt
+
+
+def set_entry(block, name, value):
+    def corrupt(params):
+        params[block][name]["data"][0] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("qsa", set_gamma("x")),
+        ("qsa", set_gamma(True)),
+        ("lcsa", set_gamma([0.1])),
+        ("qsa", set_gamma(float("nan"))),
+        ("scsa", set_gamma(float("inf"))),
+        ("lcsa", set_entry("lcsa", "value_map", float("nan"))),
+        ("scsa", set_entry("scsa", "w_query", float("-inf"))),
+        ("qsa", set_entry("embedding", "matrix", float("inf"))),
+        ("lcsa", set_entry("embedding", "matrix", 10**400)),
+    ],
+    ids=["gamma-text", "gamma-bool", "gamma-list", "gamma-nan", "gamma-inf",
+         "value-map-nan", "w-query-neg-inf", "embedding-inf", "embedding-huge-int"],
+)
+def test_non_finite_or_non_numeric_checkpoint_value_exits_4(tmp_path, dataset_path, checkpoints, kind, corrupt):
+    doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
+    corrupt(doc["params"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word", [1.5, True, "3"])
+def test_non_integer_word_exits_2(tmp_path, dataset_path, checkpoints, word):
+    header, first, *rest = dataset_path.read_text().splitlines()
+    record = json.loads(first)
+    record["words"][1] = word
+    path = tmp_path / "words.jsonl"
+    path.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(checkpoints / "qsa" / "checkpoint.json"),
+                 "--data", str(path), "--out", str(out)]) == 2
     assert not out.exists()
