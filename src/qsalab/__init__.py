@@ -38,6 +38,7 @@ from .encodings import (
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
+    reflection_family,
     reflection_with_first_column,
     unitary_with_first_column,
 )
@@ -69,6 +70,7 @@ from .objectives import (
 from .statevector import (
     OpCounter,
     ReflectionBlock,
+    ReflectionFamily,
     RegisterLayout,
     StateVector,
     UnitaryBlock,

@@ -241,14 +241,22 @@ class SequenceDataset:
             if any(not 0 <= w < self.vocab_dim for rec in records for w in rec):
                 raise ConfigurationError("word index outside the vocabulary")
         else:
-            records = [np.array(rec, dtype=complex) for rec in self.records]
-            for rec in records:
-                if rec.shape != (length, self.vocab_dim):
-                    raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
-                if np.any(np.abs(np.linalg.norm(rec, axis=1) - 1.0) > 1e-10):
+            arrays = [np.asarray(rec) for rec in self.records]
+            bad = {a.dtype.name for a in arrays if a.dtype.kind not in "iufc"}
+            if bad:
+                raise ConfigurationError(f"quantum amplitudes must be numbers, got {', '.join(sorted(bad))}")
+            if any(a.shape != (length, self.vocab_dim) for a in arrays):
+                raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
+            records = []
+            if arrays:
+                # one vectorized check over all records
+                stacked = np.array(arrays, dtype=complex)
+                if not np.all(np.isfinite(stacked)):
+                    raise ConfigurationError("quantum amplitudes must be finite numbers")
+                if not np.all(np.abs(np.linalg.norm(stacked, axis=-1) - 1.0) <= 1e-10):
                     raise ConfigurationError("quantum record steps must have unit norm")
-            for rec in records:
-                rec.setflags(write=False)
+                stacked.setflags(write=False)
+                records = list(stacked)
         self.records = records
 
     def __len__(self) -> int:
@@ -343,6 +351,27 @@ def dumps_dataset(dataset: SequenceDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_NUMBERS = frozenset((int, float))  # by exact type: a bool is an int
+
+
+def _amplitude_rows(steps) -> np.ndarray:
+    """(T+1, D) complex rows from a record's JSON ``[re, im]`` pairs.
+
+    Each part must be a JSON number: ``true``/``false``, ``null`` and
+    strings are rejected here, NaN and infinities by `SequenceDataset`.
+    """
+    for row in steps:
+        for re, im in row:
+            if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
+                raise ConfigurationError(
+                    f"quantum amplitudes must be numbers, got [{json.dumps(re)}, {json.dumps(im)}]"
+                )
+    pairs = np.array(steps, dtype=float)
+    if pairs.ndim != 3:
+        raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
+    return pairs.view(complex)[..., 0]
+
+
 def loads_dataset(text: str) -> SequenceDataset:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -356,14 +385,12 @@ def loads_dataset(text: str) -> SequenceDataset:
             if kind == "classical":
                 records.append(obj["words"])
             else:
-                records.append(
-                    np.array([[complex(re, im) for re, im in row] for row in obj["steps"]])
-                )
+                records.append(_amplitude_rows(obj["steps"]))
         metadata = {"generator": header.get("generator", {})}
         return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
     except ConfigurationError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigurationError(f"malformed dataset: {type(exc).__name__}: {exc}") from exc
 
 

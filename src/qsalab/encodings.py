@@ -2,8 +2,8 @@
 
 Amplitude encodings of token vectors, entangled prefix encodings over the
 paired data registers, the step-indexed input superposition, Householder
-reflections with a given first column, and plain computational-basis
-encodings.
+reflections with given first columns (one, or a register-controlled family
+of them built in one pass), and plain computational-basis encodings.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .statevector import (
     HADAMARD,
     OpCounter,
     ReflectionBlock,
+    ReflectionFamily,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
@@ -50,38 +51,59 @@ def amplitude_encode(x, num_qubits: int) -> EncodedToken:
             f"vector of dimension {vec.size} does not fit on {num_qubits} qubits"
         )
     nrm = float(np.linalg.norm(vec))
+    if not np.isfinite(nrm):  # a NaN or infinite entry, or a norm that overflows
+        raise DegenerateInputError("cannot amplitude-encode a vector with a non-finite norm")
     if nrm <= ZERO_NORM_TOL:
         raise DegenerateInputError("cannot amplitude-encode a zero vector")
     return EncodedToken(vec, StateVector(num_qubits, vec / nrm), nrm)
 
 
-def _householder(column):
-    """The normalized ``column`` u and the reflection (v, phase) whose first column is u.
+def _householder(columns):
+    """The normalized rows u_j of (rows, dim) ``columns`` and the reflections
+    (v_j, phase_j) whose first columns they are.
 
     One Householder reflection H = I - v v^dag / v_1 maps e_1 to -u/phase,
     where phase is the phase of u's first entry (1 if that entry is zero), so
-    -phase * H has first column u.
+    -phase * H has first column u.  Row by row this is the same arithmetic,
+    bit for bit, as taking one column at a time with `np.linalg.norm` and
+    Python's ``abs``.
     """
-    col = np.asarray(column, dtype=complex).reshape(-1)
-    nrm = np.linalg.norm(col)
-    if nrm <= ZERO_NORM_TOL:
+    cols = np.asarray(columns, dtype=complex)
+    if cols.ndim != 2:
+        raise ConfigurationError(f"columns of shape {cols.shape} are not stacked as (rows, dim)")
+    norms = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
+    if not np.all(np.isfinite(norms)):
+        raise DegenerateInputError("first column has a non-finite norm")
+    if not np.all(norms > ZERO_NORM_TOL):
         raise DegenerateInputError("first column must be a nonzero vector")
-    unit = col / nrm
-    phase = unit[0] / abs(unit[0]) if unit[0] != 0 else 1.0
+    unit = cols / norms[:, None]
+    first = unit[:, 0]
+    phase = np.ones_like(first)
+    nonzero = first != 0
+    phase[nonzero] = first[nonzero] / np.hypot(first[nonzero].real, first[nonzero].imag)
     # v = e_1 + u/phase has |v|^2 = 2 (1 + |u_1|) >= 2, so no cancellation.
-    v = unit / phase
-    v[0] += 1.0
+    v = unit / phase[:, None]
+    v[:, 0] += 1.0
     return unit, v, phase
+
+
+def reflection_family(columns, targets: Sequence[int]) -> ReflectionFamily:
+    """One reflection per row of (2**t, dim) ``columns``, each with that row,
+    normalized, as its first column: the blocks of a register-controlled
+    select, built, checked and applied as one family."""
+    _, vectors, phases = _householder(columns)
+    return ReflectionFamily(vectors, phases, targets)
 
 
 def reflection_with_first_column(column, targets: Sequence[int]) -> ReflectionBlock:
     """A unitary on ``targets`` whose first column is the normalized ``column``.
 
-    Kept as its Householder vector and phase, so it is checked and applied
-    in O(dim); the first column is u to round-off.
+    The one-row case of `reflection_family`: kept as its Householder vector
+    and phase, so it is checked and applied in O(dim); the first column is u
+    to round-off.
     """
-    _, vector, phase = _householder(column)
-    return ReflectionBlock(vector, phase, targets)
+    _, vectors, phases = _householder(np.reshape(column, (1, -1)))
+    return ReflectionBlock(vectors[0], phases[0], targets)
 
 
 def unitary_with_first_column(column) -> np.ndarray:
@@ -90,29 +112,29 @@ def unitary_with_first_column(column) -> np.ndarray:
     The first column is set to u exactly; the others are a deterministic
     orthonormal completion.
     """
-    unit, vector, phase = _householder(column)
-    out = reflection_matrix(vector, phase)
-    out[:, 0] = unit
+    unit, vector, phase = _householder(np.reshape(column, (1, -1)))
+    out = reflection_matrix(vector[0], phase[0])
+    out[:, 0] = unit[0]
     return out
 
 
-def _doubled_prefix_sums(tokens: Sequence[EncodedToken], count: int):
-    """The raw sums sum_{i<=j} |x_i>|x_i> for j = 1..count, as one running sum."""
+def _doubled_prefix_sums(tokens: Sequence[EncodedToken], count: int) -> np.ndarray:
+    """The raw sums sum_{i<=j} |x_i>|x_i> for j = 1..count as (count, 4**n) rows:
+    one cumulative sum, the additions of a running sum in its order."""
     n = tokens[0].state.num_qubits
     if any(tok.state.num_qubits != n for tok in tokens):
         raise ConfigurationError("all tokens must use the same qubit count")
-    vec = np.zeros(4 ** n, dtype=complex)
-    for tok in tokens[:count]:
-        s = tok.state.amplitudes
-        vec = vec + np.kron(s, s)  # A in the low bits, B in the high bits
-        yield vec
+    amps = np.stack([tok.state.amplitudes for tok in tokens[:count]])
+    doubled = amps[:, :, None] * amps[:, None, :]  # A in the low bits, B in the high bits
+    return np.cumsum(doubled.reshape(len(amps), -1), axis=0)
 
 
-def _normalized_prefix(vec: np.ndarray) -> tuple[np.ndarray, float]:
-    weight = float(np.vdot(vec, vec).real)
-    if weight <= ZERO_NORM_TOL ** 2:
+def _normalized_prefixes(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of (rows, 4**n) prefix sums and their raw squared norms M_j."""
+    weights = np.vecdot(sums, sums).real
+    if not np.all(weights > ZERO_NORM_TOL ** 2):
         raise DegenerateInputError("prefix encodings interfere to zero norm")
-    return vec / np.sqrt(weight), weight
+    return sums / np.sqrt(weights)[:, None], weights
 
 
 def entangled_prefix_encoding(
@@ -129,9 +151,8 @@ def entangled_prefix_encoding(
         raise ConfigurationError(
             f"prefix length {prefix_len} outside 1..{len(tokens)}"
         )
-    *_, vec = _doubled_prefix_sums(tokens, prefix_len)
-    amplitudes, weight = _normalized_prefix(vec)
-    return StateVector(2 * tokens[0].state.num_qubits, amplitudes), weight
+    amplitudes, weights = _normalized_prefixes(_doubled_prefix_sums(tokens, prefix_len)[-1:])
+    return StateVector(2 * tokens[0].state.num_qubits, amplitudes[0]), float(weights[0])
 
 
 def prepare_input_superposition(
@@ -143,9 +164,9 @@ def prepare_input_superposition(
     """Uniform superposition over steps j, branch j carrying the prefix-j encoding.
 
     Built the way the circuit does it: Hadamards on register C, then one
-    register-controlled reflection per step whose first column is the
-    normalized prefix state.  The prefix states come from one running sum,
-    the same additions in the same order as `entangled_prefix_encoding`.
+    register-controlled family of reflections, block j's first column the
+    normalized prefix-j state.  The prefix states come from one cumulative
+    sum, the same additions in the same order as `entangled_prefix_encoding`.
     """
     if num_steps < 2 or num_steps & (num_steps - 1):
         raise ConfigurationError("number of steps must be a power of two, at least 2")
@@ -161,12 +182,9 @@ def prepare_input_superposition(
     state = StateVector.zero(layout.num_qubits)
     for q in layout.c_qubits:
         state = apply_unitary(state, UnitaryBlock(HADAMARD, (q,)), counter)
-    targets = layout.a_qubits + layout.b_qubits
-    blocks = {}
-    for j, vec in enumerate(_doubled_prefix_sums(tokens, num_steps)):
-        prefix, _ = _normalized_prefix(vec)
-        blocks[j] = reflection_with_first_column(prefix, targets)
-    return apply_controlled_by_register(state, layout.c_qubits, blocks, counter)
+    prefixes, _ = _normalized_prefixes(_doubled_prefix_sums(tokens, num_steps))
+    family = reflection_family(prefixes, layout.a_qubits + layout.b_qubits)
+    return apply_controlled_by_register(state, layout.c_qubits, family, counter)
 
 
 def basis_encode(word_index: int, num_qubits: int) -> StateVector:

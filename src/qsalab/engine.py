@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
-from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, reflection_with_first_column
+from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, reflection_family
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
@@ -124,9 +124,9 @@ def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> St
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.
     for register, encoded in ((lay.a_qubits, instance.shifted_targets), (lay.b_qubits, instance.tokens[:num_steps])):
-        blocks = {j: reflection_with_first_column(tok.state.amplitudes, register).dagger()
-                  for j, tok in enumerate(encoded)}
-        psi = apply_controlled_by_register(psi, lay.c_qubits, blocks, counter)
+        columns = np.stack([tok.state.amplitudes for tok in encoded])
+        inverse = reflection_family(columns, register).dagger()
+        psi = apply_controlled_by_register(psi, lay.c_qubits, inverse, counter)
 
     phase_block = build_phase_layer(instance.params_r).retarget(lay.c_qubits)
     psi = apply_unitary(psi, phase_block, counter)

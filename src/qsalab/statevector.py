@@ -9,15 +9,21 @@ whole package:
 * A block (:class:`UnitaryBlock`, dense, or :class:`ReflectionBlock`, a
   Householder reflection kept as a vector) is indexed the same way over its
   own targets: ``targets[0]`` is the least-significant bit of its index.
-  Each block applies itself (``act``), so one loop serves both kinds.
+  Each block applies itself (``act``).
+* A register-controlled select takes a mapping from control value to block.
+  A :class:`ReflectionFamily` (one reflection per control value on one
+  target tuple, kept as stacked arrays) is checked once and applied as one
+  batched rank-1 update over the control axis; any other mapping is applied
+  slice by slice, one block per control value.
 * Every operation is a pure function; amplitude arrays are frozen on
   construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -148,7 +154,7 @@ class UnitaryBlock:
                 f"matrix shape {mat.shape} does not match {len(targets)} target qubits"
             )
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if defect > UNITARY_ATOL:
+        if not defect <= UNITARY_ATOL:  # NaN fails
             raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -181,7 +187,9 @@ class ReflectionBlock:
     phase ``phase``, ``v_1 = 1 + |u_1|`` is real and the block's first column
     is u (`encodings.reflection_with_first_column`).  The block is exactly
     unitary when ``|phase| = 1`` and ``||v||^2 = 2 v_1``, which are checked
-    in O(dim) in place of `UnitaryBlock`'s dense product.
+    in O(dim) in place of `UnitaryBlock`'s dense product, together with
+    ``v_1 >= 1``, which keeps the division by v_1 away from zero
+    (`_check_reflections`).
     """
 
     vector: np.ndarray
@@ -197,13 +205,7 @@ class ReflectionBlock:
                 f"reflection vector of length {vec.size} does not match {len(targets)} target qubits"
             )
         phase = complex(self.phase)
-        if abs(abs(phase) - 1.0) > UNITARY_ATOL:
-            raise ConfigurationError(f"reflection phase {phase} is not unimodular")
-        norm_defect = abs(np.vdot(vec, vec).real - 2.0 * vec[0].real)
-        if norm_defect > UNITARY_ATOL:
-            raise ConfigurationError(
-                f"reflection is not unitary (||v||^2 - 2 v_1 = {norm_defect:.3e})"
-            )
+        _check_reflections(vec[None], np.array([phase]))
         vec.setflags(write=False)
         object.__setattr__(self, "vector", vec)
         object.__setattr__(self, "phase", phase)
@@ -230,6 +232,81 @@ class ReflectionBlock:
         out -= np.moveaxis(psi, axes, list(range(k)))
         out *= self.phase
         return np.moveaxis(out, list(range(k)), axes)
+
+
+@dataclass(frozen=True)
+class ReflectionFamily(Mapping):
+    """One `ReflectionBlock` per control value on one target tuple, kept as stacked arrays.
+
+    Row j of ``vectors`` (shape ``(2**t, dim)``) and ``phases`` is the block
+    for control value j.  All rows are checked at once, by the two conditions
+    of `ReflectionBlock`, and `apply_controlled_by_register` applies the
+    whole family as one batched rank-1 update.  As a mapping it reads like
+    ``{j: ReflectionBlock(vectors[j], phases[j], targets)}``; ``family[j]``
+    builds that block on demand.
+    """
+
+    vectors: np.ndarray
+    phases: np.ndarray
+    targets: tuple
+
+    def __post_init__(self):
+        targets = _checked_targets(self.targets)
+        object.__setattr__(self, "targets", targets)
+        vecs = np.array(self.vectors, dtype=complex)
+        phases = np.array(self.phases, dtype=complex)
+        if vecs.ndim != 2 or vecs.shape[1] != 2 ** len(targets):
+            raise ConfigurationError(
+                f"reflection vectors of shape {vecs.shape} do not match {len(targets)} target qubits"
+            )
+        if phases.shape != vecs.shape[:1]:
+            raise ConfigurationError(f"{phases.size} phases for {vecs.shape[0]} reflection vectors")
+        _check_reflections(vecs, phases)
+        vecs.setflags(write=False)
+        phases.setflags(write=False)
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def dimension(self) -> int:
+        return self.vectors.shape[1]
+
+    def dagger(self) -> "ReflectionFamily":
+        return ReflectionFamily(self.vectors, self.phases.conj(), self.targets)
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __contains__(self, j) -> bool:
+        return isinstance(j, (int, np.integer)) and 0 <= j < len(self)
+
+    def __getitem__(self, j) -> ReflectionBlock:
+        if j not in self:
+            raise KeyError(j)
+        return ReflectionBlock(self.vectors[j], self.phases[j], self.targets)
+
+
+def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
+    """Raise unless every row is a reflection as `encodings` builds it:
+    ``|phase_j| = 1``, ``||v_j||^2 = 2 v_j1`` and ``v_j1 >= 1``, each to
+    `UNITARY_ATOL`.  A NaN fails all three, and so does no row of zeros."""
+    phase_defect = np.abs(np.abs(phases) - 1.0)
+    norm_defect = np.abs(np.vecdot(vectors, vectors).real - 2.0 * vectors[:, 0].real)
+    first = vectors[:, 0].real
+    ok = (phase_defect <= UNITARY_ATOL) & (norm_defect <= UNITARY_ATOL) & (first >= 1.0 - UNITARY_ATOL)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        j = int(bad[0])
+        if not phase_defect[j] <= UNITARY_ATOL:
+            raise ConfigurationError(f"reflection {j}: phase {phases[j]} is not unimodular")
+        if not norm_defect[j] <= UNITARY_ATOL:
+            raise ConfigurationError(
+                f"reflection {j} is not unitary (||v||^2 - 2 v_1 = {norm_defect[j]:.3e})"
+            )
+        raise ConfigurationError(f"reflection {j}: first entry {first[j]:.3e} of v is below 1")
 
 
 def reflection_matrix(vector: np.ndarray, phase: complex) -> np.ndarray:
@@ -294,7 +371,10 @@ def apply_controlled_by_register(
 
     Realizes the select unitary sum_j U_j (x) |j><j| with controls read
     little-endian (``controls[0]`` is the least-significant bit of j).
-    Every control value in ``0..2**t - 1`` must map to a block.
+    Every control value in ``0..2**t - 1`` must map to a block.  A
+    `ReflectionFamily` is applied in one batched update; any other mapping
+    one control slice at a time.  The counter records one block per
+    control value either way.
     """
     controls = tuple(int(q) for q in controls)
     m = state.num_qubits
@@ -308,11 +388,16 @@ def apply_controlled_by_register(
     if extra:
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
+    if isinstance(blocks, ReflectionFamily):
+        _check_select_targets(blocks.targets, controls, m)
+        out = _apply_family(state.amplitudes.reshape([2] * m), controls, blocks)
+        if counter is not None:
+            for _ in range(num_values):
+                counter.record(blocks.dimension)
+        return StateVector(m, out)
+
     for block in blocks.values():
-        if set(block.targets) & set(controls):
-            raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
-        if any(q >= m for q in block.targets):
-            raise ConfigurationError("block targets exceed the register")
+        _check_select_targets(block.targets, controls, m)
 
     # Fixing the control axes leaves the slice where the controls read j; its
     # axes are the remaining qubits, renumbered in ascending order.
@@ -330,6 +415,31 @@ def apply_controlled_by_register(
         if counter is not None:
             counter.record(block.dimension)
     return StateVector(m, out)
+
+
+def _check_select_targets(targets: tuple, controls: tuple, num_qubits: int) -> None:
+    if set(targets) & set(controls):
+        raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
+    if any(q >= num_qubits for q in targets):
+        raise ConfigurationError("block targets exceed the register")
+
+
+def _apply_family(psi: np.ndarray, controls: tuple, family: ReflectionFamily) -> np.ndarray:
+    """The select of ``family`` as one rank-1 update batched over the control axis.
+
+    The control axes (most significant bit of j first) and the targets'
+    axes lead, so the state reads as (control value, block index, rest).
+    """
+    m = psi.ndim
+    lead = _target_axes(m, controls) + _target_axes(m, family.targets)
+    order = lead + [a for a in range(m) if a not in lead]
+    x = psi.transpose(order).reshape(len(family), family.dimension, -1)
+    v = family.vectors
+    overlap = v.conj()[:, None, :] @ x
+    out = v[:, :, None] * (overlap / v[:, :1, None].real)
+    out -= x
+    out *= family.phases[:, None, None]
+    return out.reshape([2] * m).transpose(np.argsort(order))
 
 
 def all_zeros_expectation(state: StateVector) -> float:

@@ -1,6 +1,6 @@
-"""Config integers and dataset words are typed, the numeric-failure
-diagnostic is strict JSON, and a malformed or non-finite checkpoint value
-ends in a typed exit code."""
+"""Config integers, dataset words and quantum amplitudes are typed, the
+numeric-failure diagnostic is strict JSON, and a malformed or non-finite
+checkpoint value ends in a typed exit code."""
 
 import json
 import warnings
@@ -169,3 +169,63 @@ def test_non_integer_word_exits_2(tmp_path, dataset_path, checkpoints, word):
     assert main(["eval", "--checkpoint", str(checkpoints / "qsa" / "checkpoint.json"),
                  "--data", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def quantum_run(tmp_path_factory):
+    """A 3-qubit Ising file (T=2) and an untrained lcsa checkpoint for it."""
+    out = tmp_path_factory.mktemp("quantum")
+    path = out / "ising.jsonl"
+    assert main([
+        "generate", "--kind", "quantum", "--qubits", "3", "--len", "3",
+        "--count", "6", "--seed", "2", "--out", str(path),
+    ]) == 0
+    assert main(["train", "--model", "lcsa", "--data", str(path), "--epochs", "0", "--out", str(out / "lcsa")]) == 0
+    return path, out / "lcsa" / "checkpoint.json"
+
+
+def with_first_step(path, tmp_path, first_step):
+    """A copy of ``path`` whose first record's first step is ``first_step`` (JSON text)."""
+    header, first, *rest = path.read_text().splitlines()
+    record = json.loads(first)
+    steps = json.dumps(record["steps"][1:])[1:]  # the remaining steps, without the opening bracket
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("\n".join([header, f'{{"id": 0, "steps": [{first_step}, {steps}}}', *rest]) + "\n")
+    return edited
+
+
+ZERO_PAIRS = ", [0, 0]" * 6
+
+
+@pytest.mark.parametrize(
+    "first_step",
+    ["[[NaN, 0], [1, 0]" + ZERO_PAIRS + "]", "[[true, 0], [0, 0]" + ZERO_PAIRS + "]",
+     "[[1, 0], [false, 0]" + ZERO_PAIRS + "]", "[[1" + "0" * 400 + ", 0], [0, 0]" + ZERO_PAIRS + "]"],
+    ids=["nan", "true", "false", "huge-int"],
+)
+def test_non_numeric_or_non_finite_amplitude_exits_2(tmp_path, quantum_run, first_step):
+    path, checkpoint = quantum_run
+    edited = with_first_step(path, tmp_path, first_step)
+    code, out = train_with_config(tmp_path, edited, "lcsa", {"epochs": 1})
+    assert code == 2
+    assert not (out / "loss.csv").exists()
+    eval_out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(edited), "--out", str(eval_out)]) == 2
+    assert not eval_out.exists()
+
+
+@pytest.mark.parametrize(
+    "first_step",
+    ["[[Infinity, 0], [0, 0]" + ZERO_PAIRS + "]", "[[1, -Infinity], [0, 0]" + ZERO_PAIRS + "]",
+     "[[null, 0], [1, 0]" + ZERO_PAIRS + "]", '[["1", 0], [0, 0]' + ZERO_PAIRS + "]",
+     "[[1, 0], [0, 0]" + ZERO_PAIRS + "]"],
+    ids=["infinity", "neg-infinity", "null", "string", "valid-integers"],
+)
+def test_other_amplitudes_keep_their_outcome(tmp_path, quantum_run, first_step):
+    """Infinities, null and strings were already refused (exit 2); integer
+    parts are JSON numbers and still load."""
+    path, checkpoint = quantum_run
+    edited = with_first_step(path, tmp_path, first_step)
+    eval_out = tmp_path / "eval.json"
+    code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(edited), "--out", str(eval_out)])
+    assert code == (0 if first_step.startswith("[[1, 0]") else 2)

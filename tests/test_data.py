@@ -238,3 +238,25 @@ class TestSerialization:
     def test_quantum_records_validated(self):
         with pytest.raises(ConfigurationError):
             SequenceDataset("quantum", 2, 1, 0, [np.array([[1.0, 1.0], [1.0, 0.0]])])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [[np.nan, 0.0], [1.0, 0.0]],
+            [[complex(0.0, np.nan), 1.0], [1.0, 0.0]],
+            [[np.inf, 0.0], [1.0, 0.0]],
+            np.array([[True, False], [False, True]]),
+            np.array([["1", "0"], ["0", "1"]]),
+            [[None, 1.0], [1.0, 0.0]],
+        ],
+        ids=["nan", "nan-imaginary", "inf", "bool", "str", "none"],
+    )
+    def test_quantum_amplitudes_must_be_finite_numbers(self, record):
+        with pytest.raises(ConfigurationError):
+            SequenceDataset("quantum", 2, 1, 0, [[[1.0, 0.0], [0.0, 1.0]], record])
+
+    def test_quantum_records_are_frozen(self):
+        ds = SequenceDataset("quantum", 2, 1, 0, [[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8j], [1j, 0.0]]])
+        assert ds.records[1].dtype == complex and ds.records[1][0, 1] == 0.8j
+        with pytest.raises(ValueError):
+            ds.records[0][0, 0] = 0.0

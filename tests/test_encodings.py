@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalab.encodings import (
+    _doubled_prefix_sums,
     amplitude_encode,
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
+    reflection_family,
     reflection_with_first_column,
     unitary_with_first_column,
 )
@@ -231,3 +233,56 @@ class TestDegeneratePrefix:
         tokens = encode_all([x, 1j * x, [1.0, 0.0], [0.0, 1.0]], 1)
         with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
             prepare_input_superposition(tokens, 4, RegisterLayout.standard(1, 2))
+
+
+def running_prefix_sums(tokens, count):
+    """Reference: sum_{i<=j} |x_i>|x_i> as a running sum of np.kron, one token at a time."""
+    vec = np.zeros(4 ** tokens[0].state.num_qubits, dtype=complex)
+    sums = []
+    for tok in tokens[:count]:
+        s = tok.state.amplitudes
+        vec = vec + np.kron(s, s)
+        sums.append(vec)
+    return np.array(sums)
+
+
+def test_prefix_sums_equal_the_running_sum_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        count = int(rng.integers(1, 17))
+        shape = (count + int(rng.integers(0, 2)), 2 ** n)
+        vectors = rng.normal(size=shape) * rng.uniform(1e-3, 1e3)
+        if rng.random() < 0.7:
+            vectors = vectors + 1j * rng.normal(size=shape)
+        tokens = encode_all(vectors, n)
+        assert np.array_equal(_doubled_prefix_sums(tokens, count), running_prefix_sums(tokens, count))
+
+
+class TestNonFiniteInputRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_amplitude_encode(self, bad):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            amplitude_encode([bad, 1.0], 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_amplitude_encode_norm_overflow(self):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            amplitude_encode([1e200, 1e200], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+    def test_reflection_with_first_column(self, bad):
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            reflection_with_first_column([bad, 1.0], (0,))
+
+    def test_reflection_family_rejects_non_finite_and_zero_rows(self):
+        columns = np.ones((4, 2), dtype=complex)
+        columns[2, 1] = np.nan
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            reflection_family(columns, (0,))
+        with pytest.raises(DegenerateInputError, match="nonzero"):
+            reflection_family(np.zeros((2, 2)), (0,))
+
+    def test_reflection_family_needs_stacked_rows(self):
+        with pytest.raises(ConfigurationError, match="stacked"):
+            reflection_family(np.ones(2), (0,))

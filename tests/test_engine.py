@@ -16,6 +16,7 @@ from qsalab.engine import (
     step_probabilities,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
+from qsalab import statevector
 from qsalab.statevector import OpCounter
 
 
@@ -424,6 +425,38 @@ def test_cancelling_prefix_raises_typed_error():
     )
     with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
         circuit_expectation(instance)
+
+
+def test_nan_token_raises_typed_error():
+    rng = np.random.default_rng(97)
+    toks = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    toks[1, 0] = np.nan
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        instance = QsaInstance.from_vectors(
+            toks, rng.normal(size=(2, 2)), AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1)
+        )
+        circuit_expectation(instance)
+
+
+def test_twelve_qubit_circuit_builds_no_block_per_control_value(monkeypatch):
+    """The three register-controlled selects go in as families: no
+    per-control-value `ReflectionBlock` is built (80 at 12 qubits when each
+    block was built on its own and the inverse encodings were daggered
+    block by block)."""
+    built = []
+    post_init = statevector.ReflectionBlock.__post_init__
+
+    def counting(self):
+        built.append(self.targets)
+        post_init(self)
+
+    instance = hypothesis_instance(4, 4, 2, 7, 1.0)
+    monkeypatch.setattr(statevector.ReflectionBlock, "__post_init__", counting)
+    counter = OpCounter()
+    value = circuit_expectation(instance, counter)
+    assert built == []
+    assert counter.blocks == RECORDED_COUNTS[(4, 4)][0]
+    assert abs(value - analytic_expectation(instance)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)

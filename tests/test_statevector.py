@@ -3,13 +3,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsalab.encodings import reflection_with_first_column
+from qsalab.encodings import reflection_family, reflection_with_first_column
 from qsalab.errors import ConfigurationError, DegenerateInputError
 from qsalab.statevector import (
     HADAMARD,
     PAULI_X,
     OpCounter,
     ReflectionBlock,
+    ReflectionFamily,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
@@ -412,3 +413,138 @@ def test_controlled_reflections_match_explicit_select_matrix(order, num_controls
     out = apply_controlled_by_register(state, controls, blocks)
     expected = explicit_select_matrix(num_qubits, controls, blocks) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+class TestNonFiniteBlocksRejected:
+    def test_unitary_block_with_nan(self):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 0] = np.nan
+        with pytest.raises(ConfigurationError):
+            UnitaryBlock(matrix, (0,))
+
+    def test_reflection_block_with_nan(self):
+        with pytest.raises(ConfigurationError):
+            ReflectionBlock([np.nan, 0.0], 1.0, (0,))
+
+    def test_reflection_block_of_zeros(self):
+        # ||v||^2 = 2 v_1 holds for v = 0, but applying it would divide 0 by 0
+        with pytest.raises(ConfigurationError, match="below 1"):
+            ReflectionBlock([0.0, 0.0], 1.0, (0,))
+
+    def test_reflection_block_with_nan_phase(self):
+        block = random_reflection((0,), np.random.default_rng(59))
+        with pytest.raises(ConfigurationError):
+            ReflectionBlock(block.vector, complex(np.nan, 0.0), (0,))
+
+
+def random_family(num_rows, targets, rng):
+    """The family whose row j has a random complex unit vector as first column."""
+    dim = 2 ** len(targets)
+    return reflection_family(rng.normal(size=(num_rows, dim)) + 1j * rng.normal(size=(num_rows, dim)), targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
+    num_controls=st.integers(1, 3),
+    adjoint=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# controls (3, 1): neither the top qubit, not in ascending order; targets
+# drawn from {0, 4, 2}, so some sit below a control
+@example(order=[3, 1, 0, 4, 2], num_controls=2, adjoint=False, seed=0)
+@example(order=[3, 1, 0, 4, 2], num_controls=2, adjoint=True, seed=1)
+def test_reflection_family_matches_explicit_select_matrix(order, num_controls, adjoint, seed):
+    """A family (one target tuple) and its dagger in one batched select."""
+    num_qubits = len(order)
+    num_controls = min(num_controls, num_qubits - 1)
+    controls, free = tuple(order[:num_controls]), order[num_controls:]
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, len(free) + 1))
+    targets = tuple(int(q) for q in rng.permutation(free)[:k])
+    family = random_family(2 ** num_controls, targets, rng)
+    if adjoint:
+        family = family.dagger()
+    state = random_state(num_qubits, rng)
+    counter = OpCounter()
+    out = apply_controlled_by_register(state, controls, family, counter)
+    expected = explicit_select_matrix(num_qubits, controls, family) @ state.amplitudes
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+    assert (counter.blocks, counter.weighted_dim) == (2 ** num_controls, 2 ** num_controls * 2 ** k)
+
+
+class TestReflectionFamily:
+    def test_reads_as_a_mapping_of_blocks(self):
+        rng = np.random.default_rng(61)
+        family = random_family(4, (2, 0), rng)
+        assert len(family) == 4 and list(family) == [0, 1, 2, 3]
+        assert 3 in family and 4 not in family and -1 not in family and "0" not in family
+        for j, block in family.items():
+            assert isinstance(block, ReflectionBlock) and block.targets == (2, 0)
+            assert np.array_equal(block.vector, family.vectors[j])
+            assert block.phase == family.phases[j]
+        assert family.dagger()[1].phase == family[1].dagger().phase
+        with pytest.raises(KeyError):
+            family[4]
+
+    @pytest.mark.parametrize("num_qubits", [1, 3, 6])
+    def test_rows_are_one_column_householder_bit_for_bit(self, num_qubits):
+        """Reference: one column at a time, `np.linalg.norm` and Python's abs."""
+        rng = np.random.default_rng(67 + num_qubits)
+        dim = 2 ** num_qubits
+        columns = (rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))) * rng.uniform(1e-3, 1e3, size=(8, 1))
+        columns[1, 0] = 0.0
+        columns[2] = columns[2].real
+        targets = tuple(range(num_qubits))
+        family = reflection_family(columns, targets)
+        for j, column in enumerate(columns):
+            unit = column / np.linalg.norm(column)
+            phase = unit[0] / abs(unit[0]) if unit[0] != 0 else 1.0
+            vector = unit / phase
+            vector[0] += 1.0
+            assert np.array_equal(family.vectors[j], vector)
+            assert family.phases[j] == phase
+            assert np.array_equal(reflection_with_first_column(column, targets).vector, vector)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_corrupted_row_rejected(self, row):
+        family = random_family(4, (0, 1), np.random.default_rng(71))
+        corrupt = [
+            (family.vectors, family.phases * np.where(np.arange(4) == row, 1.001, 1.0)),
+            (family.vectors, np.where(np.arange(4) == row, 0.5j, family.phases)),
+            (family.vectors * np.where(np.arange(4) == row, 1.001, 1.0)[:, None], family.phases),
+            (family.vectors + np.where(np.arange(4) == row, 1e-6, 0.0)[:, None], family.phases),
+            (np.where(np.arange(4)[:, None] == row, np.nan, family.vectors), family.phases),
+            (family.vectors, np.where(np.arange(4) == row, np.nan, family.phases)),
+            (np.where(np.arange(4)[:, None] == row, 0.0, family.vectors), family.phases),
+        ]
+        for vectors, phases in corrupt:
+            with pytest.raises(ConfigurationError, match=f"reflection {row}"):
+                ReflectionFamily(vectors, phases, family.targets)
+
+    def test_shapes_and_targets_rejected(self):
+        family = random_family(2, (0, 1), np.random.default_rng(73))
+        with pytest.raises(ConfigurationError):
+            ReflectionFamily(family.vectors, family.phases, (0,))
+        with pytest.raises(ConfigurationError):
+            ReflectionFamily(family.vectors, family.phases[:1], (0, 1))
+        with pytest.raises(ConfigurationError):
+            ReflectionFamily(family.vectors[0], family.phases[:1], (0, 1))
+        with pytest.raises(ConfigurationError):
+            ReflectionFamily(family.vectors, family.phases, (1, 1))
+
+    def test_select_validation(self):
+        family = random_family(2, (0, 1), np.random.default_rng(79))
+        with pytest.raises(ConfigurationError, match="no block"):
+            apply_controlled_by_register(StateVector.zero(4), (2, 3), family)
+        with pytest.raises(ConfigurationError, match="disjoint"):
+            apply_controlled_by_register(StateVector.zero(3), (1,), family)
+        with pytest.raises(ConfigurationError, match="exceed"):
+            apply_controlled_by_register(StateVector.zero(2), (0,), random_family(2, (1, 2), np.random.default_rng(83)))
+
+    def test_arrays_are_frozen(self):
+        family = random_family(2, (0,), np.random.default_rng(89))
+        with pytest.raises(ValueError):
+            family.vectors[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            family.phases[0] = 1.0
