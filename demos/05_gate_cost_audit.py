@@ -47,8 +47,8 @@ print("\nLong sequences favor amplitude encoding (linear in T); very large")
 print("token dimensions favor basis encoding, which never touches d.")
 
 # Each kind's analytic forward on embedded tokens (d=4, 8 sequences, D=10),
-# timed without the T-independent ansatz build.  scsa stops at T=512: its
-# (S, T, T) softmax blocks would take about 270 MB at T=1024.
+# timed without the T-independent ansatz build.  scsa's forward holds one
+# (S, T, T) float64 softmax block, about 67 MB at T=1024.
 num_seqs, d, vocab = 8, 4, 10
 rng = np.random.default_rng(5)
 v_matrix, w_matrix = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in range(2))
@@ -77,12 +77,11 @@ def forwards(num_steps):
     }
 
 
-grids = {"qsa": (16, 32, 64, 128, 256, 512, 1024), "lcsa": (16, 32, 64, 128, 256, 512, 1024),
-         "scsa": (16, 32, 64, 128, 256, 512)}
+grid = (16, 32, 64, 128, 256, 512, 1024)
 # lcsa is classical attention, so its gate model is csa's pairwise T^2 d
 models = {"qsa": "qsa-amplitude", "lcsa": "csa", "scsa": "csa"}
 print(f"\nmeasured wall-time slope vs T (d={d}, {num_seqs} sequences) beside the modelled gate-count slope")
-for kind, grid in grids.items():
+for kind in models:
     times = [best_wall_time(forwards(t)[kind]) for t in grid]
     measured = np.polyfit(np.log(grid), np.log(times), 1)[0]
     modelled = fit_scaling(models[kind], "T", grid, token_dim=d)

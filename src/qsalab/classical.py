@@ -28,10 +28,12 @@ from .data import (
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 
 
-def _stable_softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / np.sum(weights, axis=axis, keepdims=True)
+def _stable_softmax(scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along ``axis``; ``out=scores`` overwrites the scores, with the same bits."""
+    weights = np.subtract(scores, np.max(scores, axis=axis, keepdims=True), out=out)
+    np.exp(weights, out=weights)
+    weights /= np.sum(weights, axis=axis, keepdims=True)
+    return weights
 
 
 def _split_relu(x: np.ndarray) -> np.ndarray:
@@ -47,9 +49,12 @@ def _split_relu_backward(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, g, 0.0)
 
 
-def _softmax_backward(probs: np.ndarray, g_probs: np.ndarray) -> np.ndarray:
-    """Gradient of the softmax logits along the last axis."""
-    return probs * (g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True))
+def _softmax_backward(probs: np.ndarray, g_probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the softmax logits along the last axis; ``out=g_probs``
+    overwrites the cotangent, with the same bits."""
+    g_logits = np.subtract(g_probs, np.sum(g_probs * probs, axis=-1, keepdims=True), out=out)
+    g_logits *= probs
+    return g_logits
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,22 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     fields in declaration order.
     """
     num_steps = prefix.shape[1]
+    # T > d^2 contracts the (S, T, T) blocks with batched matmuls;
+    # shorter inputs keep the einsums and their bytes (README, "Contraction orders").
+    batched = running_sum_order(num_steps, prefix.shape[2])
     scale = np.sqrt(params.key_dim)
     queries = prefix @ params.w_query.T
     keys = prefix @ params.w_key.T
     values = prefix @ params.w_value.T
-    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
-    causal = np.tril(np.ones((num_steps, num_steps), dtype=bool))
-    scores = np.where(causal, scores, -np.inf)
-    weights = _stable_softmax(scores, axis=-1)
-    attended = np.einsum("sji,sid->sjd", weights, values)
+    if batched:
+        scores = (queries.conj() @ keys.swapaxes(-1, -2)).real
+        scores /= scale
+    else:
+        scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
+    # the masked softmax runs in place: scores and weights share one buffer, as do their cotangents
+    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
+    weights = _stable_softmax(scores, axis=-1, out=scores)
+    attended = weights @ values if batched else np.einsum("sji,sid->sjd", weights, values)
     residual = attended + prefix
     pre_activation = residual @ params.ffn_in.T
     hidden = _split_relu(pre_activation)
@@ -186,9 +198,14 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
         g_hidden = g_transformed @ params.ffn_out.conj()
         g_pre = _split_relu_backward(pre_activation, g_hidden)
         g_residual = g_pre @ params.ffn_in.conj()
-        g_weights = np.einsum("sjd,sid->sji", g_residual.conj(), values).real
-        g_values = np.einsum("sji,sjd->sid", weights, g_residual)
-        g_scores = _softmax_backward(weights, g_weights) / scale
+        if batched:
+            g_weights = (g_residual.conj() @ values.swapaxes(-1, -2)).real
+            g_values = weights.swapaxes(-1, -2) @ g_residual
+        else:
+            g_weights = np.einsum("sjd,sid->sji", g_residual.conj(), values).real
+            g_values = np.einsum("sji,sjd->sid", weights, g_residual)
+        g_scores = _softmax_backward(weights, g_weights, out=g_weights)
+        g_scores /= scale
         g_queries = g_scores @ keys
         g_keys = g_scores.swapaxes(-1, -2) @ queries
         g_prefix = (
@@ -297,12 +314,15 @@ def running_sum_order(num_steps: int, embed_dim: int) -> bool:
     """Whether the causal kernel contracts running sums (O(T d^2) per
     sequence) rather than the pairwise T x T block (O(T^2 d)).
 
-    The rule of ``causal_attention_vjp``, its one reader; it depends only
-    on the input's (T, d).  T > d^2 is fitted from timings of both orders
-    over a (T, d) grid (README, "Contraction orders"); it also keeps the
-    running sums' T d^2 entries below the pairwise block's T^2, and every
-    T <= d input, all T=4 training included, on the pairwise order and its
-    bytes.
+    The rule of ``causal_attention_vjp``; it depends only on the input's
+    (T, d).  T > d^2 is fitted from timings of both orders over a (T, d)
+    grid (README, "Contraction orders"); it also keeps the running sums'
+    T d^2 entries below the pairwise block's T^2, and every T <= d input,
+    all T=4 training included, on the pairwise order and its bytes.
+
+    Its second reader is ``scsa_vjp``, whose softmax block is T x T in
+    either order: above the rule it contracts that block with batched
+    matmuls, and below it keeps the einsums and their bytes.
     """
     return num_steps > embed_dim * embed_dim
 

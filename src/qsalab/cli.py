@@ -14,6 +14,7 @@ wall times at the cost of that reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -57,7 +58,10 @@ def _write_manifest(path, command: str, config: dict, seed, inputs, outputs, wal
     data.atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls, and
+    # in-process callers (tests, notebooks) would otherwise pay ~2 ms a call.
     parser = argparse.ArgumentParser(prog="qsalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

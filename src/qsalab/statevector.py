@@ -73,6 +73,8 @@ class StateVector:
         """Build a state from raw amplitudes, optionally rescaling to unit norm."""
         arr = np.asarray(values, dtype=complex).reshape(-1)
         m = _qubit_count_for(arr.size)
+        if not np.all(np.isfinite(arr)):
+            raise ConfigurationError("amplitudes must be finite")
         if normalize:
             nrm = np.linalg.norm(arr)
             if nrm < 1e-12:

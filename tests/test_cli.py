@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsalab.cli import main
+from qsalab.cli import _build_parser, main
 from qsalab.data import load_dataset
 
 
@@ -402,3 +402,54 @@ def test_predict_top_k_above_vocabulary_exits_2(tmp_path, small_dataset_path):
     assert not out.exists()
     assert run([*args, "--top-k", "8"]) == 0
     assert len(json.loads(out.read_text())["records"][0]["steps"][0]["top"]) == 8
+
+
+class TestParserReuse:
+    """The argparse tree is built once per process and shared by every call."""
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path, small_dataset_path):
+        out = tmp_path / "run"
+        assert run(["train", "--model", "lcsa", "--data", str(small_dataset_path),
+                    "--epochs", "0", "--out", str(out)]) == 0
+        return out / "checkpoint.json"
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flag_does_not_leak_into_the_next_call(self, tmp_path, small_dataset_path, checkpoint):
+        args = ["predict", "--checkpoint", str(checkpoint), "--data", str(small_dataset_path)]
+        assert run([*args, "--top-k", "5", "--out", str(tmp_path / "five.json")]) == 0
+        assert run([*args, "--out", str(tmp_path / "default.json")]) == 0
+        assert json.loads((tmp_path / "five.json").read_text())["top_k"] == 5
+        assert json.loads((tmp_path / "default.json").read_text())["top_k"] == 3
+        assert _build_parser().parse_args([*args, "--out", "x"]).top_k == 3
+
+    def test_exit_codes_hold_across_repeated_calls(self, tmp_path, small_dataset_path, checkpoint):
+        bad_config = tmp_path / "config.json"
+        bad_config.write_text("[]")
+        zero_maps = tmp_path / "zero.json"
+        doc = json.loads(checkpoint.read_text())
+        value_map = doc["params"]["lcsa"]["value_map"]
+        value_map["data"] = [0.0] * len(value_map["data"])
+        zero_maps.write_text(json.dumps(doc, sort_keys=True))
+        quantum = tmp_path / "q.jsonl"
+        assert run(["generate", "--kind", "quantum", "--qubits", "3", "--len", "5",
+                    "--count", "4", "--seed", "2", "--out", str(quantum)]) == 0
+        commands = {
+            2: ["train", "--model", "lcsa", "--data", str(small_dataset_path),
+                "--config", str(bad_config), "--out", str(tmp_path / "never")],
+            3: ["eval", "--checkpoint", str(zero_maps), "--data", str(small_dataset_path),
+                "--out", str(tmp_path / "e3.json")],
+            4: ["eval", "--checkpoint", str(checkpoint), "--data", str(quantum),
+                "--out", str(tmp_path / "e4.json")],
+        }
+        for _ in range(3):
+            for code, argv in commands.items():
+                assert run(argv) == code
+            with pytest.raises(SystemExit) as excinfo:
+                run(["generate", "--kind", "classical", "--len", "5", "--count", "3",
+                     "--out", str(tmp_path / "x.jsonl")])
+            assert excinfo.value.code == 2
+        assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(small_dataset_path),
+                    "--out", str(tmp_path / "ok.json")]) == 0

@@ -68,6 +68,14 @@ class TestStateVector:
         with pytest.raises(DegenerateInputError):
             StateVector.from_amplitudes([0.0, 0.0], normalize=True)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+    def test_non_finite_amplitudes_are_rejected(self, bad, normalize):
+        # checked before the norm: a NaN passes both norm tests, and inf / inf warns
+        with pytest.raises(ConfigurationError, match="finite"):
+            StateVector.from_amplitudes([bad, 1.0], normalize=normalize)
+
     def test_amplitudes_are_frozen(self):
         state = StateVector.zero(2)
         with pytest.raises(ValueError):
