@@ -18,10 +18,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import asdict
+from typing import NamedTuple
 
 from . import complexity, data, trainer
 from .errors import (
@@ -44,18 +46,29 @@ def _digest(path) -> str:
     return sha.hexdigest()
 
 
-def _write_manifest(path, command: str, config: dict, seed, inputs, outputs, wall_time) -> None:
+class Run(NamedTuple):
+    """What a finished command hands to ``main`` for its manifest: where to
+    write it, and the config, seed, inputs and outputs it records."""
+
+    manifest: str
+    config: dict
+    seed: int | None
+    inputs: list
+    outputs: list
+
+
+def _write_manifest(run: Run, command: str, wall_time) -> None:
     manifest = {
         "tool": "qsalab",
         "version": TOOL_VERSION,
         "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        "outputs": {str(p): _digest(p) for p in outputs},
+        "config": run.config,
+        "seed": run.seed,
+        "inputs": {str(p): _digest(p) for p in run.inputs},
+        "outputs": {str(p): _digest(p) for p in run.outputs},
         "wall_time_s": wall_time,
     }
-    data.atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    data.atomic_write_text(run.manifest, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 @functools.cache
@@ -64,8 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     # in-process callers (tests, notebooks) would otherwise pay ~2 ms a call.
     parser = argparse.ArgumentParser(prog="qsalab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--timing", action="store_true",
+                        help="record wall times (the outputs are then not byte-reproducible)")
 
-    gen = sub.add_parser("generate", help="generate a sequence dataset")
+    gen = sub.add_parser("generate", parents=[timing], help="generate a sequence dataset")
     gen.add_argument("--kind", choices=("classical", "quantum"), required=True)
     gen.add_argument("--vocab", type=int, help="vocabulary size D")
     gen.add_argument("--qubits", type=int, help="qubit count for quantum data (D = 2**q)")
@@ -74,10 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--order", type=int, default=2, help="nonzero entries per Markov row")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--timing", action="store_true")
     gen.set_defaults(func=cmd_generate)
 
-    tr = sub.add_parser("train", help="train a model and emit checkpoint + loss CSV")
+    tr = sub.add_parser("train", parents=[timing], help="train a model and emit checkpoint + loss CSV")
     tr.add_argument("--model", choices=trainer.MODEL_KINDS, required=True)
     tr.add_argument("--data", required=True)
     tr.add_argument("--config", help="JSON config file; flags override its values")
@@ -85,33 +100,28 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--seed", type=int)
     tr.add_argument("--learning-rate", type=float)
-    tr.add_argument("--timing", action="store_true")
     tr.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("eval", help="forward-only perplexity over one or more test sets")
+    ev = sub.add_parser("eval", parents=[timing], help="forward-only perplexity over one or more test sets")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", nargs="+", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--timing", action="store_true")
     ev.set_defaults(func=cmd_eval)
 
-    pr = sub.add_parser("predict", help="top-k next-word indices with scores")
+    pr = sub.add_parser("predict", parents=[timing], help="top-k next-word indices with scores")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--data", required=True)
     pr.add_argument("--top-k", type=int, default=3)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--timing", action="store_true")
     pr.set_defaults(func=cmd_predict)
 
-    au = sub.add_parser("audit", help="gate-count, slope, and crossover tables")
+    au = sub.add_parser("audit", parents=[timing], help="gate-count, slope, and crossover tables")
     au.add_argument("--out", required=True, help="output directory")
-    au.add_argument("--timing", action="store_true")
     au.set_defaults(func=cmd_audit)
     return parser
 
 
-def cmd_generate(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_generate(args, parser) -> Run:
     if args.length < 2:
         parser.error("--len must be at least 2 (one step plus its target)")
     num_steps = args.length - 1
@@ -136,24 +146,15 @@ def cmd_generate(args, parser) -> int:
         model = data.build_ising(qubits, args.seed)
         dataset = data.generate_quantum_dataset(model, num_steps, args.count, args.seed)
     data.save_dataset(dataset, args.out)
-    wall = time.perf_counter() - started if args.timing else None
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "generate",
-        {
-            "kind": args.kind,
-            "vocab": dataset.vocab_dim,
-            "len": args.length,
-            "count": args.count,
-            "seed": args.seed,
-            "order": args.order if args.kind == "classical" else None,
-        },
-        args.seed,
-        inputs=[],
-        outputs=[args.out],
-        wall_time=wall,
-    )
-    return 0
+    config = {
+        "kind": args.kind,
+        "vocab": dataset.vocab_dim,
+        "len": args.length,
+        "count": args.count,
+        "seed": args.seed,
+        "order": args.order if args.kind == "classical" else None,
+    }
+    return Run(f"{args.out}.manifest.json", config, args.seed, [], [args.out])
 
 
 def _resolve_train_config(args, parser) -> trainer.TrainConfig:
@@ -186,8 +187,7 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
         parser.error(f"bad config: {exc}")
 
 
-def cmd_train(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_train(args, parser) -> Run:
     config = _resolve_train_config(args, parser)
     dataset = data.load_dataset(args.data)
     os.makedirs(args.out, exist_ok=True)
@@ -200,34 +200,31 @@ def cmd_train(args, parser) -> int:
             os.path.join(args.out, "diagnostic.json"),
             json.dumps(exc.diagnostic, sort_keys=True, indent=2) + "\n",
         )
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        raise
     trainer.save_checkpoint(params, config, dataset.kind, checkpoint_path)
     data.atomic_write_text(csv_path, report.to_csv_text())
-    wall = time.perf_counter() - started if args.timing else None
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "train",
-        asdict(config),
-        config.seed,
-        inputs=[args.data],
-        outputs=[checkpoint_path, csv_path],
-        wall_time=wall,
-    )
-    return 0
+    return Run(os.path.join(args.out, "manifest.json"), asdict(config), config.seed,
+               [args.data], [checkpoint_path, csv_path])
 
 
-def cmd_eval(args, parser) -> int:
-    started = time.perf_counter()
-    params, meta = trainer.load_checkpoint(args.checkpoint)
+def _load_for_inference(checkpoint, paths):
+    """The checkpoint's params and metadata, and the datasets at ``paths``;
+    a dataset of another data kind than the checkpoint was trained on is a
+    ``CompatibilityError``."""
+    params, meta = trainer.load_checkpoint(checkpoint)
     datasets = []
-    for path in args.data:
+    for path in paths:
         ds = data.load_dataset(path)
         if ds.kind != meta["data_kind"]:
             raise CompatibilityError(
                 f"checkpoint was trained on {meta['data_kind']} data, got {ds.kind} from {path}"
             )
         datasets.append(ds)
+    return params, meta, datasets
+
+
+def cmd_eval(args, parser) -> Run:
+    params, meta, datasets = _load_for_inference(args.checkpoint, args.data)
     report = trainer.evaluate(params, datasets)
     doc = {
         "model_kind": meta["model_kind"],
@@ -239,17 +236,8 @@ def cmd_eval(args, parser) -> int:
         ],
     }
     data.atomic_write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    wall = time.perf_counter() - started if args.timing else None
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "eval",
-        {"checkpoint": args.checkpoint},
-        meta["seed"],
-        inputs=[args.checkpoint, *args.data],
-        outputs=[args.out],
-        wall_time=wall,
-    )
-    return 0
+    return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint}, meta["seed"],
+               [args.checkpoint, *args.data], [args.out])
 
 
 _PREDICT_ENTRY = '\n            {\n              "score": %s,\n              "word": %s\n            }'
@@ -288,79 +276,43 @@ def _predict_text(model_kind: str, top_k: int, rows: list) -> str:
     return '{\n  "model_kind": %s,\n  "records": %s,\n  "top_k": %s\n}' % (json.dumps(model_kind), body, top_k)
 
 
-def cmd_predict(args, parser) -> int:
-    started = time.perf_counter()
-    params, meta = trainer.load_checkpoint(args.checkpoint)
-    dataset = data.load_dataset(args.data)
-    if dataset.kind != meta["data_kind"]:
-        raise CompatibilityError(
-            f"checkpoint was trained on {meta['data_kind']} data, got {dataset.kind}"
-        )
+def cmd_predict(args, parser) -> Run:
+    params, meta, (dataset,) = _load_for_inference(args.checkpoint, [args.data])
     rows = trainer.predict_topk(params, dataset, k=args.top_k)
     data.atomic_write_text(args.out, _predict_text(meta["model_kind"], args.top_k, rows) + "\n")
-    wall = time.perf_counter() - started if args.timing else None
-    _write_manifest(
-        f"{args.out}.manifest.json",
-        "predict",
-        {"checkpoint": args.checkpoint, "top_k": args.top_k},
-        meta["seed"],
-        inputs=[args.checkpoint, args.data],
-        outputs=[args.out],
-        wall_time=wall,
-    )
-    return 0
+    return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint, "top_k": args.top_k}, meta["seed"],
+               [args.checkpoint, args.data], [args.out])
 
 
-def _csv_text(header: str, rows: list, columns: list) -> str:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for col in columns:
-            value = row[col]
-            cells.append(repr(float(value)) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def cmd_audit(args, parser) -> int:
-    started = time.perf_counter()
+def cmd_audit(args, parser) -> Run:
     os.makedirs(args.out, exist_ok=True)
-    counts_path = os.path.join(args.out, "gate_counts.csv")
-    slopes_path = os.path.join(args.out, "slopes.csv")
-    crossover_path = os.path.join(args.out, "crossover.csv")
-    data.atomic_write_text(
-        counts_path,
-        _csv_text("variant,T,d,D,L,term,count", complexity.gate_count_rows(),
-                  ["variant", "T", "d", "D", "L", "term", "count"]),
+    tables = (
+        ("gate_counts.csv", ("variant", "T", "d", "D", "L", "term", "count"), complexity.gate_count_rows),
+        ("slopes.csv", ("variant", "axis", "points", "slope", "expected"), complexity.default_slope_rows),
+        ("crossover.csv", ("T", "d", "D", "L", "winner", "total"), complexity.default_crossover_rows),
     )
-    data.atomic_write_text(
-        slopes_path,
-        _csv_text("variant,axis,points,slope,expected", complexity.default_slope_rows(),
-                  ["variant", "axis", "points", "slope", "expected"]),
-    )
-    data.atomic_write_text(
-        crossover_path,
-        _csv_text("T,d,D,L,winner,total", complexity.default_crossover_rows(),
-                  ["T", "d", "D", "L", "winner", "total"]),
-    )
-    wall = time.perf_counter() - started if args.timing else None
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        "audit",
-        {"grids": "default"},
-        None,
-        inputs=[],
-        outputs=[counts_path, slopes_path, crossover_path],
-        wall_time=wall,
-    )
-    return 0
+    outputs = []
+    for name, columns, build_rows in tables:
+        path = os.path.join(args.out, name)
+        data.atomic_write_text(path, data.csv_text(columns, map(operator.itemgetter(*columns), build_rows())))
+        outputs.append(path)
+    return Run(os.path.join(args.out, "manifest.json"), {"grids": "default"}, None, [], outputs)
 
 
 def main(argv=None) -> int:
+    """Parse ``argv``, run its command and write the command's manifest.
+
+    The run policy lives here and only here: the clock (read only under
+    ``--timing``), the manifest of a command that finished, and the exit
+    code of a typed error.  A command that raises writes no manifest.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args, parser)
+        run = args.func(args, parser)
+        _write_manifest(run, args.command, time.perf_counter() - started if args.timing else None)
+        return 0
     except (ConfigurationError, DegenerateInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

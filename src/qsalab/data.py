@@ -402,6 +402,14 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def csv_text(columns, rows) -> str:
+    """A header line of ``columns``, then one line per row of cells: floats
+    as ``repr(float)``, every other cell as ``str``."""
+    lines = [",".join(columns)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def save_dataset(dataset: SequenceDataset, path) -> None:
     atomic_write_text(path, dumps_dataset(dataset))
 

@@ -15,20 +15,6 @@ from .errors import ConfigurationError
 
 PROBABILITY_FLOOR = 1e-30
 
-# Reference perplexities for the two bundled benchmark tasks (documentation
-# only, not test targets): classical sequences and transverse-field Ising
-# trajectories, train / test per model.
-REFERENCE_PERPLEXITIES = {
-    "classical": {
-        "train": {"qsa": 3.158, "scsa": 680.44, "lcsa": 3.35},
-        "test": {"qsa": (6.62, 0.06), "scsa": (858.0, 1.0), "lcsa": (3.39, 0.01)},
-    },
-    "quantum": {
-        "train": {"qsa": 7.17, "scsa": 6.64, "lcsa": 2.59},
-        "test": {"qsa": (5.6, 0.2), "scsa": (8.4, 0.6), "lcsa": (2.8, 0.9)},
-    },
-}
-
 
 @dataclass(frozen=True)
 class StepProbabilities:

@@ -26,10 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from typing import Sequence
 
@@ -59,6 +58,7 @@ from .data import (
     SequenceDataset,
     atomic_write_text,
     check_seed,
+    csv_text,
     embed_batch,
     linear_map_gradient,
     make_embedding,
@@ -74,21 +74,7 @@ from .errors import (
 )
 from .objectives import PROBABILITY_FLOOR
 
-THREADS_ENV = "QSALAB_THREADS"
 CHECKPOINT_VERSION = 1
-CSV_HEADER = "epoch,train_loss_offset,train_loss,perplexity,grad_norm,seconds"
-
-
-def _check_thread_setting() -> None:
-    """QSALAB_THREADS is still accepted but must be an integer; training
-    runs serially."""
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return
-    try:
-        int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -164,6 +150,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EpochRow:
+    """One loss CSV row; the field names are the CSV header."""
+
     epoch: int
     train_loss_offset: float
     train_loss: float
@@ -184,17 +172,7 @@ class LossReport:
     per_set: list | None = None
 
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.epoch},{_fmt(row.train_loss_offset)},{_fmt(row.train_loss)},"
-                f"{_fmt(row.perplexity)},{_fmt(row.grad_norm)},{_fmt(row.seconds)}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
+        return csv_text([f.name for f in dataclass_fields(EpochRow)], map(astuple, self.rows))
 
 
 def _to_real_vector(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -519,31 +497,39 @@ def _check_compat(config: TrainConfig, dataset: SequenceDataset) -> None:
         raise ConfigurationError(problem)
 
 
-class _Adapter:
-    """Batched loss/gradient machinery bound to one (params, dataset) pair."""
+def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
+    """The table entry of ``params``' kind, once ``params`` are checked to fit
+    ``dataset``; a misfit is a ``CompatibilityError``."""
+    model = MODELS[params.model_kind]
+    quantum_data = dataset.kind == "quantum"
+    complex_embedding = np.iscomplexobj(params.embedding.matrix)
+    if quantum_data != complex_embedding:
+        raise CompatibilityError(
+            f"{'complex' if complex_embedding else 'real'}-embedding model does not fit "
+            f"a {dataset.kind} dataset"
+        )
+    if params.embedding.vocab_dim != dataset.vocab_dim:
+        raise CompatibilityError(
+            f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
+        )
+    problem = model.check(params.embedding.embed_dim, dataset.num_steps) or model.check_arrays(
+        params, dataset.num_steps
+    )
+    if problem:
+        raise CompatibilityError(problem)
+    return model
 
-    def __init__(self, params: ModelParams, dataset: SequenceDataset, config: TrainConfig | None):
-        self.model = MODELS[params.model_kind]
+
+class _Adapter:
+    """Batched loss/gradient machinery bound to one (params, dataset) pair
+    and the training configuration."""
+
+    def __init__(self, params: ModelParams, dataset: SequenceDataset, config: TrainConfig):
+        self.model = _fitted_model(params, dataset)
         self.config = config
         self.num_steps = dataset.num_steps
         self.inputs = dataset.input_rows()
         self.template = params
-        quantum_data = dataset.kind == "quantum"
-        complex_embedding = np.iscomplexobj(params.embedding.matrix)
-        if quantum_data != complex_embedding:
-            raise CompatibilityError(
-                f"{'complex' if complex_embedding else 'real'}-embedding model does not fit "
-                f"a {dataset.kind} dataset"
-            )
-        if params.embedding.vocab_dim != dataset.vocab_dim:
-            raise CompatibilityError(
-                f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
-            )
-        problem = self.model.check(params.embedding.embed_dim, dataset.num_steps) or self.model.check_arrays(
-            params, dataset.num_steps
-        )
-        if problem:
-            raise CompatibilityError(problem)
         self._circuit_templates = [arr for _, arr in self.model.arrays(params)]
         self._embed_templates = [params.embedding.matrix]
 
@@ -566,12 +552,11 @@ class _Adapter:
 
     def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
         params = self.rebuild(circuit_vec, embed_vec)
-        config = self.config
-        if config is not None and config.expectation_route == "circuit":
+        if self.config.expectation_route == "circuit":
             outputs = self.model.circuit_outputs(params, self.inputs)
         else:
             outputs, _ = self.model.forward(params, self.inputs)
-        if config is not None and config.shots:
+        if self.config.shots:
             outputs = self._sample(outputs, circuit_vec, embed_vec)
         return outputs
 
@@ -597,8 +582,6 @@ class _Adapter:
         gradients), where ``gradients()`` returns the circuit and embedding
         gradient vectors, by the forward's backward pass or by perturbation."""
         config = self.config
-        if config is None:
-            raise ConfigurationError("gradients need a training configuration")
         if config.gradient_mode == "parameter-shift" and not config.shots and config.expectation_route == "analytic":
             outputs, backward = self.model.forward(self.rebuild(circuit_vec, embed_vec), self.inputs)
             gradients = lambda: self._exact_gradients(outputs, backward)
@@ -675,7 +658,6 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     log_offset = math.log(dataset.num_steps)
     if config.epochs == 0:
         return params, LossReport(rows=[], log_offset=log_offset)
-    _check_thread_setting()
     adapter = _Adapter(params, dataset, config)
     circuit_vec = adapter.circuit_vector(params)
     embed_vec = adapter.embed_vector(params)
@@ -722,9 +704,9 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
         raise ConfigurationError("evaluation needs at least one non-empty dataset")
     per_set = []
     for ds in datasets:
-        adapter = _Adapter(params, ds, None)
-        outputs, _ = adapter.model.forward(params, adapter.inputs)
-        loss, clamped = adapter._mean_loss(outputs)
+        model = _fitted_model(params, ds)
+        losses, clamped = model.losses(model.forward(params, ds.input_rows())[0], ds.num_steps)
+        loss = float(np.mean(losses))
         per_set.append(
             {
                 "loss_offset": loss,
@@ -753,16 +735,15 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> l
     """
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
-    adapter = _Adapter(params, dataset, None)
-    scores = adapter.model.scores(params, adapter.inputs)
+    scores = _fitted_model(params, dataset).scores(params, dataset.input_rows())
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     top = np.take_along_axis(scores, order, axis=-1)
     return [
         {"id": s, "steps": [
-            {"position": j + 2, "top": [{"word": int(w), "score": float(v)} for w, v in zip(order[s, j], top[s, j])]}
-            for j in range(dataset.num_steps)
+            {"position": j + 2, "top": [{"word": w, "score": v} for w, v in zip(step_words, step_scores)]}
+            for j, (step_words, step_scores) in enumerate(zip(words, word_scores))
         ]}
-        for s in range(order.shape[0])
+        for s, (words, word_scores) in enumerate(zip(order.tolist(), top.tolist()))
     ]
 
 
