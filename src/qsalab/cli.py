@@ -209,8 +209,8 @@ def cmd_train(args, parser) -> Run:
 
 def _load_for_inference(checkpoint, paths):
     """The checkpoint's params and metadata, and the datasets at ``paths``;
-    a dataset of another data kind than the checkpoint was trained on is a
-    ``CompatibilityError``."""
+    a dataset of another data kind than the checkpoint was trained on, or one
+    the model does not fit, is a ``CompatibilityError`` that names its path."""
     params, meta = trainer.load_checkpoint(checkpoint)
     datasets = []
     for path in paths:
@@ -219,6 +219,10 @@ def _load_for_inference(checkpoint, paths):
             raise CompatibilityError(
                 f"checkpoint was trained on {meta['data_kind']} data, got {ds.kind} from {path}"
             )
+        try:
+            trainer._fitted_model(params, ds)
+        except CompatibilityError as exc:
+            raise CompatibilityError(f"{exc} from {path}") from exc
         datasets.append(ds)
     return params, meta, datasets
 

@@ -9,12 +9,16 @@ whole package:
 * A block (:class:`UnitaryBlock`, dense, or :class:`ReflectionBlock`, a
   Householder reflection kept as a vector) is indexed the same way over its
   own targets: ``targets[0]`` is the least-significant bit of its index.
-  Each block applies itself (``act``).
+  A block supplies only its algebra, a ``kernel`` on a (rows, dim, rest)
+  array.  One layout helper (`_apply`) moves the control axes, then the
+  target axes, to the front, reads the state as (control value, block
+  index, rest), calls the kernel and moves the axes back.
 * A register-controlled select takes a mapping from control value to block.
   A :class:`ReflectionFamily` (one reflection per control value on one
-  target tuple, kept as stacked arrays) is checked once and applied as one
-  batched rank-1 update over the control axis; any other mapping is applied
-  slice by slice, one block per control value.
+  target tuple, kept as stacked arrays) is checked once and applied in one
+  kernel call, block j on row j.  Any other mapping takes one call per
+  control value, block j on row j alone.  `apply_unitary` is the case with
+  no controls.
 * Every operation is a pure function; amplitude arrays are frozen on
   construction and safe to share across threads.
 """
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -139,18 +144,33 @@ class RegisterLayout:
         return 2 * self.n + self.t
 
 
+class _OnTargets:
+    """What every block kind shares: distinct non-negative targets, and the
+    dimension ``2**len(targets)`` of its index."""
+
+    def _checked_targets(self) -> tuple:
+        targets = tuple(int(q) for q in self.targets)
+        if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
+            raise ConfigurationError("targets must be distinct non-negative qubit indices")
+        object.__setattr__(self, "targets", targets)
+        return targets
+
+    @property
+    def dimension(self) -> int:
+        return 2 ** len(self.targets)
+
+
 @dataclass(frozen=True)
-class UnitaryBlock:
+class UnitaryBlock(_OnTargets):
     """A dense unitary acting on an ordered list of target qubits."""
 
     matrix: np.ndarray
     targets: tuple
 
     def __post_init__(self):
-        targets = _checked_targets(self.targets)
-        object.__setattr__(self, "targets", targets)
+        targets = self._checked_targets()
         mat = np.array(self.matrix, dtype=complex)
-        dim = 2 ** len(targets)
+        dim = self.dimension
         if mat.shape != (dim, dim):
             raise ConfigurationError(
                 f"matrix shape {mat.shape} does not match {len(targets)} target qubits"
@@ -161,10 +181,6 @@ class UnitaryBlock:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     def dagger(self) -> "UnitaryBlock":
         return UnitaryBlock(self.matrix.conj().T, self.targets)
 
@@ -173,16 +189,13 @@ class UnitaryBlock:
             raise ConfigurationError("retarget must preserve the number of target qubits")
         return UnitaryBlock(self.matrix, tuple(targets))
 
-    def act(self, psi: np.ndarray, axes: list) -> np.ndarray:
-        """This block applied to the tensor ``psi`` along ``axes`` (see `_target_axes`)."""
-        k = len(axes)
-        tensor = self.matrix.reshape([2] * (2 * k))
-        out = np.tensordot(tensor, psi, axes=(list(range(k, 2 * k)), axes))
-        return np.moveaxis(out, list(range(k)), axes)
+    def kernel(self, x: np.ndarray) -> np.ndarray:
+        """This block applied to every row of a (rows, dim, rest) array (see `_apply`)."""
+        return self.matrix @ x
 
 
 @dataclass(frozen=True)
-class ReflectionBlock:
+class ReflectionBlock(_OnTargets):
     """``-phase * (I - v v^dag / v_1)``, a unitary kept as (v, phase), never as a matrix.
 
     With ``v = e_1 + u / phase`` for a unit vector u whose first entry has
@@ -199,10 +212,9 @@ class ReflectionBlock:
     targets: tuple
 
     def __post_init__(self):
-        targets = _checked_targets(self.targets)
-        object.__setattr__(self, "targets", targets)
+        targets = self._checked_targets()
         vec = np.array(self.vector, dtype=complex).reshape(-1)
-        if vec.size != 2 ** len(targets):
+        if vec.size != self.dimension:
             raise ConfigurationError(
                 f"reflection vector of length {vec.size} does not match {len(targets)} target qubits"
             )
@@ -213,10 +225,6 @@ class ReflectionBlock:
         object.__setattr__(self, "phase", phase)
 
     @property
-    def dimension(self) -> int:
-        return self.vector.size
-
-    @property
     def matrix(self) -> np.ndarray:
         """The dense dim x dim view; the simulator never builds it."""
         return reflection_matrix(self.vector, self.phase)
@@ -225,19 +233,13 @@ class ReflectionBlock:
         # The reflection I - v v^dag / v_1 is Hermitian; only the phase conjugates.
         return ReflectionBlock(self.vector, self.phase.conjugate(), self.targets)
 
-    def act(self, psi: np.ndarray, axes: list) -> np.ndarray:
-        """This block applied to the tensor ``psi`` along ``axes``, as a rank-1 update."""
-        k = len(axes)
-        v = self.vector.reshape([2] * k)
-        overlap = np.tensordot(v.conj(), psi, axes=(list(range(k)), axes))
-        out = np.multiply.outer(v, overlap / self.vector[0].real)
-        out -= np.moveaxis(psi, axes, list(range(k)))
-        out *= self.phase
-        return np.moveaxis(out, list(range(k)), axes)
+    def kernel(self, x: np.ndarray) -> np.ndarray:
+        """This block applied to every row of a (rows, dim, rest) array, as a rank-1 update."""
+        return _reflect(self.vector[None], np.array([self.phase]), x)
 
 
 @dataclass(frozen=True)
-class ReflectionFamily(Mapping):
+class ReflectionFamily(_OnTargets, Mapping):
     """One `ReflectionBlock` per control value on one target tuple, kept as stacked arrays.
 
     Row j of ``vectors`` (shape ``(2**t, dim)``) and ``phases`` is the block
@@ -253,11 +255,10 @@ class ReflectionFamily(Mapping):
     targets: tuple
 
     def __post_init__(self):
-        targets = _checked_targets(self.targets)
-        object.__setattr__(self, "targets", targets)
+        targets = self._checked_targets()
         vecs = np.array(self.vectors, dtype=complex)
         phases = np.array(self.phases, dtype=complex)
-        if vecs.ndim != 2 or vecs.shape[1] != 2 ** len(targets):
+        if vecs.ndim != 2 or vecs.shape[1] != self.dimension:
             raise ConfigurationError(
                 f"reflection vectors of shape {vecs.shape} do not match {len(targets)} target qubits"
             )
@@ -269,12 +270,12 @@ class ReflectionFamily(Mapping):
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "phases", phases)
 
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
     def dagger(self) -> "ReflectionFamily":
         return ReflectionFamily(self.vectors, self.phases.conj(), self.targets)
+
+    def kernel(self, x: np.ndarray) -> np.ndarray:
+        """Block j applied to row j of a (2**t, dim, rest) array, as one batched rank-1 update."""
+        return _reflect(self.vectors, self.phases, x)
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -311,17 +312,20 @@ def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
         raise ConfigurationError(f"reflection {j}: first entry {first[j]:.3e} of v is below 1")
 
 
+def _reflect(vectors: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``-phase_j (I - v_j v_j^dag / v_j1)`` applied to row j of the (rows, dim, rest)
+    array x, as a rank-1 update; a single (v, phase) row acts on every row of x."""
+    overlap = vectors.conj()[:, None, :] @ x
+    out = vectors[:, :, None] * (overlap / vectors[:, :1, None].real)
+    out -= x
+    out *= phases[:, None, None]
+    return out
+
+
 def reflection_matrix(vector: np.ndarray, phase: complex) -> np.ndarray:
-    """Dense ``-phase * (I - v v^dag / v_1)`` for any length of v."""
+    """Dense ``-phase * (I - v v^dag / v_1)`` for any length of v: `_reflect` on the identity."""
     vec = np.asarray(vector, dtype=complex)
-    return -phase * (np.eye(vec.size) - np.outer(vec, vec.conj()) / vec[0].real)
-
-
-def _checked_targets(targets) -> tuple:
-    targets = tuple(int(q) for q in targets)
-    if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
-        raise ConfigurationError("targets must be distinct non-negative qubit indices")
-    return targets
+    return _reflect(vec[None], np.array([phase], dtype=complex), np.eye(vec.size, dtype=complex)[None])[0]
 
 
 def identity_block(targets: Sequence[int]) -> UnitaryBlock:
@@ -351,16 +355,37 @@ def _target_axes(num_qubits: int, targets) -> list:
 Block = UnitaryBlock | ReflectionBlock
 
 
+def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarray:
+    """``kernel`` applied to the ``[2] * m`` tensor ``psi`` read as (control value, block index, rest).
+
+    The control axes (most significant bit of j first), then the target axes
+    lead; the others keep their order.  ``kernel`` maps that array to a new
+    one of the same shape.  The one check that a block's targets lie in the
+    register and off the controls.
+    """
+    m = psi.ndim
+    if set(targets) & set(controls):
+        raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
+    if any(q >= m for q in targets):
+        raise ConfigurationError(f"block targets {targets} exceed register of {m} qubits")
+    lead = _target_axes(m, controls) + _target_axes(m, targets)
+    order = lead + [a for a in range(m) if a not in lead]
+    x = psi.transpose(order).reshape(2 ** len(controls), 2 ** len(targets), -1)
+    return kernel(x).reshape([2] * m).transpose(np.argsort(order))
+
+
+def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
+    """``kernel`` applied to row j of x alone; the other rows pass through."""
+    return np.concatenate((x[:j], kernel(x[j:j + 1]), x[j + 1:]))
+
+
 def apply_unitary(state: StateVector, block: Block, counter: OpCounter | None = None) -> StateVector:
-    """Apply ``block`` to its target qubits, identity elsewhere."""
-    if any(q >= state.num_qubits for q in block.targets):
-        raise ConfigurationError(
-            f"block targets {block.targets} exceed register of {state.num_qubits} qubits"
-        )
+    """Apply ``block`` to its target qubits, identity elsewhere: the select with no controls."""
+    m = state.num_qubits
+    out = _apply(state.amplitudes.reshape([2] * m), (), block.targets, block.kernel)
     if counter is not None:
         counter.record(block.dimension)
-    m = state.num_qubits
-    return StateVector(m, block.act(state.amplitudes.reshape([2] * m), _target_axes(m, block.targets)))
+    return StateVector(m, out)
 
 
 def apply_controlled_by_register(
@@ -374,9 +399,9 @@ def apply_controlled_by_register(
     Realizes the select unitary sum_j U_j (x) |j><j| with controls read
     little-endian (``controls[0]`` is the least-significant bit of j).
     Every control value in ``0..2**t - 1`` must map to a block.  A
-    `ReflectionFamily` is applied in one batched update; any other mapping
-    one control slice at a time.  The counter records one block per
-    control value either way.
+    `ReflectionFamily` is applied in one kernel call; any other mapping one
+    call per control value.  The counter records one block per control
+    value either way.
     """
     controls = tuple(int(q) for q in controls)
     m = state.num_qubits
@@ -390,58 +415,18 @@ def apply_controlled_by_register(
     if extra:
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
-    if isinstance(blocks, ReflectionFamily):
-        _check_select_targets(blocks.targets, controls, m)
-        out = _apply_family(state.amplitudes.reshape([2] * m), controls, blocks)
-        if counter is not None:
-            for _ in range(num_values):
-                counter.record(blocks.dimension)
-        return StateVector(m, out)
-
-    for block in blocks.values():
-        _check_select_targets(block.targets, controls, m)
-
-    # Fixing the control axes leaves the slice where the controls read j; its
-    # axes are the remaining qubits, renumbered in ascending order.
-    rest = [q for q in range(m) if q not in controls]
     psi = state.amplitudes.reshape([2] * m)
-    out = np.empty_like(psi)
-    for j in range(num_values):
-        index = [slice(None)] * m
-        for i, c in enumerate(controls):
-            index[m - 1 - c] = (j >> i) & 1
-        index = tuple(index)
-        block = blocks[j]
-        axes = _target_axes(len(rest), [rest.index(q) for q in block.targets])
-        out[index] = block.act(psi[index], axes)
-        if counter is not None:
-            counter.record(block.dimension)
-    return StateVector(m, out)
-
-
-def _check_select_targets(targets: tuple, controls: tuple, num_qubits: int) -> None:
-    if set(targets) & set(controls):
-        raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
-    if any(q >= num_qubits for q in targets):
-        raise ConfigurationError("block targets exceed the register")
-
-
-def _apply_family(psi: np.ndarray, controls: tuple, family: ReflectionFamily) -> np.ndarray:
-    """The select of ``family`` as one rank-1 update batched over the control axis.
-
-    The control axes (most significant bit of j first) and the targets'
-    axes lead, so the state reads as (control value, block index, rest).
-    """
-    m = psi.ndim
-    lead = _target_axes(m, controls) + _target_axes(m, family.targets)
-    order = lead + [a for a in range(m) if a not in lead]
-    x = psi.transpose(order).reshape(len(family), family.dimension, -1)
-    v = family.vectors
-    overlap = v.conj()[:, None, :] @ x
-    out = v[:, :, None] * (overlap / v[:, :1, None].real)
-    out -= x
-    out *= family.phases[:, None, None]
-    return out.reshape([2] * m).transpose(np.argsort(order))
+    if isinstance(blocks, ReflectionFamily):
+        psi = _apply(psi, controls, blocks.targets, blocks.kernel)
+        dims = [blocks.dimension] * num_values
+    else:
+        dims = [blocks[j].dimension for j in range(num_values)]
+        for j in range(num_values):
+            psi = _apply(psi, controls, blocks[j].targets, partial(_on_row, j, blocks[j].kernel))
+    if counter is not None:
+        for dim in dims:
+            counter.record(dim)
+    return StateVector(m, psi)
 
 
 def all_zeros_expectation(state: StateVector) -> float:

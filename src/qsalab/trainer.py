@@ -667,7 +667,9 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     clamp_total = 0
     for epoch in range(config.epochs + 1):
         started = time.perf_counter()
-        loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
+        # A non-finite forward value reaches the loss, which is checked below.
+        with np.errstate(all="ignore"):
+            loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
         clamp_total += clamped
         if not math.isfinite(loss):
             raise NumericFailureError(

@@ -4,6 +4,7 @@ mismatch and of a numeric failure."""
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -105,3 +106,29 @@ def test_numeric_failure_writes_diagnostic_and_no_manifest(tmp_path, paths, caps
     assert json.loads((out / "diagnostic.json").read_text())["model_kind"] == "scsa"
     assert not (out / "manifest.json").exists()
     assert not (out / "checkpoint.json").exists()
+
+
+def test_numeric_failure_prints_only_the_typed_error(tmp_path, paths, capsys):
+    """The forward's overflow reaches the loss as a NaN; numpy warns about none of it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "learning_rate": 1e200}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--model", "scsa", "--data", str(paths["classical"]), "--config", str(config),
+                     "--epochs", "3", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
+
+
+def test_eval_names_the_dataset_the_model_does_not_fit(tmp_path, paths, capsys):
+    wider = tmp_path / "c10.jsonl"
+    assert main(["generate", "--kind", "classical", "--vocab", "10", "--len", "5", "--count", "4",
+                 "--seed", "5", "--out", str(wider)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["classical"]),
+                 str(wider), "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: model vocabulary 8 != dataset 10 from {wider}\n"
+    assert not out.exists()

@@ -1,0 +1,123 @@
+"""Malformed inputs reachable from the command line end in their documented
+exit code with one ``error:`` line on stderr, never a traceback: 2 for a
+usage error, 4 for a compatibility error."""
+
+import json
+
+import pytest
+
+from qsalab.cli import main
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("typed")
+    made = {}
+    for name, vocab, length in (("classical", 8, 5), ("three_steps", 8, 4), ("vocab4", 4, 5)):
+        made[name] = root / f"{name}.jsonl"
+        assert main(["generate", "--kind", "classical", "--vocab", str(vocab), "--len", str(length),
+                     "--count", "4", "--seed", "5", "--out", str(made[name])]) == 0
+    made["checkpoint"] = root / "run" / "checkpoint.json"
+    assert main(["train", "--model", "lcsa", "--data", str(made["classical"]), "--epochs", "1",
+                 "--out", str(made["checkpoint"].parent)]) == 0
+    return made
+
+
+def one_error_line(err: str) -> str:
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1, err
+    assert "Traceback" not in err
+    return lines[0]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "classical", "--vocab", "8", "--len", "1"], "--len must be at least 2"),
+    (["--kind", "classical", "--vocab", "8", "--qubits", "3", "--len", "5"], "--qubits applies only to quantum"),
+    (["--kind", "quantum", "--len", "5"], "quantum data needs --qubits"),
+    (["--kind", "quantum", "--vocab", "6", "--len", "5"], "--vocab must be a power of two"),
+], ids=["len-1", "classical-qubits", "quantum-no-size", "quantum-vocab-6"])
+def test_generate_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "d.jsonl"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["generate", *flags, "--count", "4", "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_config_schema_version_2_exits_4(tmp_path, files, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 2}))
+    code = main(["train", "--model", "lcsa", "--data", str(files["classical"]), "--config", str(config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "schema_version 2 unsupported" in one_error_line(capsys.readouterr().err)
+
+
+def test_checkpoint_without_version_exits_4(tmp_path, files, capsys):
+    doc = json.loads(files["checkpoint"].read_text())
+    del doc["version"]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "eval.json"
+    code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(files["classical"]), "--out", str(out)])
+    assert code == 4
+    assert "version" in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+def train_exit(tmp_path, capsys, data_path, model="qsa", config=None):
+    """(exit code, the one error line) of a ``train`` run on ``data_path``."""
+    argv = ["train", "--model", model, "--data", str(data_path), "--epochs", "1", "--out", str(tmp_path / "run")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 1, **config}))
+        argv += ["--config", str(path)]
+    code = main(argv)
+    return code, one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("data_name, config, message", [
+    ("three_steps", None, "power-of-two step count"),
+    ("classical", {"embed_dim": 3}, "power-of-two embed_dim"),
+    ("vocab4", None, "embed_dim must be smaller than the vocabulary"),
+], ids=["qsa-T3", "qsa-embed-dim-3", "vocab-4"])
+def test_train_model_misfit_exits_2(tmp_path, files, capsys, data_name, config, message):
+    code, line = train_exit(tmp_path, capsys, files[data_name], config=config)
+    assert code == 2
+    assert message in line
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def header_only(lines):
+    return lines[:1]
+
+
+def empty(lines):
+    return []
+
+
+def word_outside_vocabulary(lines):
+    record = json.loads(lines[1])
+    record["words"][0] = 8
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
+def record_too_short(lines):
+    record = json.loads(lines[1])
+    record["words"] = record["words"][:-1]
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (empty, "dataset file is empty"),
+    (header_only, "dataset holds no records"),
+    (word_outside_vocabulary, "outside the vocabulary"),
+    (record_too_short, "length T+1"),
+], ids=lambda case: getattr(case, "__name__", None))
+def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in corrupt(files["classical"].read_text().splitlines())))
+    code, line = train_exit(tmp_path, capsys, bad, model="lcsa")
+    assert code == 2
+    assert message in line

@@ -81,6 +81,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
 
+    def test_amplitude_count_must_match_qubits(self):
+        with pytest.raises(ConfigurationError, match="expected 4 amplitudes for 2 qubits, got 8"):
+            StateVector(2, np.eye(8)[0])
+
 
 class TestUnitaryBlock:
     def test_rejects_non_unitary(self):
@@ -94,6 +98,22 @@ class TestUnitaryBlock:
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ConfigurationError):
             UnitaryBlock(np.eye(4), (1, 1))
+
+    def test_retarget_keeps_the_qubit_count(self):
+        block = UnitaryBlock(HADAMARD, (0,))
+        assert block.retarget((2,)).targets == (2,)
+        with pytest.raises(ConfigurationError, match="number of target qubits"):
+            block.retarget((0, 1))
+
+    def test_dagger_is_conjugate_transpose_and_inverse(self):
+        rng = np.random.default_rng(97)
+        block = UnitaryBlock(random_unitary(4, rng), (2, 0))
+        dagger = block.dagger()
+        assert dagger.targets == block.targets
+        assert np.array_equal(dagger.matrix, block.matrix.conj().T)
+        state = random_state(3, rng)
+        back = apply_unitary(apply_unitary(state, block), dagger)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
 
 
 class TestApplyUnitary:
@@ -200,6 +220,24 @@ class TestControlledByRegister:
         assert counter.blocks == 2
         assert counter.weighted_dim == 8
 
+    @pytest.mark.parametrize("controls", [(1, 1), (2,), (-1,)])
+    def test_duplicate_or_out_of_range_controls_rejected(self, controls):
+        blocks = {j: identity_block((0,)) for j in range(2 ** len(controls))}
+        with pytest.raises(ConfigurationError, match="controls must be distinct in-range"):
+            apply_controlled_by_register(StateVector.zero(2), controls, blocks)
+
+    def test_block_for_unreachable_control_value_rejected(self):
+        blocks = {j: identity_block((0,)) for j in range(3)}
+        with pytest.raises(ConfigurationError, match=r"control value\(s\) \[2\] are unreachable"):
+            apply_controlled_by_register(StateVector.zero(2), (1,), blocks)
+
+    def test_block_beyond_the_register_rejected(self):
+        blocks = {0: identity_block((0,)), 1: identity_block((2,))}
+        counter = OpCounter()
+        with pytest.raises(ConfigurationError, match="exceed"):
+            apply_controlled_by_register(StateVector.zero(2), (1,), blocks, counter)
+        assert (counter.blocks, counter.weighted_dim) == (0, 0)
+
 
 class TestExpectations:
     def test_all_zeros_on_basis_states(self):
@@ -292,6 +330,10 @@ class TestRegisterLayout:
     def test_requires_step_register(self):
         with pytest.raises(ConfigurationError):
             RegisterLayout.standard(1, 0)
+
+    def test_data_registers_must_match_in_size(self):
+        with pytest.raises(ConfigurationError, match="same nonzero size"):
+            RegisterLayout((0,), (1, 2), (3,))
 
 
 def explicit_select_matrix(num_qubits, controls, blocks):
