@@ -12,7 +12,7 @@ per-branch prediction exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -69,13 +69,9 @@ class ScsaParams:
     anti_embed: np.ndarray
 
     def __post_init__(self):
-        wq = np.array(self.w_query)
-        wk = np.array(self.w_key)
-        wv = np.array(self.w_value)
-        f1 = np.array(self.ffn_in)
-        f2 = np.array(self.ffn_out)
-        anti = np.array(self.anti_embed)
-        if any(arr.ndim != 2 for arr in (wq, wk, wv, f1, f2, anti)):
+        arrays = {f.name: np.array(getattr(self, f.name)) for f in fields(self)}
+        wq, wk, wv, f1, f2, anti = arrays.values()
+        if any(arr.ndim != 2 for arr in arrays.values()):
             raise ConfigurationError("S-CSA weights must all be matrices")
         d = wv.shape[1]
         if wv.shape != (d, d):
@@ -87,8 +83,7 @@ class ScsaParams:
             raise ConfigurationError("feed-forward pair must map d -> h -> d with h >= 1")
         if anti.shape[1] != d:
             raise ConfigurationError("anti-embedding must be D x d")
-        for name, arr in (("w_query", wq), ("w_key", wk), ("w_value", wv),
-                          ("ffn_in", f1), ("ffn_out", f2), ("anti_embed", anti)):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -241,14 +236,13 @@ class LcsaParams:
     affinity_map: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.value_map)
-        w = np.array(self.affinity_map)
+        arrays = {f.name: np.array(getattr(self, f.name)) for f in fields(self)}
+        v, w = arrays.values()
         if v.ndim != 2 or v.shape[0] != v.shape[1] or w.shape != v.shape:
             raise ConfigurationError("value and affinity maps must be square with equal shape")
-        v.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "value_map", v)
-        object.__setattr__(self, "affinity_map", w)
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def embed_dim(self) -> int:

@@ -9,8 +9,10 @@ JSON Lines files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +25,25 @@ def check_seed(seed) -> None:
     """Reject a negative integer seed, which numpy's generators refuse with a bare ValueError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
+def _finite_numbers(values: list) -> bool:
+    """Every value a JSON number, not a bool, and finite as a float."""
+    try:
+        return {int, float}.issuperset(map(type, values)) and all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _typed(value, annotation) -> bool:
+    """Whether scalar ``value`` fits ``annotation`` (bool, int, float or str,
+    or one of them ``| None``): a bool is not a number, an int fits a float,
+    a float must be finite, and a numpy number counts as its Python number."""
+    options = getattr(annotation, "__args__", (annotation,))  # int | None has (int, NoneType)
+    value = value.item() if isinstance(value, (np.integer, np.floating)) else value
+    if float in options and type(value) in (int, float):
+        return _finite_numbers([value])
+    return type(value) in options
 
 
 @dataclass(frozen=True)
@@ -228,6 +249,10 @@ class SequenceDataset:
     def __post_init__(self):
         if self.kind not in ("classical", "quantum"):
             raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
+        for name in ("vocab_dim", "num_steps", "seed"):
+            if not _typed(getattr(self, name), int):
+                raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
+            setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
         length = self.num_steps + 1
         if self.kind == "classical":
             # int(w) would pass 1.5, True and "3" as 1, 1 and 3
@@ -351,25 +376,18 @@ def dumps_dataset(dataset: SequenceDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-_JSON_NUMBERS = frozenset((int, float))  # by exact type: a bool is an int
-
-
 def _amplitude_rows(steps) -> np.ndarray:
-    """(T+1, D) complex rows from a record's JSON ``[re, im]`` pairs.
-
-    Each part must be a JSON number: ``true``/``false``, ``null`` and
-    strings are rejected here, NaN and infinities by `SequenceDataset`.
-    """
-    for row in steps:
-        for re, im in row:
-            if type(re) not in _JSON_NUMBERS or type(im) not in _JSON_NUMBERS:
-                raise ConfigurationError(
-                    f"quantum amplitudes must be numbers, got [{json.dumps(re)}, {json.dumps(im)}]"
-                )
-    pairs = np.array(steps, dtype=float)
-    if pairs.ndim != 3:
+    """(T+1, D) complex rows from a record's JSON ``[re, im]`` pairs, each
+    part a finite JSON number: ``true``/``false``, ``null``, strings, NaN
+    and infinities are rejected."""
+    pairs = list(chain.from_iterable(steps))
+    if len(set(map(len, steps))) != 1 or set(map(len, pairs)) != {2}:
         raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
-    return pairs.view(complex)[..., 0]
+    parts = list(chain.from_iterable(pairs))
+    if not _finite_numbers(parts):
+        bad = next(part for part in parts if not _finite_numbers([part]))
+        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad)}")
+    return np.array(parts, dtype=float).view(complex).reshape(len(steps), -1)
 
 
 def loads_dataset(text: str) -> SequenceDataset:

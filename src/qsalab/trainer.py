@@ -13,7 +13,9 @@ reductions happen in fixed order.
 
 What differs between the three kinds lives in one table, ``MODELS``, keyed
 by kind; training, evaluation, prediction and the checkpoint codec
-dispatch through it once instead of branching on the kind.
+dispatch through it once instead of branching on the kind.  Each kind
+declares its params dataclasses once; the flat training vector, the
+checkpoint v1 codec and its scalar type checks walk their annotated fields.
 
 Reported quantities: ``train_loss_offset`` is the comparable per-epoch loss
 (the interference loss without its additive log T constant, which for the
@@ -23,10 +25,12 @@ log T constant back; ``perplexity`` is exp of the offset loss.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
+import typing
 import zlib
 from dataclasses import asdict, astuple, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
@@ -56,8 +60,9 @@ from .data import (
     ZERO_NORM_TOL,
     EmbeddingMap,
     SequenceDataset,
+    _finite_numbers,
+    _typed,
     atomic_write_text,
-    check_seed,
     csv_text,
     embed_batch,
     linear_map_gradient,
@@ -102,27 +107,29 @@ class TrainConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.model_kind not in MODEL_KINDS:
-            raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}")
-        for name in ("seed", "epochs", "embed_dim", "num_layers", "shots", "key_dim", "ffn_hidden"):
+        for name, annotation in _field_types(TrainConfig).items():
             value = getattr(self, name)
-            if value is None and name in ("shots", "key_dim", "ffn_hidden"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must be non-negative")
-        check_seed(self.seed)
+            if not _typed(value, annotation):
+                type_name = getattr(annotation, "__name__", annotation)  # int | None has no name
+                raise ConfigurationError(f"{name} must be of type {type_name}, got {value!r}")
+            if isinstance(value, np.generic):  # config_hash and the manifest write JSON
+                object.__setattr__(self, name, value.item())
+        choices = {"model_kind": MODEL_KINDS, "gradient_mode": ("parameter-shift", "finite-difference"),
+                   "expectation_route": ("analytic", "circuit")}
+        for name, options in choices.items():
+            if getattr(self, name) not in options:
+                raise ConfigurationError(f"{name} must be one of {options}, got {getattr(self, name)!r}")
+        lowest = {"seed": 0, "epochs": 0, "num_layers": 0, "embed_dim": 1, "shots": 1, "key_dim": 1, "ffn_hidden": 1}
+        for name, low in lowest.items():
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigurationError(f"{name} must be at least {low}, got {value}")
         for name in ("learning_rate", "embedding_learning_rate", "epsilon", "fd_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be finite and positive, got {value!r}")
-        if self.gradient_mode not in ("parameter-shift", "finite-difference"):
-            raise ConfigurationError("gradient_mode must be parameter-shift or finite-difference")
-        if self.shots is not None and self.shots < 1:
-            raise ConfigurationError("shots must be a positive integer when set")
-        if self.expectation_route not in ("analytic", "circuit"):
-            raise ConfigurationError("expectation_route must be analytic or circuit")
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
         if (self.shots is not None or self.expectation_route == "circuit") and not MODELS[self.model_kind].circuit:
             raise ConfigurationError(f"{self.model_kind} outputs are not circuit expectations: "
                                      "shots and the circuit route apply to qsa")
@@ -175,6 +182,17 @@ class LossReport:
         return csv_text([f.name for f in dataclass_fields(EpochRow)], map(astuple, self.rows))
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The resolved annotation of each field of dataclass ``cls``, in field order."""
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _array_fields(cls) -> tuple:
+    return tuple(name for name, annotation in _field_types(cls).items() if annotation is np.ndarray)
+
+
 def _to_real_vector(arrays: Sequence[np.ndarray]) -> np.ndarray:
     parts = []
     for arr in arrays:
@@ -222,16 +240,23 @@ class _Adam:
 
 
 class _Model:
-    """One model kind.  Each entry of MODELS provides:
+    """One model kind.  Each entry of MODELS declares its params once, as
+    ``blocks``: (checkpoint key, ModelParams attribute, dataclass) triples,
+    where key None makes the dataclass's fields the kind's own checkpoint
+    block.  What follows from ``blocks`` is defined here:
 
     - ``fields``: the ModelParams attributes the kind owns;
+    - ``arrays(params)``: (label, array) pairs, the array fields of the
+      blocks in order, which is the circuit-vector order;
+    - ``rebuild(template, parts)``: the blocks with arrays shaped like ``arrays``;
+    - ``to_payload(params)`` / ``from_payload(payload)``: its checkpoint v1 block;
+
+    each entry provides the rest:
+
     - ``check(embed_dim, num_steps)``: why those shapes cannot host it, or None;
     - ``check_arrays(params, num_steps)``: why its arrays do not fit the
       embedding (and step count), or None;
     - ``init(config, dataset, seeds, complex_valued)``: seeded field values;
-    - ``arrays(params)``: (name, array) pairs in circuit-vector order;
-    - ``rebuild(template, parts)``: field values from arrays shaped like ``arrays``;
-    - ``to_payload(params)`` / ``from_payload(payload)``: its checkpoint v1 block;
     - ``forward(params, inputs)``: for (S, T+1, D) input rows, the outputs
       its losses depend on and a backward pass from their gradient to the
       gradients of ``arrays`` (a list) and of the embedded rows
@@ -250,7 +275,8 @@ class _Model:
     the parameter-shift rule apply.
     """
 
-    fields: tuple = ()
+    blocks: tuple = ()
+    fields = property(lambda self: tuple(attr for _, attr, _ in self.blocks))
     circuit = False
 
     def check(self, embed_dim: int, num_steps: int) -> str | None:
@@ -259,8 +285,21 @@ class _Model:
     def check_arrays(self, params: ModelParams, num_steps: int) -> str | None:
         return None
 
+    def arrays(self, params: ModelParams) -> list:
+        return [(f"{attr}.{name}", getattr(getattr(params, attr), name))
+                for _, attr, cls in self.blocks for name in _array_fields(cls)]
+
+    def rebuild(self, template: ModelParams, parts: Sequence[np.ndarray]) -> dict:
+        parts = iter(parts)
+        return {attr: replace(getattr(template, attr), **{name: next(parts) for name in _array_fields(cls)})
+                for _, attr, cls in self.blocks}
+
     def to_payload(self, params: ModelParams) -> dict:
-        return {name: _encode_array(arr) for name, arr in self.arrays(params)}
+        blocks = {key: _payload(getattr(params, attr)) for key, attr, _ in self.blocks}
+        return blocks.get(None, blocks)  # a key None is its kind's only block
+
+    def from_payload(self, payload: dict) -> dict:
+        return {attr: _from_payload(cls, payload if key is None else payload[key]) for key, attr, cls in self.blocks}
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -278,7 +317,7 @@ def _overlap_scores(z: np.ndarray, emap: EmbeddingMap) -> np.ndarray:
 
 
 class _Qsa(_Model):
-    fields = ("v_params", "w_params", "r_params")
+    blocks = (("v", "v_params", AnsatzParams), ("w", "w_params", AnsatzParams), ("r", "r_params", PhaseLayerParams))
     circuit = True
 
     def check(self, embed_dim, num_steps):
@@ -305,30 +344,6 @@ class _Qsa(_Model):
             "v_params": AnsatzParams.random(n, config.num_layers, seeds[0]),
             "w_params": AnsatzParams.random(n, config.num_layers, seeds[1]),
             "r_params": PhaseLayerParams.random(t, seeds[2]),
-        }
-
-    def arrays(self, params):
-        return [("v", params.v_params.angles), ("w", params.w_params.angles), ("r", params.r_params.angles)]
-
-    def rebuild(self, template, parts):
-        return {
-            "v_params": replace(template.v_params, angles=parts[0]),
-            "w_params": replace(template.w_params, angles=parts[1]),
-            "r_params": PhaseLayerParams(parts[2]),
-        }
-
-    def to_payload(self, params):
-        return {
-            "v": _ansatz_payload(params.v_params),
-            "w": _ansatz_payload(params.w_params),
-            "r": {"angles": _encode_array(params.r_params.angles)},
-        }
-
-    def from_payload(self, payload):
-        return {
-            "v_params": _ansatz_from_payload(payload["v"]),
-            "w_params": _ansatz_from_payload(payload["w"]),
-            "r_params": PhaseLayerParams(_decode_array(payload["r"]["angles"])),
         }
 
     def losses(self, exps, num_steps):
@@ -374,20 +389,8 @@ class _Qsa(_Model):
 
 
 class _Baseline(_Model):
-    """A classical kind whose arrays are the fields of one params dataclass,
-    held in the ModelParams attribute named after the kind."""
-
-    params_type = None
-
-    def arrays(self, params):
-        part = getattr(params, self.fields[0])
-        return [(f.name, getattr(part, f.name)) for f in dataclass_fields(part)]
-
-    def rebuild(self, template, parts):
-        return {self.fields[0]: self.params_type(*parts)}
-
-    def from_payload(self, payload):
-        return self.rebuild(None, [_decode_array(payload[f.name]) for f in dataclass_fields(self.params_type)])
+    """A classical kind: one params dataclass, held in the ModelParams
+    attribute named after the kind, and the divergence-formula loss."""
 
     def check_arrays(self, params, num_steps):
         part = getattr(params, self.fields[0])
@@ -411,8 +414,7 @@ class _Baseline(_Model):
 
 
 class _Scsa(_Baseline):
-    fields = ("scsa",)
-    params_type = ScsaParams
+    blocks = ((None, "scsa", ScsaParams),)
 
     def init(self, config, dataset, seeds, complex_valued):
         return {"scsa": ScsaParams.random(config.embed_dim, dataset.vocab_dim, seeds[0], key_dim=config.key_dim,
@@ -442,8 +444,7 @@ class _Scsa(_Baseline):
 
 
 class _Lcsa(_Baseline):
-    fields = ("lcsa",)
-    params_type = LcsaParams
+    blocks = ((None, "lcsa", LcsaParams),)
 
     def init(self, config, dataset, seeds, complex_valued):
         return {"lcsa": LcsaParams.near_identity(config.embed_dim, seeds[0], complex_valued=complex_valued)}
@@ -762,14 +763,6 @@ def _encode_array(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "complex": np.iscomplexobj(arr), "data": _to_real_vector([arr]).tolist()}
 
 
-def _finite_numbers(values) -> bool:
-    """Every value a JSON number, not a bool, and finite as a float."""
-    try:
-        return all(type(v) in (int, float) and math.isfinite(v) for v in values)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _decode_array(obj: dict) -> np.ndarray:
     data, shape = obj["data"], obj["shape"]
     width = 2 if obj["complex"] else 1
@@ -780,39 +773,31 @@ def _decode_array(obj: dict) -> np.ndarray:
     return (data.view(np.complex128) if width == 2 else data).reshape(shape)
 
 
+def _payload(part) -> dict:
+    """The checkpoint block of dataclass ``part``: each array field encoded,
+    each scalar field cast to its annotated type."""
+    return {name: _encode_array(getattr(part, name)) if annotation is np.ndarray else annotation(getattr(part, name))
+            for name, annotation in _field_types(type(part)).items()}
+
+
+def _from_payload(cls, block: dict):
+    """The ``cls`` instance a ``_payload`` block encodes; a scalar that does
+    not fit its field's annotation is a ``CheckpointFormatError``."""
+    for name, annotation in _field_types(cls).items():
+        if annotation is not np.ndarray and not _typed(block[name], annotation):
+            raise CheckpointFormatError(f"checkpoint field {name} {block[name]!r} is not of type {annotation.__name__}")
+    return cls(**{name: _decode_array(block[name]) if annotation is np.ndarray else block[name]
+                  for name, annotation in _field_types(cls).items()})
+
+
 def params_to_payload(params: ModelParams) -> dict:
-    return {
-        "model_kind": params.model_kind,
-        "embedding": {
-            "matrix": _encode_array(params.embedding.matrix),
-            "shifts": _encode_array(params.embedding.shifts),
-            "gamma": float(params.embedding.gamma),
-        },
-        params.model_kind: MODELS[params.model_kind].to_payload(params),
-    }
-
-
-def _ansatz_payload(p: AnsatzParams) -> dict:
-    return {
-        "num_qubits": p.num_qubits,
-        "num_layers": p.num_layers,
-        "real_valued": p.real_valued,
-        "angles": _encode_array(p.angles),
-    }
-
-
-def _ansatz_from_payload(obj: dict) -> AnsatzParams:
-    return AnsatzParams(
-        obj["num_qubits"], obj["num_layers"], _decode_array(obj["angles"]), obj["real_valued"]
-    )
+    return {"model_kind": params.model_kind, "embedding": _payload(params.embedding),
+            params.model_kind: MODELS[params.model_kind].to_payload(params)}
 
 
 def params_from_payload(payload: dict) -> ModelParams:
-    emb = payload["embedding"]
-    if not _finite_numbers([emb["gamma"]]):
-        raise CheckpointFormatError(f"checkpoint embedding gamma {emb['gamma']!r} is not a finite real number")
-    embedding = EmbeddingMap(_decode_array(emb["matrix"]), _decode_array(emb["shifts"]), emb["gamma"])
     kind = payload["model_kind"]
+    embedding = _from_payload(EmbeddingMap, payload["embedding"])
     return ModelParams(kind, embedding, **MODELS[kind].from_payload(payload[kind]))
 
 
@@ -849,6 +834,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams
             raise CompatibilityError(
                 f"checkpoint holds a {doc['model_kind']} model, expected {expected_kind}"
             )
+        if doc["model_kind"] != doc["params"]["model_kind"]:
+            raise CheckpointFormatError(f"checkpoint model_kind {doc['model_kind']!r} disagrees with its params")
         params = params_from_payload(doc["params"])
         meta = {key: doc[key] for key in ("model_kind", "data_kind", "config_hash", "seed")}
     except (KeyError, TypeError) as exc:

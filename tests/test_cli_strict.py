@@ -1,6 +1,6 @@
-"""Config integers, dataset words and quantum amplitudes are typed, the
-numeric-failure diagnostic is strict JSON, and a malformed or non-finite
-checkpoint value ends in a typed exit code."""
+"""Config fields, dataset words and quantum amplitudes are typed and in
+range, the numeric-failure diagnostic is strict JSON, and a malformed or
+non-finite checkpoint value ends in a typed exit code."""
 
 import json
 import warnings
@@ -42,6 +42,20 @@ def train_with_config(tmp_path, data_path, kind, config):
         ("qsa", {"shots": 2.5, "epochs": 1}),
         ("scsa", {"key_dim": 2.0, "epochs": 1}),
         ("scsa", {"ffn_hidden": "8", "epochs": 1}),
+        ("scsa", {"key_dim": -1, "epochs": 1}),
+        ("scsa", {"key_dim": 0, "epochs": 1}),
+        ("scsa", {"ffn_hidden": -2, "epochs": 1}),
+        ("scsa", {"ffn_hidden": 0, "epochs": 1}),
+        ("qsa", {"num_layers": -1, "epochs": 1}),
+        ("lcsa", {"embed_dim": -3, "epochs": 1}),
+        ("lcsa", {"embed_dim": 0, "epochs": 1}),
+        ("lcsa", {"beta1": -0.5, "epochs": 1}),
+        ("lcsa", {"beta2": 1.0, "epochs": 1}),
+        ("qsa", {"gamma": "abc", "epochs": 1}),
+        ("qsa", {"beta1": "x", "epochs": 1}),
+        ("qsa", {"gamma": float("nan"), "epochs": 1}),
+        ("qsa", {"embedding_trainable": "no", "epochs": 1}),
+        ("qsa", {"fd_step": True, "epochs": 1}),
     ],
 )
 def test_non_integer_config_field_exits_2(tmp_path, dataset_path, kind, config):
@@ -56,6 +70,13 @@ def test_integer_config_fields_still_train(tmp_path, dataset_path):
     )
     assert code == 0
     assert (out / "loss.csv").exists()
+
+
+def test_integer_gamma_trains_and_is_saved_as_a_float(tmp_path, dataset_path):
+    code, out = train_with_config(tmp_path, dataset_path, "qsa", {"gamma": 0, "epochs": 1})
+    assert code == 0
+    gamma = json.loads((out / "checkpoint.json").read_text())["params"]["embedding"]["gamma"]
+    assert type(gamma) is float and gamma == 0.0
 
 
 def reject_constant(name):
@@ -132,6 +153,12 @@ def set_entry(block, name, value):
     return corrupt
 
 
+def set_ansatz(name, value):
+    def corrupt(params):
+        params["qsa"]["v"][name] = value
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "kind, corrupt",
     [
@@ -144,13 +171,28 @@ def set_entry(block, name, value):
         ("scsa", set_entry("scsa", "w_query", float("-inf"))),
         ("qsa", set_entry("embedding", "matrix", float("inf"))),
         ("lcsa", set_entry("embedding", "matrix", 10**400)),
+        ("qsa", set_ansatz("real_valued", "no")),
+        ("qsa", set_ansatz("real_valued", 1)),
+        ("qsa", set_ansatz("num_qubits", "2")),
+        ("qsa", set_ansatz("num_layers", 2.5)),
     ],
     ids=["gamma-text", "gamma-bool", "gamma-list", "gamma-nan", "gamma-inf",
-         "value-map-nan", "w-query-neg-inf", "embedding-inf", "embedding-huge-int"],
+         "value-map-nan", "w-query-neg-inf", "embedding-inf", "embedding-huge-int",
+         "real-valued-text", "real-valued-int", "num-qubits-text", "num-layers-float"],
 )
 def test_non_finite_or_non_numeric_checkpoint_value_exits_4(tmp_path, dataset_path, checkpoints, kind, corrupt):
     doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
     corrupt(doc["params"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_disagreeing_model_kinds_exit_4(tmp_path, dataset_path, checkpoints):
+    doc = json.loads((checkpoints / "qsa" / "checkpoint.json").read_text())
+    doc["model_kind"] = "lcsa"
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(doc, sort_keys=True))
     out = tmp_path / "eval.json"

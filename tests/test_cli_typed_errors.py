@@ -103,6 +103,13 @@ def word_outside_vocabulary(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
+def header_with(**fields):
+    def corrupt(lines):
+        return [json.dumps({**json.loads(lines[0]), **fields}), *lines[1:]]
+    corrupt.__name__ = "header_" + "_".join(fields)
+    return corrupt
+
+
 def record_too_short(lines):
     record = json.loads(lines[1])
     record["words"] = record["words"][:-1]
@@ -114,6 +121,8 @@ def record_too_short(lines):
     (header_only, "dataset holds no records"),
     (word_outside_vocabulary, "outside the vocabulary"),
     (record_too_short, "length T+1"),
+    (header_with(D=8.0), "dataset vocab_dim must be an integer"),
+    (header_with(seed="x"), "dataset seed must be an integer"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, message):
     bad = tmp_path / "bad.jsonl"

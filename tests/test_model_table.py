@@ -125,14 +125,24 @@ class TestPredictMatchesOracles:
 
 
 class TestCheckpointFixtures:
-    """Checkpoint v1 files written by an earlier build, one per model kind,
-    each the result of ``train(TrainConfig(model_kind=kind, epochs=1, seed=7), data)``."""
+    """Checkpoint v1 files written by earlier builds, each model kind on each
+    data kind, each the result of ``train(TrainConfig(model_kind=kind,
+    epochs=1, seed=7), data)`` with ``data`` from ``tiny_classical()`` or
+    ``tiny_quantum()``."""
 
     @pytest.mark.parametrize(
-        "kind, data_kind", [("qsa", "classical"), ("scsa", "classical"), ("lcsa", "quantum")]
+        "name, kind, data_kind",
+        [
+            ("checkpoint_v1_qsa.json", "qsa", "classical"),
+            ("checkpoint_v1_scsa.json", "scsa", "classical"),
+            ("checkpoint_v1_lcsa.json", "lcsa", "quantum"),
+            ("checkpoint_v1_qsa_quantum.json", "qsa", "quantum"),
+            ("checkpoint_v1_scsa_quantum.json", "scsa", "quantum"),
+            ("checkpoint_v1_lcsa_classical.json", "lcsa", "classical"),
+        ],
     )
-    def test_loads_and_resaves_identical_bytes(self, tmp_path, kind, data_kind):
-        path = FIXTURES / f"checkpoint_v1_{kind}.json"
+    def test_loads_and_resaves_identical_bytes(self, tmp_path, name, kind, data_kind):
+        path = FIXTURES / name
         params, meta = load_checkpoint(path, expected_kind=kind)
         config = TrainConfig(model_kind=kind, epochs=1, seed=7)
         assert meta == {
