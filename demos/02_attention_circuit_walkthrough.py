@@ -2,7 +2,9 @@
 
 Encodes a toy sequence, runs the full circuit, and cross-checks the
 measured expectation against the analytic branch-overlap formula, the
-interference loss, and the inference-time prediction read-out.
+interference loss, and the inference-time prediction read-out.  The
+simulated expectation reads register C's phase layer and Hadamards in
+closed form; the literal-gate value applies them as gates to the full state.
 """
 
 import numpy as np
@@ -11,18 +13,20 @@ from qsalab import (
     AnsatzParams,
     PhaseLayerParams,
     QsaInstance,
+    all_zeros_expectation,
     amplitude_encode,
     analytic_expectation,
     branch_overlaps,
     circuit_expectation,
+    circuit_state,
     predict_token_state,
     qsa_loss,
     score_candidates,
 )
 
 # Two steps over one-qubit tokens with identity variational maps.  The
-# branch amplitudes are a_1 = 1 and a_2 = 1/sqrt(2) with prefix weights
-# M = (1, 2), so the expectation is ((1 + 2^-1/2)/2)^2.
+# branch amplitudes are a_1 = a_2 = 1 with prefix weights M = (1, 2), so
+# the expectation is ((1/sqrt(1) + 1/sqrt(2))/2)^2.
 instance = QsaInstance.from_vectors(
     token_vectors=[[1, 0], [0, 1], [1, 0]],
     target_vectors=[[1, 0], [0, 1]],
@@ -31,6 +35,7 @@ instance = QsaInstance.from_vectors(
     params_r=PhaseLayerParams.zeros(1),
 )
 print("simulated expectation:", circuit_expectation(instance))
+print("literal-gate value   :", all_zeros_expectation(circuit_state(instance)))
 print("analytic expectation :", analytic_expectation(instance))
 print("closed form          :", ((1 + 2 ** -0.5) / 2) ** 2)
 print("interference loss    :", qsa_loss(instance))
@@ -50,6 +55,7 @@ random_instance = QsaInstance.from_vectors(
 )
 print("\nrandom instance, T=4, d=4")
 print("simulated:", circuit_expectation(random_instance))
+print("literal  :", all_zeros_expectation(circuit_state(random_instance)))
 print("analytic :", analytic_expectation(random_instance))
 
 # Inference: project the step register and read the predicted token state,

@@ -113,14 +113,31 @@ class PhaseLayerParams:
         return PhaseLayerParams(np.asarray(values, dtype=float))
 
 
-def _rotation_layer(layer_angles: np.ndarray, real_valued: bool) -> np.ndarray:
-    full = np.eye(1, dtype=complex)
-    for q in range(layer_angles.shape[0] - 1, -1, -1):
-        mat = rotation_y(layer_angles[q, 0])
-        if not real_valued:
-            mat = mat @ rotation_z(layer_angles[q, 1])
-        # np.kron(full, mat) without its generic-shape overhead
-        full = (full[:, None, :, None] * mat[None, :, None, :]).reshape(2 * full.shape[0], -1)
+def _rotation_layers(angles: np.ndarray, real_valued: bool) -> np.ndarray:
+    """All (L+1, 2**n, 2**n) rotation layers of (L+1, n, 2) ``angles`` in one pass.
+
+    Layer l is the Kronecker product of Ry(theta) Rz(phi) over qubits n-1..0.
+    The 2x2 factors of every (layer, qubit) are filled as arrays, with the
+    entries of `rotation_y` and `rotation_z`, multiplied in one batched
+    matmul, and the Kronecker product is taken one qubit at a time across all
+    layers together: the same elementwise products in the same order as one
+    layer and one qubit at a time, so the same bits.
+    """
+    half_theta = angles[..., 0] / 2.0
+    c, s = np.cos(half_theta), np.sin(half_theta)
+    mats = np.empty(angles.shape[:2] + (2, 2), dtype=complex)
+    mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1] = c, -s, s, c
+    if not real_valued:
+        rz = np.zeros_like(mats)
+        rz[..., 0, 0] = np.exp(-0.5j * angles[..., 1])
+        rz[..., 1, 1] = np.exp(0.5j * angles[..., 1])
+        mats = mats @ rz
+    full = np.ones((angles.shape[0], 1, 1), dtype=complex)
+    for q in range(angles.shape[1] - 1, -1, -1):
+        # a batched np.kron(full, mats[:, q]) without its generic-shape overhead
+        full = (full[:, :, None, :, None] * mats[:, q, None, :, None, :]).reshape(
+            angles.shape[0], 2 * full.shape[1], -1
+        )
     return full
 
 
@@ -170,8 +187,8 @@ def ansatz_vjp(params: AnsatzParams):
     prefix and suffix products to the generator's position.  The backward
     reuses the forward's rotation layers and prefix products.
     """
-    n, num_layers = params.num_qubits, params.num_layers
-    layers = [_rotation_layer(params.angles[l], params.real_valued) for l in range(num_layers + 1)]
+    n = params.num_qubits
+    layers = _rotation_layers(params.angles, params.real_valued)
     chain = _cnot_chain_matrix(n)
     before = [np.eye(2 ** n, dtype=complex)]
     for layer in layers[:-1]:
@@ -182,12 +199,12 @@ def ansatz_vjp(params: AnsatzParams):
         after = [np.eye(2 ** n, dtype=complex)]
         for layer in layers[:0:-1]:
             after.insert(0, after[0] @ layer @ chain)
-        stacked, prefix, suffix = np.stack(layers), np.stack(before), np.stack(after)
+        prefix, suffix = np.stack(before), np.stack(after)
         grad = np.zeros(params.angles.shape)
-        x_ry = _dagger(suffix) @ g_matrix @ _dagger(stacked @ prefix)
+        x_ry = _dagger(suffix) @ g_matrix @ _dagger(layers @ prefix)
         grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
         if not params.real_valued:
-            x_rz = _dagger(suffix @ stacked) @ g_matrix @ _dagger(prefix)
+            x_rz = _dagger(suffix @ layers) @ g_matrix @ _dagger(prefix)
             grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
         return grad
 

@@ -16,15 +16,12 @@ import numpy as np
 from .data import ZERO_NORM_TOL
 from .errors import ConfigurationError, DegenerateInputError
 from .statevector import (
-    HADAMARD,
     OpCounter,
     ReflectionBlock,
     ReflectionFamily,
     RegisterLayout,
     StateVector,
-    UnitaryBlock,
     apply_controlled_by_register,
-    apply_unitary,
     reflection_matrix,
 )
 
@@ -163,10 +160,12 @@ def prepare_input_superposition(
 ) -> StateVector:
     """Uniform superposition over steps j, branch j carrying the prefix-j encoding.
 
-    Built the way the circuit does it: Hadamards on register C, then one
-    register-controlled family of reflections, block j's first column the
-    normalized prefix-j state.  The prefix states come from one cumulative
-    sum, the same additions in the same order as `entangled_prefix_encoding`.
+    The t Hadamards on register C are written in closed form, 1/sqrt(T) on
+    each step's basis state with A = B = 0, and recorded on ``counter`` as
+    the t blocks of dimension 2 they stand for.  Then one register-controlled
+    family of reflections, block j's first column the normalized prefix-j
+    state.  The prefix states come from one cumulative sum, the same
+    additions in the same order as `entangled_prefix_encoding`.
     """
     if num_steps < 2 or num_steps & (num_steps - 1):
         raise ConfigurationError("number of steps must be a power of two, at least 2")
@@ -179,9 +178,12 @@ def prepare_input_superposition(
     if tokens[0].state.num_qubits != layout.n:
         raise ConfigurationError("token qubit count does not match register A")
 
-    state = StateVector.zero(layout.num_qubits)
-    for q in layout.c_qubits:
-        state = apply_unitary(state, UnitaryBlock(HADAMARD, (q,)), counter)
+    amplitudes = np.zeros(2 ** layout.num_qubits, dtype=complex)
+    amplitudes[layout.step_indices()] = 1.0 / np.sqrt(num_steps)
+    if counter is not None:
+        for _ in layout.c_qubits:
+            counter.record(2)
+    state = StateVector(layout.num_qubits, amplitudes)
     prefixes, _ = _normalized_prefixes(_doubled_prefix_sums(tokens, num_steps))
     family = reflection_family(prefixes, layout.a_qubits + layout.b_qubits)
     return apply_controlled_by_register(state, layout.c_qubits, family, counter)

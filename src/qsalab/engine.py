@@ -36,7 +36,6 @@ from .statevector import (
     RegisterLayout,
     StateVector,
     UnitaryBlock,
-    all_zeros_expectation,
     apply_controlled_by_register,
     apply_unitary,
     inner_product,
@@ -111,8 +110,9 @@ class QsaInstance:
         return QsaInstance(tokens, targets, layout, params_v, params_w, params_r)
 
 
-def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> StateVector:
-    """Run the full circuit by dense simulation and return the final state."""
+def _data_stage(instance: QsaInstance, counter: OpCounter | None) -> StateVector:
+    """The circuit up to register C's phase layer: the input superposition,
+    V on A and W on B, and the two controlled inverse encodings."""
     lay = instance.layout
     num_steps = lay.num_steps
     psi = prepare_input_superposition(instance.tokens, num_steps, lay, counter)
@@ -127,7 +127,14 @@ def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> St
         columns = np.stack([tok.state.amplitudes for tok in encoded])
         inverse = reflection_family(columns, register).dagger()
         psi = apply_controlled_by_register(psi, lay.c_qubits, inverse, counter)
+    return psi
 
+
+def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> StateVector:
+    """Run the full circuit by dense simulation and return the final state:
+    the data stage, then the phase layer and Hadamards on C as gates."""
+    lay = instance.layout
+    psi = _data_stage(instance, counter)
     phase_block = build_phase_layer(instance.params_r).retarget(lay.c_qubits)
     psi = apply_unitary(psi, phase_block, counter)
     for q in lay.c_qubits:
@@ -136,8 +143,22 @@ def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> St
 
 
 def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None) -> float:
-    """All-zeros projector expectation of the fully simulated circuit."""
-    return all_zeros_expectation(circuit_state(instance, counter))
+    """All-zeros projector expectation of the fully simulated circuit.
+
+    The data stage is simulated gate by gate; register C's closing phase
+    layer and Hadamards are read in closed form.  <0|H^t = T^{-1/2} sum_c <c|,
+    so only the slice with A = B = 0 counts: the expectation is
+    |sum_c e^{i phi_c} psi_c|^2 / T.  ``counter`` records the phase layer
+    and the t Hadamards as the blocks they stand for.
+    """
+    lay = instance.layout
+    psi = _data_stage(instance, counter)
+    if counter is not None:
+        counter.record(lay.num_steps)
+        for _ in lay.c_qubits:
+            counter.record(2)
+    amp = phase_layer_diagonal(instance.params_r) @ psi.amplitudes[lay.step_indices()]
+    return float(abs(amp) ** 2 / lay.num_steps)
 
 
 def _branch_overlaps_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):

@@ -143,6 +143,12 @@ class RegisterLayout:
     def num_qubits(self) -> int:
         return 2 * self.n + self.t
 
+    def step_indices(self) -> np.ndarray:
+        """Basis index of each step value j = 0..T-1 with registers A and B
+        at zero: ``sum_k bit_k(j) << c_qubits[k]``, for any layout."""
+        steps = np.arange(self.num_steps)
+        return sum(((steps >> k) & 1) << q for k, q in enumerate(self.c_qubits))
+
 
 class _OnTargets:
     """What every block kind shares: distinct non-negative targets, and the

@@ -838,7 +838,8 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams
             raise CheckpointFormatError(f"checkpoint model_kind {doc['model_kind']!r} disagrees with its params")
         params = params_from_payload(doc["params"])
         meta = {key: doc[key] for key in ("model_kind", "data_kind", "config_hash", "seed")}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigurationError) as exc:
+        # a ConfigurationError here is a params array of the wrong shape
         raise CheckpointFormatError(f"checkpoint field missing or malformed: {exc!r}") from exc
     return params, meta
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qsalab.ansatz import (
     AnsatzParams,
     PhaseLayerParams,
+    _rotation_layers,
     build_ansatz_unitary,
     build_phase_layer,
     parameter_shift_gradient,
@@ -89,6 +93,35 @@ class TestBuildAnsatzUnitary:
 
         expected = rot(1) @ cnot @ rot(0)
         assert np.max(np.abs(build_ansatz_unitary(params).matrix - expected)) < 1e-12
+
+
+def rotation_layer_one_qubit_at_a_time(layer_angles, real_valued):
+    """One rotation layer as it was built before the batched pass: one
+    Ry Rz factor per qubit and one Kronecker step per qubit."""
+    full = np.eye(1, dtype=complex)
+    for q in range(layer_angles.shape[0] - 1, -1, -1):
+        mat = rotation_y(layer_angles[q, 0])
+        if not real_valued:
+            mat = mat @ rotation_z(layer_angles[q, 1])
+        # np.kron(full, mat) without its generic-shape overhead
+        full = (full[:, None, :, None] * mat[None, :, None, :]).reshape(2 * full.shape[0], -1)
+    return full
+
+
+@st.composite
+def layer_angles(draw):
+    num_qubits, num_layers = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    angle = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(float, (num_layers + 1, num_qubits, 2), elements=angle))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=layer_angles(), real_valued=st.booleans())
+def test_batched_rotation_layers_are_bit_identical(angles, real_valued):
+    got = _rotation_layers(angles, real_valued)
+    expected = np.stack([rotation_layer_one_qubit_at_a_time(layer, real_valued) for layer in angles])
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
 
 
 class TestPhaseLayer:

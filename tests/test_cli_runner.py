@@ -5,6 +5,7 @@ mismatch and of a numeric failure."""
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from qsalab.cli import main
 
 
 def sha256(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")

@@ -122,13 +122,28 @@ def flat_value_map(block):
     block["w_value"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
 
 
+def flat_lcsa_value_map(block):
+    block["value_map"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
+
+
+def misshapen_angles(block):
+    block["v"]["angles"] = {"shape": [2, 3, 2], "complex": False, "data": [0.1] * 12}
+
+
+def fewer_layers_than_angles(block):
+    block["v"]["num_layers"] = 2
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, exit_code",
     [
         ("lcsa", short_value_map, 4),
         ("lcsa", real_value_map_marked_complex, 4),
         ("qsa", text_angle, 4),
-        ("scsa", flat_value_map, 2),
+        ("scsa", flat_value_map, 4),
+        ("lcsa", flat_lcsa_value_map, 4),
+        ("qsa", misshapen_angles, 4),
+        ("qsa", fewer_layers_than_angles, 4),
     ],
 )
 def test_malformed_checkpoint_array_exits_typed(tmp_path, dataset_path, checkpoints, kind, corrupt, exit_code):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from qsalab.engine import (
     analytic_expectation,
     branch_overlaps,
     circuit_expectation,
+    circuit_state,
     predict_token_state,
     qsa_loss,
     score_candidates,
@@ -17,7 +20,7 @@ from qsalab.engine import (
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 from qsalab import statevector
-from qsalab.statevector import OpCounter
+from qsalab.statevector import OpCounter, RegisterLayout, all_zeros_expectation
 
 
 def random_instance(rng, d=None, num_steps=None, layers=3, complex_tokens=True):
@@ -410,6 +413,42 @@ def test_op_counter_matches_recorded_counts(shape, counts):
     counter = OpCounter()
     circuit_expectation(hypothesis_instance(*shape, 2, 7, 1.0), counter)
     assert (counter.blocks, counter.weighted_dim) == counts
+
+
+def placed_layout(n, t, placement, rng):
+    """Registers A, B, C on the standard qubits, with C on the lowest qubits,
+    or on a random permutation of the qubits."""
+    qubits = list(range(2 * n + t))
+    if placement == "c-low":
+        qubits = qubits[t:] + qubits[:t]
+    elif placement == "shuffled":
+        qubits = [int(q) for q in rng.permutation(qubits)]
+    return RegisterLayout(tuple(qubits[:n]), tuple(qubits[n:2 * n]), tuple(qubits[2 * n:]))
+
+
+# (n, t) with 6 to 12 qubits in all.
+tail_shapes = st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=tail_shapes,
+    layers=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    placement=st.sampled_from(["standard", "c-low", "shuffled"]),
+)
+@example(shape=(4, 4), layers=2, seed=7, placement="c-low")
+def test_closed_form_tail_matches_literal_gates(shape, layers, seed, placement):
+    """`circuit_expectation` reads register C's phase layer and Hadamards in
+    closed form; `circuit_state` applies them as gates.  Both give the same
+    expectation and record the same blocks, on any register layout."""
+    instance = hypothesis_instance(*shape, layers, seed, 1.0)
+    instance = replace(instance, layout=placed_layout(*shape, placement, np.random.default_rng(seed)))
+    closed, literal = OpCounter(), OpCounter()
+    value = circuit_expectation(instance, closed)
+    assert abs(value - all_zeros_expectation(circuit_state(instance, literal))) <= 1e-12
+    assert closed == literal
+    assert abs(value - analytic_expectation(instance)) <= 1e-10
 
 
 def test_cancelling_prefix_raises_typed_error():

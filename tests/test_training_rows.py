@@ -101,13 +101,13 @@ def test_train_config_rejects_circuit_settings_for_baselines(kind, setting):
 @pytest.mark.parametrize("data_kind", ["classical", "quantum"])
 def test_default_qsa_row_builds_each_ansatz_once(monkeypatch, data_kind):
     """One row's forward and backward build V's and W's rotation layers
-    once each: (num_layers + 1) per ansatz."""
+    once each: one batched pass of all num_layers + 1 layers per ansatz."""
     dataset = classical_set() if data_kind == "classical" else quantum_set()
     config = TrainConfig(model_kind="qsa", seed=7)
     adapter = _Adapter(initialize_params(config, dataset), dataset, config)
     circuit_vec, embed_vec = adapter.circuit_vector(adapter.template), adapter.embed_vector(adapter.template)
     calls = []
-    original = ansatz._rotation_layer
-    monkeypatch.setattr(ansatz, "_rotation_layer", lambda *args: calls.append(1) or original(*args))
+    original = ansatz._rotation_layers
+    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: calls.append(args[0].shape[0]) or original(*args))
     adapter.gradients(circuit_vec, embed_vec)
-    assert len(calls) == 2 * (config.num_layers + 1) == 12
+    assert calls == [config.num_layers + 1] * 2
