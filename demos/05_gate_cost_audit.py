@@ -47,8 +47,10 @@ print("\nLong sequences favor amplitude encoding (linear in T); very large")
 print("token dimensions favor basis encoding, which never touches d.")
 
 # Each kind's analytic forward on embedded tokens (d=4, 8 sequences, D=10),
-# timed without the T-independent ansatz build.  scsa's forward holds one
-# (S, T, T) float64 softmax block, about 67 MB at T=1024.
+# timed without the T-independent ansatz build.  Above T = d^2 scsa's
+# forward runs in causal query tiles of 32 rows: it holds one (S, 32, T)
+# float64 tile at a time, about 2 MB at T=1024, never the whole (S, T, T)
+# softmax block (67 MB).
 num_seqs, d, vocab = 8, 4, 10
 rng = np.random.default_rng(5)
 v_matrix, w_matrix = (np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0] for _ in range(2))

@@ -159,23 +159,13 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     ``backward(g_probs)`` gives g_prefix and the gradients of the ScsaParams
     fields in declaration order.
     """
-    num_steps = prefix.shape[1]
-    # T > d^2 contracts the (S, T, T) blocks with batched matmuls;
-    # shorter inputs keep the einsums and their bytes (README, "Contraction orders").
-    batched = running_sum_order(num_steps, prefix.shape[2])
-    scale = np.sqrt(params.key_dim)
+    # T > d^2 runs the softmax in causal query tiles; shorter inputs keep the
+    # whole-block einsums and their bytes (README, "Contraction orders").
+    attention = _tiled_softmax_attention if running_sum_order(*prefix.shape[1:]) else _softmax_attention
     queries = prefix @ params.w_query.T
     keys = prefix @ params.w_key.T
     values = prefix @ params.w_value.T
-    if batched:
-        scores = (queries.conj() @ keys.swapaxes(-1, -2)).real
-        scores /= scale
-    else:
-        scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
-    # the masked softmax runs in place: scores and weights share one buffer, as do their cotangents
-    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
-    weights = _stable_softmax(scores, axis=-1, out=scores)
-    attended = weights @ values if batched else np.einsum("sji,sid->sjd", weights, values)
+    attended, attention_backward = attention(queries, keys, values, np.sqrt(params.key_dim))
     residual = attended + prefix
     pre_activation = residual @ params.ffn_in.T
     hidden = _split_relu(pre_activation)
@@ -193,16 +183,7 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
         g_hidden = g_transformed @ params.ffn_out.conj()
         g_pre = _split_relu_backward(pre_activation, g_hidden)
         g_residual = g_pre @ params.ffn_in.conj()
-        if batched:
-            g_weights = (g_residual.conj() @ values.swapaxes(-1, -2)).real
-            g_values = weights.swapaxes(-1, -2) @ g_residual
-        else:
-            g_weights = np.einsum("sjd,sid->sji", g_residual.conj(), values).real
-            g_values = np.einsum("sji,sjd->sid", weights, g_residual)
-        g_scores = _softmax_backward(weights, g_weights, out=g_weights)
-        g_scores /= scale
-        g_queries = g_scores @ keys
-        g_keys = g_scores.swapaxes(-1, -2) @ queries
+        g_queries, g_keys, g_values = attention_backward(g_residual)
         g_prefix = (
             g_residual
             + g_queries @ params.w_query.conj()
@@ -219,6 +200,91 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
         )
 
     return distributions, probs, backward
+
+
+def _softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, scale: float):
+    """Causal softmax attention of (S, T, .) queries, keys and values through
+    the whole (S, T, T) block, contracted by einsums.  Returns (attended,
+    backward); ``backward(g_attended)`` gives (g_queries, g_keys, g_values).
+    The masked softmax runs in place: scores and weights share one buffer,
+    as do their cotangents.  The weights are kept for the backward pass."""
+    num_steps = queries.shape[1]
+    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
+    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
+    weights = _stable_softmax(scores, axis=-1, out=scores)
+    attended = np.einsum("sji,sid->sjd", weights, values)
+
+    def backward(g_attended):
+        g_weights = np.einsum("sjd,sid->sji", g_attended.conj(), values).real
+        g_values = np.einsum("sji,sjd->sid", weights, g_attended)
+        g_scores = _softmax_backward(weights, g_weights, out=g_weights)
+        g_scores /= scale
+        return g_scores @ keys, g_scores.swapaxes(-1, -2) @ queries, g_values
+
+    return attended, backward
+
+
+# Rows of one causal query tile; fitted from forward and backward timings
+# over B = 8..256 at T = 256..2048 (README, "Contraction orders").
+TILE_ROWS = 32
+
+
+def _tiled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, scale: float):
+    """Causal softmax attention in query tiles of ``TILE_ROWS`` rows, with
+    batched matmuls.  Tile [a, b) reads only keys and values [0, b), so the
+    masked blocks above the diagonal are never built, and each row's whole
+    prefix lies in its tile, so its softmax is exact.  The forward keeps the
+    (S, T) row max and row sum; the backward recomputes each tile's weights
+    from them with the forward's operations, hence with its bits.  No
+    (S, T, T) array is built in either direction: a tile is at most
+    (S, TILE_ROWS, T).  Returns (attended, backward) as
+    ``_softmax_attention`` does; a single tile (T <= TILE_ROWS) runs the
+    whole-block matmuls exactly."""
+    num_seqs, num_steps = queries.shape[:2]
+    tiles = [(a, min(a + TILE_ROWS, num_steps)) for a in range(0, num_steps, TILE_ROWS)]
+    row_max = np.empty((num_seqs, num_steps))
+    row_sum = np.empty((num_seqs, num_steps))
+    # a tile masks only its own diagonal sub-block
+    upper = np.triu(np.ones((TILE_ROWS, TILE_ROWS), dtype=bool), k=1)
+
+    def tile_weights(a, b, forward):
+        weights = (queries[:, a:b].conj() @ keys[:, :b].swapaxes(-1, -2)).real
+        weights /= scale
+        np.copyto(weights[..., a:], -np.inf, where=upper[: b - a, : b - a])
+        if forward:
+            row_max[:, a:b] = np.max(weights, axis=-1)
+        weights -= row_max[:, a:b, None]
+        np.exp(weights, out=weights)
+        if forward:
+            row_sum[:, a:b] = np.sum(weights, axis=-1)
+        weights /= row_sum[:, a:b, None]
+        return weights
+
+    attended = np.concatenate([tile_weights(a, b, True) @ values[:, :b] for a, b in tiles], axis=1)
+
+    def tile_backward(a, b, g_rows):
+        # a function, so that the tile's blocks are freed before the next tile's
+        weights = tile_weights(a, b, False)
+        g_weights = (g_rows.conj() @ values[:, :b].swapaxes(-1, -2)).real
+        g_tile_values = weights.swapaxes(-1, -2) @ g_rows
+        g_scores = _softmax_backward(weights, g_weights, out=g_weights)
+        g_scores /= scale
+        return g_scores @ keys[:, :b], g_scores.swapaxes(-1, -2) @ queries[:, a:b], g_tile_values
+
+    def backward(g_attended):
+        g_queries = []
+        # last tile first: it reads every key, so its key and value cotangents start the sums
+        for a, b in reversed(tiles):
+            g_tile_queries, g_tile_keys, g_tile_values = tile_backward(a, b, g_attended[:, a:b])
+            g_queries.append(g_tile_queries)
+            if b == num_steps:
+                g_keys, g_values = g_tile_keys, g_tile_values
+            else:
+                g_keys[:, :b] += g_tile_keys
+                g_values[:, :b] += g_tile_values
+        return np.concatenate(g_queries[::-1], axis=1), g_keys, g_values
+
+    return attended, backward
 
 
 def scsa_forward(words, emap: EmbeddingMap, params: ScsaParams) -> np.ndarray:
@@ -314,9 +380,10 @@ def running_sum_order(num_steps: int, embed_dim: int) -> bool:
     T d^2 entries below the pairwise block's T^2, and every T <= d input,
     all T=4 training included, on the pairwise order and its bytes.
 
-    Its second reader is ``scsa_vjp``, whose softmax block is T x T in
-    either order: above the rule it contracts that block with batched
-    matmuls, and below it keeps the einsums and their bytes.
+    Its second reader is ``scsa_vjp``, whose softmax attention is O(T^2 d)
+    in either order: above the rule it runs in causal query tiles of
+    ``TILE_ROWS`` rows with batched matmuls, and below it keeps the
+    whole-block einsums and their bytes.
     """
     return num_steps > embed_dim * embed_dim
 

@@ -518,6 +518,12 @@ def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
     )
     if problem:
         raise CompatibilityError(problem)
+    num_shifts = params.embedding.shifts.shape[0]
+    if num_shifts < dataset.num_steps + 1:
+        raise CompatibilityError(
+            f"embedding has {num_shifts} positional shifts, fewer than the dataset's "
+            f"{dataset.num_steps + 1} tokens per sequence"
+        )
     return model
 
 

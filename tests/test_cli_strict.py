@@ -215,6 +215,27 @@ def test_disagreeing_model_kinds_exit_4(tmp_path, dataset_path, checkpoints):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def longer_dataset_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("longer") / "longer.jsonl"
+    assert main([
+        "generate", "--kind", "classical", "--vocab", "8", "--len", "9",
+        "--count", "4", "--seed", "6", "--out", str(path),
+    ]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict", "--top-k", "2"]])
+@pytest.mark.parametrize("kind", ["lcsa", "scsa"])
+def test_dataset_longer_than_training_exits_4(tmp_path, longer_dataset_path, checkpoints, capsys, kind, command):
+    # trained on T=4, so the embedding has 5 positional shifts for T=8 data's 9 tokens
+    out = tmp_path / "out.json"
+    assert main([*command, "--checkpoint", str(checkpoints / kind / "checkpoint.json"),
+                 "--data", str(longer_dataset_path), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert f"from {longer_dataset_path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("word", [1.5, True, "3"])
 def test_non_integer_word_exits_2(tmp_path, dataset_path, checkpoints, word):
     header, first, *rest = dataset_path.read_text().splitlines()

@@ -1,11 +1,13 @@
-"""S-CSA's two contraction orders as each other's oracle: the einsums that
-T <= d^2 keeps for its bytes, and the batched matmuls above it."""
+"""S-CSA's two contraction orders as each other's oracle: the whole-block
+einsums that T <= d^2 keeps for its bytes, and the causal query tiles above
+it, checked also against the whole-block batched matmuls they replaced."""
 
 import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsalab import classical
@@ -74,6 +76,63 @@ def test_orders_agree_forward_and_backward(num_seqs, num_steps, d, key_dim, voca
         assert np.array_equal(actual, expected)
 
 
+def whole_block_attention(queries, keys, values, scale):
+    """The batched-matmul order over the whole (S, T, T) block, which the
+    query tiles replaced; one tile must run exactly these operations."""
+    num_steps = queries.shape[1]
+    scores = (queries.conj() @ keys.swapaxes(-1, -2)).real
+    scores /= scale
+    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
+    weights = classical._stable_softmax(scores, axis=-1, out=scores)
+    attended = weights @ values
+
+    def backward(g_attended):
+        g_weights = (g_attended.conj() @ values.swapaxes(-1, -2)).real
+        g_values = weights.swapaxes(-1, -2) @ g_attended
+        g_scores = classical._softmax_backward(weights, g_weights, out=g_weights)
+        g_scores /= scale
+        return g_scores @ keys, g_scores.swapaxes(-1, -2) @ queries, g_values
+
+    return attended, backward
+
+
+def tile_boundary_examples(test):
+    rows = classical.TILE_ROWS
+    for num_steps in (rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1):
+        for complex_valued in (False, True):
+            test = example(num_seqs=2, num_steps=num_steps, d=2, complex_valued=complex_valued,
+                           seed=num_steps)(test)
+    return test
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_seqs=st.integers(1, 3),
+    num_steps=st.integers(1, 2 * classical.TILE_ROWS + 1),
+    d=st.sampled_from([2, 4]),
+    complex_valued=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@tile_boundary_examples
+def test_query_tiles_against_whole_block(num_seqs, num_steps, d, complex_valued, seed):
+    rng = np.random.default_rng(seed)
+    vocab = 5
+    prefix = draw(rng, (num_seqs, num_steps, d), complex_valued)
+    inputs = np.eye(vocab)[rng.integers(0, vocab, size=(num_seqs, num_steps + 1))]
+    params = ScsaParams.random(d, vocab, seed, key_dim=3, complex_valued=complex_valued)
+    g_probs = rng.normal(size=(num_seqs, num_steps))
+
+    tiles = run_order(True, prefix, inputs, params, g_probs)
+    with mock.patch.object(classical, "_tiled_softmax_attention", whole_block_attention):
+        whole = run_order(True, prefix, inputs, params, g_probs)
+    for actual, expected in zip(tiles, whole, strict=True):
+        assert actual.shape == expected.shape and actual.dtype == expected.dtype
+        if num_steps <= classical.TILE_ROWS:
+            assert np.array_equal(actual, expected)
+        else:
+            assert_close(actual, expected)
+
+
 def test_long_sequence_memory_peaks():
     num_seqs, num_steps, d, vocab = 4, 1024, 4, 8
     block_bytes = num_seqs * num_steps * num_steps * np.dtype(np.float64).itemsize  # 33.5 MB
@@ -93,9 +152,37 @@ def test_long_sequence_memory_peaks():
     finally:
         tracemalloc.stop()
     # 4.05 and 3.14 blocks are the peaks of the kernel before the in-place
-    # softmax, which ran the einsums at every T.  This kernel measures 1.11
-    # forward and 3.12 backward, so the backward bound, the old kernel's
-    # exact figure, has only about 0.02 blocks (0.7 MB) of margin: a NumPy
-    # version with one more temporary can fail it without a regression here.
+    # softmax, which ran the einsums at every T.  The query tiles measure
+    # 0.08 forward and 0.22 backward, far inside both bounds;
+    # test_query_tile_memory_is_linear_in_steps holds them to 0.5.
     assert forward_peak <= 1.5 * block_bytes
     assert backward_peak <= 3.14 * block_bytes
+
+
+@pytest.mark.parametrize("complex_tokens", [False, True])
+@pytest.mark.parametrize("num_seqs, num_steps", [(4, 1024), (1, 2048)])
+def test_query_tile_memory_is_linear_in_steps(num_seqs, num_steps, complex_tokens):
+    d, vocab = 4, 8
+    block_bytes = num_seqs * num_steps * num_steps * np.dtype(np.float64).itemsize  # 33.5 MB
+    rng = np.random.default_rng(5)
+    prefix = draw(rng, (num_seqs, num_steps, d), complex_tokens)
+    if complex_tokens:
+        inputs = draw(rng, (num_seqs, num_steps + 1, vocab), True)
+        inputs /= np.linalg.norm(inputs, axis=-1, keepdims=True)
+    else:
+        inputs = np.eye(vocab)[rng.integers(0, vocab, size=(num_seqs, num_steps + 1))]
+    params = ScsaParams.random(d, vocab, seed=5, complex_valued=complex_tokens)
+    g_probs = np.ones((num_seqs, num_steps))
+    tracemalloc.start()
+    try:
+        _, _, backward = scsa_vjp(prefix, inputs, params)
+        _, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        backward(g_probs)
+        _, backward_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # no (S, T, T) array in either direction: a tile is (S, TILE_ROWS, T), and
+    # the peaks measure 0.04-0.16 blocks forward and 0.11-0.43 backward
+    assert forward_peak < 0.5 * block_bytes
+    assert backward_peak < 0.5 * block_bytes
