@@ -212,11 +212,17 @@ def ansatz_vjp(params: AnsatzParams):
 
 
 def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:
-    """Diagonal of the Rz product over the step register, indexed by basis value."""
+    """Diagonal of the Rz product over the step register, indexed by basis value.
+
+    One qubit at a time, from qubit t-1 down: a 1-D ``np.kron`` by
+    broadcasting, without its generic-shape overhead; the same products in
+    the same order, so the same bits.
+    """
     diag = np.ones(1, dtype=complex)
     for q in range(params.num_qubits - 1, -1, -1):
         alpha = params.angles[q]
-        diag = np.kron(diag, np.array([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)]))
+        factors = np.array([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)])
+        diag = (diag[:, None] * factors[None, :]).ravel()
     return diag
 
 

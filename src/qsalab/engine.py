@@ -24,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, build_phase_layer, phase_layer_diagonal
+from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, build_ansatz_unitary, phase_layer_diagonal
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
-from .encodings import EncodedToken, amplitude_encode, prepare_input_superposition, reflection_family
+from .encodings import EncodedToken, amplitude_encode, prepared_states, reflection_rows
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
@@ -36,12 +36,19 @@ from .statevector import (
     RegisterLayout,
     StateVector,
     UnitaryBlock,
-    apply_controlled_by_register,
-    apply_unitary,
+    _apply_block,
+    _reflection_select,
     inner_product,
 )
 
 EXPECTATION_FLOOR = 1e-30
+# The dense route cuts its sequence axis into chunks whose working arrays
+# stay within DENSE_CHUNK_BYTES, at least one sequence each.  A stage holds
+# at most _STATE_COPIES state-sized arrays at once (16 bytes an amplitude):
+# the batch, its transposed copy and the kernel's output or the copy moved
+# back; in the preparation, the prefix rows and their Householder vectors.
+DENSE_CHUNK_BYTES = 1 << 22
+_STATE_COPIES = 4
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,12 @@ class QsaInstance:
     def num_steps(self) -> int:
         return self.layout.num_steps
 
+    def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, d) encoded tokens x_1..x_T and targets for steps 2..T+1."""
+        tok = np.stack([t.state.amplitudes for t in self.tokens[:self.num_steps]])
+        tgt = np.stack([t.state.amplitudes for t in self.shifted_targets])
+        return tok, tgt
+
     @staticmethod
     def from_vectors(
         token_vectors,
@@ -110,55 +123,111 @@ class QsaInstance:
         return QsaInstance(tokens, targets, layout, params_v, params_w, params_r)
 
 
-def _data_stage(instance: QsaInstance, counter: OpCounter | None) -> StateVector:
-    """The circuit up to register C's phase layer: the input superposition,
-    V on A and W on B, and the two controlled inverse encodings."""
-    lay = instance.layout
-    num_steps = lay.num_steps
-    psi = prepare_input_superposition(instance.tokens, num_steps, lay, counter)
-    v_block = build_ansatz_unitary(instance.params_v).retarget(lay.a_qubits)
-    w_block = build_ansatz_unitary(instance.params_w).retarget(lay.b_qubits)
-    psi = apply_unitary(psi, v_block, counter)
-    psi = apply_unitary(psi, w_block, counter)
-
+def _data_stage(
+    token_states: np.ndarray,
+    target_states: np.ndarray,
+    v_block: UnitaryBlock,
+    w_block: UnitaryBlock,
+    layout: RegisterLayout,
+    counter: OpCounter | None,
+) -> np.ndarray:
+    """The circuit of each of S sequences up to register C's phase layer, as
+    one (S, 2**q) batch: the input superpositions, V on A and W on B, and the
+    two controlled inverse encodings."""
+    psi = prepared_states(token_states, layout, counter)
+    psi = _apply_block(psi, v_block, counter)
+    psi = _apply_block(psi, w_block, counter)
     # Controlled inverse encodings: branch j projects register A onto the
-    # step-(j+1) target and register B onto the step-j token.
-    for register, encoded in ((lay.a_qubits, instance.shifted_targets), (lay.b_qubits, instance.tokens[:num_steps])):
-        columns = np.stack([tok.state.amplitudes for tok in encoded])
-        inverse = reflection_family(columns, register).dagger()
-        psi = apply_controlled_by_register(psi, lay.c_qubits, inverse, counter)
-    return psi
+    # step-(j+1) target and register B onto the step-j token.  Both
+    # families come from one Householder step and one check; each inverse
+    # conjugates the phases.
+    vectors, phases = reflection_rows(np.stack((target_states, token_states)))
+    psi = _reflection_select(psi, layout.c_qubits, layout.a_qubits, vectors[0], phases[0].conj(), counter)
+    return _reflection_select(psi, layout.c_qubits, layout.b_qubits, vectors[1], phases[1].conj(), counter)
+
+
+def _data_blocks(token_states, target_states, v_matrix, w_matrix, layout: RegisterLayout):
+    """Check the batch's shapes against ``layout`` and build V on register A
+    and W on register B, one unitarity check each."""
+    shape = (layout.num_steps, layout.token_dim)
+    if token_states.ndim != 3 or token_states.shape[1:] != shape or target_states.shape != token_states.shape:
+        raise ConfigurationError(
+            f"token rows {token_states.shape} and target rows {target_states.shape} "
+            f"do not match (S, {shape[0]}, {shape[1]}) for this layout"
+        )
+    return UnitaryBlock(v_matrix, layout.a_qubits), UnitaryBlock(w_matrix, layout.b_qubits)
+
+
+def dense_expectations(
+    token_states: np.ndarray,
+    target_states: np.ndarray,
+    v_matrix: np.ndarray,
+    w_matrix: np.ndarray,
+    phase_diagonal: np.ndarray,
+    layout: RegisterLayout,
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """All-zeros expectations of S sequences' full circuits by dense simulation:
+    the circuit route's counterpart of `batched_expectations`, on the same
+    (S, T, d) unit token and target rows, V and W matrices and phase diagonal.
+
+    V and W are checked once per call, and each select's reflections once
+    per chunk.  The S circuits run as one (S, 2**q) batch, in chunks of
+    sequences sized by ``DENSE_CHUNK_BYTES``.  The data stage is simulated
+    gate by gate; register C's closing phase layer and Hadamards are read
+    in closed form.  <0|H^t = T^{-1/2} sum_c <c|, so only the slice with
+    A = B = 0 counts: the expectation is |sum_c e^{i phi_c} psi_c|^2 / T,
+    one dot product and one scalar ``abs`` per sequence, the bits of one
+    sequence at a time.  ``counter`` records each sequence's
+    phase layer and t Hadamards as the blocks they stand for.
+    """
+    v_block, w_block = _data_blocks(token_states, target_states, v_matrix, w_matrix, layout)
+    num_seqs, num_steps = token_states.shape[:2]
+    if phase_diagonal.shape != (num_steps,):
+        raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {num_steps} steps")
+    chunk = max(1, DENSE_CHUNK_BYTES // (_STATE_COPIES * 16 * 2 ** layout.num_qubits))
+    steps = layout.step_indices()
+    values = np.empty(num_seqs)
+    for start in range(0, num_seqs, chunk):
+        rows = slice(start, start + chunk)
+        # One sequence at a time, as a fresh 1-D slice and a scalar abs: a
+        # view into the batch or np.abs over it can change the last bit.
+        # The chunk's states are freed before the next chunk starts.
+        values[rows] = [
+            abs(phase_diagonal @ state[steps]) ** 2 / num_steps
+            for state in _data_stage(token_states[rows], target_states[rows], v_block, w_block, layout, counter)
+        ]
+    if counter is not None:
+        counter.record(num_steps, num_seqs)
+        counter.record(2, layout.t * num_seqs)
+    return values
+
+
+def _instance_arrays(instance: QsaInstance) -> tuple:
+    """One instance as a batch of one: its (1, T, d) token and target rows and
+    the V and W matrices."""
+    tok, tgt = instance.unit_rows()
+    return tok[None], tgt[None], ansatz_vjp(instance.params_v)[0], ansatz_vjp(instance.params_w)[0]
 
 
 def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> StateVector:
     """Run the full circuit by dense simulation and return the final state:
-    the data stage, then the phase layer and Hadamards on C as gates."""
+    the data stage of `dense_expectations`, then the phase layer and
+    Hadamards on C as gates."""
     lay = instance.layout
-    psi = _data_stage(instance, counter)
-    phase_block = build_phase_layer(instance.params_r).retarget(lay.c_qubits)
-    psi = apply_unitary(psi, phase_block, counter)
+    tok, tgt, v_matrix, w_matrix = _instance_arrays(instance)
+    psi = _data_stage(tok, tgt, *_data_blocks(tok, tgt, v_matrix, w_matrix, lay), lay, counter)
+    psi = _apply_block(psi, UnitaryBlock(np.diag(phase_layer_diagonal(instance.params_r)), lay.c_qubits), counter)
     for q in lay.c_qubits:
-        psi = apply_unitary(psi, UnitaryBlock(HADAMARD, (q,)), counter)
-    return psi
+        psi = _apply_block(psi, UnitaryBlock(HADAMARD, (q,)), counter)
+    return StateVector(lay.num_qubits, psi[0])
 
 
 def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None) -> float:
-    """All-zeros projector expectation of the fully simulated circuit.
-
-    The data stage is simulated gate by gate; register C's closing phase
-    layer and Hadamards are read in closed form.  <0|H^t = T^{-1/2} sum_c <c|,
-    so only the slice with A = B = 0 counts: the expectation is
-    |sum_c e^{i phi_c} psi_c|^2 / T.  ``counter`` records the phase layer
-    and the t Hadamards as the blocks they stand for.
-    """
-    lay = instance.layout
-    psi = _data_stage(instance, counter)
-    if counter is not None:
-        counter.record(lay.num_steps)
-        for _ in lay.c_qubits:
-            counter.record(2)
-    amp = phase_layer_diagonal(instance.params_r) @ psi.amplitudes[lay.step_indices()]
-    return float(abs(amp) ** 2 / lay.num_steps)
+    """All-zeros projector expectation of the fully simulated circuit:
+    `dense_expectations` of this one sequence."""
+    arrays = _instance_arrays(instance)
+    return float(dense_expectations(*arrays, phase_layer_diagonal(instance.params_r), instance.layout, counter)[0])
 
 
 def _branch_overlaps_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
@@ -208,9 +277,7 @@ def batched_expectations(
 
 def branch_overlaps(instance: QsaInstance) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch overlap amplitudes a_j and prefix weights M_j."""
-    num_steps = instance.num_steps
-    tok = np.stack([t.state.amplitudes for t in instance.tokens[:num_steps]])
-    tgt = np.stack([t.state.amplitudes for t in instance.shifted_targets])
+    tok, tgt = instance.unit_rows()
     vm = build_ansatz_unitary(instance.params_v).matrix
     wm = build_ansatz_unitary(instance.params_w).matrix
     return _branch_overlaps_vjp(tok, tgt, vm, wm)[:2]

@@ -10,9 +10,10 @@ whole package:
   Householder reflection kept as a vector) is indexed the same way over its
   own targets: ``targets[0]`` is the least-significant bit of its index.
   A block supplies only its algebra, a ``kernel`` on a (rows, dim, rest)
-  array.  One layout helper (`_apply`) moves the control axes, then the
-  target axes, to the front, reads the state as (control value, block
-  index, rest), calls the kernel and moves the axes back.
+  array.  One layout helper (`_apply`) takes a batch of states as one
+  (S, 2**m) array, moves the control axes, then the target axes, to the
+  front, reads the batch as (sequence and control value, block index,
+  rest), calls the kernel and moves the axes back.
 * A register-controlled select takes a mapping from control value to block.
   A :class:`ReflectionFamily` (one reflection per control value on one
   target tuple, kept as stacked arrays) is checked once and applied in one
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -279,10 +280,6 @@ class ReflectionFamily(_OnTargets, Mapping):
     def dagger(self) -> "ReflectionFamily":
         return ReflectionFamily(self.vectors, self.phases.conj(), self.targets)
 
-    def kernel(self, x: np.ndarray) -> np.ndarray:
-        """Block j applied to row j of a (2**t, dim, rest) array, as one batched rank-1 update."""
-        return _reflect(self.vectors, self.phases, x)
-
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
@@ -306,9 +303,8 @@ def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
     norm_defect = np.abs(np.vecdot(vectors, vectors).real - 2.0 * vectors[:, 0].real)
     first = vectors[:, 0].real
     ok = (phase_defect <= UNITARY_ATOL) & (norm_defect <= UNITARY_ATOL) & (first >= 1.0 - UNITARY_ATOL)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        j = int(bad[0])
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
         if not phase_defect[j] <= UNITARY_ATOL:
             raise ConfigurationError(f"reflection {j}: phase {phases[j]} is not unimodular")
         if not norm_defect[j] <= UNITARY_ATOL:
@@ -320,7 +316,9 @@ def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
 
 def _reflect(vectors: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``-phase_j (I - v_j v_j^dag / v_j1)`` applied to row j of the (rows, dim, rest)
-    array x, as a rank-1 update; a single (v, phase) row acts on every row of x."""
+    array x, as a rank-1 update; a single (v, phase) row acts on every row of x.
+    For a batch of selects the rows are (sequence, control value) pairs: the
+    (S, 2**t, dim) vectors of S families, flattened to (S * 2**t, dim)."""
     overlap = vectors.conj()[:, None, :] @ x
     out = vectors[:, :, None] * (overlap / vectors[:, :1, None].real)
     out -= x
@@ -345,9 +343,10 @@ class OpCounter:
     blocks: int = 0
     weighted_dim: int = 0
 
-    def record(self, dim: int):
-        self.blocks += 1
-        self.weighted_dim += int(dim)
+    def record(self, dim: int, count: int = 1):
+        """``count`` blocks of dimension ``dim``."""
+        self.blocks += int(count)
+        self.weighted_dim += int(count) * int(dim)
 
 
 def _target_axes(num_qubits: int, targets) -> list:
@@ -361,23 +360,68 @@ def _target_axes(num_qubits: int, targets) -> list:
 Block = UnitaryBlock | ReflectionBlock
 
 
-def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarray:
-    """``kernel`` applied to the ``[2] * m`` tensor ``psi`` read as (control value, block index, rest).
-
-    The control axes (most significant bit of j first), then the target axes
-    lead; the others keep their order.  ``kernel`` maps that array to a new
-    one of the same shape.  The one check that a block's targets lie in the
-    register and off the controls.
-    """
-    m = psi.ndim
+@lru_cache(maxsize=1024)
+def _axis_orders(num_qubits: int, controls: tuple, targets: tuple) -> tuple:
+    """The transpose of a (S, 2, ..., 2) batch that leads with the sequence
+    axis, the control axes (most significant bit of j first) and the target
+    axes, the others in their order, and its inverse.  Raises unless the
+    targets lie in the register and off the controls; pure tuples of ints,
+    so cached."""
     if set(targets) & set(controls):
         raise ConfigurationError("controlled blocks must act on qubits disjoint from controls")
-    if any(q >= m for q in targets):
-        raise ConfigurationError(f"block targets {targets} exceed register of {m} qubits")
-    lead = _target_axes(m, controls) + _target_axes(m, targets)
-    order = lead + [a for a in range(m) if a not in lead]
-    x = psi.transpose(order).reshape(2 ** len(controls), 2 ** len(targets), -1)
-    return kernel(x).reshape([2] * m).transpose(np.argsort(order))
+    if any(q >= num_qubits for q in targets):
+        raise ConfigurationError(f"block targets {targets} exceed register of {num_qubits} qubits")
+    lead = [1 + a for a in _target_axes(num_qubits, controls) + _target_axes(num_qubits, targets)]
+    order = [0] + lead + [a for a in range(1, num_qubits + 1) if a not in lead]
+    return tuple(order), tuple(int(a) for a in np.argsort(order))
+
+
+def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarray:
+    """``kernel`` applied to each state of the (S, 2**m) batch ``psi``, read as
+    (sequence and control value, block index, rest).
+
+    Row ``s * 2**c + j`` of the kernel's (S * 2**c, 2**k, rest) array is
+    sequence s with its control register at j; ``kernel`` maps that array to
+    a new one of the same shape.  Returns a new contiguous (S, 2**m) batch.
+    """
+    num_seqs, size = psi.shape
+    num_qubits = size.bit_length() - 1
+    order, inverse = _axis_orders(num_qubits, controls, targets)
+    tensor_shape = (num_seqs,) + (2,) * num_qubits
+    x = psi.reshape(tensor_shape).transpose(order).reshape(num_seqs << len(controls), 1 << len(targets), -1)
+    out = kernel(x)
+    del x  # one state-sized array fewer while the result is moved back
+    return out.reshape(tensor_shape).transpose(inverse).reshape(num_seqs, size)
+
+
+def _apply_block(psi: np.ndarray, block: Block, counter: OpCounter | None = None) -> np.ndarray:
+    """``block`` on its targets of every state of the (S, 2**m) batch ``psi``."""
+    out = _apply(psi, (), block.targets, block.kernel)
+    if counter is not None:
+        counter.record(block.dimension, psi.shape[0])
+    return out
+
+
+def _reflection_select(
+    psi: np.ndarray,
+    controls: tuple,
+    targets: tuple,
+    vectors: np.ndarray,
+    phases: np.ndarray,
+    counter: OpCounter | None = None,
+) -> np.ndarray:
+    """Each state's select ``sum_j R_j (x) |j><j|`` on the (S, 2**m) batch
+    ``psi``, R_j the reflection of row j of that sequence's family in the
+    (S, 2**t, dim) Householder ``vectors`` and (S, 2**t) ``phases`` (one
+    family's (2**t, dim) and (2**t,) when S = 1), already checked: one
+    batched rank-1 update, row ``s * 2**t + j`` of the batch's (sequence,
+    control value) axis getting R_j of sequence s.  The counter records one
+    block per control value and sequence."""
+    dim = vectors.shape[-1]
+    out = _apply(psi, controls, targets, partial(_reflect, vectors.reshape(-1, dim), phases.reshape(-1)))
+    if counter is not None:
+        counter.record(dim, phases.size)
+    return out
 
 
 def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
@@ -387,11 +431,7 @@ def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
 
 def apply_unitary(state: StateVector, block: Block, counter: OpCounter | None = None) -> StateVector:
     """Apply ``block`` to its target qubits, identity elsewhere: the select with no controls."""
-    m = state.num_qubits
-    out = _apply(state.amplitudes.reshape([2] * m), (), block.targets, block.kernel)
-    if counter is not None:
-        counter.record(block.dimension)
-    return StateVector(m, out)
+    return StateVector(state.num_qubits, _apply_block(state.amplitudes[None], block, counter)[0])
 
 
 def apply_controlled_by_register(
@@ -405,34 +445,38 @@ def apply_controlled_by_register(
     Realizes the select unitary sum_j U_j (x) |j><j| with controls read
     little-endian (``controls[0]`` is the least-significant bit of j).
     Every control value in ``0..2**t - 1`` must map to a block.  A
-    `ReflectionFamily` is applied in one kernel call; any other mapping one
-    call per control value.  The counter records one block per control
-    value either way.
+    `ReflectionFamily` holds the values 0..len - 1, so its length is the one
+    check, and it is applied in one kernel call; any other mapping is
+    checked value by value and applied one call per control value.  The
+    counter records one block per control value either way.
     """
     controls = tuple(int(q) for q in controls)
     m = state.num_qubits
     if len(set(controls)) != len(controls) or any(q < 0 or q >= m for q in controls):
         raise ConfigurationError("controls must be distinct in-range qubit indices")
     num_values = 2 ** len(controls)
-    missing = [j for j in range(num_values) if j not in blocks]
+    family = isinstance(blocks, ReflectionFamily)
+    if family:
+        missing, extra = list(range(len(blocks), num_values)), list(range(num_values, len(blocks)))
+    else:
+        missing = [j for j in range(num_values) if j not in blocks]
+        extra = [j for j in blocks if not 0 <= j < num_values]
     if missing:
         raise ConfigurationError(f"no block supplied for control value(s) {missing}")
-    extra = [j for j in blocks if not 0 <= j < num_values]
     if extra:
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
-    psi = state.amplitudes.reshape([2] * m)
-    if isinstance(blocks, ReflectionFamily):
-        psi = _apply(psi, controls, blocks.targets, blocks.kernel)
-        dims = [blocks.dimension] * num_values
-    else:
-        dims = [blocks[j].dimension for j in range(num_values)]
-        for j in range(num_values):
-            psi = _apply(psi, controls, blocks[j].targets, partial(_on_row, j, blocks[j].kernel))
+    psi = state.amplitudes[None]
+    if family:
+        psi = _reflection_select(psi, controls, blocks.targets, blocks.vectors, blocks.phases, counter)
+        return StateVector(m, psi[0])
+    dims = [blocks[j].dimension for j in range(num_values)]
+    for j in range(num_values):
+        psi = _apply(psi, controls, blocks[j].targets, partial(_on_row, j, blocks[j].kernel))
     if counter is not None:
         for dim in dims:
             counter.record(dim)
-    return StateVector(m, psi)
+    return StateVector(m, psi[0])
 
 
 def all_zeros_expectation(state: StateVector) -> float:

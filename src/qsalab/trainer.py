@@ -69,7 +69,7 @@ from .data import (
     make_embedding,
     unit_rows_backward,
 )
-from .engine import EXPECTATION_FLOOR, QsaInstance, batched_expectations, circuit_expectation
+from .engine import EXPECTATION_FLOOR, batched_expectations, dense_expectations
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -78,6 +78,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
+from .statevector import RegisterLayout
 
 CHECKPOINT_VERSION = 1
 
@@ -354,11 +355,18 @@ class _Qsa(_Model):
         return np.where(exps > EXPECTATION_FLOOR, -1.0 / np.maximum(exps, EXPECTATION_FLOOR), 0.0)
 
     def circuit_outputs(self, params, inputs):
-        """The expectations by dense simulation of each sequence's circuit."""
+        """The expectations by dense simulation of every sequence's circuit, in
+        one batched pass over the unit rows and V, W matrices of `forward`."""
         x, shift_free = embed_batch(inputs, params.embedding)
-        maps = (params.v_params, params.w_params, params.r_params)
-        return np.array([circuit_expectation(QsaInstance.from_vectors(xs, sf[1:], *maps))
-                         for xs, sf in zip(x, shift_free)])
+        layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
+        return dense_expectations(
+            _unit_rows(x[:, :-1]),
+            _unit_rows(shift_free[:, 1:]),
+            ansatz_vjp(params.v_params)[0],
+            ansatz_vjp(params.w_params)[0],
+            phase_layer_diagonal(params.r_params),
+            layout,
+        )
 
     def forward(self, params, inputs):
         x, shift_free = embed_batch(inputs, params.embedding)

@@ -124,6 +124,26 @@ def test_batched_rotation_layers_are_bit_identical(angles, real_valued):
     assert got.tobytes() == expected.tobytes()  # signed zeros too
 
 
+def phase_diagonal_by_kron(angles):
+    """The phase-layer diagonal as it was built before broadcasting: one
+    ``np.kron`` per qubit, from qubit t-1 down."""
+    diag = np.ones(1, dtype=complex)
+    for alpha in angles[::-1]:
+        diag = np.kron(diag, np.array([np.exp(-0.5j * alpha), np.exp(0.5j * alpha)]))
+    return diag
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=st.integers(1, 8).flatmap(
+    lambda t: hnp.arrays(float, t, elements=st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False))
+))
+def test_phase_layer_diagonal_is_bit_identical_to_kron(angles):
+    got = phase_layer_diagonal(PhaseLayerParams(angles))
+    expected = phase_diagonal_by_kron(angles)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
 class TestPhaseLayer:
     def test_zero_angles_identity(self):
         block = build_phase_layer(PhaseLayerParams.zeros(2))

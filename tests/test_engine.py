@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
 from qsalab.encodings import amplitude_encode, entangled_prefix_encoding
+from qsalab import engine
 from qsalab.engine import (
     QsaInstance,
     analytic_expectation,
+    batched_expectations,
     branch_overlaps,
     circuit_expectation,
     circuit_state,
+    dense_expectations,
     predict_token_state,
     qsa_loss,
     score_candidates,
@@ -496,6 +499,105 @@ def test_twelve_qubit_circuit_builds_no_block_per_control_value(monkeypatch):
     assert built == []
     assert counter.blocks == RECORDED_COUNTS[(4, 4)][0]
     assert abs(value - analytic_expectation(instance)) <= 1e-10
+
+
+def batch_instances(num_seqs, n, t, layout, seed, complex_rows):
+    """S instances sharing V, W, the phase layer and ``layout``, from random
+    raw rows, and the batched pass's arrays for them."""
+    rng = np.random.default_rng(seed)
+    d, num_steps = 2 ** n, 2 ** t
+    tokens = rng.normal(size=(num_seqs, num_steps + 1, d))
+    targets = rng.normal(size=(num_seqs, num_steps, d))
+    if complex_rows:
+        tokens = tokens + 1j * rng.normal(size=tokens.shape)
+        targets = targets + 1j * rng.normal(size=targets.shape)
+    maps = (AnsatzParams.random(n, 2, rng, spread=1.0), AnsatzParams.random(n, 2, rng, spread=1.0),
+            PhaseLayerParams.random(t, rng, spread=1.0))
+    instances = [replace(QsaInstance.from_vectors(tok, tgt, *maps), layout=layout) for tok, tgt in zip(tokens, targets)]
+    rows = [instance.unit_rows() for instance in instances]
+    arrays = (
+        np.stack([tok for tok, _ in rows]),
+        np.stack([tgt for _, tgt in rows]),
+        build_ansatz_unitary(maps[0]).matrix,
+        build_ansatz_unitary(maps[1]).matrix,
+        phase_layer_diagonal(maps[2]),
+    )
+    return instances, arrays
+
+
+# (n, t) with 6 to 9 qubits in all.
+batch_shapes = st.sampled_from([(1, 4), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_seqs=st.integers(1, 4),
+    shape=batch_shapes,
+    seed=st.integers(0, 2 ** 32 - 1),
+    placement=st.sampled_from(["standard", "c-low", "shuffled"]),
+    complex_rows=st.booleans(),
+)
+def test_dense_pass_rows_match_analytic_batch_and_single_instances(num_seqs, shape, seed, placement, complex_rows):
+    """Each row of one batched dense pass equals `batched_expectations` on
+    the same arrays and the `circuit_expectation` of its own instance, and
+    the batch records S times one instance's blocks, on any layout."""
+    layout = placed_layout(*shape, placement, np.random.default_rng(seed))
+    instances, arrays = batch_instances(num_seqs, *shape, layout, seed, complex_rows)
+    batch_counter = OpCounter()
+    dense = dense_expectations(*arrays, layout, batch_counter)
+    analytic, _ = batched_expectations(*arrays)
+    assert dense.shape == (num_seqs,)
+    assert np.max(np.abs(dense - analytic)) <= 1e-10
+    for value, instance in zip(dense, instances):
+        counter = OpCounter()
+        single = circuit_expectation(instance, counter)
+        assert abs(value - single) <= 1e-12
+        if num_seqs == 1:
+            assert value == single
+    assert (batch_counter.blocks, batch_counter.weighted_dim) == (num_seqs * counter.blocks, num_seqs * counter.weighted_dim)
+
+
+def test_dense_pass_chunks_keep_the_bits(monkeypatch):
+    """Chunks of one sequence give the same bits as one chunk of all (T=8,
+    where reading a row out of the batch's (S, T) slice would not)."""
+    layout = RegisterLayout.standard(2, 3)
+    _, arrays = batch_instances(5, 2, 3, layout, 11, True)
+    whole = dense_expectations(*arrays, layout)
+    monkeypatch.setattr(engine, "DENSE_CHUNK_BYTES", 1)
+    assert np.array_equal(dense_expectations(*arrays, layout), whole)
+
+
+@pytest.mark.parametrize("bad_seq", [0, 2])
+@pytest.mark.parametrize("defect, match", [("cancelling", "interfere to zero norm"),
+                                           ("nan-token", "non-finite"), ("nan-target", "non-finite")])
+def test_degenerate_sequence_in_a_batch_raises_typed_error(bad_seq, defect, match):
+    """One bad sequence anywhere in a batch stops the dense pass with the
+    package's DegenerateInputError."""
+    layout = RegisterLayout.standard(1, 1)
+    _, (tok, tgt, *rest) = batch_instances(3, 1, 1, layout, 13, True)
+    tok, tgt = tok.copy(), tgt.copy()
+    x = np.array([0.6, 0.8j])
+    if defect == "cancelling":  # x and i x: the doubled encodings cancel at j=2
+        tok[bad_seq] = [x, 1j * x]
+    elif defect == "nan-token":
+        tok[bad_seq, 1, 0] = np.nan
+    else:
+        tgt[bad_seq, 0, 1] = np.nan
+    with pytest.raises(DegenerateInputError, match=match):
+        dense_expectations(tok, tgt, *rest, layout)
+
+
+def test_dense_pass_checks_shapes_against_the_layout():
+    layout = RegisterLayout.standard(1, 1)
+    _, (tok, tgt, vm, wm, diag) = batch_instances(2, 1, 1, layout, 17, True)
+    with pytest.raises(ConfigurationError, match="do not match"):
+        dense_expectations(tok, tgt[:1], vm, wm, diag, layout)
+    with pytest.raises(ConfigurationError, match="do not match"):
+        dense_expectations(tok, tgt, vm, wm, diag, RegisterLayout.standard(1, 2))
+    with pytest.raises(ConfigurationError, match="phase diagonal"):
+        dense_expectations(tok, tgt, vm, wm, diag[:1], layout)
+    with pytest.raises(ConfigurationError, match="not unitary"):
+        dense_expectations(tok, tgt, 2 * vm, wm, diag, layout)
 
 
 @settings(max_examples=40, deadline=None)

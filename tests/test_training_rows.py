@@ -2,12 +2,13 @@
 earlier build, and settings that only a circuit kind can honour."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsalab import ansatz, data
+from qsalab import ansatz, data, engine, trainer
 from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
 from qsalab.errors import ConfigurationError, NumericFailureError
 from qsalab.trainer import MODELS, TrainConfig, _Adapter, initialize_params, train
@@ -111,3 +112,46 @@ def test_default_qsa_row_builds_each_ansatz_once(monkeypatch, data_kind):
     monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: calls.append(args[0].shape[0]) or original(*args))
     adapter.gradients(circuit_vec, embed_vec)
     assert calls == [config.num_layers + 1] * 2
+
+
+def test_circuit_outputs_build_each_matrix_once_per_call(monkeypatch):
+    """One circuit_outputs call over every sequence builds V's and W's
+    rotation layers once each and no QsaInstance, and agrees with the
+    analytic forward on the same rows."""
+    dataset = classical_set()
+    params = initialize_params(TrainConfig(model_kind="qsa", seed=7, expectation_route="circuit"), dataset)
+    layers, instances = [], []
+    original = ansatz._rotation_layers
+    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: layers.append(1) or original(*args))
+    post_init = engine.QsaInstance.__post_init__
+    monkeypatch.setattr(engine.QsaInstance, "__post_init__", lambda self: instances.append(1) or post_init(self))
+    outputs = MODELS["qsa"].circuit_outputs(params, dataset.input_rows())
+    assert len(layers) == 2 and instances == []
+    assert outputs.shape == (len(dataset),)
+    analytic, _ = MODELS["qsa"].forward(params, dataset.input_rows())
+    assert np.max(np.abs(outputs - analytic)) <= 1e-10
+
+
+def test_twelve_qubit_circuit_outputs_stay_within_the_chunk_bound(monkeypatch):
+    """A 12-qubit (d=16, T=16) circuit_outputs over 64 sequences: the dense
+    pass peaks under DENSE_CHUNK_BYTES plus one state.  The 64 states alone
+    fill the bound, and one pass over all of them holds several copies."""
+    dataset = generate_classical_dataset(20, 16, 64, seed=1)
+    params = initialize_params(TrainConfig(model_kind="qsa", embed_dim=16, seed=1), dataset)
+    peaks = []
+    original = trainer.dense_expectations
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return original(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(trainer, "dense_expectations", traced)
+    outputs = MODELS["qsa"].circuit_outputs(params, dataset.input_rows())
+    state_bytes = 16 * 2 ** 12
+    assert outputs.shape == (64,)
+    assert 64 * state_bytes >= engine.DENSE_CHUNK_BYTES
+    assert peaks[0] <= engine.DENSE_CHUNK_BYTES + state_bytes
