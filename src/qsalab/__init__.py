@@ -38,8 +38,6 @@ from .encodings import (
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
-    reflection_family,
-    reflection_with_first_column,
     unitary_with_first_column,
 )
 from .engine import (
@@ -69,8 +67,6 @@ from .objectives import (
 )
 from .statevector import (
     OpCounter,
-    ReflectionBlock,
-    ReflectionFamily,
     RegisterLayout,
     StateVector,
     UnitaryBlock,

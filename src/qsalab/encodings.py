@@ -2,8 +2,8 @@
 
 Amplitude encodings of token vectors, entangled prefix encodings over the
 paired data registers, the step-indexed input superposition (of one
-sequence, or of a batch as one array), Householder reflections with given
-first columns (one, or a register-controlled family of them built in one
+sequence, or of a batch as one array), the checked Householder rows of
+reflections with given first columns (any stack of them built in one
 pass), and plain computational-basis encodings.
 """
 
@@ -18,8 +18,6 @@ from .data import ZERO_NORM_TOL
 from .errors import ConfigurationError, DegenerateInputError
 from .statevector import (
     OpCounter,
-    ReflectionBlock,
-    ReflectionFamily,
     RegisterLayout,
     StateVector,
     _check_reflections,
@@ -95,27 +93,8 @@ def reflection_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     return vectors, phases
 
 
-def reflection_family(columns, targets: Sequence[int]) -> ReflectionFamily:
-    """One reflection per row of (2**t, dim) ``columns``, each with that row,
-    normalized, as its first column: the blocks of a register-controlled
-    select, built, checked and applied as one family."""
-    _, vectors, phases = _householder(columns)
-    return ReflectionFamily(vectors, phases, targets)
-
-
-def reflection_with_first_column(column, targets: Sequence[int]) -> ReflectionBlock:
-    """A unitary on ``targets`` whose first column is the normalized ``column``.
-
-    The one-row case of `reflection_family`: kept as its Householder vector
-    and phase, so it is checked and applied in O(dim); the first column is u
-    to round-off.
-    """
-    _, vectors, phases = _householder(np.reshape(column, (1, -1)))
-    return ReflectionBlock(vectors[0], phases[0], targets)
-
-
 def unitary_with_first_column(column) -> np.ndarray:
-    """The dense view of `reflection_with_first_column`, for any length.
+    """The dense view of the one-row `reflection_rows`, for any length.
 
     The first column is set to u exactly; the others are a deterministic
     orthonormal completion.
@@ -198,7 +177,7 @@ def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout, counter: Op
     The t Hadamards on register C are written in closed form, 1/sqrt(T) on
     each step's basis state with A = B = 0, and recorded on ``counter`` as
     the t blocks of dimension 2 they stand for.  Then each sequence's
-    register-controlled family of reflections, block j's first column its
+    register-controlled select of reflections, row j's first column its
     normalized prefix-j state, all in one batched select.  The prefix
     states come from one cumulative sum, the same additions in the same
     order as `entangled_prefix_encoding`.

@@ -138,8 +138,8 @@ def _data_stage(
     psi = _apply_block(psi, v_block, counter)
     psi = _apply_block(psi, w_block, counter)
     # Controlled inverse encodings: branch j projects register A onto the
-    # step-(j+1) target and register B onto the step-j token.  Both
-    # families come from one Householder step and one check; each inverse
+    # step-(j+1) target and register B onto the step-j token.  Both sets
+    # of rows come from one Householder step and one check; each inverse
     # conjugates the phases.
     vectors, phases = reflection_rows(np.stack((target_states, token_states)))
     psi = _reflection_select(psi, layout.c_qubits, layout.a_qubits, vectors[0], phases[0].conj(), counter)

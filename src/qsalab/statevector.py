@@ -6,20 +6,22 @@ whole package:
 
 * Qubit 0 is the least-significant bit of a basis index; the basis state
   with qubit k set contributes ``2**k`` to the amplitude index.
-* A block (:class:`UnitaryBlock`, dense, or :class:`ReflectionBlock`, a
-  Householder reflection kept as a vector) is indexed the same way over its
+* A `UnitaryBlock` is a checked dense matrix indexed the same way over its
   own targets: ``targets[0]`` is the least-significant bit of its index.
-  A block supplies only its algebra, a ``kernel`` on a (rows, dim, rest)
-  array.  One layout helper (`_apply`) takes a batch of states as one
-  (S, 2**m) array, moves the control axes, then the target axes, to the
-  front, reads the batch as (sequence and control value, block index,
-  rest), calls the kernel and moves the axes back.
-* A register-controlled select takes a mapping from control value to block.
-  A :class:`ReflectionFamily` (one reflection per control value on one
-  target tuple, kept as stacked arrays) is checked once and applied in one
-  kernel call, block j on row j.  Any other mapping takes one call per
-  control value, block j on row j alone.  `apply_unitary` is the case with
-  no controls.
+  It supplies only its algebra, a ``kernel`` on a (rows, dim, rest) array.
+  One layout helper (`_apply`) takes a batch of states as one (S, 2**m)
+  array, moves the control axes, then the target axes, to the front, reads
+  the batch as (sequence and control value, block index, rest), calls the
+  kernel and moves the axes back.
+* A Householder reflection ``-phase * (I - v v^dag / v_1)`` is never a
+  matrix or an object: it is one (v, phase) row, checked once by
+  `_check_reflections` and applied by `_reflect` as a rank-1 update.  A
+  register-controlled select of reflections, one row per control value on
+  one target tuple (`_reflection_select`), is one kernel call for a whole
+  batch of sequences; its adjoint conjugates the phases.
+* `apply_controlled_by_register` takes a mapping from control value to
+  `UnitaryBlock`, one kernel call per control value; `apply_unitary` is
+  the case with no controls.
 * Every operation is a pure function; amplitude arrays are frozen on
   construction and safe to share across threads.
 """
@@ -151,31 +153,18 @@ class RegisterLayout:
         return sum(((steps >> k) & 1) << q for k, q in enumerate(self.c_qubits))
 
 
-class _OnTargets:
-    """What every block kind shares: distinct non-negative targets, and the
-    dimension ``2**len(targets)`` of its index."""
-
-    def _checked_targets(self) -> tuple:
-        targets = tuple(int(q) for q in self.targets)
-        if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
-            raise ConfigurationError("targets must be distinct non-negative qubit indices")
-        object.__setattr__(self, "targets", targets)
-        return targets
-
-    @property
-    def dimension(self) -> int:
-        return 2 ** len(self.targets)
-
-
 @dataclass(frozen=True)
-class UnitaryBlock(_OnTargets):
-    """A dense unitary acting on an ordered list of target qubits."""
+class UnitaryBlock:
+    """A dense unitary acting on an ordered list of distinct target qubits."""
 
     matrix: np.ndarray
     targets: tuple
 
     def __post_init__(self):
-        targets = self._checked_targets()
+        targets = tuple(int(q) for q in self.targets)
+        if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
+            raise ConfigurationError("targets must be distinct non-negative qubit indices")
+        object.__setattr__(self, "targets", targets)
         mat = np.array(self.matrix, dtype=complex)
         dim = self.dimension
         if mat.shape != (dim, dim):
@@ -187,6 +176,10 @@ class UnitaryBlock(_OnTargets):
             raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dimension(self) -> int:
+        return 2 ** len(self.targets)
 
     def dagger(self) -> "UnitaryBlock":
         return UnitaryBlock(self.matrix.conj().T, self.targets)
@@ -201,104 +194,13 @@ class UnitaryBlock(_OnTargets):
         return self.matrix @ x
 
 
-@dataclass(frozen=True)
-class ReflectionBlock(_OnTargets):
-    """``-phase * (I - v v^dag / v_1)``, a unitary kept as (v, phase), never as a matrix.
-
-    With ``v = e_1 + u / phase`` for a unit vector u whose first entry has
-    phase ``phase``, ``v_1 = 1 + |u_1|`` is real and the block's first column
-    is u (`encodings.reflection_with_first_column`).  The block is exactly
-    unitary when ``|phase| = 1`` and ``||v||^2 = 2 v_1``, which are checked
-    in O(dim) in place of `UnitaryBlock`'s dense product, together with
-    ``v_1 >= 1``, which keeps the division by v_1 away from zero
-    (`_check_reflections`).
-    """
-
-    vector: np.ndarray
-    phase: complex
-    targets: tuple
-
-    def __post_init__(self):
-        targets = self._checked_targets()
-        vec = np.array(self.vector, dtype=complex).reshape(-1)
-        if vec.size != self.dimension:
-            raise ConfigurationError(
-                f"reflection vector of length {vec.size} does not match {len(targets)} target qubits"
-            )
-        phase = complex(self.phase)
-        _check_reflections(vec[None], np.array([phase]))
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "phase", phase)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense dim x dim view; the simulator never builds it."""
-        return reflection_matrix(self.vector, self.phase)
-
-    def dagger(self) -> "ReflectionBlock":
-        # The reflection I - v v^dag / v_1 is Hermitian; only the phase conjugates.
-        return ReflectionBlock(self.vector, self.phase.conjugate(), self.targets)
-
-    def kernel(self, x: np.ndarray) -> np.ndarray:
-        """This block applied to every row of a (rows, dim, rest) array, as a rank-1 update."""
-        return _reflect(self.vector[None], np.array([self.phase]), x)
-
-
-@dataclass(frozen=True)
-class ReflectionFamily(_OnTargets, Mapping):
-    """One `ReflectionBlock` per control value on one target tuple, kept as stacked arrays.
-
-    Row j of ``vectors`` (shape ``(2**t, dim)``) and ``phases`` is the block
-    for control value j.  All rows are checked at once, by the two conditions
-    of `ReflectionBlock`, and `apply_controlled_by_register` applies the
-    whole family as one batched rank-1 update.  As a mapping it reads like
-    ``{j: ReflectionBlock(vectors[j], phases[j], targets)}``; ``family[j]``
-    builds that block on demand.
-    """
-
-    vectors: np.ndarray
-    phases: np.ndarray
-    targets: tuple
-
-    def __post_init__(self):
-        targets = self._checked_targets()
-        vecs = np.array(self.vectors, dtype=complex)
-        phases = np.array(self.phases, dtype=complex)
-        if vecs.ndim != 2 or vecs.shape[1] != self.dimension:
-            raise ConfigurationError(
-                f"reflection vectors of shape {vecs.shape} do not match {len(targets)} target qubits"
-            )
-        if phases.shape != vecs.shape[:1]:
-            raise ConfigurationError(f"{phases.size} phases for {vecs.shape[0]} reflection vectors")
-        _check_reflections(vecs, phases)
-        vecs.setflags(write=False)
-        phases.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "phases", phases)
-
-    def dagger(self) -> "ReflectionFamily":
-        return ReflectionFamily(self.vectors, self.phases.conj(), self.targets)
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-    def __iter__(self):
-        return iter(range(len(self)))
-
-    def __contains__(self, j) -> bool:
-        return isinstance(j, (int, np.integer)) and 0 <= j < len(self)
-
-    def __getitem__(self, j) -> ReflectionBlock:
-        if j not in self:
-            raise KeyError(j)
-        return ReflectionBlock(self.vectors[j], self.phases[j], self.targets)
-
-
 def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
-    """Raise unless every row is a reflection as `encodings` builds it:
-    ``|phase_j| = 1``, ``||v_j||^2 = 2 v_j1`` and ``v_j1 >= 1``, each to
-    `UNITARY_ATOL`.  A NaN fails all three, and so does no row of zeros."""
+    """Raise unless every row is a reflection as `encodings.reflection_rows`
+    builds it: ``|phase_j| = 1``, ``||v_j||^2 = 2 v_j1`` and ``v_j1 >= 1``,
+    each to `UNITARY_ATOL`.  The first two make ``-phase_j (I - v_j v_j^dag
+    / v_j1)`` exactly unitary, checked in O(dim) in place of a dense
+    product; the third keeps the division by v_j1 away from zero.  A NaN
+    fails all three, and so does no row of zeros."""
     phase_defect = np.abs(np.abs(phases) - 1.0)
     norm_defect = np.abs(np.vecdot(vectors, vectors).real - 2.0 * vectors[:, 0].real)
     first = vectors[:, 0].real
@@ -318,7 +220,7 @@ def _reflect(vectors: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarr
     """``-phase_j (I - v_j v_j^dag / v_j1)`` applied to row j of the (rows, dim, rest)
     array x, as a rank-1 update; a single (v, phase) row acts on every row of x.
     For a batch of selects the rows are (sequence, control value) pairs: the
-    (S, 2**t, dim) vectors of S families, flattened to (S * 2**t, dim)."""
+    (S, 2**t, dim) vectors of S sequences, flattened to (S * 2**t, dim)."""
     overlap = vectors.conj()[:, None, :] @ x
     out = vectors[:, :, None] * (overlap / vectors[:, :1, None].real)
     out -= x
@@ -357,9 +259,6 @@ def _target_axes(num_qubits: int, targets) -> list:
     return [num_qubits - 1 - t for t in reversed(targets)]
 
 
-Block = UnitaryBlock | ReflectionBlock
-
-
 @lru_cache(maxsize=1024)
 def _axis_orders(num_qubits: int, controls: tuple, targets: tuple) -> tuple:
     """The transpose of a (S, 2, ..., 2) batch that leads with the sequence
@@ -394,7 +293,7 @@ def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarr
     return out.reshape(tensor_shape).transpose(inverse).reshape(num_seqs, size)
 
 
-def _apply_block(psi: np.ndarray, block: Block, counter: OpCounter | None = None) -> np.ndarray:
+def _apply_block(psi: np.ndarray, block: UnitaryBlock, counter: OpCounter | None = None) -> np.ndarray:
     """``block`` on its targets of every state of the (S, 2**m) batch ``psi``."""
     out = _apply(psi, (), block.targets, block.kernel)
     if counter is not None:
@@ -411,9 +310,9 @@ def _reflection_select(
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Each state's select ``sum_j R_j (x) |j><j|`` on the (S, 2**m) batch
-    ``psi``, R_j the reflection of row j of that sequence's family in the
+    ``psi``, R_j the reflection of row j of that sequence's slice of the
     (S, 2**t, dim) Householder ``vectors`` and (S, 2**t) ``phases`` (one
-    family's (2**t, dim) and (2**t,) when S = 1), already checked: one
+    sequence's (2**t, dim) and (2**t,) when S = 1), already checked: one
     batched rank-1 update, row ``s * 2**t + j`` of the batch's (sequence,
     control value) axis getting R_j of sequence s.  The counter records one
     block per control value and sequence."""
@@ -429,7 +328,7 @@ def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[:j], kernel(x[j:j + 1]), x[j + 1:]))
 
 
-def apply_unitary(state: StateVector, block: Block, counter: OpCounter | None = None) -> StateVector:
+def apply_unitary(state: StateVector, block: UnitaryBlock, counter: OpCounter | None = None) -> StateVector:
     """Apply ``block`` to its target qubits, identity elsewhere: the select with no controls."""
     return StateVector(state.num_qubits, _apply_block(state.amplitudes[None], block, counter)[0])
 
@@ -437,39 +336,30 @@ def apply_unitary(state: StateVector, block: Block, counter: OpCounter | None = 
 def apply_controlled_by_register(
     state: StateVector,
     controls: Sequence[int],
-    blocks: Mapping[int, Block],
+    blocks: Mapping[int, UnitaryBlock],
     counter: OpCounter | None = None,
 ) -> StateVector:
     """Apply ``blocks[j]`` on the subspace where the control register reads j.
 
     Realizes the select unitary sum_j U_j (x) |j><j| with controls read
     little-endian (``controls[0]`` is the least-significant bit of j).
-    Every control value in ``0..2**t - 1`` must map to a block.  A
-    `ReflectionFamily` holds the values 0..len - 1, so its length is the one
-    check, and it is applied in one kernel call; any other mapping is
-    checked value by value and applied one call per control value.  The
-    counter records one block per control value either way.
+    Every control value in ``0..2**t - 1`` must map to a block; each is
+    applied in one kernel call on its row alone, and the counter records
+    one block per control value.
     """
     controls = tuple(int(q) for q in controls)
     m = state.num_qubits
     if len(set(controls)) != len(controls) or any(q < 0 or q >= m for q in controls):
         raise ConfigurationError("controls must be distinct in-range qubit indices")
     num_values = 2 ** len(controls)
-    family = isinstance(blocks, ReflectionFamily)
-    if family:
-        missing, extra = list(range(len(blocks), num_values)), list(range(num_values, len(blocks)))
-    else:
-        missing = [j for j in range(num_values) if j not in blocks]
-        extra = [j for j in blocks if not 0 <= j < num_values]
+    missing = [j for j in range(num_values) if j not in blocks]
+    extra = [j for j in blocks if not 0 <= j < num_values]
     if missing:
         raise ConfigurationError(f"no block supplied for control value(s) {missing}")
     if extra:
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
     psi = state.amplitudes[None]
-    if family:
-        psi = _reflection_select(psi, controls, blocks.targets, blocks.vectors, blocks.phases, counter)
-        return StateVector(m, psi[0])
     dims = [blocks[j].dimension for j in range(num_values)]
     for j in range(num_values):
         psi = _apply(psi, controls, blocks[j].targets, partial(_on_row, j, blocks[j].kernel))

@@ -752,6 +752,8 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> l
     """
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
+    if len(dataset) == 0:
+        raise ConfigurationError("prediction needs a non-empty dataset")
     scores = _fitted_model(params, dataset).scores(params, dataset.input_rows())
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     top = np.take_along_axis(scores, order, axis=-1)

@@ -17,9 +17,14 @@ def files(tmp_path_factory):
         made[name] = root / f"{name}.jsonl"
         assert main(["generate", "--kind", "classical", "--vocab", str(vocab), "--len", str(length),
                      "--count", "4", "--seed", "5", "--out", str(made[name])]) == 0
-    made["checkpoint"] = root / "run" / "checkpoint.json"
-    assert main(["train", "--model", "lcsa", "--data", str(made["classical"]), "--epochs", "1",
-                 "--out", str(made["checkpoint"].parent)]) == 0
+    made["quantum"] = root / "quantum.jsonl"
+    assert main(["generate", "--kind", "quantum", "--qubits", "3", "--len", "5",
+                 "--count", "4", "--seed", "5", "--out", str(made["quantum"])]) == 0
+    for data_name, run in (("classical", "run"), ("quantum", "qrun")):
+        made[f"{data_name}_checkpoint"] = root / run / "checkpoint.json"
+        assert main(["train", "--model", "lcsa", "--data", str(made[data_name]), "--epochs", "1",
+                     "--out", str(root / run)]) == 0
+    made["checkpoint"] = made["classical_checkpoint"]
     return made
 
 
@@ -130,3 +135,15 @@ def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, messa
     code, line = train_exit(tmp_path, capsys, bad, model="lcsa")
     assert code == 2
     assert message in line
+
+
+@pytest.mark.parametrize("data_name", ["classical", "quantum"])
+def test_predict_on_header_only_dataset_exits_2(tmp_path, files, capsys, data_name):
+    bad = tmp_path / "header_only.jsonl"
+    bad.write_text(files[data_name].read_text().splitlines()[0] + "\n")
+    out = tmp_path / "pred.json"
+    code = main(["predict", "--checkpoint", str(files[f"{data_name}_checkpoint"]), "--data", str(bad),
+                 "--out", str(out)])
+    assert code == 2
+    assert "prediction needs a non-empty dataset" in one_error_line(capsys.readouterr().err)
+    assert not out.exists()

@@ -9,12 +9,11 @@ from qsalab.encodings import (
     basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
-    reflection_family,
-    reflection_with_first_column,
+    reflection_rows,
     unitary_with_first_column,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError
-from qsalab.statevector import RegisterLayout, StateVector, apply_unitary, inner_product
+from qsalab.statevector import RegisterLayout, StateVector, _reflection_select, inner_product, reflection_matrix
 
 
 def encode_all(vectors, n):
@@ -217,12 +216,12 @@ def test_reflection_dense_view_is_unitary_with_first_column(num_qubits, zero_fir
     col = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * rng.uniform(1e-3, 1e3)
     if zero_first:
         col[0] = 0.0
-    block = reflection_with_first_column(col, tuple(range(num_qubits)))
-    assert np.max(np.abs(block.matrix - unitary_with_first_column(col))) <= 1e-12
-    first = apply_unitary(StateVector.zero(num_qubits), block).amplitudes
-    assert np.max(np.abs(first - col / np.linalg.norm(col))) <= 1e-12
+    vectors, phases = reflection_rows(col[None])
+    assert np.max(np.abs(reflection_matrix(vectors[0], phases[0]) - unitary_with_first_column(col))) <= 1e-12
+    first = _reflection_select(StateVector.zero(num_qubits).amplitudes[None], (), tuple(range(num_qubits)), vectors, phases)
+    assert np.max(np.abs(first[0] - col / np.linalg.norm(col))) <= 1e-12
     with pytest.raises(DegenerateInputError):
-        reflection_with_first_column(np.zeros(dim), tuple(range(num_qubits)))
+        reflection_rows(np.zeros((1, dim)))
 
 
 class TestDegeneratePrefix:
@@ -271,18 +270,18 @@ class TestNonFiniteInputRejected:
             amplitude_encode([1e200, 1e200], 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
-    def test_reflection_with_first_column(self, bad):
+    def test_reflection_rows_of_one_column(self, bad):
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            reflection_with_first_column([bad, 1.0], (0,))
+            reflection_rows([[bad, 1.0]])
 
-    def test_reflection_family_rejects_non_finite_and_zero_rows(self):
+    def test_reflection_rows_reject_non_finite_and_zero_rows(self):
         columns = np.ones((4, 2), dtype=complex)
         columns[2, 1] = np.nan
         with pytest.raises(DegenerateInputError, match="non-finite"):
-            reflection_family(columns, (0,))
+            reflection_rows(columns)
         with pytest.raises(DegenerateInputError, match="nonzero"):
-            reflection_family(np.zeros((2, 2)), (0,))
+            reflection_rows(np.zeros((2, 2)))
 
-    def test_reflection_family_needs_stacked_rows(self):
+    def test_reflection_rows_need_stacked_rows(self):
         with pytest.raises(ConfigurationError, match="stacked"):
-            reflection_family(np.ones(2), (0,))
+            reflection_rows(np.ones(2))

@@ -3,22 +3,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsalab.encodings import reflection_family, reflection_with_first_column
+from qsalab.encodings import reflection_rows
 from qsalab.errors import ConfigurationError, DegenerateInputError
 from qsalab.statevector import (
     HADAMARD,
     PAULI_X,
     OpCounter,
-    ReflectionBlock,
-    ReflectionFamily,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
+    _check_reflections,
+    _reflection_select,
     all_zeros_expectation,
     apply_controlled_by_register,
     apply_unitary,
     identity_block,
     inner_product,
+    reflection_matrix,
     sample_expectation,
 )
 
@@ -373,169 +374,37 @@ def test_controlled_blocks_match_explicit_select_matrix(order, num_controls, see
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
 
 
-def random_reflection(targets, rng):
-    """The reflection block whose first column is a random complex unit vector."""
-    dim = 2 ** len(targets)
-    return reflection_with_first_column(rng.normal(size=dim) + 1j * rng.normal(size=dim), targets)
+def random_rows(shape, dim, rng):
+    """Checked Householder rows whose first columns are random complex unit vectors."""
+    return reflection_rows(rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,)))
 
 
-class TestReflectionBlock:
+def select_rows(state, controls, targets, vectors, phases, counter=None):
+    """`_reflection_select` on one state, the row form's select of a single sequence."""
+    return _reflection_select(state.amplitudes[None], controls, targets, vectors, phases, counter)[0]
+
+
+class TestReflectionRows:
     @pytest.mark.parametrize("targets", [(0,), (2,), (0, 2), (2, 0), (1, 3, 0)])
-    def test_block_and_dagger_match_dense_oracle(self, targets):
+    def test_kernel_and_adjoint_match_dense_oracle(self, targets):
         rng = np.random.default_rng(sum(3 ** i * q for i, q in enumerate(targets)))
-        block = random_reflection(targets, rng)
+        vectors, phases = random_rows((1,), 2 ** len(targets), rng)
         state = random_state(4, rng)
-        for applied in (block, block.dagger()):
-            out = apply_unitary(state, applied)
-            expected = dense_apply_oracle(state.amplitudes, applied.matrix, targets, 4)
-            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+        for applied in (phases, phases.conj()):
+            out = select_rows(state, (), targets, vectors, applied)
+            expected = dense_apply_oracle(state.amplitudes, reflection_matrix(vectors[0], applied[0]), targets, 4)
+            assert np.max(np.abs(out - expected)) <= 1e-12
 
-    def test_dagger_is_conjugate_transpose_and_inverse(self):
+    def test_adjoint_is_conjugate_transpose_and_inverse(self):
         rng = np.random.default_rng(29)
-        block = random_reflection((1, 0, 2), rng)
-        assert np.max(np.abs(block.dagger().matrix - block.matrix.conj().T)) <= 1e-12
+        vectors, phases = random_rows((1,), 8, rng)
+        matrix = reflection_matrix(vectors[0], phases[0])
+        assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(8))) <= 1e-12
+        assert np.max(np.abs(reflection_matrix(vectors[0], phases[0].conj()) - matrix.conj().T)) <= 1e-12
         state = random_state(3, rng)
-        back = apply_unitary(apply_unitary(state, block), block.dagger())
-        assert np.max(np.abs(back.amplitudes - state.amplitudes)) <= 1e-12
-
-    def test_dense_view_is_unitary(self):
-        rng = np.random.default_rng(31)
-        matrix = random_reflection((0, 1, 2, 3), rng).matrix
-        assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(16))) <= 1e-12
-
-    def test_counter_records_dimension(self):
-        rng = np.random.default_rng(37)
-        counter = OpCounter()
-        apply_unitary(random_state(3, rng), random_reflection((2, 0), rng), counter)
-        assert (counter.blocks, counter.weighted_dim) == (1, 4)
-
-    def test_corrupted_phase_rejected(self):
-        block = random_reflection((0, 1), np.random.default_rng(41))
-        for phase in (1.001 * block.phase, 0.5j, 0.0):
-            with pytest.raises(ConfigurationError):
-                ReflectionBlock(block.vector, phase, block.targets)
-
-    def test_corrupted_vector_rejected(self):
-        block = random_reflection((0, 1), np.random.default_rng(43))
-        for vector in (1.001 * block.vector, block.vector + 1e-6, -block.vector):
-            with pytest.raises(ConfigurationError):
-                ReflectionBlock(vector, block.phase, block.targets)
-
-    def test_shape_and_targets_rejected(self):
-        block = random_reflection((0, 1), np.random.default_rng(47))
-        with pytest.raises(ConfigurationError):
-            ReflectionBlock(block.vector, block.phase, (0,))
-        with pytest.raises(ConfigurationError):
-            ReflectionBlock(block.vector, block.phase, (1, 1))
-
-    def test_vector_is_frozen(self):
-        block = random_reflection((0,), np.random.default_rng(53))
-        with pytest.raises(ValueError):
-            block.vector[0] = 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
-    num_controls=st.integers(1, 3),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-# controls (3, 1): two of them, neither the top qubit, not in ascending order;
-# targets drawn from {0, 4, 2}, so some sit below a control
-@example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
-def test_controlled_reflections_match_explicit_select_matrix(order, num_controls, seed):
-    """Reflections, their daggers and dense blocks mixed in one select."""
-    num_qubits = len(order)
-    num_controls = min(num_controls, num_qubits - 1)
-    controls, free = tuple(order[:num_controls]), order[num_controls:]
-    rng = np.random.default_rng(seed)
-    blocks = {}
-    for j in range(2 ** num_controls):
-        k = int(rng.integers(1, len(free) + 1))
-        targets = tuple(int(q) for q in rng.permutation(free)[:k])
-        kind = j % 3
-        if kind == 2:
-            blocks[j] = UnitaryBlock(random_unitary(2 ** k, rng), targets)
-        else:
-            reflection = random_reflection(targets, rng)
-            blocks[j] = reflection.dagger() if kind else reflection
-    state = random_state(num_qubits, rng)
-    out = apply_controlled_by_register(state, controls, blocks)
-    expected = explicit_select_matrix(num_qubits, controls, blocks) @ state.amplitudes
-    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
-
-
-class TestNonFiniteBlocksRejected:
-    def test_unitary_block_with_nan(self):
-        matrix = np.eye(2, dtype=complex)
-        matrix[0, 0] = np.nan
-        with pytest.raises(ConfigurationError):
-            UnitaryBlock(matrix, (0,))
-
-    def test_reflection_block_with_nan(self):
-        with pytest.raises(ConfigurationError):
-            ReflectionBlock([np.nan, 0.0], 1.0, (0,))
-
-    def test_reflection_block_of_zeros(self):
-        # ||v||^2 = 2 v_1 holds for v = 0, but applying it would divide 0 by 0
-        with pytest.raises(ConfigurationError, match="below 1"):
-            ReflectionBlock([0.0, 0.0], 1.0, (0,))
-
-    def test_reflection_block_with_nan_phase(self):
-        block = random_reflection((0,), np.random.default_rng(59))
-        with pytest.raises(ConfigurationError):
-            ReflectionBlock(block.vector, complex(np.nan, 0.0), (0,))
-
-
-def random_family(num_rows, targets, rng):
-    """The family whose row j has a random complex unit vector as first column."""
-    dim = 2 ** len(targets)
-    return reflection_family(rng.normal(size=(num_rows, dim)) + 1j * rng.normal(size=(num_rows, dim)), targets)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
-    num_controls=st.integers(1, 3),
-    adjoint=st.booleans(),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-# controls (3, 1): neither the top qubit, not in ascending order; targets
-# drawn from {0, 4, 2}, so some sit below a control
-@example(order=[3, 1, 0, 4, 2], num_controls=2, adjoint=False, seed=0)
-@example(order=[3, 1, 0, 4, 2], num_controls=2, adjoint=True, seed=1)
-def test_reflection_family_matches_explicit_select_matrix(order, num_controls, adjoint, seed):
-    """A family (one target tuple) and its dagger in one batched select."""
-    num_qubits = len(order)
-    num_controls = min(num_controls, num_qubits - 1)
-    controls, free = tuple(order[:num_controls]), order[num_controls:]
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, len(free) + 1))
-    targets = tuple(int(q) for q in rng.permutation(free)[:k])
-    family = random_family(2 ** num_controls, targets, rng)
-    if adjoint:
-        family = family.dagger()
-    state = random_state(num_qubits, rng)
-    counter = OpCounter()
-    out = apply_controlled_by_register(state, controls, family, counter)
-    expected = explicit_select_matrix(num_qubits, controls, family) @ state.amplitudes
-    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
-    assert (counter.blocks, counter.weighted_dim) == (2 ** num_controls, 2 ** num_controls * 2 ** k)
-
-
-class TestReflectionFamily:
-    def test_reads_as_a_mapping_of_blocks(self):
-        rng = np.random.default_rng(61)
-        family = random_family(4, (2, 0), rng)
-        assert len(family) == 4 and list(family) == [0, 1, 2, 3]
-        assert 3 in family and 4 not in family and -1 not in family and "0" not in family
-        for j, block in family.items():
-            assert isinstance(block, ReflectionBlock) and block.targets == (2, 0)
-            assert np.array_equal(block.vector, family.vectors[j])
-            assert block.phase == family.phases[j]
-        assert family.dagger()[1].phase == family[1].dagger().phase
-        with pytest.raises(KeyError):
-            family[4]
+        there = StateVector(3, select_rows(state, (), (1, 0, 2), vectors, phases))
+        back = select_rows(there, (), (1, 0, 2), vectors, phases.conj())
+        assert np.max(np.abs(back - state.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [1, 3, 6])
     def test_rows_are_one_column_householder_bit_for_bit(self, num_qubits):
@@ -545,56 +414,95 @@ class TestReflectionFamily:
         columns = (rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))) * rng.uniform(1e-3, 1e3, size=(8, 1))
         columns[1, 0] = 0.0
         columns[2] = columns[2].real
-        targets = tuple(range(num_qubits))
-        family = reflection_family(columns, targets)
+        vectors, phases = reflection_rows(columns)
         for j, column in enumerate(columns):
             unit = column / np.linalg.norm(column)
             phase = unit[0] / abs(unit[0]) if unit[0] != 0 else 1.0
             vector = unit / phase
             vector[0] += 1.0
-            assert np.array_equal(family.vectors[j], vector)
-            assert family.phases[j] == phase
-            assert np.array_equal(reflection_with_first_column(column, targets).vector, vector)
+            assert np.array_equal(vectors[j], vector)
+            assert phases[j] == phase
+            one_vector, one_phase = reflection_rows(column[None])
+            assert np.array_equal(one_vector[0], vector) and one_phase[0] == phase
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_corrupted_row_rejected(self, row):
-        family = random_family(4, (0, 1), np.random.default_rng(71))
+        vectors, phases = random_rows((4,), 4, np.random.default_rng(71))
+        hit = np.arange(4) == row
         corrupt = [
-            (family.vectors, family.phases * np.where(np.arange(4) == row, 1.001, 1.0)),
-            (family.vectors, np.where(np.arange(4) == row, 0.5j, family.phases)),
-            (family.vectors * np.where(np.arange(4) == row, 1.001, 1.0)[:, None], family.phases),
-            (family.vectors + np.where(np.arange(4) == row, 1e-6, 0.0)[:, None], family.phases),
-            (np.where(np.arange(4)[:, None] == row, np.nan, family.vectors), family.phases),
-            (family.vectors, np.where(np.arange(4) == row, np.nan, family.phases)),
-            (np.where(np.arange(4)[:, None] == row, 0.0, family.vectors), family.phases),
+            (vectors, phases * np.where(hit, 1.001, 1.0)),
+            (vectors, np.where(hit, 0.5j, phases)),
+            (vectors, np.where(hit, 0.0, phases)),
+            (vectors * np.where(hit, 1.001, 1.0)[:, None], phases),
+            (vectors + np.where(hit, 1e-6, 0.0)[:, None], phases),
+            (np.where(hit[:, None], -vectors, vectors), phases),
+            (np.where(hit[:, None], np.nan, vectors), phases),
+            (vectors, np.where(hit, complex(np.nan, 0.0), phases)),
+            (np.where(hit[:, None], 0.0, vectors), phases),
         ]
-        for vectors, phases in corrupt:
+        for bad_vectors, bad_phases in corrupt:
             with pytest.raises(ConfigurationError, match=f"reflection {row}"):
-                ReflectionFamily(vectors, phases, family.targets)
+                _check_reflections(bad_vectors, bad_phases)
 
-    def test_shapes_and_targets_rejected(self):
-        family = random_family(2, (0, 1), np.random.default_rng(73))
-        with pytest.raises(ConfigurationError):
-            ReflectionFamily(family.vectors, family.phases, (0,))
-        with pytest.raises(ConfigurationError):
-            ReflectionFamily(family.vectors, family.phases[:1], (0, 1))
-        with pytest.raises(ConfigurationError):
-            ReflectionFamily(family.vectors[0], family.phases[:1], (0, 1))
-        with pytest.raises(ConfigurationError):
-            ReflectionFamily(family.vectors, family.phases, (1, 1))
+    def test_row_of_zeros_rejected_by_its_first_entry(self):
+        # ||v||^2 = 2 v_1 holds for v = 0, but applying it would divide 0 by 0
+        with pytest.raises(ConfigurationError, match="reflection 0: first entry .* below 1"):
+            _check_reflections(np.zeros((1, 2), dtype=complex), np.ones(1, dtype=complex))
 
-    def test_select_validation(self):
-        family = random_family(2, (0, 1), np.random.default_rng(79))
-        with pytest.raises(ConfigurationError, match="no block"):
-            apply_controlled_by_register(StateVector.zero(4), (2, 3), family)
+    def test_counter_records_one_block_per_row(self):
+        rng = np.random.default_rng(37)
+        counter = OpCounter()
+        select_rows(random_state(3, rng), (), (2, 0), *random_rows((1,), 4, rng), counter)
+        assert (counter.blocks, counter.weighted_dim) == (1, 4)
+
+    def test_select_layout_rejected(self):
+        vectors, phases = random_rows((2,), 4, np.random.default_rng(79))
         with pytest.raises(ConfigurationError, match="disjoint"):
-            apply_controlled_by_register(StateVector.zero(3), (1,), family)
+            select_rows(StateVector.zero(3), (1,), (0, 1), vectors, phases)
         with pytest.raises(ConfigurationError, match="exceed"):
-            apply_controlled_by_register(StateVector.zero(2), (0,), random_family(2, (1, 2), np.random.default_rng(83)))
+            select_rows(StateVector.zero(2), (0,), (1, 2), vectors, phases)
 
-    def test_arrays_are_frozen(self):
-        family = random_family(2, (0,), np.random.default_rng(89))
-        with pytest.raises(ValueError):
-            family.vectors[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            family.phases[0] = 1.0
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
+    num_controls=st.integers(1, 3),
+    num_seqs=st.integers(2, 4),
+    adjoint=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+# controls (3, 1): neither the top qubit, not in ascending order; targets
+# drawn from {0, 4, 2}, so some sit below a control
+@example(order=[3, 1, 0, 4, 2], num_controls=2, num_seqs=2, adjoint=False, seed=0)
+@example(order=[3, 1, 0, 4, 2], num_controls=2, num_seqs=3, adjoint=True, seed=1)
+def test_batched_reflection_select_matches_explicit_select_matrices(order, num_controls, num_seqs, adjoint, seed):
+    """S sequences, each with its own rows on one target tuple, in one
+    batched select; the adjoint conjugates the phases."""
+    num_qubits = len(order)
+    num_controls = min(num_controls, num_qubits - 1)
+    controls, free = tuple(order[:num_controls]), order[num_controls:]
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, len(free) + 1))
+    targets = tuple(int(q) for q in rng.permutation(free)[:k])
+    vectors, phases = random_rows((num_seqs, 2 ** num_controls), 2 ** k, rng)
+    if adjoint:
+        phases = phases.conj()
+    states = np.stack([random_state(num_qubits, rng).amplitudes for _ in range(num_seqs)])
+    counter = OpCounter()
+    out = _reflection_select(states, controls, targets, vectors, phases, counter)
+    assert out.shape == states.shape
+    for s in range(num_seqs):
+        blocks = {j: UnitaryBlock(reflection_matrix(vectors[s, j], phases[s, j]), targets)
+                  for j in range(2 ** num_controls)}
+        expected = explicit_select_matrix(num_qubits, controls, blocks) @ states[s]
+        assert np.max(np.abs(out[s] - expected)) <= 1e-12
+    rows = num_seqs * 2 ** num_controls
+    assert (counter.blocks, counter.weighted_dim) == (rows, rows * 2 ** k)
+
+
+class TestNonFiniteBlocksRejected:
+    def test_unitary_block_with_nan(self):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 0] = np.nan
+        with pytest.raises(ConfigurationError):
+            UnitaryBlock(matrix, (0,))

@@ -26,15 +26,26 @@ def quantum_set():
 
 
 @pytest.mark.parametrize(
-    "kind, data_kind",
-    [("qsa", "classical"), ("scsa", "classical"), ("lcsa", "classical"), ("qsa", "quantum"), ("lcsa", "quantum")],
+    "kind, data_kind, route",
+    [
+        ("qsa", "classical", "analytic"),
+        ("scsa", "classical", "analytic"),
+        ("lcsa", "classical", "analytic"),
+        ("qsa", "quantum", "analytic"),
+        ("lcsa", "quantum", "analytic"),
+        ("qsa", "classical", "circuit"),
+        ("qsa", "quantum", "circuit"),
+    ],
 )
-def test_loss_csv_matches_fixture_bytes(kind, data_kind):
+def test_loss_csv_matches_fixture_bytes(kind, data_kind, route):
     """Each fixture was written by an earlier build from
-    ``train(TrainConfig(model_kind=kind, epochs=3, seed=7), dataset)``."""
+    ``train(TrainConfig(model_kind=kind, epochs=3, seed=7, expectation_route=route), dataset)``;
+    circuit-route fixtures carry a ``_circuit`` suffix."""
     dataset = classical_set() if data_kind == "classical" else quantum_set()
-    _, report = train(TrainConfig(model_kind=kind, epochs=3, seed=7), dataset)
-    assert report.to_csv_text() == (FIXTURES / f"loss_{kind}_{data_kind}.csv").read_text()
+    config = TrainConfig(model_kind=kind, epochs=3, seed=7, expectation_route=route)
+    _, report = train(config, dataset)
+    suffix = "_circuit" if route == "circuit" else ""
+    assert report.to_csv_text() == (FIXTURES / f"loss_{kind}_{data_kind}{suffix}.csv").read_text()
 
 
 class _CountingEmbeddings:
