@@ -13,6 +13,7 @@ from qsalab.statevector import (
     StateVector,
     UnitaryBlock,
     _check_reflections,
+    _reflect,
     _reflection_select,
     all_zeros_expectation,
     apply_controlled_by_register,
@@ -99,6 +100,23 @@ class TestUnitaryBlock:
     def test_rejects_duplicate_targets(self):
         with pytest.raises(ConfigurationError):
             UnitaryBlock(np.eye(4), (1, 1))
+
+    def test_rejects_negative_targets(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            UnitaryBlock(np.eye(4), (0, -1))
+
+    def test_targets_are_ints_and_set_the_dimension(self):
+        block = UnitaryBlock(np.eye(8), [np.int64(2), 0, 1])
+        assert block.targets == (2, 0, 1) and all(type(q) is int for q in block.targets)
+        assert block.dimension == 8
+
+    def test_matrix_is_a_frozen_copy(self):
+        source = np.array(HADAMARD, dtype=complex)
+        block = UnitaryBlock(source, (0,))
+        source[0, 0] = 0.0
+        assert np.array_equal(block.matrix, HADAMARD)
+        with pytest.raises(ValueError):
+            block.matrix[0, 0] = 0.0
 
     def test_retarget_keeps_the_qubit_count(self):
         block = UnitaryBlock(HADAMARD, (0,))
@@ -444,6 +462,14 @@ class TestReflectionRows:
             with pytest.raises(ConfigurationError, match=f"reflection {row}"):
                 _check_reflections(bad_vectors, bad_phases)
 
+    def test_first_bad_row_is_named(self):
+        vectors, phases = random_rows((4,), 4, np.random.default_rng(73))
+        bad = phases.copy()
+        bad[3] = 0.5
+        bad[1] = 2.0
+        with pytest.raises(ConfigurationError, match="reflection 1: phase"):
+            _check_reflections(vectors, bad)
+
     def test_row_of_zeros_rejected_by_its_first_entry(self):
         # ||v||^2 = 2 v_1 holds for v = 0, but applying it would divide 0 by 0
         with pytest.raises(ConfigurationError, match="reflection 0: first entry .* below 1"):
@@ -454,6 +480,39 @@ class TestReflectionRows:
         counter = OpCounter()
         select_rows(random_state(3, rng), (), (2, 0), *random_rows((1,), 4, rng), counter)
         assert (counter.blocks, counter.weighted_dim) == (1, 4)
+
+    def test_stacked_rows_match_each_part_bit_for_bit(self):
+        """The engine's inverse encodings build targets and tokens as one
+        (2, S, T, dim) stack; each part reads as if built alone."""
+        rng = np.random.default_rng(83)
+        columns = rng.normal(size=(2, 3, 4, 8)) + 1j * rng.normal(size=(2, 3, 4, 8))
+        vectors, phases = reflection_rows(columns)
+        assert vectors.shape == columns.shape and phases.shape == columns.shape[:-1]
+        for part in range(2):
+            alone_vectors, alone_phases = reflection_rows(columns[part])
+            assert np.array_equal(vectors[part], alone_vectors)
+            assert np.array_equal(phases[part], alone_phases)
+
+    def test_single_row_acts_on_every_row(self):
+        rng = np.random.default_rng(89)
+        vectors, phases = random_rows((1,), 4, rng)
+        x = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+        out = _reflect(vectors, phases, x)
+        matrix = reflection_matrix(vectors[0], phases[0])
+        for row in range(3):
+            assert np.max(np.abs(out[row] - matrix @ x[row])) <= 1e-12
+
+    def test_adjoint_select_undoes_a_batched_select(self):
+        """The inverse encodings' round trip: conjugated phases undo the
+        select on every sequence of a batch, and the input is left as it was."""
+        rng = np.random.default_rng(97)
+        vectors, phases = random_rows((3, 4), 4, rng)
+        states = np.stack([random_state(5, rng).amplitudes for _ in range(3)])
+        kept = states.copy()
+        there = _reflection_select(states, (4, 1), (0, 3), vectors, phases)
+        assert np.array_equal(states, kept)
+        back = _reflection_select(there, (4, 1), (0, 3), vectors, phases.conj())
+        assert np.max(np.abs(back - states)) <= 1e-12
 
     def test_select_layout_rejected(self):
         vectors, phases = random_rows((2,), 4, np.random.default_rng(79))
@@ -498,6 +557,32 @@ def test_batched_reflection_select_matches_explicit_select_matrices(order, num_c
         assert np.max(np.abs(out[s] - expected)) <= 1e-12
     rows = num_seqs * 2 ** num_controls
     assert (counter.blocks, counter.weighted_dim) == (rows, rows * 2 ** k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
+    num_controls=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
+def test_reflection_select_matches_select_of_dense_blocks(order, num_controls, seed):
+    """The row form and `apply_controlled_by_register` on the rows' dense
+    matrices give one state and one counter reading."""
+    num_qubits = len(order)
+    num_controls = min(num_controls, num_qubits - 1)
+    controls, free = tuple(order[:num_controls]), order[num_controls:]
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, len(free) + 1))
+    targets = tuple(int(q) for q in rng.permutation(free)[:k])
+    vectors, phases = random_rows((2 ** num_controls,), 2 ** k, rng)
+    state = random_state(num_qubits, rng)
+    rows_counter, dense_counter = OpCounter(), OpCounter()
+    out = select_rows(state, controls, targets, vectors, phases, rows_counter)
+    blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), targets) for j in range(2 ** num_controls)}
+    dense = apply_controlled_by_register(state, controls, blocks, dense_counter)
+    assert np.max(np.abs(out - dense.amplitudes)) <= 1e-12
+    assert rows_counter == dense_counter
 
 
 class TestNonFiniteBlocksRejected:
