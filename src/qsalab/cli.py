@@ -5,10 +5,10 @@ Subcommands: ``generate`` (datasets), ``train`` (checkpoint + loss CSV),
 ``audit`` (gate-count tables).  Every command writes outputs atomically and
 drops a run manifest with digests of its inputs and outputs.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure (a non-finite
-loss or a vanishing prediction), 4 compatibility error.  Outputs are
-byte-reproducible for a fixed seed and config; passing ``--timing`` records
-wall times at the cost of that reproducibility.
+Exit codes: 0 success, 2 usage error or a path that cannot be read or
+written, 3 numeric failure (a non-finite loss or a vanishing prediction),
+4 compatibility error.  Outputs are byte-reproducible for a fixed seed and
+config; ``--timing`` records wall times at the cost of that reproducibility.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import operator
 import os
 import sys
 import time
 from dataclasses import asdict
 from typing import NamedTuple
+
+import numpy as np
 
 from . import complexity, data, trainer
 from .errors import (
@@ -160,11 +161,10 @@ def cmd_generate(args, parser) -> Run:
 def _resolve_train_config(args, parser) -> trainer.TrainConfig:
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        try:
+            doc = json.loads(data.read_utf8(args.config))
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
@@ -244,46 +244,35 @@ def cmd_eval(args, parser) -> Run:
                [args.checkpoint, *args.data], [args.out])
 
 
-_PREDICT_ENTRY = '\n            {\n              "score": %s,\n              "word": %s\n            }'
+def _predict_text(model_kind: str, words: np.ndarray, scores: np.ndarray) -> str:
+    """The predict document of (S, T, k) top-k ``words`` and ``scores``: byte for
+    byte ``json.dumps`` (``sort_keys=True, indent=2``) of its per-step dict rows.
 
-
-def _json_nonfinite(x: float) -> str:
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-
-
-def _predict_text(model_kind: str, top_k: int, rows: list) -> str:
-    """The predict document, byte for byte ``json.dumps({"model_kind":
-    model_kind, "top_k": top_k, "records": rows}, sort_keys=True, indent=2)``.
-
-    Under ``indent`` CPython's json runs its pure-Python encoder, one
-    generator call per dict and list.  Here each record is one ``%`` over a
-    flat value tuple into a template fixed by ``top_k`` and its step count,
-    so every step must hold ``top_k`` entries, as ``trainer.predict_topk``
-    returns them.  ``%s`` spells ints and finite floats as json does
-    (``int.__repr__``, ``float.__repr__``); non-finite scores get json's
-    names.
+    Under ``indent`` CPython's json runs its pure-Python encoder, one generator
+    call per dict and list.  Here each record is one ``%`` over its row of an
+    (S, T, 2k+1) object array (positions, then score and word pairs) into a
+    template fixed by k and T; ``%s`` spells ints and finite floats as json does.
     """
+    num_seqs, num_steps, top_k = words.shape
+    values = np.empty((num_seqs, num_steps, 2 * top_k + 1), dtype=object)
+    values[..., 0], values[..., 1::2], values[..., 2::2] = np.arange(2, num_steps + 2), scores, words
+    nonfinite = ~np.isfinite(scores)
+    values[..., 1::2][nonfinite] = [json.dumps(x) for x in scores[nonfinite].tolist()]
+    entry = '\n            {\n              "score": %s,\n              "word": %s\n            }'
     step = ('\n        {\n          "position": %s,\n          "top": ['
-            + ",".join([_PREDICT_ENTRY] * top_k) + "\n          ]\n        }")
-    records = []
-    for row in rows:
-        steps = row["steps"]
-        values = [row["id"]]
-        for item in steps:
-            values.append(item["position"])
-            for entry in item["top"]:
-                score = entry["score"]
-                values += (score if math.isfinite(score) else _json_nonfinite(score), entry["word"])
-        body = "[" + ",".join([step] * len(steps)) + "\n      ]" if steps else "[]"
-        records.append(('\n    {\n      "id": %s,\n      "steps": ' + body + "\n    }") % tuple(values))
+            + ",".join([entry] * top_k) + "\n          ]\n        }")
+    steps = "[" + ",".join([step] * num_steps) + "\n      ]" if num_steps else "[]"
+    record = '\n    {\n      "id": %s,\n      "steps": ' + steps + "\n    }"
+    rows = values.reshape(num_seqs, num_steps * (2 * top_k + 1)).tolist()
+    records = [record % (s, *row) for s, row in enumerate(rows)]
     body = "[" + ",".join(records) + "\n  ]" if records else "[]"
     return '{\n  "model_kind": %s,\n  "records": %s,\n  "top_k": %s\n}' % (json.dumps(model_kind), body, top_k)
 
 
 def cmd_predict(args, parser) -> Run:
     params, meta, (dataset,) = _load_for_inference(args.checkpoint, [args.data])
-    rows = trainer.predict_topk(params, dataset, k=args.top_k)
-    data.atomic_write_text(args.out, _predict_text(meta["model_kind"], args.top_k, rows) + "\n")
+    top = trainer.predict_topk(params, dataset, k=args.top_k)
+    data.atomic_write_text(args.out, _predict_text(meta["model_kind"], *top) + "\n")
     return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint, "top_k": args.top_k}, meta["seed"],
                [args.checkpoint, args.data], [args.out])
 
@@ -317,7 +306,7 @@ def main(argv=None) -> int:
         run = args.func(args, parser)
         _write_manifest(run, args.command, time.perf_counter() - started if args.timing else None)
         return 0
-    except (ConfigurationError, DegenerateInputError, FileNotFoundError) as exc:
+    except (ConfigurationError, DegenerateInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericFailureError, DegeneratePredictionError) as exc:

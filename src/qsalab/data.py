@@ -413,11 +413,24 @@ def loads_dataset(text: str) -> SequenceDataset:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a temp file in the same directory, then rename it over ``path``."""
+    """Write a temp file beside ``path``, then rename it over ``path``; a failure removes the temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+
+
+def read_utf8(path, error=ConfigurationError) -> str:
+    """The text of file ``path``; bytes that are not UTF-8 are an ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def csv_text(columns, rows) -> str:
@@ -433,5 +446,4 @@ def save_dataset(dataset: SequenceDataset, path) -> None:
 
 
 def load_dataset(path) -> SequenceDataset:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_dataset(handle.read())
+    return loads_dataset(read_utf8(path))

@@ -42,7 +42,6 @@ UNITARY_ATOL = 1e-10
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _qubit_count_for(length: int) -> int:

@@ -67,6 +67,7 @@ from .data import (
     embed_batch,
     linear_map_gradient,
     make_embedding,
+    read_utf8,
     unit_rows_backward,
 )
 from .engine import EXPECTATION_FLOOR, batched_expectations, dense_expectations
@@ -743,7 +744,14 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     )
 
 
-def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> list:
+class TopK(typing.NamedTuple):
+    """(S, T, k) top-k word indices and their scores; step j predicts position j + 2."""
+
+    words: np.ndarray
+    scores: np.ndarray
+
+
+def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> TopK:
     """Per sequence and step, the top-k vocabulary indices with their scores.
 
     Scores are squared overlaps with the embedded vocabulary for qsa/lcsa
@@ -756,14 +764,7 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> l
         raise ConfigurationError("prediction needs a non-empty dataset")
     scores = _fitted_model(params, dataset).scores(params, dataset.input_rows())
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
-    top = np.take_along_axis(scores, order, axis=-1)
-    return [
-        {"id": s, "steps": [
-            {"position": j + 2, "top": [{"word": w, "score": v} for w, v in zip(step_words, step_scores)]}
-            for j, (step_words, step_scores) in enumerate(zip(words, word_scores))
-        ]}
-        for s, (words, word_scores) in enumerate(zip(order.tolist(), top.tolist()))
-    ]
+    return TopK(order, np.take_along_axis(scores, order, axis=-1))
 
 
 # checkpoint codec ----------------------------------------------------------------
@@ -833,10 +834,8 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, pa
 
 
 def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams, dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_utf8(path, CheckpointFormatError))
     except json.JSONDecodeError as exc:
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:

@@ -1,6 +1,7 @@
 """Malformed inputs reachable from the command line end in their documented
 exit code with one ``error:`` line on stderr, never a traceback: 2 for a
-usage error, 4 for a compatibility error."""
+usage error or a path that cannot be read or written, 4 for a compatibility
+error."""
 
 import json
 
@@ -147,3 +148,32 @@ def test_predict_on_header_only_dataset_exits_2(tmp_path, files, capsys, data_na
     assert code == 2
     assert "prediction needs a non-empty dataset" in one_error_line(capsys.readouterr().err)
     assert not out.exists()
+
+
+# {dir} is an existing directory, {file} an existing file, {latin1} a file
+# that is not UTF-8 text and {out} a path that does not exist yet
+PATH_CASES = {
+    "generate-out-dir": ("generate --kind classical --vocab 8 --len 5 --count 4 --out {dir}", 2, "Is a directory"),
+    "eval-out-dir": ("eval --checkpoint {checkpoint} --data {data} --out {dir}", 2, "Is a directory"),
+    "predict-out-dir": ("predict --checkpoint {checkpoint} --data {data} --out {dir}", 2, "Is a directory"),
+    "train-data-dir": ("train --model lcsa --data {dir} --out {out}", 2, "Is a directory"),
+    "predict-data-dir": ("predict --checkpoint {checkpoint} --data {dir} --out {out}", 2, "Is a directory"),
+    "eval-checkpoint-dir": ("eval --checkpoint {dir} --data {data} --out {out}", 2, "Is a directory"),
+    "train-out-file": ("train --model lcsa --data {data} --epochs 1 --out {file}", 2, "File exists"),
+    "dataset-not-utf8": ("train --model lcsa --data {latin1} --out {out}", 2, "is not UTF-8 text"),
+    "config-not-utf8": ("train --model lcsa --data {data} --config {latin1} --out {out}", 2, "is not UTF-8 text"),
+    "checkpoint-not-utf8": ("predict --checkpoint {latin1} --data {data} --out {out}", 4, "is not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("command, code, message", PATH_CASES.values(), ids=PATH_CASES.keys())
+def test_unusable_path_exits_with_its_code(tmp_path, files, capsys, command, code, message):
+    paths = {"dir": tmp_path / "taken", "file": tmp_path / "taken.txt", "latin1": tmp_path / "latin1.json",
+             "out": tmp_path / "out", "data": files["classical"], "checkpoint": files["checkpoint"]}
+    paths["dir"].mkdir()
+    paths["file"].write_text("taken\n")
+    paths["latin1"].write_bytes('{"schema_version": 1, "note": "caf\xe9"}\n'.encode("latin-1"))
+    assert main(command.format(**paths).split()) == code
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*manifest.json"))
+    assert not list(tmp_path.rglob("*.tmp"))

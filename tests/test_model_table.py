@@ -77,14 +77,13 @@ class TestPredictMatchesOracles:
         if tied:
             params = with_tied_words(params)
         vocab = dataset.vocab_dim
-        rows = predict_topk(params, dataset, k=vocab)
-        assert [row["id"] for row in rows] == list(range(len(dataset)))
-        for row in rows:
-            assert [step["position"] for step in row["steps"]] == list(range(2, dataset.num_steps + 2))
-            for step in row["steps"]:
-                expected = oracle_scores(params, dataset, row["id"], step["position"] - 1)
-                words = [entry["word"] for entry in step["top"]]
-                scores = [entry["score"] for entry in step["top"]]
+        top = predict_topk(params, dataset, k=vocab)
+        assert top.words.shape == top.scores.shape == (len(dataset), dataset.num_steps, vocab)
+        for s in range(len(dataset)):
+            # step j predicts position j + 2
+            for j in range(dataset.num_steps):
+                expected = oracle_scores(params, dataset, s, j + 1)
+                words, scores = top.words[s, j].tolist(), top.scores[s, j].tolist()
                 assert sorted(words) == list(range(vocab))
                 assert np.max(np.abs(np.array(scores) - expected[words])) <= 1e-12
                 # descending scores; an exact tie lists the lower word first
@@ -103,13 +102,14 @@ class TestPredictMatchesOracles:
         identity = ModelParams(
             "lcsa", params.embedding.with_matrix(matrix), lcsa=type(params.lcsa)(np.eye(4), np.eye(4))
         )
-        for row in predict_topk(identity, dataset, k=8):
-            record = dataset.records[row["id"]]
-            for step in row["steps"]:
-                top = record[step["position"] - 2] % 4
+        predicted = predict_topk(identity, dataset, k=8)
+        assert predicted.words.shape == (len(dataset), dataset.num_steps, 8)
+        for s, record in enumerate(dataset.records):
+            for j in range(dataset.num_steps):
+                top = record[j] % 4
                 rest = [w for w in range(8) if w % 4 != top]
-                assert [entry["word"] for entry in step["top"]] == [top, top + 4] + rest
-                assert [entry["score"] for entry in step["top"]] == [1.0, 1.0] + [0.0] * 6
+                assert predicted.words[s, j].tolist() == [top, top + 4] + rest
+                assert predicted.scores[s, j].tolist() == [1.0, 1.0] + [0.0] * 6
 
     def test_no_per_step_model_function(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -121,7 +121,7 @@ class TestPredictMatchesOracles:
         dataset = tiny_classical(count=3)
         for kind in ("qsa", "scsa", "lcsa"):
             params = initialize_params(TrainConfig(model_kind=kind, seed=41), dataset)
-            assert len(predict_topk(params, dataset, k=2)) == 3
+            assert predict_topk(params, dataset, k=2).words.shape[0] == 3
 
 
 class TestCheckpointFixtures:

@@ -261,22 +261,22 @@ class TestPredictTopK:
         identity = ModelParams(
             "lcsa", embedding, lcsa=type(params.lcsa)(np.eye(4), np.eye(4))
         )
-        rows = predict_topk(identity, dataset, k=1)
-        for row in rows:
-            record = dataset.records[row["id"]]
-            for step in row["steps"]:
-                j = step["position"] - 1
-                expected_direction = record[j - 1] % 4
-                assert step["top"][0]["word"] % 4 == expected_direction
+        words = predict_topk(identity, dataset, k=1).words
+        assert words.shape == (len(dataset), dataset.num_steps, 1)
+        for s, record in enumerate(dataset.records):
+            # step j predicts position j + 2 from the word at position j + 1
+            for j, top_word in enumerate(words[s, :, 0].tolist()):
+                expected_direction = record[j] % 4
+                assert top_word % 4 == expected_direction
 
     def test_scores_sorted_and_ties_break_low(self):
         dataset = tiny_classical()
         config = TrainConfig(model_kind="scsa", epochs=0, seed=27)
         params, _ = train(config, dataset)
-        rows = predict_topk(params, dataset, k=3)
-        for row in rows:
-            for step in row["steps"]:
-                scores = [entry["score"] for entry in step["top"]]
+        top = predict_topk(params, dataset, k=3)
+        assert top.scores.shape == (len(dataset), dataset.num_steps, 3)
+        for steps in top.scores.tolist():
+            for scores in steps:
                 assert scores == sorted(scores, reverse=True)
 
 
@@ -295,10 +295,9 @@ class TestPredictQsa:
         dataset = tiny_classical(count=4)
         config = TrainConfig(model_kind="qsa", epochs=1, seed=32)
         params, _ = train(config, dataset)
-        rows = predict_topk(params, dataset, k=2)
-        assert len(rows) == 4
-        for row in rows:
-            assert len(row["steps"]) == dataset.num_steps
-            for step in row["steps"]:
-                for entry in step["top"]:
-                    assert 0.0 <= entry["score"] <= 1.0 + 1e-12
+        top = predict_topk(params, dataset, k=2)
+        assert top.words.shape == top.scores.shape == (4, dataset.num_steps, 2)
+        for steps in top.scores.tolist():
+            for scores in steps:
+                for score in scores:
+                    assert 0.0 <= score <= 1.0 + 1e-12
