@@ -142,17 +142,16 @@ def _rotation_layers(angles: np.ndarray, real_valued: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cnot_chain_matrix(num_qubits: int) -> np.ndarray:
-    dim = 2 ** num_qubits
-    chain = np.eye(dim, dtype=complex)
+def _cnot_chain_order(num_qubits: int) -> np.ndarray:
+    """The CNOT chain C (control q, target q+1, for q = 0..n-2 in turn) as
+    the index permutations (rows, cols): ``C @ A == A[rows]`` and
+    ``A @ C == A[:, cols]``."""
+    rows = basis = np.arange(2 ** num_qubits)
     for q in range(num_qubits - 1):
-        perm = np.zeros((dim, dim), dtype=complex)
-        for b in range(dim):
-            flipped = b ^ (1 << (q + 1)) if (b >> q) & 1 else b
-            perm[flipped, b] = 1.0
-        chain = perm @ chain
-    chain.setflags(write=False)
-    return chain
+        rows = rows[basis ^ (((basis >> q) & 1) << (q + 1))]
+    order = np.stack([rows, np.argsort(rows)])
+    order.setflags(write=False)
+    return order
 
 
 def build_ansatz_unitary(params: AnsatzParams) -> UnitaryBlock:
@@ -181,25 +180,28 @@ def ansatz_vjp(params: AnsatzParams):
     gives the angle gradient, shaped like ``params.angles``, of a loss whose
     gradient with respect to U is ``g_matrix`` (dL/dRe U + i dL/dIm U).
 
-    With U = after_l R_l before_l around rotation layer l, an Ry angle enters
+    With U = suffix_l R_l prefix_l around rotation layer l, an Ry angle enters
     as dR_l = (-i Y_q / 2) R_l and an Rz angle as dR_l = R_l (-i Z_q / 2), so
     dL/dangle = Re <X, G_q> with X the loss gradient moved through the
     prefix and suffix products to the generator's position.  The backward
-    reuses the forward's rotation layers and prefix products.
+    reuses the forward's rotation layers and prefix products.  The CNOT
+    chain permutes rows forward and columns backward.
     """
     n = params.num_qubits
     layers = _rotation_layers(params.angles, params.real_valued)
-    chain = _cnot_chain_matrix(n)
-    before = [np.eye(2 ** n, dtype=complex)]
-    for layer in layers[:-1]:
-        before.append(chain @ layer @ before[-1])
-    matrix = layers[-1] @ before[-1]
+    rows, cols = _cnot_chain_order(n)
+    prefix = np.empty_like(layers)  # the products before each rotation layer
+    prefix[0] = np.eye(2 ** n)
+    prefix[1:] = layers[:-1, rows]  # C R_l for every layer l but the last
+    for l in range(2, len(layers)):  # prefix_l = C R_(l-1) prefix_(l-1); prefix_1 skips the identity
+        np.matmul(prefix[l], prefix[l - 1], out=prefix[l])
+    matrix = layers[-1] @ prefix[-1]
 
     def backward(g_matrix):
-        after = [np.eye(2 ** n, dtype=complex)]
-        for layer in layers[:0:-1]:
-            after.insert(0, after[0] @ layer @ chain)
-        prefix, suffix = np.stack(before), np.stack(after)
+        suffix = np.empty_like(layers)  # the products after each rotation layer
+        suffix[-1] = prefix[0]
+        for l in range(len(layers) - 2, -1, -1):
+            suffix[l] = (suffix[l + 1] @ layers[l + 1] if l < len(layers) - 2 else layers[-1])[:, cols]
         grad = np.zeros(params.angles.shape)
         x_ry = _dagger(suffix) @ g_matrix @ _dagger(layers @ prefix)
         grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real

@@ -23,6 +23,7 @@ from .data import (
     _as_input_rows,
     embed_batch,
     linear_map_gradient,
+    rows_matmul,
     unit_rows_backward,
 )
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
@@ -162,15 +163,15 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     # T > d^2 runs the softmax in causal query tiles; shorter inputs keep the
     # whole-block einsums and their bytes (README, "Contraction orders").
     attention = _tiled_softmax_attention if running_sum_order(*prefix.shape[1:]) else _softmax_attention
-    queries = prefix @ params.w_query.T
-    keys = prefix @ params.w_key.T
-    values = prefix @ params.w_value.T
+    queries = rows_matmul(prefix, params.w_query.T)
+    keys = rows_matmul(prefix, params.w_key.T)
+    values = rows_matmul(prefix, params.w_value.T)
     attended, attention_backward = attention(queries, keys, values, np.sqrt(params.key_dim))
     residual = attended + prefix
-    pre_activation = residual @ params.ffn_in.T
+    pre_activation = rows_matmul(residual, params.ffn_in.T)
     hidden = _split_relu(pre_activation)
-    transformed = hidden @ params.ffn_out.T
-    logits = (transformed @ params.anti_embed.T).real
+    transformed = rows_matmul(hidden, params.ffn_out.T)
+    logits = rows_matmul(transformed, params.anti_embed.T).real
     distributions = _stable_softmax(logits, axis=-1)
     # Probability of the true next item: index lookup for one-hot rows,
     # Born-weighted average for amplitude rows.
@@ -179,16 +180,16 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
 
     def backward(g_probs):
         g_logits = _softmax_backward(distributions, g_probs[..., None] * born)
-        g_transformed = g_logits @ params.anti_embed.conj()
-        g_hidden = g_transformed @ params.ffn_out.conj()
+        g_transformed = rows_matmul(g_logits, params.anti_embed.conj())
+        g_hidden = rows_matmul(g_transformed, params.ffn_out.conj())
         g_pre = _split_relu_backward(pre_activation, g_hidden)
-        g_residual = g_pre @ params.ffn_in.conj()
+        g_residual = rows_matmul(g_pre, params.ffn_in.conj())
         g_queries, g_keys, g_values = attention_backward(g_residual)
         g_prefix = (
             g_residual
-            + g_queries @ params.w_query.conj()
-            + g_keys @ params.w_key.conj()
-            + g_values @ params.w_value.conj()
+            + rows_matmul(g_queries, params.w_query.conj())
+            + rows_matmul(g_keys, params.w_key.conj())
+            + rows_matmul(g_values, params.w_value.conj())
         )
         return g_prefix, (
             linear_map_gradient(g_queries, prefix),
@@ -399,15 +400,15 @@ def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affini
     reverse cumulative sum that carries every S_j cotangent back to its
     tokens.  No (..., T, T) array is built in either direction.
     """
-    queries = prefix.conj() @ affinity_map  # W^T conj(x_j)
+    queries = rows_matmul(prefix.conj(), affinity_map)  # W^T conj(x_j)
     sums = prefix[..., :, None] * prefix[..., None, :]
     np.cumsum(sums, axis=-3, out=sums)
     attended = np.einsum("...jab,...jb->...ja", sums, queries)
-    z = attended @ value_map.T
+    z = rows_matmul(attended, value_map.T)
     weights = np.einsum("...jab,...jab->...j", sums.conj(), sums).real if prefix_weights else None
 
     def backward(g_z, g_weights=None):
-        g_attended = g_z @ value_map.conj()
+        g_attended = rows_matmul(g_z, value_map.conj())
         # g_queries_j = S_j^H g_attended_j; both uses read its conjugate, S_j conj(g_attended_j)
         conj_g_queries = np.einsum("...jab,...jb->...ja", sums, g_attended.conj())
         tails = g_attended[..., :, None] * queries.conj()[..., None, :]
@@ -418,7 +419,7 @@ def _running_sum_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affini
         np.cumsum(reverse, axis=-3, out=reverse)
         g_prefix = (
             np.einsum("...iab,...ib->...ia", tails + tails.swapaxes(-1, -2), prefix.conj())
-            + conj_g_queries @ affinity_map.T
+            + rows_matmul(conj_g_queries, affinity_map.T)
         )
         # queries = conj(x) @ W, so g_W = sum_j x_j (x) g_queries_j
         return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(prefix, conj_g_queries)
@@ -430,13 +431,14 @@ def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_
                             prefix_weights: bool = False):
     """Causal linear attention through the (..., T, T) affinity block, and
     the prefix weights through the (..., T, T) Gram block; the faster order
-    while T is small against d.  Returns (z, weights, backward) as
-    ``causal_attention_vjp`` does."""
-    keys = prefix @ affinity_map.T  # W x_i
+    while T is small against d.  The backward reads both blocks from the
+    forward; at T <= d^2 each holds at most d^4 entries per sequence.
+    Returns (z, weights, backward) as ``causal_attention_vjp`` does."""
+    keys = rows_matmul(prefix, affinity_map.T)  # W x_i
     affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
     attended = affinities @ prefix
-    z = attended @ value_map.T
-    weights = None
+    z = rows_matmul(attended, value_map.T)
+    weights = gram = None
     if prefix_weights:
         # <x_i (x) x_i | x_i' (x) x_i'> is the *square* of the complex overlap,
         # so the prefix weights sum squared Gram entries, not squared moduli.
@@ -445,24 +447,22 @@ def _pairwise_attention_vjp(prefix: np.ndarray, value_map: np.ndarray, affinity_
         weights = np.diagonal(prefixes, axis1=-2, axis2=-1).real
 
     def backward(g_z, g_weights=None):
-        # recomputed, not kept, so forward-only calls hold no extra (..., T, T) array
-        affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
-        g_attended = g_z @ value_map.conj()
+        g_attended = rows_matmul(g_z, value_map.conj())
         g_affinities = np.tril(g_attended @ prefix.conj().swapaxes(-1, -2))
         g_keys = g_affinities.swapaxes(-1, -2) @ prefix
         g_prefix = (
             affinities.conj().swapaxes(-1, -2) @ g_attended
             + g_affinities.conj() @ keys
-            + g_keys @ affinity_map.conj()
+            + rows_matmul(g_keys, affinity_map.conj())
         )
         if g_weights is not None:
             # M_j = Re sum_{i,i'<=j} G_ii'^2: pair (i, i') feeds every M_j with
             # j >= max(i, i'); dG^2 = 2 G dG, and each token enters G as a row
-            # and as a column, hence the 4.  The Gram block is recomputed too.
+            # and as a column, hence the 4.
             tail = np.cumsum(g_weights[..., ::-1], axis=-1)[..., ::-1]
             steps = np.arange(prefix.shape[-2])
             pair_weights = tail[..., np.maximum.outer(steps, steps)]
-            g_prefix = g_prefix + 4.0 * (pair_weights * (prefix.conj() @ prefix.swapaxes(-1, -2))) @ prefix
+            g_prefix = g_prefix + 4.0 * (pair_weights * gram) @ prefix
         return g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(g_keys, prefix)
 
     return z, weights, backward

@@ -154,7 +154,7 @@ def embed_sequence(record, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
 def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
     """Batched embedding of (S, T+1, D) input rows; see embed_sequence."""
     inputs = np.asarray(inputs)
-    shift_free = inputs @ emap.matrix.T
+    shift_free = rows_matmul(inputs, emap.matrix.T)
     if emap.shifts.shape[0] < inputs.shape[1]:
         raise ConfigurationError("embedding has fewer positional shifts than sequence steps")
     x = shift_free + emap.gamma * emap.shifts[None, : inputs.shape[1]]
@@ -163,6 +163,15 @@ def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.
     ):
         raise DegenerateInputError("a token embeds to the zero vector")
     return x, shift_free
+
+
+def rows_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for (..., k) rows and one shared (k, n) matrix as one 2-D GEMM, with the
+    stacked product's bits; numpy runs one-row stacks and one-column matrices as
+    matrix-vector products, whose bits follow the row count, so those stay stacked."""
+    if x.shape[-2] == 1 or m.shape[-1] == 1:
+        return x @ m
+    return (x.reshape(-1, m.shape[0]) @ m).reshape(x.shape[:-1] + (m.shape[-1],))
 
 
 def linear_map_gradient(g_out: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -253,6 +262,8 @@ class SequenceDataset:
             if not _typed(getattr(self, name), int):
                 raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
+        if self.num_steps < 1:
+            raise ConfigurationError(f"dataset T must be at least 1, got {self.num_steps}")
         length = self.num_steps + 1
         if self.kind == "classical":
             # int(w) would pass 1.5, True and "3" as 1, 1 and 3

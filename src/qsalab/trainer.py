@@ -68,6 +68,7 @@ from .data import (
     linear_map_gradient,
     make_embedding,
     read_utf8,
+    rows_matmul,
     unit_rows_backward,
 )
 from .engine import EXPECTATION_FLOOR, batched_expectations, dense_expectations
@@ -304,8 +305,9 @@ class _Model:
         return {attr: _from_payload(cls, payload if key is None else payload[key]) for key, attr, cls in self.blocks}
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(x, axis=-1)
+    return x / norms[..., None], norms
 
 
 def _overlap_scores(z: np.ndarray, emap: EmbeddingMap) -> np.ndarray:
@@ -315,7 +317,7 @@ def _overlap_scores(z: np.ndarray, emap: EmbeddingMap) -> np.ndarray:
     if np.any(cand_norms <= ZERO_NORM_TOL):
         raise ConfigurationError("a vocabulary column embeds to the zero vector")
     unit = z / np.sqrt(output_weights(z))[..., None]
-    return np.abs(unit @ (candidates / cand_norms[:, None]).conj().T) ** 2
+    return np.abs(rows_matmul(unit, (candidates / cand_norms[:, None]).conj().T)) ** 2
 
 
 class _Qsa(_Model):
@@ -361,8 +363,8 @@ class _Qsa(_Model):
         x, shift_free = embed_batch(inputs, params.embedding)
         layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
         return dense_expectations(
-            _unit_rows(x[:, :-1]),
-            _unit_rows(shift_free[:, 1:]),
+            _unit_rows(x[:, :-1])[0],
+            _unit_rows(shift_free[:, 1:])[0],
             ansatz_vjp(params.v_params)[0],
             ansatz_vjp(params.w_params)[0],
             phase_layer_diagonal(params.r_params),
@@ -371,8 +373,7 @@ class _Qsa(_Model):
 
     def forward(self, params, inputs):
         x, shift_free = embed_batch(inputs, params.embedding)
-        tokens, targets = x[:, :-1], shift_free[:, 1:]
-        tok, tgt = _unit_rows(tokens), _unit_rows(targets)
+        (tok, tok_norms), (tgt, tgt_norms) = _unit_rows(x[:, :-1]), _unit_rows(shift_free[:, 1:])
         v_matrix, v_backward = ansatz_vjp(params.v_params)
         w_matrix, w_backward = ansatz_vjp(params.w_params)
         exps, backward = batched_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
@@ -380,8 +381,8 @@ class _Qsa(_Model):
         def model_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
             g_rows = np.zeros_like(g_tok, shape=x.shape)
-            g_rows[:, :-1] = unit_rows_backward(tok, np.linalg.norm(tokens, axis=-1), g_tok)
-            g_rows[:, 1:] += unit_rows_backward(tgt, np.linalg.norm(targets, axis=-1), g_tgt)
+            g_rows[:, :-1] = unit_rows_backward(tok, tok_norms, g_tok)
+            g_rows[:, 1:] += unit_rows_backward(tgt, tgt_norms, g_tgt)
             grads = [v_backward(g_v), w_backward(g_w), phase_layer_gradient(params.r_params, g_phase)]
             return grads, g_rows
 
@@ -390,7 +391,7 @@ class _Qsa(_Model):
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
         z = causal_attention_vjp(
-            _unit_rows(x[:, :-1]),
+            _unit_rows(x[:, :-1])[0],
             build_ansatz_unitary(params.v_params).matrix,
             build_ansatz_unitary(params.w_params).matrix,
         )[0]

@@ -7,7 +7,10 @@ from hypothesis.extra import numpy as hnp
 from qsalab.ansatz import (
     AnsatzParams,
     PhaseLayerParams,
+    _dagger,
+    _qubit_generators,
     _rotation_layers,
+    ansatz_vjp,
     build_ansatz_unitary,
     build_phase_layer,
     parameter_shift_gradient,
@@ -122,6 +125,71 @@ def test_batched_rotation_layers_are_bit_identical(angles, real_valued):
     expected = np.stack([rotation_layer_one_qubit_at_a_time(layer, real_valued) for layer in angles])
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def cnot_chain_matrix(num_qubits):
+    """The dense CNOT chain: CNOT(q -> q+1) for q = 0..n-2, applied in turn."""
+    dim = 2 ** num_qubits
+    chain = np.eye(dim, dtype=complex)
+    for q in range(num_qubits - 1):
+        perm = np.zeros((dim, dim), dtype=complex)
+        for b in range(dim):
+            perm[b ^ (1 << (q + 1)) if (b >> q) & 1 else b, b] = 1.0
+        chain = perm @ chain
+    return chain
+
+
+def ansatz_vjp_dense_chain(params):
+    """``ansatz_vjp`` as it was built with the dense chain matrix: every layer
+    product starts from the identity and multiplies by the chain."""
+    n = params.num_qubits
+    layers = _rotation_layers(params.angles, params.real_valued)
+    chain = cnot_chain_matrix(n)
+    before = [np.eye(2 ** n, dtype=complex)]
+    for layer in layers[:-1]:
+        before.append(chain @ layer @ before[-1])
+    matrix = layers[-1] @ before[-1]
+
+    def backward(g_matrix):
+        after = [np.eye(2 ** n, dtype=complex)]
+        for layer in layers[:0:-1]:
+            after.insert(0, after[0] @ layer @ chain)
+        prefix, suffix = np.stack(before), np.stack(after)
+        grad = np.zeros(params.angles.shape)
+        x_ry = _dagger(suffix) @ g_matrix @ _dagger(layers @ prefix)
+        grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
+        if not params.real_valued:
+            x_rz = _dagger(suffix @ layers) @ g_matrix @ _dagger(prefix)
+            grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
+        return grad
+
+    return matrix, backward
+
+
+@st.composite
+def ansatz_case(draw):
+    """Params on n = 1..5 qubits with L = 0..6 layers, with all, some or no
+    angles exactly zero, and a complex matrix cotangent."""
+    num_qubits, num_layers = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = rng.uniform(-np.pi, np.pi, size=(num_layers + 1, num_qubits, 2))
+    angles[rng.random(angles.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    dim = 2 ** num_qubits
+    g_matrix = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return AnsatzParams(num_qubits, num_layers, angles, draw(st.booleans())), g_matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(ansatz_case())
+def test_ansatz_vjp_matches_dense_chain(case):
+    params, g_matrix = case
+    matrix, backward = ansatz_vjp(params)
+    expected_matrix, expected_backward = ansatz_vjp_dense_chain(params)
+    assert np.array_equal(matrix, expected_matrix)
+    # bytes may differ only in the sign of an exact zero
+    got, expected = matrix.view(float), expected_matrix.view(float)
+    assert np.all((np.signbit(got) == np.signbit(expected)) | (got == 0.0))
+    assert backward(g_matrix).tobytes() == expected_backward(g_matrix).tobytes()
 
 
 def phase_diagonal_by_kron(angles):

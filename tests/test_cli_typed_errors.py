@@ -26,6 +26,9 @@ def files(tmp_path_factory):
         assert main(["train", "--model", "lcsa", "--data", str(made[data_name]), "--epochs", "1",
                      "--out", str(root / run)]) == 0
     made["checkpoint"] = made["classical_checkpoint"]
+    made["scsa_checkpoint"] = root / "srun" / "checkpoint.json"
+    assert main(["train", "--model", "scsa", "--data", str(made["classical"]), "--epochs", "1",
+                 "--out", str(root / "srun")]) == 0
     return made
 
 
@@ -136,6 +139,30 @@ def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, messa
     code, line = train_exit(tmp_path, capsys, bad, model="lcsa")
     assert code == 2
     assert message in line
+
+
+# records of one word: no step to predict
+NO_STEPS = {
+    "train-qsa": "train --model qsa --data {data} --epochs 0 --out {out}",
+    "train-scsa": "train --model scsa --data {data} --epochs 0 --out {out}",
+    "train-lcsa": "train --model lcsa --data {data} --epochs 0 --out {out}",
+    "eval-scsa": "eval --checkpoint {scsa_checkpoint} --data {data} --out {out}",
+    "eval-lcsa": "eval --checkpoint {checkpoint} --data {data} --out {out}",
+    "predict-scsa": "predict --checkpoint {scsa_checkpoint} --data {data} --out {out}",
+    "predict-lcsa": "predict --checkpoint {checkpoint} --data {data} --out {out}",
+}
+
+
+@pytest.mark.parametrize("command", NO_STEPS.values(), ids=NO_STEPS.keys())
+def test_dataset_without_steps_exits_2(tmp_path, files, capsys, command):
+    data = tmp_path / "no_steps.jsonl"
+    data.write_text(json.dumps({"kind": "classical", "D": 8, "T": 0, "seed": 1}) + "\n"
+                    + "".join(json.dumps({"id": i, "words": [i]}) + "\n" for i in range(4)))
+    paths = {"data": data, "out": tmp_path / "out", "checkpoint": files["checkpoint"],
+             "scsa_checkpoint": files["scsa_checkpoint"]}
+    assert main(command.format(**paths).split()) == 2
+    assert "dataset T must be at least 1, got 0" in one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*manifest.json"))
 
 
 @pytest.mark.parametrize("data_name", ["classical", "quantum"])

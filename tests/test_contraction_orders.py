@@ -13,6 +13,7 @@ from qsalab.classical import (
     causal_attention_vjp,
     running_sum_order,
 )
+from qsalab.data import linear_map_gradient
 from qsalab.engine import _branch_overlaps_vjp
 
 TOL = 1e-12
@@ -106,3 +107,60 @@ def test_long_sequences_build_no_t_by_t_block():
     finally:
         tracemalloc.stop()
     assert peak < block_bytes / 4
+
+
+def pairwise_recomputing(prefix, value_map, affinity_map, g_z, g_weights):
+    """The pairwise order with stacked products and a backward that
+    recomputes the affinity and Gram blocks: (z, weights, gradients)."""
+    keys = prefix @ affinity_map.T
+    attended = np.tril(prefix.conj() @ keys.swapaxes(-1, -2)) @ prefix
+    z = attended @ value_map.T
+    weights = None
+    if g_weights is not None:
+        gram = prefix.conj() @ prefix.swapaxes(-1, -2)
+        weights = np.diagonal(np.cumsum(np.cumsum(gram * gram, axis=-1), axis=-2), axis1=-2, axis2=-1).real
+    affinities = np.tril(prefix.conj() @ keys.swapaxes(-1, -2))
+    g_attended = g_z @ value_map.conj()
+    g_affinities = np.tril(g_attended @ prefix.conj().swapaxes(-1, -2))
+    g_keys = g_affinities.swapaxes(-1, -2) @ prefix
+    g_prefix = (
+        affinities.conj().swapaxes(-1, -2) @ g_attended
+        + g_affinities.conj() @ keys
+        + g_keys @ affinity_map.conj()
+    )
+    if g_weights is not None:
+        tail = np.cumsum(g_weights[..., ::-1], axis=-1)[..., ::-1]
+        steps = np.arange(prefix.shape[-2])
+        pair_weights = tail[..., np.maximum.outer(steps, steps)]
+        g_prefix = g_prefix + 4.0 * (pair_weights * (prefix.conj() @ prefix.swapaxes(-1, -2))) @ prefix
+    gradients = (g_prefix, linear_map_gradient(g_z, attended), linear_map_gradient(g_keys, prefix))
+    return z, weights, gradients
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    num_seqs=st.integers(1, 8),
+    d=st.sampled_from([1, 2, 4]),
+    steps_per_d2=st.floats(0.0, 1.0),
+    complex_tokens=st.booleans(),
+    complex_maps=st.booleans(),
+    prefix_weights=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_pairwise_backward_reads_the_forward_blocks(num_seqs, d, steps_per_d2, complex_tokens, complex_maps,
+                                                    prefix_weights, seed):
+    num_steps = max(1, round(steps_per_d2 * d * d))  # the pairwise order's range T <= d^2
+    rng = np.random.default_rng(seed)
+    tokens = draw(rng, (num_seqs, num_steps, d), complex_tokens)
+    value_map = draw(rng, (d, d), complex_maps)
+    affinity_map = draw(rng, (d, d), complex_maps)
+    g_z = draw(rng, (num_seqs, num_steps, d), complex_tokens or complex_maps)
+    g_weights = rng.normal(size=(num_seqs, num_steps)) if prefix_weights else None
+    z, weights, backward = _pairwise_attention_vjp(tokens, value_map, affinity_map, prefix_weights)
+    expected_z, expected_weights, expected = pairwise_recomputing(tokens, value_map, affinity_map, g_z, g_weights)
+    assert z.tobytes() == expected_z.tobytes()
+    assert (weights is None) == (expected_weights is None)
+    if prefix_weights:
+        assert weights.tobytes() == expected_weights.tobytes()
+    for got, wanted in zip(backward(g_z, g_weights), expected, strict=True):
+        assert got.tobytes() == wanted.tobytes()

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qsalab.data import (
@@ -17,6 +19,7 @@ from qsalab.data import (
     load_dataset,
     loads_dataset,
     make_embedding,
+    rows_matmul,
     save_dataset,
     sinusoidal_shifts,
 )
@@ -260,3 +263,41 @@ class TestSerialization:
         assert ds.records[1].dtype == complex and ds.records[1][0, 1] == 0.8j
         with pytest.raises(ValueError):
             ds.records[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    @pytest.mark.parametrize("num_steps", [0, -1])
+    def test_fewer_than_one_step_rejected(self, kind, num_steps):
+        # a record of one word has no step to predict
+        record = [3] if kind == "classical" else [[0.6, 0.8j]]
+        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+            SequenceDataset(kind, 8 if kind == "classical" else 2, num_steps, 0, [record])
+        header = json.dumps({"kind": "classical", "D": 8, "T": num_steps, "seed": 1})
+        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+            loads_dataset(header + "\n" + json.dumps({"id": 0, "words": [3]}) + "\n")
+
+
+@st.composite
+def _rows_and_matrix(draw):
+    """(S, T, k) rows, contiguous or sliced from a larger block, and a (k, n)
+    matrix, each real or complex."""
+    shape = [draw(st.integers(1, 64)), draw(st.integers(1, 16)), draw(st.integers(1, 8))]
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operand(shape, is_complex):
+        values = rng.normal(size=shape)
+        return values + 1j * rng.normal(size=shape) if is_complex else values
+
+    sliced = draw(st.booleans())
+    x = operand([shape[0], shape[1] + sliced, shape[2]], draw(st.booleans()))[:, sliced:]
+    m = operand([shape[2], n], draw(st.booleans()))
+    return x, m.T.copy().T if draw(st.booleans()) else m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_and_matrix())
+def test_rows_matmul_has_the_stacked_products_bits(case):
+    x, m = case
+    product = rows_matmul(x, m)
+    assert product.shape == (x @ m).shape
+    assert product.tobytes() == (x @ m).tobytes()
