@@ -16,7 +16,6 @@ from .classical import (
     lcsa_step_probability,
     linear_attention_layer,
     scsa_forward,
-    softmax_attention_layer,
 )
 from .complexity import count_gates, crossover_report, fit_scaling
 from .data import (

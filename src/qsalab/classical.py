@@ -129,18 +129,6 @@ class ScsaParams:
         )
 
 
-def softmax_attention_layer(tokens: Sequence[np.ndarray], params: ScsaParams, step: int) -> np.ndarray:
-    """Softmax-weighted sum of value vectors over positions 1..step."""
-    if not 1 <= step <= len(tokens):
-        raise ConfigurationError(f"step {step} outside 1..{len(tokens)}")
-    prefix = np.stack([np.asarray(t) for t in tokens[:step]])
-    query = params.w_query @ prefix[step - 1]
-    keys = prefix @ params.w_key.T
-    values = prefix @ params.w_value.T
-    scores = (keys @ query.conj()).real / np.sqrt(params.key_dim)
-    return _stable_softmax(scores) @ values
-
-
 def scsa_forward_batch(inputs: np.ndarray, emap: EmbeddingMap, params: ScsaParams):
     """Batched forward pass.
 
@@ -160,13 +148,10 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     ``backward(g_probs)`` gives g_prefix and the gradients of the ScsaParams
     fields in declaration order.
     """
-    # T > d^2 runs the softmax in causal query tiles; shorter inputs keep the
-    # whole-block einsums and their bytes (README, "Contraction orders").
-    attention = _tiled_softmax_attention if running_sum_order(*prefix.shape[1:]) else _softmax_attention
     queries = rows_matmul(prefix, params.w_query.T)
     keys = rows_matmul(prefix, params.w_key.T)
     values = rows_matmul(prefix, params.w_value.T)
-    attended, attention_backward = attention(queries, keys, values, np.sqrt(params.key_dim))
+    attended, attention_backward = _tiled_softmax_attention(queries, keys, values, np.sqrt(params.key_dim))
     residual = attended + prefix
     pre_activation = rows_matmul(residual, params.ffn_in.T)
     hidden = _split_relu(pre_activation)
@@ -203,26 +188,20 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     return distributions, probs, backward
 
 
-def _softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, scale: float):
-    """Causal softmax attention of (S, T, .) queries, keys and values through
-    the whole (S, T, T) block, contracted by einsums.  Returns (attended,
-    backward); ``backward(g_attended)`` gives (g_queries, g_keys, g_values).
-    The masked softmax runs in place: scores and weights share one buffer,
-    as do their cotangents.  The weights are kept for the backward pass."""
-    num_steps = queries.shape[1]
-    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
-    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
-    weights = _stable_softmax(scores, axis=-1, out=scores)
-    attended = np.einsum("sji,sid->sjd", weights, values)
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a_j^H b_i) for every pair of (..., m, c) rows a_j and (..., n, c) rows
+    b_i, as one real matmul on the interleaved float64 views; a real operand
+    is promoted when the other is complex, and two real operands multiply as
+    they are."""
+    dtype = np.result_type(a, b)
+    a, b = (x.astype(dtype, copy=False).view(np.float64) for x in (a, b))
+    return a @ b.swapaxes(-1, -2)
 
-    def backward(g_attended):
-        g_weights = np.einsum("sjd,sid->sji", g_attended.conj(), values).real
-        g_values = np.einsum("sji,sjd->sid", weights, g_attended)
-        g_scores = _softmax_backward(weights, g_weights, out=g_weights)
-        g_scores /= scale
-        return g_scores @ keys, g_scores.swapaxes(-1, -2) @ queries, g_values
 
-    return attended, backward
+def _real_matmul(tile: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``tile @ rows`` for a real ``tile`` and real or complex ``rows``, as one
+    real matmul on the rows' float64 view, viewed back in their dtype."""
+    return (tile @ rows.view(np.float64)).view(rows.dtype)
 
 
 # Rows of one causal query tile; fitted from forward and backward timings
@@ -231,16 +210,19 @@ TILE_ROWS = 32
 
 
 def _tiled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.ndarray, scale: float):
-    """Causal softmax attention in query tiles of ``TILE_ROWS`` rows, with
-    batched matmuls.  Tile [a, b) reads only keys and values [0, b), so the
-    masked blocks above the diagonal are never built, and each row's whole
-    prefix lies in its tile, so its softmax is exact.  The forward keeps the
-    (S, T) row max and row sum; the backward recomputes each tile's weights
-    from them with the forward's operations, hence with its bits.  No
-    (S, T, T) array is built in either direction: a tile is at most
-    (S, TILE_ROWS, T).  Returns (attended, backward) as
-    ``_softmax_attention`` does; a single tile (T <= TILE_ROWS) runs the
-    whole-block matmuls exactly."""
+    """Causal softmax attention of (S, T, .) queries, keys and values in query
+    tiles of ``TILE_ROWS`` rows, one tile when T <= ``TILE_ROWS``.  Tile [a, b)
+    reads only keys and values [0, b), so the masked blocks above the diagonal
+    are never built, and each row's whole prefix lies in its tile, so its
+    softmax is exact.  The forward keeps the (S, T) row max and row sum, and
+    the weights of the last tile, which the backward takes first; the backward
+    recomputes every other tile's weights from them with the forward's
+    operations, hence with its bits.  No (S, T, T) array is built in either
+    direction: a tile is at most (S, TILE_ROWS, T).  Every product is real:
+    the scores and their cotangents are real parts (``_real_inner``), and the
+    real tiles multiply complex rows through their float64 view
+    (``_real_matmul``).  Returns (attended, backward); ``backward(g_attended)``
+    gives (g_queries, g_keys, g_values)."""
     num_seqs, num_steps = queries.shape[:2]
     tiles = [(a, min(a + TILE_ROWS, num_steps)) for a in range(0, num_steps, TILE_ROWS)]
     row_max = np.empty((num_seqs, num_steps))
@@ -249,7 +231,7 @@ def _tiled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.n
     upper = np.triu(np.ones((TILE_ROWS, TILE_ROWS), dtype=bool), k=1)
 
     def tile_weights(a, b, forward):
-        weights = (queries[:, a:b].conj() @ keys[:, :b].swapaxes(-1, -2)).real
+        weights = _real_inner(queries[:, a:b], keys[:, :b])
         weights /= scale
         np.copyto(weights[..., a:], -np.inf, where=upper[: b - a, : b - a])
         if forward:
@@ -261,16 +243,22 @@ def _tiled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.n
         weights /= row_sum[:, a:b, None]
         return weights
 
-    attended = np.concatenate([tile_weights(a, b, True) @ values[:, :b] for a, b in tiles], axis=1)
+    attended = []
+    for a, b in tiles:
+        weights = tile_weights(a, b, True)
+        attended.append(_real_matmul(weights, values[:, :b]))
+    attended = np.concatenate(attended, axis=1)
+    last_weights = weights
 
     def tile_backward(a, b, g_rows):
         # a function, so that the tile's blocks are freed before the next tile's
-        weights = tile_weights(a, b, False)
-        g_weights = (g_rows.conj() @ values[:, :b].swapaxes(-1, -2)).real
-        g_tile_values = weights.swapaxes(-1, -2) @ g_rows
+        weights = last_weights if b == num_steps else tile_weights(a, b, False)
+        g_weights = _real_inner(g_rows, values[:, :b])
+        g_tile_values = _real_matmul(weights.swapaxes(-1, -2), g_rows)
         g_scores = _softmax_backward(weights, g_weights, out=g_weights)
         g_scores /= scale
-        return g_scores @ keys[:, :b], g_scores.swapaxes(-1, -2) @ queries[:, a:b], g_tile_values
+        return (_real_matmul(g_scores, keys[:, :b]), _real_matmul(g_scores.swapaxes(-1, -2), queries[:, a:b]),
+                g_tile_values)
 
     def backward(g_attended):
         g_queries = []
@@ -380,11 +368,6 @@ def running_sum_order(num_steps: int, embed_dim: int) -> bool:
     grid (README, "Contraction orders"); it also keeps the running sums'
     T d^2 entries below the pairwise block's T^2, and every T <= d input,
     all T=4 training included, on the pairwise order and its bytes.
-
-    Its second reader is ``scsa_vjp``, whose softmax attention is O(T^2 d)
-    in either order: above the rule it runs in causal query tiles of
-    ``TILE_ROWS`` rows with batched matmuls, and below it keeps the
-    whole-block einsums and their bytes.
     """
     return num_steps > embed_dim * embed_dim
 

@@ -6,9 +6,10 @@ Subcommands: ``generate`` (datasets), ``train`` (checkpoint + loss CSV),
 drops a run manifest with digests of its inputs and outputs.
 
 Exit codes: 0 success, 2 usage error or a path that cannot be read or
-written, 3 numeric failure (a non-finite loss or a vanishing prediction),
-4 compatibility error.  Outputs are byte-reproducible for a fixed seed and
-config; ``--timing`` records wall times at the cost of that reproducibility.
+written, 3 numeric failure (a non-finite loss or parameters, or a
+vanishing prediction), 4 compatibility error.  Outputs are
+byte-reproducible for a fixed seed and config; ``--timing`` records wall
+times at the cost of that reproducibility.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -229,7 +231,12 @@ def _load_for_inference(checkpoint, paths):
 
 def cmd_eval(args, parser) -> Run:
     params, meta, datasets = _load_for_inference(args.checkpoint, args.data)
-    report = trainer.evaluate(params, datasets)
+    # An overflowing forward reaches the loss, which is checked below.
+    with np.errstate(all="ignore"):
+        report = trainer.evaluate(params, datasets)
+    for path, entry in zip(args.data, report.per_set):
+        if not math.isfinite(entry["loss"]):
+            raise NumericFailureError(f"non-finite loss on {path}")
     doc = {
         "model_kind": meta["model_kind"],
         "metric": "perplexity",

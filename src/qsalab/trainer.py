@@ -669,7 +669,8 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     so row 0 is the untouched initialization and the last row matches a
     forward-only evaluation of the returned parameters.  Each row runs the
     model forward once; its gradient work starts only after the loss is
-    known to be finite.
+    known to be finite, and an update that leaves a parameter non-finite
+    raises ``NumericFailureError`` as a non-finite loss does.
     """
     params = initialize_params(config, dataset)
     log_offset = math.log(dataset.num_steps)
@@ -682,6 +683,16 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     adam_embed = _Adam(embed_vec.size, config.embedding_learning_rate, config.beta1, config.beta2, config.epsilon)
     rows = []
     clamp_total = 0
+
+    def failure(message):  # reads the loop's current epoch, loss and vectors
+        return NumericFailureError(message, diagnostic={
+            "epoch": epoch,
+            "loss": repr(loss),
+            "model_kind": config.model_kind,
+            "circuit_norm": _diagnostic_norm(circuit_vec),
+            "embedding_norm": _diagnostic_norm(embed_vec),
+        })
+
     for epoch in range(config.epochs + 1):
         started = time.perf_counter()
         # A non-finite forward value reaches the loss, which is checked below.
@@ -689,16 +700,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
             loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
         clamp_total += clamped
         if not math.isfinite(loss):
-            raise NumericFailureError(
-                f"non-finite loss at epoch {epoch}",
-                diagnostic={
-                    "epoch": epoch,
-                    "loss": repr(loss),
-                    "model_kind": config.model_kind,
-                    "circuit_norm": _diagnostic_norm(circuit_vec),
-                    "embedding_norm": _diagnostic_norm(embed_vec),
-                },
-            )
+            raise failure(f"non-finite loss at epoch {epoch}")
         grad_circuit, grad_embed = gradients()
         grad_norm = float(np.sqrt(np.sum(grad_circuit ** 2) + np.sum(grad_embed ** 2)))
         seconds = time.perf_counter() - started if config.record_timing else 0.0
@@ -707,9 +709,12 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
         )
         if epoch == config.epochs:
             break
-        circuit_vec = adam_circuit.update(circuit_vec, grad_circuit)
-        if config.embedding_trainable:
-            embed_vec = adam_embed.update(embed_vec, grad_embed)
+        with np.errstate(all="ignore"):
+            circuit_vec = adam_circuit.update(circuit_vec, grad_circuit)
+            if config.embedding_trainable:
+                embed_vec = adam_embed.update(embed_vec, grad_embed)
+        if not (np.all(np.isfinite(circuit_vec)) and np.all(np.isfinite(embed_vec))):
+            raise failure(f"non-finite parameters after the update at epoch {epoch}")
     trained = adapter.rebuild(circuit_vec, embed_vec)
     return trained, LossReport(rows=rows, log_offset=log_offset, clamp_events=clamp_total)
 

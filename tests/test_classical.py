@@ -10,7 +10,6 @@ from qsalab.classical import (
     linear_attention_layer,
     scsa_forward,
     scsa_forward_batch,
-    softmax_attention_layer,
 )
 from qsalab.data import make_embedding
 from qsalab.engine import QsaInstance, predict_token_state
@@ -48,57 +47,6 @@ def naive_scsa_probs(words, emap, params):
         dist = dist / dist.sum()
         probs.append(dist[words[j]])
     return np.array(probs)
-
-
-class TestSoftmaxAttention:
-    def test_first_step_returns_first_value(self):
-        rng = np.random.default_rng(0)
-        params = ScsaParams.random(4, 10, seed=1)
-        tokens = list(rng.normal(size=(5, 4)))
-        out = softmax_attention_layer(tokens, params, 1)
-        assert np.allclose(out, params.w_value @ tokens[0])
-
-    def test_equal_scores_average_values(self):
-        params = ScsaParams(
-            w_query=np.zeros((4, 4)),  # all scores zero -> uniform softmax
-            w_key=np.eye(4),
-            w_value=np.eye(4),
-            ffn_in=np.eye(4),
-            ffn_out=np.eye(4),
-            anti_embed=np.eye(10, 4),
-        )
-        rng = np.random.default_rng(1)
-        tokens = list(rng.normal(size=(4, 4)))
-        out = softmax_attention_layer(tokens, params, 3)
-        assert np.allclose(out, np.mean(tokens[:3], axis=0))
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(2)
-        params = ScsaParams.random(4, 10, seed=3)
-        tokens = list(rng.normal(size=(4, 4)))
-        j = 3
-        scores = np.array(
-            [
-                np.dot(params.w_query @ tokens[j - 1], params.w_key @ tokens[i])
-                / np.sqrt(params.key_dim)
-                for i in range(j)
-            ]
-        )
-        weights = np.exp(scores - scores.max())
-        weights /= weights.sum()
-        expected = sum(weights[i] * (params.w_value @ tokens[i]) for i in range(j))
-        out = softmax_attention_layer(tokens, params, j)
-        assert np.max(np.abs(out - expected)) < 1e-12
-
-    def test_output_in_convex_hull_of_values(self):
-        rng = np.random.default_rng(7)
-        params = ScsaParams.random(3, 8, seed=5)
-        tokens = list(rng.normal(size=(4, 3)))
-        values = np.stack([params.w_value @ t for t in tokens])
-        out = softmax_attention_layer(tokens, params, 4)
-        lo = values.min(axis=0) - 1e-12
-        hi = values.max(axis=0) + 1e-12
-        assert np.all(out >= lo) and np.all(out <= hi)
 
 
 class TestScsaForward:

@@ -96,6 +96,41 @@ def test_diagnostic_is_strict_json_without_overflow(tmp_path, dataset_path):
 
 
 @pytest.fixture(scope="module")
+def data_paths(tmp_path_factory, dataset_path):
+    path = tmp_path_factory.mktemp("data") / "ising.jsonl"
+    assert main([
+        "generate", "--kind", "quantum", "--qubits", "3", "--len", "5",
+        "--count", "4", "--seed", "2", "--out", str(path),
+    ]) == 0
+    return {"classical": dataset_path, "quantum": path}
+
+
+@pytest.mark.parametrize("data_kind", ["classical", "quantum"])
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        # qsa's losses stay finite at any angle, so the update's overflow is what stops it
+        ("qsa", "non-finite parameters after the update at epoch 1"),
+        ("scsa", "non-finite loss at epoch 1"),
+        ("lcsa", "non-finite loss at epoch 1"),
+    ],
+    ids=["qsa", "scsa", "lcsa"],
+)
+def test_diverging_update_exits_3_with_a_strict_diagnostic(tmp_path, data_paths, capsys, kind, message, data_kind):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = train_with_config(tmp_path, data_paths[data_kind], kind, {"learning_rate": 1e308, "epochs": 3})
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in caught] == []
+    diagnostic = json.loads((out / "diagnostic.json").read_text(), parse_constant=reject_constant)
+    assert sorted(diagnostic) == ["circuit_norm", "embedding_norm", "epoch", "loss", "model_kind"]
+    assert diagnostic["model_kind"] == kind and diagnostic["epoch"] == 1
+    assert not (out / "checkpoint.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
 def checkpoints(tmp_path_factory, dataset_path):
     out = tmp_path_factory.mktemp("runs")
     for kind in ("qsa", "scsa", "lcsa"):
@@ -203,6 +238,34 @@ def test_non_finite_or_non_numeric_checkpoint_value_exits_4(tmp_path, dataset_pa
     out = tmp_path / "eval.json"
     assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def scale_embedding(factor):
+    def corrupt(params):
+        matrix = params["embedding"]["matrix"]
+        matrix["data"] = [factor * x for x in matrix["data"]]
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [set_gamma(1e308), scale_embedding(1e300)], ids=["gamma", "embedding"])
+@pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+def test_eval_overflow_exits_3_and_writes_nothing(tmp_path, dataset_path, checkpoints, capsys, kind, corrupt):
+    """Finite checkpoint values whose forward overflows: the loss is not
+    finite, so eval names the dataset, warns about nothing and writes no
+    non-strict JSON."""
+    doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
+    corrupt(doc["params"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "eval.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: non-finite loss on {dataset_path}\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    assert not (tmp_path / "eval.json.manifest.json").exists()
 
 
 def test_disagreeing_model_kinds_exit_4(tmp_path, dataset_path, checkpoints):

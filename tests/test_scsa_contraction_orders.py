@@ -1,6 +1,7 @@
-"""S-CSA's two contraction orders as each other's oracle: the whole-block
-einsums that T <= d^2 keeps for its bytes, and the causal query tiles above
-it, checked also against the whole-block batched matmuls they replaced."""
+"""S-CSA's causal query tiles, its only attention order, against two
+test-side oracles: the whole-block einsums, to round-off at every T, and the
+whole-block matmuls with the tiles' own real products, bit for bit in one
+tile and to round-off across tile boundaries."""
 
 import tracemalloc
 from unittest import mock
@@ -28,12 +29,33 @@ def assert_close(actual, expected):
     assert float(np.max(np.abs(actual - expected), initial=0.0)) <= TOL * scale
 
 
-def run_order(batched, prefix, inputs, params, g_probs):
-    """Forward and backward with the order forced; returns every output as one flat tuple."""
-    with mock.patch.object(classical, "running_sum_order", lambda num_steps, embed_dim: batched):
+def run_attention(attention, prefix, inputs, params, g_probs):
+    """Forward and backward with ``attention`` as S-CSA's attention; returns
+    every output as one flat tuple."""
+    with mock.patch.object(classical, "_tiled_softmax_attention", attention):
         distributions, probs, backward = scsa_vjp(prefix, inputs, params)
         g_prefix, g_params = backward(g_probs)
     return (distributions, probs, g_prefix, *g_params)
+
+
+def einsum_attention(queries, keys, values, scale):
+    """Causal softmax attention through the whole (S, T, T) block, contracted
+    by einsums with complex products: the order S-CSA ran at T <= d^2 before
+    the query tiles served every T."""
+    num_steps = queries.shape[1]
+    scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
+    np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
+    weights = classical._stable_softmax(scores, axis=-1, out=scores)
+    attended = np.einsum("sji,sid->sjd", weights, values)
+
+    def backward(g_attended):
+        g_weights = np.einsum("sjd,sid->sji", g_attended.conj(), values).real
+        g_values = np.einsum("sji,sjd->sid", weights, g_attended)
+        g_scores = classical._softmax_backward(weights, g_weights, out=g_weights)
+        g_scores /= scale
+        return g_scores @ keys, g_scores.swapaxes(-1, -2) @ queries, g_values
+
+    return attended, backward
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,38 +82,31 @@ def test_orders_agree_forward_and_backward(num_seqs, num_steps, d, key_dim, voca
     params = ScsaParams.random(d, vocab, seed, key_dim=key_dim, complex_valued=complex_params)
     g_probs = rng.normal(size=(num_seqs, num_steps))
 
-    einsums = run_order(False, prefix, inputs, params, g_probs)
-    matmuls = run_order(True, prefix, inputs, params, g_probs)
-    assert len(matmuls) == 9  # distributions, probs, g_prefix and six parameter gradients
-    for actual, expected in zip(matmuls, einsums):
+    einsums = run_attention(einsum_attention, prefix, inputs, params, g_probs)
+    tiles = run_attention(classical._tiled_softmax_attention, prefix, inputs, params, g_probs)
+    assert len(tiles) == 9  # distributions, probs, g_prefix and six parameter gradients
+    for actual, expected in zip(tiles, einsums):
         assert actual.shape == expected.shape and actual.dtype == expected.dtype
         assert_close(actual, expected)
 
-    # the dispatched kernel runs the order T > d^2 names, so every T <= d^2
-    # input keeps the einsums' bits
-    distributions, probs, backward = scsa_vjp(prefix, inputs, params)
-    g_prefix, g_params = backward(g_probs)
-    wanted = matmuls if num_steps > d * d else einsums
-    for actual, expected in zip((distributions, probs, g_prefix, *g_params), wanted):
-        assert np.array_equal(actual, expected)
-
 
 def whole_block_attention(queries, keys, values, scale):
-    """The batched-matmul order over the whole (S, T, T) block, which the
-    query tiles replaced; one tile must run exactly these operations."""
+    """Batched matmuls over the whole (S, T, T) block, with the tiles' real
+    products; one tile must run exactly these operations."""
     num_steps = queries.shape[1]
-    scores = (queries.conj() @ keys.swapaxes(-1, -2)).real
+    scores = classical._real_inner(queries, keys)
     scores /= scale
     np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
     weights = classical._stable_softmax(scores, axis=-1, out=scores)
-    attended = weights @ values
+    attended = classical._real_matmul(weights, values)
 
     def backward(g_attended):
-        g_weights = (g_attended.conj() @ values.swapaxes(-1, -2)).real
-        g_values = weights.swapaxes(-1, -2) @ g_attended
+        g_weights = classical._real_inner(g_attended, values)
+        g_values = classical._real_matmul(weights.swapaxes(-1, -2), g_attended)
         g_scores = classical._softmax_backward(weights, g_weights, out=g_weights)
         g_scores /= scale
-        return g_scores @ keys, g_scores.swapaxes(-1, -2) @ queries, g_values
+        return (classical._real_matmul(g_scores, keys), classical._real_matmul(g_scores.swapaxes(-1, -2), queries),
+                g_values)
 
     return attended, backward
 
@@ -122,9 +137,8 @@ def test_query_tiles_against_whole_block(num_seqs, num_steps, d, complex_valued,
     params = ScsaParams.random(d, vocab, seed, key_dim=3, complex_valued=complex_valued)
     g_probs = rng.normal(size=(num_seqs, num_steps))
 
-    tiles = run_order(True, prefix, inputs, params, g_probs)
-    with mock.patch.object(classical, "_tiled_softmax_attention", whole_block_attention):
-        whole = run_order(True, prefix, inputs, params, g_probs)
+    tiles = run_attention(classical._tiled_softmax_attention, prefix, inputs, params, g_probs)
+    whole = run_attention(whole_block_attention, prefix, inputs, params, g_probs)
     for actual, expected in zip(tiles, whole, strict=True):
         assert actual.shape == expected.shape and actual.dtype == expected.dtype
         if num_steps <= classical.TILE_ROWS:
@@ -153,7 +167,7 @@ def test_long_sequence_memory_peaks():
         tracemalloc.stop()
     # 4.05 and 3.14 blocks are the peaks of the kernel before the in-place
     # softmax, which ran the einsums at every T.  The query tiles measure
-    # 0.08 forward and 0.22 backward, far inside both bounds;
+    # 0.11 forward and 0.26 backward, far inside both bounds;
     # test_query_tile_memory_is_linear_in_steps holds them to 0.5.
     assert forward_peak <= 1.5 * block_bytes
     assert backward_peak <= 3.14 * block_bytes
@@ -183,6 +197,6 @@ def test_query_tile_memory_is_linear_in_steps(num_seqs, num_steps, complex_token
     finally:
         tracemalloc.stop()
     # no (S, T, T) array in either direction: a tile is (S, TILE_ROWS, T), and
-    # the peaks measure 0.04-0.16 blocks forward and 0.11-0.43 backward
+    # the peaks measure 0.06-0.18 blocks forward and 0.13-0.36 backward
     assert forward_peak < 0.5 * block_bytes
     assert backward_peak < 0.5 * block_bytes
