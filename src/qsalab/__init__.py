@@ -6,7 +6,6 @@ from .ansatz import (
     AnsatzParams,
     PhaseLayerParams,
     build_ansatz_unitary,
-    build_phase_layer,
     parameter_shift_gradient,
     phase_layer_diagonal,
 )
@@ -22,7 +21,6 @@ from .data import (
     EmbeddingMap,
     IsingModel,
     SequenceDataset,
-    Vocabulary,
     build_ising,
     embed_sequence,
     generate_classical_dataset,
@@ -34,7 +32,6 @@ from .data import (
 from .encodings import (
     EncodedToken,
     amplitude_encode,
-    basis_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
     unitary_with_first_column,
@@ -60,7 +57,6 @@ from .errors import (
 from .objectives import (
     StepProbabilities,
     cross_entropy_loss,
-    perplexity,
     renyi_alpha_loss,
     renyi_half_from_expectation,
 )

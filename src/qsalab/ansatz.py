@@ -10,7 +10,7 @@ given the loss gradient with respect to the matrix or diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -78,10 +78,6 @@ class AnsatzParams:
     def flat(self) -> np.ndarray:
         return np.array(self.angles, dtype=float).ravel()
 
-    def with_flat(self, values: np.ndarray) -> "AnsatzParams":
-        arr = np.asarray(values, dtype=float).reshape(self.angles.shape)
-        return replace(self, angles=arr)
-
 
 @dataclass(frozen=True)
 class PhaseLayerParams:
@@ -108,9 +104,6 @@ class PhaseLayerParams:
     @property
     def num_qubits(self) -> int:
         return self.angles.size
-
-    def with_flat(self, values: np.ndarray) -> "PhaseLayerParams":
-        return PhaseLayerParams(np.asarray(values, dtype=float))
 
 
 def _rotation_layers(angles: np.ndarray, real_valued: bool) -> np.ndarray:
@@ -234,11 +227,6 @@ def phase_layer_gradient(params: PhaseLayerParams, g_diagonal: np.ndarray) -> np
     diag = phase_layer_diagonal(params)
     bits = (np.arange(diag.size)[:, None] >> np.arange(params.num_qubits)) & 1
     return ((g_diagonal.conj() * 0.5j * diag) @ (2 * bits - 1)).real
-
-
-def build_phase_layer(params: PhaseLayerParams) -> UnitaryBlock:
-    """Tensor product of per-qubit Rz rotations, targeting qubits 0..t-1."""
-    return UnitaryBlock(np.diag(phase_layer_diagonal(params)), tuple(range(params.num_qubits)))
 
 
 def parameter_shift_gradient(

@@ -258,13 +258,12 @@ def _predict_text(model_kind: str, words: np.ndarray, scores: np.ndarray) -> str
     Under ``indent`` CPython's json runs its pure-Python encoder, one generator
     call per dict and list.  Here each record is one ``%`` over its row of an
     (S, T, 2k+1) object array (positions, then score and word pairs) into a
-    template fixed by k and T; ``%s`` spells ints and finite floats as json does.
+    template fixed by k and T; ``%s`` spells ints and finite floats as json does,
+    and `trainer.predict_topk` returns only finite scores.
     """
     num_seqs, num_steps, top_k = words.shape
     values = np.empty((num_seqs, num_steps, 2 * top_k + 1), dtype=object)
     values[..., 0], values[..., 1::2], values[..., 2::2] = np.arange(2, num_steps + 2), scores, words
-    nonfinite = ~np.isfinite(scores)
-    values[..., 1::2][nonfinite] = [json.dumps(x) for x in scores[nonfinite].tolist()]
     entry = '\n            {\n              "score": %s,\n              "word": %s\n            }'
     step = ('\n        {\n          "position": %s,\n          "top": ['
             + ",".join([entry] * top_k) + "\n          ]\n        }")
@@ -278,7 +277,12 @@ def _predict_text(model_kind: str, words: np.ndarray, scores: np.ndarray) -> str
 
 def cmd_predict(args, parser) -> Run:
     params, meta, (dataset,) = _load_for_inference(args.checkpoint, [args.data])
-    top = trainer.predict_topk(params, dataset, k=args.top_k)
+    # An overflowing forward reaches the scores, which predict_topk checks.
+    try:
+        with np.errstate(all="ignore"):
+            top = trainer.predict_topk(params, dataset, k=args.top_k)
+    except NumericFailureError as exc:
+        raise NumericFailureError(f"{exc} on {args.data}") from exc
     data.atomic_write_text(args.out, _predict_text(meta["model_kind"], *top) + "\n")
     return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint, "top_k": args.top_k}, meta["seed"],
                [args.checkpoint, args.data], [args.out])

@@ -1,4 +1,4 @@
-"""Sequence data: vocabulary, embeddings, and the two generators.
+"""Sequence data: embeddings and the two generators.
 
 Classical sequences come from seeded sparse Markov chains over a one-hot
 vocabulary; quantum sequences are transverse-field Ising trajectories
@@ -44,24 +44,6 @@ def _typed(value, annotation) -> bool:
     if float in options and type(value) in (int, float):
         return _finite_numbers([value])
     return type(value) in options
-
-
-@dataclass(frozen=True)
-class Vocabulary:
-    """One-hot words indexed 0..size-1."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ConfigurationError("vocabulary needs at least two words")
-
-    def one_hot(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.size:
-            raise ConfigurationError(f"word index {index} outside 0..{self.size - 1}")
-        vec = np.zeros(self.size)
-        vec[index] = 1.0
-        return vec
 
 
 def sinusoidal_shifts(num_positions: int, dim: int, base: float = 100.0) -> np.ndarray:

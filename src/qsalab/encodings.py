@@ -4,7 +4,7 @@ Amplitude encodings of token vectors, entangled prefix encodings over the
 paired data registers, the step-indexed input superposition (of one
 sequence, or of a batch as one array), the checked Householder rows of
 reflections with given first columns (any stack of them built in one
-pass), and plain computational-basis encodings.
+pass).
 """
 
 from __future__ import annotations
@@ -28,16 +28,9 @@ from .statevector import (
 
 @dataclass(frozen=True)
 class EncodedToken:
-    """A raw d-vector together with its normalized amplitude encoding."""
+    """The normalized amplitude encoding of a d-vector."""
 
-    raw: np.ndarray
     state: StateVector
-    norm: float
-
-    def __post_init__(self):
-        raw = np.array(self.raw, dtype=complex).reshape(-1)
-        raw.setflags(write=False)
-        object.__setattr__(self, "raw", raw)
 
 
 def amplitude_encode(x, num_qubits: int) -> EncodedToken:
@@ -52,7 +45,7 @@ def amplitude_encode(x, num_qubits: int) -> EncodedToken:
         raise DegenerateInputError("cannot amplitude-encode a vector with a non-finite norm")
     if nrm <= ZERO_NORM_TOL:
         raise DegenerateInputError("cannot amplitude-encode a zero vector")
-    return EncodedToken(vec, StateVector(num_qubits, vec / nrm), nrm)
+    return EncodedToken(StateVector(num_qubits, vec / nrm))
 
 
 def _householder(columns):
@@ -189,13 +182,3 @@ def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout, counter: Op
         counter.record(2, layout.t * unit_tokens.shape[0])
     return _reflection_select(psi, layout.c_qubits, layout.a_qubits + layout.b_qubits, vectors, phases, counter)
 
-
-def basis_encode(word_index: int, num_qubits: int) -> StateVector:
-    """The computational basis state |word_index> on ``num_qubits`` qubits."""
-    if not 0 <= word_index < 2 ** num_qubits:
-        raise ConfigurationError(
-            f"index {word_index} outside 0..{2 ** num_qubits - 1}"
-        )
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[word_index] = 1.0
-    return StateVector(num_qubits, amps)

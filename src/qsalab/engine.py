@@ -41,7 +41,6 @@ from .statevector import (
     inner_product,
 )
 
-EXPECTATION_FLOOR = 1e-30
 # The dense route cuts its sequence axis into chunks whose working arrays
 # stay within DENSE_CHUNK_BYTES, at least one sequence each.  A stage holds
 # at most _STATE_COPIES state-sized arrays at once (16 bytes an amplitude):

@@ -1,7 +1,7 @@
 """Losses and metrics for next-step prediction.
 
 Cross-entropy, the Renyi-alpha family against the uniform step
-distribution, the observable-to-loss formula, and perplexity.
+distribution, and the observable-to-loss formula.
 """
 
 from __future__ import annotations
@@ -82,7 +82,3 @@ def renyi_half_from_expectation(expectation: float, num_steps: int) -> float:
     e = max(float(expectation), PROBABILITY_FLOOR)
     return -math.log(e) + math.log(num_steps)
 
-
-def perplexity(loss: float) -> float:
-    """exp of the loss: the effective branching factor of the predictor."""
-    return math.exp(loss)

@@ -35,20 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _qubit_count_for(length: int) -> int:
-    m = int(length).bit_length() - 1
-    if length <= 0 or 2 ** m != length:
-        raise ConfigurationError(f"amplitude array length {length} is not a power of two")
-    return m
 
 
 @dataclass(frozen=True)
@@ -74,27 +67,6 @@ class StateVector:
         amps = np.zeros(2 ** num_qubits, dtype=complex)
         amps[0] = 1.0
         return StateVector(num_qubits, amps)
-
-    @staticmethod
-    def from_amplitudes(values, normalize: bool = False) -> "StateVector":
-        """Build a state from raw amplitudes, optionally rescaling to unit norm."""
-        arr = np.asarray(values, dtype=complex).reshape(-1)
-        m = _qubit_count_for(arr.size)
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("amplitudes must be finite")
-        if normalize:
-            nrm = np.linalg.norm(arr)
-            if nrm < 1e-12:
-                raise DegenerateInputError("cannot normalize a zero amplitude vector")
-            arr = arr / nrm
-        elif abs(np.vdot(arr, arr).real - 1.0) > 1e-6:
-            raise ConfigurationError(
-                "amplitudes are not normalized; pass normalize=True to rescale"
-            )
-        return StateVector(m, arr)
-
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 @dataclass(frozen=True)
@@ -179,14 +151,6 @@ class UnitaryBlock:
     @property
     def dimension(self) -> int:
         return 2 ** len(self.targets)
-
-    def dagger(self) -> "UnitaryBlock":
-        return UnitaryBlock(self.matrix.conj().T, self.targets)
-
-    def retarget(self, targets: Sequence[int]) -> "UnitaryBlock":
-        if len(tuple(targets)) != len(self.targets):
-            raise ConfigurationError("retarget must preserve the number of target qubits")
-        return UnitaryBlock(self.matrix, tuple(targets))
 
     def kernel(self, x: np.ndarray) -> np.ndarray:
         """This block applied to every row of a (rows, dim, rest) array (see `_apply`)."""

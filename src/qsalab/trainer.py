@@ -71,7 +71,7 @@ from .data import (
     rows_matmul,
     unit_rows_backward,
 )
-from .engine import EXPECTATION_FLOOR, batched_expectations, dense_expectations
+from .engine import batched_expectations, dense_expectations
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -351,11 +351,11 @@ class _Qsa(_Model):
         }
 
     def losses(self, exps, num_steps):
-        clamped = int(np.sum(exps < EXPECTATION_FLOOR))
-        return -np.log(np.maximum(exps, EXPECTATION_FLOOR)), clamped
+        clamped = int(np.sum(exps < PROBABILITY_FLOOR))
+        return -np.log(np.maximum(exps, PROBABILITY_FLOOR)), clamped
 
     def loss_slopes(self, exps, num_steps):
-        return np.where(exps > EXPECTATION_FLOOR, -1.0 / np.maximum(exps, EXPECTATION_FLOOR), 0.0)
+        return np.where(exps > PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
 
     def circuit_outputs(self, params, inputs):
         """The expectations by dense simulation of every sequence's circuit, in
@@ -390,8 +390,13 @@ class _Qsa(_Model):
 
     def scores(self, params, inputs):
         x, _ = embed_batch(inputs, params.embedding)
+        tok, norms = _unit_rows(x[:, :-1])
+        # An overflowed norm leaves its unit row zero, which output_weights
+        # would report as a vanishing output.
+        if not np.isfinite(norms).all():
+            raise NumericFailureError("non-finite prediction scores")
         z = causal_attention_vjp(
-            _unit_rows(x[:, :-1])[0],
+            tok,
             build_ansatz_unitary(params.v_params).matrix,
             build_ansatz_unitary(params.w_params).matrix,
         )[0]
@@ -762,13 +767,16 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
 
     Scores are squared overlaps with the embedded vocabulary for qsa/lcsa
     and the softmax vocabulary distribution for scsa.  Ties break toward
-    the lowest word index.
+    the lowest word index.  A forward that overflows, so that any score is
+    not finite, raises NumericFailureError.
     """
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
     if len(dataset) == 0:
         raise ConfigurationError("prediction needs a non-empty dataset")
     scores = _fitted_model(params, dataset).scores(params, dataset.input_rows())
+    if not np.isfinite(scores).all():
+        raise NumericFailureError("non-finite prediction scores")
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     return TopK(order, np.take_along_axis(scores, order, axis=-1))
 
@@ -864,7 +872,3 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams
         raise CheckpointFormatError(f"checkpoint field missing or malformed: {exc!r}") from exc
     return params, meta
 
-
-def checkpoint_roundtrip(params: ModelParams) -> ModelParams:
-    """Serialize through the JSON codec and back; bit-exact by construction."""
-    return params_from_payload(json.loads(json.dumps(params_to_payload(params))))

@@ -12,7 +12,6 @@ from qsalab.ansatz import (
     _rotation_layers,
     ansatz_vjp,
     build_ansatz_unitary,
-    build_phase_layer,
     parameter_shift_gradient,
     phase_layer_diagonal,
     rotation_y,
@@ -49,10 +48,9 @@ class TestAnsatzParams:
         params = AnsatzParams.random(2, 5, seed=1, spread=0.1)
         assert np.all(np.abs(params.angles) <= 0.1)
 
-    def test_flat_roundtrip(self):
+    def test_flat_is_the_angles_in_order(self):
         params = AnsatzParams.random(2, 2, seed=3)
-        again = params.with_flat(params.flat())
-        assert np.array_equal(again.angles, params.angles)
+        assert np.array_equal(params.flat().reshape(params.angles.shape), params.angles)
 
 
 class TestBuildAnsatzUnitary:
@@ -214,25 +212,20 @@ def test_phase_layer_diagonal_is_bit_identical_to_kron(angles):
 
 class TestPhaseLayer:
     def test_zero_angles_identity(self):
-        block = build_phase_layer(PhaseLayerParams.zeros(2))
-        assert np.max(np.abs(block.matrix - np.eye(4))) < 1e-15
+        matrix = np.diag(phase_layer_diagonal(PhaseLayerParams.zeros(2)))
+        assert np.max(np.abs(matrix - np.eye(4))) < 1e-15
 
     def test_single_qubit_rz(self):
-        block = build_phase_layer(PhaseLayerParams([np.pi]))
+        matrix = np.diag(phase_layer_diagonal(PhaseLayerParams([np.pi])))
         expected = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
-        assert np.max(np.abs(block.matrix - expected)) < 1e-15
+        assert np.max(np.abs(matrix - expected)) < 1e-15
 
     def test_two_qubit_kronecker_oracle(self):
         rng = np.random.default_rng(2)
         angles = rng.uniform(-np.pi, np.pi, size=2)
-        block = build_phase_layer(PhaseLayerParams(angles))
+        matrix = np.diag(phase_layer_diagonal(PhaseLayerParams(angles)))
         expected = np.kron(rotation_z(angles[1]), rotation_z(angles[0]))
-        assert np.max(np.abs(block.matrix - expected)) < 1e-14
-
-    def test_diagonal_matches_matrix(self):
-        params = PhaseLayerParams.random(3, seed=4)
-        diag = phase_layer_diagonal(params)
-        assert np.max(np.abs(np.diag(diag) - build_phase_layer(params).matrix)) < 1e-14
+        assert np.max(np.abs(matrix - expected)) < 1e-14
 
 
 class TestParameterShift:

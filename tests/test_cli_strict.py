@@ -268,6 +268,27 @@ def test_eval_overflow_exits_3_and_writes_nothing(tmp_path, dataset_path, checkp
     assert not (tmp_path / "eval.json.manifest.json").exists()
 
 
+@pytest.mark.parametrize("corrupt", [set_gamma(1e308), scale_embedding(1e300)], ids=["gamma", "embedding"])
+@pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+def test_predict_overflow_exits_3_and_writes_nothing(tmp_path, dataset_path, checkpoints, capsys, kind, corrupt):
+    """The checkpoints of the eval test above: predict names the dataset,
+    warns about nothing and writes no NaN scores.  In qsa an overflowed
+    token norm is reported as such, not as a vanishing output."""
+    doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
+    corrupt(doc["params"])
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "predict.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["predict", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: non-finite prediction scores on {dataset_path}\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+    assert not (tmp_path / "predict.json.manifest.json").exists()
+
+
 def test_disagreeing_model_kinds_exit_4(tmp_path, dataset_path, checkpoints):
     doc = json.loads((checkpoints / "qsa" / "checkpoint.json").read_text())
     doc["model_kind"] = "lcsa"

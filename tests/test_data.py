@@ -10,7 +10,6 @@ from qsalab.data import (
     EmbeddingMap,
     IsingModel,
     SequenceDataset,
-    Vocabulary,
     build_ising,
     dumps_dataset,
     embed_sequence,
@@ -29,16 +28,6 @@ from qsalab.errors import ConfigurationError, DegenerateInputError
 # words [3, 1, 4, 1, 5].
 GOLDEN_X0 = [-0.40244265925649314, 0.7962330234286649, 0.0918776277651733, 0.9283424441267678]
 GOLDEN_XT4 = [0.03359817753554861, 0.4057600584907788, -0.12614487982317832, 0.5995935828081177]
-
-
-class TestVocabulary:
-    def test_one_hot(self):
-        vocab = Vocabulary(4)
-        assert np.array_equal(vocab.one_hot(2), [0, 0, 1, 0])
-
-    def test_minimum_size(self):
-        with pytest.raises(ConfigurationError):
-            Vocabulary(1)
 
 
 class TestEmbedding:

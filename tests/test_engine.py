@@ -182,7 +182,7 @@ class TestMonotoneContribution:
                 z = state.amplitudes
                 ortho = rng.normal(size=4) + 1j * rng.normal(size=4)
                 ortho = ortho - (np.vdot(z, ortho)) * z
-                new_tgts = [t.raw for t in instance.shifted_targets]
+                new_tgts = list(tgts)
                 new_tgts[j - 1] = ortho
                 modified = QsaInstance.from_vectors(toks, new_tgts, v, w, r)
                 assert analytic_expectation(modified) <= base + 1e-12
@@ -322,9 +322,9 @@ class TestShiftRuleOnFullExpectation:
                         instance.tokens,
                         instance.shifted_targets,
                         instance.layout,
-                        instance.params_v.with_flat(parts[0]),
-                        instance.params_w.with_flat(parts[1]),
-                        instance.params_r.with_flat(parts[2]),
+                        replace(instance.params_v, angles=parts[0].reshape(instance.params_v.angles.shape)),
+                        replace(instance.params_w, angles=parts[1].reshape(instance.params_w.angles.shape)),
+                        PhaseLayerParams(parts[2]),
                     )
                 )
 

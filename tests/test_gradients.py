@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qsalab import classical
 from qsalab.ansatz import parameter_shift_gradient
 from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
-from qsalab.engine import EXPECTATION_FLOOR
 from qsalab.objectives import PROBABILITY_FLOOR
 from qsalab.trainer import MODELS, TrainConfig, _Adapter, initialize_params
 
@@ -47,7 +46,7 @@ def test_circuit_angles_match_shift_rule(data_kind, seed):
     adapter, cvec, evec = adapter_for("qsa", data, seed)
     exact, _ = adapter.gradients(cvec, evec)
     base = adapter._outputs(cvec, evec)
-    slopes = np.where(base > EXPECTATION_FLOOR, -1.0 / base, 0.0)
+    slopes = np.where(base > PROBABILITY_FLOOR, -1.0 / base, 0.0)
     shift = np.array([
         np.mean(slopes * parameter_shift_gradient(lambda v: adapter._outputs(v, evec), cvec, i))
         for i in range(cvec.size)
@@ -138,7 +137,7 @@ def test_shots_and_circuit_route_take_the_perturbation_path(monkeypatch, overrid
 
 
 def test_clamped_probabilities_have_zero_slope():
-    exps = np.array([EXPECTATION_FLOOR / 2, 0.25])
+    exps = np.array([PROBABILITY_FLOOR / 2, 0.25])
     assert list(MODELS["qsa"].loss_slopes(exps, 4)) == [0.0, -4.0]
     ratios = np.array([[PROBABILITY_FLOOR / 2, 0.25, 1.0 + 1e-9, 0.25]])
     slopes = MODELS["lcsa"].loss_slopes(ratios, 4)

@@ -5,7 +5,6 @@ from qsalab.errors import ConfigurationError
 from qsalab.objectives import (
     StepProbabilities,
     cross_entropy_loss,
-    perplexity,
     renyi_alpha_loss,
     renyi_half_from_expectation,
 )
@@ -121,10 +120,3 @@ class TestRenyiHalfFromExpectation:
     def test_floor(self):
         assert np.isfinite(renyi_half_from_expectation(0.0, 4))
 
-
-class TestPerplexity:
-    def test_zero_loss(self):
-        assert perplexity(0.0) == 1.0
-
-    def test_log_four(self):
-        assert abs(perplexity(np.log(4)) - 4.0) < 1e-12

@@ -58,7 +58,7 @@ def test_predict_matches_fixture_bytes(tmp_path, kind, data_kind, top_k):
     assert out.read_bytes() == (FIXTURES / f"predict_{kind}_{data_kind}.json").read_bytes()
 
 
-SCORES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, math.nan, math.inf, -math.inf])
+SCORES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2])
 
 
 @st.composite

@@ -11,10 +11,11 @@ from qsalab.trainer import (
     TrainConfig,
     _Adapter,
     checkpoint_document,
-    checkpoint_roundtrip,
     evaluate,
     initialize_params,
     load_checkpoint,
+    params_from_payload,
+    params_to_payload,
     predict_topk,
     save_checkpoint,
     train,
@@ -198,7 +199,7 @@ class TestCheckpoints:
             dataset = tiny_classical()
             config = TrainConfig(model_kind=kind, epochs=0, seed=21)
             params, _ = train(config, dataset)
-            again = checkpoint_roundtrip(params)
+            again = params_from_payload(json.loads(json.dumps(params_to_payload(params))))
             assert np.array_equal(again.embedding.matrix, params.embedding.matrix)
             if kind == "qsa":
                 assert np.array_equal(again.v_params.angles, params.v_params.angles)
@@ -211,7 +212,7 @@ class TestCheckpoints:
     def test_complex_roundtrip_bit_exact(self):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=22)
         params, _ = train(config, tiny_quantum())
-        again = checkpoint_roundtrip(params)
+        again = params_from_payload(json.loads(json.dumps(params_to_payload(params))))
         assert np.array_equal(again.embedding.matrix, params.embedding.matrix)
         assert np.array_equal(again.lcsa.value_map, params.lcsa.value_map)
 
