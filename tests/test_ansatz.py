@@ -227,6 +227,13 @@ class TestPhaseLayer:
         expected = np.kron(rotation_z(angles[1]), rotation_z(angles[0]))
         assert np.max(np.abs(matrix - expected)) < 1e-14
 
+    def test_three_qubit_kronecker_oracle(self):
+        params = PhaseLayerParams.random(3, seed=4)
+        angles = params.angles
+        matrix = np.diag(phase_layer_diagonal(params))
+        expected = np.kron(np.kron(rotation_z(angles[2]), rotation_z(angles[1])), rotation_z(angles[0]))
+        assert np.max(np.abs(matrix - expected)) < 1e-14
+
 
 class TestParameterShift:
     def test_constant_function(self):

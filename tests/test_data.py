@@ -128,6 +128,25 @@ class TestClassicalDataset:
         assert all(0 <= w < 5 for rec in ds.records for w in rec)
 
 
+class TestInputRows:
+    def test_classical_rows_are_one_hot_words(self):
+        dataset = generate_classical_dataset(8, 4, 5, seed=6)
+        rows = dataset.input_rows()
+        words = np.array(dataset.records)
+        assert rows.shape == (*words.shape, 8)
+        assert set(np.unique(rows).tolist()) == {0.0, 1.0}
+        assert np.array_equal(rows.sum(axis=-1), np.ones(words.shape))
+        assert np.array_equal(rows.argmax(axis=-1), words)
+
+    def test_quantum_rows_are_the_recorded_amplitudes(self):
+        dataset = generate_quantum_dataset(build_ising(2, seed=1), 3, 4, seed=5)
+        rows = dataset.input_rows()
+        assert rows.shape == (4, 4, 4)
+        for s, record in enumerate(dataset.records):
+            for t, amplitudes in enumerate(record):
+                assert np.array_equal(rows[s, t], amplitudes)
+
+
 class TestIsing:
     def test_single_qubit_is_pauli_x(self):
         model = build_ising(1, seed=0)

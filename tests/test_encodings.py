@@ -233,7 +233,7 @@ def test_prefix_sums_equal_the_running_sum_bit_for_bit():
 
 
 class TestNonFiniteInputRejected:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
     def test_amplitude_encode(self, bad):
         with pytest.raises(DegenerateInputError, match="non-finite"):
             amplitude_encode([bad, 1.0], 1)

@@ -90,6 +90,17 @@ class TestUnitaryBlock:
         assert block.targets == (2, 0, 1) and all(type(q) is int for q in block.targets)
         assert block.dimension == 8
 
+    def test_target_order_sets_the_bit_order(self):
+        # targets[0] is the least-significant bit of the block index, so the
+        # same targets listed the other way round take the qubit-swapped matrix
+        rng = np.random.default_rng(98)
+        matrix = random_unitary(4, rng)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        state = random_state(3, rng)
+        forward = apply_unitary(state, UnitaryBlock(matrix, (0, 2)))
+        reversed_ = apply_unitary(state, UnitaryBlock(swap @ matrix @ swap, (2, 0)))
+        assert np.max(np.abs(forward.amplitudes - reversed_.amplitudes)) < 1e-12
+
     def test_matrix_is_a_frozen_copy(self):
         source = np.array(HADAMARD, dtype=complex)
         block = UnitaryBlock(source, (0,))

@@ -1,12 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
-from qsalab.errors import CompatibilityError, ConfigurationError
+from qsalab.errors import CompatibilityError, ConfigurationError, NumericFailureError
+from qsalab.objectives import PROBABILITY_FLOOR
 from qsalab.trainer import (
+    MODELS,
     ModelParams,
     TrainConfig,
     _Adapter,
@@ -279,6 +282,43 @@ class TestPredictTopK:
         for steps in top.scores.tolist():
             for scores in steps:
                 assert scores == sorted(scores, reverse=True)
+
+    def test_k_outside_the_vocabulary_is_rejected(self):
+        dataset = tiny_classical(count=2)
+        params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=27), dataset)
+        for k in (0, 9):
+            with pytest.raises(ConfigurationError, match=r"k must lie in 1\.\.8"):
+                predict_topk(params, dataset, k=k)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("data", [tiny_classical, tiny_quantum], ids=["classical", "quantum"])
+    @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+    def test_overflowing_forward_raises_numeric_failure(self, kind, data):
+        # finite parameters whose forward overflows, run as `predict` runs it:
+        # no score may come back NaN, and qsa's zeroed unit tokens must not
+        # read as a vanishing output
+        dataset = data()
+        params, _ = train(TrainConfig(model_kind=kind, epochs=0, seed=28), dataset)
+        emb = params.embedding
+        for embedding in (replace(emb, gamma=1e308), emb.with_matrix(emb.matrix * 1e300)):
+            with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="non-finite prediction scores"):
+                predict_topk(replace(params, embedding=embedding), dataset)
+
+
+@pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+def test_losses_clamp_at_the_probability_floor(kind):
+    # an output under the floor scores as the floor itself, is counted, and
+    # passes no slope back
+    model = MODELS[kind]
+    probs = np.array([0.0, PROBABILITY_FLOOR / 2, PROBABILITY_FLOOR, 0.5])
+    outputs = probs if model.circuit else np.stack([probs, np.full(4, 0.5)], axis=-1)
+    losses, clamped = model.losses(outputs, 4)
+    assert clamped == 2
+    assert np.isfinite(losses).all()
+    assert losses[0] == losses[1] == losses[2] > losses[3]
+    slopes = model.loss_slopes(outputs, 4)
+    assert np.all(slopes[outputs < PROBABILITY_FLOOR] == 0.0)
+    assert np.all(slopes[outputs == 0.5] != 0.0)
 
 
 class TestFiniteDifferenceMode:
