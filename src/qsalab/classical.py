@@ -29,11 +29,11 @@ from .data import (
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 
 
-def _stable_softmax(scores: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along ``axis``; ``out=scores`` overwrites the scores, with the same bits."""
-    weights = np.subtract(scores, np.max(scores, axis=axis, keepdims=True), out=out)
+def _stable_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis."""
+    weights = scores - np.max(scores, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= np.sum(weights, axis=axis, keepdims=True)
+    weights /= np.sum(weights, axis=-1, keepdims=True)
     return weights
 
 
@@ -157,7 +157,7 @@ def scsa_vjp(prefix: np.ndarray, inputs: np.ndarray, params: ScsaParams):
     hidden = _split_relu(pre_activation)
     transformed = rows_matmul(hidden, params.ffn_out.T)
     logits = rows_matmul(transformed, params.anti_embed.T).real
-    distributions = _stable_softmax(logits, axis=-1)
+    distributions = _stable_softmax(logits)
     # Probability of the true next item: index lookup for one-hot rows,
     # Born-weighted average for amplitude rows.
     born = np.abs(inputs[:, 1:, :]) ** 2

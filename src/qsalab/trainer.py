@@ -2,8 +2,9 @@
 
 Gradient assembly, adaptive-moment updates, per-epoch loss reporting, and
 versioned JSON checkpoints.  Each model kind has one batched forward that
-keeps its intermediates; a training row runs it once for its loss and, on
-the default path (parameter-shift mode, analytic route, no shots), runs its
+keeps its intermediates; a training row evaluates the model once, through
+the adapter's one evaluation entry, for its loss and, on the default path
+(parameter-shift mode, analytic route, no shots), runs the forward's
 backward pass for the exact gradient.  Shot sampling and the circuit route
 (qsa only) and ``gradient_mode="finite-difference"`` perturb parameters
 instead (shift rule for circuit angles, central differences for everything
@@ -42,7 +43,6 @@ from .ansatz import (
     AnsatzParams,
     PhaseLayerParams,
     ansatz_vjp,
-    build_ansatz_unitary,
     parameter_shift_gradient,
     phase_layer_diagonal,
     phase_layer_gradient,
@@ -263,19 +263,21 @@ class _Model:
     - ``forward(params, inputs)``: for (S, T+1, D) input rows, the outputs
       its losses depend on and a backward pass from their gradient to the
       gradients of ``arrays`` (a list) and of the embedded rows
-      ``inputs @ E.T`` (S, T+1, d);
+      ``inputs @ E.T`` (S, T+1, d); the analytic route of ``_Adapter._evaluate``;
     - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
       of floored probabilities;
     - ``loss_slopes(outputs, num_steps)``: d losses / d outputs, zero where
       a floor clamps the probability;
-    - ``scores(params, inputs)``: (S, T, D) next-word scores.
+    - ``scores(params, inputs)``: (S, T, D) next-word scores, for
+      ``predict_topk``; no loss or gradient reads them.
 
     Complex gradients are dL/dRe + i dL/dIm, so ``_to_real_vector`` lays
     them out like the parameters.
 
     ``circuit`` marks outputs that are measured circuit expectations, to
-    which shot sampling, the dense circuit route (``circuit_outputs``) and
-    the parameter-shift rule apply.
+    which shot sampling, the dense circuit route and the parameter-shift
+    rule apply; such a kind provides ``circuit_outputs(params, inputs)``,
+    ``forward``'s outputs by dense simulation, for the circuit route.
     """
 
     blocks: tuple = ()
@@ -357,25 +359,23 @@ class _Qsa(_Model):
     def loss_slopes(self, exps, num_steps):
         return np.where(exps > PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
 
-    def circuit_outputs(self, params, inputs):
-        """The expectations by dense simulation of every sequence's circuit, in
-        one batched pass over the unit rows and V, W matrices of `forward`."""
+    def _prepared(self, params, inputs):
+        """What forward, circuit_outputs and scores start from: the embedded rows
+        x, the unit token rows x[:, :-1] and target rows shift_free[:, 1:], each
+        with its norms, and V and W, each with its backward pass."""
         x, shift_free = embed_batch(inputs, params.embedding)
+        return (x, _unit_rows(x[:, :-1]), _unit_rows(shift_free[:, 1:]),
+                ansatz_vjp(params.v_params), ansatz_vjp(params.w_params))
+
+    def circuit_outputs(self, params, inputs):
+        """The expectations by one batched dense simulation of every sequence's circuit."""
+        _, (tok, _), (tgt, _), (v_matrix, _), (w_matrix, _) = self._prepared(params, inputs)
         layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
-        return dense_expectations(
-            _unit_rows(x[:, :-1])[0],
-            _unit_rows(shift_free[:, 1:])[0],
-            ansatz_vjp(params.v_params)[0],
-            ansatz_vjp(params.w_params)[0],
-            phase_layer_diagonal(params.r_params),
-            layout,
-        )
+        return dense_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params), layout)
 
     def forward(self, params, inputs):
-        x, shift_free = embed_batch(inputs, params.embedding)
-        (tok, tok_norms), (tgt, tgt_norms) = _unit_rows(x[:, :-1]), _unit_rows(shift_free[:, 1:])
-        v_matrix, v_backward = ansatz_vjp(params.v_params)
-        w_matrix, w_backward = ansatz_vjp(params.w_params)
+        prepared = self._prepared(params, inputs)
+        x, (tok, tok_norms), (tgt, tgt_norms), (v_matrix, v_backward), (w_matrix, w_backward) = prepared
         exps, backward = batched_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
 
         def model_backward(g_exps):
@@ -389,18 +389,12 @@ class _Qsa(_Model):
         return exps, model_backward
 
     def scores(self, params, inputs):
-        x, _ = embed_batch(inputs, params.embedding)
-        tok, norms = _unit_rows(x[:, :-1])
+        _, (tok, norms), _, (v_matrix, _), (w_matrix, _) = self._prepared(params, inputs)
         # An overflowed norm leaves its unit row zero, which output_weights
         # would report as a vanishing output.
         if not np.isfinite(norms).all():
             raise NumericFailureError("non-finite prediction scores")
-        z = causal_attention_vjp(
-            tok,
-            build_ansatz_unitary(params.v_params).matrix,
-            build_ansatz_unitary(params.w_params).matrix,
-        )[0]
-        return _overlap_scores(z, params.embedding)
+        return _overlap_scores(causal_attention_vjp(tok, v_matrix, w_matrix)[0], params.embedding)
 
 
 class _Baseline(_Model):
@@ -572,15 +566,22 @@ class _Adapter:
 
     # loss evaluation -----------------------------------------------------------
 
-    def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
+    def _evaluate(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
+        """(params, outputs, backward) at (circuit_vec, embed_vec): the kind's
+        forward on the analytic route, the dense simulation on the circuit
+        route, then shot samples of either.  ``backward`` is the forward's
+        backward pass, or None where the outputs are simulated or sampled."""
         params = self.rebuild(circuit_vec, embed_vec)
         if self.config.expectation_route == "circuit":
-            outputs = self.model.circuit_outputs(params, self.inputs)
+            outputs, backward = self.model.circuit_outputs(params, self.inputs), None
         else:
-            outputs, _ = self.model.forward(params, self.inputs)
+            outputs, backward = self.model.forward(params, self.inputs)
         if self.config.shots:
-            outputs = self._sample(outputs, circuit_vec, embed_vec)
-        return outputs
+            outputs, backward = self._sample(outputs, circuit_vec, embed_vec), None
+        return params, outputs, backward
+
+    def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
+        return self._evaluate(circuit_vec, embed_vec)[1]
 
     def _sample(self, exps: np.ndarray, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
         # Seed derived from parameter content keeps shot noise reproducible.
@@ -600,21 +601,20 @@ class _Adapter:
     # gradients -----------------------------------------------------------------
 
     def step(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
-        """One training row from one forward: (mean loss, clamp count,
-        gradients), where ``gradients()`` returns the circuit and embedding
-        gradient vectors, by the forward's backward pass or by perturbation."""
-        config = self.config
-        if config.gradient_mode == "parameter-shift" and not config.shots and config.expectation_route == "analytic":
-            outputs, backward = self.model.forward(self.rebuild(circuit_vec, embed_vec), self.inputs)
+        """One training row from one evaluation: (params, mean loss, clamp
+        count, gradients), where ``gradients()`` returns the circuit and
+        embedding gradient vectors, by the forward's backward pass in
+        parameter-shift mode where there is one, by perturbation otherwise."""
+        params, outputs, backward = self._evaluate(circuit_vec, embed_vec)
+        if backward is not None and self.config.gradient_mode == "parameter-shift":
             gradients = lambda: self._exact_gradients(outputs, backward)
         else:
-            outputs = self._outputs(circuit_vec, embed_vec)
             gradients = lambda: self._perturbation_gradients(circuit_vec, embed_vec, outputs)
-        return (*self._mean_loss(outputs), gradients)
+        return (params, *self._mean_loss(outputs), gradients)
 
     def gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """Circuit and embedding gradient vectors at (circuit_vec, embed_vec)."""
-        return self.step(circuit_vec, embed_vec)[2]()
+        return self.step(circuit_vec, embed_vec)[-1]()
 
     def _exact_gradients(self, outputs: np.ndarray, backward):
         """Gradient of the mean offset loss from the forward's backward pass."""
@@ -702,7 +702,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
         started = time.perf_counter()
         # A non-finite forward value reaches the loss, which is checked below.
         with np.errstate(all="ignore"):
-            loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
+            params, loss, clamped, gradients = adapter.step(circuit_vec, embed_vec)
         clamp_total += clamped
         if not math.isfinite(loss):
             raise failure(f"non-finite loss at epoch {epoch}")
@@ -720,8 +720,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
                 embed_vec = adam_embed.update(embed_vec, grad_embed)
         if not (np.all(np.isfinite(circuit_vec)) and np.all(np.isfinite(embed_vec))):
             raise failure(f"non-finite parameters after the update at epoch {epoch}")
-    trained = adapter.rebuild(circuit_vec, embed_vec)
-    return trained, LossReport(rows=rows, log_offset=log_offset, clamp_events=clamp_total)
+    return params, LossReport(rows=rows, log_offset=log_offset, clamp_events=clamp_total)
 
 
 def evaluate(params: ModelParams, datasets) -> LossReport:
@@ -847,7 +846,7 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, pa
     atomic_write_text(path, json.dumps(checkpoint_document(params, config, data_kind), sort_keys=True))
 
 
-def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams, dict]:
+def load_checkpoint(path) -> tuple[ModelParams, dict]:
     try:
         doc = json.loads(read_utf8(path, CheckpointFormatError))
     except json.JSONDecodeError as exc:
@@ -859,10 +858,6 @@ def load_checkpoint(path, expected_kind: str | None = None) -> tuple[ModelParams
             f"checkpoint version {doc['version']} is not supported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        if expected_kind is not None and doc["model_kind"] != expected_kind:
-            raise CompatibilityError(
-                f"checkpoint holds a {doc['model_kind']} model, expected {expected_kind}"
-            )
         if doc["model_kind"] != doc["params"]["model_kind"]:
             raise CheckpointFormatError(f"checkpoint model_kind {doc['model_kind']!r} disagrees with its params")
         params = params_from_payload(doc["params"])

@@ -86,7 +86,7 @@ class TestScsaForward:
         from qsalab.classical import _stable_softmax
 
         logits = np.random.default_rng(0).normal(size=(3, 4, 1))
-        assert np.all(_stable_softmax(logits, axis=-1) == 1.0)
+        assert np.all(_stable_softmax(logits) == 1.0)
 
     def test_complex_amplitude_inputs(self):
         emap = make_embedding(8, 4, 5, seed=6, complex_valued=True)

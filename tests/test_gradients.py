@@ -90,16 +90,18 @@ def test_every_array_matches_finite_differences(kind, data_kind, seed):
     assert max_relative(exact_embed, fd_embed) <= 1e-5
 
 
-class _CountingOutputs:
+class _CountingEvaluations:
+    """Counts model evaluations at the adapter's one evaluation entry."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
-        original = _Adapter._outputs
+        original = _Adapter._evaluate
 
         def counted(adapter, circuit_vec, embed_vec):
             self.calls += 1
             return original(adapter, circuit_vec, embed_vec)
 
-        monkeypatch.setattr(_Adapter, "_outputs", counted)
+        monkeypatch.setattr(_Adapter, "_evaluate", counted)
 
     def per_gradient(self, adapter, cvec, evec):
         before = self.calls
@@ -109,7 +111,7 @@ class _CountingOutputs:
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_default_path_cost_does_not_grow_with_parameter_count(monkeypatch, kind):
-    counter = _CountingOutputs(monkeypatch)
+    counter = _CountingEvaluations(monkeypatch)
     data = dataset("classical", 3)
     counts = {}
     for layers, embed_dim in ((1, 2), (5, 4)):
@@ -121,7 +123,7 @@ def test_default_path_cost_does_not_grow_with_parameter_count(monkeypatch, kind)
 
 @pytest.mark.parametrize("overrides", [{"shots": 64}, {"expectation_route": "circuit"}])
 def test_shots_and_circuit_route_take_the_perturbation_path(monkeypatch, overrides):
-    counter = _CountingOutputs(monkeypatch)
+    counter = _CountingEvaluations(monkeypatch)
     data = dataset("classical", 5, count=2)
     adapter, cvec, evec = adapter_for(
         "qsa", data, 5, num_layers=1, embedding_trainable=False, **overrides

@@ -143,7 +143,7 @@ class TestCheckpointFixtures:
     )
     def test_loads_and_resaves_identical_bytes(self, tmp_path, name, kind, data_kind):
         path = FIXTURES / name
-        params, meta = load_checkpoint(path, expected_kind=kind)
+        params, meta = load_checkpoint(path)
         config = TrainConfig(model_kind=kind, epochs=1, seed=7)
         assert meta == {
             "model_kind": kind, "data_kind": data_kind, "config_hash": config_hash(config), "seed": 7,

@@ -45,7 +45,7 @@ def einsum_attention(queries, keys, values, scale):
     num_steps = queries.shape[1]
     scores = np.einsum("sjc,sic->sji", queries.conj(), keys).real / scale
     np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
-    weights = classical._stable_softmax(scores, axis=-1, out=scores)
+    weights = classical._stable_softmax(scores)
     attended = np.einsum("sji,sid->sjd", weights, values)
 
     def backward(g_attended):
@@ -97,7 +97,7 @@ def whole_block_attention(queries, keys, values, scale):
     scores = classical._real_inner(queries, keys)
     scores /= scale
     np.copyto(scores, -np.inf, where=np.triu(np.ones((num_steps, num_steps), dtype=bool), k=1))
-    weights = classical._stable_softmax(scores, axis=-1, out=scores)
+    weights = classical._stable_softmax(scores)
     attended = classical._real_matmul(weights, values)
 
     def backward(g_attended):

@@ -25,8 +25,18 @@ def quantum_set():
     return generate_quantum_dataset(build_ising(3, seed=1), 4, 6, seed=4)
 
 
+# config overrides of each fixture setting; the perturbation paths run all but "analytic"
+SETTINGS = {
+    "analytic": {},
+    "circuit": {"expectation_route": "circuit"},
+    "shots": {"shots": 64},
+    "finite-difference": {"gradient_mode": "finite-difference"},
+    "circuit-shots": {"expectation_route": "circuit", "shots": 64},
+}
+
+
 @pytest.mark.parametrize(
-    "kind, data_kind, route",
+    "kind, data_kind, setting",
     [
         ("qsa", "classical", "analytic"),
         ("scsa", "classical", "analytic"),
@@ -35,16 +45,22 @@ def quantum_set():
         ("lcsa", "quantum", "analytic"),
         ("qsa", "classical", "circuit"),
         ("qsa", "quantum", "circuit"),
+        ("qsa", "classical", "shots"),
+        ("qsa", "classical", "finite-difference"),
+        ("scsa", "classical", "finite-difference"),
+        ("lcsa", "quantum", "finite-difference"),
+        ("qsa", "quantum", "circuit-shots"),
     ],
 )
-def test_loss_csv_matches_fixture_bytes(kind, data_kind, route):
+def test_loss_csv_matches_fixture_bytes(kind, data_kind, setting):
     """Each fixture was written by an earlier build from
-    ``train(TrainConfig(model_kind=kind, epochs=3, seed=7, expectation_route=route), dataset)``;
-    circuit-route fixtures carry a ``_circuit`` suffix."""
+    ``train(TrainConfig(model_kind=kind, epochs=3, seed=7, **SETTINGS[setting]), dataset)``;
+    a fixture of a setting other than "analytic" carries the setting as a
+    suffix, with "-" written "_"."""
     dataset = classical_set() if data_kind == "classical" else quantum_set()
-    config = TrainConfig(model_kind=kind, epochs=3, seed=7, expectation_route=route)
+    config = TrainConfig(model_kind=kind, epochs=3, seed=7, **SETTINGS[setting])
     _, report = train(config, dataset)
-    suffix = "_circuit" if route == "circuit" else ""
+    suffix = "" if setting == "analytic" else "_" + setting.replace("-", "_")
     assert report.to_csv_text() == (FIXTURES / f"loss_{kind}_{data_kind}{suffix}.csv").read_text()
 
 
@@ -83,8 +99,8 @@ def test_perturbation_paths_reuse_the_row_forward(monkeypatch, overrides):
     dataset = generate_classical_dataset(8, 4, 2, seed=5, order=2)
     config = TrainConfig(model_kind="qsa", epochs=1, seed=5, num_layers=1, embedding_trainable=False, **overrides)
     calls = []
-    original = _Adapter._outputs
-    monkeypatch.setattr(_Adapter, "_outputs", lambda adapter, c, e: calls.append(1) or original(adapter, c, e))
+    original = _Adapter._evaluate
+    monkeypatch.setattr(_Adapter, "_evaluate", lambda adapter, c, e: calls.append(1) or original(adapter, c, e))
     trained, report = train(config, dataset)
     angles = sum(arr.size for _, arr in MODELS["qsa"].arrays(trained))
     # per row: the row's own forward, then two perturbed forwards per angle
