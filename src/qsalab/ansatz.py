@@ -107,7 +107,8 @@ class PhaseLayerParams:
 
 
 def _rotation_layers(angles: np.ndarray, real_valued: bool) -> np.ndarray:
-    """All (L+1, 2**n, 2**n) rotation layers of (L+1, n, 2) ``angles`` in one pass.
+    """All (..., L+1, 2**n, 2**n) rotation layers of (..., L+1, n, 2) ``angles``
+    in one pass, over any leading axes.
 
     Layer l is the Kronecker product of Ry(theta) Rz(phi) over qubits n-1..0.
     The 2x2 factors of every (layer, qubit) are filled as arrays, with the
@@ -118,18 +119,19 @@ def _rotation_layers(angles: np.ndarray, real_valued: bool) -> np.ndarray:
     """
     half_theta = angles[..., 0] / 2.0
     c, s = np.cos(half_theta), np.sin(half_theta)
-    mats = np.empty(angles.shape[:2] + (2, 2), dtype=complex)
+    mats = np.empty(angles.shape[:-1] + (2, 2), dtype=complex)
     mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1] = c, -s, s, c
     if not real_valued:
         rz = np.zeros_like(mats)
         rz[..., 0, 0] = np.exp(-0.5j * angles[..., 1])
         rz[..., 1, 1] = np.exp(0.5j * angles[..., 1])
         mats = mats @ rz
-    full = np.ones((angles.shape[0], 1, 1), dtype=complex)
-    for q in range(angles.shape[1] - 1, -1, -1):
-        # a batched np.kron(full, mats[:, q]) without its generic-shape overhead
-        full = (full[:, :, None, :, None] * mats[:, q, None, :, None, :]).reshape(
-            angles.shape[0], 2 * full.shape[1], -1
+    lead = angles.shape[:-2]
+    full = np.ones(lead + (1, 1), dtype=complex)
+    for q in range(angles.shape[-2] - 1, -1, -1):
+        # a batched np.kron(full, mats[..., q]) without its generic-shape overhead
+        full = (full[..., :, None, :, None] * mats[..., q, None, :, None, :]).reshape(
+            lead + (2 * full.shape[-2], -1)
         )
     return full
 
@@ -149,7 +151,7 @@ def _cnot_chain_order(num_qubits: int) -> np.ndarray:
 
 def build_ansatz_unitary(params: AnsatzParams) -> UnitaryBlock:
     """Dense unitary of the layered ansatz, targeting qubits 0..n-1."""
-    return UnitaryBlock(ansatz_vjp(params)[0], tuple(range(params.num_qubits)))
+    return UnitaryBlock(ansatz_vjp(params)[0][0], tuple(range(params.num_qubits)))
 
 
 @lru_cache(maxsize=None)
@@ -168,42 +170,60 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def ansatz_vjp(params: AnsatzParams):
-    """The ansatz matrix U and its backward pass: ``backward(g_matrix)``
-    gives the angle gradient, shaped like ``params.angles``, of a loss whose
-    gradient with respect to U is ``g_matrix`` (dL/dRe U + i dL/dIm U).
+def ansatz_vjp(*params: AnsatzParams):
+    """The (P, d, d) matrices U of P ansatz parameter sets on one qubit count
+    and their backward pass: ``backward(g_matrices)`` gives the P angle
+    gradients, each shaped like its ``angles``, of a loss whose gradient with
+    respect to U_p is ``g_matrices[p]`` (dL/dRe U + i dL/dIm U).
+
+    Members of one depth and ``real_valued`` flag are built in one pass: one
+    `_rotation_layers` call over their stacked angles and one chain of
+    batched prefix products.  Otherwise each is built as its own stack of
+    one.  Either way each member's bits are those of building it alone.
 
     With U = suffix_l R_l prefix_l around rotation layer l, an Ry angle enters
     as dR_l = (-i Y_q / 2) R_l and an Rz angle as dR_l = R_l (-i Z_q / 2), so
     dL/dangle = Re <X, G_q> with X the loss gradient moved through the
     prefix and suffix products to the generator's position.  The backward
-    reuses the forward's rotation layers and prefix products.  The CNOT
-    chain permutes rows forward and columns backward.
+    reuses the forward's rotation layers and prefix products, one member at
+    a time.  The CNOT chain permutes rows forward and columns backward.
     """
-    n = params.num_qubits
-    layers = _rotation_layers(params.angles, params.real_valued)
+    n = params[0].num_qubits
+    if any(p.num_qubits != n for p in params):
+        raise ConfigurationError("stacked ansatz parameters must share one qubit count")
+    if len({(p.num_layers, p.real_valued) for p in params}) > 1:
+        parts = [ansatz_vjp(p) for p in params]
+        return (
+            np.concatenate([matrix for matrix, _ in parts]),
+            lambda g_matrices: [back(g[None])[0] for (_, back), g in zip(parts, g_matrices)],
+        )
+    real_valued = params[0].real_valued
+    layers = _rotation_layers(np.stack([p.angles for p in params]), real_valued)
     rows, cols = _cnot_chain_order(n)
     prefix = np.empty_like(layers)  # the products before each rotation layer
-    prefix[0] = np.eye(2 ** n)
-    prefix[1:] = layers[:-1, rows]  # C R_l for every layer l but the last
-    for l in range(2, len(layers)):  # prefix_l = C R_(l-1) prefix_(l-1); prefix_1 skips the identity
-        np.matmul(prefix[l], prefix[l - 1], out=prefix[l])
-    matrix = layers[-1] @ prefix[-1]
+    prefix[:, 0] = np.eye(2 ** n)
+    prefix[:, 1:] = layers[:, :-1, rows]  # C R_l for every layer l but the last
+    for l in range(2, layers.shape[1]):  # prefix_l = C R_(l-1) prefix_(l-1); prefix_1 skips the identity
+        np.matmul(prefix[:, l], prefix[:, l - 1], out=prefix[:, l])
+    matrices = layers[:, -1] @ prefix[:, -1]
 
-    def backward(g_matrix):
+    def member_backward(layers, prefix, g_matrix):
         suffix = np.empty_like(layers)  # the products after each rotation layer
         suffix[-1] = prefix[0]
         for l in range(len(layers) - 2, -1, -1):
             suffix[l] = (suffix[l + 1] @ layers[l + 1] if l < len(layers) - 2 else layers[-1])[:, cols]
-        grad = np.zeros(params.angles.shape)
+        grad = np.zeros(layers.shape[:1] + (n, 2))
         x_ry = _dagger(suffix) @ g_matrix @ _dagger(layers @ prefix)
         grad[..., 0] = np.einsum("lab,qab->lq", x_ry.conj(), _qubit_generators("y", n)).real
-        if not params.real_valued:
+        if not real_valued:
             x_rz = _dagger(suffix @ layers) @ g_matrix @ _dagger(prefix)
             grad[..., 1] = np.einsum("lab,qab->lq", x_rz.conj(), _qubit_generators("z", n)).real
         return grad
 
-    return matrix, backward
+    def backward(g_matrices):
+        return [member_backward(*member) for member in zip(layers, prefix, g_matrices)]
+
+    return matrices, backward
 
 
 def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:

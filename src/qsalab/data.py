@@ -307,7 +307,10 @@ def generate_classical_dataset(
         raise ConfigurationError("order must lie in 1..vocab_dim")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    transition = np.zeros((vocab_dim, vocab_dim))
+    try:
+        transition = np.zeros((vocab_dim, vocab_dim))
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"a {vocab_dim}-word transition matrix is too large to allocate") from None
     for row in range(vocab_dim):
         support = rng.choice(vocab_dim, size=order, replace=False)
         weights = rng.random(order)

@@ -204,9 +204,10 @@ def dense_expectations(
 
 def _instance_arrays(instance: QsaInstance) -> tuple:
     """One instance as a batch of one: its (1, T, d) token and target rows and
-    the V and W matrices."""
+    the V and W matrices, built in one stacked pass."""
     tok, tgt = instance.unit_rows()
-    return tok[None], tgt[None], ansatz_vjp(instance.params_v)[0], ansatz_vjp(instance.params_w)[0]
+    v_matrix, w_matrix = ansatz_vjp(instance.params_v, instance.params_w)[0]
+    return tok[None], tgt[None], v_matrix, w_matrix
 
 
 def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> StateVector:

@@ -119,9 +119,19 @@ class RegisterLayout:
 
     def step_indices(self) -> np.ndarray:
         """Basis index of each step value j = 0..T-1 with registers A and B
-        at zero: ``sum_k bit_k(j) << c_qubits[k]``, for any layout."""
-        steps = np.arange(self.num_steps)
-        return sum(((steps >> k) & 1) << q for k, q in enumerate(self.c_qubits))
+        at zero: ``sum_k bit_k(j) << c_qubits[k]``, for any layout.  One
+        cached, read-only array per step register."""
+        return _step_indices(self.c_qubits)
+
+
+@lru_cache(maxsize=1024)
+def _step_indices(c_qubits: tuple) -> np.ndarray:
+    """`RegisterLayout.step_indices` of a step register on ``c_qubits``; a
+    pure tuple of ints, so cached."""
+    steps = np.arange(2 ** len(c_qubits))
+    indices = sum(((steps >> k) & 1) << q for k, q in enumerate(c_qubits))
+    indices.setflags(write=False)
+    return indices
 
 
 @dataclass(frozen=True)

@@ -362,39 +362,39 @@ class _Qsa(_Model):
     def _prepared(self, params, inputs):
         """What forward, circuit_outputs and scores start from: the embedded rows
         x, the unit token rows x[:, :-1] and target rows shift_free[:, 1:], each
-        with its norms, and V and W, each with its backward pass."""
+        with its norms, and the stacked V and W matrices with their backward
+        pass, built in one `ansatz_vjp` call."""
         x, shift_free = embed_batch(inputs, params.embedding)
         return (x, _unit_rows(x[:, :-1]), _unit_rows(shift_free[:, 1:]),
-                ansatz_vjp(params.v_params), ansatz_vjp(params.w_params))
+                ansatz_vjp(params.v_params, params.w_params))
 
     def circuit_outputs(self, params, inputs):
         """The expectations by one batched dense simulation of every sequence's circuit."""
-        _, (tok, _), (tgt, _), (v_matrix, _), (w_matrix, _) = self._prepared(params, inputs)
+        _, (tok, _), (tgt, _), (vw_matrices, _) = self._prepared(params, inputs)
         layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
-        return dense_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params), layout)
+        return dense_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params), layout)
 
     def forward(self, params, inputs):
-        prepared = self._prepared(params, inputs)
-        x, (tok, tok_norms), (tgt, tgt_norms), (v_matrix, v_backward), (w_matrix, w_backward) = prepared
-        exps, backward = batched_expectations(tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params.r_params))
+        x, (tok, tok_norms), (tgt, tgt_norms), (vw_matrices, vw_backward) = self._prepared(params, inputs)
+        exps, backward = batched_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params))
 
         def model_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
             g_rows = np.zeros_like(g_tok, shape=x.shape)
             g_rows[:, :-1] = unit_rows_backward(tok, tok_norms, g_tok)
             g_rows[:, 1:] += unit_rows_backward(tgt, tgt_norms, g_tgt)
-            grads = [v_backward(g_v), w_backward(g_w), phase_layer_gradient(params.r_params, g_phase)]
+            grads = [*vw_backward((g_v, g_w)), phase_layer_gradient(params.r_params, g_phase)]
             return grads, g_rows
 
         return exps, model_backward
 
     def scores(self, params, inputs):
-        _, (tok, norms), _, (v_matrix, _), (w_matrix, _) = self._prepared(params, inputs)
+        _, (tok, norms), _, (vw_matrices, _) = self._prepared(params, inputs)
         # An overflowed norm leaves its unit row zero, which output_weights
         # would report as a vanishing output.
         if not np.isfinite(norms).all():
             raise NumericFailureError("non-finite prediction scores")
-        return _overlap_scores(causal_attention_vjp(tok, v_matrix, w_matrix)[0], params.embedding)
+        return _overlap_scores(causal_attention_vjp(tok, *vw_matrices)[0], params.embedding)
 
 
 class _Baseline(_Model):
@@ -706,8 +706,11 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
         clamp_total += clamped
         if not math.isfinite(loss):
             raise failure(f"non-finite loss at epoch {epoch}")
-        grad_circuit, grad_embed = gradients()
-        grad_norm = float(np.sqrt(np.sum(grad_circuit ** 2) + np.sum(grad_embed ** 2)))
+        # Perturbed forwards may overflow too; a non-finite gradient ends in
+        # the update check below.
+        with np.errstate(all="ignore"):
+            grad_circuit, grad_embed = gradients()
+            grad_norm = float(np.sqrt(np.sum(grad_circuit ** 2) + np.sum(grad_embed ** 2)))
         seconds = time.perf_counter() - started if config.record_timing else 0.0
         rows.append(
             EpochRow(epoch, loss, loss + log_offset, math.exp(loss), grad_norm, seconds)

@@ -181,13 +181,57 @@ def ansatz_case(draw):
 @given(ansatz_case())
 def test_ansatz_vjp_matches_dense_chain(case):
     params, g_matrix = case
-    matrix, backward = ansatz_vjp(params)
+    matrices, backward = ansatz_vjp(params)
     expected_matrix, expected_backward = ansatz_vjp_dense_chain(params)
-    assert np.array_equal(matrix, expected_matrix)
+    assert matrices.shape == (1,) + expected_matrix.shape
+    assert np.array_equal(matrices[0], expected_matrix)
     # bytes may differ only in the sign of an exact zero
-    got, expected = matrix.view(float), expected_matrix.view(float)
+    got, expected = matrices[0].view(float), expected_matrix.view(float)
     assert np.all((np.signbit(got) == np.signbit(expected)) | (got == 0.0))
-    assert backward(g_matrix).tobytes() == expected_backward(g_matrix).tobytes()
+    (grad,) = backward(g_matrix[None])
+    assert grad.tobytes() == expected_backward(g_matrix).tobytes()
+
+
+@st.composite
+def ansatz_pair(draw):
+    """Two params on one qubit count n = 1..5, each with L = 0..5 layers
+    and either flag; the second is often of the first's depth and flag, and
+    otherwise drawn on its own.  Angles are all, some or no exact zeros, and
+    the two matrix cotangents are complex."""
+    num_qubits = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    shapes = [(draw(st.integers(0, 5)), draw(st.booleans()))]
+    shapes.append(shapes[0] if draw(st.booleans()) else (draw(st.integers(0, 5)), draw(st.booleans())))
+    pair = []
+    for num_layers, real_valued in shapes:
+        angles = rng.uniform(-np.pi, np.pi, size=(num_layers + 1, num_qubits, 2))
+        angles[rng.random(angles.shape) < zero_share] = 0.0
+        pair.append(AnsatzParams(num_qubits, num_layers, angles, real_valued))
+    dim = 2 ** num_qubits
+    g_matrices = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+    return pair, g_matrices
+
+
+@settings(max_examples=200, deadline=None)
+@given(ansatz_pair())
+def test_stacked_ansatz_vjp_keeps_each_members_bits(case):
+    """``ansatz_vjp(v, w)`` gives each member's matrix and angle gradient
+    byte for byte as building that member alone does."""
+    pair, g_matrices = case
+    matrices, backward = ansatz_vjp(*pair)
+    grads = backward(g_matrices)
+    assert matrices.shape == (2,) + g_matrices.shape[1:] and len(grads) == 2
+    for params, matrix, g_matrix, grad in zip(pair, matrices, g_matrices, grads):
+        alone, alone_backward = ansatz_vjp(params)
+        assert matrix.tobytes() == alone[0].tobytes()
+        assert grad.shape == params.angles.shape
+        assert grad.tobytes() == alone_backward(g_matrix[None])[0].tobytes()
+
+
+def test_stacked_ansatz_vjp_rejects_mixed_qubit_counts():
+    with pytest.raises(ConfigurationError):
+        ansatz_vjp(AnsatzParams.zeros(1, 1), AnsatzParams.zeros(2, 1))
 
 
 def phase_diagonal_by_kron(angles):

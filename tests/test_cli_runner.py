@@ -109,17 +109,24 @@ def test_numeric_failure_writes_diagnostic_and_no_manifest(tmp_path, paths, caps
     assert not (out / "checkpoint.json").exists()
 
 
-def test_numeric_failure_prints_only_the_typed_error(tmp_path, paths, capsys):
-    """The forward's overflow reaches the loss as a NaN; numpy warns about none of it."""
+@pytest.mark.parametrize("model, settings, epochs, message", [
+    ("scsa", {"learning_rate": 1e200}, 3, "non-finite loss at epoch 1"),
+    *[(model, {"gradient_mode": "finite-difference", "fd_step": 1e300}, 1,
+       "non-finite parameters after the update at epoch 0") for model in ("qsa", "scsa", "lcsa")],
+], ids=["scsa-learning-rate", "qsa-fd-step", "scsa-fd-step", "lcsa-fd-step"])
+def test_numeric_failure_prints_only_the_typed_error(tmp_path, paths, capsys, model, settings, epochs, message):
+    """An overflow in the forward, or in the perturbed forwards of a
+    gradient, reaches the loss or the parameters as a NaN; numpy warns
+    about none of it."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"schema_version": 1, "learning_rate": 1e200}))
+    config.write_text(json.dumps({"schema_version": 1, **settings}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["train", "--model", "scsa", "--data", str(paths["classical"]), "--config", str(config),
-                     "--epochs", "3", "--out", str(tmp_path / "run")])
+        code = main(["train", "--model", model, "--data", str(paths["classical"]), "--config", str(config),
+                     "--epochs", str(epochs), "--out", str(tmp_path / "run")])
     assert code == 3
     assert [str(w.message) for w in caught] == []
-    assert capsys.readouterr().err == "error: non-finite loss at epoch 1\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_names_the_dataset_the_model_does_not_fit(tmp_path, paths, capsys):

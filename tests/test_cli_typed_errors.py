@@ -54,6 +54,17 @@ def test_generate_usage_error(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_generate_oversized_vocabulary_exits_2(tmp_path, capsys):
+    """A 10^11-word chain's 10^22-entry transition matrix: numpy refuses the
+    shape before it allocates anything."""
+    out = tmp_path / "d.jsonl"
+    code = main(["generate", "--kind", "classical", "--vocab", "100000000000", "--len", "3",
+                 "--count", "1", "--out", str(out)])
+    assert code == 2
+    assert "transition matrix is too large" in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_schema_version_2_exits_4(tmp_path, files, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 2}))

@@ -337,6 +337,26 @@ class TestRegisterLayout:
         with pytest.raises(ConfigurationError, match="same nonzero size"):
             RegisterLayout((0,), (1, 2), (3,))
 
+    @pytest.mark.parametrize("lay", [
+        RegisterLayout.standard(2, 3),
+        RegisterLayout.standard(1, 1),
+        # C spread over low and high qubits, most significant step bit lowest
+        RegisterLayout((1, 4), (2, 6), (5, 3, 0)),
+        RegisterLayout((6, 2), (0, 5), (7, 1, 4, 3)),
+    ], ids=["standard-2-3", "standard-1-1", "permuted-t3", "permuted-t4"])
+    def test_step_indices(self, lay):
+        """Step j sits at sum_k bit_k(j) << c_qubits[k] with A and B at zero;
+        every call returns one cached array, which cannot be written."""
+        expected = [
+            sum(((j >> k) & 1) << q for k, q in enumerate(lay.c_qubits)) for j in range(lay.num_steps)
+        ]
+        steps = lay.step_indices()
+        assert steps.tolist() == expected
+        assert lay.step_indices() is steps
+        assert RegisterLayout(lay.a_qubits, lay.b_qubits, lay.c_qubits).step_indices() is steps
+        with pytest.raises(ValueError):
+            steps[0] = 1
+
 
 def explicit_select_matrix(num_qubits, controls, blocks):
     """sum_j U_j (x) |j><j| column by column: basis state b reads its control

@@ -129,31 +129,32 @@ def test_train_config_rejects_circuit_settings_for_baselines(kind, setting):
 @pytest.mark.parametrize("data_kind", ["classical", "quantum"])
 def test_default_qsa_row_builds_each_ansatz_once(monkeypatch, data_kind):
     """One row's forward and backward build V's and W's rotation layers
-    once each: one batched pass of all num_layers + 1 layers per ansatz."""
+    once each: one batched pass over both ansatze's num_layers + 1 layers."""
     dataset = classical_set() if data_kind == "classical" else quantum_set()
     config = TrainConfig(model_kind="qsa", seed=7)
     adapter = _Adapter(initialize_params(config, dataset), dataset, config)
     circuit_vec, embed_vec = adapter.circuit_vector(adapter.template), adapter.embed_vector(adapter.template)
     calls = []
     original = ansatz._rotation_layers
-    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: calls.append(args[0].shape[0]) or original(*args))
+    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: calls.append(args[0].shape[:2]) or original(*args))
     adapter.gradients(circuit_vec, embed_vec)
-    assert calls == [config.num_layers + 1] * 2
+    assert calls == [(2, config.num_layers + 1)]
 
 
 def test_circuit_outputs_build_each_matrix_once_per_call(monkeypatch):
     """One circuit_outputs call over every sequence builds V's and W's
-    rotation layers once each and no QsaInstance, and agrees with the
-    analytic forward on the same rows."""
+    rotation layers once each, in one batched pass over both, and no
+    QsaInstance, and agrees with the analytic forward on the same rows."""
     dataset = classical_set()
-    params = initialize_params(TrainConfig(model_kind="qsa", seed=7, expectation_route="circuit"), dataset)
+    config = TrainConfig(model_kind="qsa", seed=7, expectation_route="circuit")
+    params = initialize_params(config, dataset)
     layers, instances = [], []
     original = ansatz._rotation_layers
-    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: layers.append(1) or original(*args))
+    monkeypatch.setattr(ansatz, "_rotation_layers", lambda *args: layers.append(args[0].shape[:2]) or original(*args))
     post_init = engine.QsaInstance.__post_init__
     monkeypatch.setattr(engine.QsaInstance, "__post_init__", lambda self: instances.append(1) or post_init(self))
     outputs = MODELS["qsa"].circuit_outputs(params, dataset.input_rows())
-    assert len(layers) == 2 and instances == []
+    assert layers == [(2, config.num_layers + 1)] and instances == []
     assert outputs.shape == (len(dataset),)
     analytic, _ = MODELS["qsa"].forward(params, dataset.input_rows())
     assert np.max(np.abs(outputs - analytic)) <= 1e-10
