@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--len", type=int, required=True, dest="length", help="sequence length T+1")
     gen.add_argument("--count", type=int, required=True, help="number of records")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--order", type=int, default=2, help="nonzero entries per Markov row")
+    gen.add_argument("--order", type=int, help="nonzero entries per Markov row (classical data; default 2)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_generate)
 
@@ -128,15 +128,19 @@ def cmd_generate(args, parser) -> Run:
     if args.length < 2:
         parser.error("--len must be at least 2 (one step plus its target)")
     num_steps = args.length - 1
+    order = args.order
     if args.kind == "classical":
         if args.vocab is None:
             parser.error("--vocab is required for classical data")
         if args.qubits is not None:
             parser.error("--qubits applies only to quantum data")
+        order = 2 if order is None else order
         dataset = data.generate_classical_dataset(
-            args.vocab, num_steps, args.count, args.seed, order=args.order
+            args.vocab, num_steps, args.count, args.seed, order=order
         )
     else:
+        if order is not None:
+            parser.error("--order applies only to classical data")
         if args.qubits is None and args.vocab is None:
             parser.error("quantum data needs --qubits (or --vocab equal to a power of two)")
         qubits = args.qubits
@@ -155,7 +159,7 @@ def cmd_generate(args, parser) -> Run:
         "len": args.length,
         "count": args.count,
         "seed": args.seed,
-        "order": args.order if args.kind == "classical" else None,
+        "order": order,
     }
     return Run(f"{args.out}.manifest.json", config, args.seed, [], [args.out])
 

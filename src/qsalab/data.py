@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -297,10 +298,15 @@ def generate_classical_dataset(
     """Sequences from a seeded sparse row-stochastic Markov chain.
 
     Each transition row has ``order`` nonzero entries with normalized
-    uniform weights; the initial word is uniform.
+    uniform weights; the initial word is uniform.  Each step draws one
+    uniform and bisects the current row's cumulative bounds over its
+    support: the draws and words of ``Generator.choice(vocab_dim, p=row)``
+    per step, without its per-call argument checks.
     """
     if count < 1:
         raise ConfigurationError("count must be at least 1")
+    if num_steps < 1:
+        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
     if vocab_dim < 2:
         raise ConfigurationError("vocabulary needs at least two words")
     if not 1 <= order <= vocab_dim:
@@ -315,12 +321,25 @@ def generate_classical_dataset(
         support = rng.choice(vocab_dim, size=order, replace=False)
         weights = rng.random(order)
         transition[row, support] = weights / weights.sum()
+    # choice's bounds are the row's cumsum over its last entry; its zeros add
+    # nothing, so the cumsum over the support gives the same floats, and
+    # bisect_right is choice's searchsorted(side="right")
+    supports, bounds = [], []
+    for row in transition:
+        support = np.flatnonzero(row)
+        cdf = np.cumsum(row[support])
+        supports.append(support.tolist())
+        bounds.append((cdf / cdf[-1]).tolist())
     records = []
     for _ in range(count):
         word = int(rng.integers(vocab_dim))
+        try:
+            uniforms = rng.random(num_steps).tolist()
+        except (ValueError, MemoryError):
+            raise ConfigurationError(f"a {num_steps}-step walk is too long to allocate") from None
         seq = [word]
-        for _ in range(num_steps):
-            word = int(rng.choice(vocab_dim, p=transition[word]))
+        for u in uniforms:
+            word = supports[word][bisect_right(bounds[word], u)]
             seq.append(word)
         records.append(seq)
     metadata = {"generator": {"type": "markov", "order": order, "transition": transition.tolist()}}

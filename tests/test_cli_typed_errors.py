@@ -44,7 +44,8 @@ def one_error_line(err: str) -> str:
     (["--kind", "classical", "--vocab", "8", "--qubits", "3", "--len", "5"], "--qubits applies only to quantum"),
     (["--kind", "quantum", "--len", "5"], "quantum data needs --qubits"),
     (["--kind", "quantum", "--vocab", "6", "--len", "5"], "--vocab must be a power of two"),
-], ids=["len-1", "classical-qubits", "quantum-no-size", "quantum-vocab-6"])
+    (["--kind", "quantum", "--qubits", "2", "--len", "3", "--order", "5"], "--order applies only to classical"),
+], ids=["len-1", "classical-qubits", "quantum-no-size", "quantum-vocab-6", "quantum-order"])
 def test_generate_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "d.jsonl"
     with pytest.raises(SystemExit) as excinfo:
@@ -63,6 +64,16 @@ def test_generate_oversized_vocabulary_exits_2(tmp_path, capsys):
     assert code == 2
     assert "transition matrix is too large" in one_error_line(capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_generate_overlong_walk_exits_2(tmp_path, capsys):
+    """A 10^20-step walk: numpy refuses the draw's shape before it allocates anything."""
+    out = tmp_path / "d.jsonl"
+    code = main(["generate", "--kind", "classical", "--vocab", "10", "--len", "100000000000000000000",
+                 "--count", "1", "--out", str(out)])
+    assert code == 2
+    assert "walk is too long" in one_error_line(capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_schema_version_2_exits_4(tmp_path, files, capsys):
