@@ -352,6 +352,8 @@ def generate_quantum_dataset(
     """Haar-random initial states evolved for unit time steps by eigendecomposition."""
     if count < 1:
         raise ConfigurationError("count must be at least 1")
+    if num_steps < 1:
+        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)

@@ -16,14 +16,7 @@ import numpy as np
 
 from .data import ZERO_NORM_TOL
 from .errors import ConfigurationError, DegenerateInputError
-from .statevector import (
-    OpCounter,
-    RegisterLayout,
-    StateVector,
-    _check_reflections,
-    _reflection_select,
-    reflection_matrix,
-)
+from .statevector import RegisterLayout, StateVector, _check_reflections, _reflection_select, reflection_matrix
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,6 @@ def prepare_input_superposition(
     tokens: Sequence[EncodedToken],
     num_steps: int,
     layout: RegisterLayout,
-    counter: OpCounter | None = None,
 ) -> StateVector:
     """Uniform superposition over steps j, branch j carrying the prefix-j encoding:
     `prepared_states` of this one sequence's first ``num_steps`` tokens."""
@@ -160,16 +152,15 @@ def prepare_input_superposition(
     if any(tok.state.num_qubits != layout.n for tok in tokens[:num_steps]):
         raise ConfigurationError("token qubit count does not match register A")
     rows = np.stack([tok.state.amplitudes for tok in tokens[:num_steps]])
-    return StateVector(layout.num_qubits, prepared_states(rows[None], layout, counter)[0])
+    return StateVector(layout.num_qubits, prepared_states(rows[None], layout)[0])
 
 
-def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout, counter: OpCounter | None = None) -> np.ndarray:
+def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """The input superpositions of S sequences as one (S, 2**q) batch, from
     their (S, T, d) unit token rows.
 
     The t Hadamards on register C are written in closed form, 1/sqrt(T) on
-    each step's basis state with A = B = 0, and recorded on ``counter`` as
-    the t blocks of dimension 2 they stand for.  Then each sequence's
+    each step's basis state with A = B = 0.  Then each sequence's
     register-controlled select of reflections, row j's first column its
     normalized prefix-j state, all in one batched select.  The prefix
     states come from one cumulative sum, the same additions in the same
@@ -178,7 +169,5 @@ def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout, counter: Op
     vectors, phases = reflection_rows(_normalized_prefixes(_prefix_sums(unit_tokens))[0])
     psi = np.zeros((unit_tokens.shape[0], 2 ** layout.num_qubits), dtype=complex)
     psi[:, layout.step_indices()] = 1.0 / np.sqrt(layout.num_steps)
-    if counter is not None:
-        counter.record(2, layout.t * unit_tokens.shape[0])
-    return _reflection_select(psi, layout.c_qubits, layout.a_qubits + layout.b_qubits, vectors, phases, counter)
+    return _reflection_select(psi, layout.c_qubits, layout.a_qubits + layout.b_qubits, vectors, phases)
 

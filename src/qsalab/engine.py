@@ -1,10 +1,11 @@
 """Attention by overlap interference.
 
-Assembles the full-register circuit (input superposition, variational
-layers on the data registers, register-controlled projections, phase layer
-and Hadamards on the step register) and evaluates the all-zeros expectation
-two independent ways: by dense simulation and by an analytic branch-overlap
-formula.  Also exposes the interference loss and the prediction read-out.
+Lists the full-register circuit once, as the stages of `circuit_stages`
+(input superposition, variational layers on the data registers,
+register-controlled projections, phase layer and Hadamards on the step
+register), and evaluates the all-zeros expectation two independent ways:
+by dense simulation and by an analytic branch-overlap formula.  Also
+exposes the interference loss and the prediction read-out.
 
 Exact bookkeeping of the branch amplitudes: with normalized token encodings
 x_1..x_T, targets xt_2..xt_{T+1}, prefix weights M_j and phase-layer branch
@@ -20,7 +21,8 @@ final Hadamard projection onto the all-zeros string.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial, reduce
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .statevector import (
     RegisterLayout,
     StateVector,
     UnitaryBlock,
-    _apply_block,
+    _apply,
     _reflection_select,
     inner_product,
 )
@@ -122,30 +124,60 @@ class QsaInstance:
         return QsaInstance(tokens, targets, layout, params_v, params_w, params_r)
 
 
-def _data_stage(
-    token_states: np.ndarray,
-    target_states: np.ndarray,
-    v_block: UnitaryBlock,
-    w_block: UnitaryBlock,
-    layout: RegisterLayout,
-    counter: OpCounter | None,
-) -> np.ndarray:
-    """The circuit of each of S sequences up to register C's phase layer, as
-    one (S, 2**q) batch: the input superpositions, V on A and W on B, and the
-    two controlled inverse encodings."""
-    psi = prepared_states(token_states, layout, counter)
-    psi = _apply_block(psi, v_block, counter)
-    psi = _apply_block(psi, w_block, counter)
+class Stage(NamedTuple):
+    """One stage of the dense circuit: ``apply`` maps the (S, 2**q) batch of S
+    sequences (the first stage ignores its input and writes the batch), and
+    ``blocks`` lists the (dimension, count per sequence) of the blocks it
+    stands for."""
+
+    name: str
+    apply: Callable
+    blocks: tuple
+
+
+def circuit_stages(token_states, target_states, v_block, w_block, phase_diagonal, layout) -> tuple:
+    """The full circuit of S sequences as its stages in circuit order, from
+    their (S, T, d) unit token and target rows, the checked V and W blocks
+    and the phase diagonal: the input superpositions, V on A and W on B, the
+    two controlled inverse encodings, then register C's phase layer and t
+    Hadamards, whose blocks are built only when those stages run."""
+    c, d, t, num_steps = layout.c_qubits, layout.token_dim, layout.t, layout.num_steps
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.  Both sets
-    # of rows come from one Householder step and one check; each inverse
-    # conjugates the phases.
-    vectors, phases = reflection_rows(np.stack((target_states, token_states)))
-    psi = _reflection_select(psi, layout.c_qubits, layout.a_qubits, vectors[0], phases[0].conj(), counter)
-    return _reflection_select(psi, layout.c_qubits, layout.b_qubits, vectors[1], phases[1].conj(), counter)
+    # of rows come from one Householder step and one check, made when the
+    # first select runs; each inverse conjugates the phases.
+    rows = []
+
+    def unencode(part, targets):
+        def apply(psi):
+            if not rows:
+                rows.extend(reflection_rows(np.stack((target_states, token_states))))
+            return _reflection_select(psi, c, targets, rows[0][part], rows[1][part].conj())
+        return apply
+
+    def hadamards(psi):
+        for q in c:
+            psi = _apply(psi, (), (q,), UnitaryBlock(HADAMARD, (q,)).kernel)
+        return psi
+
+    return (
+        Stage("prepare", lambda _: prepared_states(token_states, layout), ((2, t), (d * d, num_steps))),
+        Stage("v", partial(_apply, controls=(), targets=v_block.targets, kernel=v_block.kernel), ((d, 1),)),
+        Stage("w", partial(_apply, controls=(), targets=w_block.targets, kernel=w_block.kernel), ((d, 1),)),
+        Stage("unencode_targets", unencode(0, layout.a_qubits), ((d, num_steps),)),
+        Stage("unencode_tokens", unencode(1, layout.b_qubits), ((d, num_steps),)),
+        Stage("phase_layer", lambda psi: _apply(psi, (), c, UnitaryBlock(np.diag(phase_diagonal), c).kernel),
+              ((num_steps, 1),)),
+        Stage("hadamards", hadamards, ((2, t),)),
+    )
 
 
-def _data_blocks(token_states, target_states, v_matrix, w_matrix, layout: RegisterLayout):
+def _fold(stages) -> np.ndarray:
+    """The batch that ``stages`` write, each stage applied to the last one's output."""
+    return reduce(lambda psi, stage: stage.apply(psi), stages, None)
+
+
+def _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal, layout: RegisterLayout):
     """Check the batch's shapes against ``layout`` and build V on register A
     and W on register B, one unitarity check each."""
     shape = (layout.num_steps, layout.token_dim)
@@ -154,6 +186,8 @@ def _data_blocks(token_states, target_states, v_matrix, w_matrix, layout: Regist
             f"token rows {token_states.shape} and target rows {target_states.shape} "
             f"do not match (S, {shape[0]}, {shape[1]}) for this layout"
         )
+    if phase_diagonal.shape != (layout.num_steps,):
+        raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {layout.num_steps} steps")
     return UnitaryBlock(v_matrix, layout.a_qubits), UnitaryBlock(w_matrix, layout.b_qubits)
 
 
@@ -172,62 +206,56 @@ def dense_expectations(
 
     V and W are checked once per call, and each select's reflections once
     per chunk.  The S circuits run as one (S, 2**q) batch, in chunks of
-    sequences sized by ``DENSE_CHUNK_BYTES``.  The data stage is simulated
-    gate by gate; register C's closing phase layer and Hadamards are read
-    in closed form.  <0|H^t = T^{-1/2} sum_c <c|, so only the slice with
-    A = B = 0 counts: the expectation is |sum_c e^{i phi_c} psi_c|^2 / T,
-    one dot product and one scalar ``abs`` per sequence, the bits of one
-    sequence at a time.  ``counter`` records each sequence's
-    phase layer and t Hadamards as the blocks they stand for.
+    sequences sized by ``DENSE_CHUNK_BYTES``.  Each chunk folds the stages
+    of `circuit_stages` up to register C's phase layer; the phase layer and
+    Hadamards are read in closed form.  <0|H^t = T^{-1/2} sum_c <c|, so only
+    the slice with A = B = 0 counts: the expectation is
+    |sum_c e^{i phi_c} psi_c|^2 / T, one dot product and one scalar ``abs``
+    per sequence, the bits of one sequence at a time.  ``counter`` records
+    every stage's declared blocks, once per chunk.
     """
-    v_block, w_block = _data_blocks(token_states, target_states, v_matrix, w_matrix, layout)
+    blocks = _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal, layout)
     num_seqs, num_steps = token_states.shape[:2]
-    if phase_diagonal.shape != (num_steps,):
-        raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {num_steps} steps")
     chunk = max(1, DENSE_CHUNK_BYTES // (_STATE_COPIES * 16 * 2 ** layout.num_qubits))
     steps = layout.step_indices()
     values = np.empty(num_seqs)
     for start in range(0, num_seqs, chunk):
-        rows = slice(start, start + chunk)
-        # One sequence at a time, as a fresh 1-D slice and a scalar abs: a
-        # view into the batch or np.abs over it can change the last bit.
-        # The chunk's states are freed before the next chunk starts.
-        values[rows] = [
-            abs(phase_diagonal @ state[steps]) ** 2 / num_steps
-            for state in _data_stage(token_states[rows], target_states[rows], v_block, w_block, layout, counter)
+        tok, tgt = token_states[start:start + chunk], target_states[start:start + chunk]
+        stages = circuit_stages(tok, tgt, *blocks, phase_diagonal, layout)
+        # The stages up to the phase layer, then one sequence at a time, as
+        # a fresh 1-D slice and a scalar abs: a view into the batch or np.abs
+        # over it can change the last bit.  The chunk's states are freed
+        # before the next chunk starts.
+        values[start:start + len(tok)] = [
+            abs(phase_diagonal @ state[steps]) ** 2 / num_steps for state in _fold(stages[:-2])
         ]
-    if counter is not None:
-        counter.record(num_steps, num_seqs)
-        counter.record(2, layout.t * num_seqs)
+        if counter is not None:
+            for stage in stages:
+                for dim, count in stage.blocks:
+                    counter.record(dim, count * len(tok))
     return values
 
 
 def _instance_arrays(instance: QsaInstance) -> tuple:
-    """One instance as a batch of one: its (1, T, d) token and target rows and
-    the V and W matrices, built in one stacked pass."""
+    """One instance as a batch of one: its (1, T, d) token and target rows,
+    the V and W matrices, built in one stacked pass, and the phase diagonal."""
     tok, tgt = instance.unit_rows()
     v_matrix, w_matrix = ansatz_vjp(instance.params_v, instance.params_w)[0]
-    return tok[None], tgt[None], v_matrix, w_matrix
+    return tok[None], tgt[None], v_matrix, w_matrix, phase_layer_diagonal(instance.params_r)
 
 
-def circuit_state(instance: QsaInstance, counter: OpCounter | None = None) -> StateVector:
+def circuit_state(instance: QsaInstance) -> StateVector:
     """Run the full circuit by dense simulation and return the final state:
-    the data stage of `dense_expectations`, then the phase layer and
-    Hadamards on C as gates."""
+    every stage of `circuit_stages`, the readout as gates."""
+    tok, tgt, _, _, phases = arrays = _instance_arrays(instance)
     lay = instance.layout
-    tok, tgt, v_matrix, w_matrix = _instance_arrays(instance)
-    psi = _data_stage(tok, tgt, *_data_blocks(tok, tgt, v_matrix, w_matrix, lay), lay, counter)
-    psi = _apply_block(psi, UnitaryBlock(np.diag(phase_layer_diagonal(instance.params_r)), lay.c_qubits), counter)
-    for q in lay.c_qubits:
-        psi = _apply_block(psi, UnitaryBlock(HADAMARD, (q,)), counter)
-    return StateVector(lay.num_qubits, psi[0])
+    return StateVector(lay.num_qubits, _fold(circuit_stages(tok, tgt, *_data_blocks(*arrays, lay), phases, lay))[0])
 
 
 def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None) -> float:
     """All-zeros projector expectation of the fully simulated circuit:
     `dense_expectations` of this one sequence."""
-    arrays = _instance_arrays(instance)
-    return float(dense_expectations(*arrays, phase_layer_diagonal(instance.params_r), instance.layout, counter)[0])
+    return float(dense_expectations(*_instance_arrays(instance), instance.layout, counter)[0])
 
 
 def _branch_overlaps_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):

@@ -266,34 +266,21 @@ def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarr
     return out.reshape(tensor_shape).transpose(inverse).reshape(num_seqs, size)
 
 
-def _apply_block(psi: np.ndarray, block: UnitaryBlock, counter: OpCounter | None = None) -> np.ndarray:
-    """``block`` on its targets of every state of the (S, 2**m) batch ``psi``."""
-    out = _apply(psi, (), block.targets, block.kernel)
-    if counter is not None:
-        counter.record(block.dimension, psi.shape[0])
-    return out
-
-
 def _reflection_select(
     psi: np.ndarray,
     controls: tuple,
     targets: tuple,
     vectors: np.ndarray,
     phases: np.ndarray,
-    counter: OpCounter | None = None,
 ) -> np.ndarray:
     """Each state's select ``sum_j R_j (x) |j><j|`` on the (S, 2**m) batch
     ``psi``, R_j the reflection of row j of that sequence's slice of the
     (S, 2**t, dim) Householder ``vectors`` and (S, 2**t) ``phases`` (one
     sequence's (2**t, dim) and (2**t,) when S = 1), already checked: one
     batched rank-1 update, row ``s * 2**t + j`` of the batch's (sequence,
-    control value) axis getting R_j of sequence s.  The counter records one
-    block per control value and sequence."""
+    control value) axis getting R_j of sequence s."""
     dim = vectors.shape[-1]
-    out = _apply(psi, controls, targets, partial(_reflect, vectors.reshape(-1, dim), phases.reshape(-1)))
-    if counter is not None:
-        counter.record(dim, phases.size)
-    return out
+    return _apply(psi, controls, targets, partial(_reflect, vectors.reshape(-1, dim), phases.reshape(-1)))
 
 
 def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
@@ -301,24 +288,22 @@ def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
     return np.concatenate((x[:j], kernel(x[j:j + 1]), x[j + 1:]))
 
 
-def apply_unitary(state: StateVector, block: UnitaryBlock, counter: OpCounter | None = None) -> StateVector:
+def apply_unitary(state: StateVector, block: UnitaryBlock) -> StateVector:
     """Apply ``block`` to its target qubits, identity elsewhere: the select with no controls."""
-    return StateVector(state.num_qubits, _apply_block(state.amplitudes[None], block, counter)[0])
+    return StateVector(state.num_qubits, _apply(state.amplitudes[None], (), block.targets, block.kernel)[0])
 
 
 def apply_controlled_by_register(
     state: StateVector,
     controls: Sequence[int],
     blocks: Mapping[int, UnitaryBlock],
-    counter: OpCounter | None = None,
 ) -> StateVector:
     """Apply ``blocks[j]`` on the subspace where the control register reads j.
 
     Realizes the select unitary sum_j U_j (x) |j><j| with controls read
     little-endian (``controls[0]`` is the least-significant bit of j).
     Every control value in ``0..2**t - 1`` must map to a block; each is
-    applied in one kernel call on its row alone, and the counter records
-    one block per control value.
+    applied in one kernel call on its row alone.
     """
     controls = tuple(int(q) for q in controls)
     m = state.num_qubits
@@ -333,12 +318,8 @@ def apply_controlled_by_register(
         raise ConfigurationError(f"control value(s) {extra} are unreachable")
 
     psi = state.amplitudes[None]
-    dims = [blocks[j].dimension for j in range(num_values)]
     for j in range(num_values):
         psi = _apply(psi, controls, blocks[j].targets, partial(_on_row, j, blocks[j].kernel))
-    if counter is not None:
-        for dim in dims:
-            counter.record(dim)
     return StateVector(m, psi[0])
 
 

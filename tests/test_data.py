@@ -282,9 +282,11 @@ class TestSerialization:
         header = json.dumps({"kind": "classical", "D": 8, "T": num_steps, "seed": 1})
         with pytest.raises(ConfigurationError, match="T must be at least 1"):
             loads_dataset(header + "\n" + json.dumps({"id": 0, "words": [3]}) + "\n")
-        if kind == "classical":
-            with pytest.raises(ConfigurationError, match="T must be at least 1"):
+        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+            if kind == "classical":
                 generate_classical_dataset(8, num_steps, 1, seed=0)
+            else:
+                generate_quantum_dataset(build_ising(1, seed=0), num_steps, 1, seed=0)
 
 
 @st.composite

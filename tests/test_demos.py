@@ -1,4 +1,5 @@
-"""Every demo script runs to completion as a user would start it."""
+"""Every demo script runs to completion as a user would start it, with
+warnings as errors, the policy pytest applies to the suite itself."""
 
 import os
 import subprocess
@@ -20,7 +21,7 @@ def test_demo_exits_zero(demo):
     src = str(ROOT / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,

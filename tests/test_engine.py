@@ -14,6 +14,7 @@ from qsalab.engine import (
     batched_expectations,
     branch_overlaps,
     circuit_expectation,
+    circuit_stages,
     circuit_state,
     dense_expectations,
     predict_token_state,
@@ -410,13 +411,6 @@ def test_dual_route_identity_twelve_to_sixteen_qubits(shape, layers, seed, sprea
 RECORDED_COUNTS = {(2, 2): (19, 116), (3, 3): (33, 676), (4, 4): (59, 4672), (5, 4): (59, 17504)}
 
 
-@pytest.mark.parametrize("shape, counts", RECORDED_COUNTS.items())
-def test_op_counter_matches_recorded_counts(shape, counts):
-    counter = OpCounter()
-    circuit_expectation(hypothesis_instance(*shape, 2, 7, 1.0), counter)
-    assert (counter.blocks, counter.weighted_dim) == counts
-
-
 def placed_layout(n, t, placement, rng):
     """Registers A, B, C on the standard qubits, with C on the lowest qubits,
     or on a random permutation of the qubits."""
@@ -426,6 +420,23 @@ def placed_layout(n, t, placement, rng):
     elif placement == "shuffled":
         qubits = [int(q) for q in rng.permutation(qubits)]
     return RegisterLayout(tuple(qubits[:n]), tuple(qubits[n:2 * n]), tuple(qubits[2 * n:]))
+
+
+@pytest.mark.parametrize("placement", ["standard", "c-low", "shuffled"])
+@pytest.mark.parametrize("shape, counts", RECORDED_COUNTS.items())
+def test_op_counter_matches_recorded_counts(shape, counts, placement):
+    """The counter reads the blocks that `circuit_stages` declares, the same
+    on any register layout, and the stages come in circuit order."""
+    instance = hypothesis_instance(*shape, 2, 7, 1.0)
+    layout = placed_layout(*shape, placement, np.random.default_rng(7))
+    instance = replace(instance, layout=layout)
+    counter = OpCounter()
+    circuit_expectation(instance, counter)
+    assert (counter.blocks, counter.weighted_dim) == counts
+    tok, tgt, _, _, diag = arrays = engine._instance_arrays(instance)
+    stages = circuit_stages(tok, tgt, *engine._data_blocks(*arrays, layout), diag, layout)
+    assert [stage.name for stage in stages] == [
+        "prepare", "v", "w", "unencode_targets", "unencode_tokens", "phase_layer", "hadamards"]
 
 
 # (n, t) with 6 to 12 qubits in all.
@@ -443,13 +454,11 @@ tail_shapes = st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (
 def test_closed_form_tail_matches_literal_gates(shape, layers, seed, placement):
     """`circuit_expectation` reads register C's phase layer and Hadamards in
     closed form; `circuit_state` applies them as gates.  Both give the same
-    expectation and record the same blocks, on any register layout."""
+    expectation, on any register layout."""
     instance = hypothesis_instance(*shape, layers, seed, 1.0)
     instance = replace(instance, layout=placed_layout(*shape, placement, np.random.default_rng(seed)))
-    closed, literal = OpCounter(), OpCounter()
-    value = circuit_expectation(instance, closed)
-    assert abs(value - all_zeros_expectation(circuit_state(instance, literal))) <= 1e-12
-    assert closed == literal
+    value = circuit_expectation(instance)
+    assert abs(value - all_zeros_expectation(circuit_state(instance))) <= 1e-12
     assert abs(value - analytic_expectation(instance)) <= 1e-10
 
 
@@ -549,12 +558,15 @@ def test_dense_pass_rows_match_analytic_batch_and_single_instances(num_seqs, sha
 
 def test_dense_pass_chunks_keep_the_bits(monkeypatch):
     """Chunks of one sequence give the same bits as one chunk of all (T=8,
-    where reading a row out of the batch's (S, T) slice would not)."""
+    where reading a row out of the batch's (S, T) slice would not), and the
+    counter records each chunk's blocks once: the same totals."""
     layout = RegisterLayout.standard(2, 3)
     _, arrays = batch_instances(5, 2, 3, layout, 11, True)
-    whole = dense_expectations(*arrays, layout)
+    whole_counter, chunked_counter = OpCounter(), OpCounter()
+    whole = dense_expectations(*arrays, layout, whole_counter)
     monkeypatch.setattr(engine, "DENSE_CHUNK_BYTES", 1)
-    assert np.array_equal(dense_expectations(*arrays, layout), whole)
+    assert np.array_equal(dense_expectations(*arrays, layout, chunked_counter), whole)
+    assert chunked_counter == whole_counter
 
 
 @pytest.mark.parametrize("bad_seq", [0, 2])

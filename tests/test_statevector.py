@@ -8,7 +8,6 @@ from qsalab.errors import ConfigurationError
 from qsalab.statevector import (
     HADAMARD,
     PAULI_X,
-    OpCounter,
     RegisterLayout,
     StateVector,
     UnitaryBlock,
@@ -214,14 +213,6 @@ class TestControlledByRegister:
         with pytest.raises(ConfigurationError):
             apply_controlled_by_register(StateVector.zero(2), (1,), blocks)
 
-    def test_counter_records_weighted_dims(self):
-        counter = OpCounter()
-        state = StateVector.zero(3)
-        blocks = {j: identity_block((0, 1)) for j in range(2)}
-        apply_controlled_by_register(state, (2,), blocks, counter)
-        assert counter.blocks == 2
-        assert counter.weighted_dim == 8
-
     @pytest.mark.parametrize("controls", [(1, 1), (2,), (-1,)])
     def test_duplicate_or_out_of_range_controls_rejected(self, controls):
         blocks = {j: identity_block((0,)) for j in range(2 ** len(controls))}
@@ -235,10 +226,8 @@ class TestControlledByRegister:
 
     def test_block_beyond_the_register_rejected(self):
         blocks = {0: identity_block((0,)), 1: identity_block((2,))}
-        counter = OpCounter()
         with pytest.raises(ConfigurationError, match="exceed"):
-            apply_controlled_by_register(StateVector.zero(2), (1,), blocks, counter)
-        assert (counter.blocks, counter.weighted_dim) == (0, 0)
+            apply_controlled_by_register(StateVector.zero(2), (1,), blocks)
 
 
 class TestExpectations:
@@ -400,9 +389,9 @@ def random_rows(shape, dim, rng):
     return reflection_rows(rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,)))
 
 
-def select_rows(state, controls, targets, vectors, phases, counter=None):
+def select_rows(state, controls, targets, vectors, phases):
     """`_reflection_select` on one state, the row form's select of a single sequence."""
-    return _reflection_select(state.amplitudes[None], controls, targets, vectors, phases, counter)[0]
+    return _reflection_select(state.amplitudes[None], controls, targets, vectors, phases)[0]
 
 
 class TestReflectionRows:
@@ -478,12 +467,6 @@ class TestReflectionRows:
         with pytest.raises(ConfigurationError, match="reflection 0: first entry .* below 1"):
             _check_reflections(np.zeros((1, 2), dtype=complex), np.ones(1, dtype=complex))
 
-    def test_counter_records_one_block_per_row(self):
-        rng = np.random.default_rng(37)
-        counter = OpCounter()
-        select_rows(random_state(3, rng), (), (2, 0), *random_rows((1,), 4, rng), counter)
-        assert (counter.blocks, counter.weighted_dim) == (1, 4)
-
     def test_stacked_rows_match_each_part_bit_for_bit(self):
         """The engine's inverse encodings build targets and tokens as one
         (2, S, T, dim) stack; each part reads as if built alone."""
@@ -550,16 +533,13 @@ def test_batched_reflection_select_matches_explicit_select_matrices(order, num_c
     if adjoint:
         phases = phases.conj()
     states = np.stack([random_state(num_qubits, rng).amplitudes for _ in range(num_seqs)])
-    counter = OpCounter()
-    out = _reflection_select(states, controls, targets, vectors, phases, counter)
+    out = _reflection_select(states, controls, targets, vectors, phases)
     assert out.shape == states.shape
     for s in range(num_seqs):
         blocks = {j: UnitaryBlock(reflection_matrix(vectors[s, j], phases[s, j]), targets)
                   for j in range(2 ** num_controls)}
         expected = explicit_select_matrix(num_qubits, controls, blocks) @ states[s]
         assert np.max(np.abs(out[s] - expected)) <= 1e-12
-    rows = num_seqs * 2 ** num_controls
-    assert (counter.blocks, counter.weighted_dim) == (rows, rows * 2 ** k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -571,7 +551,7 @@ def test_batched_reflection_select_matches_explicit_select_matrices(order, num_c
 @example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
 def test_reflection_select_matches_select_of_dense_blocks(order, num_controls, seed):
     """The row form and `apply_controlled_by_register` on the rows' dense
-    matrices give one state and one counter reading."""
+    matrices give one state."""
     num_qubits = len(order)
     num_controls = min(num_controls, num_qubits - 1)
     controls, free = tuple(order[:num_controls]), order[num_controls:]
@@ -580,12 +560,10 @@ def test_reflection_select_matches_select_of_dense_blocks(order, num_controls, s
     targets = tuple(int(q) for q in rng.permutation(free)[:k])
     vectors, phases = random_rows((2 ** num_controls,), 2 ** k, rng)
     state = random_state(num_qubits, rng)
-    rows_counter, dense_counter = OpCounter(), OpCounter()
-    out = select_rows(state, controls, targets, vectors, phases, rows_counter)
+    out = select_rows(state, controls, targets, vectors, phases)
     blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), targets) for j in range(2 ** num_controls)}
-    dense = apply_controlled_by_register(state, controls, blocks, dense_counter)
+    dense = apply_controlled_by_register(state, controls, blocks)
     assert np.max(np.abs(out - dense.amplitudes)) <= 1e-12
-    assert rows_counter == dense_counter
 
 
 class TestNonFiniteBlocksRejected:
