@@ -69,12 +69,13 @@ def best_wall_time(forward, repeats=5):
 
 def forwards(num_steps):
     x = rng.normal(size=(num_seqs, num_steps + 1, d))
-    unit = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    norms = np.linalg.norm(x, axis=-1)
+    unit = x / norms[..., None]
     words = np.eye(vocab)[rng.integers(0, vocab, size=(num_seqs, num_steps + 1))]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=num_steps))
     return {
         "qsa": lambda: batched_expectations(unit[:, :-1], unit[:, 1:], v_matrix, w_matrix, phases),
-        "lcsa": lambda: lcsa_forward_batch(x, x, lcsa_params),
+        "lcsa": lambda: lcsa_forward_batch(x[:, :-1], x[:, 1:], norms[:, 1:], lcsa_params),
         "scsa": lambda: scsa_vjp(x[:, :-1], words, scsa_params),
     }
 

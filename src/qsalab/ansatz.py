@@ -47,6 +47,8 @@ class AnsatzParams:
     real_valued: bool = False
 
     def __post_init__(self):
+        if self.num_layers < 0:
+            raise ConfigurationError(f"num_layers must be non-negative, got {self.num_layers}")
         arr = np.array(self.angles, dtype=float)
         expected = (self.num_layers + 1, self.num_qubits, 2)
         if arr.shape != expected:

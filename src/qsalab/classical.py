@@ -136,7 +136,7 @@ def scsa_forward_batch(inputs: np.ndarray, emap: EmbeddingMap, params: ScsaParam
     (S, T, D) per-step vocabulary distributions and the (S, T) probabilities
     of the true next items.
     """
-    x, _ = embed_batch(inputs, emap)
+    x, *_ = embed_batch(inputs, emap)
     distributions, probs, _ = scsa_vjp(x[:, :-1], inputs, params)
     return distributions, probs
 
@@ -463,34 +463,28 @@ def output_weights(z: np.ndarray) -> np.ndarray:
     return weights
 
 
-def lcsa_forward_batch(x: np.ndarray, x_shift_free: np.ndarray, params: LcsaParams):
-    """Batched raw overlap weights and normalizers, and their backward pass.
+def lcsa_forward_batch(tokens: np.ndarray, targets: np.ndarray, target_norms: np.ndarray, params: LcsaParams):
+    """Batched step probabilities and their backward pass.
 
-    ``x``: (S, T+1, d) attention inputs; ``x_shift_free``: (S, T+1, d)
-    embedding-only tokens whose rows 2..T+1 are the targets.  Returns
-    (values, normalizers, backward) with values[s, j] = |<t_norm, z_j>|^2
-    and normalizers[s, j] = ||z_j||^2, so their ratio is the step
-    probability; ``backward(g_values, g_normalizers)`` gives (g_x,
-    g_x_shift_free, g_value_map, g_affinity_map).
+    ``tokens``: (S, T, d) attention inputs x_1..x_T; ``targets``: (S, T, d)
+    embedding-only rows for steps 2..T+1, with their (S, T) norms.  Returns
+    (ratios, backward) with ratios[s, j] = |<t_norm, z_j>|^2 / ||z_j||^2,
+    the step probability; ``backward(g_ratios)`` gives (g_tokens, g_targets,
+    g_value_map, g_affinity_map).
     """
-    num_steps = x.shape[1] - 1
-    z, _, attention_backward = causal_attention_vjp(x[:, :num_steps], params.value_map, params.affinity_map)
-    targets = x_shift_free[:, 1:]
-    t_norms = np.linalg.norm(targets, axis=-1)
-    if np.any(t_norms <= ZERO_NORM_TOL):
-        raise DegenerateInputError("a target embedding is a zero vector")
+    z, _, attention_backward = causal_attention_vjp(tokens, params.value_map, params.affinity_map)
     normalizers = output_weights(z)
-    unit_targets = targets / t_norms[..., None]
+    unit_targets = targets / target_norms[..., None]
     overlaps = np.einsum("sjd,sjd->sj", unit_targets.conj(), z)
+    values = np.abs(overlaps) ** 2
 
-    def backward(g_values, g_normalizers):
+    def backward(g_ratios):
+        # the quotient rule of ratios = values / normalizers
+        g_values, g_normalizers = g_ratios / normalizers, -g_ratios * values / normalizers ** 2
         g_overlaps = 2.0 * g_values * overlaps
         g_z = g_overlaps[..., None] * unit_targets + 2.0 * g_normalizers[..., None] * z
-        g_prefix, g_value_map, g_affinity_map = attention_backward(g_z)
-        g_x = np.zeros_like(g_prefix, shape=x.shape)
-        g_x[:, :num_steps] = g_prefix
-        g_shift_free = np.zeros_like(g_x)
-        g_shift_free[:, 1:] = unit_rows_backward(unit_targets, t_norms, g_overlaps.conj()[..., None] * z)
-        return g_x, g_shift_free, g_value_map, g_affinity_map
+        g_tokens, g_value_map, g_affinity_map = attention_backward(g_z)
+        g_targets = unit_rows_backward(unit_targets, target_norms, g_overlaps.conj()[..., None] * z)
+        return g_tokens, g_targets, g_value_map, g_affinity_map
 
-    return np.abs(overlaps) ** 2, normalizers, backward
+    return values / normalizers, backward

@@ -173,10 +173,9 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")
-        if doc.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
-            raise CompatibilityError(
-                f"config schema_version {doc.get('schema_version')} unsupported"
-            )
+        version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
+        if not data._typed(version, int) or version != CONFIG_SCHEMA_VERSION:  # true and 1.0 equal 1
+            raise CompatibilityError(f"config schema_version {version} unsupported")
         values = {k: v for k, v in doc.items() if k != "schema_version"}
     values["model_kind"] = args.model
     if args.epochs is not None:

@@ -130,22 +130,22 @@ def embed_sequence(record, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
     Returns (x, x_shift_free), each of shape (T+1, d); attention inputs use
     x and prediction targets use the shift-free rows.
     """
-    x, shift_free = embed_batch(_as_input_rows(record, emap.vocab_dim)[None], emap)
+    x, shift_free, _, _ = embed_batch(_as_input_rows(record, emap.vocab_dim)[None], emap)
     return x[0], shift_free[0]
 
 
-def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray]:
-    """Batched embedding of (S, T+1, D) input rows; see embed_sequence."""
+def embed_batch(inputs: np.ndarray, emap: EmbeddingMap) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched embedding of (S, T+1, D) input rows, see embed_sequence, and the
+    (S, T+1) norms of x and of shift_free, which its zero check takes."""
     inputs = np.asarray(inputs)
     shift_free = rows_matmul(inputs, emap.matrix.T)
     if emap.shifts.shape[0] < inputs.shape[1]:
         raise ConfigurationError("embedding has fewer positional shifts than sequence steps")
     x = shift_free + emap.gamma * emap.shifts[None, : inputs.shape[1]]
-    if np.any(np.linalg.norm(shift_free, axis=-1) <= ZERO_NORM_TOL) or np.any(
-        np.linalg.norm(x, axis=-1) <= ZERO_NORM_TOL
-    ):
+    x_norms, shift_free_norms = np.linalg.norm(x, axis=-1), np.linalg.norm(shift_free, axis=-1)
+    if np.any(shift_free_norms <= ZERO_NORM_TOL) or np.any(x_norms <= ZERO_NORM_TOL):
         raise DegenerateInputError("a token embeds to the zero vector")
-    return x, shift_free
+    return x, shift_free, x_norms, shift_free_norms
 
 
 def rows_matmul(x: np.ndarray, m: np.ndarray) -> np.ndarray:

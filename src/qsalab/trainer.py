@@ -246,13 +246,20 @@ class _Model:
     """One model kind.  Each entry of MODELS declares its params once, as
     ``blocks``: (checkpoint key, ModelParams attribute, dataclass) triples,
     where key None makes the dataclass's fields the kind's own checkpoint
-    block.  What follows from ``blocks`` is defined here:
+    block.  What follows from ``blocks``, and from the one embedding every
+    kind shares, is defined here:
 
     - ``fields``: the ModelParams attributes the kind owns;
     - ``arrays(params)``: (label, array) pairs, the array fields of the
       blocks in order, which is the circuit-vector order;
     - ``rebuild(template, parts)``: the blocks with arrays shaped like ``arrays``;
     - ``to_payload(params)`` / ``from_payload(payload)``: its checkpoint v1 block;
+    - ``rows(params, inputs)``: one ``embed_batch`` of (S, T+1, D) input rows,
+      split into (tokens, targets, token_norms, target_norms): x_1..x_T, the
+      shift-free rows of steps 2..T+1, and the norms the embedding took;
+    - ``forward(params, inputs)``: the kernel on ``rows``, and a backward pass
+      from the outputs' gradient to the gradients of ``arrays``, then of the
+      embedding matrix (a list); the analytic route of ``_Adapter._evaluate``;
 
     each entry provides the rest:
 
@@ -260,10 +267,9 @@ class _Model:
     - ``check_arrays(params, num_steps)``: why its arrays do not fit the
       embedding (and step count), or None;
     - ``init(config, dataset, seeds, complex_valued)``: seeded field values;
-    - ``forward(params, inputs)``: for (S, T+1, D) input rows, the outputs
-      its losses depend on and a backward pass from their gradient to the
-      gradients of ``arrays`` (a list) and of the embedded rows
-      ``inputs @ E.T`` (S, T+1, d); the analytic route of ``_Adapter._evaluate``;
+    - ``kernel(params, inputs, tokens, targets, token_norms, target_norms)``:
+      the outputs the losses depend on, and a backward pass from their
+      gradient to (g_tokens, g_targets or None, *gradients of ``arrays``);
     - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
       of floored probabilities;
     - ``loss_slopes(outputs, num_steps)``: d losses / d outputs, zero where
@@ -306,10 +312,22 @@ class _Model:
     def from_payload(self, payload: dict) -> dict:
         return {attr: _from_payload(cls, payload if key is None else payload[key]) for key, attr, cls in self.blocks}
 
+    def rows(self, params: ModelParams, inputs: np.ndarray) -> tuple:
+        x, shift_free, x_norms, shift_free_norms = embed_batch(inputs, params.embedding)
+        return x[:, :-1], shift_free[:, 1:], x_norms[:, :-1], shift_free_norms[:, 1:]
 
-def _unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(x, axis=-1)
-    return x / norms[..., None], norms
+    def forward(self, params: ModelParams, inputs: np.ndarray):
+        outputs, kernel_backward = self.kernel(params, inputs, *self.rows(params, inputs))
+
+        def backward(g_outputs):
+            g_tokens, g_targets, *grads = kernel_backward(g_outputs)
+            g_rows = np.zeros_like(g_tokens, shape=inputs.shape[:-1] + g_tokens.shape[-1:])
+            g_rows[:, :-1] = g_tokens
+            if g_targets is not None:
+                g_rows[:, 1:] += g_targets
+            return [*grads, linear_map_gradient(g_rows, inputs)]
+
+        return outputs, backward
 
 
 def _overlap_scores(z: np.ndarray, emap: EmbeddingMap) -> np.ndarray:
@@ -359,41 +377,37 @@ class _Qsa(_Model):
     def loss_slopes(self, exps, num_steps):
         return np.where(exps > PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
 
-    def _prepared(self, params, inputs):
-        """What forward, circuit_outputs and scores start from: the embedded rows
-        x, the unit token rows x[:, :-1] and target rows shift_free[:, 1:], each
-        with its norms, and the stacked V and W matrices with their backward
-        pass, built in one `ansatz_vjp` call."""
-        x, shift_free = embed_batch(inputs, params.embedding)
-        return (x, _unit_rows(x[:, :-1]), _unit_rows(shift_free[:, 1:]),
-                ansatz_vjp(params.v_params, params.w_params))
+    def _prepared(self, params, tokens, targets, token_norms, target_norms):
+        """What kernel, circuit_outputs and scores start from: the unit token
+        and target rows, and the stacked V and W matrices with their backward
+        pass, built in one `ansatz_vjp` call.  A row whose norm overflowed
+        would divide to zero and leave the outputs finite; it divides to NaN
+        instead, so the loss and the scores it reaches read as non-finite."""
+        tok, tgt = (rows / np.where(np.isfinite(norms), norms, np.nan)[..., None]
+                    for rows, norms in ((tokens, token_norms), (targets, target_norms)))
+        return tok, tgt, ansatz_vjp(params.v_params, params.w_params)
 
     def circuit_outputs(self, params, inputs):
         """The expectations by one batched dense simulation of every sequence's circuit."""
-        _, (tok, _), (tgt, _), (vw_matrices, _) = self._prepared(params, inputs)
+        tok, tgt, (vw_matrices, _) = self._prepared(params, *self.rows(params, inputs))
+        if np.isnan(tok).any() or np.isnan(tgt).any():  # no state to prepare: NaN, as on the analytic route
+            return np.full(len(tok), np.nan)
         layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
         return dense_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params), layout)
 
-    def forward(self, params, inputs):
-        x, (tok, tok_norms), (tgt, tgt_norms), (vw_matrices, vw_backward) = self._prepared(params, inputs)
+    def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
+        tok, tgt, (vw_matrices, vw_backward) = self._prepared(params, tokens, targets, token_norms, target_norms)
         exps, backward = batched_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params))
 
-        def model_backward(g_exps):
+        def kernel_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
-            g_rows = np.zeros_like(g_tok, shape=x.shape)
-            g_rows[:, :-1] = unit_rows_backward(tok, tok_norms, g_tok)
-            g_rows[:, 1:] += unit_rows_backward(tgt, tgt_norms, g_tgt)
-            grads = [*vw_backward((g_v, g_w)), phase_layer_gradient(params.r_params, g_phase)]
-            return grads, g_rows
+            return (unit_rows_backward(tok, token_norms, g_tok), unit_rows_backward(tgt, target_norms, g_tgt),
+                    *vw_backward((g_v, g_w)), phase_layer_gradient(params.r_params, g_phase))
 
-        return exps, model_backward
+        return exps, kernel_backward
 
     def scores(self, params, inputs):
-        _, (tok, norms), _, (vw_matrices, _) = self._prepared(params, inputs)
-        # An overflowed norm leaves its unit row zero, which output_weights
-        # would report as a vanishing output.
-        if not np.isfinite(norms).all():
-            raise NumericFailureError("non-finite prediction scores")
+        tok, _, (vw_matrices, _) = self._prepared(params, *self.rows(params, inputs))
         return _overlap_scores(causal_attention_vjp(tok, *vw_matrices)[0], params.embedding)
 
 
@@ -435,17 +449,14 @@ class _Scsa(_Baseline):
                     f"the embedding {params.embedding.vocab_dim}")
         return super().check_arrays(params, num_steps)
 
-    def forward(self, params, inputs):
-        x, _ = embed_batch(inputs, params.embedding)
-        _, probs, backward = scsa_vjp(x[:, :-1], inputs, params.scsa)
+    def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
+        _, probs, backward = scsa_vjp(tokens, inputs, params.scsa)
 
-        def model_backward(g_probs):
-            g_prefix, grads = backward(g_probs)
-            g_rows = np.zeros_like(g_prefix, shape=x.shape)
-            g_rows[:, :-1] = g_prefix
-            return list(grads), g_rows
+        def kernel_backward(g_probs):
+            g_tokens, grads = backward(g_probs)
+            return g_tokens, None, *grads
 
-        return probs, model_backward
+        return probs, kernel_backward
 
     def scores(self, params, inputs):
         distributions, _ = scsa_forward_batch(inputs, params.embedding, params.scsa)
@@ -458,21 +469,11 @@ class _Lcsa(_Baseline):
     def init(self, config, dataset, seeds, complex_valued):
         return {"lcsa": LcsaParams.near_identity(config.embed_dim, seeds[0], complex_valued=complex_valued)}
 
-    def forward(self, params, inputs):
-        x, shift_free = embed_batch(inputs, params.embedding)
-        values, normalizers, backward = lcsa_forward_batch(x, shift_free, params.lcsa)
-
-        def model_backward(g_ratios):
-            g_x, g_shift_free, g_value_map, g_affinity_map = backward(
-                g_ratios / normalizers, -g_ratios * values / normalizers ** 2
-            )
-            return [g_value_map, g_affinity_map], g_x + g_shift_free
-
-        return values / normalizers, model_backward
+    def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
+        return lcsa_forward_batch(tokens, targets, target_norms, params.lcsa)
 
     def scores(self, params, inputs):
-        x, _ = embed_batch(inputs, params.embedding)
-        z = causal_attention_vjp(x[:, :-1], params.lcsa.value_map, params.lcsa.affinity_map)[0]
+        z = causal_attention_vjp(self.rows(params, inputs)[0], params.lcsa.value_map, params.lcsa.affinity_map)[0]
         return _overlap_scores(z, params.embedding)
 
 
@@ -584,6 +585,8 @@ class _Adapter:
         return self._evaluate(circuit_vec, embed_vec)[1]
 
     def _sample(self, exps: np.ndarray, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
+        if np.isnan(exps).any():  # nothing to sample; the loss reads as non-finite
+            return exps
         # Seed derived from parameter content keeps shot noise reproducible.
         digest = zlib.crc32(circuit_vec.tobytes()) ^ zlib.crc32(embed_vec.tobytes())
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, digest]))
@@ -618,8 +621,7 @@ class _Adapter:
 
     def _exact_gradients(self, outputs: np.ndarray, backward):
         """Gradient of the mean offset loss from the forward's backward pass."""
-        grads, g_rows = backward(self.model.loss_slopes(outputs, self.num_steps) / outputs.shape[0])
-        grads.append(linear_map_gradient(g_rows, self.inputs))
+        grads = backward(self.model.loss_slopes(outputs, self.num_steps) / outputs.shape[0])
         templates = self._circuit_templates + self._embed_templates
         grads = [g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)]
         grad_embed = _to_real_vector(grads[-1:])
@@ -856,7 +858,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointFormatError("checkpoint is missing its version field")
-    if doc["version"] != CHECKPOINT_VERSION:
+    if not _typed(doc["version"], int) or doc["version"] != CHECKPOINT_VERSION:  # true and 1.0 equal 1
         raise UnsupportedVersionError(
             f"checkpoint version {doc['version']} is not supported (expected {CHECKPOINT_VERSION})"
         )

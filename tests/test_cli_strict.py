@@ -4,9 +4,12 @@ non-finite checkpoint value ends in a typed exit code."""
 
 import json
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qsalab import trainer
 from qsalab.cli import main
 
 
@@ -287,6 +290,59 @@ def test_predict_overflow_exits_3_and_writes_nothing(tmp_path, dataset_path, che
     assert [str(w.message) for w in caught] == []
     assert not out.exists()
     assert not (tmp_path / "predict.json.manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def four_sequences(tmp_path_factory):
+    """Four sequences in which word 0 is read, but never as a first token, and
+    an untrained qsa checkpoint on them."""
+    root = tmp_path_factory.mktemp("four")
+    assert main(["generate", "--kind", "classical", "--vocab", "8", "--len", "5", "--count", "4",
+                 "--seed", "5", "--out", str(root / "data.jsonl")]) == 0
+    assert main(["train", "--model", "qsa", "--data", str(root / "data.jsonl"), "--epochs", "0",
+                 "--out", str(root / "run")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command, message", [("eval", "non-finite loss"),
+                                              ("predict", "non-finite prediction scores")])
+def test_qsa_overflowing_row_norm_exits_3(tmp_path, four_sequences, capsys, command, message):
+    """The rows whose norms overflow are not read as zero vectors: eval's
+    loss is not finite, as predict's scores are not."""
+    doc = json.loads((four_sequences / "run" / "checkpoint.json").read_text())
+    doc["params"]["embedding"]["matrix"]["data"][0] = 1e308  # finite, so the checkpoint loads
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    data_path = four_sequences / "data.jsonl"
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--checkpoint", str(path), "--data", str(data_path), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message} on {data_path}\n"
+    assert [str(w.message) for w in caught] == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [{}, {"expectation_route": "circuit"}, {"shots": 64}],
+                         ids=["analytic", "circuit", "shots"])
+def test_qsa_training_row_with_an_overflowing_row_norm_writes_its_diagnostic(
+        tmp_path, four_sequences, monkeypatch, capsys, config):
+    initialize = trainer.initialize_params
+
+    def overflowing(*args):  # the checkpoint edit of the test above, made to the initial params
+        params = initialize(*args)
+        matrix = np.array(params.embedding.matrix)
+        matrix[0, 0] = 1e308
+        return replace(params, embedding=params.embedding.with_matrix(matrix))
+
+    monkeypatch.setattr(trainer, "initialize_params", overflowing)
+    code, out = train_with_config(tmp_path, four_sequences / "data.jsonl", "qsa", {"epochs": 2, **config})
+    assert code == 3
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 0\n"
+    diagnostic = json.loads((out / "diagnostic.json").read_text(), parse_constant=reject_constant)
+    assert diagnostic["epoch"] == 0 and diagnostic["loss"] == "nan"
+    assert not (out / "checkpoint.json").exists()
 
 
 def test_disagreeing_model_kinds_exit_4(tmp_path, dataset_path, checkpoints):

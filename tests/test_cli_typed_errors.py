@@ -26,9 +26,10 @@ def files(tmp_path_factory):
         assert main(["train", "--model", "lcsa", "--data", str(made[data_name]), "--epochs", "1",
                      "--out", str(root / run)]) == 0
     made["checkpoint"] = made["classical_checkpoint"]
-    made["scsa_checkpoint"] = root / "srun" / "checkpoint.json"
-    assert main(["train", "--model", "scsa", "--data", str(made["classical"]), "--epochs", "1",
-                 "--out", str(root / "srun")]) == 0
+    for model in ("scsa", "qsa"):
+        made[f"{model}_checkpoint"] = root / model / "checkpoint.json"
+        assert main(["train", "--model", model, "--data", str(made["classical"]), "--epochs", "1",
+                     "--out", str(root / model)]) == 0
     return made
 
 
@@ -94,6 +95,41 @@ def test_checkpoint_without_version_exits_4(tmp_path, files, capsys):
     code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(files["classical"]), "--out", str(out)])
     assert code == 4
     assert "version" in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, version", [("checkpoint", True), ("checkpoint", 1.0),
+                                               ("config", True), ("config", 1.0)])
+def test_version_that_only_equals_one_exits_4(tmp_path, files, capsys, document, version):
+    """JSON true and 1.0 compare equal to 1 in Python, but neither is the integer version 1."""
+    if document == "checkpoint":
+        doc = json.loads(files["checkpoint"].read_text())
+        doc["version"] = version
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(checkpoint), "--data", str(files["classical"]),
+                "--out", str(tmp_path / "eval.json")]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": version}))
+        argv = ["train", "--model", "lcsa", "--data", str(files["classical"]), "--config", str(config),
+                "--out", str(tmp_path / "run")]
+    assert main(argv) == 4
+    assert f"version {version} " in one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*manifest.json"))
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_with_negative_depth_exits_4(tmp_path, files, capsys, command):
+    doc = json.loads(files["qsa_checkpoint"].read_text())
+    doc["params"]["qsa"]["v"]["num_layers"] = -1
+    doc["params"]["qsa"]["v"]["angles"] = {"shape": [0, 2, 2], "complex": False, "data": []}
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = main([command, "--checkpoint", str(checkpoint), "--data", str(files["classical"]), "--out", str(out)])
+    assert code == 4
+    assert "num_layers must be non-negative" in one_error_line(capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -81,14 +81,35 @@ class _CountingEmbeddings:
                 monkeypatch.setattr(module, "embed_batch", counted)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("data_kind", ["classical", "quantum"])
-def test_default_path_runs_one_forward_per_row(monkeypatch, kind, data_kind):
-    dataset = classical_set() if data_kind == "classical" else quantum_set()
-    counter = _CountingEmbeddings(monkeypatch)
-    _, report = train(TrainConfig(model_kind=kind, epochs=2, seed=7), dataset)
+def _three_training_rows(params, dataset):
+    _, report = train(TrainConfig(model_kind=params.model_kind, epochs=2, seed=7), dataset)
     assert len(report.rows) == 3
-    assert counter.calls == 3
+
+
+def _circuit_loss(params, dataset):
+    adapter = _Adapter(params, dataset, TrainConfig(model_kind="qsa", expectation_route="circuit"))
+    return adapter.mean_loss(adapter.circuit_vector(params), adapter.embed_vector(params))
+
+
+# (entry point, embeds it runs) on the untrained params of TrainConfig(model_kind=kind, seed=7)
+ENTRY_POINTS = {
+    "train": (_three_training_rows, 3),  # one per row
+    "evaluate": (trainer.evaluate, 1),
+    "predict_topk": (trainer.predict_topk, 1),
+    "circuit-loss": (_circuit_loss, 1),
+}
+
+
+@pytest.mark.parametrize("kind, entry", [(kind, entry) for kind in KINDS for entry in ENTRY_POINTS
+                                         if entry != "circuit-loss" or MODELS[kind].circuit])
+@pytest.mark.parametrize("data_kind", ["classical", "quantum"])
+def test_each_model_evaluation_embeds_once(monkeypatch, kind, entry, data_kind):
+    dataset = classical_set() if data_kind == "classical" else quantum_set()
+    params = initialize_params(TrainConfig(model_kind=kind, seed=7), dataset)
+    run, embeds = ENTRY_POINTS[entry]
+    counter = _CountingEmbeddings(monkeypatch)
+    run(params, dataset)
+    assert counter.calls == embeds
 
 
 @pytest.mark.parametrize(
