@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import check_seed
 from .errors import ConfigurationError
 from .statevector import UnitaryBlock
 
@@ -73,6 +74,7 @@ class AnsatzParams:
         real_valued: bool = False,
     ) -> "AnsatzParams":
         """Near-identity initialization, uniform in [-spread, spread]."""
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         arr = rng.uniform(-spread, spread, size=(num_layers + 1, num_qubits, 2))
         return AnsatzParams(num_qubits, num_layers, arr, real_valued)
@@ -100,6 +102,7 @@ class PhaseLayerParams:
 
     @staticmethod
     def random(num_qubits: int, seed, spread: float = 0.1) -> "PhaseLayerParams":
+        check_seed(seed)
         rng = np.random.default_rng(seed)
         return PhaseLayerParams(rng.uniform(-spread, spread, size=num_qubits))
 

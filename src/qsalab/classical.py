@@ -21,6 +21,7 @@ from .data import (
     ZERO_NORM_TOL,
     EmbeddingMap,
     _as_input_rows,
+    check_seed,
     embed_batch,
     linear_map_gradient,
     rows_matmul,
@@ -111,6 +112,7 @@ class ScsaParams:
     ) -> "ScsaParams":
         key_dim = embed_dim if key_dim is None else key_dim
         hidden_dim = 4 * embed_dim if hidden_dim is None else hidden_dim
+        check_seed(seed)
         rng = np.random.default_rng(seed)
 
         def draw(rows, cols, scale):
@@ -305,6 +307,7 @@ class LcsaParams:
 
     @staticmethod
     def near_identity(embed_dim: int, seed, spread: float = 0.1, complex_valued: bool = False) -> "LcsaParams":
+        check_seed(seed)
         rng = np.random.default_rng(seed)
 
         def draw():

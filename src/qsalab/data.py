@@ -104,6 +104,7 @@ def make_embedding(
     complex_valued: bool = False,
     gamma: float = 0.1,
 ) -> EmbeddingMap:
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     mat = rng.normal(size=(embed_dim, vocab_dim)) / np.sqrt(embed_dim)
     if complex_valued:
@@ -113,12 +114,35 @@ def make_embedding(
     return EmbeddingMap(mat, sinusoidal_shifts(num_positions, embed_dim), gamma)
 
 
+def _word_records(records, vocab_dim: int, length: int) -> list:
+    """``records`` as lists of int word indices, after a classical record's three checks in their order."""
+    # int(w) would pass 1.5, True and "3" as 1, 1 and 3
+    bad = {kind.__name__ for kind in set(map(type, chain.from_iterable(records)))
+           if kind is not int and not issubclass(kind, np.integer)}
+    if bad:
+        raise ConfigurationError(f"classical words must be integer indices, got {', '.join(sorted(bad))}")
+    records = [list(map(int, rec)) for rec in records]
+    if set(map(len, records)) - {length}:
+        raise ConfigurationError("all records must have length T+1")
+    words = list(chain.from_iterable(records))
+    if words and (min(words) < 0 or max(words) >= vocab_dim):
+        raise ConfigurationError("word index outside the vocabulary")
+    return records
+
+
+def _one_hot(words, vocab_dim: int) -> np.ndarray:
+    """(..., D) one-hot rows of an array of checked word indices."""
+    words = np.asarray(words, dtype=int)
+    rows = np.zeros((words.size, vocab_dim))
+    rows[np.arange(words.size), words.ravel()] = 1.0
+    return rows.reshape(*words.shape, vocab_dim)
+
+
 def _as_input_rows(record, vocab_dim: int) -> np.ndarray:
+    """One record's rows: word indices, checked as a dataset's are, one-hot; amplitude rows as given."""
     arr = np.asarray(record)
-    if arr.ndim == 1 and not np.iscomplexobj(arr):
-        rows = np.zeros((arr.size, vocab_dim))
-        rows[np.arange(arr.size), arr.astype(int)] = 1.0
-        return rows
+    if arr.ndim == 1:
+        return _one_hot(_word_records([record], vocab_dim, arr.size), vocab_dim)[0]
     if arr.ndim == 2 and arr.shape[1] == vocab_dim:
         return arr.astype(complex)
     raise ConfigurationError("record must be word indices or (T+1, D) amplitude rows")
@@ -249,16 +273,7 @@ class SequenceDataset:
             raise ConfigurationError(f"dataset T must be at least 1, got {self.num_steps}")
         length = self.num_steps + 1
         if self.kind == "classical":
-            # int(w) would pass 1.5, True and "3" as 1, 1 and 3
-            bad = {type(w).__name__ for rec in self.records for w in rec
-                   if type(w) is not int and not isinstance(w, np.integer)}
-            if bad:
-                raise ConfigurationError(f"classical words must be integer indices, got {', '.join(sorted(bad))}")
-            records = [[int(w) for w in rec] for rec in self.records]
-            if any(len(rec) != length for rec in records):
-                raise ConfigurationError("all records must have length T+1")
-            if any(not 0 <= w < self.vocab_dim for rec in records for w in rec):
-                raise ConfigurationError("word index outside the vocabulary")
+            records = _word_records(self.records, self.vocab_dim, length)
         else:
             arrays = [np.asarray(rec) for rec in self.records]
             bad = {a.dtype.name for a in arrays if a.dtype.kind not in "iufc"}
@@ -284,11 +299,7 @@ class SequenceDataset:
     def input_rows(self) -> np.ndarray:
         """(S, T+1, D) stacked one-hot rows or amplitude rows."""
         if self.kind == "classical":
-            words = np.array(self.records, dtype=int)
-            rows = np.zeros((*words.shape, self.vocab_dim))
-            s, t = np.indices(words.shape)
-            rows[s, t, words] = 1.0
-            return rows
+            return _one_hot(self.records, self.vocab_dim)
         return np.stack(self.records)
 
 
@@ -388,7 +399,7 @@ def dumps_dataset(dataset: SequenceDataset) -> str:
         if dataset.kind == "classical":
             lines.append(json.dumps({"id": i, "words": rec}))
         else:
-            steps = [[[float(a.real), float(a.imag)] for a in row] for row in rec]
+            steps = np.ascontiguousarray(rec).view(float).reshape(rec.shape + (2,)).tolist()
             lines.append(json.dumps({"id": i, "steps": steps}))
     return "\n".join(lines) + "\n"
 

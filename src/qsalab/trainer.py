@@ -175,7 +175,6 @@ class LossReport:
     """Per-epoch training curve and, after evaluation, test-set aggregates."""
 
     rows: list = field(default_factory=list)
-    log_offset: float = 0.0
     clamp_events: int = 0
     test_perplexity_mean: float | None = None
     test_perplexity_stdev: float | None = None
@@ -680,9 +679,9 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
     raises ``NumericFailureError`` as a non-finite loss does.
     """
     params = initialize_params(config, dataset)
-    log_offset = math.log(dataset.num_steps)
     if config.epochs == 0:
-        return params, LossReport(rows=[], log_offset=log_offset)
+        return params, LossReport(rows=[])
+    log_offset = math.log(dataset.num_steps)
     adapter = _Adapter(params, dataset, config)
     circuit_vec = adapter.circuit_vector(params)
     embed_vec = adapter.embed_vector(params)
@@ -725,7 +724,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
                 embed_vec = adam_embed.update(embed_vec, grad_embed)
         if not (np.all(np.isfinite(circuit_vec)) and np.all(np.isfinite(embed_vec))):
             raise failure(f"non-finite parameters after the update at epoch {epoch}")
-    return params, LossReport(rows=rows, log_offset=log_offset, clamp_events=clamp_total)
+    return params, LossReport(rows=rows, clamp_events=clamp_total)
 
 
 def evaluate(params: ModelParams, datasets) -> LossReport:
@@ -751,7 +750,6 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     perps = np.array([entry["perplexity"] for entry in per_set])
     return LossReport(
         rows=[],
-        log_offset=math.log(datasets[0].num_steps),
         clamp_events=sum(entry["clamped"] for entry in per_set),
         test_perplexity_mean=float(np.mean(perps)),
         test_perplexity_stdev=float(np.std(perps, ddof=1)) if len(perps) > 1 else 0.0,

@@ -170,6 +170,12 @@ def word_outside_vocabulary(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
+def negative_word(lines):
+    record = json.loads(lines[1])
+    record["words"][0] = -1
+    return [lines[0], json.dumps(record), *lines[2:]]
+
+
 def header_with(**fields):
     def corrupt(lines):
         return [json.dumps({**json.loads(lines[0]), **fields}), *lines[1:]]
@@ -187,6 +193,7 @@ def record_too_short(lines):
     (empty, "dataset file is empty"),
     (header_only, "dataset holds no records"),
     (word_outside_vocabulary, "outside the vocabulary"),
+    (negative_word, "outside the vocabulary"),
     (record_too_short, "length T+1"),
     (header_with(D=8.0), "dataset vocab_dim must be an integer"),
     (header_with(seed="x"), "dataset seed must be an integer"),

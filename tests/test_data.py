@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from qsalab.ansatz import AnsatzParams, PhaseLayerParams
+from qsalab.classical import LcsaParams, ScsaParams, scsa_forward
 from qsalab.data import (
     EmbeddingMap,
     IsingModel,
@@ -145,6 +147,43 @@ class TestInputRows:
         for s, record in enumerate(dataset.records):
             for t, amplitudes in enumerate(record):
                 assert np.array_equal(rows[s, t], amplitudes)
+
+    @pytest.mark.parametrize("record, message", [
+        ([0, -1, 3], "word index outside the vocabulary"),
+        ([0, 1.7, 3], "classical words must be integer indices, got float"),
+        ([True, 1, 2], "classical words must be integer indices, got bool"),
+        ([0, 5, 1], "word index outside the vocabulary"),
+    ], ids=["negative", "float", "bool", "index-D"])
+    def test_single_sequences_get_the_dataset_verdict(self, record, message):
+        with pytest.raises(ConfigurationError) as verdict:
+            SequenceDataset("classical", 5, 2, 0, [[0, 1, 2], record])
+        assert str(verdict.value) == message
+        emap = make_embedding(5, 2, 3, seed=0)
+        params = ScsaParams.random(2, 5, seed=0)
+        with pytest.raises(ConfigurationError) as embedded:
+            embed_sequence(record, emap)
+        with pytest.raises(ConfigurationError) as forwarded:
+            scsa_forward(record, emap, params)
+        assert str(embedded.value) == str(forwarded.value) == message
+
+    def test_one_word_record_embeds(self):
+        emap = make_embedding(5, 2, 3, seed=0)
+        x, shift_free = embed_sequence([4], emap)
+        assert np.array_equal(shift_free, emap.matrix[:, 4][None])
+        assert np.array_equal(x, shift_free + emap.gamma * emap.shifts[:1])
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: AnsatzParams.random(2, 1, seed),
+    lambda seed: PhaseLayerParams.random(2, seed),
+    lambda seed: ScsaParams.random(2, 5, seed),
+    lambda seed: LcsaParams.near_identity(2, seed),
+    lambda seed: make_embedding(5, 2, 3, seed),
+], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding"])
+def test_negative_seed_is_a_configuration_error(draw):
+    draw(0)
+    with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+        draw(-1)
 
 
 class TestIsing:
