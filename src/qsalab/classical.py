@@ -21,6 +21,7 @@ from .data import (
     ZERO_NORM_TOL,
     EmbeddingMap,
     _as_input_rows,
+    check_num_steps,
     check_seed,
     embed_batch,
     linear_map_gradient,
@@ -281,6 +282,7 @@ def _tiled_softmax_attention(queries: np.ndarray, keys: np.ndarray, values: np.n
 def scsa_forward(words, emap: EmbeddingMap, params: ScsaParams) -> np.ndarray:
     """Per-step probabilities of the true next word for one sequence."""
     inputs = _as_input_rows(words, emap.vocab_dim)
+    check_num_steps(len(inputs) - 1)
     _, probs = scsa_forward_batch(inputs[None, ...], emap, params)
     return probs[0]
 

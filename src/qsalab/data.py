@@ -28,6 +28,12 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
+def check_num_steps(num_steps: int) -> None:
+    """Reject a sequence length with no step to predict: T+1 words need T >= 1."""
+    if num_steps < 1:
+        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
+
+
 def _finite_numbers(values: list) -> bool:
     """Every value a JSON number, not a bool, and finite as a float."""
     try:
@@ -269,8 +275,7 @@ class SequenceDataset:
             if not _typed(getattr(self, name), int):
                 raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
-        if self.num_steps < 1:
-            raise ConfigurationError(f"dataset T must be at least 1, got {self.num_steps}")
+        check_num_steps(self.num_steps)
         length = self.num_steps + 1
         if self.kind == "classical":
             records = _word_records(self.records, self.vocab_dim, length)
@@ -316,8 +321,7 @@ def generate_classical_dataset(
     """
     if count < 1:
         raise ConfigurationError("count must be at least 1")
-    if num_steps < 1:
-        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
+    check_num_steps(num_steps)
     if vocab_dim < 2:
         raise ConfigurationError("vocabulary needs at least two words")
     if not 1 <= order <= vocab_dim:
@@ -363,8 +367,7 @@ def generate_quantum_dataset(
     """Haar-random initial states evolved for unit time steps by eigendecomposition."""
     if count < 1:
         raise ConfigurationError("count must be at least 1")
-    if num_steps < 1:
-        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
+    check_num_steps(num_steps)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)

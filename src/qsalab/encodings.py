@@ -106,13 +106,19 @@ def _prefix_sums(amplitudes: np.ndarray) -> np.ndarray:
     return np.cumsum(doubled.reshape(amplitudes.shape[:-1] + (-1,)), axis=-2)
 
 
-def _normalized_prefixes(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows of (..., rows, 4**n) prefix sums and their raw squared norms M_j."""
-    weights = np.vecdot(sums, sums).real
+def _check_prefix_weights(weights: np.ndarray) -> None:
+    """The one rule for prefix weights M_j, on the dense and the analytic
+    route: each must be finite and above ZERO_NORM_TOL**2."""
     if not np.all(np.isfinite(weights)):
         raise DegenerateInputError("prefix encodings have a non-finite norm")
     if not np.all(weights > ZERO_NORM_TOL ** 2):
         raise DegenerateInputError("prefix encodings interfere to zero norm")
+
+
+def _normalized_prefixes(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of (..., rows, 4**n) prefix sums and their raw squared norms M_j."""
+    weights = np.vecdot(sums, sums).real
+    _check_prefix_weights(weights)
     return sums / np.sqrt(weights)[..., None], weights
 
 

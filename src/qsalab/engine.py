@@ -26,10 +26,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, build_ansatz_unitary, phase_layer_diagonal
+from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_diagonal
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
-from .encodings import EncodedToken, amplitude_encode, prepared_states, reflection_rows
+from .encodings import EncodedToken, _check_prefix_weights, amplitude_encode, prepared_states, reflection_rows
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
@@ -236,12 +236,18 @@ def dense_expectations(
     return values
 
 
+def qsa_arrays(tok, tgt, params_v: AnsatzParams, params_w: AnsatzParams, params_r: PhaseLayerParams):
+    """What every qsa evaluation starts from, on either route: ((tok, tgt, v_matrix,
+    w_matrix, phase_diagonal), vw_backward), with the unit rows passed through, V and W
+    from one stacked `ansatz_vjp` pass and ``vw_backward((g_v, g_w))`` their angle gradients."""
+    (v_matrix, w_matrix), vw_backward = ansatz_vjp(params_v, params_w)
+    return (tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params_r)), vw_backward
+
+
 def _instance_arrays(instance: QsaInstance) -> tuple:
-    """One instance as a batch of one: its (1, T, d) token and target rows,
-    the V and W matrices, built in one stacked pass, and the phase diagonal."""
+    """One instance as a batch of one: `qsa_arrays` of its (1, T, d) token and target rows."""
     tok, tgt = instance.unit_rows()
-    v_matrix, w_matrix = ansatz_vjp(instance.params_v, instance.params_w)[0]
-    return tok[None], tgt[None], v_matrix, w_matrix, phase_layer_diagonal(instance.params_r)
+    return qsa_arrays(tok[None], tgt[None], instance.params_v, instance.params_w, instance.params_r)[0]
 
 
 def circuit_state(instance: QsaInstance) -> StateVector:
@@ -303,18 +309,24 @@ def batched_expectations(
     return np.abs(amp) ** 2, backward
 
 
+def _instance_overlaps(instance: QsaInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sequence's branch overlaps a_j, prefix weights M_j and phase
+    diagonal, the weights checked by the dense route's preparation rule."""
+    tok, tgt, v_matrix, w_matrix, phases = _instance_arrays(instance)
+    a, weights, _ = _branch_overlaps_vjp(tok[0], tgt[0], v_matrix, w_matrix)
+    _check_prefix_weights(weights)
+    return a, weights, phases
+
+
 def branch_overlaps(instance: QsaInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Per-branch overlap amplitudes a_j and prefix weights M_j."""
-    tok, tgt = instance.unit_rows()
-    vm = build_ansatz_unitary(instance.params_v).matrix
-    wm = build_ansatz_unitary(instance.params_w).matrix
-    return _branch_overlaps_vjp(tok, tgt, vm, wm)[:2]
+    """Per-branch overlap amplitudes a_j and prefix weights M_j; a vanishing
+    M_j raises the dense route's DegenerateInputError."""
+    return _instance_overlaps(instance)[:2]
 
 
 def analytic_expectation(instance: QsaInstance) -> float:
     """Expectation from the branch-overlap formula; equals circuit_expectation."""
-    a, weights = branch_overlaps(instance)
-    phases = phase_layer_diagonal(instance.params_r)
+    a, weights, phases = _instance_overlaps(instance)
     amp = np.sum(phases * a / np.sqrt(weights)) / instance.num_steps
     return float(np.abs(amp) ** 2)
 
@@ -338,11 +350,10 @@ def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, 
     """
     if not 1 <= step <= instance.num_steps:
         raise ConfigurationError(f"step {step} outside 1..{instance.num_steps}")
-    tok = np.stack([t.state.amplitudes for t in instance.tokens[:step]])
-    vm = build_ansatz_unitary(instance.params_v).matrix
-    wm = build_ansatz_unitary(instance.params_w).matrix
-    coeff = instance.tokens[step - 1].state.amplitudes.conj() @ (wm @ tok.T)
-    z = (vm @ tok.T) @ coeff
+    tok, _, v_matrix, w_matrix, _ = _instance_arrays(instance)
+    tok = tok[0, :step]
+    coeff = tok[-1].conj() @ (w_matrix @ tok.T)
+    z = (v_matrix @ tok.T) @ coeff
     weight = float(np.vdot(z, z).real)
     if weight <= ZERO_NORM_TOL ** 2:
         raise DegeneratePredictionError(f"prediction branch {step} has zero amplitude")

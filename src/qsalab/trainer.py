@@ -39,14 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import (
-    AnsatzParams,
-    PhaseLayerParams,
-    ansatz_vjp,
-    parameter_shift_gradient,
-    phase_layer_diagonal,
-    phase_layer_gradient,
-)
+from .ansatz import AnsatzParams, PhaseLayerParams, parameter_shift_gradient, phase_layer_gradient
 from .classical import (
     LcsaParams,
     ScsaParams,
@@ -71,7 +64,7 @@ from .data import (
     rows_matmul,
     unit_rows_backward,
 )
-from .engine import batched_expectations, dense_expectations
+from .engine import batched_expectations, dense_expectations, qsa_arrays
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -377,26 +370,26 @@ class _Qsa(_Model):
         return np.where(exps > PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
 
     def _prepared(self, params, tokens, targets, token_norms, target_norms):
-        """What kernel, circuit_outputs and scores start from: the unit token
-        and target rows, and the stacked V and W matrices with their backward
-        pass, built in one `ansatz_vjp` call.  A row whose norm overflowed
+        """What kernel, circuit_outputs and scores start from: `qsa_arrays`
+        of the unit token and target rows.  A row whose norm overflowed
         would divide to zero and leave the outputs finite; it divides to NaN
         instead, so the loss and the scores it reaches read as non-finite."""
         tok, tgt = (rows / np.where(np.isfinite(norms), norms, np.nan)[..., None]
                     for rows, norms in ((tokens, token_norms), (targets, target_norms)))
-        return tok, tgt, ansatz_vjp(params.v_params, params.w_params)
+        return qsa_arrays(tok, tgt, params.v_params, params.w_params, params.r_params)
 
     def circuit_outputs(self, params, inputs):
         """The expectations by one batched dense simulation of every sequence's circuit."""
-        tok, tgt, (vw_matrices, _) = self._prepared(params, *self.rows(params, inputs))
-        if np.isnan(tok).any() or np.isnan(tgt).any():  # no state to prepare: NaN, as on the analytic route
-            return np.full(len(tok), np.nan)
+        arrays, _ = self._prepared(params, *self.rows(params, inputs))
+        if any(np.isnan(rows).any() for rows in arrays[:2]):  # no state to prepare: NaN, as on the analytic route
+            return np.full(len(inputs), np.nan)
         layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
-        return dense_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params), layout)
+        return dense_expectations(*arrays, layout)
 
     def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
-        tok, tgt, (vw_matrices, vw_backward) = self._prepared(params, tokens, targets, token_norms, target_norms)
-        exps, backward = batched_expectations(tok, tgt, *vw_matrices, phase_layer_diagonal(params.r_params))
+        arrays, vw_backward = self._prepared(params, tokens, targets, token_norms, target_norms)
+        tok, tgt = arrays[:2]
+        exps, backward = batched_expectations(*arrays)
 
         def kernel_backward(g_exps):
             g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
@@ -406,8 +399,8 @@ class _Qsa(_Model):
         return exps, kernel_backward
 
     def scores(self, params, inputs):
-        tok, _, (vw_matrices, _) = self._prepared(params, *self.rows(params, inputs))
-        return _overlap_scores(causal_attention_vjp(tok, *vw_matrices)[0], params.embedding)
+        tok, _, v_matrix, w_matrix, _ = self._prepared(params, *self.rows(params, inputs))[0]
+        return _overlap_scores(causal_attention_vjp(tok, v_matrix, w_matrix)[0], params.embedding)
 
 
 class _Baseline(_Model):

@@ -172,6 +172,16 @@ class TestInputRows:
         assert np.array_equal(shift_free, emap.matrix[:, 4][None])
         assert np.array_equal(x, shift_free + emap.gamma * emap.shifts[:1])
 
+    @pytest.mark.parametrize("record", [[4], [[0, 0, 0, 0, 1]]], ids=["word", "amplitudes"])
+    def test_one_word_record_has_no_step_to_predict(self, record):
+        """A one-word record embeds, but S-CSA has no step to predict on it:
+        the dataset's verdict, not an error from inside the attention."""
+        with pytest.raises(ConfigurationError) as verdict:
+            SequenceDataset("classical", 5, 0, 0, [[4]])
+        with pytest.raises(ConfigurationError) as forwarded:
+            scsa_forward(record, make_embedding(5, 2, 3, seed=0), ScsaParams.random(2, 5, seed=0))
+        assert str(forwarded.value) == str(verdict.value) == "dataset T must be at least 1, got 0"
+
 
 @pytest.mark.parametrize("draw", [
     lambda seed: AnsatzParams.random(2, 1, seed),

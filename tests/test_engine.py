@@ -477,6 +477,23 @@ def test_cancelling_prefix_raises_typed_error():
         circuit_expectation(instance)
 
 
+@pytest.mark.parametrize("route", [circuit_expectation, analytic_expectation, step_probabilities, branch_overlaps],
+                         ids=lambda route: route.__name__)
+def test_vanishing_prefix_weight_raises_on_both_routes(route):
+    """Tokens x_1 = e_1 and x_2 = i e_1 give S_2 = x_1 x_1^T + x_2 x_2^T = 0,
+    so M_2 = 0: the analytic route refuses it as the dense route's state
+    preparation does, with the same type and message."""
+    instance = QsaInstance.from_vectors(
+        [[1.0, 0.0], [1j, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, 1.0]],
+        AnsatzParams.zeros(1, 0),
+        AnsatzParams.zeros(1, 0),
+        PhaseLayerParams.zeros(1),
+    )
+    with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
+        route(instance)
+
+
 def test_nan_token_raises_typed_error():
     rng = np.random.default_rng(97)
     toks = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))

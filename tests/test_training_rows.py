@@ -112,6 +112,71 @@ def test_each_model_evaluation_embeds_once(monkeypatch, kind, entry, data_kind):
     assert counter.calls == embeds
 
 
+class _CountingPreparation:
+    """Counts calls of the qsa preparation kernels under the names that
+    engine and trainer import, and of ``build_ansatz_unitary`` there and in
+    ansatz, where it calls ``ansatz_vjp`` by the module's own name."""
+
+    NAMES = ("ansatz_vjp", "phase_layer_diagonal", "build_ansatz_unitary")
+
+    def __init__(self, monkeypatch):
+        self.calls = dict.fromkeys(self.NAMES, 0)
+        targets = [(module, name) for module in (engine, trainer) for name in self.NAMES]
+        for module, name in targets + [(ansatz, "build_ansatz_unitary")]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, self._counted(name, getattr(module, name)))
+
+    def _counted(self, name, original):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
+def _one_training_row(params, dataset):
+    adapter = _Adapter(params, dataset, TrainConfig(model_kind="qsa", seed=7))
+    adapter.gradients(adapter.circuit_vector(params), adapter.embed_vector(params))
+
+
+def _qsa_instance():
+    rng = np.random.default_rng(11)
+    vectors = rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4))
+    return engine.QsaInstance.from_vectors(vectors[:5], vectors[5:], ansatz.AnsatzParams.random(2, 2, 1),
+                                           ansatz.AnsatzParams.random(2, 2, 2), ansatz.PhaseLayerParams.random(2, 3))
+
+
+# every qsa entry point, as (instance, params, dataset) -> None on one instance
+# or on the untrained params of TrainConfig(model_kind="qsa", seed=7)
+QSA_ENTRY_POINTS = {
+    "analytic_expectation": lambda instance, params, dataset: engine.analytic_expectation(instance),
+    "branch_overlaps": lambda instance, params, dataset: engine.branch_overlaps(instance),
+    "step_probabilities": lambda instance, params, dataset: engine.step_probabilities(instance),
+    "predict_token_state": lambda instance, params, dataset: engine.predict_token_state(instance, 3),
+    "circuit_expectation": lambda instance, params, dataset: engine.circuit_expectation(instance),
+    "circuit_state": lambda instance, params, dataset: engine.circuit_state(instance),
+    "training-row": lambda instance, params, dataset: _one_training_row(params, dataset),
+    "evaluate": lambda instance, params, dataset: trainer.evaluate(params, dataset),
+    "predict_topk": lambda instance, params, dataset: trainer.predict_topk(params, dataset),
+    "circuit-loss": lambda instance, params, dataset: _circuit_loss(params, dataset),
+}
+
+
+@pytest.mark.parametrize("entry", QSA_ENTRY_POINTS)
+def test_each_qsa_entry_point_prepares_once(monkeypatch, entry):
+    """V and W come from one stacked ansatz_vjp pass and the phases from at
+    most one phase_layer_diagonal call, with no separate ansatz build, on
+    every route: the one preparation of engine.qsa_arrays."""
+    dataset = classical_set()
+    params = initialize_params(TrainConfig(model_kind="qsa", seed=7), dataset)
+    instance = _qsa_instance()
+    counter = _CountingPreparation(monkeypatch)
+    QSA_ENTRY_POINTS[entry](instance, params, dataset)
+    assert counter.calls["ansatz_vjp"] == 1
+    assert counter.calls["phase_layer_diagonal"] <= 1
+    assert counter.calls["build_ansatz_unitary"] == 0
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"shots": 64}, {"expectation_route": "circuit"}, {"gradient_mode": "finite-difference"}],
