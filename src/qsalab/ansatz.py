@@ -4,7 +4,7 @@ The data-register ansatz is hardware-efficient: per layer, Ry(theta)Rz(phi)
 on every qubit followed by a linear chain of CNOTs, closed by one final
 rotation-only layer.  The step-register layer is a product of Rz rotations.
 Both families are differentiated exactly by the two-point shift rule, and
-in closed form by the backward pass of ``ansatz_vjp`` / ``phase_layer_gradient``
+in closed form by the backward pass of ``ansatz_vjp`` / ``phase_layer_vjp``
 given the loss gradient with respect to the matrix or diagonal.
 """
 
@@ -246,12 +246,18 @@ def phase_layer_diagonal(params: PhaseLayerParams) -> np.ndarray:
     return diag
 
 
-def phase_layer_gradient(params: PhaseLayerParams, g_diagonal: np.ndarray) -> np.ndarray:
-    """Angle gradient of a loss whose gradient with respect to the phase
-    diagonal is ``g_diagonal``: entry k carries e^{+-i alpha_q / 2} by bit q of k."""
+def phase_layer_vjp(params: PhaseLayerParams):
+    """The phase diagonal and its backward pass: ``backward(g_diagonal)``
+    gives the angle gradient of a loss whose gradient with respect to the
+    diagonal is ``g_diagonal``; entry k carries e^{+-i alpha_q / 2} by bit q
+    of k, so the backward reuses the forward's diagonal."""
     diag = phase_layer_diagonal(params)
-    bits = (np.arange(diag.size)[:, None] >> np.arange(params.num_qubits)) & 1
-    return ((g_diagonal.conj() * 0.5j * diag) @ (2 * bits - 1)).real
+
+    def backward(g_diagonal):
+        bits = (np.arange(diag.size)[:, None] >> np.arange(params.num_qubits)) & 1
+        return ((g_diagonal.conj() * 0.5j * diag) @ (2 * bits - 1)).real
+
+    return diag, backward
 
 
 def parameter_shift_gradient(

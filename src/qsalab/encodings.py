@@ -140,28 +140,20 @@ def entangled_prefix_encoding(
     return StateVector(2 * tokens[0].state.num_qubits, amplitudes[0]), float(weights[0])
 
 
-def prepare_input_superposition(
-    tokens: Sequence[EncodedToken],
-    num_steps: int,
-    layout: RegisterLayout,
-) -> StateVector:
+def prepare_input_superposition(tokens: Sequence[EncodedToken], num_steps: int) -> StateVector:
     """Uniform superposition over steps j, branch j carrying the prefix-j encoding:
     `prepared_states` of this one sequence's first ``num_steps`` tokens."""
-    if num_steps < 2 or num_steps & (num_steps - 1):
-        raise ConfigurationError("number of steps must be a power of two, at least 2")
-    if num_steps != layout.num_steps:
-        raise ConfigurationError(
-            f"layout indexes {layout.num_steps} steps, got {num_steps}"
-        )
     if len(tokens) < num_steps:
         raise ConfigurationError("need at least one token per step")
-    if any(tok.state.num_qubits != layout.n for tok in tokens[:num_steps]):
-        raise ConfigurationError("token qubit count does not match register A")
+    n = tokens[0].state.num_qubits if tokens else 0
+    layout = RegisterLayout.of(num_steps, 2 ** n)
+    if any(tok.state.num_qubits != n for tok in tokens[:num_steps]):
+        raise ConfigurationError("all tokens must use the same qubit count")
     rows = np.stack([tok.state.amplitudes for tok in tokens[:num_steps]])
-    return StateVector(layout.num_qubits, prepared_states(rows[None], layout)[0])
+    return StateVector(layout.num_qubits, prepared_states(rows[None])[0])
 
 
-def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+def prepared_states(unit_tokens: np.ndarray) -> np.ndarray:
     """The input superpositions of S sequences as one (S, 2**q) batch, from
     their (S, T, d) unit token rows.
 
@@ -172,8 +164,8 @@ def prepared_states(unit_tokens: np.ndarray, layout: RegisterLayout) -> np.ndarr
     states come from one cumulative sum, the same additions in the same
     order as `entangled_prefix_encoding`.
     """
+    layout = RegisterLayout.of(*unit_tokens.shape[-2:])
     vectors, phases = reflection_rows(_normalized_prefixes(_prefix_sums(unit_tokens))[0])
     psi = np.zeros((unit_tokens.shape[0], 2 ** layout.num_qubits), dtype=complex)
-    psi[:, layout.step_indices()] = 1.0 / np.sqrt(layout.num_steps)
+    psi[:, layout.step_indices] = 1.0 / np.sqrt(layout.num_steps)
     return _reflection_select(psi, layout.c_qubits, layout.a_qubits + layout.b_qubits, vectors, phases)
-

@@ -5,7 +5,9 @@ Lists the full-register circuit once, as the stages of `circuit_stages`
 register-controlled projections, phase layer and Hadamards on the step
 register), and evaluates the all-zeros expectation two independent ways:
 by dense simulation and by an analytic branch-overlap formula.  Also
-exposes the interference loss and the prediction read-out.
+exposes the interference loss and the prediction read-out.  No function
+takes a register placement: the registers sit where `RegisterLayout`
+puts them, n and t read off the (S, T, d) shape of the token rows.
 
 Exact bookkeeping of the branch amplitudes: with normalized token encodings
 x_1..x_T, targets xt_2..xt_{T+1}, prefix weights M_j and phase-layer branch
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_diagonal
+from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_vjp
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
 from .encodings import EncodedToken, _check_prefix_weights, amplitude_encode, prepared_states, reflection_rows
@@ -62,7 +64,6 @@ class QsaInstance:
 
     tokens: tuple
     shifted_targets: tuple
-    layout: RegisterLayout
     params_v: AnsatzParams
     params_w: AnsatzParams
     params_r: PhaseLayerParams
@@ -72,11 +73,7 @@ class QsaInstance:
         targets = tuple(self.shifted_targets)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "shifted_targets", targets)
-        lay = self.layout
-        if len(tokens) != lay.num_steps + 1:
-            raise ConfigurationError(
-                f"expected {lay.num_steps + 1} tokens, got {len(tokens)}"
-            )
+        lay = _instance_layout(tokens, lambda tok: tok.state.amplitudes.size)
         if len(targets) != lay.num_steps:
             raise ConfigurationError(
                 f"expected {lay.num_steps} shifted targets, got {len(targets)}"
@@ -91,7 +88,7 @@ class QsaInstance:
 
     @property
     def num_steps(self) -> int:
-        return self.layout.num_steps
+        return len(self.tokens) - 1
 
     def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, d) encoded tokens x_1..x_T and targets for steps 2..T+1."""
@@ -109,19 +106,18 @@ class QsaInstance:
     ) -> "QsaInstance":
         """Encode raw d-vectors (T+1 tokens, T targets) and build the instance."""
         token_vectors = [np.asarray(v) for v in token_vectors]
-        target_vectors = [np.asarray(v) for v in target_vectors]
-        d = token_vectors[0].size
-        n = int(d).bit_length() - 1
-        if 2 ** n != d:
-            raise ConfigurationError(f"token dimension {d} is not a power of two")
-        num_steps = len(token_vectors) - 1
-        t = int(num_steps).bit_length() - 1
-        if num_steps < 2 or 2 ** t != num_steps:
-            raise ConfigurationError(f"step count {num_steps} is not a power of two >= 2")
-        layout = RegisterLayout.standard(n, t)
+        n = _instance_layout(token_vectors, np.size).n
         tokens = tuple(amplitude_encode(v, n) for v in token_vectors)
         targets = tuple(amplitude_encode(v, n) for v in target_vectors)
-        return QsaInstance(tokens, targets, layout, params_v, params_w, params_r)
+        return QsaInstance(tokens, targets, params_v, params_w, params_r)
+
+
+def _instance_layout(tokens, token_dim) -> RegisterLayout:
+    """The registers of an instance with T + 1 ``tokens``, the first of
+    dimension ``token_dim(tokens[0])``: the one check of both constructors,
+    a ConfigurationError naming the step count or the token dimension
+    unless both are powers of two, at least 2."""
+    return RegisterLayout.of(len(tokens) - 1, token_dim(tokens[0]) if tokens else 0)
 
 
 class Stage(NamedTuple):
@@ -135,13 +131,14 @@ class Stage(NamedTuple):
     blocks: tuple
 
 
-def circuit_stages(token_states, target_states, v_block, w_block, phase_diagonal, layout) -> tuple:
+def circuit_stages(token_states, target_states, v_block, w_block, phase_diagonal) -> tuple:
     """The full circuit of S sequences as its stages in circuit order, from
     their (S, T, d) unit token and target rows, the checked V and W blocks
     and the phase diagonal: the input superpositions, V on A and W on B, the
     two controlled inverse encodings, then register C's phase layer and t
     Hadamards, whose blocks are built only when those stages run."""
-    c, d, t, num_steps = layout.c_qubits, layout.token_dim, layout.t, layout.num_steps
+    lay = RegisterLayout.of(*token_states.shape[-2:])
+    c, d, t, num_steps = lay.c_qubits, lay.token_dim, lay.t, lay.num_steps
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.  Both sets
     # of rows come from one Householder step and one check, made when the
@@ -161,11 +158,11 @@ def circuit_stages(token_states, target_states, v_block, w_block, phase_diagonal
         return psi
 
     return (
-        Stage("prepare", lambda _: prepared_states(token_states, layout), ((2, t), (d * d, num_steps))),
+        Stage("prepare", lambda _: prepared_states(token_states), ((2, t), (d * d, num_steps))),
         Stage("v", partial(_apply, controls=(), targets=v_block.targets, kernel=v_block.kernel), ((d, 1),)),
         Stage("w", partial(_apply, controls=(), targets=w_block.targets, kernel=w_block.kernel), ((d, 1),)),
-        Stage("unencode_targets", unencode(0, layout.a_qubits), ((d, num_steps),)),
-        Stage("unencode_tokens", unencode(1, layout.b_qubits), ((d, num_steps),)),
+        Stage("unencode_targets", unencode(0, lay.a_qubits), ((d, num_steps),)),
+        Stage("unencode_tokens", unencode(1, lay.b_qubits), ((d, num_steps),)),
         Stage("phase_layer", lambda psi: _apply(psi, (), c, UnitaryBlock(np.diag(phase_diagonal), c).kernel),
               ((num_steps, 1),)),
         Stage("hadamards", hadamards, ((2, t),)),
@@ -177,18 +174,17 @@ def _fold(stages) -> np.ndarray:
     return reduce(lambda psi, stage: stage.apply(psi), stages, None)
 
 
-def _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal, layout: RegisterLayout):
-    """Check the batch's shapes against ``layout`` and build V on register A
-    and W on register B, one unitarity check each."""
-    shape = (layout.num_steps, layout.token_dim)
-    if token_states.ndim != 3 or token_states.shape[1:] != shape or target_states.shape != token_states.shape:
+def _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal):
+    """The batch's registers, read off its (S, T, d) rows once their shapes
+    check, with V on register A and W on register B, one unitarity check each."""
+    if token_states.ndim != 3 or target_states.shape != token_states.shape:
         raise ConfigurationError(
-            f"token rows {token_states.shape} and target rows {target_states.shape} "
-            f"do not match (S, {shape[0]}, {shape[1]}) for this layout"
+            f"token rows {token_states.shape} and target rows {target_states.shape} do not match as (S, T, d) rows"
         )
-    if phase_diagonal.shape != (layout.num_steps,):
-        raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {layout.num_steps} steps")
-    return UnitaryBlock(v_matrix, layout.a_qubits), UnitaryBlock(w_matrix, layout.b_qubits)
+    lay = RegisterLayout.of(*token_states.shape[1:])
+    if phase_diagonal.shape != (lay.num_steps,):
+        raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {lay.num_steps} steps")
+    return lay, UnitaryBlock(v_matrix, lay.a_qubits), UnitaryBlock(w_matrix, lay.b_qubits)
 
 
 def dense_expectations(
@@ -197,7 +193,6 @@ def dense_expectations(
     v_matrix: np.ndarray,
     w_matrix: np.ndarray,
     phase_diagonal: np.ndarray,
-    layout: RegisterLayout,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
     """All-zeros expectations of S sequences' full circuits by dense simulation:
@@ -214,14 +209,14 @@ def dense_expectations(
     per sequence, the bits of one sequence at a time.  ``counter`` records
     every stage's declared blocks, once per chunk.
     """
-    blocks = _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal, layout)
+    lay, *blocks = _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal)
     num_seqs, num_steps = token_states.shape[:2]
-    chunk = max(1, DENSE_CHUNK_BYTES // (_STATE_COPIES * 16 * 2 ** layout.num_qubits))
-    steps = layout.step_indices()
+    chunk = max(1, DENSE_CHUNK_BYTES // (_STATE_COPIES * 16 * 2 ** lay.num_qubits))
+    steps = lay.step_indices
     values = np.empty(num_seqs)
     for start in range(0, num_seqs, chunk):
         tok, tgt = token_states[start:start + chunk], target_states[start:start + chunk]
-        stages = circuit_stages(tok, tgt, *blocks, phase_diagonal, layout)
+        stages = circuit_stages(tok, tgt, *blocks, phase_diagonal)
         # The stages up to the phase layer, then one sequence at a time, as
         # a fresh 1-D slice and a scalar abs: a view into the batch or np.abs
         # over it can change the last bit.  The chunk's states are freed
@@ -238,10 +233,16 @@ def dense_expectations(
 
 def qsa_arrays(tok, tgt, params_v: AnsatzParams, params_w: AnsatzParams, params_r: PhaseLayerParams):
     """What every qsa evaluation starts from, on either route: ((tok, tgt, v_matrix,
-    w_matrix, phase_diagonal), vw_backward), with the unit rows passed through, V and W
-    from one stacked `ansatz_vjp` pass and ``vw_backward((g_v, g_w))`` their angle gradients."""
+    w_matrix, phase_diagonal), backward), with the unit rows passed through, V and W
+    from one stacked `ansatz_vjp` pass and the phase diagonal from one `phase_layer_vjp`;
+    ``backward(g_v, g_w, g_phase)`` gives the angle gradients of V, W and the phase layer."""
     (v_matrix, w_matrix), vw_backward = ansatz_vjp(params_v, params_w)
-    return (tok, tgt, v_matrix, w_matrix, phase_layer_diagonal(params_r)), vw_backward
+    phase_diagonal, phase_backward = phase_layer_vjp(params_r)
+
+    def backward(g_v, g_w, g_phase):
+        return (*vw_backward((g_v, g_w)), phase_backward(g_phase))
+
+    return (tok, tgt, v_matrix, w_matrix, phase_diagonal), backward
 
 
 def _instance_arrays(instance: QsaInstance) -> tuple:
@@ -254,14 +255,14 @@ def circuit_state(instance: QsaInstance) -> StateVector:
     """Run the full circuit by dense simulation and return the final state:
     every stage of `circuit_stages`, the readout as gates."""
     tok, tgt, _, _, phases = arrays = _instance_arrays(instance)
-    lay = instance.layout
-    return StateVector(lay.num_qubits, _fold(circuit_stages(tok, tgt, *_data_blocks(*arrays, lay), phases, lay))[0])
+    lay, *blocks = _data_blocks(*arrays)
+    return StateVector(lay.num_qubits, _fold(circuit_stages(tok, tgt, *blocks, phases))[0])
 
 
 def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None) -> float:
     """All-zeros projector expectation of the fully simulated circuit:
     `dense_expectations` of this one sequence."""
-    return float(dense_expectations(*_instance_arrays(instance), instance.layout, counter)[0])
+    return float(dense_expectations(*_instance_arrays(instance), counter)[0])
 
 
 def _branch_overlaps_vjp(tok: np.ndarray, tgt: np.ndarray, v_matrix: np.ndarray, w_matrix: np.ndarray):
@@ -357,8 +358,7 @@ def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, 
     weight = float(np.vdot(z, z).real)
     if weight <= ZERO_NORM_TOL ** 2:
         raise DegeneratePredictionError(f"prediction branch {step} has zero amplitude")
-    n = instance.layout.n
-    return StateVector(n, z / np.sqrt(weight)), weight
+    return StateVector(instance.tokens[0].state.num_qubits, z / np.sqrt(weight)), weight
 
 
 def score_candidates(state: StateVector, candidates: Sequence[EncodedToken]) -> np.ndarray:

@@ -13,6 +13,9 @@ whole package:
   array, moves the control axes, then the target axes, to the front, reads
   the batch as (sequence and control value, block index, rest), calls the
   kernel and moves the axes back.
+* The circuit's registers have one placement, `RegisterLayout`: data
+  registers A on qubits [0, n) and B on [n, 2n), step register C on
+  [2n, 2n+t), with n and t read off the (T, d) shape of the token rows.
 * A Householder reflection ``-phase * (I - v v^dag / v_1)`` is never a
   matrix or an object: it is one (v, phase) row, checked once by
   `_check_reflections` and applied by `_reflect` as a rank-1 update.  A
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -71,39 +74,36 @@ class StateVector:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Disjoint qubit ranges for the two data registers A, B and the step register C."""
+    """The one placement of the circuit's registers, for tokens of dimension
+    d = 2**n and T = 2**t steps: data register A on qubits [0, n), B on
+    [n, 2n) and the step register C on [2n, 2n+t)."""
 
-    a_qubits: tuple
-    b_qubits: tuple
-    c_qubits: tuple
-
-    def __post_init__(self):
-        a, b, c = (tuple(int(q) for q in r) for r in (self.a_qubits, self.b_qubits, self.c_qubits))
-        object.__setattr__(self, "a_qubits", a)
-        object.__setattr__(self, "b_qubits", b)
-        object.__setattr__(self, "c_qubits", c)
-        if len(a) != len(b) or len(a) < 1:
-            raise ConfigurationError("registers A and B must have the same nonzero size")
-        if len(c) < 1:
-            raise ConfigurationError("register C must hold at least one qubit")
-        total = len(a) + len(b) + len(c)
-        if set(a) | set(b) | set(c) != set(range(total)) or len(set(a + b + c)) != total:
-            raise ConfigurationError("register ranges must be disjoint and cover 0..2n+t-1")
+    n: int
+    t: int
 
     @staticmethod
-    def standard(n: int, t: int) -> "RegisterLayout":
-        """A on qubits [0, n), B on [n, 2n), C on [2n, 2n+t)."""
-        return RegisterLayout(
-            tuple(range(n)), tuple(range(n, 2 * n)), tuple(range(2 * n, 2 * n + t))
-        )
+    @lru_cache(maxsize=64)
+    def of(num_steps: int, token_dim: int) -> "RegisterLayout":
+        """The layout of T steps of d-dimensional tokens, as (..., T, d) rows
+        read them; raises unless both are powers of two, at least 2.  One
+        cached value per (T, d), so its qubit tuples and step indices are
+        built once per process."""
+        for name, size in (("step count", num_steps), ("token dimension", token_dim)):
+            if size < 2 or size & (size - 1):
+                raise ConfigurationError(f"{name} {size} is not a power of two >= 2")
+        return RegisterLayout(int(token_dim).bit_length() - 1, int(num_steps).bit_length() - 1)
 
-    @property
-    def n(self) -> int:
-        return len(self.a_qubits)
+    @cached_property
+    def a_qubits(self) -> tuple:
+        return tuple(range(self.n))
 
-    @property
-    def t(self) -> int:
-        return len(self.c_qubits)
+    @cached_property
+    def b_qubits(self) -> tuple:
+        return tuple(range(self.n, 2 * self.n))
+
+    @cached_property
+    def c_qubits(self) -> tuple:
+        return tuple(range(2 * self.n, self.num_qubits))
 
     @property
     def token_dim(self) -> int:
@@ -117,21 +117,13 @@ class RegisterLayout:
     def num_qubits(self) -> int:
         return 2 * self.n + self.t
 
+    @cached_property
     def step_indices(self) -> np.ndarray:
         """Basis index of each step value j = 0..T-1 with registers A and B
-        at zero: ``sum_k bit_k(j) << c_qubits[k]``, for any layout.  One
-        cached, read-only array per step register."""
-        return _step_indices(self.c_qubits)
-
-
-@lru_cache(maxsize=1024)
-def _step_indices(c_qubits: tuple) -> np.ndarray:
-    """`RegisterLayout.step_indices` of a step register on ``c_qubits``; a
-    pure tuple of ints, so cached."""
-    steps = np.arange(2 ** len(c_qubits))
-    indices = sum(((steps >> k) & 1) << q for k, q in enumerate(c_qubits))
-    indices.setflags(write=False)
-    return indices
+        at zero, j << 2n; read-only."""
+        steps = np.arange(self.num_steps) << 2 * self.n
+        steps.setflags(write=False)
+        return steps
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, PhaseLayerParams, parameter_shift_gradient, phase_layer_gradient
+from .ansatz import AnsatzParams, PhaseLayerParams, parameter_shift_gradient
 from .classical import (
     LcsaParams,
     ScsaParams,
@@ -73,7 +73,6 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
-from .statevector import RegisterLayout
 
 CHECKPOINT_VERSION = 1
 
@@ -383,18 +382,17 @@ class _Qsa(_Model):
         arrays, _ = self._prepared(params, *self.rows(params, inputs))
         if any(np.isnan(rows).any() for rows in arrays[:2]):  # no state to prepare: NaN, as on the analytic route
             return np.full(len(inputs), np.nan)
-        layout = RegisterLayout.standard(params.v_params.num_qubits, params.r_params.num_qubits)
-        return dense_expectations(*arrays, layout)
+        return dense_expectations(*arrays)
 
     def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
-        arrays, vw_backward = self._prepared(params, tokens, targets, token_norms, target_norms)
+        arrays, maps_backward = self._prepared(params, tokens, targets, token_norms, target_norms)
         tok, tgt = arrays[:2]
         exps, backward = batched_expectations(*arrays)
 
         def kernel_backward(g_exps):
-            g_tok, g_tgt, g_v, g_w, g_phase = backward(g_exps)
+            g_tok, g_tgt, *g_maps = backward(g_exps)
             return (unit_rows_backward(tok, token_norms, g_tok), unit_rows_backward(tgt, target_norms, g_tgt),
-                    *vw_backward((g_v, g_w)), phase_layer_gradient(params.r_params, g_phase))
+                    *maps_backward(*g_maps))
 
         return exps, kernel_backward
 

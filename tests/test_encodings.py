@@ -12,7 +12,7 @@ from qsalab.encodings import (
     unitary_with_first_column,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError
-from qsalab.statevector import RegisterLayout, StateVector, _reflection_select, reflection_matrix
+from qsalab.statevector import StateVector, _reflection_select, reflection_matrix
 
 
 def encode_all(vectors, n):
@@ -117,16 +117,13 @@ class TestEntangledPrefixEncoding:
 class TestPrepareInputSuperposition:
     def test_single_step_rejected(self):
         tokens = encode_all([[1, 0], [0, 1]], 1)
-        with pytest.raises(ConfigurationError):
-            prepare_input_superposition(tokens, 1, RegisterLayout.standard(1, 1))
-        with pytest.raises(ConfigurationError):
-            RegisterLayout.standard(1, 0)
+        with pytest.raises(ConfigurationError, match="step count 1"):
+            prepare_input_superposition(tokens, 1)
 
     def test_two_step_state_amplitude_by_amplitude(self):
         # T=2, d=2, tokens |0>, |1>: (|00>|0> + (|00>+|11>)/sqrt(2) |1>)/sqrt(2)
         tokens = encode_all([[1, 0], [0, 1]], 1)
-        layout = RegisterLayout.standard(1, 1)
-        state = prepare_input_superposition(tokens, 2, layout)
+        state = prepare_input_superposition(tokens, 2)
         psi1 = np.kron([1, 0], [1, 0])
         psi2 = (np.kron([1, 0], [1, 0]) + np.kron([0, 1], [0, 1])) / np.sqrt(2)
         expected = (np.kron([1, 0], psi1) + np.kron([0, 1], psi2)) / np.sqrt(2)
@@ -135,14 +132,13 @@ class TestPrepareInputSuperposition:
     def test_random_tokens_normalized(self):
         rng = np.random.default_rng(17)
         tokens = encode_all(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 2)
-        state = prepare_input_superposition(tokens, 4, RegisterLayout.standard(2, 2))
+        state = prepare_input_superposition(tokens, 4)
         assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
 
     def test_branches_match_prefix_encodings(self):
         rng = np.random.default_rng(19)
         tokens = encode_all(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), 2)
-        layout = RegisterLayout.standard(2, 2)
-        state = prepare_input_superposition(tokens, 4, layout)
+        state = prepare_input_superposition(tokens, 4)
         branches = state.amplitudes.reshape(4, 16)  # [c, ab]
         for j in range(1, 5):
             prefix_state, _ = entangled_prefix_encoding(tokens, j)
@@ -150,10 +146,15 @@ class TestPrepareInputSuperposition:
             branch = branch / np.linalg.norm(branch)
             assert np.max(np.abs(branch - prefix_state.amplitudes)) < 1e-12
 
+    def test_mixed_qubit_counts_rejected(self):
+        tokens = encode_all([[1, 0]], 1) + encode_all([[1, 0, 0, 0]], 2)
+        with pytest.raises(ConfigurationError, match="same qubit count"):
+            prepare_input_superposition(tokens, 2)
+
     def test_too_few_tokens(self):
         tokens = encode_all([[1, 0]], 1)
         with pytest.raises(ConfigurationError):
-            prepare_input_superposition(tokens, 2, RegisterLayout.standard(1, 1))
+            prepare_input_superposition(tokens, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +206,7 @@ class TestDegeneratePrefix:
         x = np.array([0.6, 0.8j])
         tokens = encode_all([x, 1j * x, [1.0, 0.0], [0.0, 1.0]], 1)
         with pytest.raises(DegenerateInputError, match="interfere to zero norm"):
-            prepare_input_superposition(tokens, 4, RegisterLayout.standard(1, 2))
+            prepare_input_superposition(tokens, 4)
 
 
 def running_prefix_sums(tokens, count):

@@ -23,7 +23,7 @@ from qsalab.engine import (
     step_probabilities,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
-from qsalab.statevector import OpCounter, RegisterLayout, all_zeros_expectation
+from qsalab.statevector import OpCounter, all_zeros_expectation
 
 
 def random_instance(rng, d=None, num_steps=None, layers=3, complex_tokens=True):
@@ -49,7 +49,7 @@ def random_instance(rng, d=None, num_steps=None, layers=3, complex_tokens=True):
 def brute_force_expectation(instance):
     """Independent oracle: explicit kron algebra, no simulator machinery."""
     num_steps = instance.num_steps
-    d = instance.layout.token_dim
+    d = instance.tokens[0].state.amplitudes.size
     tok = [t.state.amplitudes for t in instance.tokens]
     tgt = [t.state.amplitudes for t in instance.shifted_targets]
     vm = build_ansatz_unitary(instance.params_v).matrix
@@ -152,7 +152,6 @@ class TestPhaseAlignment:
                         QsaInstance(
                             instance.tokens,
                             instance.shifted_targets,
-                            instance.layout,
                             instance.params_v,
                             instance.params_w,
                             PhaseLayerParams(trial),
@@ -322,7 +321,6 @@ class TestShiftRuleOnFullExpectation:
                     QsaInstance(
                         instance.tokens,
                         instance.shifted_targets,
-                        instance.layout,
                         replace(instance.params_v, angles=parts[0].reshape(instance.params_v.angles.shape)),
                         replace(instance.params_w, angles=parts[1].reshape(instance.params_w.angles.shape)),
                         PhaseLayerParams(parts[2]),
@@ -411,30 +409,16 @@ def test_dual_route_identity_twelve_to_sixteen_qubits(shape, layers, seed, sprea
 RECORDED_COUNTS = {(2, 2): (19, 116), (3, 3): (33, 676), (4, 4): (59, 4672), (5, 4): (59, 17504)}
 
 
-def placed_layout(n, t, placement, rng):
-    """Registers A, B, C on the standard qubits, with C on the lowest qubits,
-    or on a random permutation of the qubits."""
-    qubits = list(range(2 * n + t))
-    if placement == "c-low":
-        qubits = qubits[t:] + qubits[:t]
-    elif placement == "shuffled":
-        qubits = [int(q) for q in rng.permutation(qubits)]
-    return RegisterLayout(tuple(qubits[:n]), tuple(qubits[n:2 * n]), tuple(qubits[2 * n:]))
-
-
-@pytest.mark.parametrize("placement", ["standard", "c-low", "shuffled"])
 @pytest.mark.parametrize("shape, counts", RECORDED_COUNTS.items())
-def test_op_counter_matches_recorded_counts(shape, counts, placement):
-    """The counter reads the blocks that `circuit_stages` declares, the same
-    on any register layout, and the stages come in circuit order."""
+def test_op_counter_matches_recorded_counts(shape, counts):
+    """The counter reads the blocks that `circuit_stages` declares, and the
+    stages come in circuit order."""
     instance = hypothesis_instance(*shape, 2, 7, 1.0)
-    layout = placed_layout(*shape, placement, np.random.default_rng(7))
-    instance = replace(instance, layout=layout)
     counter = OpCounter()
     circuit_expectation(instance, counter)
     assert (counter.blocks, counter.weighted_dim) == counts
     tok, tgt, _, _, diag = arrays = engine._instance_arrays(instance)
-    stages = circuit_stages(tok, tgt, *engine._data_blocks(*arrays, layout), diag, layout)
+    stages = circuit_stages(tok, tgt, *engine._data_blocks(*arrays)[1:], diag)
     assert [stage.name for stage in stages] == [
         "prepare", "v", "w", "unencode_targets", "unencode_tokens", "phase_layer", "hadamards"]
 
@@ -448,15 +432,13 @@ tail_shapes = st.sampled_from([(1, 4), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (
     shape=tail_shapes,
     layers=st.integers(0, 3),
     seed=st.integers(0, 2 ** 32 - 1),
-    placement=st.sampled_from(["standard", "c-low", "shuffled"]),
 )
-@example(shape=(4, 4), layers=2, seed=7, placement="c-low")
-def test_closed_form_tail_matches_literal_gates(shape, layers, seed, placement):
+@example(shape=(4, 4), layers=2, seed=7)
+def test_closed_form_tail_matches_literal_gates(shape, layers, seed):
     """`circuit_expectation` reads register C's phase layer and Hadamards in
     closed form; `circuit_state` applies them as gates.  Both give the same
-    expectation, on any register layout."""
+    expectation."""
     instance = hypothesis_instance(*shape, layers, seed, 1.0)
-    instance = replace(instance, layout=placed_layout(*shape, placement, np.random.default_rng(seed)))
     value = circuit_expectation(instance)
     assert abs(value - all_zeros_expectation(circuit_state(instance))) <= 1e-12
     assert abs(value - analytic_expectation(instance)) <= 1e-10
@@ -505,6 +487,35 @@ def test_nan_token_raises_typed_error():
         circuit_expectation(instance)
 
 
+def build_instance(build, num_tokens, d):
+    """An instance of ``num_tokens`` random d-dimensional tokens and one target
+    fewer, by `QsaInstance.from_vectors` or by the constructor on encoded tokens."""
+    rng = np.random.default_rng(5)
+    tokens = rng.normal(size=(num_tokens, d))
+    targets = rng.normal(size=(max(num_tokens - 1, 0), d))
+    maps = (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
+    if build == "from_vectors":
+        return QsaInstance.from_vectors(list(tokens), list(targets), *maps)
+    n = d.bit_length() - 1
+    return QsaInstance(tuple(amplitude_encode(v, n) for v in tokens), tuple(amplitude_encode(v, n) for v in targets),
+                       *maps)
+
+
+@pytest.mark.parametrize("build", ["from_vectors", "constructor"])
+@pytest.mark.parametrize("num_tokens, d, match", [
+    (0, 2, "step count -1 is not a power of two >= 2"),
+    (2, 2, "step count 1 is not a power of two >= 2"),
+    (4, 2, "step count 3 is not a power of two >= 2"),
+    (3, 1, "token dimension 1 is not a power of two >= 2"),
+], ids=["no-tokens", "one-step", "three-steps", "one-dimensional"])
+def test_instance_constructors_share_one_register_check(build, num_tokens, d, match):
+    """Both constructors read T and d off the tokens by one check: no tokens,
+    a step count or a token dimension that is not a power of two >= 2 is a
+    ConfigurationError that names it."""
+    with pytest.raises(ConfigurationError, match=match):
+        build_instance(build, num_tokens, d)
+
+
 def test_twelve_qubit_circuit_builds_no_block_per_control_value():
     """The three register-controlled selects go in as checked Householder
     rows, one kernel call each: the counter reads the recorded block count
@@ -517,9 +528,9 @@ def test_twelve_qubit_circuit_builds_no_block_per_control_value():
     assert abs(value - analytic_expectation(instance)) <= 1e-10
 
 
-def batch_instances(num_seqs, n, t, layout, seed, complex_rows):
-    """S instances sharing V, W, the phase layer and ``layout``, from random
-    raw rows, and the batched pass's arrays for them."""
+def batch_instances(num_seqs, n, t, seed, complex_rows):
+    """S instances sharing V, W and the phase layer, from random raw rows,
+    and the batched pass's arrays for them."""
     rng = np.random.default_rng(seed)
     d, num_steps = 2 ** n, 2 ** t
     tokens = rng.normal(size=(num_seqs, num_steps + 1, d))
@@ -529,7 +540,7 @@ def batch_instances(num_seqs, n, t, layout, seed, complex_rows):
         targets = targets + 1j * rng.normal(size=targets.shape)
     maps = (AnsatzParams.random(n, 2, rng, spread=1.0), AnsatzParams.random(n, 2, rng, spread=1.0),
             PhaseLayerParams.random(t, rng, spread=1.0))
-    instances = [replace(QsaInstance.from_vectors(tok, tgt, *maps), layout=layout) for tok, tgt in zip(tokens, targets)]
+    instances = [QsaInstance.from_vectors(tok, tgt, *maps) for tok, tgt in zip(tokens, targets)]
     rows = [instance.unit_rows() for instance in instances]
     arrays = (
         np.stack([tok for tok, _ in rows]),
@@ -550,26 +561,21 @@ batch_shapes = st.sampled_from([(1, 4), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), 
     num_seqs=st.integers(1, 4),
     shape=batch_shapes,
     seed=st.integers(0, 2 ** 32 - 1),
-    placement=st.sampled_from(["standard", "c-low", "shuffled"]),
     complex_rows=st.booleans(),
 )
-def test_dense_pass_rows_match_analytic_batch_and_single_instances(num_seqs, shape, seed, placement, complex_rows):
+def test_dense_pass_rows_match_analytic_batch_and_single_instances(num_seqs, shape, seed, complex_rows):
     """Each row of one batched dense pass equals `batched_expectations` on
-    the same arrays and the `circuit_expectation` of its own instance, and
-    the batch records S times one instance's blocks, on any layout."""
-    layout = placed_layout(*shape, placement, np.random.default_rng(seed))
-    instances, arrays = batch_instances(num_seqs, *shape, layout, seed, complex_rows)
+    the same arrays, and the `circuit_expectation` of its own instance bit
+    for bit, and the batch records S times one instance's blocks."""
+    instances, arrays = batch_instances(num_seqs, *shape, seed, complex_rows)
     batch_counter = OpCounter()
-    dense = dense_expectations(*arrays, layout, batch_counter)
+    dense = dense_expectations(*arrays, batch_counter)
     analytic, _ = batched_expectations(*arrays)
     assert dense.shape == (num_seqs,)
     assert np.max(np.abs(dense - analytic)) <= 1e-10
     for value, instance in zip(dense, instances):
         counter = OpCounter()
-        single = circuit_expectation(instance, counter)
-        assert abs(value - single) <= 1e-12
-        if num_seqs == 1:
-            assert value == single
+        assert value == circuit_expectation(instance, counter)
     assert (batch_counter.blocks, batch_counter.weighted_dim) == (num_seqs * counter.blocks, num_seqs * counter.weighted_dim)
 
 
@@ -577,12 +583,11 @@ def test_dense_pass_chunks_keep_the_bits(monkeypatch):
     """Chunks of one sequence give the same bits as one chunk of all (T=8,
     where reading a row out of the batch's (S, T) slice would not), and the
     counter records each chunk's blocks once: the same totals."""
-    layout = RegisterLayout.standard(2, 3)
-    _, arrays = batch_instances(5, 2, 3, layout, 11, True)
+    _, arrays = batch_instances(5, 2, 3, 11, True)
     whole_counter, chunked_counter = OpCounter(), OpCounter()
-    whole = dense_expectations(*arrays, layout, whole_counter)
+    whole = dense_expectations(*arrays, whole_counter)
     monkeypatch.setattr(engine, "DENSE_CHUNK_BYTES", 1)
-    assert np.array_equal(dense_expectations(*arrays, layout, chunked_counter), whole)
+    assert np.array_equal(dense_expectations(*arrays, chunked_counter), whole)
     assert chunked_counter == whole_counter
 
 
@@ -592,8 +597,7 @@ def test_dense_pass_chunks_keep_the_bits(monkeypatch):
 def test_degenerate_sequence_in_a_batch_raises_typed_error(bad_seq, defect, match):
     """One bad sequence anywhere in a batch stops the dense pass with the
     package's DegenerateInputError."""
-    layout = RegisterLayout.standard(1, 1)
-    _, (tok, tgt, *rest) = batch_instances(3, 1, 1, layout, 13, True)
+    _, (tok, tgt, *rest) = batch_instances(3, 1, 1, 13, True)
     tok, tgt = tok.copy(), tgt.copy()
     x = np.array([0.6, 0.8j])
     if defect == "cancelling":  # x and i x: the doubled encodings cancel at j=2
@@ -603,20 +607,24 @@ def test_degenerate_sequence_in_a_batch_raises_typed_error(bad_seq, defect, matc
     else:
         tgt[bad_seq, 0, 1] = np.nan
     with pytest.raises(DegenerateInputError, match=match):
-        dense_expectations(tok, tgt, *rest, layout)
+        dense_expectations(tok, tgt, *rest)
 
 
 def test_dense_pass_checks_shapes_against_the_layout():
-    layout = RegisterLayout.standard(1, 1)
-    _, (tok, tgt, vm, wm, diag) = batch_instances(2, 1, 1, layout, 17, True)
+    """The registers are read off the (S, T, d) rows: T and d must be
+    powers of two, at least 2, the target rows must match the token rows
+    and the phase diagonal must have T entries."""
+    _, (tok, tgt, vm, wm, diag) = batch_instances(2, 2, 2, 17, True)
     with pytest.raises(ConfigurationError, match="do not match"):
-        dense_expectations(tok, tgt[:1], vm, wm, diag, layout)
-    with pytest.raises(ConfigurationError, match="do not match"):
-        dense_expectations(tok, tgt, vm, wm, diag, RegisterLayout.standard(1, 2))
+        dense_expectations(tok, tgt[:1], vm, wm, diag)
+    with pytest.raises(ConfigurationError, match="step count 3 is not a power of two"):
+        dense_expectations(tok[:, :3], tgt[:, :3], vm, wm, diag[:3])
+    with pytest.raises(ConfigurationError, match="token dimension 3 is not a power of two"):
+        dense_expectations(tok[..., :3], tgt[..., :3], vm, wm, diag)
     with pytest.raises(ConfigurationError, match="phase diagonal"):
-        dense_expectations(tok, tgt, vm, wm, diag[:1], layout)
+        dense_expectations(tok, tgt, vm, wm, diag[:2])
     with pytest.raises(ConfigurationError, match="not unitary"):
-        dense_expectations(tok, tgt, 2 * vm, wm, diag, layout)
+        dense_expectations(tok, tgt, 2 * vm, wm, diag)
 
 
 @settings(max_examples=40, deadline=None)

@@ -303,8 +303,9 @@ class TestInnerProduct:
 
 
 class TestRegisterLayout:
-    def test_standard_layout(self):
-        lay = RegisterLayout.standard(2, 1)
+    def test_registers_on_fixed_qubits(self):
+        lay = RegisterLayout.of(2, 4)
+        assert (lay.n, lay.t) == (2, 1)
         assert lay.a_qubits == (0, 1)
         assert lay.b_qubits == (2, 3)
         assert lay.c_qubits == (4,)
@@ -312,37 +313,27 @@ class TestRegisterLayout:
         assert lay.num_steps == 2
         assert lay.num_qubits == 5
 
-    def test_rejects_overlap_and_gaps(self):
-        with pytest.raises(ConfigurationError):
-            RegisterLayout((0, 1), (1, 2), (3,))
-        with pytest.raises(ConfigurationError):
-            RegisterLayout((0,), (1,), (3,))
+    @pytest.mark.parametrize("num_steps, token_dim, match", [
+        (1, 2, "step count 1"),
+        (0, 2, "step count 0"),
+        (6, 2, "step count 6"),
+        (2, 1, "token dimension 1"),
+        (2, 0, "token dimension 0"),
+        (2, 12, "token dimension 12"),
+    ])
+    def test_sizes_must_be_powers_of_two_of_at_least_two(self, num_steps, token_dim, match):
+        with pytest.raises(ConfigurationError, match=f"{match} is not a power of two >= 2"):
+            RegisterLayout.of(num_steps, token_dim)
 
-    def test_requires_step_register(self):
-        with pytest.raises(ConfigurationError):
-            RegisterLayout.standard(1, 0)
-
-    def test_data_registers_must_match_in_size(self):
-        with pytest.raises(ConfigurationError, match="same nonzero size"):
-            RegisterLayout((0,), (1, 2), (3,))
-
-    @pytest.mark.parametrize("lay", [
-        RegisterLayout.standard(2, 3),
-        RegisterLayout.standard(1, 1),
-        # C spread over low and high qubits, most significant step bit lowest
-        RegisterLayout((1, 4), (2, 6), (5, 3, 0)),
-        RegisterLayout((6, 2), (0, 5), (7, 1, 4, 3)),
-    ], ids=["standard-2-3", "standard-1-1", "permuted-t3", "permuted-t4"])
-    def test_step_indices(self, lay):
-        """Step j sits at sum_k bit_k(j) << c_qubits[k] with A and B at zero;
-        every call returns one cached array, which cannot be written."""
-        expected = [
-            sum(((j >> k) & 1) << q for k, q in enumerate(lay.c_qubits)) for j in range(lay.num_steps)
-        ]
-        steps = lay.step_indices()
-        assert steps.tolist() == expected
-        assert lay.step_indices() is steps
-        assert RegisterLayout(lay.a_qubits, lay.b_qubits, lay.c_qubits).step_indices() is steps
+    @pytest.mark.parametrize("n, t", [(1, 1), (1, 4), (2, 3), (3, 1), (4, 4)])
+    def test_step_indices(self, n, t):
+        """Step j sits at j << 2n, C's bits above A's and B's, with A and B at
+        zero; one cached layout per (T, d), whose array cannot be written."""
+        lay = RegisterLayout.of(2 ** t, 2 ** n)
+        expected = [sum(((j >> k) & 1) << q for k, q in enumerate(lay.c_qubits)) for j in range(lay.num_steps)]
+        steps = lay.step_indices
+        assert steps.tolist() == expected == [j << 2 * n for j in range(2 ** t)]
+        assert RegisterLayout.of(2 ** t, 2 ** n).step_indices is steps
         with pytest.raises(ValueError):
             steps[0] = 1
 

@@ -114,15 +114,16 @@ def test_each_model_evaluation_embeds_once(monkeypatch, kind, entry, data_kind):
 
 class _CountingPreparation:
     """Counts calls of the qsa preparation kernels under the names that
-    engine and trainer import, and of ``build_ansatz_unitary`` there and in
-    ansatz, where it calls ``ansatz_vjp`` by the module's own name."""
+    engine and trainer import, and in ansatz, where ``build_ansatz_unitary``
+    calls ``ansatz_vjp`` and ``phase_layer_vjp`` calls ``phase_layer_diagonal``
+    by the module's own names."""
 
     NAMES = ("ansatz_vjp", "phase_layer_diagonal", "build_ansatz_unitary")
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(self.NAMES, 0)
         targets = [(module, name) for module in (engine, trainer) for name in self.NAMES]
-        for module, name in targets + [(ansatz, "build_ansatz_unitary")]:
+        for module, name in targets + [(ansatz, "build_ansatz_unitary"), (ansatz, "phase_layer_diagonal")]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, self._counted(name, getattr(module, name)))
 
@@ -166,7 +167,8 @@ QSA_ENTRY_POINTS = {
 def test_each_qsa_entry_point_prepares_once(monkeypatch, entry):
     """V and W come from one stacked ansatz_vjp pass and the phases from at
     most one phase_layer_diagonal call, with no separate ansatz build, on
-    every route: the one preparation of engine.qsa_arrays."""
+    every route: the one preparation of engine.qsa_arrays.  A training row's
+    backward reuses the forward's phase diagonal."""
     dataset = classical_set()
     params = initialize_params(TrainConfig(model_kind="qsa", seed=7), dataset)
     instance = _qsa_instance()
