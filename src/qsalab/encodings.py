@@ -1,6 +1,7 @@
 """Data-dependent state constructions.
 
-Amplitude encodings of token vectors, entangled prefix encodings over the
+Amplitude encodings of token vectors, a sequence's tokens as rows (the one
+check that they share a qubit count), entangled prefix encodings over the
 paired data registers, the step-indexed input superposition (of one
 sequence, or of a batch as one array), the checked Householder rows of
 reflections with given first columns (any stack of them built in one
@@ -91,17 +92,19 @@ def unitary_with_first_column(column) -> np.ndarray:
     return out
 
 
-def _doubled_prefix_sums(tokens: Sequence[EncodedToken], count: int) -> np.ndarray:
-    """The raw sums sum_{i<=j} |x_i>|x_i> for j = 1..count as (count, 4**n) rows."""
-    n = tokens[0].state.num_qubits
-    if any(tok.state.num_qubits != n for tok in tokens):
-        raise ConfigurationError("all tokens must use the same qubit count")
-    return _prefix_sums(np.stack([tok.state.amplitudes for tok in tokens[:count]]))
+def token_rows(tokens: Sequence[EncodedToken]) -> np.ndarray:
+    """The amplitudes of ``tokens`` stacked as (len(tokens), d) rows, (0, 0)
+    for no tokens: the one check that a sequence's tokens share one qubit count."""
+    counts = sorted({tok.state.num_qubits for tok in tokens})
+    if len(counts) > 1:
+        raise ConfigurationError(f"all tokens must use the same qubit count, got {counts}")
+    return np.array([tok.state.amplitudes for tok in tokens]) if counts else np.zeros((0, 0), dtype=complex)
 
 
 def _prefix_sums(amplitudes: np.ndarray) -> np.ndarray:
-    """`_doubled_prefix_sums` of (..., count, d) token rows as (..., count, d**2)
-    rows: one cumulative sum, the additions of a running sum in its order."""
+    """The raw sums sum_{i<=j} |x_i>|x_i> of (..., count, d) token rows for
+    j = 1..count as (..., count, d**2) rows: one cumulative sum, the
+    additions of a running sum in its order."""
     doubled = amplitudes[..., :, None] * amplitudes[..., None, :]  # A in the low bits, B in the high bits
     return np.cumsum(doubled.reshape(amplitudes.shape[:-1] + (-1,)), axis=-2)
 
@@ -136,7 +139,7 @@ def entangled_prefix_encoding(
         raise ConfigurationError(
             f"prefix length {prefix_len} outside 1..{len(tokens)}"
         )
-    amplitudes, weights = _normalized_prefixes(_doubled_prefix_sums(tokens, prefix_len)[-1:])
+    amplitudes, weights = _normalized_prefixes(_prefix_sums(token_rows(tokens)[:prefix_len])[-1:])
     return StateVector(2 * tokens[0].state.num_qubits, amplitudes[0]), float(weights[0])
 
 
@@ -145,11 +148,8 @@ def prepare_input_superposition(tokens: Sequence[EncodedToken], num_steps: int) 
     `prepared_states` of this one sequence's first ``num_steps`` tokens."""
     if len(tokens) < num_steps:
         raise ConfigurationError("need at least one token per step")
-    n = tokens[0].state.num_qubits if tokens else 0
-    layout = RegisterLayout.of(num_steps, 2 ** n)
-    if any(tok.state.num_qubits != n for tok in tokens[:num_steps]):
-        raise ConfigurationError("all tokens must use the same qubit count")
-    rows = np.stack([tok.state.amplitudes for tok in tokens[:num_steps]])
+    rows = token_rows(tokens)[:num_steps]
+    layout = RegisterLayout.of(num_steps, rows.shape[-1])
     return StateVector(layout.num_qubits, prepared_states(rows[None])[0])
 
 

@@ -7,7 +7,8 @@ register), and evaluates the all-zeros expectation two independent ways:
 by dense simulation and by an analytic branch-overlap formula.  Also
 exposes the interference loss and the prediction read-out.  No function
 takes a register placement: the registers sit where `RegisterLayout`
-puts them, n and t read off the (S, T, d) shape of the token rows.
+puts them, n and t read off the (S, T, d) shape of the token rows, and
+`qsa_registers` is the one rule that V, W and the phase layer fit them.
 
 Exact bookkeeping of the branch amplitudes: with normalized token encodings
 x_1..x_T, targets xt_2..xt_{T+1}, prefix weights M_j and phase-layer branch
@@ -31,7 +32,8 @@ import numpy as np
 from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_vjp
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL
-from .encodings import EncodedToken, _check_prefix_weights, amplitude_encode, prepared_states, reflection_rows
+from .encodings import (EncodedToken, _check_prefix_weights, amplitude_encode, prepared_states, reflection_rows,
+                        token_rows)
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
@@ -59,7 +61,9 @@ class QsaInstance:
     """One sequence bound to circuit parameters.
 
     ``tokens`` are the T+1 attention inputs (positional shifts included);
-    ``shifted_targets`` are the T shift-free targets for steps 2..T+1.
+    ``shifted_targets`` are the T shift-free targets for steps 2..T+1.  The
+    constructor stacks both as rows once, by `token_rows`, and checks them
+    and V, W and the phase layer by `qsa_registers`.
     """
 
     tokens: tuple
@@ -73,28 +77,22 @@ class QsaInstance:
         targets = tuple(self.shifted_targets)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "shifted_targets", targets)
-        lay = _instance_layout(tokens, lambda tok: tok.state.amplitudes.size)
+        rows = token_rows(tokens + targets)
+        lay = qsa_registers(len(tokens) - 1, rows.shape[-1], self.params_v, self.params_w, self.params_r)
         if len(targets) != lay.num_steps:
             raise ConfigurationError(
                 f"expected {lay.num_steps} shifted targets, got {len(targets)}"
             )
-        for tok in tokens + targets:
-            if tok.state.num_qubits != lay.n:
-                raise ConfigurationError("token states must live on register A's qubit count")
-        if self.params_v.num_qubits != lay.n or self.params_w.num_qubits != lay.n:
-            raise ConfigurationError("ansatz qubit counts must match the data registers")
-        if self.params_r.num_qubits != lay.t:
-            raise ConfigurationError("phase layer size must match the step register")
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def num_steps(self) -> int:
         return len(self.tokens) - 1
 
     def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, d) encoded tokens x_1..x_T and targets for steps 2..T+1."""
-        tok = np.stack([t.state.amplitudes for t in self.tokens[:self.num_steps]])
-        tgt = np.stack([t.state.amplitudes for t in self.shifted_targets])
-        return tok, tgt
+        """(T, d) encoded tokens x_1..x_T and targets for steps 2..T+1, read-only."""
+        return self._rows[:self.num_steps], self._rows[self.num_steps + 1:]
 
     @staticmethod
     def from_vectors(
@@ -106,18 +104,31 @@ class QsaInstance:
     ) -> "QsaInstance":
         """Encode raw d-vectors (T+1 tokens, T targets) and build the instance."""
         token_vectors = [np.asarray(v) for v in token_vectors]
-        n = _instance_layout(token_vectors, np.size).n
+        n = RegisterLayout.of(len(token_vectors) - 1, token_vectors[0].size if token_vectors else 0).n
         tokens = tuple(amplitude_encode(v, n) for v in token_vectors)
         targets = tuple(amplitude_encode(v, n) for v in target_vectors)
         return QsaInstance(tokens, targets, params_v, params_w, params_r)
 
 
-def _instance_layout(tokens, token_dim) -> RegisterLayout:
-    """The registers of an instance with T + 1 ``tokens``, the first of
-    dimension ``token_dim(tokens[0])``: the one check of both constructors,
-    a ConfigurationError naming the step count or the token dimension
-    unless both are powers of two, at least 2."""
-    return RegisterLayout.of(len(tokens) - 1, token_dim(tokens[0]) if tokens else 0)
+def qsa_registers(
+    num_steps: int,
+    token_dim: int,
+    params_v: AnsatzParams,
+    params_w: AnsatzParams,
+    params_r: PhaseLayerParams,
+) -> RegisterLayout:
+    """The registers of T steps of d-dimensional tokens, once V and W are
+    checked to act on register A's and B's n qubits and the phase layer on
+    register C's t: the one qsa fit rule, of instances and of the trainer.
+    Each misfit is a ConfigurationError naming the array and both counts."""
+    lay = RegisterLayout.of(num_steps, token_dim)
+    for name, params, register, qubits in (("V", params_v, "A", lay.n), ("W", params_w, "B", lay.n),
+                                           ("phase layer", params_r, "C", lay.t)):
+        if params.num_qubits != qubits:
+            raise ConfigurationError(
+                f"qsa {name} acts on {params.num_qubits} qubits, register {register} has {qubits}"
+            )
+    return lay
 
 
 class Stage(NamedTuple):

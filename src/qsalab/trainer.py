@@ -64,7 +64,7 @@ from .data import (
     rows_matmul,
     unit_rows_backward,
 )
-from .engine import batched_expectations, dense_expectations, qsa_arrays
+from .engine import batched_expectations, dense_expectations, qsa_arrays, qsa_registers
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -73,6 +73,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
+from .statevector import RegisterLayout
 
 CHECKPOINT_VERSION = 1
 
@@ -119,6 +120,8 @@ class TrainConfig:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigurationError(f"{name} must be at least {low}, got {value}")
+        if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy draws shot counts as int64
+            raise ConfigurationError(f"shots must be at most {np.iinfo(np.int64).max}, got {self.shots}")
         for name in ("learning_rate", "embedding_learning_rate", "epsilon", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -254,10 +257,10 @@ class _Model:
 
     each entry provides the rest:
 
-    - ``check(embed_dim, num_steps)``: why those shapes cannot host it, or None;
-    - ``check_arrays(params, num_steps)``: why its arrays do not fit the
-      embedding (and step count), or None;
-    - ``init(config, dataset, seeds, complex_valued)``: seeded field values;
+    - ``check_arrays(params, num_steps)``: a ConfigurationError unless its
+      arrays fit the embedding and the step count (qsa: `qsa_registers`);
+    - ``init(config, dataset, seeds, complex_valued)``: seeded field values,
+      a ConfigurationError for shapes that cannot host the kind;
     - ``kernel(params, inputs, tokens, targets, token_norms, target_norms)``:
       the outputs the losses depend on, and a backward pass from their
       gradient to (g_tokens, g_targets or None, *gradients of ``arrays``);
@@ -280,12 +283,6 @@ class _Model:
     blocks: tuple = ()
     fields = property(lambda self: tuple(attr for _, attr, _ in self.blocks))
     circuit = False
-
-    def check(self, embed_dim: int, num_steps: int) -> str | None:
-        return None
-
-    def check_arrays(self, params: ModelParams, num_steps: int) -> str | None:
-        return None
 
     def arrays(self, params: ModelParams) -> list:
         return [(f"{attr}.{name}", getattr(getattr(params, attr), name))
@@ -335,30 +332,15 @@ class _Qsa(_Model):
     blocks = (("v", "v_params", AnsatzParams), ("w", "w_params", AnsatzParams), ("r", "r_params", PhaseLayerParams))
     circuit = True
 
-    def check(self, embed_dim, num_steps):
-        if embed_dim & (embed_dim - 1) or embed_dim < 2:
-            return "qsa needs a power-of-two embed_dim >= 2"
-        if num_steps & (num_steps - 1) or num_steps < 2:
-            return "qsa needs a power-of-two step count >= 2"
-        return None
-
     def check_arrays(self, params, num_steps):
-        d = params.embedding.embed_dim
-        for name in ("v_params", "w_params"):
-            qubits = getattr(params, name).num_qubits
-            if 2 ** qubits != d:
-                return f"qsa {name} acts on {qubits} qubits, not a {d}-dimensional token"
-        if 2 ** params.r_params.num_qubits != num_steps:
-            return f"qsa phase layer has {params.r_params.num_qubits} qubits, not {num_steps} steps"
-        return None
+        qsa_registers(num_steps, params.embedding.embed_dim, params.v_params, params.w_params, params.r_params)
 
     def init(self, config, dataset, seeds, complex_valued):
-        n = int(config.embed_dim).bit_length() - 1
-        t = int(dataset.num_steps).bit_length() - 1
+        lay = RegisterLayout.of(dataset.num_steps, config.embed_dim)
         return {
-            "v_params": AnsatzParams.random(n, config.num_layers, seeds[0]),
-            "w_params": AnsatzParams.random(n, config.num_layers, seeds[1]),
-            "r_params": PhaseLayerParams.random(t, seeds[2]),
+            "v_params": AnsatzParams.random(lay.n, config.num_layers, seeds[0]),
+            "w_params": AnsatzParams.random(lay.n, config.num_layers, seeds[1]),
+            "r_params": PhaseLayerParams.random(lay.t, seeds[2]),
         }
 
     def losses(self, exps, num_steps):
@@ -366,7 +348,7 @@ class _Qsa(_Model):
         return -np.log(np.maximum(exps, PROBABILITY_FLOOR)), clamped
 
     def loss_slopes(self, exps, num_steps):
-        return np.where(exps > PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
+        return np.where(exps >= PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
 
     def _prepared(self, params, tokens, targets, token_norms, target_norms):
         """What kernel, circuit_outputs and scores start from: `qsa_arrays`
@@ -408,9 +390,8 @@ class _Baseline(_Model):
     def check_arrays(self, params, num_steps):
         part = getattr(params, self.fields[0])
         if part.embed_dim != params.embedding.embed_dim:
-            return (f"{self.fields[0]} arrays act on {part.embed_dim}-dimensional tokens, "
-                    f"the embedding on {params.embedding.embed_dim}")
-        return None
+            raise ConfigurationError(f"{self.fields[0]} arrays act on {part.embed_dim}-dimensional tokens, "
+                                     f"the embedding on {params.embedding.embed_dim}")
 
     def losses(self, ratios, num_steps):
         clamped = int(np.sum(ratios < PROBABILITY_FLOOR))
@@ -435,9 +416,9 @@ class _Scsa(_Baseline):
 
     def check_arrays(self, params, num_steps):
         if params.scsa.vocab_dim != params.embedding.vocab_dim:
-            return (f"scsa anti-embedding covers {params.scsa.vocab_dim} words, "
-                    f"the embedding {params.embedding.vocab_dim}")
-        return super().check_arrays(params, num_steps)
+            raise ConfigurationError(f"scsa anti-embedding covers {params.scsa.vocab_dim} words, "
+                                     f"the embedding {params.embedding.vocab_dim}")
+        super().check_arrays(params, num_steps)
 
     def kernel(self, params, inputs, tokens, targets, token_norms, target_norms):
         _, probs, backward = scsa_vjp(tokens, inputs, params.scsa)
@@ -473,29 +454,25 @@ MODEL_KINDS = tuple(MODELS)
 
 def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelParams:
     """Seeded near-identity initialization consistent with the dataset kind."""
-    _check_compat(config, dataset)
-    children = np.random.SeedSequence(config.seed).spawn(4)
-    complex_valued = dataset.kind == "quantum"
-    embedding = make_embedding(
-        dataset.vocab_dim,
-        config.embed_dim,
-        dataset.num_steps + 1,
-        children[0],
-        complex_valued=complex_valued,
-        gamma=config.gamma,
-    )
-    parts = MODELS[config.model_kind].init(config, dataset, children[1:], complex_valued)
-    return ModelParams(config.model_kind, embedding, **parts)
-
-
-def _check_compat(config: TrainConfig, dataset: SequenceDataset) -> None:
     if len(dataset) == 0:
         raise ConfigurationError("dataset holds no records")
     if config.embed_dim >= dataset.vocab_dim:
         raise ConfigurationError("embed_dim must be smaller than the vocabulary dimension")
-    problem = MODELS[config.model_kind].check(config.embed_dim, dataset.num_steps)
-    if problem:
-        raise ConfigurationError(problem)
+    children = np.random.SeedSequence(config.seed).spawn(4)
+    complex_valued = dataset.kind == "quantum"
+    try:
+        embedding = make_embedding(dataset.vocab_dim, config.embed_dim, dataset.num_steps + 1, children[0],
+                                   complex_valued=complex_valued, gamma=config.gamma)
+        parts = MODELS[config.model_kind].init(config, dataset, children[1:], complex_valued)
+    except ConfigurationError:
+        raise
+    except (ValueError, MemoryError):  # numpy refusing a shape, or an allocation that fails
+        raise ConfigurationError(
+            f"{config.model_kind} parameters of embed_dim {config.embed_dim}, num_layers {config.num_layers}, "
+            f"key_dim {config.key_dim} and ffn_hidden {config.ffn_hidden} over {dataset.vocab_dim} words "
+            "are too large to allocate"
+        ) from None
+    return ModelParams(config.model_kind, embedding, **parts)
 
 
 def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
@@ -513,11 +490,10 @@ def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
         raise CompatibilityError(
             f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
         )
-    problem = model.check(params.embedding.embed_dim, dataset.num_steps) or model.check_arrays(
-        params, dataset.num_steps
-    )
-    if problem:
-        raise CompatibilityError(problem)
+    try:
+        model.check_arrays(params, dataset.num_steps)
+    except ConfigurationError as exc:
+        raise CompatibilityError(str(exc)) from None
     num_shifts = params.embedding.shifts.shape[0]
     if num_shifts < dataset.num_steps + 1:
         raise CompatibilityError(

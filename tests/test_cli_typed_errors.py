@@ -4,10 +4,14 @@ usage error or a path that cannot be read or written, 4 for a compatibility
 error."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from qsalab.ansatz import AnsatzParams, PhaseLayerParams
+from qsalab.classical import LcsaParams, ScsaParams
 from qsalab.cli import main
+from qsalab.trainer import load_checkpoint, params_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +149,8 @@ def train_exit(tmp_path, capsys, data_path, model="qsa", config=None):
 
 
 @pytest.mark.parametrize("data_name, config, message", [
-    ("three_steps", None, "power-of-two step count"),
-    ("classical", {"embed_dim": 3}, "power-of-two embed_dim"),
+    ("three_steps", None, "step count 3 is not a power of two >= 2"),
+    ("classical", {"embed_dim": 3}, "token dimension 3 is not a power of two >= 2"),
     ("vocab4", None, "embed_dim must be smaller than the vocabulary"),
 ], ids=["qsa-T3", "qsa-embed-dim-3", "vocab-4"])
 def test_train_model_misfit_exits_2(tmp_path, files, capsys, data_name, config, message):
@@ -154,6 +158,50 @@ def test_train_model_misfit_exits_2(tmp_path, files, capsys, data_name, config, 
     assert code == 2
     assert message in line
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("model, config, message", [
+    ("qsa", {"num_layers": 10 ** 15}, "num_layers 1000000000000000"),
+    ("scsa", {"key_dim": 10 ** 15}, "key_dim 1000000000000000"),
+    ("scsa", {"ffn_hidden": 10 ** 15}, "ffn_hidden 1000000000000000"),
+    ("qsa", {"shots": 2 ** 63}, "shots must be at most 9223372036854775807"),
+], ids=["qsa-layers", "scsa-key-dim", "scsa-ffn-hidden", "shots"])
+def test_train_oversized_config_exits_2(tmp_path, files, capsys, model, config, message):
+    """Petabyte-scale parameter arrays, which numpy refuses without
+    allocating, and a shot count numpy cannot draw as an int64."""
+    code, line = train_exit(tmp_path, capsys, files["classical"], model=model, config=config)
+    assert code == 2
+    assert message in line
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def misfit_params(params):
+    """Each array of ``params``' kind replaced by a self-consistent one that
+    does not fit the classical data (T=4, d=4, D=8), with the words the
+    error names."""
+    if params.model_kind == "qsa":
+        layers = params.v_params.num_layers
+        return [({"v_params": AnsatzParams.random(3, layers, 1)}, "qsa V acts on 3 qubits, register A has 2"),
+                ({"w_params": AnsatzParams.random(1, layers, 1)}, "qsa W acts on 1 qubits, register B has 2"),
+                ({"r_params": PhaseLayerParams.random(3, 1)}, "qsa phase layer acts on 3 qubits, register C has 2")]
+    if params.model_kind == "scsa":
+        return [({"scsa": ScsaParams.random(4, 16, 1)}, "scsa anti-embedding covers 16 words, the embedding 8")]
+    return [({"lcsa": LcsaParams.near_identity(8, 1)}, "lcsa arrays act on 8-dimensional tokens, the embedding on 4")]
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("checkpoint", ["qsa_checkpoint", "scsa_checkpoint", "checkpoint"])
+def test_checkpoint_arrays_that_misfit_the_data_exit_4(tmp_path, files, capsys, command, checkpoint):
+    params, _ = load_checkpoint(files[checkpoint])
+    doc = json.loads(files[checkpoint].read_text())
+    for parts, message in misfit_params(params):
+        doc["params"] = params_to_payload(replace(params, **parts))
+        path = tmp_path / "misfit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([command, "--checkpoint", str(path), "--data", str(files["classical"]), "--out", str(out)]) == 4
+        assert message in one_error_line(capsys.readouterr().err)
+        assert not out.exists()
 
 
 def header_only(lines):

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalab.encodings import (
-    _doubled_prefix_sums,
+    _prefix_sums,
     amplitude_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,
     reflection_rows,
+    token_rows,
     unitary_with_first_column,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError
@@ -151,6 +152,10 @@ class TestPrepareInputSuperposition:
         with pytest.raises(ConfigurationError, match="same qubit count"):
             prepare_input_superposition(tokens, 2)
 
+    def test_no_tokens_rejected(self):
+        with pytest.raises(ConfigurationError, match="step count 0 is not a power of two >= 2"):
+            prepare_input_superposition([], 0)
+
     def test_too_few_tokens(self):
         tokens = encode_all([[1, 0]], 1)
         with pytest.raises(ConfigurationError):
@@ -230,7 +235,7 @@ def test_prefix_sums_equal_the_running_sum_bit_for_bit():
         if rng.random() < 0.7:
             vectors = vectors + 1j * rng.normal(size=shape)
         tokens = encode_all(vectors, n)
-        assert np.array_equal(_doubled_prefix_sums(tokens, count), running_prefix_sums(tokens, count))
+        assert np.array_equal(_prefix_sums(token_rows(tokens)[:count]), running_prefix_sums(tokens, count))
 
 
 class TestNonFiniteInputRejected:

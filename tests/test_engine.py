@@ -487,13 +487,14 @@ def test_nan_token_raises_typed_error():
         circuit_expectation(instance)
 
 
-def build_instance(build, num_tokens, d):
+def build_instance(build, num_tokens, d, maps=None):
     """An instance of ``num_tokens`` random d-dimensional tokens and one target
-    fewer, by `QsaInstance.from_vectors` or by the constructor on encoded tokens."""
+    fewer, by `QsaInstance.from_vectors` or by the constructor on encoded tokens,
+    with V, W and the phase layer ``maps`` (by default on 1 qubit each)."""
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(num_tokens, d))
     targets = rng.normal(size=(max(num_tokens - 1, 0), d))
-    maps = (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
+    maps = maps or (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
     if build == "from_vectors":
         return QsaInstance.from_vectors(list(tokens), list(targets), *maps)
     n = d.bit_length() - 1
@@ -514,6 +515,30 @@ def test_instance_constructors_share_one_register_check(build, num_tokens, d, ma
     ConfigurationError that names it."""
     with pytest.raises(ConfigurationError, match=match):
         build_instance(build, num_tokens, d)
+
+
+@pytest.mark.parametrize("build", ["from_vectors", "constructor"])
+@pytest.mark.parametrize("maps, match", [
+    ((AnsatzParams.zeros(3, 1), AnsatzParams.zeros(2, 1), PhaseLayerParams.zeros(2)),
+     "qsa V acts on 3 qubits, register A has 2"),
+    ((AnsatzParams.zeros(2, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(2)),
+     "qsa W acts on 1 qubits, register B has 2"),
+    ((AnsatzParams.zeros(2, 1), AnsatzParams.zeros(2, 1), PhaseLayerParams.zeros(3)),
+     "qsa phase layer acts on 3 qubits, register C has 2"),
+], ids=["v", "w", "phase-layer"])
+def test_instance_constructors_share_the_qsa_fit_rule(build, maps, match):
+    """V, W or a phase layer on the wrong qubit count for T=4 steps of
+    d=4 tokens is the trainer's misfit message, from `qsa_registers`."""
+    with pytest.raises(ConfigurationError, match=match):
+        build_instance(build, 5, 4, maps)
+
+
+def test_mixed_token_qubit_counts_rejected():
+    maps = (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
+    tokens = (amplitude_encode([1, 0], 1), amplitude_encode([0, 1], 1), amplitude_encode([1, 0], 1))
+    targets = (amplitude_encode([1, 0], 1), amplitude_encode([1, 0, 0, 0], 2))
+    with pytest.raises(ConfigurationError, match=r"same qubit count, got \[1, 2\]"):
+        QsaInstance(tokens, targets, *maps)
 
 
 def test_twelve_qubit_circuit_builds_no_block_per_control_value():

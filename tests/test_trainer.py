@@ -45,6 +45,9 @@ class TestConfig:
             TrainConfig(gradient_mode="adjoint")
         with pytest.raises(ConfigurationError):
             TrainConfig(shots=0)
+        with pytest.raises(ConfigurationError, match="shots must be at most 9223372036854775807"):
+            TrainConfig(shots=2 ** 63)
+        assert TrainConfig(shots=2 ** 63 - 1).shots == 2 ** 63 - 1
 
 
 class TestZeroEpochs:
@@ -297,7 +300,7 @@ class TestPredictTopK:
 @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
 def test_losses_clamp_at_the_probability_floor(kind):
     # an output under the floor scores as the floor itself, is counted, and
-    # passes no slope back
+    # passes no slope back; one at the floor itself still has its slope
     model = MODELS[kind]
     probs = np.array([0.0, PROBABILITY_FLOOR / 2, PROBABILITY_FLOOR, 0.5])
     outputs = probs if model.circuit else np.stack([probs, np.full(4, 0.5)], axis=-1)
@@ -307,6 +310,7 @@ def test_losses_clamp_at_the_probability_floor(kind):
     assert losses[0] == losses[1] == losses[2] > losses[3]
     slopes = model.loss_slopes(outputs, 4)
     assert np.all(slopes[outputs < PROBABILITY_FLOOR] == 0.0)
+    assert np.all(slopes[outputs == PROBABILITY_FLOOR] != 0.0)
     assert np.all(slopes[outputs == 0.5] != 0.0)
 
 
