@@ -177,6 +177,8 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
         if not data._typed(version, int) or version != CONFIG_SCHEMA_VERSION:  # true and 1.0 equal 1
             raise CompatibilityError(f"config schema_version {version} unsupported")
         values = {k: v for k, v in doc.items() if k != "schema_version"}
+        if values.get("record_timing") is True:  # the clock is read under --timing only
+            raise ConfigurationError("record_timing is set by the --timing flag, not by a config file")
     values["model_kind"] = args.model
     if args.epochs is not None:
         values["epochs"] = args.epochs

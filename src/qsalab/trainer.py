@@ -3,14 +3,15 @@
 Gradient assembly, adaptive-moment updates, per-epoch loss reporting, and
 versioned JSON checkpoints.  Each model kind has one batched forward that
 keeps its intermediates; a training row evaluates the model once, through
-the adapter's one evaluation entry, for its loss and, on the default path
-(parameter-shift mode, analytic route, no shots), runs the forward's
-backward pass for the exact gradient.  Shot sampling and the circuit route
-(qsa only) and ``gradient_mode="finite-difference"`` perturb parameters
-instead (shift rule for circuit angles, central differences for everything
-else); the finite-difference mode is the oracle for the exact gradients.
-Runs are deterministic for a fixed (config, seed, dataset) triple:
-reductions happen in fixed order.
+the adapter's one evaluation entry, for the kind's one ``loss`` (losses,
+clamp count and slopes).  Each of the circuit and embedding vectors takes
+its gradient by one rule, read off the config once: the forward's backward
+pass (the default: parameter-shift mode, analytic route, no shots), the
+shift rule on measured outputs (qsa's angles under shots or the circuit
+route), central differences (the embedding there, and everything in the
+finite-difference mode, the exact gradients' oracle), or frozen.  Runs are
+deterministic for a fixed (config, seed, dataset) triple: reductions
+happen in fixed order.
 
 What differs between the three kinds lives in one table, ``MODELS``, keyed
 by kind; training, evaluation, prediction and the checkpoint codec
@@ -264,10 +265,9 @@ class _Model:
     - ``kernel(params, inputs, tokens, targets, token_norms, target_norms)``:
       the outputs the losses depend on, and a backward pass from their
       gradient to (g_tokens, g_targets or None, *gradients of ``arrays``);
-    - ``losses(outputs, num_steps)``: per-sequence offset losses and the count
-      of floored probabilities;
-    - ``loss_slopes(outputs, num_steps)``: d losses / d outputs, zero where
-      a floor clamps the probability;
+    - ``loss(outputs, num_steps)``: per-sequence offset losses, the count of
+      floored probabilities and d losses / d outputs, all from one floor
+      mask: a floored probability is counted and passes no slope back;
     - ``scores(params, inputs)``: (S, T, D) next-word scores, for
       ``predict_topk``; no loss or gradient reads them.
 
@@ -343,12 +343,10 @@ class _Qsa(_Model):
             "r_params": PhaseLayerParams.random(lay.t, seeds[2]),
         }
 
-    def losses(self, exps, num_steps):
-        clamped = int(np.sum(exps < PROBABILITY_FLOOR))
-        return -np.log(np.maximum(exps, PROBABILITY_FLOOR)), clamped
-
-    def loss_slopes(self, exps, num_steps):
-        return np.where(exps >= PROBABILITY_FLOOR, -1.0 / np.maximum(exps, PROBABILITY_FLOOR), 0.0)
+    def loss(self, exps, num_steps):
+        floored = exps < PROBABILITY_FLOOR
+        kept = np.maximum(exps, PROBABILITY_FLOOR)
+        return -np.log(kept), int(np.sum(floored)), np.where(floored, 0.0, -1.0 / kept)
 
     def _prepared(self, params, tokens, targets, token_norms, target_norms):
         """What kernel, circuit_outputs and scores start from: `qsa_arrays`
@@ -393,18 +391,14 @@ class _Baseline(_Model):
             raise ConfigurationError(f"{self.fields[0]} arrays act on {part.embed_dim}-dimensional tokens, "
                                      f"the embedding on {params.embedding.embed_dim}")
 
-    def losses(self, ratios, num_steps):
-        clamped = int(np.sum(ratios < PROBABILITY_FLOOR))
-        ratios = np.clip(ratios, PROBABILITY_FLOOR, 1.0)
+    def loss(self, ratios, num_steps):
+        floored = ratios < PROBABILITY_FLOOR
+        roots = np.sqrt(np.clip(ratios, PROBABILITY_FLOOR, 1.0))
+        sums = np.sum(roots, axis=-1, keepdims=True)
         # Divergence-formula loss at alpha = 1/2, without the log T constant
         # the circuit would add.
-        losses = -2.0 * np.log(np.sum(np.sqrt(ratios), axis=-1)) + 2.0 * np.log(num_steps)
-        return losses, clamped
-
-    def loss_slopes(self, ratios, num_steps):
-        roots = np.sqrt(np.clip(ratios, PROBABILITY_FLOOR, 1.0))
-        kept = (ratios >= PROBABILITY_FLOOR) & (ratios <= 1.0)
-        return np.where(kept, -1.0 / (np.sum(roots, axis=-1, keepdims=True) * roots), 0.0)
+        losses = -2.0 * np.log(sums[..., 0]) + 2.0 * np.log(num_steps)
+        return losses, int(np.sum(floored)), np.where(floored | (ratios > 1.0), 0.0, -1.0 / (sums * roots))
 
 
 class _Scsa(_Baseline):
@@ -515,6 +509,15 @@ class _Adapter:
         self.template = params
         self._circuit_templates = [arr for _, arr in self.model.arrays(params)]
         self._embed_templates = [params.embedding.matrix]
+        # each vector's gradient rule, (circuit, embedding), read off the config once;
+        # unbound, so that the adapter is not a reference cycle that outlives train
+        if config.gradient_mode == "finite-difference":
+            circuit = embed = _Adapter._difference
+        elif config.shots is not None or config.expectation_route == "circuit":  # measured outputs
+            circuit, embed = _Adapter._shift, _Adapter._difference
+        else:
+            circuit = embed = _Adapter._backward
+        self.rules = (circuit, embed if config.embedding_trainable else _Adapter._frozen)
 
     # parameter vector plumbing -------------------------------------------------
 
@@ -535,20 +538,18 @@ class _Adapter:
 
     def _evaluate(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """(params, outputs, backward) at (circuit_vec, embed_vec): the kind's
-        forward on the analytic route, the dense simulation on the circuit
-        route, then shot samples of either.  ``backward`` is the forward's
-        backward pass, or None where the outputs are simulated or sampled."""
+        forward and its backward pass on the analytic route, the dense
+        simulation and no backward on the circuit route, then shot samples of
+        either.  Only the backward rule reads ``backward``, and the adapter
+        picks that rule only where the outputs are the forward's own."""
         params = self.rebuild(circuit_vec, embed_vec)
         if self.config.expectation_route == "circuit":
             outputs, backward = self.model.circuit_outputs(params, self.inputs), None
         else:
             outputs, backward = self.model.forward(params, self.inputs)
         if self.config.shots:
-            outputs, backward = self._sample(outputs, circuit_vec, embed_vec), None
+            outputs = self._sample(outputs, circuit_vec, embed_vec)
         return params, outputs, backward
-
-    def _outputs(self, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
-        return self._evaluate(circuit_vec, embed_vec)[1]
 
     def _sample(self, exps: np.ndarray, circuit_vec: np.ndarray, embed_vec: np.ndarray) -> np.ndarray:
         if np.isnan(exps).any():  # nothing to sample; the loss reads as non-finite
@@ -559,71 +560,65 @@ class _Adapter:
         clipped = np.clip(exps, 0.0, 1.0)
         return rng.binomial(self.config.shots, clipped) / self.config.shots
 
-    def _mean_loss(self, outputs: np.ndarray):
-        losses, clamped = self.model.losses(outputs, self.num_steps)
-        return float(np.mean(losses)), clamped
-
     def mean_loss(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """Mean offset loss over the sequences and the count of floored probabilities."""
-        return self._mean_loss(self._outputs(circuit_vec, embed_vec))
+        return self.step(circuit_vec, embed_vec)[1:3]
 
     # gradients -----------------------------------------------------------------
 
     def step(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """One training row from one evaluation: (params, mean loss, clamp
         count, gradients), where ``gradients()`` returns the circuit and
-        embedding gradient vectors, by the forward's backward pass in
-        parameter-shift mode where there is one, by perturbation otherwise."""
-        params, outputs, backward = self._evaluate(circuit_vec, embed_vec)
-        if backward is not None and self.config.gradient_mode == "parameter-shift":
-            gradients = lambda: self._exact_gradients(outputs, backward)
-        else:
-            gradients = lambda: self._perturbation_gradients(circuit_vec, embed_vec, outputs)
-        return (params, *self._mean_loss(outputs), gradients)
+        embedding gradient vectors, each by its vector's rule."""
+        vecs = (circuit_vec, embed_vec)
+        params, outputs, backward = self._evaluate(*vecs)
+        losses, clamped, slopes = self.model.loss(outputs, self.num_steps)
+        exact = functools.cache(lambda: backward(slopes / outputs.shape[0]))  # one pass serves both vectors
+        return (params, float(np.mean(losses)), clamped,
+                lambda: tuple(rule(self, vecs, side, slopes, exact) for side, rule in enumerate(self.rules)))
 
     def gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray):
         """Circuit and embedding gradient vectors at (circuit_vec, embed_vec)."""
         return self.step(circuit_vec, embed_vec)[-1]()
 
-    def _exact_gradients(self, outputs: np.ndarray, backward):
-        """Gradient of the mean offset loss from the forward's backward pass."""
-        grads = backward(self.model.loss_slopes(outputs, self.num_steps) / outputs.shape[0])
-        templates = self._circuit_templates + self._embed_templates
-        grads = [g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)]
-        grad_embed = _to_real_vector(grads[-1:])
-        if not self.config.embedding_trainable:
-            grad_embed = np.zeros(grad_embed.size)
-        return _to_real_vector(grads[:-1]), grad_embed
+    # Gradient rules: rule(self, vecs, side, slopes, exact) is the gradient of
+    # the row's mean loss by vecs[side], from the row's loss slopes or from
+    # its backward pass ``exact()``, which runs at most once.
 
-    def _perturbation_gradients(self, circuit_vec: np.ndarray, embed_vec: np.ndarray, base: np.ndarray):
-        """Shift rule for measured circuit angles, central differences
-        otherwise; ``base`` holds the outputs at (circuit_vec, embed_vec)."""
-        grad_circuit = np.zeros(circuit_vec.size)
-        # TrainConfig lets only circuit kinds here in parameter-shift mode
-        if self.config.gradient_mode == "parameter-shift":
-            slopes = self.model.loss_slopes(base, self.num_steps)
-            for i in range(circuit_vec.size):
-                shift = parameter_shift_gradient(lambda vec: self._outputs(vec, embed_vec), circuit_vec, i)
-                grad_circuit[i] = float(np.mean(slopes * shift))
-        else:
-            for i in range(circuit_vec.size):
-                grad_circuit[i] = self._central_difference(circuit_vec, embed_vec, 0, i)
-        grad_embed = np.zeros(embed_vec.size)
-        if self.config.embedding_trainable:
-            for i in range(embed_vec.size):
-                grad_embed[i] = self._central_difference(circuit_vec, embed_vec, 1, i)
-        return grad_circuit, grad_embed
+    def _backward(self, vecs, side, slopes, exact):
+        grads = (exact()[:-1], exact()[-1:])[side]
+        templates = (self._circuit_templates, self._embed_templates)[side]
+        return _to_real_vector([g if np.iscomplexobj(t) else g.real for g, t in zip(grads, templates)])
 
-    def _central_difference(self, circuit_vec, embed_vec, side: int, index: int) -> float:
-        """d mean_loss / d vecs[side][index], vecs = (circuit_vec, embed_vec)."""
+    def _frozen(self, vecs, side, slopes, exact):
+        return np.zeros(vecs[side].size)
+
+    def _shift(self, vecs, side, slopes, exact):
+        """The shift rule on the measured outputs, through the row's slopes."""
+
+        def derivative(at, i):
+            shifted = parameter_shift_gradient(lambda vec: self._evaluate(*at(vec))[1], vecs[side], i)
+            return np.mean(slopes * shifted)
+
+        return self._perturbed(vecs, side, derivative)
+
+    def _difference(self, vecs, side, slopes, exact):
+        """Central differences of the mean loss, at step ``fd_step``."""
         h = self.config.fd_step
-        losses = []
-        for step in (h, -h):
-            vecs = [circuit_vec, embed_vec]
-            vecs[side] = vecs[side].copy()
-            vecs[side][index] += step
-            losses.append(self.mean_loss(*vecs)[0])
-        return (losses[0] - losses[1]) / (2.0 * h)
+
+        def derivative(at, i):
+            plus, minus = vecs[side].copy(), vecs[side].copy()
+            plus[i] += h
+            minus[i] -= h
+            return (self.mean_loss(*at(plus))[0] - self.mean_loss(*at(minus))[0]) / (2.0 * h)
+
+        return self._perturbed(vecs, side, derivative)
+
+    def _perturbed(self, vecs, side, derivative):
+        """The one perturbation loop: ``derivative(at, i)`` for each entry i of
+        vecs[side], where ``at(vec)`` is ``vecs`` with ``vec`` as vecs[side]."""
+        at = lambda vec: vecs[:side] + (vec,) + vecs[side + 1:]
+        return np.array([derivative(at, i) for i in range(vecs[side].size)])
 
 
 def _diagnostic_norm(vec: np.ndarray):
@@ -704,7 +699,7 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     per_set = []
     for ds in datasets:
         model = _fitted_model(params, ds)
-        losses, clamped = model.losses(model.forward(params, ds.input_rows())[0], ds.num_steps)
+        losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0], ds.num_steps)
         loss = float(np.mean(losses))
         per_set.append(
             {
@@ -739,6 +734,8 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
     the lowest word index.  A forward that overflows, so that any score is
     not finite, raises NumericFailureError.
     """
+    if not _typed(k, int):
+        raise ConfigurationError(f"k must be of type int, got {k!r}")
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
     if len(dataset) == 0:

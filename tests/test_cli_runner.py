@@ -87,6 +87,22 @@ def test_timed_train_records_epoch_seconds(tmp_path, paths):
     assert json.loads((out / "manifest.json").read_text())["config"]["record_timing"] is True
 
 
+@pytest.mark.parametrize("value, code", [(True, 2), (False, 0)])
+def test_config_file_record_timing_defers_to_the_timing_flag(tmp_path, paths, capsys, value, code):
+    # a config file cannot switch the clock on behind a manifest that records no
+    # wall time; a false value, as in a manifest's config block, still loads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "record_timing": value}))
+    out = tmp_path / "run"
+    assert main(["train", "--model", "qsa", "--data", str(paths["classical"]), "--epochs", "1",
+                 "--config", str(config), "--out", str(out)]) == code
+    if code:
+        assert "--timing" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert all(float(row.split(",")[-1]) == 0.0 for row in (out / "loss.csv").read_text().splitlines()[1:])
+
+
 def test_predict_on_the_other_data_kind_exits_4(tmp_path, paths, capsys):
     out = tmp_path / "pred.json"
     code = main(["predict", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["quantum"]),

@@ -45,10 +45,11 @@ def test_circuit_angles_match_shift_rule(data_kind, seed):
     data = dataset(data_kind, seed)
     adapter, cvec, evec = adapter_for("qsa", data, seed)
     exact, _ = adapter.gradients(cvec, evec)
-    base = adapter._outputs(cvec, evec)
+    outputs = lambda v: adapter._evaluate(v, evec)[1]
+    base = outputs(cvec)
     slopes = np.where(base > PROBABILITY_FLOOR, -1.0 / base, 0.0)
     shift = np.array([
-        np.mean(slopes * parameter_shift_gradient(lambda v: adapter._outputs(v, evec), cvec, i))
+        np.mean(slopes * parameter_shift_gradient(outputs, cvec, i))
         for i in range(cvec.size)
     ])
     assert max_relative(exact, shift) <= 1e-10
@@ -140,8 +141,8 @@ def test_shots_and_circuit_route_take_the_perturbation_path(monkeypatch, overrid
 
 def test_clamped_probabilities_have_zero_slope():
     exps = np.array([PROBABILITY_FLOOR / 2, 0.25])
-    assert list(MODELS["qsa"].loss_slopes(exps, 4)) == [0.0, -4.0]
+    assert list(MODELS["qsa"].loss(exps, 4)[2]) == [0.0, -4.0]
     ratios = np.array([[PROBABILITY_FLOOR / 2, 0.25, 1.0 + 1e-9, 0.25]])
-    slopes = MODELS["lcsa"].loss_slopes(ratios, 4)
+    slopes = MODELS["lcsa"].loss(ratios, 4)[2]
     assert slopes[0, 0] == 0.0 and slopes[0, 2] == 0.0
     assert np.all(slopes[0, [1, 3]] < 0.0)

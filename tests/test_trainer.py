@@ -281,6 +281,10 @@ class TestPredictTopK:
         for k in (0, 9):
             with pytest.raises(ConfigurationError, match=r"k must lie in 1\.\.8"):
                 predict_topk(params, dataset, k=k)
+        for k in (2.0, True, "2"):
+            with pytest.raises(ConfigurationError, match="k must be of type int"):
+                predict_topk(params, dataset, k=k)
+        assert predict_topk(params, dataset, k=np.int64(2)).words.shape[-1] == 2
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("data", [tiny_classical, tiny_quantum], ids=["classical", "quantum"])
@@ -304,11 +308,10 @@ def test_losses_clamp_at_the_probability_floor(kind):
     model = MODELS[kind]
     probs = np.array([0.0, PROBABILITY_FLOOR / 2, PROBABILITY_FLOOR, 0.5])
     outputs = probs if model.circuit else np.stack([probs, np.full(4, 0.5)], axis=-1)
-    losses, clamped = model.losses(outputs, 4)
+    losses, clamped, slopes = model.loss(outputs, 4)
     assert clamped == 2
     assert np.isfinite(losses).all()
     assert losses[0] == losses[1] == losses[2] > losses[3]
-    slopes = model.loss_slopes(outputs, 4)
     assert np.all(slopes[outputs < PROBABILITY_FLOOR] == 0.0)
     assert np.all(slopes[outputs == PROBABILITY_FLOOR] != 0.0)
     assert np.all(slopes[outputs == 0.5] != 0.0)

@@ -1,8 +1,10 @@
 """Training rows: one model forward per row, loss.csv bytes unchanged from an
 earlier build, and settings that only a circuit kind can honour."""
 
+import gc
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -179,31 +181,76 @@ def test_each_qsa_entry_point_prepares_once(monkeypatch, entry):
     assert counter.calls["build_ansatz_unitary"] == 0
 
 
+# (setting, embedding trainable, model evaluations per training row), with P
+# circuit angles and E real embedding entries: the row's own forward, then two
+# perturbed forwards per entry of each vector whose rule perturbs it
+ROW_EVALUATIONS = [
+    ({}, True, "1"),
+    ({}, False, "1"),
+    ({"shots": 64}, False, "1 + 2P"),
+    ({"shots": 64}, True, "1 + 2P + 2E"),
+    ({"expectation_route": "circuit"}, False, "1 + 2P"),
+    ({"expectation_route": "circuit"}, True, "1 + 2P + 2E"),
+    ({"expectation_route": "circuit", "shots": 64}, True, "1 + 2P + 2E"),
+    ({"gradient_mode": "finite-difference"}, False, "1 + 2P"),
+    ({"gradient_mode": "finite-difference"}, True, "1 + 2P + 2E"),
+    ({"gradient_mode": "finite-difference", "expectation_route": "circuit"}, False, "1 + 2P"),
+    ({"gradient_mode": "finite-difference", "expectation_route": "circuit"}, True, "1 + 2P + 2E"),
+    ({"gradient_mode": "finite-difference", "shots": 64}, True, "1 + 2P + 2E"),
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [{"shots": 64}, {"expectation_route": "circuit"}, {"gradient_mode": "finite-difference"}],
+    "overrides, trainable, evaluations",
+    [pytest.param(*row, id=f"{'-'.join(f'{k}={v}' for k, v in row[0].items()) or 'exact'}-"
+                           f"{'trained' if row[1] else 'frozen'}") for row in ROW_EVALUATIONS],
 )
-def test_perturbation_paths_reuse_the_row_forward(monkeypatch, overrides):
+def test_perturbation_paths_reuse_the_row_forward(monkeypatch, overrides, trainable, evaluations):
     dataset = generate_classical_dataset(8, 4, 2, seed=5, order=2)
-    config = TrainConfig(model_kind="qsa", epochs=1, seed=5, num_layers=1, embedding_trainable=False, **overrides)
+    config = TrainConfig(model_kind="qsa", epochs=1, seed=5, num_layers=1, embedding_trainable=trainable,
+                         **overrides)
     calls = []
     original = _Adapter._evaluate
     monkeypatch.setattr(_Adapter, "_evaluate", lambda adapter, c, e: calls.append(1) or original(adapter, c, e))
     trained, report = train(config, dataset)
     angles = sum(arr.size for _, arr in MODELS["qsa"].arrays(trained))
-    # per row: the row's own forward, then two perturbed forwards per angle
-    assert len(calls) == len(report.rows) * (1 + 2 * angles)
+    entries = trained.embedding.matrix.size
+    per_row = {"1": 1, "1 + 2P": 1 + 2 * angles, "1 + 2P + 2E": 1 + 2 * angles + 2 * entries}[evaluations]
+    assert len(calls) == len(report.rows) * per_row
 
 
-def test_non_finite_loss_stops_before_gradient_work(monkeypatch):
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [("lcsa", {}), ("qsa", {"shots": 64}), ("qsa", {"gradient_mode": "finite-difference"})],
+    ids=["lcsa-backward", "qsa-shots", "qsa-finite-difference"],
+)
+def test_non_finite_loss_stops_before_gradient_work(monkeypatch, kind, overrides):
     def no_gradients(*args, **kwargs):
         raise AssertionError("gradient work ran for a non-finite loss")
 
-    monkeypatch.setattr(_Adapter, "_exact_gradients", no_gradients)
-    monkeypatch.setattr(MODELS["lcsa"], "losses", lambda outputs, num_steps: (np.full(len(outputs), np.nan), 0))
+    monkeypatch.setattr(_Adapter, "_backward", no_gradients)
+    monkeypatch.setattr(_Adapter, "_perturbed", no_gradients)
+    monkeypatch.setattr(MODELS[kind], "loss",
+                        lambda outputs, num_steps: (np.full(len(outputs), np.nan), 0, np.zeros_like(outputs)))
     with pytest.raises(NumericFailureError) as excinfo:
-        train(TrainConfig(model_kind="lcsa", epochs=2, seed=7), classical_set())
+        train(TrainConfig(model_kind=kind, epochs=2, seed=7, **overrides), classical_set())
     assert excinfo.value.diagnostic["epoch"] == 0
+
+
+def test_adapter_is_freed_without_the_cycle_collector():
+    # an adapter that referred to itself (say, through rules bound to it) would
+    # keep every train call's input rows alive until the cycle collector ran
+    dataset = classical_set()
+    config = TrainConfig(model_kind="lcsa", seed=7)
+    adapter = _Adapter(initialize_params(config, dataset), dataset, config)
+    adapter.gradients(adapter.circuit_vector(adapter.template), adapter.embed_vector(adapter.template))
+    ref = weakref.ref(adapter)
+    gc.disable()
+    try:
+        del adapter
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", ["scsa", "lcsa"])
