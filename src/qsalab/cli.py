@@ -86,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", parents=[timing], help="generate a sequence dataset")
     gen.add_argument("--kind", choices=("classical", "quantum"), required=True)
-    gen.add_argument("--vocab", type=int, help="vocabulary size D")
+    gen.add_argument("--vocab", type=int, help="vocabulary size D (classical data)")
     gen.add_argument("--qubits", type=int, help="qubit count for quantum data (D = 2**q)")
     gen.add_argument("--len", type=int, required=True, dest="length", help="sequence length T+1")
     gen.add_argument("--count", type=int, required=True, help="number of records")
@@ -141,16 +141,11 @@ def cmd_generate(args, parser) -> Run:
     else:
         if order is not None:
             parser.error("--order applies only to classical data")
-        if args.qubits is None and args.vocab is None:
-            parser.error("quantum data needs --qubits (or --vocab equal to a power of two)")
-        qubits = args.qubits
-        if qubits is None:
-            qubits = int(args.vocab).bit_length() - 1
-            if 2 ** qubits != args.vocab:
-                parser.error("--vocab must be a power of two for quantum data")
-        elif args.vocab is not None and args.vocab != 2 ** qubits:
-            parser.error(f"--vocab {args.vocab} conflicts with --qubits {qubits} (needs {2 ** qubits})")
-        model = data.build_ising(qubits, args.seed)
+        if args.vocab is not None:
+            parser.error("--vocab applies only to classical data")
+        if args.qubits is None:
+            parser.error("quantum data needs --qubits")
+        model = data.build_ising(args.qubits, args.seed)
         dataset = data.generate_quantum_dataset(model, num_steps, args.count, args.seed)
     data.save_dataset(dataset, args.out)
     config = {

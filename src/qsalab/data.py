@@ -120,20 +120,19 @@ def make_embedding(
     return EmbeddingMap(mat, sinusoidal_shifts(num_positions, embed_dim), gamma)
 
 
-def _word_records(records, vocab_dim: int, length: int) -> list:
-    """``records`` as lists of int word indices, after a classical record's three checks in their order."""
+def _word_records(records, vocab_dim: int, length: int) -> np.ndarray:
+    """``records`` as an (S, T+1) int64 array of word indices, after a classical record's three checks in order."""
     # int(w) would pass 1.5, True and "3" as 1, 1 and 3
     bad = {kind.__name__ for kind in set(map(type, chain.from_iterable(records)))
            if kind is not int and not issubclass(kind, np.integer)}
     if bad:
         raise ConfigurationError(f"classical words must be integer indices, got {', '.join(sorted(bad))}")
-    records = [list(map(int, rec)) for rec in records]
     if set(map(len, records)) - {length}:
         raise ConfigurationError("all records must have length T+1")
-    words = list(chain.from_iterable(records))
+    words = list(chain.from_iterable(records))  # checked as given, so an index beyond int64 cannot wrap
     if words and (min(words) < 0 or max(words) >= vocab_dim):
         raise ConfigurationError("word index outside the vocabulary")
-    return records
+    return np.array(records, dtype=np.int64).reshape(len(records), length)
 
 
 def _one_hot(words, vocab_dim: int) -> np.ndarray:
@@ -257,15 +256,17 @@ def build_ising(num_qubits: int, seed) -> IsingModel:
     return IsingModel(num_qubits, couplings, ham)
 
 
-@dataclass
+@dataclass(eq=False)
 class SequenceDataset:
-    """Uniform-length records: word-index lists or per-step amplitude rows."""
+    """Uniform-length records as one read-only array, stacked once: (S, T+1)
+    int64 word indices or (S, T+1, D) complex128 amplitude rows.  Datasets
+    compare by identity; compare ``records`` with ``np.array_equal``."""
 
     kind: str
     vocab_dim: int
     num_steps: int
     seed: int
-    records: list
+    records: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -280,32 +281,29 @@ class SequenceDataset:
         if self.kind == "classical":
             records = _word_records(self.records, self.vocab_dim, length)
         else:
+            # each record's own dtype: stacked first, a bool record would pass as floats
             arrays = [np.asarray(rec) for rec in self.records]
             bad = {a.dtype.name for a in arrays if a.dtype.kind not in "iufc"}
             if bad:
                 raise ConfigurationError(f"quantum amplitudes must be numbers, got {', '.join(sorted(bad))}")
             if any(a.shape != (length, self.vocab_dim) for a in arrays):
                 raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
-            records = []
-            if arrays:
-                # one vectorized check over all records
-                stacked = np.array(arrays, dtype=complex)
-                if not np.all(np.isfinite(stacked)):
-                    raise ConfigurationError("quantum amplitudes must be finite numbers")
-                if not np.all(np.abs(np.linalg.norm(stacked, axis=-1) - 1.0) <= 1e-10):
-                    raise ConfigurationError("quantum record steps must have unit norm")
-                stacked.setflags(write=False)
-                records = list(stacked)
+            records = np.array(arrays, dtype=complex).reshape(len(arrays), length, self.vocab_dim)
+            if not np.all(np.isfinite(records)):
+                raise ConfigurationError("quantum amplitudes must be finite numbers")
+            if not np.all(np.abs(np.linalg.norm(records, axis=-1) - 1.0) <= 1e-10):
+                raise ConfigurationError("quantum record steps must have unit norm")
+        records.setflags(write=False)
         self.records = records
 
     def __len__(self) -> int:
         return len(self.records)
 
     def input_rows(self) -> np.ndarray:
-        """(S, T+1, D) stacked one-hot rows or amplitude rows."""
+        """(S, T+1, D) input rows: the words one-hot, or the amplitude array itself."""
         if self.kind == "classical":
             return _one_hot(self.records, self.vocab_dim)
-        return np.stack(self.records)
+        return self.records
 
 
 def generate_classical_dataset(
@@ -371,13 +369,16 @@ def generate_quantum_dataset(
     check_seed(seed)
     rng = np.random.default_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)
-    records = []
-    for _ in range(count):
+    shape = (count, num_steps + 1, model.dim)
+    try:
+        records = np.empty(shape, dtype=complex)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"a {shape} amplitude array is too large to allocate") from None
+    for record in records:
         psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
         psi = psi / np.linalg.norm(psi)
         coords = evecs.conj().T @ psi
-        steps = [evecs @ (np.exp(-1j * evals * time) * coords) for time in range(num_steps + 1)]
-        records.append(np.stack(steps))
+        record[:] = [evecs @ (np.exp(-1j * evals * time) * coords) for time in range(num_steps + 1)]
     metadata = {
         "generator": {
             "type": "ising",
@@ -397,13 +398,10 @@ def dumps_dataset(dataset: SequenceDataset) -> str:
         "seed": dataset.seed,
         "generator": dataset.metadata.get("generator", {}),
     }
-    lines = [json.dumps(header)]
-    for i, rec in enumerate(dataset.records):
-        if dataset.kind == "classical":
-            lines.append(json.dumps({"id": i, "words": rec}))
-        else:
-            steps = np.ascontiguousarray(rec).view(float).reshape(rec.shape + (2,)).tolist()
-            lines.append(json.dumps({"id": i, "steps": steps}))
+    key, records = "words", dataset.records
+    if dataset.kind == "quantum":
+        key, records = "steps", records.view(float).reshape(records.shape + (2,))  # [re, im] pairs
+    lines = [json.dumps(header)] + [json.dumps({"id": i, key: rec}) for i, rec in enumerate(records.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -428,13 +426,8 @@ def loads_dataset(text: str) -> SequenceDataset:
     try:
         header = json.loads(lines[0])
         kind = header["kind"]
-        records = []
-        for line in lines[1:]:
-            obj = json.loads(line)
-            if kind == "classical":
-                records.append(obj["words"])
-            else:
-                records.append(_amplitude_rows(obj["steps"]))
+        records = [obj["words"] if kind == "classical" else _amplitude_rows(obj["steps"])
+                   for obj in map(json.loads, lines[1:])]
         metadata = {"generator": header.get("generator", {})}
         return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
     except ConfigurationError:
@@ -444,12 +437,14 @@ def loads_dataset(text: str) -> SequenceDataset:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a temp file beside ``path``, then rename it over ``path``; a failure removes the temp file."""
+    """Write ``path.tmp``, then rename it over ``path``; a failure removes the temp file and names ``path``."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.isfile(tmp):
             os.remove(tmp)

@@ -3,7 +3,9 @@ exit code with one ``error:`` line on stderr, never a traceback: 2 for a
 usage error or a path that cannot be read or written, 4 for a compatibility
 error."""
 
+import errno
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -48,9 +50,9 @@ def one_error_line(err: str) -> str:
     (["--kind", "classical", "--vocab", "8", "--len", "1"], "--len must be at least 2"),
     (["--kind", "classical", "--vocab", "8", "--qubits", "3", "--len", "5"], "--qubits applies only to quantum"),
     (["--kind", "quantum", "--len", "5"], "quantum data needs --qubits"),
-    (["--kind", "quantum", "--vocab", "6", "--len", "5"], "--vocab must be a power of two"),
+    (["--kind", "quantum", "--vocab", "16", "--len", "5"], "--vocab applies only to classical"),
     (["--kind", "quantum", "--qubits", "2", "--len", "3", "--order", "5"], "--order applies only to classical"),
-], ids=["len-1", "classical-qubits", "quantum-no-size", "quantum-vocab-6", "quantum-order"])
+], ids=["len-1", "classical-qubits", "quantum-no-size", "quantum-vocab-16", "quantum-order"])
 def test_generate_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "d.jsonl"
     with pytest.raises(SystemExit) as excinfo:
@@ -60,24 +62,29 @@ def test_generate_usage_error(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
-def test_generate_oversized_vocabulary_exits_2(tmp_path, capsys):
-    """A 10^11-word chain's 10^22-entry transition matrix: numpy refuses the
-    shape before it allocates anything."""
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "classical", "--vocab", "8", "--len", "5", "--count", "0"], "count must be at least 1"),
+    (["--kind", "quantum", "--qubits", "2", "--len", "5", "--count", "0"], "count must be at least 1"),
+    (["--kind", "classical", "--vocab", "1", "--len", "5", "--count", "4"], "vocabulary needs at least two words"),
+    (["--kind", "classical", "--vocab", "8", "--order", "0", "--len", "5", "--count", "4"],
+     "order must lie in 1..vocab_dim"),
+    (["--kind", "quantum", "--qubits", "2", "--len", "5", "--count", "100000000000000000000"],
+     "a (100000000000000000000, 5, 4) amplitude array is too large to allocate"),
+    (["--kind", "quantum", "--qubits", "2", "--len", "100000000000000000000", "--count", "1"],
+     "a (1, 100000000000000000000, 4) amplitude array is too large to allocate"),
+    (["--kind", "classical", "--vocab", "100000000000", "--len", "3", "--count", "1"],
+     "a 100000000000-word transition matrix is too large to allocate"),
+    (["--kind", "classical", "--vocab", "10", "--len", "100000000000000000000", "--count", "1"],
+     "a 99999999999999999999-step walk is too long to allocate"),
+], ids=["classical-count-0", "quantum-count-0", "vocab-1", "order-0", "quantum-count-huge", "quantum-len-huge",
+        "oversized-vocabulary", "overlong-walk"])
+def test_generate_size_out_of_range_exits_2(tmp_path, capsys, flags, message):
+    """Sizes argparse accepts but the generators refuse.  The oversized ones
+    (a 10^22-entry transition matrix, a 10^20-step walk, 10^20 quantum
+    records or steps): numpy refuses the shape before it allocates anything."""
     out = tmp_path / "d.jsonl"
-    code = main(["generate", "--kind", "classical", "--vocab", "100000000000", "--len", "3",
-                 "--count", "1", "--out", str(out)])
-    assert code == 2
-    assert "transition matrix is too large" in one_error_line(capsys.readouterr().err)
-    assert not out.exists()
-
-
-def test_generate_overlong_walk_exits_2(tmp_path, capsys):
-    """A 10^20-step walk: numpy refuses the draw's shape before it allocates anything."""
-    out = tmp_path / "d.jsonl"
-    code = main(["generate", "--kind", "classical", "--vocab", "10", "--len", "100000000000000000000",
-                 "--count", "1", "--out", str(out)])
-    assert code == 2
-    assert "walk is too long" in one_error_line(capsys.readouterr().err)
+    assert main(["generate", *flags, "--out", str(out)]) == 2
+    assert one_error_line(capsys.readouterr().err) == f"error: {message}"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -237,6 +244,38 @@ def record_too_short(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
+def quantum(corrupt):
+    """Mark ``corrupt`` as a corruption of the quantum dataset (D=8, T=4)."""
+    corrupt.data_name = "quantum"
+    return corrupt
+
+
+def steps_changed(change):
+    """A corruption of the quantum dataset that edits its first record's [re, im] rows in place."""
+    def corrupt(lines):
+        record = json.loads(lines[1])
+        change(record["steps"])
+        return [lines[0], json.dumps(record), *lines[2:]]
+    corrupt.__name__ = change.__name__
+    return quantum(corrupt)
+
+
+@steps_changed
+def rows_too_narrow(steps):
+    for row in steps:
+        row.pop()
+
+
+@steps_changed
+def ragged_rows(steps):
+    steps[0].pop()
+
+
+@steps_changed
+def three_number_entry(steps):
+    steps[0][0].append(0.0)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (empty, "dataset file is empty"),
     (header_only, "dataset holds no records"),
@@ -245,10 +284,15 @@ def record_too_short(lines):
     (record_too_short, "length T+1"),
     (header_with(D=8.0), "dataset vocab_dim must be an integer"),
     (header_with(seed="x"), "dataset seed must be an integer"),
+    (quantum(header_with(kind="other")), "unknown dataset kind 'other'"),
+    (rows_too_narrow, "quantum records must be (T+1, D) amplitude rows"),
+    (ragged_rows, "quantum records must be (T+1, D) amplitude rows"),
+    (three_number_entry, "quantum records must be (T+1, D) amplitude rows"),
 ], ids=lambda case: getattr(case, "__name__", None))
 def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, message):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(line + "\n" for line in corrupt(files["classical"].read_text().splitlines())))
+    source = files[getattr(corrupt, "data_name", "classical")]
+    bad.write_text("".join(line + "\n" for line in corrupt(source.read_text().splitlines())))
     code, line = train_exit(tmp_path, capsys, bad, model="lcsa")
     assert code == 2
     assert message in line
@@ -315,5 +359,21 @@ def test_unusable_path_exits_with_its_code(tmp_path, files, capsys, command, cod
     paths["latin1"].write_bytes('{"schema_version": 1, "note": "caf\xe9"}\n'.encode("latin-1"))
     assert main(command.format(**paths).split()) == code
     assert message in one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*manifest.json"))
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("command, target, code", [
+    ("generate --kind classical --vocab 8 --len 5 --count 4 --out {missing}", "missing", errno.ENOENT),
+    ("eval --checkpoint {checkpoint} --data {data} --out {dir}", "dir", errno.EISDIR),
+], ids=["generate-out-in-missing-dir", "eval-out-dir"])
+def test_unwritable_out_error_names_the_given_path(tmp_path, files, capsys, command, target, code):
+    """The error names the path on the command line, not the temp file written beside it."""
+    paths = {"missing": tmp_path / "missing" / "d.jsonl", "dir": tmp_path / "taken",
+             "data": files["classical"], "checkpoint": files["checkpoint"]}
+    paths["dir"].mkdir()
+    assert main(command.format(**paths).split()) == 2
+    expected = f"error: [Errno {code}] {os.strerror(code)}: {str(paths[target])!r}"
+    assert one_error_line(capsys.readouterr().err) == expected
     assert not list(tmp_path.rglob("*manifest.json"))
     assert not list(tmp_path.rglob("*.tmp"))

@@ -104,7 +104,7 @@ class TestClassicalDataset:
     def test_same_seed_identical(self):
         a = generate_classical_dataset(10, 4, 30, seed=7)
         b = generate_classical_dataset(10, 4, 30, seed=7)
-        assert a.records == b.records
+        assert np.array_equal(a.records, b.records)
         assert dumps_dataset(a) == dumps_dataset(b)
 
     def test_bigram_statistics_match_generator(self):
@@ -134,7 +134,7 @@ class TestInputRows:
     def test_classical_rows_are_one_hot_words(self):
         dataset = generate_classical_dataset(8, 4, 5, seed=6)
         rows = dataset.input_rows()
-        words = np.array(dataset.records)
+        words = dataset.records
         assert rows.shape == (*words.shape, 8)
         assert set(np.unique(rows).tolist()) == {0.0, 1.0}
         assert np.array_equal(rows.sum(axis=-1), np.ones(words.shape))
@@ -153,7 +153,8 @@ class TestInputRows:
         ([0, 1.7, 3], "classical words must be integer indices, got float"),
         ([True, 1, 2], "classical words must be integer indices, got bool"),
         ([0, 5, 1], "word index outside the vocabulary"),
-    ], ids=["negative", "float", "bool", "index-D"])
+        ([0, 2 ** 64, 1], "word index outside the vocabulary"),
+    ], ids=["negative", "float", "bool", "index-D", "beyond-int64"])
     def test_single_sequences_get_the_dataset_verdict(self, record, message):
         with pytest.raises(ConfigurationError) as verdict:
             SequenceDataset("classical", 5, 2, 0, [[0, 1, 2], record])
@@ -263,12 +264,35 @@ class TestQuantumDataset:
                 assert np.max(np.abs(rec[j] - state)) < 1e-9
 
 
+class TestRecordsArray:
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_records_are_one_read_only_array(self, kind):
+        if kind == "classical":
+            ds, shape, dtype = generate_classical_dataset(8, 4, 5, seed=6), (5, 5), np.int64
+        else:
+            ds, shape, dtype = generate_quantum_dataset(build_ising(2, seed=1), 4, 5, seed=5), (5, 5, 4), np.complex128
+        for dataset in (ds, loads_dataset(dumps_dataset(ds))):
+            assert type(dataset.records) is np.ndarray
+            assert dataset.records.shape == shape and dataset.records.dtype == dtype
+            with pytest.raises(ValueError, match="read-only"):
+                dataset.records[0, 0] = 1
+            assert np.shares_memory(dataset.input_rows(), dataset.records) == (kind == "quantum")
+        header_only = dumps_dataset(ds).splitlines()[0]
+        assert loads_dataset(header_only).records.shape == (0, *shape[1:])
+        assert loads_dataset(header_only).records.dtype == dtype
+
+    def test_equality_is_identity(self):
+        ds = generate_classical_dataset(8, 4, 5, seed=6)
+        assert ds == ds
+        assert ds != loads_dataset(dumps_dataset(ds))
+
+
 class TestSerialization:
     def test_classical_roundtrip_bit_exact(self):
         ds = generate_classical_dataset(10, 4, 25, seed=7)
         text = dumps_dataset(ds)
         again = loads_dataset(text)
-        assert again.records == ds.records
+        assert np.array_equal(again.records, ds.records)
         assert dumps_dataset(again) == text
 
     def test_quantum_roundtrip_bit_exact(self):
@@ -293,7 +317,7 @@ class TestSerialization:
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
         again = load_dataset(path)
-        assert again.records == ds.records
+        assert np.array_equal(again.records, ds.records)
 
     def test_quantum_records_validated(self):
         with pytest.raises(ConfigurationError):

@@ -81,7 +81,7 @@ def _walks(draw):
 def test_walk_draws_the_words_of_choice(case):
     transition, records = _choice_walk(*case)
     dataset = data.generate_classical_dataset(*case)
-    assert dataset.records == records
+    assert dataset.records.tolist() == records
     assert dataset.metadata["generator"]["transition"] == transition.tolist()
 
 
@@ -112,4 +112,4 @@ def test_walk_calls_choice_only_for_the_transition_rows(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     dataset = data.generate_classical_dataset(10, 64, 8, seed=5)
     assert [rng.choice_calls for rng in made] == [10]
-    assert dataset.records == expected.records
+    assert np.array_equal(dataset.records, expected.records)
