@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="record wall times (the outputs are then not byte-reproducible)")
 
     gen = sub.add_parser("generate", parents=[timing], help="generate a sequence dataset")
-    gen.add_argument("--kind", choices=("classical", "quantum"), required=True)
+    gen.add_argument("--kind", choices=data.DATASET_KINDS, required=True)
     gen.add_argument("--vocab", type=int, help="vocabulary size D (classical data)")
     gen.add_argument("--qubits", type=int, help="qubit count for quantum data (D = 2**q)")
     gen.add_argument("--len", type=int, required=True, dest="length", help="sequence length T+1")

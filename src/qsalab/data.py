@@ -20,12 +20,18 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError
 
 ZERO_NORM_TOL = 1e-12
+DATASET_KINDS = ("classical", "quantum")
 
 
 def check_seed(seed) -> None:
     """Reject a negative integer seed, which numpy's generators refuse with a bare ValueError."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
+
+
+def check_dataset_kind(kind) -> None:
+    if kind not in DATASET_KINDS:
+        raise ConfigurationError(f"unknown dataset kind {kind!r}")
 
 
 def check_num_steps(num_steps: int) -> None:
@@ -201,34 +207,41 @@ def unit_rows_backward(unit: np.ndarray, norms: np.ndarray, g_unit: np.ndarray) 
     return (g_unit - radial[..., None] * unit) / norms[..., None]
 
 
-def _site_operator(op: np.ndarray, site: int, num_qubits: int) -> np.ndarray:
-    return np.kron(
-        np.kron(np.eye(2 ** (num_qubits - 1 - site)), op), np.eye(2 ** site)
-    )
+def _check_num_qubits(num_qubits) -> None:
+    """Reject a qubit count outside 1..10, the sizes that dense diagonalization reaches."""
+    if not _typed(num_qubits, int) or not 1 <= num_qubits <= 10:
+        raise ConfigurationError("num_qubits must lie in 1..10 for dense diagonalization")
 
 
 @dataclass(frozen=True)
 class IsingModel:
-    """Transverse-field Ising Hamiltonian: sum_i X_i + sum_{i<j} J_ij Z_i Z_j."""
+    """Transverse-field Ising model sum_i X_i + sum_{i<j} J_ij Z_i Z_j given by its couplings
+    J alone: ``hamiltonian`` is read off them, with qubit i as bit i of the basis index."""
 
     num_qubits: int
     couplings: np.ndarray
-    hamiltonian: np.ndarray
+    hamiltonian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        j = np.array(self.couplings, dtype=float)
-        h = np.array(self.hamiltonian, dtype=complex)
-        q = self.num_qubits
-        if j.shape != (q, q) or not np.allclose(j, j.T) or np.any(np.diag(j) != 0):
-            raise ConfigurationError("couplings must be symmetric with zero diagonal")
-        if np.any(j < 0) or np.any(j > 1):
+        _check_num_qubits(self.num_qubits)
+        q, couplings = int(self.num_qubits), np.array(self.couplings, dtype=float)
+        if not np.all((couplings >= 0) & (couplings <= 1)):  # NaN fails both
             raise ConfigurationError("couplings must lie in [0, 1]")
-        if h.shape != (2 ** q, 2 ** q) or np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ConfigurationError("hamiltonian must be Hermitian of dimension 2**q")
-        j.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "couplings", j)
-        object.__setattr__(self, "hamiltonian", h)
+        # exactly symmetric: only the upper triangle is read
+        if couplings.shape != (q, q) or not np.array_equal(couplings, couplings.T) or np.any(np.diag(couplings)):
+            raise ConfigurationError(f"couplings must be a symmetric ({q}, {q}) array with zero diagonal")
+        k = np.arange(2 ** q)
+        spins = 1 - 2 * ((k[:, None] >> np.arange(q)) & 1)  # s_i(k) = 1 - 2 bit_i(k)
+        diagonal = np.zeros(2 ** q)
+        for i, j in zip(*np.triu_indices(q, 1)):  # in (i, j) order: the additions of a sum of J_ij Z_i Z_j
+            diagonal += couplings[i, j] * (spins[:, i] * spins[:, j])
+        hamiltonian = np.zeros((2 ** q, 2 ** q), dtype=complex)
+        hamiltonian[k, k] = diagonal
+        hamiltonian[k[:, None], k[:, None] ^ (1 << np.arange(q))] = 1.0  # X_i flips bit i
+        object.__setattr__(self, "num_qubits", q)
+        for name, value in (("couplings", couplings), ("hamiltonian", hamiltonian)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -236,24 +249,14 @@ class IsingModel:
 
 
 def build_ising(num_qubits: int, seed) -> IsingModel:
-    """Random-coupling Ising model, densely diagonalizable at desk scale."""
-    if not 1 <= num_qubits <= 10:
-        raise ConfigurationError("num_qubits must lie in 1..10 for dense diagonalization")
+    """Ising model with each coupling J_ij, i < j, drawn uniform in [0, 1), row by row."""
+    _check_num_qubits(num_qubits)  # before a (q, q) draw is sized by it
     check_seed(seed)
     rng = np.random.default_rng(seed)
     couplings = np.zeros((num_qubits, num_qubits))
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    z = np.diag([1.0, -1.0])
-    ham = np.zeros((2 ** num_qubits, 2 ** num_qubits), dtype=complex)
-    for i in range(num_qubits):
-        ham += _site_operator(x, i, num_qubits)
-    for i in range(num_qubits):
-        for j in range(i + 1, num_qubits):
-            couplings[i, j] = couplings[j, i] = rng.uniform(0.0, 1.0)
-            ham += couplings[i, j] * (
-                _site_operator(z, i, num_qubits) @ _site_operator(z, j, num_qubits)
-            )
-    return IsingModel(num_qubits, couplings, ham)
+    for i, j in zip(*np.triu_indices(num_qubits, 1)):
+        couplings[i, j] = couplings[j, i] = rng.uniform(0.0, 1.0)
+    return IsingModel(num_qubits, couplings)
 
 
 @dataclass(eq=False)
@@ -270,8 +273,7 @@ class SequenceDataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("classical", "quantum"):
-            raise ConfigurationError(f"unknown dataset kind {self.kind!r}")
+        check_dataset_kind(self.kind)
         for name in ("vocab_dim", "num_steps", "seed"):
             if not _typed(getattr(self, name), int):
                 raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
@@ -379,13 +381,7 @@ def generate_quantum_dataset(
         psi = psi / np.linalg.norm(psi)
         coords = evecs.conj().T @ psi
         record[:] = [evecs @ (np.exp(-1j * evals * time) * coords) for time in range(num_steps + 1)]
-    metadata = {
-        "generator": {
-            "type": "ising",
-            "num_qubits": model.num_qubits,
-            "couplings": model.couplings.tolist(),
-        }
-    }
+    metadata = {"generator": {"type": "ising", "num_qubits": model.num_qubits, "couplings": model.couplings.tolist()}}
     return SequenceDataset("quantum", model.dim, num_steps, seed, records, metadata)
 
 
@@ -425,7 +421,10 @@ def loads_dataset(text: str) -> SequenceDataset:
         raise ConfigurationError("dataset file is empty")
     try:
         header = json.loads(lines[0])
+        if not isinstance(header, dict):
+            raise ConfigurationError(f"dataset header must be a JSON object, got {type(header).__name__}")
         kind = header["kind"]
+        check_dataset_kind(kind)  # before a record is parsed as that kind
         records = [obj["words"] if kind == "classical" else _amplitude_rows(obj["steps"])
                    for obj in map(json.loads, lines[1:])]
         metadata = {"generator": header.get("generator", {})}

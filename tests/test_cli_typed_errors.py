@@ -76,12 +76,15 @@ def test_generate_usage_error(tmp_path, capsys, flags, message):
      "a 100000000000-word transition matrix is too large to allocate"),
     (["--kind", "classical", "--vocab", "10", "--len", "100000000000000000000", "--count", "1"],
      "a 99999999999999999999-step walk is too long to allocate"),
+    (["--kind", "quantum", "--qubits", "100000", "--len", "5", "--count", "1"],
+     "num_qubits must lie in 1..10 for dense diagonalization"),
 ], ids=["classical-count-0", "quantum-count-0", "vocab-1", "order-0", "quantum-count-huge", "quantum-len-huge",
-        "oversized-vocabulary", "overlong-walk"])
+        "oversized-vocabulary", "overlong-walk", "quantum-qubits-huge"])
 def test_generate_size_out_of_range_exits_2(tmp_path, capsys, flags, message):
     """Sizes argparse accepts but the generators refuse.  The oversized ones
     (a 10^22-entry transition matrix, a 10^20-step walk, 10^20 quantum
-    records or steps): numpy refuses the shape before it allocates anything."""
+    records or steps): numpy refuses the shape before it allocates anything.
+    An oversized qubit count is refused before its couplings are drawn."""
     out = tmp_path / "d.jsonl"
     assert main(["generate", *flags, "--out", str(out)]) == 2
     assert one_error_line(capsys.readouterr().err) == f"error: {message}"
@@ -244,6 +247,14 @@ def record_too_short(lines):
     return [lines[0], json.dumps(record), *lines[2:]]
 
 
+def classical_kind_other(lines):
+    return header_with(kind="other")(lines)
+
+
+def header_list(lines):
+    return [json.dumps([json.loads(lines[0])["kind"]]), *lines[1:]]
+
+
 def quantum(corrupt):
     """Mark ``corrupt`` as a corruption of the quantum dataset (D=8, T=4)."""
     corrupt.data_name = "quantum"
@@ -285,6 +296,8 @@ def three_number_entry(steps):
     (header_with(D=8.0), "dataset vocab_dim must be an integer"),
     (header_with(seed="x"), "dataset seed must be an integer"),
     (quantum(header_with(kind="other")), "unknown dataset kind 'other'"),
+    (classical_kind_other, "unknown dataset kind 'other'"),
+    (header_list, "dataset header must be a JSON object, got list"),
     (rows_too_narrow, "quantum records must be (T+1, D) amplitude rows"),
     (ragged_rows, "quantum records must be (T+1, D) amplitude rows"),
     (three_number_entry, "quantum records must be (T+1, D) amplitude rows"),

@@ -203,9 +203,7 @@ class TestIsing:
         assert np.max(np.abs(model.hamiltonian - np.array([[0, 1], [1, 0]]))) < 1e-15
 
     def test_two_qubit_zero_coupling_eigenvalues(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ham = np.kron(x, np.eye(2)) + np.kron(np.eye(2), x)
-        model = IsingModel(2, np.zeros((2, 2)), ham)
+        model = IsingModel(2, np.zeros((2, 2)))
         eigs = np.sort(np.linalg.eigvalsh(model.hamiltonian))
         assert np.max(np.abs(eigs - [-2, 0, 0, 2])) < 1e-12
 
@@ -219,6 +217,46 @@ class TestIsing:
     def test_qubit_bound(self):
         with pytest.raises(ConfigurationError):
             build_ising(11, seed=0)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_hamiltonian_has_the_kronecker_sum_bits(self, num_qubits):
+        def site(op, i):  # qubit i is bit i of the basis index
+            return np.kron(np.kron(np.eye(2 ** (num_qubits - 1 - i)), op), np.eye(2 ** i))
+
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        for seed in range(4):
+            model = build_ising(num_qubits, seed)
+            oracle = np.zeros((model.dim, model.dim), dtype=complex)
+            for i in range(num_qubits):
+                oracle += site(x, i)
+            for i in range(num_qubits):
+                for j in range(i + 1, num_qubits):
+                    oracle += model.couplings[i, j] * (site(z, i) @ site(z, j))
+            assert model.hamiltonian.tobytes() == oracle.tobytes()
+            assert not model.hamiltonian.flags.writeable and not model.couplings.flags.writeable
+
+    def test_couplings_alone_define_the_model(self):
+        model = build_ising(3, seed=4)
+        again = IsingModel(3, model.couplings.tolist())
+        assert again.hamiltonian.tobytes() == model.hamiltonian.tobytes()
+        with pytest.raises(TypeError):
+            IsingModel(3, model.couplings, model.hamiltonian)
+
+    @pytest.mark.parametrize("num_qubits, couplings", [
+        (2, [[0.0, 0.5], [0.5 + 1e-12, 0.0]]),
+        (2, [[0.0, np.nan], [np.nan, 0.0]]),
+        (2, [[0.0, 1.5], [1.5, 0.0]]),
+        (2, [[0.0, -0.5], [-0.5, 0.0]]),
+        (2, [[0.5, 0.5], [0.5, 0.0]]),
+        (2, np.zeros((3, 3))),
+        (2, np.zeros(2)),
+        (0, np.zeros((0, 0))),
+        (11, np.zeros((11, 11))),
+        (True, np.zeros((1, 1))),
+    ], ids=["off-symmetric", "nan", "above-one", "negative", "diagonal", "shape", "vector", "q0", "q11", "bool"])
+    def test_malformed_models_are_rejected(self, num_qubits, couplings):
+        with pytest.raises(ConfigurationError):
+            IsingModel(num_qubits, couplings)
 
 
 class TestQuantumDataset:

@@ -14,14 +14,16 @@ from qsalab.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # fixture name: (kind, vocab or qubits, --order or None to omit it, --len,
-# --count, --seed).  `qsalab generate` wrote each file while the walk still
-# called Generator.choice per step; CI regenerates them through the installed
-# script.
+# --count, --seed).  `qsalab generate` wrote each classical file while the walk
+# still called Generator.choice per step, and each quantum file while the
+# Hamiltonian was still a sum of Kronecker products; CI regenerates them through
+# the installed script.
 GENERATED = {
     "generate_classical_v2_o1.jsonl": ("classical", 2, 1, 9, 4, 3),
     "generate_classical_v10_o2_len257.jsonl": ("classical", 10, None, 257, 3, 7),
     "generate_classical_v16_o3.jsonl": ("classical", 16, 3, 17, 6, 11),
     "generate_quantum_q3.jsonl": ("quantum", 3, None, 5, 2, 2),
+    "generate_quantum_q5.jsonl": ("quantum", 5, None, 3, 2, 6),
 }
 
 

@@ -263,6 +263,11 @@ class TestExpectations:
     def test_sampling_requires_positive_shots(self):
         with pytest.raises(ConfigurationError):
             sample_expectation(StateVector.zero(1), 0, seed=0)
+        # TrainConfig.shots' rule: an int, not a bool, in 1..2**63 - 1
+        for shots in (2.5, True, 2 ** 63):
+            with pytest.raises(ConfigurationError, match="shots must be an integer"):
+                sample_expectation(StateVector.zero(1), shots, seed=1)
+        assert sample_expectation(StateVector.zero(1), np.int64(2 ** 63 - 1), seed=1) == 1.0
 
     def test_sampling_error_scales_as_inverse_sqrt_shots(self):
         state = StateVector(2, np.full(4, 0.5))
