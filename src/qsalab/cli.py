@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 usage error or a path that cannot be read or
 written, 3 numeric failure (a non-finite loss or parameters, or a
 vanishing prediction), 4 compatibility error.  Outputs are
 byte-reproducible for a fixed seed and config; ``--timing`` records wall
-times at the cost of that reproducibility.
+times in the loss CSV and the manifest at the cost of their
+reproducibility, and leaves the checkpoint's bytes alone.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     timing = argparse.ArgumentParser(add_help=False)
     timing.add_argument("--timing", action="store_true",
-                        help="record wall times (the outputs are then not byte-reproducible)")
+                        help="record wall times in the manifest (and train's loss.csv), "
+                             "which are then not byte-reproducible")
 
     gen = sub.add_parser("generate", parents=[timing], help="generate a sequence dataset")
     gen.add_argument("--kind", choices=data.DATASET_KINDS, required=True)
@@ -164,7 +166,7 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
     if args.config:
         try:
             doc = json.loads(data.read_utf8(args.config))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")

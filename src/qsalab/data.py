@@ -128,6 +128,8 @@ def make_embedding(
 
 def _word_records(records, vocab_dim: int, length: int) -> np.ndarray:
     """``records`` as an (S, T+1) int64 array of word indices, after a classical record's three checks in order."""
+    if isinstance(records, np.ndarray):  # as Python numbers, which the checks read fastest
+        records = records.tolist()
     # int(w) would pass 1.5, True and "3" as 1, 1 and 3
     bad = {kind.__name__ for kind in set(map(type, chain.from_iterable(records)))
            if kind is not int and not issubclass(kind, np.integer)}
@@ -345,18 +347,19 @@ def generate_classical_dataset(
         cdf = np.cumsum(row[support])
         supports.append(support.tolist())
         bounds.append((cdf / cdf[-1]).tolist())
-    records = []
+    shape = (count, num_steps + 1)
+    try:
+        records = np.empty(shape, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ConfigurationError(f"a {shape} word array is too large to allocate") from None
+    words = []
     for _ in range(count):
         word = int(rng.integers(vocab_dim))
-        try:
-            uniforms = rng.random(num_steps).tolist()
-        except (ValueError, MemoryError):
-            raise ConfigurationError(f"a {num_steps}-step walk is too long to allocate") from None
-        seq = [word]
-        for u in uniforms:
+        words.append(word)
+        for u in rng.random(num_steps).tolist():
             word = supports[word][bisect_right(bounds[word], u)]
-            seq.append(word)
-        records.append(seq)
+            words.append(word)
+    records.ravel()[:] = words
     metadata = {"generator": {"type": "markov", "order": order, "transition": transition.tolist()}}
     return SequenceDataset("classical", vocab_dim, num_steps, seed, records, metadata)
 
@@ -431,7 +434,8 @@ def loads_dataset(text: str) -> SequenceDataset:
         return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
     except ConfigurationError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; json raises RecursionError on a line nested too deeply
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ConfigurationError(f"malformed dataset: {type(exc).__name__}: {exc}") from exc
 
 

@@ -17,7 +17,9 @@ What differs between the three kinds lives in one table, ``MODELS``, keyed
 by kind; training, evaluation, prediction and the checkpoint codec
 dispatch through it once instead of branching on the kind.  Each kind
 declares its params dataclasses once; the flat training vector, the
-checkpoint v1 codec and its scalar type checks walk their annotated fields.
+checkpoint v1 codec and its scalar type checks walk their annotated fields,
+and the codec walks the checkpoint's identity, ``CheckpointIdentity``, the
+same way.
 
 Reported quantities: ``train_loss_offset`` is the comparable per-epoch loss
 (the interference loss without its additive log T constant, which for the
@@ -57,6 +59,8 @@ from .data import (
     _finite_numbers,
     _typed,
     atomic_write_text,
+    check_dataset_kind,
+    check_seed,
     csv_text,
     embed_batch,
     linear_map_gradient,
@@ -101,7 +105,9 @@ class TrainConfig:
     ffn_hidden: int | None = None
     expectation_route: str = "analytic"
     fd_step: float = 1e-4
-    record_timing: bool = False
+    # a run setting: it changes how a run is observed, not what it trains, so
+    # `config_hash` reads it at its default
+    record_timing: bool = field(default=False, metadata={"run_setting": True})
 
     def __post_init__(self):
         for name, annotation in _field_types(TrainConfig).items():
@@ -152,6 +158,23 @@ class ModelParams:
         missing = [name for name in MODELS[self.model_kind].fields if getattr(self, name) is None]
         if missing:
             raise ConfigurationError(f"{self.model_kind} params missing {', '.join(missing)}")
+
+
+@dataclass(frozen=True)
+class CheckpointIdentity:
+    """A checkpoint's fields beside its params: the kind it holds, the data
+    kind it was trained on, and the hash and seed of its config."""
+
+    model_kind: str
+    data_kind: str
+    config_hash: str
+    seed: int
+
+    def __post_init__(self):
+        if self.model_kind not in MODEL_KINDS:
+            raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
+        check_dataset_kind(self.data_kind)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -751,7 +774,11 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
 
 
 def config_hash(config: TrainConfig) -> str:
-    canonical = json.dumps(asdict(config), sort_keys=True)
+    """SHA-256 of the config's canonical JSON with each run setting at its
+    default, so that two configs that train alike hash alike."""
+    values = asdict(config)
+    values.update({f.name: f.default for f in dataclass_fields(TrainConfig) if f.metadata.get("run_setting")})
+    canonical = json.dumps(values, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -799,14 +826,8 @@ def params_from_payload(payload: dict) -> ModelParams:
 
 
 def checkpoint_document(params: ModelParams, config: TrainConfig, data_kind: str) -> dict:
-    return {
-        "version": CHECKPOINT_VERSION,
-        "model_kind": params.model_kind,
-        "data_kind": data_kind,
-        "config_hash": config_hash(config),
-        "seed": config.seed,
-        "params": params_to_payload(params),
-    }
+    identity = CheckpointIdentity(params.model_kind, data_kind, config_hash(config), config.seed)
+    return {"version": CHECKPOINT_VERSION, **_payload(identity), "params": params_to_payload(params)}
 
 
 def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, path) -> None:
@@ -814,9 +835,12 @@ def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, pa
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """The params of the checkpoint at ``path`` and its identity, as a dict of
+    ``CheckpointIdentity``'s fields; a file that is not a v1 checkpoint is a
+    ``CompatibilityError``."""
     try:
         doc = json.loads(read_utf8(path, CheckpointFormatError))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: arrays or objects nested too deeply
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointFormatError("checkpoint is missing its version field")
@@ -825,12 +849,13 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             f"checkpoint version {doc['version']} is not supported (expected {CHECKPOINT_VERSION})"
         )
     try:
-        if doc["model_kind"] != doc["params"]["model_kind"]:
-            raise CheckpointFormatError(f"checkpoint model_kind {doc['model_kind']!r} disagrees with its params")
+        identity = _from_payload(CheckpointIdentity, doc)
+        if identity.model_kind != doc["params"]["model_kind"]:
+            raise CheckpointFormatError(f"checkpoint model_kind {identity.model_kind!r} disagrees with its params")
         params = params_from_payload(doc["params"])
-        meta = {key: doc[key] for key in ("model_kind", "data_kind", "config_hash", "seed")}
     except (KeyError, TypeError, ConfigurationError) as exc:
-        # a ConfigurationError here is a params array of the wrong shape
+        # a ConfigurationError here is an identity field that breaks its rule
+        # or a params array of the wrong shape
         raise CheckpointFormatError(f"checkpoint field missing or malformed: {exc!r}") from exc
-    return params, meta
+    return params, asdict(identity)
 

@@ -87,6 +87,20 @@ def test_timed_train_records_epoch_seconds(tmp_path, paths):
     assert json.loads((out / "manifest.json").read_text())["config"]["record_timing"] is True
 
 
+@pytest.mark.parametrize("model", ["qsa", "scsa", "lcsa"])
+def test_timing_leaves_the_checkpoint_bytes_alone(tmp_path, paths, model):
+    """--timing is a run setting: it adds wall times to loss.csv and the
+    manifest, and the checkpoint, config_hash included, stays byte-identical."""
+    runs = {}
+    for timing in (False, True):
+        out = tmp_path / f"run{int(timing)}"
+        assert main(["train", "--model", model, "--data", str(paths["classical"]), "--epochs", "2",
+                     "--out", str(out)] + ["--timing"] * timing) == 0
+        runs[timing] = out
+    assert (runs[True] / "checkpoint.json").read_bytes() == (runs[False] / "checkpoint.json").read_bytes()
+    assert (runs[True] / "loss.csv").read_bytes() != (runs[False] / "loss.csv").read_bytes()
+
+
 @pytest.mark.parametrize("value, code", [(True, 2), (False, 0)])
 def test_config_file_record_timing_defers_to_the_timing_flag(tmp_path, paths, capsys, value, code):
     # a config file cannot switch the clock on behind a manifest that records no

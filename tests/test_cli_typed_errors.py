@@ -75,16 +75,19 @@ def test_generate_usage_error(tmp_path, capsys, flags, message):
     (["--kind", "classical", "--vocab", "100000000000", "--len", "3", "--count", "1"],
      "a 100000000000-word transition matrix is too large to allocate"),
     (["--kind", "classical", "--vocab", "10", "--len", "100000000000000000000", "--count", "1"],
-     "a 99999999999999999999-step walk is too long to allocate"),
+     "a (1, 100000000000000000000) word array is too large to allocate"),
+    (["--kind", "classical", "--vocab", "10", "--len", "5", "--count", "1000000000000000"],
+     "a (1000000000000000, 5) word array is too large to allocate"),
     (["--kind", "quantum", "--qubits", "100000", "--len", "5", "--count", "1"],
      "num_qubits must lie in 1..10 for dense diagonalization"),
 ], ids=["classical-count-0", "quantum-count-0", "vocab-1", "order-0", "quantum-count-huge", "quantum-len-huge",
-        "oversized-vocabulary", "overlong-walk", "quantum-qubits-huge"])
+        "oversized-vocabulary", "overlong-walk", "classical-count-huge", "quantum-qubits-huge"])
 def test_generate_size_out_of_range_exits_2(tmp_path, capsys, flags, message):
     """Sizes argparse accepts but the generators refuse.  The oversized ones
-    (a 10^22-entry transition matrix, a 10^20-step walk, 10^20 quantum
-    records or steps): numpy refuses the shape before it allocates anything.
-    An oversized qubit count is refused before its couplings are drawn."""
+    (a 10^22-entry transition matrix, a 10^20-step walk, 10^15 classical
+    records, 10^20 quantum records or steps): numpy refuses the shape before
+    it allocates anything, so no walk starts.  An oversized qubit count is
+    refused before its couplings are drawn."""
     out = tmp_path / "d.jsonl"
     assert main(["generate", *flags, "--out", str(out)]) == 2
     assert one_error_line(capsys.readouterr().err) == f"error: {message}"
@@ -130,6 +133,65 @@ def test_version_that_only_equals_one_exits_4(tmp_path, files, capsys, document,
                 "--out", str(tmp_path / "run")]
     assert main(argv) == 4
     assert f"version {version} " in one_error_line(capsys.readouterr().err)
+    assert not list(tmp_path.rglob("*manifest.json"))
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", "x", "checkpoint field seed 'x' is not of type int"),
+    ("seed", True, "checkpoint field seed True is not of type int"),
+    ("seed", -5, "seed must be non-negative, got -5"),
+    ("seed", 1.5, "checkpoint field seed 1.5 is not of type int"),
+    ("seed", None, "checkpoint field seed None is not of type int"),
+    ("seed", [1, 2], "checkpoint field seed [1, 2] is not of type int"),
+    ("data_kind", "other", "unknown dataset kind 'other'"),
+    ("model_kind", "xyz", "model_kind must be one of ('qsa', 'scsa', 'lcsa'), got 'xyz'"),
+    ("config_hash", 5, "checkpoint field config_hash 5 is not of type str"),
+], ids=["seed-str", "seed-true", "seed-negative", "seed-float", "seed-null", "seed-list", "data-kind-other",
+        "model-kind-xyz", "config-hash-int"])
+def test_checkpoint_with_malformed_identity_exits_4(tmp_path, files, capsys, command, field, value, message):
+    """The identity fields beside the params are read by their declared types
+    and rules, so none reaches an output or a manifest unchecked."""
+    doc = json.loads(files["checkpoint"].read_text())
+    doc[field] = value
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    code = main([command, "--checkpoint", str(checkpoint), "--data", str(files["classical"]), "--out", str(out)])
+    assert code == 4
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*manifest.json"))
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("target, code, message", [
+    ("checkpoint", 4, "checkpoint is not valid JSON: maximum recursion depth exceeded"),
+    ("config", 2, "config file is not valid JSON: maximum recursion depth exceeded"),
+    ("header", 2, "malformed dataset: RecursionError: maximum recursion depth exceeded"),
+    ("record", 2, "malformed dataset: RecursionError: maximum recursion depth exceeded"),
+], ids=["checkpoint", "config", "header", "record"])
+def test_deeply_nested_json_exits_with_its_code(tmp_path, files, capsys, target, code, message):
+    """json refuses nesting past the interpreter's recursion limit with a
+    RecursionError, which each reader maps as it maps invalid JSON."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON + "\n")
+    data, out = files["classical"], tmp_path / "out"
+    if target in ("header", "record"):
+        header, *records = files["classical"].read_text().splitlines()
+        lines = [DEEP_JSON, *records] if target == "header" else [header, DEEP_JSON, *records]
+        data = tmp_path / "deep.jsonl"
+        data.write_text("".join(line + "\n" for line in lines))
+    if target == "checkpoint":
+        argv = ["eval", "--checkpoint", str(deep), "--data", str(data), "--out", str(out)]
+    else:
+        argv = ["train", "--model", "lcsa", "--data", str(data), "--epochs", "1", "--out", str(out)]
+        argv += ["--config", str(deep)] * (target == "config")
+    assert main(argv) == code
+    assert message in one_error_line(capsys.readouterr().err)
+    assert not out.exists()
     assert not list(tmp_path.rglob("*manifest.json"))
 
 

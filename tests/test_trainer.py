@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from qsalab.trainer import (
     TrainConfig,
     _Adapter,
     checkpoint_document,
+    config_hash,
     evaluate,
     initialize_params,
     load_checkpoint,
@@ -232,6 +233,18 @@ class TestCheckpoints:
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CompatibilityError):
             load_checkpoint(path)
+
+    def test_config_hash_covers_every_field_that_determines_training(self):
+        """Each TrainConfig field but the run setting record_timing moves the hash."""
+        changed = {"model_kind": "lcsa", "epochs": 7, "learning_rate": 0.1, "embedding_learning_rate": 0.02,
+                   "beta1": 0.5, "beta2": 0.9, "epsilon": 1e-6, "seed": 1, "gradient_mode": "finite-difference",
+                   "shots": 64, "embedding_trainable": False, "embed_dim": 8, "num_layers": 3, "gamma": 0.2,
+                   "key_dim": 2, "ffn_hidden": 3, "expectation_route": "circuit", "fd_step": 1e-3}
+        base = TrainConfig()
+        assert set(changed) | {"record_timing"} == set(asdict(base))
+        hashes = {config_hash(replace(base, **{name: value})) for name, value in changed.items()}
+        assert len(hashes | {config_hash(base)}) == len(changed) + 1
+        assert config_hash(replace(base, record_timing=True)) == config_hash(base)
 
     def test_version_mismatch_rejected(self, tmp_path):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=25)
