@@ -171,18 +171,15 @@ def _resolve_train_config(args, parser) -> trainer.TrainConfig:
         if not isinstance(doc, dict):
             raise ConfigurationError(f"config file must hold a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version", CONFIG_SCHEMA_VERSION)
-        if not data._typed(version, int) or version != CONFIG_SCHEMA_VERSION:  # true and 1.0 equal 1
+        if data._type_fault(version, int) or version != CONFIG_SCHEMA_VERSION:  # true and 1.0 equal 1
             raise CompatibilityError(f"config schema_version {version} unsupported")
         values = {k: v for k, v in doc.items() if k != "schema_version"}
         if values.get("record_timing") is True:  # the clock is read under --timing only
             raise ConfigurationError("record_timing is set by the --timing flag, not by a config file")
     values["model_kind"] = args.model
-    if args.epochs is not None:
-        values["epochs"] = args.epochs
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.learning_rate is not None:
-        values["learning_rate"] = args.learning_rate
+    for name in ("epochs", "seed", "learning_rate"):  # the flags that override a config value
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     if args.timing:
         values["record_timing"] = True
     try:

@@ -14,13 +14,13 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateInputError
 
 ZERO_NORM_TOL = 1e-12
-DATASET_KINDS = ("classical", "quantum")
 
 
 def check_seed(seed) -> None:
@@ -29,9 +29,11 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
-def check_dataset_kind(kind) -> None:
-    if kind not in DATASET_KINDS:
+def check_dataset_kind(kind) -> DataKind:
+    """The table entry of dataset kind ``kind``; an unknown kind is a ConfigurationError."""
+    if kind not in DATASET_KINDS:  # a tuple, so that an unhashable kind is unknown too
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    return DATA_KINDS[kind]
 
 
 def check_num_steps(num_steps: int) -> None:
@@ -48,15 +50,15 @@ def _finite_numbers(values: list) -> bool:
         return False
 
 
-def _typed(value, annotation) -> bool:
-    """Whether scalar ``value`` fits ``annotation`` (bool, int, float or str,
-    or one of them ``| None``): a bool is not a number, an int fits a float,
-    a float must be finite, and a numpy number counts as its Python number."""
+def _type_fault(value, annotation) -> str:
+    """Why scalar ``value`` does not fit ``annotation`` (bool, int, float or str, or one of them
+    ``| None``), "of type T" or "finite", or "" if it fits: a bool is not a number, an int fits
+    a float, a float must be finite, and a numpy number counts as its Python number."""
     options = getattr(annotation, "__args__", (annotation,))  # int | None has (int, NoneType)
     value = value.item() if isinstance(value, (np.integer, np.floating)) else value
     if float in options and type(value) in (int, float):
-        return _finite_numbers([value])
-    return type(value) in options
+        return "" if _finite_numbers([value]) else "finite"
+    return "" if type(value) in options else f"of type {getattr(annotation, '__name__', annotation)}"
 
 
 def sinusoidal_shifts(num_positions: int, dim: int, base: float = 100.0) -> np.ndarray:
@@ -151,13 +153,65 @@ def _one_hot(words, vocab_dim: int) -> np.ndarray:
     return rows.reshape(*words.shape, vocab_dim)
 
 
+def _amplitude_records(records, vocab_dim: int, length: int) -> np.ndarray:
+    """``records`` as an (S, T+1, D) complex128 array, after a quantum record's
+    three checks in order: numbers (a bool is not one), (T+1, D) rows, and every
+    part finite, the first that is not named as JSON spells it."""
+    # each record's own dtype: stacked first, a bool record would pass as floats
+    arrays = [np.asarray(rec) for rec in records]
+    bad = {a.dtype.name for a in arrays if a.dtype.kind not in "iufc"}
+    if bad:
+        raise ConfigurationError(f"quantum amplitudes must be numbers, got {', '.join(sorted(bad))}")
+    if any(a.shape != (length, vocab_dim) for a in arrays):
+        raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
+    rows = np.array(arrays, dtype=complex).reshape(len(arrays), length, vocab_dim)
+    bad = rows.view(float)[~np.isfinite(rows.view(float))]  # real and imaginary parts that are not finite
+    if bad.size:
+        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad[0].item())}")
+    return rows
+
+
+def _amplitude_rows(steps) -> np.ndarray:
+    """(T+1, D) complex rows from a record's JSON ``[re, im]`` pairs, each part
+    a JSON number: ``true``/``false``, ``null`` and strings are rejected here,
+    NaN and infinities by the quantum record rule."""
+    pairs = list(chain.from_iterable(steps))
+    if len(set(map(len, steps))) != 1 or set(map(len, pairs)) != {2}:
+        raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
+    parts = list(chain.from_iterable(pairs))
+    if not {int, float}.issuperset(map(type, parts)):
+        bad = next(part for part in parts if type(part) not in (int, float))
+        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad)}")
+    return np.array(parts, dtype=float).view(complex).reshape(len(steps), -1)
+
+
+class DataKind(NamedTuple):
+    """One data kind, as its ``DATA_KINDS`` entry declares it."""
+
+    field: str  # the JSON key of a record
+    complex_valued: bool  # whether its rows, and so the embedding, are complex
+    rank: int  # a record's array rank
+    unit_steps: bool  # whether each step of a dataset record must be a unit vector
+    rule: Callable  # (records, D, T+1) -> their checked array; a single record meets it too
+    to_json: Callable  # that array -> the records' JSON values
+    from_json: Callable  # one record's JSON value -> the record as ``rule`` takes it
+    rows: Callable  # (that array, D) -> (S, T+1, D) model input rows
+
+
+DATA_KINDS = {
+    "classical": DataKind("words", False, 1, False, _word_records, np.ndarray.tolist, lambda words: words, _one_hot),
+    "quantum": DataKind("steps", True, 2, True, _amplitude_records,
+                        lambda rows: rows.view(float).reshape(rows.shape + (2,)).tolist(),  # [re, im] pairs
+                        _amplitude_rows, lambda rows, vocab_dim: rows),
+}
+DATASET_KINDS = tuple(DATA_KINDS)
+
+
 def _as_input_rows(record, vocab_dim: int) -> np.ndarray:
-    """One record's rows: word indices, checked as a dataset's are, one-hot; amplitude rows as given."""
-    arr = np.asarray(record)
-    if arr.ndim == 1:
-        return _one_hot(_word_records([record], vocab_dim, arr.size), vocab_dim)[0]
-    if arr.ndim == 2 and arr.shape[1] == vocab_dim:
-        return arr.astype(complex)
+    """One record's (T+1, D) input rows, checked by the rule of the kind whose records have its rank."""
+    for kind in DATA_KINDS.values():
+        if kind.rank == np.ndim(record):
+            return kind.rows(kind.rule([record], vocab_dim, len(record)), vocab_dim)[0]
     raise ConfigurationError("record must be word indices or (T+1, D) amplitude rows")
 
 
@@ -211,7 +265,7 @@ def unit_rows_backward(unit: np.ndarray, norms: np.ndarray, g_unit: np.ndarray) 
 
 def _check_num_qubits(num_qubits) -> None:
     """Reject a qubit count outside 1..10, the sizes that dense diagonalization reaches."""
-    if not _typed(num_qubits, int) or not 1 <= num_qubits <= 10:
+    if _type_fault(num_qubits, int) or not 1 <= num_qubits <= 10:
         raise ConfigurationError("num_qubits must lie in 1..10 for dense diagonalization")
 
 
@@ -275,28 +329,15 @@ class SequenceDataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        check_dataset_kind(self.kind)
+        kind = check_dataset_kind(self.kind)
         for name in ("vocab_dim", "num_steps", "seed"):
-            if not _typed(getattr(self, name), int):
+            if _type_fault(getattr(self, name), int):
                 raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
         check_num_steps(self.num_steps)
-        length = self.num_steps + 1
-        if self.kind == "classical":
-            records = _word_records(self.records, self.vocab_dim, length)
-        else:
-            # each record's own dtype: stacked first, a bool record would pass as floats
-            arrays = [np.asarray(rec) for rec in self.records]
-            bad = {a.dtype.name for a in arrays if a.dtype.kind not in "iufc"}
-            if bad:
-                raise ConfigurationError(f"quantum amplitudes must be numbers, got {', '.join(sorted(bad))}")
-            if any(a.shape != (length, self.vocab_dim) for a in arrays):
-                raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
-            records = np.array(arrays, dtype=complex).reshape(len(arrays), length, self.vocab_dim)
-            if not np.all(np.isfinite(records)):
-                raise ConfigurationError("quantum amplitudes must be finite numbers")
-            if not np.all(np.abs(np.linalg.norm(records, axis=-1) - 1.0) <= 1e-10):
-                raise ConfigurationError("quantum record steps must have unit norm")
+        records = kind.rule(self.records, self.vocab_dim, self.num_steps + 1)
+        if kind.unit_steps and not np.all(np.abs(np.linalg.norm(records, axis=-1) - 1.0) <= 1e-10):
+            raise ConfigurationError(f"{self.kind} record steps must have unit norm")
         records.setflags(write=False)
         self.records = records
 
@@ -305,9 +346,7 @@ class SequenceDataset:
 
     def input_rows(self) -> np.ndarray:
         """(S, T+1, D) input rows: the words one-hot, or the amplitude array itself."""
-        if self.kind == "classical":
-            return _one_hot(self.records, self.vocab_dim)
-        return self.records
+        return DATA_KINDS[self.kind].rows(self.records, self.vocab_dim)
 
 
 def generate_classical_dataset(
@@ -390,32 +429,12 @@ def generate_quantum_dataset(
 
 def dumps_dataset(dataset: SequenceDataset) -> str:
     """JSON Lines text: a header line followed by one record per line."""
-    header = {
-        "kind": dataset.kind,
-        "D": dataset.vocab_dim,
-        "T": dataset.num_steps,
-        "seed": dataset.seed,
-        "generator": dataset.metadata.get("generator", {}),
-    }
-    key, records = "words", dataset.records
-    if dataset.kind == "quantum":
-        key, records = "steps", records.view(float).reshape(records.shape + (2,))  # [re, im] pairs
-    lines = [json.dumps(header)] + [json.dumps({"id": i, key: rec}) for i, rec in enumerate(records.tolist())]
+    header = {"kind": dataset.kind, "D": dataset.vocab_dim, "T": dataset.num_steps, "seed": dataset.seed,
+              "generator": dataset.metadata.get("generator", {})}
+    kind = DATA_KINDS[dataset.kind]
+    lines = [json.dumps(header)] + [json.dumps({"id": i, kind.field: rec})
+                                    for i, rec in enumerate(kind.to_json(dataset.records))]
     return "\n".join(lines) + "\n"
-
-
-def _amplitude_rows(steps) -> np.ndarray:
-    """(T+1, D) complex rows from a record's JSON ``[re, im]`` pairs, each
-    part a finite JSON number: ``true``/``false``, ``null``, strings, NaN
-    and infinities are rejected."""
-    pairs = list(chain.from_iterable(steps))
-    if len(set(map(len, steps))) != 1 or set(map(len, pairs)) != {2}:
-        raise ConfigurationError("quantum records must be (T+1, D) amplitude rows")
-    parts = list(chain.from_iterable(pairs))
-    if not _finite_numbers(parts):
-        bad = next(part for part in parts if not _finite_numbers([part]))
-        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad)}")
-    return np.array(parts, dtype=float).view(complex).reshape(len(steps), -1)
 
 
 def loads_dataset(text: str) -> SequenceDataset:
@@ -426,12 +445,10 @@ def loads_dataset(text: str) -> SequenceDataset:
         header = json.loads(lines[0])
         if not isinstance(header, dict):
             raise ConfigurationError(f"dataset header must be a JSON object, got {type(header).__name__}")
-        kind = header["kind"]
-        check_dataset_kind(kind)  # before a record is parsed as that kind
-        records = [obj["words"] if kind == "classical" else _amplitude_rows(obj["steps"])
-                   for obj in map(json.loads, lines[1:])]
+        kind = check_dataset_kind(header["kind"])  # before a record is parsed as that kind
+        records = [kind.from_json(obj[kind.field]) for obj in map(json.loads, lines[1:])]
         metadata = {"generator": header.get("generator", {})}
-        return SequenceDataset(kind, header["D"], header["T"], header["seed"], records, metadata)
+        return SequenceDataset(header["kind"], header["D"], header["T"], header["seed"], records, metadata)
     except ConfigurationError:
         raise
     # JSONDecodeError is a ValueError; json raises RecursionError on a line nested too deeply

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import _typed
+from .data import _type_fault
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
@@ -324,7 +324,7 @@ def all_zeros_expectation(state: StateVector) -> float:
 def sample_expectation(state: StateVector, shots: int, seed: int) -> float:
     """Fraction of ``shots`` seeded Bernoulli draws that hit the all-zeros outcome.
     ``shots`` follows ``TrainConfig.shots``: an int, not a bool, in 1..2**63 - 1."""
-    if not _typed(shots, int) or not 1 <= shots <= np.iinfo(np.int64).max:  # numpy draws shot counts as int64
+    if _type_fault(shots, int) or not 1 <= shots <= np.iinfo(np.int64).max:  # numpy draws shot counts as int64
         raise ConfigurationError(f"shots must be an integer in 1..{np.iinfo(np.int64).max}, got {shots!r}")
     p = min(max(all_zeros_expectation(state), 0.0), 1.0)
     rng = np.random.default_rng(seed)

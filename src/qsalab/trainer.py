@@ -53,11 +53,12 @@ from .classical import (
     scsa_vjp,
 )
 from .data import (
+    DATA_KINDS,
     ZERO_NORM_TOL,
     EmbeddingMap,
     SequenceDataset,
     _finite_numbers,
-    _typed,
+    _type_fault,
     atomic_write_text,
     check_dataset_kind,
     check_seed,
@@ -112,9 +113,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, annotation in _field_types(TrainConfig).items():
             value = getattr(self, name)
-            if not _typed(value, annotation):
-                type_name = getattr(annotation, "__name__", annotation)  # int | None has no name
-                raise ConfigurationError(f"{name} must be of type {type_name}, got {value!r}")
+            if fault := _type_fault(value, annotation):
+                raise ConfigurationError(f"{name} must be {fault}, got {value!r}")
             if isinstance(value, np.generic):  # config_hash and the manifest write JSON
                 object.__setattr__(self, name, value.item())
         choices = {"model_kind": MODEL_KINDS, "gradient_mode": ("parameter-shift", "finite-difference"),
@@ -476,7 +476,7 @@ def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelPar
     if config.embed_dim >= dataset.vocab_dim:
         raise ConfigurationError("embed_dim must be smaller than the vocabulary dimension")
     children = np.random.SeedSequence(config.seed).spawn(4)
-    complex_valued = dataset.kind == "quantum"
+    complex_valued = DATA_KINDS[dataset.kind].complex_valued
     try:
         embedding = make_embedding(dataset.vocab_dim, config.embed_dim, dataset.num_steps + 1, children[0],
                                    complex_valued=complex_valued, gamma=config.gamma)
@@ -496,27 +496,20 @@ def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
     """The table entry of ``params``' kind, once ``params`` are checked to fit
     ``dataset``; a misfit is a ``CompatibilityError``."""
     model = MODELS[params.model_kind]
-    quantum_data = dataset.kind == "quantum"
     complex_embedding = np.iscomplexobj(params.embedding.matrix)
-    if quantum_data != complex_embedding:
-        raise CompatibilityError(
-            f"{'complex' if complex_embedding else 'real'}-embedding model does not fit "
-            f"a {dataset.kind} dataset"
-        )
+    if DATA_KINDS[dataset.kind].complex_valued != complex_embedding:
+        raise CompatibilityError(f"{'complex' if complex_embedding else 'real'}-embedding model does not fit "
+                                 f"a {dataset.kind} dataset")
     if params.embedding.vocab_dim != dataset.vocab_dim:
-        raise CompatibilityError(
-            f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}"
-        )
+        raise CompatibilityError(f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}")
     try:
         model.check_arrays(params, dataset.num_steps)
     except ConfigurationError as exc:
         raise CompatibilityError(str(exc)) from None
     num_shifts = params.embedding.shifts.shape[0]
     if num_shifts < dataset.num_steps + 1:
-        raise CompatibilityError(
-            f"embedding has {num_shifts} positional shifts, fewer than the dataset's "
-            f"{dataset.num_steps + 1} tokens per sequence"
-        )
+        raise CompatibilityError(f"embedding has {num_shifts} positional shifts, fewer than the dataset's "
+                                 f"{dataset.num_steps + 1} tokens per sequence")
     return model
 
 
@@ -714,9 +707,7 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
 
 def evaluate(params: ModelParams, datasets) -> LossReport:
     """Forward-only losses; aggregates perplexity mean and stdev across sets."""
-    if isinstance(datasets, SequenceDataset):
-        datasets = [datasets]
-    datasets = list(datasets)
+    datasets = [datasets] if isinstance(datasets, SequenceDataset) else list(datasets)
     if not datasets or any(len(ds) == 0 for ds in datasets):
         raise ConfigurationError("evaluation needs at least one non-empty dataset")
     per_set = []
@@ -724,14 +715,8 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
         model = _fitted_model(params, ds)
         losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0], ds.num_steps)
         loss = float(np.mean(losses))
-        per_set.append(
-            {
-                "loss_offset": loss,
-                "loss": loss + math.log(ds.num_steps),
-                "perplexity": math.exp(loss),
-                "clamped": clamped,
-            }
-        )
+        per_set.append({"loss_offset": loss, "loss": loss + math.log(ds.num_steps), "perplexity": math.exp(loss),
+                        "clamped": clamped})
     perps = np.array([entry["perplexity"] for entry in per_set])
     return LossReport(
         rows=[],
@@ -757,7 +742,7 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
     the lowest word index.  A forward that overflows, so that any score is
     not finite, raises NumericFailureError.
     """
-    if not _typed(k, int):
+    if _type_fault(k, int):
         raise ConfigurationError(f"k must be of type int, got {k!r}")
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
@@ -808,8 +793,8 @@ def _from_payload(cls, block: dict):
     """The ``cls`` instance a ``_payload`` block encodes; a scalar that does
     not fit its field's annotation is a ``CheckpointFormatError``."""
     for name, annotation in _field_types(cls).items():
-        if annotation is not np.ndarray and not _typed(block[name], annotation):
-            raise CheckpointFormatError(f"checkpoint field {name} {block[name]!r} is not of type {annotation.__name__}")
+        if fault := annotation is not np.ndarray and _type_fault(block[name], annotation):
+            raise CheckpointFormatError(f"checkpoint field {name} {block[name]!r} is not {fault}")
     return cls(**{name: _decode_array(block[name]) if annotation is np.ndarray else block[name]
                   for name, annotation in _field_types(cls).items()})
 
@@ -844,15 +829,16 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         raise CheckpointFormatError(f"checkpoint is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CheckpointFormatError("checkpoint is missing its version field")
-    if not _typed(doc["version"], int) or doc["version"] != CHECKPOINT_VERSION:  # true and 1.0 equal 1
-        raise UnsupportedVersionError(
-            f"checkpoint version {doc['version']} is not supported (expected {CHECKPOINT_VERSION})"
-        )
+    if _type_fault(doc["version"], int) or doc["version"] != CHECKPOINT_VERSION:  # true and 1.0 equal 1
+        raise UnsupportedVersionError(f"checkpoint version {doc['version']} is not supported "
+                                      f"(expected {CHECKPOINT_VERSION})")
     try:
         identity = _from_payload(CheckpointIdentity, doc)
         if identity.model_kind != doc["params"]["model_kind"]:
             raise CheckpointFormatError(f"checkpoint model_kind {identity.model_kind!r} disagrees with its params")
         params = params_from_payload(doc["params"])
+        if DATA_KINDS[identity.data_kind].complex_valued != np.iscomplexobj(params.embedding.matrix):
+            raise CheckpointFormatError(f"checkpoint data_kind {identity.data_kind!r} disagrees with its params")
     except (KeyError, TypeError, ConfigurationError) as exc:
         # a ConfigurationError here is an identity field that breaks its rule
         # or a params array of the wrong shape

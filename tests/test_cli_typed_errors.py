@@ -5,8 +5,10 @@ error."""
 
 import errno
 import json
+import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from qsalab.ansatz import AnsatzParams, PhaseLayerParams
 from qsalab.classical import LcsaParams, ScsaParams
 from qsalab.cli import main
 from qsalab.trainer import load_checkpoint, params_to_payload
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +166,50 @@ def test_checkpoint_with_malformed_identity_exits_4(tmp_path, files, capsys, com
     assert message in one_error_line(capsys.readouterr().err)
     assert not out.exists()
     assert not list(tmp_path.rglob("*manifest.json"))
+
+
+@pytest.mark.parametrize("fixture", sorted(path.name for path in FIXTURES.glob("checkpoint_v1_*.json")))
+def test_checkpoint_whose_data_kind_disagrees_with_its_params_exits_4(tmp_path, files, capsys, fixture):
+    """A checkpoint's data_kind must be the kind its embedding was made for
+    (complex for quantum data): an edited one is refused when the checkpoint
+    loads, not reported as a dataset of the wrong kind."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    own = doc["data_kind"]
+    doc["data_kind"] = other = {"classical": "quantum", "quantum": "classical"}[own]
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(doc, sort_keys=True))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(files[own]), "--out", str(out)]) == 4
+    assert one_error_line(capsys.readouterr().err) == f"error: checkpoint data_kind {other!r} disagrees with its params"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize("route", ["flag", "config", "checkpoint"])
+def test_non_finite_float_is_named_non_finite(tmp_path, files, capsys, route, value):
+    """A float field that is NaN or infinite is reported as not finite, not as
+    mistyped: from the --learning-rate flag and a config's gamma (exit 2) and
+    from a checkpoint's gamma (exit 4)."""
+    out = tmp_path / "out"
+    if route == "checkpoint":
+        doc = json.loads(files["checkpoint"].read_text())
+        doc["params"]["embedding"]["gamma"] = value
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(path), "--data", str(files["classical"]), "--out", str(out)]
+        code, message = 4, f"checkpoint field gamma {value!r} is not finite"
+    else:
+        argv = ["train", "--model", "lcsa", "--data", str(files["classical"]), "--out", str(out)]
+        if route == "flag":
+            argv.append(f"--learning-rate={value!r}")  # "-inf" as a separate word would read as an option
+        else:
+            (tmp_path / "config.json").write_text(json.dumps({"gamma": value}))
+            argv += ["--config", str(tmp_path / "config.json")]
+        name = "learning_rate" if route == "flag" else "gamma"
+        code, message = 2, f"{name} must be finite, got {value!r}"
+    assert main(argv) == code
+    assert one_error_line(capsys.readouterr().err) == f"error: {message}"
+    assert not out.exists()
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
