@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_seed
+from .data import check_seed, real_array
 from .errors import ConfigurationError
 from .statevector import UnitaryBlock
 
@@ -50,7 +50,7 @@ class AnsatzParams:
     def __post_init__(self):
         if self.num_layers < 0:
             raise ConfigurationError(f"num_layers must be non-negative, got {self.num_layers}")
-        arr = np.array(self.angles, dtype=float)
+        arr = real_array(self.angles, "angles")
         expected = (self.num_layers + 1, self.num_qubits, 2)
         if arr.shape != expected:
             raise ConfigurationError(f"angles shape {arr.shape} != {expected}")
@@ -90,7 +90,9 @@ class PhaseLayerParams:
     angles: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.angles, dtype=float).reshape(-1)
+        arr = real_array(self.angles, "angles")
+        if arr.ndim != 1:
+            raise ConfigurationError(f"phase-layer angles must be 1-D, one per qubit, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ConfigurationError("angles must be finite")
         arr.setflags(write=False)

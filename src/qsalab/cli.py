@@ -202,7 +202,7 @@ def cmd_train(args, parser) -> Run:
             json.dumps(exc.diagnostic, sort_keys=True, indent=2) + "\n",
         )
         raise
-    trainer.save_checkpoint(params, config, dataset.kind, checkpoint_path)
+    trainer.save_checkpoint(params, config, checkpoint_path)
     data.atomic_write_text(csv_path, report.to_csv_text())
     return Run(os.path.join(args.out, "manifest.json"), asdict(config), config.seed,
                [args.data], [checkpoint_path, csv_path])
@@ -210,16 +210,12 @@ def cmd_train(args, parser) -> Run:
 
 def _load_for_inference(checkpoint, paths):
     """The checkpoint's params and metadata, and the datasets at ``paths``;
-    a dataset of another data kind than the checkpoint was trained on, or one
-    the model does not fit, is a ``CompatibilityError`` that names its path."""
+    a dataset the model does not fit, of another data kind included, is a
+    ``CompatibilityError`` that names its path."""
     params, meta = trainer.load_checkpoint(checkpoint)
     datasets = []
     for path in paths:
         ds = data.load_dataset(path)
-        if ds.kind != meta["data_kind"]:
-            raise CompatibilityError(
-                f"checkpoint was trained on {meta['data_kind']} data, got {ds.kind} from {path}"
-            )
         try:
             trainer._fitted_model(params, ds)
         except CompatibilityError as exc:

@@ -29,6 +29,13 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """A float copy of ``values``; a complex array, whose imaginary parts a cast would drop, is a ConfigurationError."""
+    if np.iscomplexobj(values):
+        raise ConfigurationError(f"{name} must be real, got a complex array")
+    return np.array(values, dtype=float)
+
+
 def check_dataset_kind(kind) -> DataKind:
     """The table entry of dataset kind ``kind``; an unknown kind is a ConfigurationError."""
     if kind not in DATASET_KINDS:  # a tuple, so that an unhashable kind is unknown too
@@ -88,7 +95,7 @@ class EmbeddingMap:
 
     def __post_init__(self):
         mat = np.array(self.matrix)
-        shifts = np.array(self.shifts, dtype=float)
+        shifts = real_array(self.shifts, "shifts")
         if mat.ndim != 2 or mat.shape[0] >= mat.shape[1]:
             raise ConfigurationError("embedding must map a larger vocabulary to a smaller d")
         if shifts.ndim != 2 or shifts.shape[1] != mat.shape[0]:

@@ -79,7 +79,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
-from .statevector import RegisterLayout
+from .statevector import RegisterLayout, check_shots
 
 CHECKPOINT_VERSION = 1
 
@@ -122,13 +122,14 @@ class TrainConfig:
         for name, options in choices.items():
             if getattr(self, name) not in options:
                 raise ConfigurationError(f"{name} must be one of {options}, got {getattr(self, name)!r}")
-        lowest = {"seed": 0, "epochs": 0, "num_layers": 0, "embed_dim": 1, "shots": 1, "key_dim": 1, "ffn_hidden": 1}
+        check_seed(self.seed)
+        if self.shots is not None:
+            check_shots(self.shots)
+        lowest = {"epochs": 0, "num_layers": 0, "embed_dim": 1, "key_dim": 1, "ffn_hidden": 1}
         for name, low in lowest.items():
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigurationError(f"{name} must be at least {low}, got {value}")
-        if self.shots is not None and self.shots > np.iinfo(np.int64).max:  # numpy draws shot counts as int64
-            raise ConfigurationError(f"shots must be at most {np.iinfo(np.int64).max}, got {self.shots}")
         for name in ("learning_rate", "embedding_learning_rate", "epsilon", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -158,6 +159,12 @@ class ModelParams:
         missing = [name for name in MODELS[self.model_kind].fields if getattr(self, name) is None]
         if missing:
             raise ConfigurationError(f"{self.model_kind} params missing {', '.join(missing)}")
+
+    @property
+    def data_kind(self) -> str:
+        """The data kind the model was made for: the ``DATA_KINDS`` entry complex just when its embedding is."""
+        complex_embedding = np.iscomplexobj(self.embedding.matrix)
+        return next(name for name, kind in DATA_KINDS.items() if kind.complex_valued == complex_embedding)
 
 
 @dataclass(frozen=True)
@@ -288,9 +295,9 @@ class _Model:
     - ``kernel(params, inputs, tokens, targets, token_norms, target_norms)``:
       the outputs the losses depend on, and a backward pass from their
       gradient to (g_tokens, g_targets or None, *gradients of ``arrays``);
-    - ``loss(outputs, num_steps)``: per-sequence offset losses, the count of
-      floored probabilities and d losses / d outputs, all from one floor
-      mask: a floored probability is counted and passes no slope back;
+    - ``loss(outputs)``: per-sequence offset losses, the count of floored
+      probabilities and d losses / d outputs, all from one floor mask: a
+      floored probability is counted and passes no slope back;
     - ``scores(params, inputs)``: (S, T, D) next-word scores, for
       ``predict_topk``; no loss or gradient reads them.
 
@@ -366,7 +373,7 @@ class _Qsa(_Model):
             "r_params": PhaseLayerParams.random(lay.t, seeds[2]),
         }
 
-    def loss(self, exps, num_steps):
+    def loss(self, exps):
         floored = exps < PROBABILITY_FLOOR
         kept = np.maximum(exps, PROBABILITY_FLOOR)
         return -np.log(kept), int(np.sum(floored)), np.where(floored, 0.0, -1.0 / kept)
@@ -414,13 +421,13 @@ class _Baseline(_Model):
             raise ConfigurationError(f"{self.fields[0]} arrays act on {part.embed_dim}-dimensional tokens, "
                                      f"the embedding on {params.embedding.embed_dim}")
 
-    def loss(self, ratios, num_steps):
+    def loss(self, ratios):
         floored = ratios < PROBABILITY_FLOOR
         roots = np.sqrt(np.clip(ratios, PROBABILITY_FLOOR, 1.0))
         sums = np.sum(roots, axis=-1, keepdims=True)
-        # Divergence-formula loss at alpha = 1/2, without the log T constant
-        # the circuit would add.
-        losses = -2.0 * np.log(sums[..., 0]) + 2.0 * np.log(num_steps)
+        # Divergence-formula loss at alpha = 1/2 over the T steps of the last
+        # axis, without the log T constant the circuit would add.
+        losses = -2.0 * np.log(sums[..., 0]) + 2.0 * np.log(ratios.shape[-1])
         return losses, int(np.sum(floored)), np.where(floored | (ratios > 1.0), 0.0, -1.0 / (sums * roots))
 
 
@@ -496,10 +503,8 @@ def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
     """The table entry of ``params``' kind, once ``params`` are checked to fit
     ``dataset``; a misfit is a ``CompatibilityError``."""
     model = MODELS[params.model_kind]
-    complex_embedding = np.iscomplexobj(params.embedding.matrix)
-    if DATA_KINDS[dataset.kind].complex_valued != complex_embedding:
-        raise CompatibilityError(f"{'complex' if complex_embedding else 'real'}-embedding model does not fit "
-                                 f"a {dataset.kind} dataset")
+    if dataset.kind != params.data_kind:
+        raise CompatibilityError(f"model was trained on {params.data_kind} data, got {dataset.kind}")
     if params.embedding.vocab_dim != dataset.vocab_dim:
         raise CompatibilityError(f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}")
     try:
@@ -520,7 +525,6 @@ class _Adapter:
     def __init__(self, params: ModelParams, dataset: SequenceDataset, config: TrainConfig):
         self.model = _fitted_model(params, dataset)
         self.config = config
-        self.num_steps = dataset.num_steps
         self.inputs = dataset.input_rows()
         self.template = params
         self._circuit_templates = [arr for _, arr in self.model.arrays(params)]
@@ -588,7 +592,7 @@ class _Adapter:
         embedding gradient vectors, each by its vector's rule."""
         vecs = (circuit_vec, embed_vec)
         params, outputs, backward = self._evaluate(*vecs)
-        losses, clamped, slopes = self.model.loss(outputs, self.num_steps)
+        losses, clamped, slopes = self.model.loss(outputs)
         exact = functools.cache(lambda: backward(slopes / outputs.shape[0]))  # one pass serves both vectors
         return (params, float(np.mean(losses)), clamped,
                 lambda: tuple(rule(self, vecs, side, slopes, exact) for side, rule in enumerate(self.rules)))
@@ -713,7 +717,7 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     per_set = []
     for ds in datasets:
         model = _fitted_model(params, ds)
-        losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0], ds.num_steps)
+        losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0])
         loss = float(np.mean(losses))
         per_set.append({"loss_offset": loss, "loss": loss + math.log(ds.num_steps), "perplexity": math.exp(loss),
                         "clamped": clamped})
@@ -810,13 +814,13 @@ def params_from_payload(payload: dict) -> ModelParams:
     return ModelParams(kind, embedding, **MODELS[kind].from_payload(payload[kind]))
 
 
-def checkpoint_document(params: ModelParams, config: TrainConfig, data_kind: str) -> dict:
-    identity = CheckpointIdentity(params.model_kind, data_kind, config_hash(config), config.seed)
+def checkpoint_document(params: ModelParams, config: TrainConfig) -> dict:
+    identity = CheckpointIdentity(params.model_kind, params.data_kind, config_hash(config), config.seed)
     return {"version": CHECKPOINT_VERSION, **_payload(identity), "params": params_to_payload(params)}
 
 
-def save_checkpoint(params: ModelParams, config: TrainConfig, data_kind: str, path) -> None:
-    atomic_write_text(path, json.dumps(checkpoint_document(params, config, data_kind), sort_keys=True))
+def save_checkpoint(params: ModelParams, config: TrainConfig, path) -> None:
+    atomic_write_text(path, json.dumps(checkpoint_document(params, config), sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
@@ -837,7 +841,7 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         if identity.model_kind != doc["params"]["model_kind"]:
             raise CheckpointFormatError(f"checkpoint model_kind {identity.model_kind!r} disagrees with its params")
         params = params_from_payload(doc["params"])
-        if DATA_KINDS[identity.data_kind].complex_valued != np.iscomplexobj(params.embedding.matrix):
+        if identity.data_kind != params.data_kind:
             raise CheckpointFormatError(f"checkpoint data_kind {identity.data_kind!r} disagrees with its params")
     except (KeyError, TypeError, ConfigurationError) as exc:
         # a ConfigurationError here is an identity field that breaks its rule

@@ -144,32 +144,47 @@ def checkpoints(tmp_path_factory, dataset_path):
     return out
 
 
-def short_value_map(block):
-    block["value_map"]["data"].pop()
+def short_value_map(params):
+    params["lcsa"]["value_map"]["data"].pop()
 
 
-def real_value_map_marked_complex(block):
-    block["value_map"]["complex"] = True
+def real_value_map_marked_complex(params):
+    params["lcsa"]["value_map"]["complex"] = True
 
 
-def text_angle(block):
-    block["r"]["angles"]["data"][0] = "half"
+def text_angle(params):
+    params["qsa"]["r"]["angles"]["data"][0] = "half"
 
 
-def flat_value_map(block):
-    block["w_value"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
+def flat_value_map(params):
+    params["scsa"]["w_value"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
 
 
-def flat_lcsa_value_map(block):
-    block["value_map"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
+def flat_lcsa_value_map(params):
+    params["lcsa"]["value_map"] = {"shape": [4], "complex": False, "data": [0.1] * 4}
 
 
-def misshapen_angles(block):
-    block["v"]["angles"] = {"shape": [2, 3, 2], "complex": False, "data": [0.1] * 12}
+def misshapen_angles(params):
+    params["qsa"]["v"]["angles"] = {"shape": [2, 3, 2], "complex": False, "data": [0.1] * 12}
 
 
-def fewer_layers_than_angles(block):
-    block["v"]["num_layers"] = 2
+def fewer_layers_than_angles(params):
+    params["qsa"]["v"]["num_layers"] = 2
+
+
+def marked_complex(*keys):
+    """The real array at params[keys[0]][keys[1]]... marked complex, with its
+    data doubled so that they fill the complex shape."""
+    def corrupt(params):
+        array = params
+        for key in keys:
+            array = array[key]
+        array["complex"], array["data"] = True, array["data"] * 2
+    return corrupt
+
+
+def two_dimensional_phase_angles(params):
+    params["qsa"]["r"]["angles"]["shape"] = [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -182,15 +197,24 @@ def fewer_layers_than_angles(block):
         ("lcsa", flat_lcsa_value_map, 4),
         ("qsa", misshapen_angles, 4),
         ("qsa", fewer_layers_than_angles, 4),
+        pytest.param("qsa", marked_complex("qsa", "v", "angles"), 4, id="qsa-v_angles_marked_complex-4"),
+        pytest.param("qsa", marked_complex("qsa", "r", "angles"), 4, id="qsa-r_angles_marked_complex-4"),
+        pytest.param("qsa", marked_complex("embedding", "shifts"), 4, id="qsa-shifts_marked_complex-4"),
+        ("qsa", two_dimensional_phase_angles, 4),
     ],
 )
-def test_malformed_checkpoint_array_exits_typed(tmp_path, dataset_path, checkpoints, kind, corrupt, exit_code):
+def test_malformed_checkpoint_array_exits_typed(tmp_path, capsys, dataset_path, checkpoints, kind, corrupt,
+                                                exit_code):
+    """Each ends in one error line and no output: an array marked complex
+    whose field is real is refused, not cast with its imaginary parts dropped."""
     doc = json.loads((checkpoints / kind / "checkpoint.json").read_text())
-    corrupt(doc["params"][kind])
+    corrupt(doc["params"])
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(doc, sort_keys=True))
     out = tmp_path / "eval.json"
     assert main(["eval", "--checkpoint", str(path), "--data", str(dataset_path), "--out", str(out)]) == exit_code
+    captured = capsys.readouterr()
+    assert captured.out == "" and [line[:6] for line in captured.err.splitlines()] == ["error:"]
     assert not out.exists()
 
 

@@ -284,7 +284,7 @@ def test_train_model_misfit_exits_2(tmp_path, files, capsys, data_name, config, 
     ("qsa", {"num_layers": 10 ** 15}, "num_layers 1000000000000000"),
     ("scsa", {"key_dim": 10 ** 15}, "key_dim 1000000000000000"),
     ("scsa", {"ffn_hidden": 10 ** 15}, "ffn_hidden 1000000000000000"),
-    ("qsa", {"shots": 2 ** 63}, "shots must be at most 9223372036854775807"),
+    ("qsa", {"shots": 2 ** 63}, "shots must be an integer in 1..9223372036854775807, got 9223372036854775808"),
 ], ids=["qsa-layers", "scsa-key-dim", "scsa-ffn-hidden", "shots"])
 def test_train_oversized_config_exits_2(tmp_path, files, capsys, model, config, message):
     """Petabyte-scale parameter arrays, which numpy refuses without

@@ -141,8 +141,8 @@ def test_shots_and_circuit_route_take_the_perturbation_path(monkeypatch, overrid
 
 def test_clamped_probabilities_have_zero_slope():
     exps = np.array([PROBABILITY_FLOOR / 2, 0.25])
-    assert list(MODELS["qsa"].loss(exps, 4)[2]) == [0.0, -4.0]
+    assert list(MODELS["qsa"].loss(exps)[2]) == [0.0, -4.0]
     ratios = np.array([[PROBABILITY_FLOOR / 2, 0.25, 1.0 + 1e-9, 0.25]])
-    slopes = MODELS["lcsa"].loss(ratios, 4)[2]
+    slopes = MODELS["lcsa"].loss(ratios)[2]
     assert slopes[0, 0] == 0.0 and slopes[0, 2] == 0.0
     assert np.all(slopes[0, [1, 3]] < 0.0)

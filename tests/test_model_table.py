@@ -1,5 +1,6 @@
 """Contracts of the per-kind model table: batched prediction equals the
-single-sequence oracles, and checkpoint v1 files load and re-save unchanged."""
+single-sequence oracles, checkpoint v1 files load and re-save unchanged, and
+the data kind a model fits is read off its embedding alone."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -9,12 +10,20 @@ import pytest
 
 from qsalab import classical, engine, trainer
 from qsalab.classical import linear_attention_layer, scsa_forward_batch
-from qsalab.data import build_ising, embed_sequence, generate_classical_dataset, generate_quantum_dataset
+from qsalab.data import (
+    DATA_KINDS,
+    build_ising,
+    embed_sequence,
+    generate_classical_dataset,
+    generate_quantum_dataset,
+)
+from qsalab.errors import CompatibilityError
 from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.trainer import (
     ModelParams,
     TrainConfig,
     config_hash,
+    evaluate,
     initialize_params,
     load_checkpoint,
     predict_topk,
@@ -148,6 +157,40 @@ class TestCheckpointFixtures:
         assert meta == {
             "model_kind": kind, "data_kind": data_kind, "config_hash": config_hash(config), "seed": 7,
         }
+        assert params.data_kind == data_kind
         again = tmp_path / "again.json"
-        save_checkpoint(params, config, data_kind, again)
+        save_checkpoint(params, config, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+class TestDataKindRule:
+    """A model's data kind is its ``data_kind`` property, read off the
+    embedding; the checkpoint writer and every fit check read it there."""
+
+    DATA = {"classical": tiny_classical, "quantum": tiny_quantum}
+
+    def test_complex_flags_tell_the_kinds_apart(self):
+        flags = [kind.complex_valued for kind in DATA_KINDS.values()]
+        assert len(set(flags)) == len(flags)
+
+    @pytest.mark.parametrize("data_kind", ["classical", "quantum"])
+    @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+    def test_checkpoint_records_the_data_it_was_trained_on(self, tmp_path, kind, data_kind):
+        config = TrainConfig(model_kind=kind, epochs=1, seed=7)
+        params, _ = train(config, self.DATA[data_kind]())
+        assert params.data_kind == data_kind
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(params, config, path)
+        loaded, meta = load_checkpoint(path)
+        assert meta["data_kind"] == loaded.data_kind == data_kind
+
+    @pytest.mark.parametrize("data_kind", ["classical", "quantum"])
+    @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+    def test_other_data_kind_is_a_compatibility_error(self, kind, data_kind):
+        other = next(name for name in self.DATA if name != data_kind)
+        params = initialize_params(TrainConfig(model_kind=kind, seed=7), self.DATA[data_kind]())
+        message = f"model was trained on {data_kind} data, got {other}"
+        with pytest.raises(CompatibilityError, match=message):
+            evaluate(params, self.DATA[other]())
+        with pytest.raises(CompatibilityError, match=message):
+            predict_topk(params, self.DATA[other](), k=2)

@@ -49,7 +49,7 @@ def test_predict_matches_fixture_bytes(tmp_path, kind, data_kind, top_k):
     config = TrainConfig(model_kind=kind, epochs=1, seed=7)
     params, _ = train(config, dataset)
     checkpoint, data_path, out = tmp_path / "checkpoint.json", tmp_path / "data.jsonl", tmp_path / "predict.json"
-    save_checkpoint(params, config, dataset.kind, checkpoint)
+    save_checkpoint(params, config, checkpoint)
     data.save_dataset(dataset, data_path)
     assert main([
         "predict", "--checkpoint", str(checkpoint), "--data", str(data_path),

@@ -44,9 +44,12 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             TrainConfig(gradient_mode="adjoint")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"shots must be an integer in 1\.\.9223372036854775807, got 0"):
             TrainConfig(shots=0)
-        with pytest.raises(ConfigurationError, match="shots must be at most 9223372036854775807"):
+        with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
+        with pytest.raises(ConfigurationError,
+                           match=r"shots must be an integer in 1\.\.9223372036854775807, got 9223372036854775808"):
             TrainConfig(shots=2 ** 63)
         assert TrainConfig(shots=2 ** 63 - 1).shots == 2 ** 63 - 1
 
@@ -218,7 +221,7 @@ class TestCheckpoints:
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=23)
         params, _ = train(config, tiny_classical())
         path = tmp_path / "ckpt.json"
-        save_checkpoint(params, config, "classical", path)
+        save_checkpoint(params, config, path)
         loaded, meta = load_checkpoint(path)
         assert meta["model_kind"] == "lcsa"
         assert meta["data_kind"] == "classical"
@@ -228,7 +231,7 @@ class TestCheckpoints:
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=24)
         params, _ = train(config, tiny_classical())
         path = tmp_path / "ckpt.json"
-        save_checkpoint(params, config, "classical", path)
+        save_checkpoint(params, config, path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         with pytest.raises(CompatibilityError):
@@ -249,7 +252,7 @@ class TestCheckpoints:
     def test_version_mismatch_rejected(self, tmp_path):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=25)
         params, _ = train(config, tiny_classical())
-        doc = checkpoint_document(params, config, "classical")
+        doc = checkpoint_document(params, config)
         doc["version"] = 99
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(doc))
@@ -321,7 +324,7 @@ def test_losses_clamp_at_the_probability_floor(kind):
     model = MODELS[kind]
     probs = np.array([0.0, PROBABILITY_FLOOR / 2, PROBABILITY_FLOOR, 0.5])
     outputs = probs if model.circuit else np.stack([probs, np.full(4, 0.5)], axis=-1)
-    losses, clamped, slopes = model.loss(outputs, 4)
+    losses, clamped, slopes = model.loss(outputs)
     assert clamped == 2
     assert np.isfinite(losses).all()
     assert losses[0] == losses[1] == losses[2] > losses[3]

@@ -231,7 +231,7 @@ def test_non_finite_loss_stops_before_gradient_work(monkeypatch, kind, overrides
     monkeypatch.setattr(_Adapter, "_backward", no_gradients)
     monkeypatch.setattr(_Adapter, "_perturbed", no_gradients)
     monkeypatch.setattr(MODELS[kind], "loss",
-                        lambda outputs, num_steps: (np.full(len(outputs), np.nan), 0, np.zeros_like(outputs)))
+                        lambda outputs: (np.full(len(outputs), np.nan), 0, np.zeros_like(outputs)))
     with pytest.raises(NumericFailureError) as excinfo:
         train(TrainConfig(model_kind=kind, epochs=2, seed=7, **overrides), classical_set())
     assert excinfo.value.diagnostic["epoch"] == 0
