@@ -79,9 +79,6 @@ class AnsatzParams:
         arr = rng.uniform(-spread, spread, size=(num_layers + 1, num_qubits, 2))
         return AnsatzParams(num_qubits, num_layers, arr, real_valued)
 
-    def flat(self) -> np.ndarray:
-        return np.array(self.angles, dtype=float).ravel()
-
 
 @dataclass(frozen=True)
 class PhaseLayerParams:

@@ -208,24 +208,9 @@ def cmd_train(args, parser) -> Run:
                [args.data], [checkpoint_path, csv_path])
 
 
-def _load_for_inference(checkpoint, paths):
-    """The checkpoint's params and metadata, and the datasets at ``paths``;
-    a dataset the model does not fit, of another data kind included, is a
-    ``CompatibilityError`` that names its path."""
-    params, meta = trainer.load_checkpoint(checkpoint)
-    datasets = []
-    for path in paths:
-        ds = data.load_dataset(path)
-        try:
-            trainer._fitted_model(params, ds)
-        except CompatibilityError as exc:
-            raise CompatibilityError(f"{exc} from {path}") from exc
-        datasets.append(ds)
-    return params, meta, datasets
-
-
 def cmd_eval(args, parser) -> Run:
-    params, meta, datasets = _load_for_inference(args.checkpoint, args.data)
+    params, meta = trainer.load_checkpoint(args.checkpoint)
+    datasets = [data.load_dataset(path) for path in args.data]
     # An overflowing forward reaches the loss, which is checked below.
     with np.errstate(all="ignore"):
         report = trainer.evaluate(params, datasets)
@@ -271,13 +256,11 @@ def _predict_text(model_kind: str, words: np.ndarray, scores: np.ndarray) -> str
 
 
 def cmd_predict(args, parser) -> Run:
-    params, meta, (dataset,) = _load_for_inference(args.checkpoint, [args.data])
+    params, meta = trainer.load_checkpoint(args.checkpoint)
+    dataset = data.load_dataset(args.data)
     # An overflowing forward reaches the scores, which predict_topk checks.
-    try:
-        with np.errstate(all="ignore"):
-            top = trainer.predict_topk(params, dataset, k=args.top_k)
-    except NumericFailureError as exc:
-        raise NumericFailureError(f"{exc} on {args.data}") from exc
+    with np.errstate(all="ignore"):
+        top = trainer.predict_topk(params, dataset, k=args.top_k)
     data.atomic_write_text(args.out, _predict_text(meta["model_kind"], *top) + "\n")
     return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint, "top_k": args.top_k}, meta["seed"],
                [args.checkpoint, args.data], [args.out])

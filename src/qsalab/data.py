@@ -324,8 +324,9 @@ def build_ising(num_qubits: int, seed) -> IsingModel:
 
 @dataclass(eq=False)
 class SequenceDataset:
-    """Uniform-length records as one read-only array, stacked once: (S, T+1)
-    int64 word indices or (S, T+1, D) complex128 amplitude rows.  Datasets
+    """Uniform-length records, at least one, as one read-only array, stacked
+    once: (S, T+1) int64 word indices or (S, T+1, D) complex128 amplitude rows.
+    ``source`` is the file ``load_dataset`` read it from, else None.  Datasets
     compare by identity; compare ``records`` with ``np.array_equal``."""
 
     kind: str
@@ -334,6 +335,7 @@ class SequenceDataset:
     seed: int
     records: np.ndarray
     metadata: dict = field(default_factory=dict)
+    source: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         kind = check_dataset_kind(self.kind)
@@ -343,6 +345,8 @@ class SequenceDataset:
             setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
         check_num_steps(self.num_steps)
         records = kind.rule(self.records, self.vocab_dim, self.num_steps + 1)
+        if not len(records):
+            raise ConfigurationError("dataset holds no records")
         if kind.unit_steps and not np.all(np.abs(np.linalg.norm(records, axis=-1) - 1.0) <= 1e-10):
             raise ConfigurationError(f"{self.kind} record steps must have unit norm")
         records.setflags(write=False)
@@ -499,4 +503,11 @@ def save_dataset(dataset: SequenceDataset, path) -> None:
 
 
 def load_dataset(path) -> SequenceDataset:
-    return loads_dataset(read_utf8(path))
+    """The dataset in file ``path``, with ``path`` as its ``source``; each ConfigurationError names ``path``."""
+    text = read_utf8(path)  # whose error names the path already
+    try:
+        dataset = loads_dataset(text)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{exc} in {path}") from exc
+    dataset.source = str(path)
+    return dataset

@@ -478,8 +478,6 @@ MODEL_KINDS = tuple(MODELS)
 
 def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelParams:
     """Seeded near-identity initialization consistent with the dataset kind."""
-    if len(dataset) == 0:
-        raise ConfigurationError("dataset holds no records")
     if config.embed_dim >= dataset.vocab_dim:
         raise ConfigurationError("embed_dim must be smaller than the vocabulary dimension")
     children = np.random.SeedSequence(config.seed).spawn(4)
@@ -501,20 +499,21 @@ def initialize_params(config: TrainConfig, dataset: SequenceDataset) -> ModelPar
 
 def _fitted_model(params: ModelParams, dataset: SequenceDataset) -> _Model:
     """The table entry of ``params``' kind, once ``params`` are checked to fit
-    ``dataset``; a misfit is a ``CompatibilityError``."""
+    ``dataset``; a misfit is a ``CompatibilityError`` that names the dataset's
+    ``source`` file, if it has one."""
     model = MODELS[params.model_kind]
-    if dataset.kind != params.data_kind:
-        raise CompatibilityError(f"model was trained on {params.data_kind} data, got {dataset.kind}")
-    if params.embedding.vocab_dim != dataset.vocab_dim:
-        raise CompatibilityError(f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}")
-    try:
-        model.check_arrays(params, dataset.num_steps)
-    except ConfigurationError as exc:
-        raise CompatibilityError(str(exc)) from None
     num_shifts = params.embedding.shifts.shape[0]
-    if num_shifts < dataset.num_steps + 1:
-        raise CompatibilityError(f"embedding has {num_shifts} positional shifts, fewer than the dataset's "
-                                 f"{dataset.num_steps + 1} tokens per sequence")
+    try:  # each misfit raised as check_arrays raises its own, then named once below
+        if dataset.kind != params.data_kind:
+            raise ConfigurationError(f"model was trained on {params.data_kind} data, got {dataset.kind}")
+        if params.embedding.vocab_dim != dataset.vocab_dim:
+            raise ConfigurationError(f"model vocabulary {params.embedding.vocab_dim} != dataset {dataset.vocab_dim}")
+        model.check_arrays(params, dataset.num_steps)
+        if num_shifts < dataset.num_steps + 1:
+            raise ConfigurationError(f"embedding has {num_shifts} positional shifts, fewer than the dataset's "
+                                     f"{dataset.num_steps + 1} tokens per sequence")
+    except ConfigurationError as exc:
+        raise CompatibilityError(f"{exc} from {dataset.source}" if dataset.source else str(exc)) from None
     return model
 
 
@@ -712,11 +711,11 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
 def evaluate(params: ModelParams, datasets) -> LossReport:
     """Forward-only losses; aggregates perplexity mean and stdev across sets."""
     datasets = [datasets] if isinstance(datasets, SequenceDataset) else list(datasets)
-    if not datasets or any(len(ds) == 0 for ds in datasets):
-        raise ConfigurationError("evaluation needs at least one non-empty dataset")
+    if not datasets:
+        raise ConfigurationError("evaluation needs at least one dataset")
+    models = [_fitted_model(params, ds) for ds in datasets]  # every misfit before the first forward pass
     per_set = []
-    for ds in datasets:
-        model = _fitted_model(params, ds)
+    for model, ds in zip(models, datasets):
         losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0])
         loss = float(np.mean(losses))
         per_set.append({"loss_offset": loss, "loss": loss + math.log(ds.num_steps), "perplexity": math.exp(loss),
@@ -746,15 +745,15 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
     the lowest word index.  A forward that overflows, so that any score is
     not finite, raises NumericFailureError.
     """
+    model = _fitted_model(params, dataset)  # a misfit is reported before a bad k
     if _type_fault(k, int):
         raise ConfigurationError(f"k must be of type int, got {k!r}")
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
-    if len(dataset) == 0:
-        raise ConfigurationError("prediction needs a non-empty dataset")
-    scores = _fitted_model(params, dataset).scores(params, dataset.input_rows())
+    scores = model.scores(params, dataset.input_rows())
     if not np.isfinite(scores).all():
-        raise NumericFailureError("non-finite prediction scores")
+        raise NumericFailureError(f"non-finite prediction scores on {dataset.source}" if dataset.source
+                                  else "non-finite prediction scores")
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :k]
     return TopK(order, np.take_along_axis(scores, order, axis=-1))
 

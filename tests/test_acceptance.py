@@ -111,8 +111,8 @@ def test_criterion_4_gradient_checks_all_parameter_classes():
             cvec = adapter.circuit_vector(params)
             evec = adapter.embed_vector(params)
             grad_shift, grad_embed = adapter.gradients(cvec, evec)
-            v_size = params.v_params.flat().size
-            w_size = params.w_params.flat().size
+            v_size = params.v_params.angles.size
+            w_size = params.w_params.angles.size
             rng = np.random.default_rng(trial)
             # one index from each circuit-angle class: V, W, phase layer
             picks = [

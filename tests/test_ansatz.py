@@ -48,10 +48,6 @@ class TestAnsatzParams:
         params = AnsatzParams.random(2, 5, seed=1, spread=0.1)
         assert np.all(np.abs(params.angles) <= 0.1)
 
-    def test_flat_is_the_angles_in_order(self):
-        params = AnsatzParams.random(2, 2, seed=3)
-        assert np.array_equal(params.flat().reshape(params.angles.shape), params.angles)
-
 
 class TestBuildAnsatzUnitary:
     def test_zero_angles_give_identity(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qsalab import trainer
 from qsalab.cli import main
 
 
@@ -170,3 +171,36 @@ def test_eval_names_the_dataset_the_model_does_not_fit(tmp_path, paths, capsys):
     assert code == 4
     assert capsys.readouterr().err == f"error: model vocabulary 8 != dataset 10 from {wider}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, code, message", [
+    ("malformed", 2, "malformed dataset: JSONDecodeError: Expecting property name enclosed in double quotes: "
+                     "line 1 column 2 (char 1) in {bad}"),
+    ("header_only", 2, "dataset holds no records in {bad}"),
+    ("misfit", 4, "model vocabulary 8 != dataset 10 from {bad}"),
+], ids=["malformed", "header-only", "misfit"])
+def test_eval_names_the_second_dataset_that_breaks(tmp_path, paths, capsys, fault, code, message):
+    bad = tmp_path / f"{fault}.jsonl"
+    if fault == "misfit":
+        assert main(["generate", "--kind", "classical", "--vocab", "10", "--len", "5", "--count", "4",
+                     "--out", str(bad)]) == 0
+        capsys.readouterr()
+    else:
+        header = paths["classical"].read_text().splitlines()[0]
+        bad.write_text(header + "\n" + ("{\n" if fault == "malformed" else ""))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(paths["checkpoint"]), "--data", str(paths["classical"]), str(bad),
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
+    assert not out.exists()
+    assert not list(tmp_path.glob("eval.json*"))
+
+
+@pytest.mark.parametrize("name, calls", [("eval", 2), ("predict", 1)])
+def test_inference_fit_checks_each_dataset_once(tmp_path, paths, monkeypatch, name, calls):
+    fitted, checked = trainer._fitted_model, []
+    monkeypatch.setattr(trainer, "_fitted_model",
+                        lambda params, dataset: checked.append(dataset) or fitted(params, dataset))
+    argv, _ = command(name, paths, tmp_path)  # eval reads two datasets, predict one
+    assert main(argv) == 0
+    assert len(checked) == calls

@@ -419,6 +419,7 @@ def test_train_malformed_dataset_exits_2(tmp_path, files, capsys, corrupt, messa
     code, line = train_exit(tmp_path, capsys, bad, model="lcsa")
     assert code == 2
     assert message in line
+    assert line.endswith(f" in {bad}")
 
 
 # records of one word: no step to predict
@@ -453,7 +454,7 @@ def test_predict_on_header_only_dataset_exits_2(tmp_path, files, capsys, data_na
     code = main(["predict", "--checkpoint", str(files[f"{data_name}_checkpoint"]), "--data", str(bad),
                  "--out", str(out)])
     assert code == 2
-    assert "prediction needs a non-empty dataset" in one_error_line(capsys.readouterr().err)
+    assert one_error_line(capsys.readouterr().err) == f"error: dataset holds no records in {bad}"
     assert not out.exists()
 
 

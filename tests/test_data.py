@@ -329,14 +329,55 @@ class TestRecordsArray:
             with pytest.raises(ValueError, match="read-only"):
                 dataset.records[0, 0] = 1
             assert np.shares_memory(dataset.input_rows(), dataset.records) == (kind == "quantum")
-        header_only = dumps_dataset(ds).splitlines()[0]
-        assert loads_dataset(header_only).records.shape == (0, *shape[1:])
-        assert loads_dataset(header_only).records.dtype == dtype
+        with pytest.raises(ConfigurationError, match="^dataset holds no records$"):
+            loads_dataset(dumps_dataset(ds).splitlines()[0])
 
     def test_equality_is_identity(self):
         ds = generate_classical_dataset(8, 4, 5, seed=6)
         assert ds == ds
         assert ds != loads_dataset(dumps_dataset(ds))
+
+
+class TestSource:
+    """A dataset read by ``load_dataset`` knows its file, and every error of that
+    read names it; a dataset made in memory has no source and names none."""
+
+    def test_only_a_loaded_dataset_has_a_source(self, tmp_path):
+        ds = generate_classical_dataset(8, 4, 5, seed=6)
+        quantum = generate_quantum_dataset(build_ising(2, seed=1), 4, 3, seed=5)
+        in_memory = (ds, quantum, loads_dataset(dumps_dataset(ds)))
+        assert [dataset.source for dataset in in_memory] == [None, None, None]
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        loaded = load_dataset(path)
+        assert loaded.source == str(path)
+        assert dumps_dataset(loaded) == path.read_text()  # the source is not written
+        with pytest.raises(TypeError):
+            SequenceDataset("classical", 8, 4, 6, ds.records, source=str(path))
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_a_dataset_holds_at_least_one_record(self, kind):
+        vocab_dim, shape = (8, (0, 5)) if kind == "classical" else (4, (0, 5, 4))
+        for records in ([], np.empty(shape)):
+            with pytest.raises(ConfigurationError, match="^dataset holds no records$"):
+                SequenceDataset(kind, vocab_dim, 4, 0, records)
+
+    @pytest.mark.parametrize("body, message", [
+        ("", "dataset file is empty"),
+        ("{header}\n", "dataset holds no records"),
+        ("{header}\n{\n", "malformed dataset: JSONDecodeError: "),
+        ("{header}\n" + json.dumps({"id": 0, "words": [0, 1, 2, 3, 9]}) + "\n", "word index outside the vocabulary"),
+    ], ids=["empty", "header-only", "bad-json", "word-outside"])
+    def test_every_load_error_names_the_file(self, tmp_path, body, message):
+        text = body.replace("{header}", dumps_dataset(generate_classical_dataset(8, 4, 5, seed=6)).splitlines()[0])
+        with pytest.raises(ConfigurationError) as in_memory:
+            loads_dataset(text)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as loaded:
+            load_dataset(path)
+        assert str(in_memory.value).startswith(message) and str(path) not in str(in_memory.value)
+        assert str(loaded.value) == f"{in_memory.value} in {path}"
 
 
 class TestSerialization:

@@ -307,8 +307,8 @@ class TestShiftRuleOnFullExpectation:
         rng = np.random.default_rng(73)
         for _ in range(20):
             instance = random_instance(rng)
-            v_flat = instance.params_v.flat()
-            w_flat = instance.params_w.flat()
+            v_flat = np.array(instance.params_v.angles).ravel()
+            w_flat = np.array(instance.params_w.angles).ravel()
             r_flat = np.array(instance.params_r.angles)
             block = int(rng.integers(0, 3))
             flat = (v_flat, w_flat, r_flat)[block]

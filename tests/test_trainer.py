@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
+from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset, load_dataset, save_dataset
 from qsalab.errors import CompatibilityError, ConfigurationError, NumericFailureError
 from qsalab.objectives import PROBABILITY_FLOOR
 from qsalab.trainer import (
@@ -168,7 +168,7 @@ class TestEvaluate:
         dataset = tiny_classical()
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=18)
         params, _ = train(config, dataset)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^evaluation needs at least one dataset$"):
             evaluate(params, [])
 
     def test_kind_mismatch_rejected(self):
@@ -176,6 +176,37 @@ class TestEvaluate:
         params, _ = train(config, tiny_classical())
         with pytest.raises(CompatibilityError):
             evaluate(params, tiny_quantum())
+
+    @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
+    def test_a_misfit_second_set_runs_no_forward_pass(self, monkeypatch, kind):
+        params, _ = train(TrainConfig(model_kind=kind, epochs=0, seed=20), tiny_classical())
+        forward, forwards = MODELS[kind].forward, []
+        monkeypatch.setattr(MODELS[kind], "forward", lambda *args: forwards.append(args) or forward(*args))
+        with pytest.raises(CompatibilityError, match="^model vocabulary 8 != dataset 10$"):
+            evaluate(params, [tiny_classical(), generate_classical_dataset(10, 4, 3, seed=2)])
+        assert forwards == []
+        evaluate(params, [tiny_classical(), tiny_classical(seed=5)])
+        assert len(forwards) == 2
+
+    def test_messages_name_the_file_of_a_loaded_dataset_only(self, tmp_path):
+        params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=21), tiny_classical())
+        wider = generate_classical_dataset(10, 4, 3, seed=2)
+        path = tmp_path / "wider.jsonl"
+        save_dataset(wider, path)
+        for run in (evaluate, predict_topk):
+            with pytest.raises(CompatibilityError, match="^model vocabulary 8 != dataset 10$"):
+                run(params, wider)
+            with pytest.raises(CompatibilityError) as loaded:
+                run(params, load_dataset(path))
+            assert str(loaded.value) == f"model vocabulary 8 != dataset 10 from {path}"
+        dataset = tiny_classical()
+        save_dataset(dataset, path)
+        overflowing = replace(params, embedding=replace(params.embedding, gamma=1e308))
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="^non-finite prediction scores$"):
+            predict_topk(overflowing, dataset)
+        with np.errstate(all="ignore"), pytest.raises(NumericFailureError) as loaded:
+            predict_topk(overflowing, load_dataset(path))
+        assert str(loaded.value) == f"non-finite prediction scores on {path}"
 
     def test_perfect_predictor_gives_unit_perplexity(self):
         # rank-one value map onto u with all targets embedding parallel to u
