@@ -19,7 +19,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import operator
 import os
 import sys
@@ -210,13 +209,7 @@ def cmd_train(args, parser) -> Run:
 
 def cmd_eval(args, parser) -> Run:
     params, meta = trainer.load_checkpoint(args.checkpoint)
-    datasets = [data.load_dataset(path) for path in args.data]
-    # An overflowing forward reaches the loss, which is checked below.
-    with np.errstate(all="ignore"):
-        report = trainer.evaluate(params, datasets)
-    for path, entry in zip(args.data, report.per_set):
-        if not math.isfinite(entry["loss"]):
-            raise NumericFailureError(f"non-finite loss on {path}")
+    report = trainer.evaluate(params, [data.load_dataset(path) for path in args.data])
     doc = {
         "model_kind": meta["model_kind"],
         "metric": "perplexity",
@@ -258,9 +251,7 @@ def _predict_text(model_kind: str, words: np.ndarray, scores: np.ndarray) -> str
 def cmd_predict(args, parser) -> Run:
     params, meta = trainer.load_checkpoint(args.checkpoint)
     dataset = data.load_dataset(args.data)
-    # An overflowing forward reaches the scores, which predict_topk checks.
-    with np.errstate(all="ignore"):
-        top = trainer.predict_topk(params, dataset, k=args.top_k)
+    top = trainer.predict_topk(params, dataset, k=args.top_k)
     data.atomic_write_text(args.out, _predict_text(meta["model_kind"], *top) + "\n")
     return Run(f"{args.out}.manifest.json", {"checkpoint": args.checkpoint, "top_k": args.top_k}, meta["seed"],
                [args.checkpoint, args.data], [args.out])

@@ -160,6 +160,25 @@ def _one_hot(words, vocab_dim: int) -> np.ndarray:
     return rows.reshape(*words.shape, vocab_dim)
 
 
+_NON_FINITE_AMPLITUDE = "quantum amplitudes must be finite numbers, got"
+
+
+class _Spelling(str):
+    """A JSON number as the file spells it, kept in place of a value that is not finite."""
+
+
+def _spelled_non_finite(record_lines, field: str) -> str:
+    """The first amplitude in ``record_lines`` whose value is not finite, as
+    spelled there: ``1e400`` parses as infinity, and is named ``1e400``."""
+    def parse_float(text):
+        value = float(text)
+        return value if math.isfinite(value) else _Spelling(text)
+
+    records = (json.loads(line, parse_float=parse_float, parse_constant=_Spelling)[field] for line in record_lines)
+    parts = chain.from_iterable(chain.from_iterable(chain.from_iterable(records)))  # records, steps, [re, im] pairs
+    return next(part for part in parts if isinstance(part, _Spelling))
+
+
 def _amplitude_records(records, vocab_dim: int, length: int) -> np.ndarray:
     """``records`` as an (S, T+1, D) complex128 array, after a quantum record's
     three checks in order: numbers (a bool is not one), (T+1, D) rows, and every
@@ -174,7 +193,7 @@ def _amplitude_records(records, vocab_dim: int, length: int) -> np.ndarray:
     rows = np.array(arrays, dtype=complex).reshape(len(arrays), length, vocab_dim)
     bad = rows.view(float)[~np.isfinite(rows.view(float))]  # real and imaginary parts that are not finite
     if bad.size:
-        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad[0].item())}")
+        raise ConfigurationError(f"{_NON_FINITE_AMPLITUDE} {json.dumps(bad[0].item())}")
     return rows
 
 
@@ -188,7 +207,7 @@ def _amplitude_rows(steps) -> np.ndarray:
     parts = list(chain.from_iterable(pairs))
     if not {int, float}.issuperset(map(type, parts)):
         bad = next(part for part in parts if type(part) not in (int, float))
-        raise ConfigurationError(f"quantum amplitudes must be finite numbers, got {json.dumps(bad)}")
+        raise ConfigurationError(f"{_NON_FINITE_AMPLITUDE} {json.dumps(bad)}")
     return np.array(parts, dtype=float).view(complex).reshape(len(steps), -1)
 
 
@@ -460,7 +479,10 @@ def loads_dataset(text: str) -> SequenceDataset:
         records = [kind.from_json(obj[kind.field]) for obj in map(json.loads, lines[1:])]
         metadata = {"generator": header.get("generator", {})}
         return SequenceDataset(header["kind"], header["D"], header["T"], header["seed"], records, metadata)
-    except ConfigurationError:
+    except ConfigurationError as exc:
+        if str(exc) in (f"{_NON_FINITE_AMPLITUDE} Infinity", f"{_NON_FINITE_AMPLITUDE} -Infinity"):
+            # an infinity may be spelled as a finite-looking literal that overflows
+            raise ConfigurationError(f"{_NON_FINITE_AMPLITUDE} {_spelled_non_finite(lines[1:], kind.field)}") from exc
         raise
     # JSONDecodeError is a ValueError; json raises RecursionError on a line nested too deeply
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:

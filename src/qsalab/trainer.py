@@ -709,15 +709,23 @@ def train(config: TrainConfig, dataset: SequenceDataset) -> tuple[ModelParams, L
 
 
 def evaluate(params: ModelParams, datasets) -> LossReport:
-    """Forward-only losses; aggregates perplexity mean and stdev across sets."""
+    """Forward-only losses; aggregates perplexity mean and stdev across sets.
+
+    The sets are evaluated in order, and the first whose loss is not finite,
+    as an overflowing forward makes it, raises NumericFailureError.
+    """
     datasets = [datasets] if isinstance(datasets, SequenceDataset) else list(datasets)
     if not datasets:
         raise ConfigurationError("evaluation needs at least one dataset")
     models = [_fitted_model(params, ds) for ds in datasets]  # every misfit before the first forward pass
     per_set = []
     for model, ds in zip(models, datasets):
-        losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0])
-        loss = float(np.mean(losses))
+        # An overflowing forward reaches the loss, which is checked below.
+        with np.errstate(all="ignore"):
+            losses, clamped, _ = model.loss(model.forward(params, ds.input_rows())[0])
+            loss = float(np.mean(losses))
+        if not math.isfinite(loss):
+            raise NumericFailureError(f"non-finite loss on {ds.source}" if ds.source else "non-finite loss")
         per_set.append({"loss_offset": loss, "loss": loss + math.log(ds.num_steps), "perplexity": math.exp(loss),
                         "clamped": clamped})
     perps = np.array([entry["perplexity"] for entry in per_set])
@@ -750,7 +758,9 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
         raise ConfigurationError(f"k must be of type int, got {k!r}")
     if not 1 <= k <= params.embedding.vocab_dim:
         raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
-    scores = model.scores(params, dataset.input_rows())
+    # An overflowing forward reaches the scores, which are checked below.
+    with np.errstate(all="ignore"):
+        scores = model.scores(params, dataset.input_rows())
     if not np.isfinite(scores).all():
         raise NumericFailureError(f"non-finite prediction scores on {dataset.source}" if dataset.source
                                   else "non-finite prediction scores")

@@ -1,11 +1,12 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsalab.cli import _build_parser, main
 from qsalab.data import load_dataset
+
+from pinned import FIXTURES
 
 
 def run(argv):
@@ -289,9 +290,6 @@ class TestConfigFileErrors:
 
     def test_config_list_exits_2(self, tmp_path, small_dataset_path):
         assert self._train(tmp_path, small_dataset_path, '[{"epochs": 1}]') == 2
-
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestArraysAgainstEmbedding:

@@ -8,7 +8,6 @@ import json
 import math
 import os
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +16,7 @@ from qsalab.classical import LcsaParams, ScsaParams
 from qsalab.cli import main
 from qsalab.trainer import load_checkpoint, params_to_payload
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from pinned import FIXTURES
 
 
 @pytest.fixture(scope="module")

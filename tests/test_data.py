@@ -428,6 +428,17 @@ class TestSerialization:
         with pytest.raises(ConfigurationError):
             SequenceDataset("quantum", 2, 1, 0, [[[1.0, 0.0], [0.0, 1.0]], record])
 
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1E+999", "Infinity", "-Infinity", "NaN"])
+    def test_a_loaded_non_finite_amplitude_is_named_as_written(self, literal):
+        """The first amplitude whose value is not finite is named as the file
+        spells it: ``1e400`` parses as an infinity, but is not written so."""
+        header = json.dumps({"kind": "quantum", "D": 2, "T": 1, "seed": 0})
+        first = json.dumps({"id": 0, "steps": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+        second = '{"id": 1, "steps": [[[1, 0], [0, 0]], [[0, 0], [%s, Infinity]]]}' % literal
+        with pytest.raises(ConfigurationError) as verdict:
+            loads_dataset("\n".join([header, first, second]) + "\n")
+        assert str(verdict.value) == f"quantum amplitudes must be finite numbers, got {literal}"
+
     def test_quantum_records_are_frozen(self):
         ds = SequenceDataset("quantum", 2, 1, 0, [[[1.0, 0.0], [0.0, 1.0]], [[0.6, 0.8j], [1j, 0.0]]])
         assert ds.records[1].dtype == complex and ds.records[1][0, 1] == 0.8j

@@ -1,54 +1,12 @@
-"""The Markov walk of ``generate_classical_dataset``: pinned bytes, the same
-words as ``Generator.choice`` per step, and no ``choice`` call per step."""
-
-from pathlib import Path
+"""The Markov walk of ``generate_classical_dataset``: the same words as
+``Generator.choice`` per step, and no ``choice`` call per step.
+``tests/pinned.py`` pins the bytes of ``qsalab generate``."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalab import data
-from qsalab.cli import main
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-# fixture name: (kind, vocab or qubits, --order or None to omit it, --len,
-# --count, --seed).  `qsalab generate` wrote each classical file while the walk
-# still called Generator.choice per step, and each quantum file while the
-# Hamiltonian was still a sum of Kronecker products; CI regenerates them through
-# the installed script.
-GENERATED = {
-    "generate_classical_v2_o1.jsonl": ("classical", 2, 1, 9, 4, 3),
-    "generate_classical_v10_o2_len257.jsonl": ("classical", 10, None, 257, 3, 7),
-    "generate_classical_v16_o3.jsonl": ("classical", 16, 3, 17, 6, 11),
-    "generate_quantum_q3.jsonl": ("quantum", 3, None, 5, 2, 2),
-    "generate_quantum_q5.jsonl": ("quantum", 5, None, 3, 2, 6),
-}
-
-
-def _argv(kind, size, order, length, count, seed):
-    argv = ["generate", "--kind", kind, "--vocab" if kind == "classical" else "--qubits", str(size),
-            "--len", str(length), "--count", str(count), "--seed", str(seed)]
-    return argv if order is None else argv + ["--order", str(order)]
-
-
-@pytest.mark.parametrize("name", sorted(GENERATED))
-def test_generated_dataset_keeps_its_pinned_bytes(name):
-    kind, size, order, length, count, seed = GENERATED[name]
-    if kind == "classical":
-        order = 2 if order is None else order
-        dataset = data.generate_classical_dataset(size, length - 1, count, seed, order=order)
-    else:
-        dataset = data.generate_quantum_dataset(data.build_ising(size, seed), length - 1, count, seed)
-    assert data.dumps_dataset(dataset) == (FIXTURES / name).read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize("name", sorted(GENERATED))
-def test_cli_generate_keeps_its_pinned_bytes(tmp_path, name):
-    out = tmp_path / name
-    assert main([*_argv(*GENERATED[name]), "--out", str(out)]) == 0
-    assert out.read_bytes() == (FIXTURES / name).read_bytes()
 
 
 def _choice_walk(vocab_dim, num_steps, count, seed, order):

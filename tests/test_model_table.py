@@ -1,28 +1,20 @@
 """Contracts of the per-kind model table: batched prediction equals the
-single-sequence oracles, checkpoint v1 files load and re-save unchanged, and
-the data kind a model fits is read off its embedding alone."""
+single-sequence oracles, and the data kind a model fits is read off its
+embedding alone.  ``tests/pinned.py`` pins the checkpoint v1 files."""
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsalab import classical, engine, trainer
 from qsalab.classical import linear_attention_layer, scsa_forward_batch
-from qsalab.data import (
-    DATA_KINDS,
-    build_ising,
-    embed_sequence,
-    generate_classical_dataset,
-    generate_quantum_dataset,
-)
+from qsalab.data import DATA_KINDS, embed_sequence, generate_classical_dataset
 from qsalab.errors import CompatibilityError
 from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.trainer import (
     ModelParams,
     TrainConfig,
-    config_hash,
     evaluate,
     initialize_params,
     load_checkpoint,
@@ -31,15 +23,7 @@ from qsalab.trainer import (
     train,
 )
 
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def tiny_classical(count=12, seed=3):
-    return generate_classical_dataset(8, 4, count, seed=seed, order=2)
-
-
-def tiny_quantum(count=6, seed=4):
-    return generate_quantum_dataset(build_ising(3, seed=1), 4, count, seed=seed)
+from pinned import classical_set, quantum_set
 
 
 def oracle_scores(params, dataset, seq, step):
@@ -81,7 +65,7 @@ class TestPredictMatchesOracles:
     @pytest.mark.parametrize("quantum", [False, True])
     @pytest.mark.parametrize("tied", [False, True])
     def test_every_step_matches_single_sequence_oracle(self, kind, quantum, tied):
-        dataset = tiny_quantum() if quantum else tiny_classical()
+        dataset = quantum_set() if quantum else classical_set()
         params, _ = train(TrainConfig(model_kind=kind, epochs=1, seed=40), dataset)
         if tied:
             params = with_tied_words(params)
@@ -127,47 +111,17 @@ class TestPredictMatchesOracles:
         for module in (engine, classical, trainer):
             for name in ("predict_token_state", "linear_attention_layer"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
-        dataset = tiny_classical(count=3)
+        dataset = classical_set()
         for kind in ("qsa", "scsa", "lcsa"):
             params = initialize_params(TrainConfig(model_kind=kind, seed=41), dataset)
-            assert predict_topk(params, dataset, k=2).words.shape[0] == 3
-
-
-class TestCheckpointFixtures:
-    """Checkpoint v1 files written by earlier builds, each model kind on each
-    data kind, each the result of ``train(TrainConfig(model_kind=kind,
-    epochs=1, seed=7), data)`` with ``data`` from ``tiny_classical()`` or
-    ``tiny_quantum()``."""
-
-    @pytest.mark.parametrize(
-        "name, kind, data_kind",
-        [
-            ("checkpoint_v1_qsa.json", "qsa", "classical"),
-            ("checkpoint_v1_scsa.json", "scsa", "classical"),
-            ("checkpoint_v1_lcsa.json", "lcsa", "quantum"),
-            ("checkpoint_v1_qsa_quantum.json", "qsa", "quantum"),
-            ("checkpoint_v1_scsa_quantum.json", "scsa", "quantum"),
-            ("checkpoint_v1_lcsa_classical.json", "lcsa", "classical"),
-        ],
-    )
-    def test_loads_and_resaves_identical_bytes(self, tmp_path, name, kind, data_kind):
-        path = FIXTURES / name
-        params, meta = load_checkpoint(path)
-        config = TrainConfig(model_kind=kind, epochs=1, seed=7)
-        assert meta == {
-            "model_kind": kind, "data_kind": data_kind, "config_hash": config_hash(config), "seed": 7,
-        }
-        assert params.data_kind == data_kind
-        again = tmp_path / "again.json"
-        save_checkpoint(params, config, again)
-        assert again.read_bytes() == path.read_bytes()
+            assert predict_topk(params, dataset, k=2).words.shape[0] == len(dataset)
 
 
 class TestDataKindRule:
     """A model's data kind is its ``data_kind`` property, read off the
     embedding; the checkpoint writer and every fit check read it there."""
 
-    DATA = {"classical": tiny_classical, "quantum": tiny_quantum}
+    DATA = {"classical": classical_set, "quantum": quantum_set}
 
     def test_complex_flags_tell_the_kinds_apart(self):
         flags = [kind.complex_valued for kind in DATA_KINDS.values()]

@@ -202,11 +202,19 @@ class TestEvaluate:
         dataset = tiny_classical()
         save_dataset(dataset, path)
         overflowing = replace(params, embedding=replace(params.embedding, gamma=1e308))
-        with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="^non-finite prediction scores$"):
+        with pytest.raises(NumericFailureError, match="^non-finite prediction scores$"):
             predict_topk(overflowing, dataset)
-        with np.errstate(all="ignore"), pytest.raises(NumericFailureError) as loaded:
+        with pytest.raises(NumericFailureError) as loaded:
             predict_topk(overflowing, load_dataset(path))
         assert str(loaded.value) == f"non-finite prediction scores on {path}"
+        with pytest.raises(NumericFailureError, match="^non-finite loss$"):
+            evaluate(overflowing, dataset)
+        # the sets are checked in order: the first one's loss is reported
+        second = tmp_path / "second.jsonl"
+        save_dataset(dataset, second)
+        with pytest.raises(NumericFailureError) as loaded:
+            evaluate(overflowing, [load_dataset(path), load_dataset(second)])
+        assert str(loaded.value) == f"non-finite loss on {path}"
 
     def test_perfect_predictor_gives_unit_perplexity(self):
         # rank-one value map onto u with all targets embedding parallel to u
@@ -337,15 +345,17 @@ class TestPredictTopK:
     @pytest.mark.parametrize("data", [tiny_classical, tiny_quantum], ids=["classical", "quantum"])
     @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
     def test_overflowing_forward_raises_numeric_failure(self, kind, data):
-        # finite parameters whose forward overflows, run as `predict` runs it:
-        # no score may come back NaN, and qsa's zeroed unit tokens must not
-        # read as a vanishing output
+        # finite parameters whose forward overflows: no score or loss may come
+        # back NaN, no overflow may warn, and qsa's zeroed unit tokens must
+        # not read as a vanishing output
         dataset = data()
         params, _ = train(TrainConfig(model_kind=kind, epochs=0, seed=28), dataset)
         emb = params.embedding
         for embedding in (replace(emb, gamma=1e308), emb.with_matrix(emb.matrix * 1e300)):
-            with np.errstate(all="ignore"), pytest.raises(NumericFailureError, match="non-finite prediction scores"):
+            with pytest.raises(NumericFailureError, match="^non-finite prediction scores$"):
                 predict_topk(replace(params, embedding=embedding), dataset)
+            with pytest.raises(NumericFailureError, match="^non-finite loss$"):
+                evaluate(replace(params, embedding=embedding), dataset)
 
 
 @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])

@@ -1,69 +1,22 @@
-"""Training rows: one model forward per row, loss.csv bytes unchanged from an
-earlier build, and settings that only a circuit kind can honour."""
+"""Training rows: one model forward per row, and settings that only a circuit
+kind can honour.  ``tests/pinned.py`` pins the loss.csv bytes."""
 
 import gc
 import sys
 import tracemalloc
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsalab import ansatz, data, engine, trainer
-from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset
+from qsalab.data import generate_classical_dataset
 from qsalab.errors import ConfigurationError, NumericFailureError
 from qsalab.trainer import MODELS, TrainConfig, _Adapter, initialize_params, train
 
-FIXTURES = Path(__file__).parent / "fixtures"
+from pinned import classical_set, quantum_set
+
 KINDS = ("qsa", "scsa", "lcsa")
-
-
-def classical_set():
-    return generate_classical_dataset(8, 4, 12, seed=3, order=2)
-
-
-def quantum_set():
-    return generate_quantum_dataset(build_ising(3, seed=1), 4, 6, seed=4)
-
-
-# config overrides of each fixture setting; the perturbation paths run all but "analytic"
-SETTINGS = {
-    "analytic": {},
-    "circuit": {"expectation_route": "circuit"},
-    "shots": {"shots": 64},
-    "finite-difference": {"gradient_mode": "finite-difference"},
-    "circuit-shots": {"expectation_route": "circuit", "shots": 64},
-}
-
-
-@pytest.mark.parametrize(
-    "kind, data_kind, setting",
-    [
-        ("qsa", "classical", "analytic"),
-        ("scsa", "classical", "analytic"),
-        ("lcsa", "classical", "analytic"),
-        ("qsa", "quantum", "analytic"),
-        ("lcsa", "quantum", "analytic"),
-        ("qsa", "classical", "circuit"),
-        ("qsa", "quantum", "circuit"),
-        ("qsa", "classical", "shots"),
-        ("qsa", "classical", "finite-difference"),
-        ("scsa", "classical", "finite-difference"),
-        ("lcsa", "quantum", "finite-difference"),
-        ("qsa", "quantum", "circuit-shots"),
-    ],
-)
-def test_loss_csv_matches_fixture_bytes(kind, data_kind, setting):
-    """Each fixture was written by an earlier build from
-    ``train(TrainConfig(model_kind=kind, epochs=3, seed=7, **SETTINGS[setting]), dataset)``;
-    a fixture of a setting other than "analytic" carries the setting as a
-    suffix, with "-" written "_"."""
-    dataset = classical_set() if data_kind == "classical" else quantum_set()
-    config = TrainConfig(model_kind=kind, epochs=3, seed=7, **SETTINGS[setting])
-    _, report = train(config, dataset)
-    suffix = "" if setting == "analytic" else "_" + setting.replace("-", "_")
-    assert report.to_csv_text() == (FIXTURES / f"loss_{kind}_{data_kind}{suffix}.csv").read_text()
 
 
 class _CountingEmbeddings:
