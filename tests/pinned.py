@@ -35,8 +35,9 @@ from qsalab.data import build_ising, generate_classical_dataset, generate_quantu
 from qsalab.trainer import TrainConfig, config_hash, load_checkpoint, save_checkpoint, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
-classical_set = partial(generate_classical_dataset, 8, 4, 12, seed=3, order=2)
-quantum_set = partial(generate_quantum_dataset, build_ising(3, seed=1), 4, 6, seed=4)
+# count, seed and order are keywords, so a caller can override them: classical_set(count=6)
+classical_set = partial(generate_classical_dataset, 8, 4, count=12, seed=3, order=2)
+quantum_set = partial(generate_quantum_dataset, build_ising(3, seed=1), 4, count=6, seed=4)
 classical_long_set = partial(generate_classical_dataset, 8, 64, 3, seed=3, order=2)  # T=64 > d^2: S-CSA query tiles
 DATASETS = {"classical": classical_set, "quantum": quantum_set, "classical_long": classical_long_set}
 
@@ -87,6 +88,17 @@ def _generate(args):
     return lambda out: _run(["generate", *args.split(), "--out", out])
 
 
+# The options of each pinned `generate` output: tests/test_blas_threads.py runs them at
+# one and two BLAS threads, and CI through the installed console script.  The classical
+# walks were first written while the walk called Generator.choice per step, and the
+# quantum files while the Hamiltonian was a sum of Kronecker products.
+GENERATE = {
+    "generate_classical_v2_o1.jsonl": "--kind classical --vocab 2 --order 1 --len 9 --count 4 --seed 3",
+    "generate_classical_v10_o2_len257.jsonl": "--kind classical --vocab 10 --len 257 --count 3 --seed 7",
+    "generate_classical_v16_o3.jsonl": "--kind classical --vocab 16 --order 3 --len 17 --count 6 --seed 11",
+    "generate_quantum_q3.jsonl": "--kind quantum --qubits 3 --len 5 --count 2 --seed 2",
+    "generate_quantum_q5.jsonl": "--kind quantum --qubits 5 --len 3 --count 2 --seed 6",
+}
 MADE = {
     "loss_qsa_classical.csv": _loss("qsa", "classical"),
     "loss_scsa_classical.csv": _loss("scsa", "classical"),
@@ -110,13 +122,7 @@ MADE = {
     # --top-k 8 is the whole vocabulary
     "predict_scsa_classical_long.json": _predict("scsa", "classical_long", 8),
     "predict_lcsa_quantum.json": _predict("lcsa", "quantum", 8),
-    # the classical walks were first written while the walk called Generator.choice per
-    # step, and the quantum files while the Hamiltonian was a sum of Kronecker products
-    "generate_classical_v2_o1.jsonl": _generate("--kind classical --vocab 2 --order 1 --len 9 --count 4 --seed 3"),
-    "generate_classical_v10_o2_len257.jsonl": _generate("--kind classical --vocab 10 --len 257 --count 3 --seed 7"),
-    "generate_classical_v16_o3.jsonl": _generate("--kind classical --vocab 16 --order 3 --len 17 --count 6 --seed 11"),
-    "generate_quantum_q3.jsonl": _generate("--kind quantum --qubits 3 --len 5 --count 2 --seed 2"),
-    "generate_quantum_q5.jsonl": _generate("--kind quantum --qubits 5 --len 3 --count 2 --seed 6"),
+    **{name: _generate(args) for name, args in GENERATE.items()},
 }
 READ = {
     # Added with commit a15f148.  _checkpoint's recipe differs from each by up to about one

@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset, load_dataset, save_dataset
+from qsalab.data import generate_classical_dataset, load_dataset, save_dataset
 from qsalab.errors import CompatibilityError, ConfigurationError, NumericFailureError
 from qsalab.objectives import PROBABILITY_FLOOR
 from qsalab.trainer import (
@@ -25,13 +25,7 @@ from qsalab.trainer import (
     train,
 )
 
-
-def tiny_classical(count=12, seed=3, order=2):
-    return generate_classical_dataset(8, 4, count, seed=seed, order=order)
-
-
-def tiny_quantum(count=6, seed=4):
-    return generate_quantum_dataset(build_ising(3, seed=1), 4, count, seed=seed)
+from pinned import classical_set, quantum_set
 
 
 class TestConfig:
@@ -57,7 +51,7 @@ class TestConfig:
 class TestZeroEpochs:
     def test_returns_initial_params_and_empty_curve(self):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=5)
-        dataset = tiny_classical()
+        dataset = classical_set()
         params, report = train(config, dataset)
         assert report.rows == []
         reference = initialize_params(config, dataset)
@@ -68,7 +62,7 @@ class TestZeroEpochs:
 class TestGradients:
     def test_shift_rule_matches_finite_differences_over_configs(self):
         # circuit-angle classes (V, W, phase layer) on the full training loss
-        dataset = tiny_classical(count=6)
+        dataset = classical_set(count=6)
         for trial in range(10):
             config = TrainConfig(model_kind="qsa", epochs=1, seed=100 + trial)
             params = initialize_params(config, dataset)
@@ -88,7 +82,7 @@ class TestGradients:
                 assert abs(grad_shift[i] - fd) / scale < 1e-4
 
     def test_embedding_gradient_consistent_across_steps(self):
-        dataset = tiny_classical(count=6)
+        dataset = classical_set(count=6)
         config = TrainConfig(model_kind="qsa", epochs=1, seed=9)
         params = initialize_params(config, dataset)
         adapter = _Adapter(params, dataset, config)
@@ -109,7 +103,7 @@ class TestTrainingRuns:
         assert report.rows[-1].train_loss_offset < 0.05
 
     def test_rows_cover_epochs_and_match_evaluate(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="qsa", epochs=3, seed=1)
         params, report = train(config, dataset)
         assert [row.epoch for row in report.rows] == [0, 1, 2, 3]
@@ -117,14 +111,14 @@ class TestTrainingRuns:
         assert abs(evaluated.per_set[0]["loss_offset"] - report.rows[-1].train_loss_offset) < 1e-10
 
     def test_identical_seed_bitwise_identical_report(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="qsa", epochs=2, seed=11)
         _, report_a = train(config, dataset)
         _, report_b = train(config, dataset)
         assert report_a.to_csv_text() == report_b.to_csv_text()
 
     def test_loss_constant_column_relation(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="scsa", epochs=2, seed=13)
         _, report = train(config, dataset)
         for row in report.rows:
@@ -132,21 +126,21 @@ class TestTrainingRuns:
             assert abs(row.perplexity - math.exp(row.train_loss_offset)) < 1e-12
 
     def test_quantum_task_all_models(self):
-        dataset = tiny_quantum()
+        dataset = quantum_set()
         for kind in ("qsa", "scsa", "lcsa"):
             config = TrainConfig(model_kind=kind, epochs=2, seed=14)
             params, report = train(config, dataset)
             assert np.isfinite(report.rows[-1].train_loss_offset)
 
     def test_shot_based_training_is_deterministic(self):
-        dataset = tiny_classical(count=4)
+        dataset = classical_set(count=4)
         config = TrainConfig(model_kind="qsa", epochs=1, seed=15, shots=256)
         _, a = train(config, dataset)
         _, b = train(config, dataset)
         assert a.to_csv_text() == b.to_csv_text()
 
     def test_circuit_route_matches_analytic_route(self):
-        dataset = tiny_classical(count=3)
+        dataset = classical_set(count=3)
         base = dict(model_kind="qsa", epochs=1, seed=16)
         _, analytic = train(TrainConfig(**base), dataset)
         _, circuit = train(TrainConfig(**base, expectation_route="circuit"), dataset)
@@ -155,17 +149,17 @@ class TestTrainingRuns:
 
 class TestEvaluate:
     def test_multiple_sets_aggregate(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="lcsa", epochs=1, seed=17)
         params, _ = train(config, dataset)
-        tests = [tiny_classical(seed=s) for s in (21, 22, 23)]
+        tests = [classical_set(seed=s) for s in (21, 22, 23)]
         report = evaluate(params, tests)
         perps = [entry["perplexity"] for entry in report.per_set]
         assert abs(report.test_perplexity_mean - np.mean(perps)) < 1e-12
         assert abs(report.test_perplexity_stdev - np.std(perps, ddof=1)) < 1e-12
 
     def test_empty_dataset_rejected(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=18)
         params, _ = train(config, dataset)
         with pytest.raises(ConfigurationError, match="^evaluation needs at least one dataset$"):
@@ -173,23 +167,23 @@ class TestEvaluate:
 
     def test_kind_mismatch_rejected(self):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=19)
-        params, _ = train(config, tiny_classical())
+        params, _ = train(config, classical_set())
         with pytest.raises(CompatibilityError):
-            evaluate(params, tiny_quantum())
+            evaluate(params, quantum_set())
 
     @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
     def test_a_misfit_second_set_runs_no_forward_pass(self, monkeypatch, kind):
-        params, _ = train(TrainConfig(model_kind=kind, epochs=0, seed=20), tiny_classical())
+        params, _ = train(TrainConfig(model_kind=kind, epochs=0, seed=20), classical_set())
         forward, forwards = MODELS[kind].forward, []
         monkeypatch.setattr(MODELS[kind], "forward", lambda *args: forwards.append(args) or forward(*args))
         with pytest.raises(CompatibilityError, match="^model vocabulary 8 != dataset 10$"):
-            evaluate(params, [tiny_classical(), generate_classical_dataset(10, 4, 3, seed=2)])
+            evaluate(params, [classical_set(), generate_classical_dataset(10, 4, 3, seed=2)])
         assert forwards == []
-        evaluate(params, [tiny_classical(), tiny_classical(seed=5)])
+        evaluate(params, [classical_set(), classical_set(seed=5)])
         assert len(forwards) == 2
 
     def test_messages_name_the_file_of_a_loaded_dataset_only(self, tmp_path):
-        params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=21), tiny_classical())
+        params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=21), classical_set())
         wider = generate_classical_dataset(10, 4, 3, seed=2)
         path = tmp_path / "wider.jsonl"
         save_dataset(wider, path)
@@ -199,7 +193,7 @@ class TestEvaluate:
             with pytest.raises(CompatibilityError) as loaded:
                 run(params, load_dataset(path))
             assert str(loaded.value) == f"model vocabulary 8 != dataset 10 from {path}"
-        dataset = tiny_classical()
+        dataset = classical_set()
         save_dataset(dataset, path)
         overflowing = replace(params, embedding=replace(params.embedding, gamma=1e308))
         with pytest.raises(NumericFailureError, match="^non-finite prediction scores$"):
@@ -218,7 +212,7 @@ class TestEvaluate:
 
     def test_perfect_predictor_gives_unit_perplexity(self):
         # rank-one value map onto u with all targets embedding parallel to u
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=20)
         params, _ = train(config, dataset)
         u = np.zeros(4)
@@ -236,7 +230,7 @@ class TestEvaluate:
 class TestCheckpoints:
     def test_roundtrip_bit_exact(self):
         for kind in ("qsa", "scsa", "lcsa"):
-            dataset = tiny_classical()
+            dataset = classical_set()
             config = TrainConfig(model_kind=kind, epochs=0, seed=21)
             params, _ = train(config, dataset)
             again = params_from_payload(json.loads(json.dumps(params_to_payload(params))))
@@ -251,14 +245,14 @@ class TestCheckpoints:
 
     def test_complex_roundtrip_bit_exact(self):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=22)
-        params, _ = train(config, tiny_quantum())
+        params, _ = train(config, quantum_set())
         again = params_from_payload(json.loads(json.dumps(params_to_payload(params))))
         assert np.array_equal(again.embedding.matrix, params.embedding.matrix)
         assert np.array_equal(again.lcsa.value_map, params.lcsa.value_map)
 
     def test_file_roundtrip_and_kind_check(self, tmp_path):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=23)
-        params, _ = train(config, tiny_classical())
+        params, _ = train(config, classical_set())
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, config, path)
         loaded, meta = load_checkpoint(path)
@@ -268,7 +262,7 @@ class TestCheckpoints:
 
     def test_truncated_file_is_typed_error(self, tmp_path):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=24)
-        params, _ = train(config, tiny_classical())
+        params, _ = train(config, classical_set())
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, config, path)
         text = path.read_text()
@@ -290,7 +284,7 @@ class TestCheckpoints:
 
     def test_version_mismatch_rejected(self, tmp_path):
         config = TrainConfig(model_kind="lcsa", epochs=0, seed=25)
-        params, _ = train(config, tiny_classical())
+        params, _ = train(config, classical_set())
         doc = checkpoint_document(params, config)
         doc["version"] = 99
         path = tmp_path / "ckpt.json"
@@ -321,7 +315,7 @@ class TestPredictTopK:
                 assert top_word % 4 == expected_direction
 
     def test_scores_sorted_and_ties_break_low(self):
-        dataset = tiny_classical()
+        dataset = classical_set()
         config = TrainConfig(model_kind="scsa", epochs=0, seed=27)
         params, _ = train(config, dataset)
         top = predict_topk(params, dataset, k=3)
@@ -331,7 +325,7 @@ class TestPredictTopK:
                 assert scores == sorted(scores, reverse=True)
 
     def test_k_outside_the_vocabulary_is_rejected(self):
-        dataset = tiny_classical(count=2)
+        dataset = classical_set(count=2)
         params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=27), dataset)
         for k in (0, 9):
             with pytest.raises(ConfigurationError, match=r"k must lie in 1\.\.8"):
@@ -342,7 +336,7 @@ class TestPredictTopK:
         assert predict_topk(params, dataset, k=np.int64(2)).words.shape[-1] == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("data", [tiny_classical, tiny_quantum], ids=["classical", "quantum"])
+    @pytest.mark.parametrize("data", [classical_set, quantum_set], ids=["classical", "quantum"])
     @pytest.mark.parametrize("kind", ["qsa", "scsa", "lcsa"])
     def test_overflowing_forward_raises_numeric_failure(self, kind, data):
         # finite parameters whose forward overflows: no score or loss may come
@@ -376,7 +370,7 @@ def test_losses_clamp_at_the_probability_floor(kind):
 
 class TestFiniteDifferenceMode:
     def test_fd_mode_tracks_shift_mode(self):
-        dataset = tiny_classical(count=5)
+        dataset = classical_set(count=5)
         base = dict(model_kind="qsa", epochs=2, seed=31)
         _, shift = train(TrainConfig(**base), dataset)
         _, fd = train(TrainConfig(**base, gradient_mode="finite-difference"), dataset)
@@ -386,7 +380,7 @@ class TestFiniteDifferenceMode:
 
 class TestPredictQsa:
     def test_qsa_predict_scores_are_probabilistic(self):
-        dataset = tiny_classical(count=4)
+        dataset = classical_set(count=4)
         config = TrainConfig(model_kind="qsa", epochs=1, seed=32)
         params, _ = train(config, dataset)
         top = predict_topk(params, dataset, k=2)
