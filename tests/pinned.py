@@ -30,8 +30,12 @@ from pathlib import Path
 if __name__ == "__main__":  # the package of this checkout, ahead of any installed copy
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np
+
+from qsalab.ansatz import AnsatzParams, PhaseLayerParams
 from qsalab.cli import main as qsalab
 from qsalab.data import build_ising, generate_classical_dataset, generate_quantum_dataset, save_dataset
+from qsalab.engine import QsaInstance, analytic_expectation, branch_overlaps, circuit_expectation, predict_token_state
 from qsalab.trainer import TrainConfig, config_hash, load_checkpoint, save_checkpoint, train
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -88,6 +92,45 @@ def _generate(args):
     return lambda out: _run(["generate", *args.split(), "--out", out])
 
 
+# (n, t, complex vectors) of each `engine_instances.jsonl` line, seeded by its index
+ENGINE_INSTANCES = [(n, t, complex_valued) for n, t in ((2, 2), (1, 4), (3, 3), (4, 1), (4, 4), (5, 2))
+                    for complex_valued in (False, True)]
+
+
+def _pairs(values):
+    """Complex ``values`` as [re, im] pairs of floats."""
+    return [[float(z.real), float(z.imag)] for z in np.ravel(values)]
+
+
+def _engine_instances(out):
+    """The single-sequence qsa outputs of seeded `QsaInstance.from_vectors`
+    instances on 2n + t = 6, 9 and 12 qubits, with real and complex vectors:
+    both routes' expectations, the branch overlaps and prefix weights, and
+    the last step's prediction."""
+    records = []
+    for seed, (n, t, complex_valued) in enumerate(ENGINE_INSTANCES):
+        rng = np.random.default_rng(seed)
+        d, steps = 2 ** n, 2 ** t
+
+        def vector():
+            return rng.normal(size=d) + (1j * rng.normal(size=d) if complex_valued else 0.0)
+
+        instance = QsaInstance.from_vectors(
+            [vector() for _ in range(steps + 1)], [vector() for _ in range(steps)],
+            AnsatzParams.random(n, 2, 3 * seed, spread=1.0), AnsatzParams.random(n, 2, 3 * seed + 1, spread=1.0),
+            PhaseLayerParams.random(t, 3 * seed + 2, spread=1.0))
+        overlaps, weights = branch_overlaps(instance)
+        state, weight = predict_token_state(instance, steps)
+        records.append({
+            "n": n, "t": t, "complex": complex_valued, "seed": seed,
+            "circuit_expectation": circuit_expectation(instance),
+            "analytic_expectation": analytic_expectation(instance),
+            "branch_overlaps": _pairs(overlaps), "prefix_weights": [float(w) for w in weights],
+            "predict_amplitudes": _pairs(state.amplitudes), "predict_weight": weight,
+        })
+    out.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+
+
 # The options of each pinned `generate` output: tests/test_blas_threads.py runs them at
 # one and two BLAS threads, and CI through the installed console script.  The classical
 # walks were first written while the walk called Generator.choice per step, and the
@@ -123,6 +166,7 @@ MADE = {
     "predict_scsa_classical_long.json": _predict("scsa", "classical_long", 8),
     "predict_lcsa_quantum.json": _predict("lcsa", "quantum", 8),
     **{name: _generate(args) for name, args in GENERATE.items()},
+    "engine_instances.jsonl": _engine_instances,
 }
 READ = {
     # Added with commit a15f148.  _checkpoint's recipe differs from each by up to about one
