@@ -27,9 +27,9 @@ from qsalab import (
 # Two steps over one-qubit tokens with identity variational maps.  The
 # branch amplitudes are a_1 = a_2 = 1 with prefix weights M = (1, 2), so
 # the expectation is ((1/sqrt(1) + 1/sqrt(2))/2)^2.
-instance = QsaInstance.from_vectors(
-    token_vectors=[[1, 0], [0, 1], [1, 0]],
-    target_vectors=[[1, 0], [0, 1]],
+instance = QsaInstance(
+    tokens=[[1, 0], [0, 1], [1, 0]],
+    shifted_targets=[[1, 0], [0, 1]],
     params_v=AnsatzParams.zeros(1, 0),
     params_w=AnsatzParams.zeros(1, 0),
     params_r=PhaseLayerParams.zeros(1),
@@ -46,7 +46,7 @@ print("prefix weights  M_j  :", np.round(m, 6))
 
 # With random variational angles the two evaluation routes still agree.
 rng = np.random.default_rng(0)
-random_instance = QsaInstance.from_vectors(
+random_instance = QsaInstance(
     rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4)),
     rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
     AnsatzParams.random(2, 5, seed=1),
@@ -59,8 +59,7 @@ print("literal  :", all_zeros_expectation(circuit_state(random_instance)))
 print("analytic :", analytic_expectation(random_instance))
 
 # Inference: project the step register and read the predicted token state,
-# then score it against a candidate vocabulary.
+# then score it against a candidate vocabulary, one unit row per word.
 state, weight = predict_token_state(random_instance, 3)
-candidates = [amplitude_encode(np.eye(4)[k], 2) for k in range(4)]
 print("prediction weight    :", round(weight, 6))
-print("candidate scores     :", np.round(score_candidates(state, candidates), 4))
+print("candidate scores     :", np.round(score_candidates(state, amplitude_encode(np.eye(4), 2)), 4))

@@ -30,7 +30,6 @@ from .data import (
     save_dataset,
 )
 from .encodings import (
-    EncodedToken,
     amplitude_encode,
     entangled_prefix_encoding,
     prepare_input_superposition,

@@ -21,6 +21,7 @@ from .data import (
     ZERO_NORM_TOL,
     EmbeddingMap,
     _as_input_rows,
+    check_int_range,
     check_num_steps,
     check_seed,
     embed_batch,
@@ -323,8 +324,7 @@ class LcsaParams:
 
 def linear_attention_layer(tokens: Sequence[np.ndarray], params: LcsaParams, step: int) -> np.ndarray:
     """Unnormalized sum_{i<=step} (x_step^dag W x_i) V x_i."""
-    if not 1 <= step <= len(tokens):
-        raise ConfigurationError(f"step {step} outside 1..{len(tokens)}")
+    check_int_range(step, len(tokens), "step")
     prefix = np.stack([np.asarray(t, dtype=complex) for t in tokens[:step]])
     affinities = prefix[step - 1].conj() @ (params.affinity_map @ prefix.T)
     return (params.value_map @ prefix.T) @ affinities

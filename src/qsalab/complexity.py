@@ -96,8 +96,10 @@ def fit_scaling(
     points = [int(v) for v in grid]
     if len(points) < 4:
         raise ConfigurationError("grid needs at least 4 points")
+    if min(points) <= 0:
+        raise ConfigurationError("grid must be positive with geometric spacing")
     ratios = [points[i + 1] / points[i] for i in range(len(points) - 1)]
-    if any(p <= 0 for p in points) or any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
+    if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ConfigurationError("grid must be positive with geometric spacing")
     if axis == "T":
         fixed_d = 4 if token_dim is None else token_dim

@@ -29,6 +29,14 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
+def check_int_range(value, last: int, name: str) -> None:
+    """The one rule for a single sequence's step or prefix length and for a shot
+    count: an int, not a bool, in 1..last.  A float or a bool would pass the
+    range and then slice, or be read as 1."""
+    if _type_fault(value, int) or not 1 <= value <= last:
+        raise ConfigurationError(f"{name} must be an integer in 1..{last}, got {value!r}")
+
+
 def real_array(values, name: str) -> np.ndarray:
     """A float copy of ``values``; a complex array, whose imaginary parts a cast would drop, is a ConfigurationError."""
     if np.iscomplexobj(values):

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_vjp
 from .classical import causal_attention_vjp
-from .data import ZERO_NORM_TOL
-from .encodings import (EncodedToken, _check_prefix_weights, amplitude_encode, prepared_states, reflection_rows,
-                        token_rows)
+from .data import ZERO_NORM_TOL, check_int_range
+from .encodings import _check_prefix_weights, _stacked_rows, amplitude_encode, prepared_states, reflection_rows
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
 from .statevector import (
@@ -44,7 +43,6 @@ from .statevector import (
     UnitaryBlock,
     _apply,
     _reflection_select,
-    inner_product,
 )
 
 # The dense route cuts its sequence axis into chunks whose working arrays
@@ -62,52 +60,36 @@ class QsaInstance:
 
     ``tokens`` are the T+1 attention inputs (positional shifts included);
     ``shifted_targets`` are the T shift-free targets for steps 2..T+1.  The
-    constructor stacks both as rows once, by `token_rows`, and checks them
-    and V, W and the phase layer by `qsa_registers`.
+    constructor takes any vectors that stack as (T+1, d) and (T, d) rows,
+    checks them and V, W and the phase layer by `qsa_registers`, and keeps
+    their amplitude encodings as read-only unit rows.
     """
 
-    tokens: tuple
-    shifted_targets: tuple
+    tokens: np.ndarray
+    shifted_targets: np.ndarray
     params_v: AnsatzParams
     params_w: AnsatzParams
     params_r: PhaseLayerParams
 
     def __post_init__(self):
-        tokens = tuple(self.tokens)
-        targets = tuple(self.shifted_targets)
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "shifted_targets", targets)
-        rows = token_rows(tokens + targets)
-        lay = qsa_registers(len(tokens) - 1, rows.shape[-1], self.params_v, self.params_w, self.params_r)
-        if len(targets) != lay.num_steps:
+        tokens, targets = _stacked_rows(self.tokens), _stacked_rows(self.shifted_targets)
+        lay = qsa_registers(len(tokens) - 1, tokens.shape[-1], self.params_v, self.params_w, self.params_r)
+        if tokens.ndim != 2 or targets.shape != (lay.num_steps, lay.token_dim):
             raise ConfigurationError(
-                f"expected {lay.num_steps} shifted targets, got {len(targets)}"
-            )
-        rows.setflags(write=False)
-        object.__setattr__(self, "_rows", rows)
+                f"tokens {tokens.shape} and shifted targets {targets.shape} are not (T+1, d) and (T, d) rows")
+        for name, rows in (("tokens", tokens), ("shifted_targets", targets)):
+            rows = amplitude_encode(rows, lay.n)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     @property
     def num_steps(self) -> int:
         return len(self.tokens) - 1
 
-    def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, d) encoded tokens x_1..x_T and targets for steps 2..T+1, read-only."""
-        return self._rows[:self.num_steps], self._rows[self.num_steps + 1:]
-
-    @staticmethod
-    def from_vectors(
-        token_vectors,
-        target_vectors,
-        params_v: AnsatzParams,
-        params_w: AnsatzParams,
-        params_r: PhaseLayerParams,
-    ) -> "QsaInstance":
-        """Encode raw d-vectors (T+1 tokens, T targets) and build the instance."""
-        token_vectors = [np.asarray(v) for v in token_vectors]
-        n = RegisterLayout.of(len(token_vectors) - 1, token_vectors[0].size if token_vectors else 0).n
-        tokens = tuple(amplitude_encode(v, n) for v in token_vectors)
-        targets = tuple(amplitude_encode(v, n) for v in target_vectors)
-        return QsaInstance(tokens, targets, params_v, params_w, params_r)
+    @classmethod
+    def from_vectors(cls, *args, **kwargs) -> "QsaInstance":
+        """The constructor, by its older name."""
+        return cls(*args, **kwargs)
 
 
 def qsa_registers(
@@ -258,8 +240,8 @@ def qsa_arrays(tok, tgt, params_v: AnsatzParams, params_w: AnsatzParams, params_
 
 def _instance_arrays(instance: QsaInstance) -> tuple:
     """One instance as a batch of one: `qsa_arrays` of its (1, T, d) token and target rows."""
-    tok, tgt = instance.unit_rows()
-    return qsa_arrays(tok[None], tgt[None], instance.params_v, instance.params_w, instance.params_r)[0]
+    tok, tgt = instance.tokens[None, :-1], instance.shifted_targets[None]
+    return qsa_arrays(tok, tgt, instance.params_v, instance.params_w, instance.params_r)[0]
 
 
 def circuit_state(instance: QsaInstance) -> StateVector:
@@ -360,8 +342,7 @@ def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, 
     The state is proportional to sum_{i<=step} <x_step|W|x_i> V|x_i>, the
     register-A content after projecting register B at inference time.
     """
-    if not 1 <= step <= instance.num_steps:
-        raise ConfigurationError(f"step {step} outside 1..{instance.num_steps}")
+    check_int_range(step, instance.num_steps, "step")
     tok, _, v_matrix, w_matrix, _ = _instance_arrays(instance)
     tok = tok[0, :step]
     coeff = tok[-1].conj() @ (w_matrix @ tok.T)
@@ -369,11 +350,13 @@ def predict_token_state(instance: QsaInstance, step: int) -> tuple[StateVector, 
     weight = float(np.vdot(z, z).real)
     if weight <= ZERO_NORM_TOL ** 2:
         raise DegeneratePredictionError(f"prediction branch {step} has zero amplitude")
-    return StateVector(instance.tokens[0].state.num_qubits, z / np.sqrt(weight)), weight
+    return StateVector(z.size.bit_length() - 1, z / np.sqrt(weight)), weight
 
 
-def score_candidates(state: StateVector, candidates: Sequence[EncodedToken]) -> np.ndarray:
-    """Squared overlaps of a predicted state with candidate token encodings."""
-    return np.array(
-        [abs(inner_product(c.state, state)) ** 2 for c in candidates], dtype=float
-    )
+def score_candidates(state: StateVector, candidates) -> np.ndarray:
+    """Squared overlaps of a predicted state with (k, d) candidate rows, such
+    as the `amplitude_encode` of the vocabulary."""
+    rows = _stacked_rows(candidates)
+    if rows.shape[-1:] != state.amplitudes.shape:
+        raise ConfigurationError(f"candidate rows {rows.shape} do not fit {state.amplitudes.size} amplitudes")
+    return np.abs(rows.conj() @ state.amplitudes) ** 2

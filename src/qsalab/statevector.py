@@ -38,10 +38,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import _type_fault
+from .data import check_int_range, check_seed
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
+MAX_SHOTS = np.iinfo(np.int64).max  # numpy draws shot counts as int64
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
@@ -321,15 +322,10 @@ def all_zeros_expectation(state: StateVector) -> float:
     return float(np.abs(state.amplitudes[0]) ** 2)
 
 
-def check_shots(shots) -> None:
-    """The one shot-count rule, which ``TrainConfig.shots`` follows too: an int, not a bool, in 1..2**63 - 1."""
-    if _type_fault(shots, int) or not 1 <= shots <= np.iinfo(np.int64).max:  # numpy draws shot counts as int64
-        raise ConfigurationError(f"shots must be an integer in 1..{np.iinfo(np.int64).max}, got {shots!r}")
-
-
 def sample_expectation(state: StateVector, shots: int, seed: int) -> float:
     """Fraction of ``shots`` seeded Bernoulli draws that hit the all-zeros outcome."""
-    check_shots(shots)
+    check_int_range(shots, MAX_SHOTS, "shots")
+    check_seed(seed)
     p = min(max(all_zeros_expectation(state), 0.0), 1.0)
     rng = np.random.default_rng(seed)
     return float(rng.binomial(shots, p)) / shots

@@ -61,6 +61,7 @@ from .data import (
     _type_fault,
     atomic_write_text,
     check_dataset_kind,
+    check_int_range,
     check_seed,
     csv_text,
     embed_batch,
@@ -79,7 +80,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
-from .statevector import RegisterLayout, check_shots
+from .statevector import MAX_SHOTS, RegisterLayout
 
 CHECKPOINT_VERSION = 1
 
@@ -124,7 +125,7 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be one of {options}, got {getattr(self, name)!r}")
         check_seed(self.seed)
         if self.shots is not None:
-            check_shots(self.shots)
+            check_int_range(self.shots, MAX_SHOTS, "shots")
         lowest = {"epochs": 0, "num_layers": 0, "embed_dim": 1, "key_dim": 1, "ffn_hidden": 1}
         for name, low in lowest.items():
             value = getattr(self, name)

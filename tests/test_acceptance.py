@@ -203,8 +203,8 @@ def test_criterion_8_classical_shadow_equivalence():
             w = AnsatzParams.random(2, 3, rng.integers(1 << 30))
             instance = QsaInstance.from_vectors(toks, tgts, v, w, PhaseLayerParams.zeros(2))
             params = LcsaParams(build_ansatz_unitary(v).matrix, build_ansatz_unitary(w).matrix)
-            encoded = [t.state.amplitudes for t in instance.tokens]
-            encoded_targets = [t.state.amplitudes for t in instance.shifted_targets]
+            encoded = instance.tokens
+            encoded_targets = instance.shifted_targets
             for j in range(1, 5):
                 classical = lcsa_step_probability(encoded, encoded_targets, params, j)
                 state, _ = predict_token_state(instance, j)

@@ -125,7 +125,7 @@ class TestLinearAttention:
         w = AnsatzParams.random(2, 3, seed=13)
         instance = QsaInstance.from_vectors(toks, tgts, v, w, PhaseLayerParams.zeros(2))
         params = LcsaParams(build_ansatz_unitary(v).matrix, build_ansatz_unitary(w).matrix)
-        encoded = [t.state.amplitudes for t in instance.tokens]
+        encoded = instance.tokens
         for j in range(1, 5):
             z = linear_attention_layer(encoded, params, j)
             z = z / np.linalg.norm(z)
@@ -164,8 +164,8 @@ class TestLcsaStepProbability:
             w = AnsatzParams.random(2, 3, seed=200 + trial)
             instance = QsaInstance.from_vectors(toks, tgts, v, w, PhaseLayerParams.zeros(2))
             params = LcsaParams(build_ansatz_unitary(v).matrix, build_ansatz_unitary(w).matrix)
-            encoded = [t.state.amplitudes for t in instance.tokens]
-            encoded_targets = [t.state.amplitudes for t in instance.shifted_targets]
+            encoded = instance.tokens
+            encoded_targets = instance.shifted_targets
             for j in range(1, 5):
                 classical = lcsa_step_probability(encoded, encoded_targets, params, j)
                 state, _ = predict_token_state(instance, j)

@@ -74,6 +74,8 @@ class TestFitScaling:
             fit_scaling("csa", "T", [8, 16, 32])
         with pytest.raises(ConfigurationError):
             fit_scaling("csa", "T", [8, 16, 32, 48])
+        with pytest.raises(ConfigurationError):
+            fit_scaling("csa", "T", [0, 1, 2, 4])
 
 
 class TestCrossover:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams
-from qsalab.classical import LcsaParams, ScsaParams, scsa_forward
+from qsalab.classical import LcsaParams, ScsaParams, lcsa_step_probability, linear_attention_layer, scsa_forward
 from qsalab.data import (
     DATA_KINDS,
     EmbeddingMap,
@@ -25,7 +25,10 @@ from qsalab.data import (
     save_dataset,
     sinusoidal_shifts,
 )
+from qsalab.encodings import entangled_prefix_encoding, prepare_input_superposition
+from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.errors import ConfigurationError, DegenerateInputError
+from qsalab.statevector import StateVector, sample_expectation
 
 # Frozen from the first verified run: make_embedding(10, 4, 5, seed=2024),
 # words [3, 1, 4, 1, 5].
@@ -204,11 +207,34 @@ class TestInputRows:
     lambda seed: ScsaParams.random(2, 5, seed),
     lambda seed: LcsaParams.near_identity(2, seed),
     lambda seed: make_embedding(5, 2, 3, seed),
-], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding"])
+    lambda seed: sample_expectation(StateVector.zero(1), 8, seed),
+], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding", "sample-expectation"])
 def test_negative_seed_is_a_configuration_error(draw):
     draw(0)
     with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
         draw(-1)
+
+
+# Three tokens and two targets: each function below takes steps 1..2.
+TOKENS = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda step: predict_token_state(QsaInstance(TOKENS, TOKENS[1:], AnsatzParams.zeros(1, 1),
+                                                 AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1)), step),
+    lambda step: linear_attention_layer(TOKENS[:2], LcsaParams.near_identity(2, 0), step),
+    lambda step: lcsa_step_probability(TOKENS[:2], TOKENS[1:], LcsaParams.near_identity(2, 0), step),
+    lambda step: entangled_prefix_encoding(TOKENS[:2], step),
+    lambda step: prepare_input_superposition(TOKENS[:2], step),
+], ids=["predict-token-state", "linear-attention-layer", "lcsa-step-probability", "entangled-prefix-encoding",
+        "prepare-input-superposition"])
+@pytest.mark.parametrize("step", [2.0, True, 0, 3], ids=["float", "bool", "zero", "past-the-end"])
+def test_a_step_is_an_int_in_range(call, step):
+    """One rule for a single sequence's step or prefix length: an int, not a
+    float or a bool, in 1..T, else a ConfigurationError naming the range."""
+    call(2)
+    with pytest.raises(ConfigurationError, match=rf"must be an integer in 1\.\.2, got {step!r}$"):
+        call(step)
 
 
 class TestIsing:

@@ -49,9 +49,8 @@ def random_instance(rng, d=None, num_steps=None, layers=3, complex_tokens=True):
 def brute_force_expectation(instance):
     """Independent oracle: explicit kron algebra, no simulator machinery."""
     num_steps = instance.num_steps
-    d = instance.tokens[0].state.amplitudes.size
-    tok = [t.state.amplitudes for t in instance.tokens]
-    tgt = [t.state.amplitudes for t in instance.shifted_targets]
+    d = instance.tokens.shape[-1]
+    tok, tgt = instance.tokens, instance.shifted_targets
     vm = build_ansatz_unitary(instance.params_v).matrix
     wm = build_ansatz_unitary(instance.params_w).matrix
     phases = phase_layer_diagonal(instance.params_r)
@@ -220,7 +219,7 @@ class TestPredictTokenState:
         )
         for j in range(1, 5):
             state, weight = predict_token_state(instance, j)
-            expected = instance.tokens[j - 1].state.amplitudes
+            expected = instance.tokens[j - 1]
             assert np.max(np.abs(state.amplitudes - expected)) < 1e-12
             assert abs(weight - 1.0) < 1e-12
 
@@ -229,7 +228,7 @@ class TestPredictTokenState:
         instance = random_instance(rng, d=4, num_steps=4)
         vm = build_ansatz_unitary(instance.params_v).matrix
         state, _ = predict_token_state(instance, 1)
-        expected = vm @ instance.tokens[0].state.amplitudes
+        expected = vm @ instance.tokens[0]
         expected = expected / np.linalg.norm(expected)
         # proportional: the first-step affinity contributes a complex scalar
         assert abs(abs(np.vdot(expected, state.amplitudes)) - 1.0) < 1e-12
@@ -241,9 +240,9 @@ class TestPredictTokenState:
         wm = build_ansatz_unitary(instance.params_w).matrix
         for j in range(1, 5):
             z = np.zeros(4, dtype=complex)
-            xj = instance.tokens[j - 1].state.amplitudes
+            xj = instance.tokens[j - 1]
             for i in range(j):
-                xi = instance.tokens[i].state.amplitudes
+                xi = instance.tokens[i]
                 z += (xj.conj() @ wm @ xi) * (vm @ xi)
             state, weight = predict_token_state(instance, j)
             assert abs(weight - np.vdot(z, z).real) < 1e-10
@@ -282,10 +281,14 @@ class TestScoreCandidates:
             AnsatzParams.zeros(2, 0),
             PhaseLayerParams.zeros(2),
         )
-        candidates = [amplitude_encode(np.eye(4)[k], 2) for k in range(4)]
         state, _ = predict_token_state(instance, 3)
-        scores = score_candidates(state, candidates)
+        scores = score_candidates(state, amplitude_encode(np.eye(4), 2))
         assert scores.argmax() == 2
+
+    def test_candidates_of_another_dimension_rejected(self):
+        state, _ = predict_token_state(random_instance(np.random.default_rng(67), d=4), 1)
+        with pytest.raises(ConfigurationError, match=r"candidate rows \(2, 2\) do not fit 4 amplitudes"):
+            score_candidates(state, amplitude_encode(np.eye(2), 1))
 
 
 class TestOpCounting:
@@ -489,17 +492,16 @@ def test_nan_token_raises_typed_error():
 
 def build_instance(build, num_tokens, d, maps=None):
     """An instance of ``num_tokens`` random d-dimensional tokens and one target
-    fewer, by `QsaInstance.from_vectors` or by the constructor on encoded tokens,
-    with V, W and the phase layer ``maps`` (by default on 1 qubit each)."""
+    fewer, by `QsaInstance.from_vectors` on lists of vectors or by the
+    constructor on arrays, with V, W and the phase layer ``maps`` (by default
+    on 1 qubit each)."""
     rng = np.random.default_rng(5)
     tokens = rng.normal(size=(num_tokens, d))
     targets = rng.normal(size=(max(num_tokens - 1, 0), d))
     maps = maps or (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
     if build == "from_vectors":
         return QsaInstance.from_vectors(list(tokens), list(targets), *maps)
-    n = d.bit_length() - 1
-    return QsaInstance(tuple(amplitude_encode(v, n) for v in tokens), tuple(amplitude_encode(v, n) for v in targets),
-                       *maps)
+    return QsaInstance(tokens, targets, *maps)
 
 
 @pytest.mark.parametrize("build", ["from_vectors", "constructor"])
@@ -533,12 +535,29 @@ def test_instance_constructors_share_the_qsa_fit_rule(build, maps, match):
         build_instance(build, 5, 4, maps)
 
 
-def test_mixed_token_qubit_counts_rejected():
+@pytest.mark.parametrize("targets, match", [
+    ([[1, 0], [1, 0, 0, 0]], "do not stack"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0]], r"tokens \(3, 2\) and shifted targets \(2, 4\) are not \(T\+1, d\) and \(T, d\)"),
+    ([[1, 0]], r"tokens \(3, 2\) and shifted targets \(1, 2\) are not"),
+], ids=["ragged", "other-dimension", "too-few"])
+def test_targets_that_do_not_stack_as_token_rows_rejected(targets, match):
     maps = (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
-    tokens = (amplitude_encode([1, 0], 1), amplitude_encode([0, 1], 1), amplitude_encode([1, 0], 1))
-    targets = (amplitude_encode([1, 0], 1), amplitude_encode([1, 0, 0, 0], 2))
-    with pytest.raises(ConfigurationError, match=r"same qubit count, got \[1, 2\]"):
-        QsaInstance(tokens, targets, *maps)
+    with pytest.raises(ConfigurationError, match=match):
+        QsaInstance([[1, 0], [0, 1], [1, 0]], targets, *maps)
+
+
+def test_instance_rows_are_read_only_unit_rows():
+    """The constructor keeps the amplitude encodings of its vectors as
+    read-only (T+1, d) and (T, d) rows, apart from the caller's arrays."""
+    tokens, targets = 3.0 * np.eye(2)[[0, 1, 0]], np.array([[0.0, 2.0], [-4.0, 0.0]])
+    instance = QsaInstance(tokens, targets, AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1),
+                           PhaseLayerParams.zeros(1))
+    assert np.array_equal(instance.tokens, np.eye(2)[[0, 1, 0]])
+    assert np.array_equal(instance.shifted_targets, [[0.0, 1.0], [-1.0, 0.0]])
+    for rows in (instance.tokens, instance.shifted_targets):
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
+    assert tokens[0, 0] == 3.0
 
 
 def test_twelve_qubit_circuit_builds_no_block_per_control_value():
@@ -566,10 +585,9 @@ def batch_instances(num_seqs, n, t, seed, complex_rows):
     maps = (AnsatzParams.random(n, 2, rng, spread=1.0), AnsatzParams.random(n, 2, rng, spread=1.0),
             PhaseLayerParams.random(t, rng, spread=1.0))
     instances = [QsaInstance.from_vectors(tok, tgt, *maps) for tok, tgt in zip(tokens, targets)]
-    rows = [instance.unit_rows() for instance in instances]
     arrays = (
-        np.stack([tok for tok, _ in rows]),
-        np.stack([tgt for _, tgt in rows]),
+        np.stack([instance.tokens[:-1] for instance in instances]),
+        np.stack([instance.shifted_targets for instance in instances]),
         build_ansatz_unitary(maps[0]).matrix,
         build_ansatz_unitary(maps[1]).matrix,
         phase_layer_diagonal(maps[2]),

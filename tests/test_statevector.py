@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsalab.encodings import reflection_rows
+from qsalab.encodings import amplitude_encode, reflection_rows
 from qsalab.errors import ConfigurationError
 from qsalab.statevector import (
     HADAMARD,
@@ -414,15 +414,19 @@ class TestReflectionRows:
 
     @pytest.mark.parametrize("num_qubits", [1, 3, 6])
     def test_rows_are_one_column_householder_bit_for_bit(self, num_qubits):
-        """Reference: one column at a time, `np.linalg.norm` and Python's abs."""
+        """Reference: one column at a time, `np.linalg.norm` and Python's abs.
+        The amplitude encoding of the stack, the same normalization, gives the
+        reference's unit columns."""
         rng = np.random.default_rng(67 + num_qubits)
         dim = 2 ** num_qubits
         columns = (rng.normal(size=(8, dim)) + 1j * rng.normal(size=(8, dim))) * rng.uniform(1e-3, 1e3, size=(8, 1))
         columns[1, 0] = 0.0
         columns[2] = columns[2].real
         vectors, phases = reflection_rows(columns)
+        units = amplitude_encode(columns, num_qubits)
         for j, column in enumerate(columns):
             unit = column / np.linalg.norm(column)
+            assert np.array_equal(units[j], unit)
             phase = unit[0] / abs(unit[0]) if unit[0] != 0 else 1.0
             vector = unit / phase
             vector[0] += 1.0
