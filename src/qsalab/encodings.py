@@ -17,9 +17,10 @@ from .statevector import RegisterLayout, StateVector, _check_reflections, _refle
 
 
 def _stacked_rows(vectors) -> np.ndarray:
-    """``vectors`` as one complex array; vectors that do not stack into one are a ConfigurationError."""
+    """``vectors`` as one complex array, a scalar as one 1-vector; vectors that
+    do not stack into one are a ConfigurationError."""
     try:
-        return np.asarray(vectors, dtype=complex)
+        return np.atleast_1d(np.asarray(vectors, dtype=complex))
     except (TypeError, ValueError):
         raise ConfigurationError("vectors do not stack into one array of rows") from None
 

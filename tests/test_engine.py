@@ -546,6 +546,12 @@ def test_targets_that_do_not_stack_as_token_rows_rejected(targets, match):
         QsaInstance([[1, 0], [0, 1], [1, 0]], targets, *maps)
 
 
+def test_scalar_tokens_are_one_one_dimensional_token():
+    maps = (AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1), PhaseLayerParams.zeros(1))
+    with pytest.raises(ConfigurationError, match="step count 0 is not a power of two"):
+        QsaInstance(5.0, [[1, 0]], *maps)
+
+
 def test_instance_rows_are_read_only_unit_rows():
     """The constructor keeps the amplitude encodings of its vectors as
     read-only (T+1, d) and (T, d) rows, apart from the caller's arrays."""
