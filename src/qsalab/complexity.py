@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import INT64_MAX, check_int_range
 from .errors import ConfigurationError
+from .statevector import RegisterLayout
 
 VARIANTS = ("qsa-amplitude", "qsa-basis", "csa")
-
-
-def _require_power_of_two(value: int, name: str) -> None:
-    if value < 1 or value & (value - 1):
-        raise ConfigurationError(f"{name} must be a power of two, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +43,13 @@ def count_gates(variant: str, num_steps: int, token_dim: int, vocab_dim: int, nu
     projection stages 2*T*d^2, variational blocks 2*L*log2(d), classical
     embedding T*d*D.  csa: causal attention T^2*d, query/key/value maps
     T*d^2, anti-embedding T*d*D.  qsa-basis: preparation T*log2(D),
-    controlled operations T^2*log2(D).
+    controlled operations T^2*log2(D).  Each size is an integer in 1..2**63-1;
+    qsa-amplitude's T and d are the circuit's, powers of two at least 2.
     """
-    t, d, vocab, layers = int(num_steps), int(token_dim), int(vocab_dim), int(num_layers)
-    if min(t, d, vocab, layers) < 1:
-        raise ConfigurationError("all sizes must be at least 1")
+    t, d, vocab, layers = (check_int_range(value, INT64_MAX, name) for value, name in (
+        (num_steps, "num_steps"), (token_dim, "token_dim"), (vocab_dim, "vocab_dim"), (num_layers, "num_layers")))
     if variant == "qsa-amplitude":
-        _require_power_of_two(t, "num_steps")
-        _require_power_of_two(d, "token_dim")
-        n = int(math.log2(d))
+        n = RegisterLayout.of(t, d).n
         terms = {
             "state_prep": t * d * d,
             "controlled_projections": 2 * t * d * d,

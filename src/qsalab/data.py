@@ -21,20 +21,29 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError
 
 ZERO_NORM_TOL = 1e-12
+INT64_MAX = np.iinfo(np.int64).max  # numpy sizes arrays and draws shot counts as int64
+MAX_ISING_QUBITS = 10  # the qubit counts that dense diagonalization reaches
 
 
 def check_seed(seed) -> None:
-    """Reject a negative integer seed, which numpy's generators refuse with a bare ValueError."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Reject a seed that is not an int (a bool, a float, a str), which numpy's
+    generators refuse with a bare TypeError or read True as 1, or that is
+    negative, a bare ValueError there.  A SeedSequence or a Generator passes."""
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return
+    if fault := _type_fault(seed, int):
+        raise ConfigurationError(f"seed must be {fault}, got {seed!r}")
+    if seed < 0:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
-def check_int_range(value, last: int, name: str) -> None:
-    """The one rule for a single sequence's step or prefix length and for a shot
-    count: an int, not a bool, in 1..last.  A float or a bool would pass the
-    range and then slice, or be read as 1."""
+def check_int_range(value, last: int, name: str) -> int:
+    """The one rule for a count, a size or an index: an int, not a bool, in
+    1..last, returned as a Python int.  A float or a bool would pass the range
+    and then slice or size an array, or be read as 1."""
     if _type_fault(value, int) or not 1 <= value <= last:
         raise ConfigurationError(f"{name} must be an integer in 1..{last}, got {value!r}")
+    return int(value)
 
 
 def real_array(values, name: str) -> np.ndarray:
@@ -49,12 +58,6 @@ def check_dataset_kind(kind) -> DataKind:
     if kind not in DATASET_KINDS:  # a tuple, so that an unhashable kind is unknown too
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
     return DATA_KINDS[kind]
-
-
-def check_num_steps(num_steps: int) -> None:
-    """Reject a sequence length with no step to predict: T+1 words need T >= 1."""
-    if num_steps < 1:
-        raise ConfigurationError(f"dataset T must be at least 1, got {num_steps}")
 
 
 def _finite_numbers(values: list) -> bool:
@@ -297,12 +300,6 @@ def unit_rows_backward(unit: np.ndarray, norms: np.ndarray, g_unit: np.ndarray) 
     return (g_unit - radial[..., None] * unit) / norms[..., None]
 
 
-def _check_num_qubits(num_qubits) -> None:
-    """Reject a qubit count outside 1..10, the sizes that dense diagonalization reaches."""
-    if _type_fault(num_qubits, int) or not 1 <= num_qubits <= 10:
-        raise ConfigurationError("num_qubits must lie in 1..10 for dense diagonalization")
-
-
 @dataclass(frozen=True)
 class IsingModel:
     """Transverse-field Ising model sum_i X_i + sum_{i<j} J_ij Z_i Z_j given by its couplings
@@ -313,8 +310,8 @@ class IsingModel:
     hamiltonian: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
-        q, couplings = int(self.num_qubits), np.array(self.couplings, dtype=float)
+        q = check_int_range(self.num_qubits, MAX_ISING_QUBITS, "num_qubits")
+        couplings = np.array(self.couplings, dtype=float)
         if not np.all((couplings >= 0) & (couplings <= 1)):  # NaN fails both
             raise ConfigurationError("couplings must lie in [0, 1]")
         # exactly symmetric: only the upper triangle is read
@@ -340,13 +337,13 @@ class IsingModel:
 
 def build_ising(num_qubits: int, seed) -> IsingModel:
     """Ising model with each coupling J_ij, i < j, drawn uniform in [0, 1), row by row."""
-    _check_num_qubits(num_qubits)  # before a (q, q) draw is sized by it
+    q = check_int_range(num_qubits, MAX_ISING_QUBITS, "num_qubits")  # before a (q, q) draw is sized by it
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    couplings = np.zeros((num_qubits, num_qubits))
-    for i, j in zip(*np.triu_indices(num_qubits, 1)):
+    couplings = np.zeros((q, q))
+    for i, j in zip(*np.triu_indices(q, 1)):
         couplings[i, j] = couplings[j, i] = rng.uniform(0.0, 1.0)
-    return IsingModel(num_qubits, couplings)
+    return IsingModel(q, couplings)
 
 
 @dataclass(eq=False)
@@ -366,11 +363,11 @@ class SequenceDataset:
 
     def __post_init__(self):
         kind = check_dataset_kind(self.kind)
-        for name in ("vocab_dim", "num_steps", "seed"):
+        for name in ("vocab_dim", "seed"):
             if _type_fault(getattr(self, name), int):
                 raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
             setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
-        check_num_steps(self.num_steps)
+        self.num_steps = check_int_range(self.num_steps, INT64_MAX, "dataset T")
         records = kind.rule(self.records, self.vocab_dim, self.num_steps + 1)
         if not len(records):
             raise ConfigurationError("dataset holds no records")
@@ -398,13 +395,11 @@ def generate_classical_dataset(
     support: the draws and words of ``Generator.choice(vocab_dim, p=row)``
     per step, without its per-call argument checks.
     """
-    if count < 1:
-        raise ConfigurationError("count must be at least 1")
-    check_num_steps(num_steps)
-    if vocab_dim < 2:
+    check_int_range(count, INT64_MAX, "count")
+    check_int_range(num_steps, INT64_MAX, "dataset T")
+    if check_int_range(vocab_dim, INT64_MAX, "vocab_dim") < 2:
         raise ConfigurationError("vocabulary needs at least two words")
-    if not 1 <= order <= vocab_dim:
-        raise ConfigurationError("order must lie in 1..vocab_dim")
+    check_int_range(order, vocab_dim, "order")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     try:
@@ -445,9 +440,8 @@ def generate_quantum_dataset(
     model: IsingModel, num_steps: int, count: int, seed: int
 ) -> SequenceDataset:
     """Haar-random initial states evolved for unit time steps by eigendecomposition."""
-    if count < 1:
-        raise ConfigurationError("count must be at least 1")
-    check_num_steps(num_steps)
+    check_int_range(count, INT64_MAX, "count")
+    check_int_range(num_steps, INT64_MAX, "dataset T")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)

@@ -38,11 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import check_int_range, check_seed
+from .data import INT64_MAX, check_int_range, check_seed
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
-MAX_SHOTS = np.iinfo(np.int64).max  # numpy draws shot counts as int64
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 HADAMARD = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
@@ -324,7 +323,7 @@ def all_zeros_expectation(state: StateVector) -> float:
 
 def sample_expectation(state: StateVector, shots: int, seed: int) -> float:
     """Fraction of ``shots`` seeded Bernoulli draws that hit the all-zeros outcome."""
-    check_int_range(shots, MAX_SHOTS, "shots")
+    check_int_range(shots, INT64_MAX, "shots")
     check_seed(seed)
     p = min(max(all_zeros_expectation(state), 0.0), 1.0)
     rng = np.random.default_rng(seed)

@@ -54,6 +54,7 @@ from .classical import (
 )
 from .data import (
     DATA_KINDS,
+    INT64_MAX,
     ZERO_NORM_TOL,
     EmbeddingMap,
     SequenceDataset,
@@ -80,7 +81,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .objectives import PROBABILITY_FLOOR
-from .statevector import MAX_SHOTS, RegisterLayout
+from .statevector import RegisterLayout
 
 CHECKPOINT_VERSION = 1
 
@@ -125,7 +126,7 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be one of {options}, got {getattr(self, name)!r}")
         check_seed(self.seed)
         if self.shots is not None:
-            check_int_range(self.shots, MAX_SHOTS, "shots")
+            check_int_range(self.shots, INT64_MAX, "shots")
         lowest = {"epochs": 0, "num_layers": 0, "embed_dim": 1, "key_dim": 1, "ffn_hidden": 1}
         for name, low in lowest.items():
             value = getattr(self, name)
@@ -755,10 +756,7 @@ def predict_topk(params: ModelParams, dataset: SequenceDataset, k: int = 3) -> T
     not finite, raises NumericFailureError.
     """
     model = _fitted_model(params, dataset)  # a misfit is reported before a bad k
-    if _type_fault(k, int):
-        raise ConfigurationError(f"k must be of type int, got {k!r}")
-    if not 1 <= k <= params.embedding.vocab_dim:
-        raise ConfigurationError(f"k must lie in 1..{params.embedding.vocab_dim}, the vocabulary size")
+    check_int_range(k, params.embedding.vocab_dim, "k")
     # An overflowing forward reaches the scores, which are checked below.
     with np.errstate(all="ignore"):
         scores = model.scores(params, dataset.input_rows())

@@ -66,31 +66,34 @@ def test_generate_usage_error(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--kind", "classical", "--vocab", "8", "--len", "5", "--count", "0"], "count must be at least 1"),
-    (["--kind", "quantum", "--qubits", "2", "--len", "5", "--count", "0"], "count must be at least 1"),
+    (["--kind", "classical", "--vocab", "8", "--len", "5", "--count", "0"],
+     "count must be an integer in 1..9223372036854775807, got 0"),
+    (["--kind", "quantum", "--qubits", "2", "--len", "5", "--count", "0"],
+     "count must be an integer in 1..9223372036854775807, got 0"),
     (["--kind", "classical", "--vocab", "1", "--len", "5", "--count", "4"], "vocabulary needs at least two words"),
     (["--kind", "classical", "--vocab", "8", "--order", "0", "--len", "5", "--count", "4"],
-     "order must lie in 1..vocab_dim"),
+     "order must be an integer in 1..8, got 0"),
     (["--kind", "quantum", "--qubits", "2", "--len", "5", "--count", "100000000000000000000"],
-     "a (100000000000000000000, 5, 4) amplitude array is too large to allocate"),
+     "count must be an integer in 1..9223372036854775807, got 100000000000000000000"),
     (["--kind", "quantum", "--qubits", "2", "--len", "100000000000000000000", "--count", "1"],
-     "a (1, 100000000000000000000, 4) amplitude array is too large to allocate"),
+     "dataset T must be an integer in 1..9223372036854775807, got 99999999999999999999"),
     (["--kind", "classical", "--vocab", "100000000000", "--len", "3", "--count", "1"],
      "a 100000000000-word transition matrix is too large to allocate"),
     (["--kind", "classical", "--vocab", "10", "--len", "100000000000000000000", "--count", "1"],
-     "a (1, 100000000000000000000) word array is too large to allocate"),
+     "dataset T must be an integer in 1..9223372036854775807, got 99999999999999999999"),
     (["--kind", "classical", "--vocab", "10", "--len", "5", "--count", "1000000000000000"],
      "a (1000000000000000, 5) word array is too large to allocate"),
     (["--kind", "quantum", "--qubits", "100000", "--len", "5", "--count", "1"],
-     "num_qubits must lie in 1..10 for dense diagonalization"),
+     "num_qubits must be an integer in 1..10, got 100000"),
 ], ids=["classical-count-0", "quantum-count-0", "vocab-1", "order-0", "quantum-count-huge", "quantum-len-huge",
         "oversized-vocabulary", "overlong-walk", "classical-count-huge", "quantum-qubits-huge"])
 def test_generate_size_out_of_range_exits_2(tmp_path, capsys, flags, message):
-    """Sizes argparse accepts but the generators refuse.  The oversized ones
-    (a 10^22-entry transition matrix, a 10^20-step walk, 10^15 classical
-    records, 10^20 quantum records or steps): numpy refuses the shape before
-    it allocates anything, so no walk starts.  An oversized qubit count is
-    refused before its couplings are drawn."""
+    """Sizes argparse accepts but the generators refuse.  A count or a step
+    count beyond int64 (10^20 records or steps) is refused by the one integer
+    rule; the oversized ones within it (a 10^22-entry transition matrix, 10^15
+    classical records): numpy refuses the shape before it allocates anything,
+    so no walk starts.  An oversized qubit count is refused before its
+    couplings are drawn."""
     out = tmp_path / "d.jsonl"
     assert main(["generate", *flags, "--out", str(out)]) == 2
     assert one_error_line(capsys.readouterr().err) == f"error: {message}"
@@ -441,7 +444,7 @@ def test_dataset_without_steps_exits_2(tmp_path, files, capsys, command):
     paths = {"data": data, "out": tmp_path / "out", "checkpoint": files["checkpoint"],
              "scsa_checkpoint": files["scsa_checkpoint"]}
     assert main(command.format(**paths).split()) == 2
-    assert "dataset T must be at least 1, got 0" in one_error_line(capsys.readouterr().err)
+    assert "dataset T must be an integer in 1..9223372036854775807, got 0 in " in one_error_line(capsys.readouterr().err)
     assert not list(tmp_path.rglob("*manifest.json"))
 
 

@@ -198,7 +198,7 @@ class TestInputRows:
             SequenceDataset("classical", 5, 0, 0, [[4]])
         with pytest.raises(ConfigurationError) as forwarded:
             scsa_forward(record, make_embedding(5, 2, 3, seed=0), ScsaParams.random(2, 5, seed=0))
-        assert str(forwarded.value) == str(verdict.value) == "dataset T must be at least 1, got 0"
+        assert str(forwarded.value) == str(verdict.value) == "dataset T must be an integer in 1..9223372036854775807, got 0"
 
 
 @pytest.mark.parametrize("draw", [
@@ -476,12 +476,13 @@ class TestSerialization:
     def test_fewer_than_one_step_rejected(self, kind, num_steps):
         # a record of one word has no step to predict
         record = [3] if kind == "classical" else [[0.6, 0.8j]]
-        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+        message = rf"T must be an integer in 1\.\.9223372036854775807, got {num_steps}"
+        with pytest.raises(ConfigurationError, match=message):
             SequenceDataset(kind, 8 if kind == "classical" else 2, num_steps, 0, [record])
         header = json.dumps({"kind": "classical", "D": 8, "T": num_steps, "seed": 1})
-        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+        with pytest.raises(ConfigurationError, match=message):
             loads_dataset(header + "\n" + json.dumps({"id": 0, "words": [3]}) + "\n")
-        with pytest.raises(ConfigurationError, match="T must be at least 1"):
+        with pytest.raises(ConfigurationError, match=message):
             if kind == "classical":
                 generate_classical_dataset(8, num_steps, 1, seed=0)
             else:

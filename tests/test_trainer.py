@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -327,11 +328,8 @@ class TestPredictTopK:
     def test_k_outside_the_vocabulary_is_rejected(self):
         dataset = classical_set(count=2)
         params, _ = train(TrainConfig(model_kind="lcsa", epochs=0, seed=27), dataset)
-        for k in (0, 9):
-            with pytest.raises(ConfigurationError, match=r"k must lie in 1\.\.8"):
-                predict_topk(params, dataset, k=k)
-        for k in (2.0, True, "2"):
-            with pytest.raises(ConfigurationError, match="k must be of type int"):
+        for k in (0, 9, 2.0, True, "2"):
+            with pytest.raises(ConfigurationError, match=rf"^k must be an integer in 1\.\.8, got {re.escape(repr(k))}$"):
                 predict_topk(params, dataset, k=k)
         assert predict_topk(params, dataset, k=np.int64(2)).words.shape[-1] == 2
 
