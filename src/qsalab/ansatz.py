@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_seed, real_array
+from .data import check_scalars, check_seed, real_array
 from .errors import ConfigurationError
 from .statevector import UnitaryBlock
 
@@ -48,6 +48,7 @@ class AnsatzParams:
     real_valued: bool = False
 
     def __post_init__(self):
+        check_scalars(self, num_qubits=int, num_layers=int, real_valued=bool)
         if self.num_layers < 0:
             raise ConfigurationError(f"num_layers must be non-negative, got {self.num_layers}")
         arr = real_array(self.angles, "angles")

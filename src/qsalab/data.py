@@ -79,6 +79,14 @@ def _type_fault(value, annotation) -> str:
     return "" if type(value) in options else f"of type {getattr(annotation, '__name__', annotation)}"
 
 
+def check_scalars(owner, **annotations) -> None:
+    """Each named scalar field of ``owner`` fits its annotation by `_type_fault`,
+    else a ConfigurationError "<name> must be <fault>, got <value!r>"."""
+    for name, annotation in annotations.items():
+        if fault := _type_fault(value := getattr(owner, name), annotation):
+            raise ConfigurationError(f"{name} must be {fault}, got {value!r}")
+
+
 def sinusoidal_shifts(num_positions: int, dim: int, base: float = 100.0) -> np.ndarray:
     """Fixed positional shift vectors: alternating sin/cos of geometric frequencies."""
     positions = np.arange(1, num_positions + 1, dtype=float)[:, None]
@@ -105,6 +113,7 @@ class EmbeddingMap:
     gamma: float
 
     def __post_init__(self):
+        check_scalars(self, gamma=float)
         mat = np.array(self.matrix)
         shifts = real_array(self.shifts, "shifts")
         if mat.ndim != 2 or mat.shape[0] >= mat.shape[1]:

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import INT64_MAX, check_int_range, check_seed
+from .data import INT64_MAX, check_int_range, check_scalars, check_seed
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
@@ -56,6 +56,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        check_scalars(self, num_qubits=int)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2 ** self.num_qubits:
             raise ConfigurationError(

@@ -63,6 +63,7 @@ from .data import (
     atomic_write_text,
     check_dataset_kind,
     check_int_range,
+    check_scalars,
     check_seed,
     csv_text,
     embed_batch,
@@ -113,11 +114,9 @@ class TrainConfig:
     record_timing: bool = field(default=False, metadata={"run_setting": True})
 
     def __post_init__(self):
-        for name, annotation in _field_types(TrainConfig).items():
-            value = getattr(self, name)
-            if fault := _type_fault(value, annotation):
-                raise ConfigurationError(f"{name} must be {fault}, got {value!r}")
-            if isinstance(value, np.generic):  # config_hash and the manifest write JSON
+        check_scalars(self, **_field_types(TrainConfig))
+        for name in _field_types(TrainConfig):
+            if isinstance(value := getattr(self, name), np.generic):  # config_hash and the manifest write JSON
                 object.__setattr__(self, name, value.item())
         choices = {"model_kind": MODEL_KINDS, "gradient_mode": ("parameter-shift", "finite-difference"),
                    "expectation_route": ("analytic", "circuit")}

@@ -40,10 +40,14 @@ class TestCountGates:
         assert count_gates("csa", 4, 4, 16, 2).total >= small.total
 
     def test_amplitude_requires_powers_of_two(self):
-        with pytest.raises(ConfigurationError):
-            count_gates("qsa-amplitude", 3, 4, 16, 5)
-        with pytest.raises(ConfigurationError):
-            count_gates("qsa-amplitude", 4, 3, 16, 5)
+        """qsa-amplitude's T and d are the circuit's, so `RegisterLayout.of` rules
+        them: powers of two, at least 2.  The other variants take any size."""
+        for t, d, message in ((3, 4, "step count 3"), (4, 3, "token dimension 3"),
+                              (1, 4, "step count 1"), (4, 1, "token dimension 1")):
+            with pytest.raises(ConfigurationError, match=f"^{message} is not a power of two >= 2$"):
+                count_gates("qsa-amplitude", t, d, 16, 5)
+        assert count_gates("csa", 1, 1, 16, 5).total == 1 + 1 + 16  # T^2 d + T d^2 + T d D
+        assert count_gates("qsa-basis", 1, 1, 16, 5).total == 4 + 4  # T log2(D) + T^2 log2(D)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigurationError):

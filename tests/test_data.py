@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from scipy.linalg import expm
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams
 from qsalab.classical import LcsaParams, ScsaParams, lcsa_step_probability, linear_attention_layer, scsa_forward
+from qsalab.complexity import count_gates, crossover_report
 from qsalab.data import (
     DATA_KINDS,
+    INT64_MAX,
     EmbeddingMap,
     IsingModel,
     SequenceDataset,
@@ -29,6 +32,9 @@ from qsalab.encodings import entangled_prefix_encoding, prepare_input_superposit
 from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.errors import ConfigurationError, DegenerateInputError
 from qsalab.statevector import StateVector, sample_expectation
+from qsalab.trainer import TrainConfig, initialize_params, predict_topk
+
+from pinned import classical_set
 
 # Frozen from the first verified run: make_embedding(10, 4, 5, seed=2024),
 # words [3, 1, 4, 1, 5].
@@ -208,11 +214,19 @@ class TestInputRows:
     lambda seed: LcsaParams.near_identity(2, seed),
     lambda seed: make_embedding(5, 2, 3, seed),
     lambda seed: sample_expectation(StateVector.zero(1), 8, seed),
-], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding", "sample-expectation"])
+    lambda seed: build_ising(2, seed),
+    lambda seed: generate_classical_dataset(8, 2, 1, seed),
+    lambda seed: generate_quantum_dataset(build_ising(1, 0), 2, 1, seed),
+], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding", "sample-expectation", "ising", "classical-dataset",
+        "quantum-dataset"])
 def test_negative_seed_is_a_configuration_error(draw):
+    """A seed is an int, not a bool, at least 0: numpy refuses a float or a str
+    with a bare TypeError and reads True as 1."""
     draw(0)
-    with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
-        draw(-1)
+    for seed, message in ((-1, "seed must be non-negative, got -1"), (1.5, "seed must be of type int, got 1.5"),
+                          (True, "seed must be of type int, got True"), ("3", "seed must be of type int, got '3'")):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            draw(seed)
 
 
 # Three tokens and two targets: each function below takes steps 1..2.
@@ -235,6 +249,67 @@ def test_a_step_is_an_int_in_range(call, step):
     call(2)
     with pytest.raises(ConfigurationError, match=rf"must be an integer in 1\.\.2, got {step!r}$"):
         call(step)
+
+
+@pytest.fixture(scope="module")
+def lcsa_model():
+    """An untrained lcsa model on an 8-word dataset, for predict_topk's k."""
+    dataset = classical_set(count=2)
+    return initialize_params(TrainConfig(model_kind="lcsa", seed=27), dataset), dataset
+
+
+# name -> (a call of one size, a size it takes, the size's name in the message, its last value)
+SIZES = {
+    "classical-count": (lambda n, _: generate_classical_dataset(8, 2, n, seed=0), 3, "count", INT64_MAX),
+    "classical-steps": (lambda n, _: generate_classical_dataset(8, n, 1, seed=0), 2, "dataset T", INT64_MAX),
+    "classical-vocab": (lambda n, _: generate_classical_dataset(n, 2, 1, seed=0, order=1), 8, "vocab_dim", INT64_MAX),
+    "classical-order": (lambda n, _: generate_classical_dataset(8, 2, 1, seed=0, order=n), 3, "order", 8),
+    "quantum-count": (lambda n, _: generate_quantum_dataset(build_ising(1, 0), 2, n, seed=0), 3, "count", INT64_MAX),
+    "quantum-steps": (lambda n, _: generate_quantum_dataset(build_ising(1, 0), n, 1, seed=0), 2, "dataset T",
+                      INT64_MAX),
+    "build-ising": (lambda n, _: build_ising(n, seed=0), 2, "num_qubits", 10),
+    "ising-model": (lambda n, _: IsingModel(n, np.zeros((2, 2))), 2, "num_qubits", 10),
+    "predict-topk": (lambda n, model: predict_topk(*model, k=n), 3, "k", 8),
+    "gates-steps": (lambda n, _: count_gates("csa", n, 4, 16, 5), 4, "num_steps", INT64_MAX),
+    "gates-token-dim": (lambda n, _: count_gates("csa", 4, n, 16, 5), 4, "token_dim", INT64_MAX),
+    "gates-vocab": (lambda n, _: count_gates("csa", 4, 4, n, 5), 16, "vocab_dim", INT64_MAX),
+    "gates-layers": (lambda n, _: count_gates("csa", 4, 4, 16, n), 5, "num_layers", INT64_MAX),
+    "crossover": (lambda n, _: crossover_report([n], [4], 16, 5), 4, "num_steps", INT64_MAX),
+}
+
+
+@pytest.mark.parametrize("call, size, name, last", SIZES.values(), ids=SIZES.keys())
+@pytest.mark.parametrize("value", [2.5, True, 0, "last+1"], ids=["float", "bool", "zero", "past-the-end"])
+def test_a_size_is_an_int_in_range(lcsa_model, call, size, name, last, value):
+    """The step rule holds for every count, size and index: an int, not a
+    float or a bool, in 1..last, else a ConfigurationError naming the range;
+    count_gates read 2.5 as 2 and True as 1."""
+    call(size, lcsa_model)
+    value = last + 1 if value == "last+1" else value
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer in 1\.\.{last}, got {value!r}$"):
+        call(value, lcsa_model)
+
+
+SCALAR_FIELDS = {  # a params dataclass built with one mistyped scalar field, and its message
+    "ansatz-real-valued-str": (lambda: AnsatzParams(1, 1, np.zeros((2, 1, 2)), real_valued="no"),
+                               "real_valued must be of type bool, got 'no'"),
+    "ansatz-layers-bool": (lambda: AnsatzParams(2, True, np.zeros((2, 2, 2))), "num_layers must be of type int, got True"),
+    "ansatz-layers-float": (lambda: AnsatzParams(2, 1.0, np.zeros((2, 2, 2))), "num_layers must be of type int, got 1.0"),
+    "ansatz-qubits-float": (lambda: AnsatzParams(2.0, 1, np.zeros((2, 2, 2))), "num_qubits must be of type int, got 2.0"),
+    "state-qubits-float": (lambda: StateVector(2.0, np.eye(4)[0]), "num_qubits must be of type int, got 2.0"),
+    "embedding-gamma-str": (lambda: EmbeddingMap(np.eye(2, 4), np.zeros((3, 2)), gamma="x"),
+                            "gamma must be of type float, got 'x'"),
+    "embedding-gamma-nan": (lambda: EmbeddingMap(np.eye(2, 4), np.zeros((3, 2)), gamma=float("nan")),
+                            "gamma must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("build, message", SCALAR_FIELDS.values(), ids=SCALAR_FIELDS.keys())
+def test_params_dataclasses_type_their_scalar_fields(build, message):
+    """Each scalar field is typed as TrainConfig's are: "no" would build the
+    real ansatz, and a string gamma fail later inside numpy."""
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestIsing:
