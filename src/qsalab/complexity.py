@@ -88,11 +88,9 @@ def fit_scaling(
     ``grid`` must hold at least four geometrically spaced points; the other
     sizes stay fixed at the supplied values.
     """
-    points = [int(v) for v in grid]
+    points = [check_int_range(v, INT64_MAX, "grid point") for v in grid]
     if len(points) < 4:
         raise ConfigurationError("grid needs at least 4 points")
-    if min(points) <= 0:
-        raise ConfigurationError("grid must be positive with geometric spacing")
     ratios = [points[i + 1] / points[i] for i in range(len(points) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ConfigurationError("grid must be positive with geometric spacing")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import INT64_MAX, check_int_range
 from .errors import ConfigurationError
 
 PROBABILITY_FLOOR = 1e-30
@@ -77,8 +78,7 @@ def renyi_alpha_loss(p: StepProbabilities, alpha: float) -> float:
 
 def renyi_half_from_expectation(expectation: float, num_steps: int) -> float:
     """-log(expectation) + log T, the observable-to-loss formula."""
-    if num_steps < 1:
-        raise ConfigurationError("num_steps must be at least 1")
+    check_int_range(num_steps, INT64_MAX, "num_steps")
     e = max(float(expectation), PROBABILITY_FLOOR)
     return -math.log(e) + math.log(num_steps)
 

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams
 from qsalab.classical import LcsaParams, ScsaParams, lcsa_step_probability, linear_attention_layer, scsa_forward
-from qsalab.complexity import count_gates, crossover_report
+from qsalab.complexity import count_gates, crossover_report, fit_scaling
 from qsalab.data import (
     DATA_KINDS,
     INT64_MAX,
@@ -31,6 +31,7 @@ from qsalab.data import (
 from qsalab.encodings import entangled_prefix_encoding, prepare_input_superposition
 from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.errors import ConfigurationError, DegenerateInputError
+from qsalab.objectives import renyi_half_from_expectation
 from qsalab.statevector import StateVector, sample_expectation
 from qsalab.trainer import TrainConfig, initialize_params, predict_topk
 
@@ -261,9 +262,9 @@ def lcsa_model():
 # name -> (a call of one size, a size it takes, the size's name in the message, its last value)
 SIZES = {
     "classical-count": (lambda n, _: generate_classical_dataset(8, 2, n, seed=0), 3, "count", INT64_MAX),
-    "classical-steps": (lambda n, _: generate_classical_dataset(8, n, 1, seed=0), 2, "dataset T", INT64_MAX),
+    "classical-steps": (lambda n, _: generate_classical_dataset(8, n, 1, seed=0), 4, "dataset T", INT64_MAX),
     "classical-vocab": (lambda n, _: generate_classical_dataset(n, 2, 1, seed=0, order=1), 8, "vocab_dim", INT64_MAX),
-    "classical-order": (lambda n, _: generate_classical_dataset(8, 2, 1, seed=0, order=n), 3, "order", 8),
+    "classical-order": (lambda n, _: generate_classical_dataset(8, 2, 1, seed=0, order=n), 2, "order", 8),
     "quantum-count": (lambda n, _: generate_quantum_dataset(build_ising(1, 0), 2, n, seed=0), 3, "count", INT64_MAX),
     "quantum-steps": (lambda n, _: generate_quantum_dataset(build_ising(1, 0), n, 1, seed=0), 2, "dataset T",
                       INT64_MAX),
@@ -275,17 +276,21 @@ SIZES = {
     "gates-vocab": (lambda n, _: count_gates("csa", 4, 4, n, 5), 16, "vocab_dim", INT64_MAX),
     "gates-layers": (lambda n, _: count_gates("csa", 4, 4, 16, n), 5, "num_layers", INT64_MAX),
     "crossover": (lambda n, _: crossover_report([n], [4], 16, 5), 4, "num_steps", INT64_MAX),
+    "scaling-grid": (lambda n, _: fit_scaling("csa", "T", [n, 2 * n, 4 * n, 8 * n]), 4, "grid point", INT64_MAX),
+    "renyi-half": (lambda n, _: renyi_half_from_expectation(0.5, n), 4, "num_steps", INT64_MAX),
 }
 
 
 @pytest.mark.parametrize("call, size, name, last", SIZES.values(), ids=SIZES.keys())
-@pytest.mark.parametrize("value", [2.5, True, 0, "last+1"], ids=["float", "bool", "zero", "past-the-end"])
+@pytest.mark.parametrize("value", [2.5, "float(size)", True, 0, "last+1"],
+                         ids=["float", "whole-float", "bool", "zero", "past-the-end"])
 def test_a_size_is_an_int_in_range(lcsa_model, call, size, name, last, value):
     """The step rule holds for every count, size and index: an int, not a
     float or a bool, in 1..last, else a ConfigurationError naming the range;
-    count_gates read 2.5 as 2 and True as 1."""
+    count_gates read 2.5 as 2 and True as 1, and numpy refused 8.0 with a bare
+    TypeError."""
     call(size, lcsa_model)
-    value = last + 1 if value == "last+1" else value
+    value = {"float(size)": float(size), "last+1": last + 1}.get(value, value)
     with pytest.raises(ConfigurationError, match=rf"^{name} must be an integer in 1\.\.{last}, got {value!r}$"):
         call(value, lcsa_model)
 
