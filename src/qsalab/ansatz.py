@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_scalars, check_seed, real_array
+from .data import check_scalars, freeze, real_array, seeded_rng
 from .errors import ConfigurationError
 from .statevector import UnitaryBlock
 
@@ -48,17 +48,14 @@ class AnsatzParams:
     real_valued: bool = False
 
     def __post_init__(self):
-        check_scalars(self, num_qubits=int, num_layers=int, real_valued=bool)
+        check_scalars(self)
         if self.num_layers < 0:
             raise ConfigurationError(f"num_layers must be non-negative, got {self.num_layers}")
         arr = real_array(self.angles, "angles")
         expected = (self.num_layers + 1, self.num_qubits, 2)
         if arr.shape != expected:
             raise ConfigurationError(f"angles shape {arr.shape} != {expected}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("angles must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "angles", arr)
+        freeze(self, angles=arr)
 
     @staticmethod
     def zeros(num_qubits: int, num_layers: int, real_valued: bool = False) -> "AnsatzParams":
@@ -75,9 +72,7 @@ class AnsatzParams:
         real_valued: bool = False,
     ) -> "AnsatzParams":
         """Near-identity initialization, uniform in [-spread, spread]."""
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
-        arr = rng.uniform(-spread, spread, size=(num_layers + 1, num_qubits, 2))
+        arr = seeded_rng(seed).uniform(-spread, spread, size=(num_layers + 1, num_qubits, 2))
         return AnsatzParams(num_qubits, num_layers, arr, real_valued)
 
 
@@ -91,10 +86,7 @@ class PhaseLayerParams:
         arr = real_array(self.angles, "angles")
         if arr.ndim != 1:
             raise ConfigurationError(f"phase-layer angles must be 1-D, one per qubit, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("angles must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "angles", arr)
+        freeze(self, angles=arr)
 
     @staticmethod
     def zeros(num_qubits: int) -> "PhaseLayerParams":
@@ -102,9 +94,7 @@ class PhaseLayerParams:
 
     @staticmethod
     def random(num_qubits: int, seed, spread: float = 0.1) -> "PhaseLayerParams":
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
-        return PhaseLayerParams(rng.uniform(-spread, spread, size=num_qubits))
+        return PhaseLayerParams(seeded_rng(seed).uniform(-spread, spread, size=num_qubits))
 
     @property
     def num_qubits(self) -> int:

@@ -23,10 +23,11 @@ from .data import (
     EmbeddingMap,
     _as_input_rows,
     check_int_range,
-    check_seed,
     embed_batch,
+    freeze,
     linear_map_gradient,
     rows_matmul,
+    seeded_rng,
     unit_rows_backward,
 )
 from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
@@ -87,9 +88,7 @@ class ScsaParams:
             raise ConfigurationError("feed-forward pair must map d -> h -> d with h >= 1")
         if anti.shape[1] != d:
             raise ConfigurationError("anti-embedding must be D x d")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, **arrays)
 
     @property
     def key_dim(self) -> int:
@@ -114,8 +113,7 @@ class ScsaParams:
     ) -> "ScsaParams":
         key_dim = embed_dim if key_dim is None else key_dim
         hidden_dim = 4 * embed_dim if hidden_dim is None else hidden_dim
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
 
         def draw(rows, cols, scale):
             mat = rng.normal(size=(rows, cols)) * scale
@@ -300,23 +298,21 @@ class LcsaParams:
         v, w = arrays.values()
         if v.ndim != 2 or v.shape[0] != v.shape[1] or w.shape != v.shape:
             raise ConfigurationError("value and affinity maps must be square with equal shape")
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, **arrays)
 
     @property
     def embed_dim(self) -> int:
         return self.value_map.shape[0]
 
     @staticmethod
-    def near_identity(embed_dim: int, seed, spread: float = 0.1, complex_valued: bool = False) -> "LcsaParams":
-        check_seed(seed)
-        rng = np.random.default_rng(seed)
+    def near_identity(embed_dim: int, seed, complex_valued: bool = False) -> "LcsaParams":
+        """The identity plus uniform entries in [-0.1, 0.1], in each map and each part."""
+        rng = seeded_rng(seed)
 
         def draw():
-            mat = np.eye(embed_dim) + rng.uniform(-spread, spread, size=(embed_dim, embed_dim))
+            mat = np.eye(embed_dim) + rng.uniform(-0.1, 0.1, size=(embed_dim, embed_dim))
             if complex_valued:
-                mat = mat + 1j * rng.uniform(-spread, spread, size=(embed_dim, embed_dim))
+                mat = mat + 1j * rng.uniform(-0.1, 0.1, size=(embed_dim, embed_dim))
             return mat
 
         return LcsaParams(draw(), draw())

@@ -17,7 +17,25 @@ from .data import INT64_MAX, check_int_range
 from .errors import ConfigurationError
 from .statevector import RegisterLayout
 
-VARIANTS = ("qsa-amplitude", "qsa-basis", "csa")
+# variant -> its terms at sizes (T, d, D, L), as `count_gates` describes them
+COST_MODELS = {
+    "qsa-amplitude": lambda t, d, vocab, layers: {
+        "state_prep": t * d * d,
+        "controlled_projections": 2 * t * d * d,
+        "variational": 2 * layers * RegisterLayout.of(t, d).n,
+        "embedding": t * d * vocab,
+    },
+    "qsa-basis": lambda t, d, vocab, layers: {
+        "state_prep": t * (n := max(1, math.ceil(math.log2(vocab)))),
+        "controlled_ops": t * t * n,
+    },
+    "csa": lambda t, d, vocab, layers: {
+        "attention": t * t * d,
+        "qkv_maps": t * d * d,
+        "anti_embedding": t * d * vocab,
+    },
+}
+VARIANTS = tuple(COST_MODELS)
 
 
 @dataclass(frozen=True)
@@ -37,7 +55,7 @@ class GateCount:
 
 
 def count_gates(variant: str, num_steps: int, token_dim: int, vocab_dim: int, num_layers: int) -> GateCount:
-    """Evaluate one cost model.
+    """Evaluate one cost model, the ``COST_MODELS`` entry of ``variant``.
 
     qsa-amplitude: controlled state preparation T*d^2, two controlled
     projection stages 2*T*d^2, variational blocks 2*L*log2(d), classical
@@ -48,45 +66,18 @@ def count_gates(variant: str, num_steps: int, token_dim: int, vocab_dim: int, nu
     """
     t, d, vocab, layers = (check_int_range(value, INT64_MAX, name) for value, name in (
         (num_steps, "num_steps"), (token_dim, "token_dim"), (vocab_dim, "vocab_dim"), (num_layers, "num_layers")))
-    if variant == "qsa-amplitude":
-        n = RegisterLayout.of(t, d).n
-        terms = {
-            "state_prep": t * d * d,
-            "controlled_projections": 2 * t * d * d,
-            "variational": 2 * layers * n,
-            "embedding": t * d * vocab,
-        }
-    elif variant == "csa":
-        terms = {
-            "attention": t * t * d,
-            "qkv_maps": t * d * d,
-            "anti_embedding": t * d * vocab,
-        }
-    elif variant == "qsa-basis":
-        n = max(1, math.ceil(math.log2(vocab)))
-        terms = {
-            "state_prep": t * n,
-            "controlled_ops": t * t * n,
-        }
-    else:
+    if variant not in VARIANTS:  # a tuple, so that an unhashable variant is unknown too
         raise ConfigurationError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return GateCount(variant, t, d, vocab, layers, terms)
+    return GateCount(variant, t, d, vocab, layers, COST_MODELS[variant](t, d, vocab, layers))
 
 
-def fit_scaling(
-    variant: str,
-    axis: str,
-    grid,
-    *,
-    num_steps: int | None = None,
-    token_dim: int | None = None,
-    vocab_dim: int = 16,
-    num_layers: int = 5,
-) -> float:
+def fit_scaling(variant: str, axis: str, grid, *, num_steps: int | None = None,
+                token_dim: int | None = None) -> float:
     """Least-squares slope of log(total count) against log(axis value).
 
     ``grid`` must hold at least four geometrically spaced points; the other
-    sizes stay fixed at the supplied values.
+    of T and d stays fixed at the supplied value, 4 by default, with D = 16
+    and L = 5.
     """
     points = [check_int_range(v, INT64_MAX, "grid point") for v in grid]
     if len(points) < 4:
@@ -94,14 +85,10 @@ def fit_scaling(
     ratios = [points[i + 1] / points[i] for i in range(len(points) - 1)]
     if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
         raise ConfigurationError("grid must be positive with geometric spacing")
-    if axis == "T":
-        fixed_d = 4 if token_dim is None else token_dim
-        totals = [count_gates(variant, p, fixed_d, vocab_dim, num_layers).total for p in points]
-    elif axis == "d":
-        fixed_t = 4 if num_steps is None else num_steps
-        totals = [count_gates(variant, fixed_t, p, vocab_dim, num_layers).total for p in points]
-    else:
+    if axis not in ("T", "d"):
         raise ConfigurationError("axis must be 'T' or 'd'")
+    fixed = {"T": 4 if num_steps is None else num_steps, "d": 4 if token_dim is None else token_dim}
+    totals = [count_gates(variant, *{**fixed, axis: p}.values(), 16, 5).total for p in points]
     slope = np.polyfit(np.log(np.array(points, dtype=float)), np.log(np.array(totals, dtype=float)), 1)[0]
     return float(slope)
 
@@ -166,11 +153,14 @@ def default_crossover_rows() -> list:
     return crossover_report(**DEFAULT_CROSSOVER_GRID)
 
 
-def gate_count_rows(variants=VARIANTS, sizes=((2, 2, 2, 1), (4, 4, 16, 5), (16, 4, 16, 5))) -> list:
-    """Term-level rows (variant, T, d, D, L, term, count) over a size grid."""
+GATE_COUNT_SIZES = ((2, 2, 2, 1), (4, 4, 16, 5), (16, 4, 16, 5))  # (T, d, D, L)
+
+
+def gate_count_rows() -> list:
+    """Term-level rows (variant, T, d, D, L, term, count) of every variant over ``GATE_COUNT_SIZES``."""
     rows = []
-    for variant in variants:
-        for t, d, vocab, layers in sizes:
+    for variant in VARIANTS:
+        for t, d, vocab, layers in GATE_COUNT_SIZES:
             count = count_gates(variant, t, d, vocab, layers)
             for term, value in count.terms.items():
                 rows.append(

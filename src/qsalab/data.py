@@ -8,9 +8,11 @@ JSON Lines files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import typing
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
@@ -37,6 +39,12 @@ def check_seed(seed) -> None:
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
 
 
+def seeded_rng(seed) -> np.random.Generator:
+    """The generator of ``seed`` once it passes `check_seed`: the one start of every seeded draw."""
+    check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def check_int_range(value, last: int, name: str) -> int:
     """The one rule for a count, a size or an index: an int, not a bool, in
     1..last, returned as a Python int.  A float or a bool would pass the range
@@ -47,10 +55,22 @@ def check_int_range(value, last: int, name: str) -> int:
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """A float copy of ``values``; a complex array, whose imaginary parts a cast would drop, is a ConfigurationError."""
+    """A float copy of ``values``, the one rule for a real, finite array field; a complex array, whose
+    imaginary parts a cast would drop, or an entry that is not finite is a ConfigurationError."""
     if np.iscomplexobj(values):
         raise ConfigurationError(f"{name} must be real, got a complex array")
-    return np.array(values, dtype=float)
+    array = np.array(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise ConfigurationError(f"{name} must be finite")
+    return array
+
+
+def freeze(owner, **arrays) -> None:
+    """Store each array read-only as the field of ``owner`` by its name: the one
+    way a dataclass, frozen or not, sets an array field."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(owner, name, array)
 
 
 def check_dataset_kind(kind) -> DataKind:
@@ -79,20 +99,37 @@ def _type_fault(value, annotation) -> str:
     return "" if type(value) in options else f"of type {getattr(annotation, '__name__', annotation)}"
 
 
-def check_scalars(owner, **annotations) -> None:
-    """Each named scalar field of ``owner`` fits its annotation by `_type_fault`,
-    else a ConfigurationError "<name> must be <fault>, got <value!r>"."""
-    for name, annotation in annotations.items():
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved annotation of each field of dataclass ``cls``, in field order."""
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _scalar_fields(cls) -> tuple:
+    """(name, annotation) of each field of ``cls`` annotated bool, int, float or str, or one of them | None."""
+    scalars = {bool, int, float, str, type(None)}
+    return tuple((name, annotation) for name, annotation in field_types(cls).items()
+                 if scalars.issuperset(getattr(annotation, "__args__", (annotation,))))
+
+
+def check_scalars(owner) -> None:
+    """Each scalar field of ``owner`` fits its annotation by `_type_fault`, else a
+    ConfigurationError "<name> must be <fault>, got <value!r>"; a numpy number
+    is stored as its Python number, which JSON writes."""
+    for name, annotation in _scalar_fields(type(owner)):
         if fault := _type_fault(value := getattr(owner, name), annotation):
             raise ConfigurationError(f"{name} must be {fault}, got {value!r}")
+        if isinstance(value, np.generic):
+            object.__setattr__(owner, name, value.item())
 
 
-def sinusoidal_shifts(num_positions: int, dim: int, base: float = 100.0) -> np.ndarray:
-    """Fixed positional shift vectors: alternating sin/cos of geometric frequencies."""
+def sinusoidal_shifts(num_positions: int, dim: int) -> np.ndarray:
+    """Fixed positional shift vectors: alternating sin/cos of geometric frequencies, base 100."""
     positions = np.arange(1, num_positions + 1, dtype=float)[:, None]
     shifts = np.zeros((num_positions, dim))
     half = (dim + 1) // 2
-    freqs = base ** (-2.0 * np.arange(half) / dim)
+    freqs = 100.0 ** (-2.0 * np.arange(half) / dim)
     angles = positions * freqs[None, :]
     shifts[:, 0::2] = np.sin(angles)[:, : shifts[:, 0::2].shape[1]]
     shifts[:, 1::2] = np.cos(angles)[:, : shifts[:, 1::2].shape[1]]
@@ -113,17 +150,14 @@ class EmbeddingMap:
     gamma: float
 
     def __post_init__(self):
-        check_scalars(self, gamma=float)
+        check_scalars(self)
         mat = np.array(self.matrix)
         shifts = real_array(self.shifts, "shifts")
         if mat.ndim != 2 or mat.shape[0] >= mat.shape[1]:
             raise ConfigurationError("embedding must map a larger vocabulary to a smaller d")
         if shifts.ndim != 2 or shifts.shape[1] != mat.shape[0]:
             raise ConfigurationError("shifts must be rows of dimension d")
-        mat.setflags(write=False)
-        shifts.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "shifts", shifts)
+        freeze(self, matrix=mat, shifts=shifts)
 
     @property
     def embed_dim(self) -> int:
@@ -145,8 +179,7 @@ def make_embedding(
     complex_valued: bool = False,
     gamma: float = 0.1,
 ) -> EmbeddingMap:
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     mat = rng.normal(size=(embed_dim, vocab_dim)) / np.sqrt(embed_dim)
     if complex_valued:
         mat = (mat + 1j * rng.normal(size=(embed_dim, vocab_dim)) / np.sqrt(embed_dim)) / np.sqrt(2.0)
@@ -335,9 +368,7 @@ class IsingModel:
         hamiltonian[k, k] = diagonal
         hamiltonian[k[:, None], k[:, None] ^ (1 << np.arange(q))] = 1.0  # X_i flips bit i
         object.__setattr__(self, "num_qubits", q)
-        for name, value in (("couplings", couplings), ("hamiltonian", hamiltonian)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        freeze(self, couplings=couplings, hamiltonian=hamiltonian)
 
     @property
     def dim(self) -> int:
@@ -347,8 +378,7 @@ class IsingModel:
 def build_ising(num_qubits: int, seed) -> IsingModel:
     """Ising model with each coupling J_ij, i < j, drawn uniform in [0, 1), row by row."""
     q = check_int_range(num_qubits, MAX_ISING_QUBITS, "num_qubits")  # before a (q, q) draw is sized by it
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     couplings = np.zeros((q, q))
     for i, j in zip(*np.triu_indices(q, 1)):
         couplings[i, j] = couplings[j, i] = rng.uniform(0.0, 1.0)
@@ -372,18 +402,16 @@ class SequenceDataset:
 
     def __post_init__(self):
         kind = check_dataset_kind(self.kind)
-        for name in ("vocab_dim", "seed"):
-            if _type_fault(getattr(self, name), int):
-                raise ConfigurationError(f"dataset {name} must be an integer, got {getattr(self, name)!r}")
-            setattr(self, name, int(getattr(self, name)))  # a numpy integer would not serialize
+        self.vocab_dim = check_int_range(self.vocab_dim, INT64_MAX, "dataset vocab_dim")
         self.num_steps = check_int_range(self.num_steps, INT64_MAX, "dataset T")
+        check_seed(self.seed)
+        check_scalars(self)  # a seed that is a Generator is no int, and a numpy one is stored as an int
         records = kind.rule(self.records, self.vocab_dim, self.num_steps + 1)
         if not len(records):
             raise ConfigurationError("dataset holds no records")
         if kind.unit_steps and not np.all(np.abs(np.linalg.norm(records, axis=-1) - 1.0) <= 1e-10):
             raise ConfigurationError(f"{self.kind} record steps must have unit norm")
-        records.setflags(write=False)
-        self.records = records
+        freeze(self, records=records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -409,8 +437,7 @@ def generate_classical_dataset(
     if check_int_range(vocab_dim, INT64_MAX, "vocab_dim") < 2:
         raise ConfigurationError("vocabulary needs at least two words")
     check_int_range(order, vocab_dim, "order")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     try:
         transition = np.zeros((vocab_dim, vocab_dim))
     except (ValueError, MemoryError):
@@ -451,8 +478,7 @@ def generate_quantum_dataset(
     """Haar-random initial states evolved for unit time steps by eigendecomposition."""
     check_int_range(count, INT64_MAX, "count")
     check_int_range(num_steps, INT64_MAX, "dataset T")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     evals, evecs = np.linalg.eigh(model.hamiltonian)
     shape = (count, num_steps + 1, model.dim)
     try:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_vjp
 from .classical import causal_attention_vjp
-from .data import ZERO_NORM_TOL, check_int_range
+from .data import ZERO_NORM_TOL, check_int_range, freeze
 from .encodings import _check_prefix_weights, _stacked_rows, amplitude_encode, prepared_states, reflection_rows
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
@@ -77,10 +77,7 @@ class QsaInstance:
         if tokens.ndim != 2 or targets.shape != (lay.num_steps, lay.token_dim):
             raise ConfigurationError(
                 f"tokens {tokens.shape} and shifted targets {targets.shape} are not (T+1, d) and (T, d) rows")
-        for name, rows in (("tokens", tokens), ("shifted_targets", targets)):
-            rows = amplitude_encode(rows, lay.n)
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
+        freeze(self, tokens=amplitude_encode(tokens, lay.n), shifted_targets=amplitude_encode(targets, lay.n))
 
     @property
     def num_steps(self) -> int:

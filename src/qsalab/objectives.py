@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import INT64_MAX, check_int_range
+from .data import INT64_MAX, check_int_range, freeze
 from .errors import ConfigurationError
 
 PROBABILITY_FLOOR = 1e-30
@@ -40,10 +40,7 @@ class StepProbabilities:
             raise ConfigurationError("values must be non-negative with positive normalizers")
         if np.any(vals > norms * (1.0 + 1e-9)):
             raise ConfigurationError("normalized step probabilities must not exceed 1")
-        vals.setflags(write=False)
-        norms.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "normalizers", norms)
+        freeze(self, values=vals, normalizers=norms)
 
     @property
     def num_steps(self) -> int:

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import INT64_MAX, check_int_range, check_scalars, check_seed
+from .data import INT64_MAX, check_int_range, check_scalars, freeze, seeded_rng
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
@@ -56,15 +56,14 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        check_scalars(self, num_qubits=int)
+        check_scalars(self)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2 ** self.num_qubits:
             raise ConfigurationError(
                 f"expected {2 ** self.num_qubits} amplitudes for {self.num_qubits} qubits, "
                 f"got {amps.size}"
             )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        freeze(self, amplitudes=amps)
 
     @staticmethod
     def zero(num_qubits: int) -> "StateVector":
@@ -149,8 +148,7 @@ class UnitaryBlock:
         defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
         if not defect <= UNITARY_ATOL:  # NaN fails
             raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        freeze(self, matrix=mat)
 
     @property
     def dimension(self) -> int:
@@ -325,9 +323,8 @@ def all_zeros_expectation(state: StateVector) -> float:
 def sample_expectation(state: StateVector, shots: int, seed: int) -> float:
     """Fraction of ``shots`` seeded Bernoulli draws that hit the all-zeros outcome."""
     check_int_range(shots, INT64_MAX, "shots")
-    check_seed(seed)
+    rng = seeded_rng(seed)
     p = min(max(all_zeros_expectation(state), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
     return float(rng.binomial(shots, p)) / shots
 
 

@@ -34,11 +34,10 @@ import hashlib
 import json
 import math
 import time
-import typing
 import zlib
 from dataclasses import asdict, astuple, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,6 +66,7 @@ from .data import (
     check_seed,
     csv_text,
     embed_batch,
+    field_types,
     linear_map_gradient,
     make_embedding,
     read_utf8,
@@ -114,10 +114,7 @@ class TrainConfig:
     record_timing: bool = field(default=False, metadata={"run_setting": True})
 
     def __post_init__(self):
-        check_scalars(self, **_field_types(TrainConfig))
-        for name in _field_types(TrainConfig):
-            if isinstance(value := getattr(self, name), np.generic):  # config_hash and the manifest write JSON
-                object.__setattr__(self, name, value.item())
+        check_scalars(self)
         choices = {"model_kind": MODEL_KINDS, "gradient_mode": ("parameter-shift", "finite-difference"),
                    "expectation_route": ("analytic", "circuit")}
         for name, options in choices.items():
@@ -182,6 +179,7 @@ class CheckpointIdentity:
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         check_dataset_kind(self.data_kind)
+        check_scalars(self)
         check_seed(self.seed)
 
 
@@ -212,14 +210,8 @@ class LossReport:
 
 
 @functools.cache
-def _field_types(cls) -> dict:
-    """The resolved annotation of each field of dataclass ``cls``, in field order."""
-    return typing.get_type_hints(cls)
-
-
-@functools.cache
 def _array_fields(cls) -> tuple:
-    return tuple(name for name, annotation in _field_types(cls).items() if annotation is np.ndarray)
+    return tuple(name for name, annotation in field_types(cls).items() if annotation is np.ndarray)
 
 
 def _to_real_vector(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -739,7 +731,7 @@ def evaluate(params: ModelParams, datasets) -> LossReport:
     )
 
 
-class TopK(typing.NamedTuple):
+class TopK(NamedTuple):
     """(S, T, k) top-k word indices and their scores; step j predicts position j + 2."""
 
     words: np.ndarray
@@ -797,17 +789,17 @@ def _payload(part) -> dict:
     """The checkpoint block of dataclass ``part``: each array field encoded,
     each scalar field cast to its annotated type."""
     return {name: _encode_array(getattr(part, name)) if annotation is np.ndarray else annotation(getattr(part, name))
-            for name, annotation in _field_types(type(part)).items()}
+            for name, annotation in field_types(type(part)).items()}
 
 
 def _from_payload(cls, block: dict):
     """The ``cls`` instance a ``_payload`` block encodes; a scalar that does
     not fit its field's annotation is a ``CheckpointFormatError``."""
-    for name, annotation in _field_types(cls).items():
+    for name, annotation in field_types(cls).items():
         if fault := annotation is not np.ndarray and _type_fault(block[name], annotation):
             raise CheckpointFormatError(f"checkpoint field {name} {block[name]!r} is not {fault}")
     return cls(**{name: _decode_array(block[name]) if annotation is np.ndarray else block[name]
-                  for name, annotation in _field_types(cls).items()})
+                  for name, annotation in field_types(cls).items()})
 
 
 def params_to_payload(params: ModelParams) -> dict:

@@ -406,7 +406,9 @@ def three_number_entry(steps):
     (negative_word, "outside the vocabulary"),
     (record_too_short, "length T+1"),
     (header_with(D=8.0), "dataset vocab_dim must be an integer"),
-    (header_with(seed="x"), "dataset seed must be an integer"),
+    (header_with(D=0), "dataset vocab_dim must be an integer in 1..9223372036854775807, got 0"),
+    (header_with(seed="x"), "seed must be of type int, got 'x'"),
+    (header_with(seed=-1), "seed must be non-negative, got -1"),
     (quantum(header_with(kind="other")), "unknown dataset kind 'other'"),
     (classical_kind_other, "unknown dataset kind 'other'"),
     (header_list, "dataset header must be a JSON object, got list"),

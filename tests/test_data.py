@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -31,9 +32,9 @@ from qsalab.data import (
 from qsalab.encodings import entangled_prefix_encoding, prepare_input_superposition
 from qsalab.engine import QsaInstance, predict_token_state
 from qsalab.errors import ConfigurationError, DegenerateInputError
-from qsalab.objectives import renyi_half_from_expectation
-from qsalab.statevector import StateVector, sample_expectation
-from qsalab.trainer import TrainConfig, initialize_params, predict_topk
+from qsalab.objectives import StepProbabilities, renyi_half_from_expectation
+from qsalab.statevector import StateVector, UnitaryBlock, sample_expectation
+from qsalab.trainer import CheckpointIdentity, TrainConfig, initialize_params, predict_topk
 
 from pinned import classical_set
 
@@ -218,8 +219,10 @@ class TestInputRows:
     lambda seed: build_ising(2, seed),
     lambda seed: generate_classical_dataset(8, 2, 1, seed),
     lambda seed: generate_quantum_dataset(build_ising(1, 0), 2, 1, seed),
+    lambda seed: SequenceDataset("classical", 5, 1, seed, [[1, 2]]),
+    lambda seed: loads_dataset(json.dumps({"kind": "classical", "D": 5, "T": 1, "seed": seed}) + '\n{"words": [1, 2]}\n'),
 ], ids=["ansatz", "phase-layer", "scsa", "lcsa", "embedding", "sample-expectation", "ising", "classical-dataset",
-        "quantum-dataset"])
+        "quantum-dataset", "dataset", "dataset-header"])
 def test_negative_seed_is_a_configuration_error(draw):
     """A seed is an int, not a bool, at least 0: numpy refuses a float or a str
     with a bare TypeError and reads True as 1."""
@@ -295,7 +298,7 @@ def test_a_size_is_an_int_in_range(lcsa_model, call, size, name, last, value):
         call(value, lcsa_model)
 
 
-SCALAR_FIELDS = {  # a params dataclass built with one mistyped scalar field, and its message
+SCALAR_FIELDS = {  # a dataclass built with one field that breaks its rule, and its message
     "ansatz-real-valued-str": (lambda: AnsatzParams(1, 1, np.zeros((2, 1, 2)), real_valued="no"),
                                "real_valued must be of type bool, got 'no'"),
     "ansatz-layers-bool": (lambda: AnsatzParams(2, True, np.zeros((2, 2, 2))), "num_layers must be of type int, got True"),
@@ -306,15 +309,56 @@ SCALAR_FIELDS = {  # a params dataclass built with one mistyped scalar field, an
                             "gamma must be of type float, got 'x'"),
     "embedding-gamma-nan": (lambda: EmbeddingMap(np.eye(2, 4), np.zeros((3, 2)), gamma=float("nan")),
                             "gamma must be finite, got nan"),
+    "embedding-shift-nan": (lambda: EmbeddingMap(np.eye(2, 4), np.full((3, 2), np.nan), gamma=0.1),
+                            "shifts must be finite"),
+    "phase-layer-angle-inf": (lambda: PhaseLayerParams(np.array([0.0, np.inf])), "angles must be finite"),
+    "identity-hash-int": (lambda: CheckpointIdentity("qsa", "classical", 5, 1), "config_hash must be of type str, got 5"),
 }
 
 
 @pytest.mark.parametrize("build, message", SCALAR_FIELDS.values(), ids=SCALAR_FIELDS.keys())
 def test_params_dataclasses_type_their_scalar_fields(build, message):
-    """Each scalar field is typed as TrainConfig's are: "no" would build the
-    real ansatz, and a string gamma fail later inside numpy."""
+    """Each scalar field is typed as TrainConfig's are, by its annotation: "no"
+    would build the real ansatz, and a string gamma fail later inside numpy;
+    and an array of angles or shifts is real and finite by one rule."""
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# each dataclass with an array field -> its constructor's arguments: writable arrays, and numpy
+# numbers for its int and float fields; and the names of its array fields
+ARRAY_FIELDS = {
+    "ansatz": (AnsatzParams, (np.int64(1), np.int64(0), np.zeros((1, 1, 2))), {"angles"}),
+    "phase-layer": (PhaseLayerParams, (np.zeros(2),), {"angles"}),
+    "scsa": (ScsaParams, (np.ones((2, 2)), np.ones((2, 2)), np.eye(2), np.ones((3, 2)), np.ones((2, 3)), np.ones((5, 2))),
+             {"w_query", "w_key", "w_value", "ffn_in", "ffn_out", "anti_embed"}),
+    "lcsa": (LcsaParams, (np.eye(2), np.eye(2)), {"value_map", "affinity_map"}),
+    "embedding": (EmbeddingMap, (np.eye(2, 4), np.zeros((3, 2)), np.float64(0.1)), {"matrix", "shifts"}),
+    "ising": (IsingModel, (np.int64(2), np.zeros((2, 2))), {"couplings", "hamiltonian"}),
+    "qsa-instance": (QsaInstance, (TOKENS.copy(), TOKENS[1:].copy(), AnsatzParams.zeros(1, 1), AnsatzParams.zeros(1, 1),
+                                   PhaseLayerParams.zeros(1)), {"tokens", "shifted_targets"}),
+    "step-probabilities": (StepProbabilities, (np.array([0.5, 0.25]), np.ones(2)), {"values", "normalizers"}),
+    "state-vector": (StateVector, (np.int64(1), np.array([1.0, 0.0], dtype=complex)), {"amplitudes"}),
+    "unitary-block": (UnitaryBlock, (np.eye(2, dtype=complex), (np.int64(0),)), {"matrix"}),
+    "dataset": (SequenceDataset, ("classical", np.int64(5), np.int64(1), np.int64(0), np.array([[1, 2]])), {"records"}),
+}
+
+
+@pytest.mark.parametrize("cls, args, arrays", ARRAY_FIELDS.values(), ids=ARRAY_FIELDS.keys())
+def test_array_fields_are_read_only_copies_and_numbers_are_python(cls, args, arrays):
+    """Each array field is stored read-only and apart from the caller's arrays,
+    and a numpy number given for a scalar field reads back as its Python
+    number, which JSON writes."""
+    instance = cls(*args)
+    given = [arg for arg in args if isinstance(arg, np.ndarray)]
+    values = {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
+    assert {name for name, value in values.items() if isinstance(value, np.ndarray)} == arrays
+    for name in arrays:
+        assert not values[name].flags.writeable
+        assert not any(np.shares_memory(values[name], arg) for arg in given)
+    for value in values.values():
+        for part in value if isinstance(value, tuple) else (value,):  # a block's targets are a tuple of ints
+            assert not isinstance(part, np.generic)
 
 
 class TestIsing:
