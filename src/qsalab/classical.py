@@ -306,7 +306,6 @@ class LcsaParams:
 
     @staticmethod
     def near_identity(embed_dim: int, seed, complex_valued: bool = False) -> "LcsaParams":
-        """The identity plus uniform entries in [-0.1, 0.1], in each map and each part."""
         rng = seeded_rng(seed)
 
         def draw():

@@ -71,8 +71,14 @@ def count_gates(variant: str, num_steps: int, token_dim: int, vocab_dim: int, nu
     return GateCount(variant, t, d, vocab, layers, COST_MODELS[variant](t, d, vocab, layers))
 
 
-def fit_scaling(variant: str, axis: str, grid, *, num_steps: int | None = None,
-                token_dim: int | None = None) -> float:
+def fit_scaling(
+    variant: str,
+    axis: str,
+    grid,
+    *,
+    num_steps: int | None = None,
+    token_dim: int | None = None,
+) -> float:
     """Least-squares slope of log(total count) against log(axis value).
 
     ``grid`` must hold at least four geometrically spaced points; the other
@@ -153,14 +159,11 @@ def default_crossover_rows() -> list:
     return crossover_report(**DEFAULT_CROSSOVER_GRID)
 
 
-GATE_COUNT_SIZES = ((2, 2, 2, 1), (4, 4, 16, 5), (16, 4, 16, 5))  # (T, d, D, L)
-
-
 def gate_count_rows() -> list:
-    """Term-level rows (variant, T, d, D, L, term, count) of every variant over ``GATE_COUNT_SIZES``."""
+    """Term-level rows (variant, T, d, D, L, term, count) of every variant at three size points."""
     rows = []
     for variant in VARIANTS:
-        for t, d, vocab, layers in GATE_COUNT_SIZES:
+        for t, d, vocab, layers in ((2, 2, 2, 1), (4, 4, 16, 5), (16, 4, 16, 5)):
             count = count_gates(variant, t, d, vocab, layers)
             for term, value in count.terms.items():
                 rows.append(
