@@ -3,8 +3,8 @@
 Amplitude encodings of token vectors as unit rows (the package's one
 normalization), entangled prefix encodings over the paired data registers,
 the step-indexed input superposition (of one sequence, or of a batch as one
-array), the checked Householder rows of reflections with given first
-columns (any stack of them built in one pass).
+(S, T, d, d) array), the checked Householder rows of reflections with given
+first columns (any stack of them built in one pass).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import ZERO_NORM_TOL, check_int_range
 from .errors import ConfigurationError, DegenerateInputError
-from .statevector import RegisterLayout, StateVector, _check_reflections, _reflection_select, reflection_matrix
+from .statevector import RegisterLayout, StateVector, _check_reflections, _reflect, reflection_matrix
 
 
 def _stacked_rows(vectors) -> np.ndarray:
@@ -132,18 +132,19 @@ def prepare_input_superposition(tokens, num_steps: int) -> StateVector:
 
 
 def prepared_states(unit_tokens: np.ndarray) -> np.ndarray:
-    """The input superpositions of S sequences as one (S, 2**q) batch, from
-    their (S, T, d) unit token rows.
+    """The input superpositions of S sequences as one (S, T, d, d) batch with
+    axes (sequence, C, B, A), from their (S, T, d) unit token rows.
 
     The t Hadamards on register C are written in closed form, 1/sqrt(T) on
-    each step's basis state with A = B = 0.  Then each sequence's
-    register-controlled select of reflections, row j's first column its
-    normalized prefix-j state, all in one batched select.  The prefix
+    each step's basis state with A = B = 0.  The C-controlled select that
+    follows gives step j the reflection whose first column is the normalized
+    prefix-j state, so the whole preparation is one `_reflect` of the S * T
+    prefix rows on that scaled e_0: no zero batch and no select.  The prefix
     states come from one cumulative sum, the same additions in the same
     order as `entangled_prefix_encoding`.
     """
     layout = RegisterLayout.of(*unit_tokens.shape[-2:])
     vectors, phases = reflection_rows(_normalized_prefixes(_prefix_sums(unit_tokens))[0])
-    psi = np.zeros((unit_tokens.shape[0], 2 ** layout.num_qubits), dtype=complex)
-    psi[:, layout.step_indices] = 1.0 / np.sqrt(layout.num_steps)
-    return _reflection_select(psi, layout.c_qubits, layout.a_qubits + layout.b_qubits, vectors, phases)
+    first = np.zeros((layout.token_dim ** 2, 1), dtype=complex)
+    first[0] = 1.0 / np.sqrt(layout.num_steps)
+    return _reflect(vectors, phases, first).reshape(unit_tokens.shape + (layout.token_dim,))

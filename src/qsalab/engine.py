@@ -9,6 +9,8 @@ exposes the interference loss and the prediction read-out.  No function
 takes a register placement: the registers sit where `RegisterLayout`
 puts them, n and t read off the (S, T, d) shape of the token rows, and
 `qsa_registers` is the one rule that V, W and the phase layer fit them.
+The dense route holds S circuits' states as one (S, T, d, d) array with
+axes (sequence, C, B, A), and each stage acts on its register's axis.
 
 Exact bookkeeping of the branch amplitudes: with normalized token encodings
 x_1..x_T, targets xt_2..xt_{T+1}, prefix weights M_j and phase-layer branch
@@ -35,21 +37,13 @@ from .data import ZERO_NORM_TOL, check_int_range, freeze
 from .encodings import _check_prefix_weights, _stacked_rows, amplitude_encode, prepared_states, reflection_rows
 from .errors import ConfigurationError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
-from .statevector import (
-    HADAMARD,
-    OpCounter,
-    RegisterLayout,
-    StateVector,
-    UnitaryBlock,
-    _apply,
-    _reflection_select,
-)
+from .statevector import HADAMARD, OpCounter, RegisterLayout, StateVector, _check_unitaries, _reflect
 
 # The dense route cuts its sequence axis into chunks whose working arrays
 # stay within DENSE_CHUNK_BYTES, at least one sequence each.  A stage holds
 # at most _STATE_COPIES state-sized arrays at once (16 bytes an amplitude):
-# the batch, its transposed copy and the kernel's output or the copy moved
-# back; in the preparation, the prefix rows and their Householder vectors.
+# the batch, its transposed copy and the product; in the preparation, the
+# prefix rows, their unit rows and their Householder vectors.
 DENSE_CHUNK_BYTES = 1 << 22
 _STATE_COPIES = 4
 
@@ -111,50 +105,62 @@ def qsa_registers(
 
 
 class Stage(NamedTuple):
-    """One stage of the dense circuit: ``apply`` maps the (S, 2**q) batch of S
-    sequences (the first stage ignores its input and writes the batch), and
-    ``blocks`` lists the (dimension, count per sequence) of the blocks it
-    stands for."""
+    """One stage of the dense circuit: ``apply`` maps the (S, T, d, d) batch
+    of S sequences, axes (sequence, C, B, A), to the next (the first stage
+    ignores its input and writes the batch), and ``blocks`` lists the
+    (dimension, count per sequence) of the blocks it stands for."""
 
     name: str
     apply: Callable
     blocks: tuple
 
 
-def circuit_stages(token_states, target_states, v_block, w_block, phase_diagonal) -> tuple:
+def _on_axis(matrix: np.ndarray, psi: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` on one axis of the batch ``psi``: one product with that axis
+    leading and the others, in their order, flattened behind it (a view where
+    they merge, else one copy), returned as a view in ``psi``'s axis order."""
+    rest = tuple(a for a in range(psi.ndim) if a != axis)
+    x = psi.transpose((axis,) + rest)
+    out = (matrix @ x.reshape(len(matrix), -1)).reshape(x.shape)
+    return out.transpose(tuple(range(1, axis + 1)) + (0,) + rest[axis:])
+
+
+def circuit_stages(token_states, target_states, v_matrix, w_matrix, phase_diagonal) -> tuple:
     """The full circuit of S sequences as its stages in circuit order, from
-    their (S, T, d) unit token and target rows, the checked V and W blocks
+    their (S, T, d) unit token and target rows, the checked V and W matrices
     and the phase diagonal: the input superpositions, V on A and W on B, the
     two controlled inverse encodings, then register C's phase layer and t
-    Hadamards, whose blocks are built only when those stages run."""
+    Hadamards.  Each stage acts on its register's axis of the (S, T, d, d)
+    batch."""
     lay = RegisterLayout.of(*token_states.shape[-2:])
-    c, d, t, num_steps = lay.c_qubits, lay.token_dim, lay.t, lay.num_steps
+    d, t, num_steps = lay.token_dim, lay.t, lay.num_steps
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.  Both sets
     # of rows come from one Householder step and one check, made when the
-    # first select runs; each inverse conjugates the phases.
+    # first of them runs; each inverse conjugates the phases.  A is the
+    # batch's last axis, so its reflections act on the transposed view.
     rows = []
 
-    def unencode(part, targets):
+    def unencode(part):
         def apply(psi):
             if not rows:
-                rows.extend(reflection_rows(np.stack((target_states, token_states))))
-            return _reflection_select(psi, c, targets, rows[0][part], rows[1][part].conj())
+                rows.extend(reflection_rows(np.array((target_states, token_states))))
+            vectors, phases = rows[0][part], rows[1][part].conj()
+            return _reflect(vectors, phases, psi) if part else _reflect(vectors, phases, psi.mT).mT
         return apply
 
     def hadamards(psi):
-        for q in c:
-            psi = _apply(psi, (), (q,), UnitaryBlock(HADAMARD, (q,)).kernel)
-        return psi
+        for k in range(t):  # step qubit k is bit k of the step index
+            psi = _on_axis(HADAMARD, psi.reshape(-1, 2, 2 ** k * d * d), 1)
+        return psi.reshape(-1, num_steps, d, d)
 
     return (
         Stage("prepare", lambda _: prepared_states(token_states), ((2, t), (d * d, num_steps))),
-        Stage("v", partial(_apply, controls=(), targets=v_block.targets, kernel=v_block.kernel), ((d, 1),)),
-        Stage("w", partial(_apply, controls=(), targets=w_block.targets, kernel=w_block.kernel), ((d, 1),)),
-        Stage("unencode_targets", unencode(0, lay.a_qubits), ((d, num_steps),)),
-        Stage("unencode_tokens", unencode(1, lay.b_qubits), ((d, num_steps),)),
-        Stage("phase_layer", lambda psi: _apply(psi, (), c, UnitaryBlock(np.diag(phase_diagonal), c).kernel),
-              ((num_steps, 1),)),
+        Stage("v", partial(_on_axis, v_matrix, axis=3), ((d, 1),)),
+        Stage("w", partial(_on_axis, w_matrix, axis=2), ((d, 1),)),
+        Stage("unencode_targets", unencode(0), ((d, num_steps),)),
+        Stage("unencode_tokens", unencode(1), ((d, num_steps),)),
+        Stage("phase_layer", lambda psi: psi * phase_diagonal[:, None, None], ((num_steps, 1),)),
         Stage("hadamards", hadamards, ((2, t),)),
     )
 
@@ -166,7 +172,7 @@ def _fold(stages) -> np.ndarray:
 
 def _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal):
     """The batch's registers, read off its (S, T, d) rows once their shapes
-    check, with V on register A and W on register B, one unitarity check each."""
+    check, and V and W, checked as one stack of unitaries on n qubits."""
     if token_states.ndim != 3 or target_states.shape != token_states.shape:
         raise ConfigurationError(
             f"token rows {token_states.shape} and target rows {target_states.shape} do not match as (S, T, d) rows"
@@ -174,7 +180,7 @@ def _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal
     lay = RegisterLayout.of(*token_states.shape[1:])
     if phase_diagonal.shape != (lay.num_steps,):
         raise ConfigurationError(f"phase diagonal of shape {phase_diagonal.shape} for {lay.num_steps} steps")
-    return lay, UnitaryBlock(v_matrix, lay.a_qubits), UnitaryBlock(w_matrix, lay.b_qubits)
+    return (lay, *_check_unitaries(lay.n, v_matrix, w_matrix))
 
 
 def dense_expectations(
@@ -190,7 +196,7 @@ def dense_expectations(
     (S, T, d) unit token and target rows, V and W matrices and phase diagonal.
 
     V and W are checked once per call, and each select's reflections once
-    per chunk.  The S circuits run as one (S, 2**q) batch, in chunks of
+    per chunk.  The S circuits run as one (S, T, d, d) batch, in chunks of
     sequences sized by ``DENSE_CHUNK_BYTES``.  Each chunk folds the stages
     of `circuit_stages` up to register C's phase layer; the phase layer and
     Hadamards are read in closed form.  <0|H^t = T^{-1/2} sum_c <c|, so only
@@ -199,20 +205,19 @@ def dense_expectations(
     per sequence, the bits of one sequence at a time.  ``counter`` records
     every stage's declared blocks, once per chunk.
     """
-    lay, *blocks = _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal)
+    lay, *matrices = _data_blocks(token_states, target_states, v_matrix, w_matrix, phase_diagonal)
     num_seqs, num_steps = token_states.shape[:2]
     chunk = max(1, DENSE_CHUNK_BYTES // (_STATE_COPIES * 16 * 2 ** lay.num_qubits))
-    steps = lay.step_indices
     values = np.empty(num_seqs)
     for start in range(0, num_seqs, chunk):
         tok, tgt = token_states[start:start + chunk], target_states[start:start + chunk]
-        stages = circuit_stages(tok, tgt, *blocks, phase_diagonal)
+        stages = circuit_stages(tok, tgt, *matrices, phase_diagonal)
         # The stages up to the phase layer, then one sequence at a time, as
-        # a fresh 1-D slice and a scalar abs: a view into the batch or np.abs
-        # over it can change the last bit.  The chunk's states are freed
-        # before the next chunk starts.
+        # a fresh 1-D copy of its A = B = 0 slice and a scalar abs: a view
+        # into the batch or np.abs over it can change the last bit.  The
+        # chunk's states are freed before the next chunk starts.
         values[start:start + len(tok)] = [
-            abs(phase_diagonal @ state[steps]) ** 2 / num_steps for state in _fold(stages[:-2])
+            abs(phase_diagonal @ state[:, 0, 0].copy()) ** 2 / num_steps for state in _fold(stages[:-2])
         ]
         if counter is not None:
             for stage in stages:
@@ -243,10 +248,11 @@ def _instance_arrays(instance: QsaInstance) -> tuple:
 
 def circuit_state(instance: QsaInstance) -> StateVector:
     """Run the full circuit by dense simulation and return the final state:
-    every stage of `circuit_stages`, the readout as gates."""
+    every stage of `circuit_stages`, the phase layer and the Hadamards as
+    gates on the step axis."""
     tok, tgt, _, _, phases = arrays = _instance_arrays(instance)
-    lay, *blocks = _data_blocks(*arrays)
-    return StateVector(lay.num_qubits, _fold(circuit_stages(tok, tgt, *blocks, phases))[0])
+    lay, *matrices = _data_blocks(*arrays)
+    return StateVector(lay.num_qubits, _fold(circuit_stages(tok, tgt, *matrices, phases))[0])
 
 
 def circuit_expectation(instance: QsaInstance, counter: OpCounter | None = None) -> float:

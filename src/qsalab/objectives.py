@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import INT64_MAX, check_int_range, freeze
+from .data import INT64_MAX, check_int_range, freeze, real_array
 from .errors import ConfigurationError
 
 PROBABILITY_FLOOR = 1e-30
@@ -30,12 +30,10 @@ class StepProbabilities:
     normalizers: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float).reshape(-1)
-        norms = np.array(self.normalizers, dtype=float).reshape(-1)
+        vals = real_array(self.values, "values").reshape(-1)
+        norms = real_array(self.normalizers, "normalizers").reshape(-1)
         if vals.size != norms.size or vals.size == 0:
             raise ConfigurationError("values and normalizers must have equal nonzero length")
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(norms))):
-            raise ConfigurationError("step probabilities must be finite")
         if np.any(vals < -1e-12) or np.any(norms <= 0):
             raise ConfigurationError("values must be non-negative with positive normalizers")
         if np.any(vals > norms * (1.0 + 1e-9)):

@@ -6,25 +6,24 @@ whole package:
 
 * Qubit 0 is the least-significant bit of a basis index; the basis state
   with qubit k set contributes ``2**k`` to the amplitude index.
-* A `UnitaryBlock` is a checked dense matrix indexed the same way over its
-  own targets: ``targets[0]`` is the least-significant bit of its index.
-  It supplies only its algebra, a ``kernel`` on a (rows, dim, rest) array.
-  One layout helper (`_apply`) takes a batch of states as one (S, 2**m)
-  array, moves the control axes, then the target axes, to the front, reads
-  the batch as (sequence and control value, block index, rest), calls the
-  kernel and moves the axes back.
 * The circuit's registers have one placement, `RegisterLayout`: data
   registers A on qubits [0, n) and B on [n, 2n), step register C on
   [2n, 2n+t), with n and t read off the (T, d) shape of the token rows.
+  So a state of the circuit is a row-major (T, d, d) array with axes
+  (C, B, A), and the dense route (`engine.circuit_stages`) applies each
+  stage on its register's axis of an (S, T, d, d) batch.
 * A Householder reflection ``-phase * (I - v v^dag / v_1)`` is never a
   matrix or an object: it is one (v, phase) row, checked once by
-  `_check_reflections` and applied by `_reflect` as a rank-1 update.  A
-  register-controlled select of reflections, one row per control value on
-  one target tuple (`_reflection_select`), is one kernel call for a whole
-  batch of sequences; its adjoint conjugates the phases.
-* `apply_controlled_by_register` takes a mapping from control value to
-  `UnitaryBlock`, one kernel call per control value; `apply_unitary` is
-  the case with no controls.
+  `_check_reflections` and applied by `_reflect` as a rank-1 update on one
+  axis of a stack, each leading index with its own row.  Its adjoint
+  conjugates the phase.
+* A `UnitaryBlock` is a checked dense matrix indexed the same way over its
+  own targets: ``targets[0]`` is the least-significant bit of its index.
+  The public single-state API serves any placement: `apply_unitary` and
+  `apply_controlled_by_register` (a mapping from control value to block,
+  one kernel call per control value) go through one layout helper,
+  `_apply`, which moves the control axes, then the target axes, to the
+  front, calls the block's ``kernel`` and moves the axes back.
 * Every operation is a pure function; amplitude arrays are frozen on
   construction and safe to share across threads.
 """
@@ -38,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import INT64_MAX, check_int_range, check_scalars, freeze, seeded_rng
+from .data import INT64_MAX, _type_fault, check_int_range, check_scalars, freeze, seeded_rng
 from .errors import ConfigurationError
 
 UNITARY_ATOL = 1e-10
@@ -87,8 +86,8 @@ class RegisterLayout:
     def of(num_steps: int, token_dim: int) -> "RegisterLayout":
         """The layout of T steps of d-dimensional tokens, as (..., T, d) rows
         read them; raises unless both are powers of two, at least 2.  One
-        cached value per (T, d), so its qubit tuples and step indices are
-        built once per process."""
+        cached value per (T, d), so its qubit tuples are built once per
+        process."""
         for name, size in (("step count", num_steps), ("token dimension", token_dim)):
             if size < 2 or size & (size - 1):
                 raise ConfigurationError(f"{name} {size} is not a power of two >= 2")
@@ -118,14 +117,6 @@ class RegisterLayout:
     def num_qubits(self) -> int:
         return 2 * self.n + self.t
 
-    @cached_property
-    def step_indices(self) -> np.ndarray:
-        """Basis index of each step value j = 0..T-1 with registers A and B
-        at zero, j << 2n; read-only."""
-        steps = np.arange(self.num_steps) << 2 * self.n
-        steps.setflags(write=False)
-        return steps
-
 
 @dataclass(frozen=True)
 class UnitaryBlock:
@@ -135,20 +126,11 @@ class UnitaryBlock:
     targets: tuple
 
     def __post_init__(self):
-        targets = tuple(int(q) for q in self.targets)
+        targets = _qubit_indices(self.targets, "targets")
         if len(set(targets)) != len(targets) or any(q < 0 for q in targets):
             raise ConfigurationError("targets must be distinct non-negative qubit indices")
         object.__setattr__(self, "targets", targets)
-        mat = np.array(self.matrix, dtype=complex)
-        dim = self.dimension
-        if mat.shape != (dim, dim):
-            raise ConfigurationError(
-                f"matrix shape {mat.shape} does not match {len(targets)} target qubits"
-            )
-        defect = np.max(np.abs(mat @ mat.conj().T - np.eye(dim)))
-        if not defect <= UNITARY_ATOL:  # NaN fails
-            raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
-        freeze(self, matrix=mat)
+        freeze(self, matrix=_check_unitaries(len(targets), self.matrix)[0])
 
     @property
     def dimension(self) -> int:
@@ -157,6 +139,31 @@ class UnitaryBlock:
     def kernel(self, x: np.ndarray) -> np.ndarray:
         """This block applied to every row of a (rows, dim, rest) array (see `_apply`)."""
         return self.matrix @ x
+
+
+def _qubit_indices(qubits, name: str) -> tuple:
+    """``qubits`` as a tuple of Python ints; a float or a bool index is a
+    ConfigurationError, as `data.check_int_range` refuses them, not read as
+    the int it truncates to."""
+    indices = tuple(qubits)
+    if any(_type_fault(q, int) for q in indices):
+        raise ConfigurationError(f"{name} must be integer qubit indices, got {indices!r}")
+    return tuple(int(q) for q in indices)
+
+
+def _check_unitaries(num_qubits: int, *matrices) -> np.ndarray:
+    """``matrices`` as one complex stack, once each is checked to be a unitary
+    on ``num_qubits`` qubits: its shape, then one batched product for the
+    whole stack, each to `UNITARY_ATOL` (a NaN fails)."""
+    dim = 2 ** num_qubits
+    for matrix in matrices:
+        if np.shape(matrix) != (dim, dim):
+            raise ConfigurationError(f"matrix shape {np.shape(matrix)} does not match {num_qubits} target qubits")
+    stack = np.array(matrices, dtype=complex)
+    defect = np.max(np.abs(stack @ stack.conj().swapaxes(-1, -2) - np.eye(dim)))
+    if not defect <= UNITARY_ATOL:  # NaN fails
+        raise ConfigurationError(f"matrix is not unitary (defect {defect:.3e})")
+    return stack
 
 
 def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
@@ -182,14 +189,18 @@ def _check_reflections(vectors: np.ndarray, phases: np.ndarray) -> None:
 
 
 def _reflect(vectors: np.ndarray, phases: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``-phase_j (I - v_j v_j^dag / v_j1)`` applied to row j of the (rows, dim, rest)
-    array x, as a rank-1 update; a single (v, phase) row acts on every row of x.
-    For a batch of selects the rows are (sequence, control value) pairs: the
-    (S, 2**t, dim) vectors of S sequences, flattened to (S * 2**t, dim)."""
-    overlap = vectors.conj()[:, None, :] @ x
-    out = vectors[:, :, None] * (overlap / vectors[:, :1, None].real)
+    """``-phase_j (I - v_j v_j^dag / v_j1)`` applied on axis -2 of the
+    (..., dim, rest) array x, as a rank-1 update: index j of the leading
+    axes gets row j of the (..., dim) ``vectors`` and (...) ``phases``, and
+    a single row acts on every index.  The result has x's memory order, so
+    a stage that reflects a transposed view of its batch returns a batch in
+    the layout it came in, and the next product sees the operand layout it
+    always has."""
+    overlap = vectors.conj()[..., None, :] @ x
+    out = np.empty_like(x, dtype=complex, shape=overlap.shape[:-2] + x.shape[-2:])
+    np.multiply(vectors[..., :, None], overlap / vectors[..., :1, None].real, out=out)
     out -= x
-    out *= phases[:, None, None]
+    out *= phases[..., None, None]
     return out
 
 
@@ -258,23 +269,6 @@ def _apply(psi: np.ndarray, controls: tuple, targets: tuple, kernel) -> np.ndarr
     return out.reshape(tensor_shape).transpose(inverse).reshape(num_seqs, size)
 
 
-def _reflection_select(
-    psi: np.ndarray,
-    controls: tuple,
-    targets: tuple,
-    vectors: np.ndarray,
-    phases: np.ndarray,
-) -> np.ndarray:
-    """Each state's select ``sum_j R_j (x) |j><j|`` on the (S, 2**m) batch
-    ``psi``, R_j the reflection of row j of that sequence's slice of the
-    (S, 2**t, dim) Householder ``vectors`` and (S, 2**t) ``phases`` (one
-    sequence's (2**t, dim) and (2**t,) when S = 1), already checked: one
-    batched rank-1 update, row ``s * 2**t + j`` of the batch's (sequence,
-    control value) axis getting R_j of sequence s."""
-    dim = vectors.shape[-1]
-    return _apply(psi, controls, targets, partial(_reflect, vectors.reshape(-1, dim), phases.reshape(-1)))
-
-
 def _on_row(j: int, kernel, x: np.ndarray) -> np.ndarray:
     """``kernel`` applied to row j of x alone; the other rows pass through."""
     return np.concatenate((x[:j], kernel(x[j:j + 1]), x[j + 1:]))
@@ -297,7 +291,7 @@ def apply_controlled_by_register(
     Every control value in ``0..2**t - 1`` must map to a block; each is
     applied in one kernel call on its row alone.
     """
-    controls = tuple(int(q) for q in controls)
+    controls = _qubit_indices(controls, "controls")
     m = state.num_qubits
     if len(set(controls)) != len(controls) or any(q < 0 or q >= m for q in controls):
         raise ConfigurationError("controls must be distinct in-range qubit indices")

@@ -12,7 +12,7 @@ from qsalab.encodings import (
     unitary_with_first_column,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError
-from qsalab.statevector import StateVector, _reflection_select, reflection_matrix
+from qsalab.statevector import StateVector, _reflect, reflection_matrix
 
 
 class TestAmplitudeEncode:
@@ -203,8 +203,8 @@ def test_reflection_dense_view_is_unitary_with_first_column(num_qubits, zero_fir
         col[0] = 0.0
     vectors, phases = reflection_rows(col[None])
     assert np.max(np.abs(reflection_matrix(vectors[0], phases[0]) - unitary_with_first_column(col))) <= 1e-12
-    first = _reflection_select(StateVector.zero(num_qubits).amplitudes[None], (), tuple(range(num_qubits)), vectors, phases)
-    assert np.max(np.abs(first[0] - col / np.linalg.norm(col))) <= 1e-12
+    first = _reflect(vectors, phases, StateVector.zero(num_qubits).amplitudes[:, None])
+    assert np.max(np.abs(first[0, :, 0] - col / np.linalg.norm(col))) <= 1e-12
     with pytest.raises(DegenerateInputError):
         reflection_rows(np.zeros((1, dim)))
 

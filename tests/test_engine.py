@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsalab.ansatz import AnsatzParams, PhaseLayerParams, build_ansatz_unitary, phase_layer_diagonal
-from qsalab.encodings import amplitude_encode, entangled_prefix_encoding
+from qsalab.encodings import amplitude_encode, entangled_prefix_encoding, reflection_rows
 from qsalab import engine
 from qsalab.engine import (
     QsaInstance,
@@ -23,7 +23,17 @@ from qsalab.engine import (
     step_probabilities,
 )
 from qsalab.errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
-from qsalab.statevector import OpCounter, all_zeros_expectation
+from qsalab.statevector import (
+    HADAMARD,
+    OpCounter,
+    RegisterLayout,
+    StateVector,
+    UnitaryBlock,
+    all_zeros_expectation,
+    apply_controlled_by_register,
+    apply_unitary,
+    reflection_matrix,
+)
 
 
 def random_instance(rng, d=None, num_steps=None, layers=3, complex_tokens=True):
@@ -445,6 +455,49 @@ def test_closed_form_tail_matches_literal_gates(shape, layers, seed):
     value = circuit_expectation(instance)
     assert abs(value - all_zeros_expectation(circuit_state(instance))) <= 1e-12
     assert abs(value - analytic_expectation(instance)) <= 1e-10
+
+
+def reflection_select(state, lay, columns, targets, adjoint):
+    """The C-controlled select of the reflections whose first columns are
+    ``columns[j]``, as one dense `UnitaryBlock` per control value."""
+    vectors, phases = reflection_rows(columns)
+    phases = phases.conj() if adjoint else phases
+    blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), targets) for j in range(lay.num_steps)}
+    return apply_controlled_by_register(state, lay.c_qubits, blocks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    shape=tail_shapes,
+    layers=st.integers(0, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(shape=(4, 4), layers=2, seed=3)
+def test_dense_route_matches_gate_by_gate_oracle(shape, layers, seed):
+    """An independent rebuild of each instance with the public single-state
+    API on qubit indices: t Hadamards and the select of prefix reflections,
+    V and W by `apply_unitary`, the two inverse encodings as selects of
+    dense reflection blocks, the literal phase layer and Hadamards.  The
+    dense route's register axes give the same state and expectation."""
+    instance = hypothesis_instance(*shape, layers, seed, 1.0)
+    tok, tgt, v_matrix, w_matrix, diag = engine._instance_arrays(instance)
+    lay = RegisterLayout.of(*tok.shape[1:])
+    hadamards = [UnitaryBlock(HADAMARD, (q,)) for q in lay.c_qubits]
+    state = StateVector.zero(lay.num_qubits)
+    for block in hadamards:
+        state = apply_unitary(state, block)
+    prefixes = [entangled_prefix_encoding(instance.tokens, j)[0].amplitudes for j in range(1, lay.num_steps + 1)]
+    state = reflection_select(state, lay, prefixes, lay.a_qubits + lay.b_qubits, adjoint=False)
+    state = apply_unitary(state, UnitaryBlock(v_matrix, lay.a_qubits))
+    state = apply_unitary(state, UnitaryBlock(w_matrix, lay.b_qubits))
+    state = reflection_select(state, lay, tgt[0], lay.a_qubits, adjoint=True)
+    state = reflection_select(state, lay, tok[0], lay.b_qubits, adjoint=True)
+    steps = np.arange(2 ** lay.num_qubits) >> 2 * lay.n
+    state = StateVector(lay.num_qubits, diag[steps] * state.amplitudes)
+    for block in hadamards:
+        state = apply_unitary(state, block)
+    assert np.max(np.abs(circuit_state(instance).amplitudes - state.amplitudes)) <= 1e-12
+    assert abs(circuit_expectation(instance) - all_zeros_expectation(state)) <= 1e-12
 
 
 def test_cancelling_prefix_raises_typed_error():

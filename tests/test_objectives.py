@@ -23,9 +23,24 @@ class TestStepProbabilities:
         probs = StepProbabilities([3.0], [4.0])
         assert probs.ratios()[0] == 0.75
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ConfigurationError):
-            StepProbabilities([np.nan], [1.0])
+    @pytest.mark.parametrize("values, normalizers, match", [
+        ([np.nan], [1.0], "values must be finite"),
+        ([0.5], [np.inf], "normalizers must be finite"),
+        # a float cast would keep 0.5 and drop the imaginary part
+        (np.array([0.5 + 0.5j]), [1.0], "values must be real, got a complex array"),
+        ([0.5], np.array([1.0 + 0.0j]), "normalizers must be real, got a complex array"),
+    ])
+    def test_rejects_non_finite(self, values, normalizers, match):
+        with pytest.raises(ConfigurationError, match=match):
+            StepProbabilities(values, normalizers)
+
+    def test_fields_are_read_only_float_copies(self):
+        values, normalizers = np.array([1, 2]), [4.0, 4.0]
+        probs = StepProbabilities(values, normalizers)
+        values[0] = 3
+        assert probs.values.dtype == float and probs.values.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            probs.normalizers[0] = 1.0
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,6 @@ from qsalab.statevector import (
     UnitaryBlock,
     _check_reflections,
     _reflect,
-    _reflection_select,
     all_zeros_expectation,
     apply_controlled_by_register,
     apply_unitary,
@@ -83,6 +82,13 @@ class TestUnitaryBlock:
     def test_rejects_negative_targets(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
             UnitaryBlock(np.eye(4), (0, -1))
+
+    @pytest.mark.parametrize("targets", [(0.7,), (True,), (0, 1.0), (np.float64(1.0),), (np.bool_(True),)])
+    def test_float_or_bool_targets_rejected(self, targets):
+        # read through int(), (0.7,) would act on qubit 0 and (True,) on qubit 1
+        matrix = np.eye(2 ** len(targets))
+        with pytest.raises(ConfigurationError, match="targets must be integer qubit indices"):
+            UnitaryBlock(matrix, targets)
 
     def test_targets_are_ints_and_set_the_dimension(self):
         block = UnitaryBlock(np.eye(8), [np.int64(2), 0, 1])
@@ -219,6 +225,14 @@ class TestControlledByRegister:
         with pytest.raises(ConfigurationError, match="controls must be distinct in-range"):
             apply_controlled_by_register(StateVector.zero(2), controls, blocks)
 
+    @pytest.mark.parametrize("controls", [(1.0,), (True,), (np.float64(1.0),), (np.bool_(True),)])
+    def test_float_or_bool_controls_rejected(self, controls):
+        blocks = {0: identity_block((0,)), 1: UnitaryBlock(PAULI_X, (0,))}
+        with pytest.raises(ConfigurationError, match="controls must be integer qubit indices"):
+            apply_controlled_by_register(StateVector.zero(2), controls, blocks)
+        out = apply_controlled_by_register(StateVector.zero(2), (np.int64(1),), blocks)
+        assert np.array_equal(out.amplitudes, StateVector.zero(2).amplitudes)
+
     def test_block_for_unreachable_control_value_rejected(self):
         blocks = {j: identity_block((0,)) for j in range(3)}
         with pytest.raises(ConfigurationError, match=r"control value\(s\) \[2\] are unreachable"):
@@ -331,16 +345,23 @@ class TestRegisterLayout:
             RegisterLayout.of(num_steps, token_dim)
 
     @pytest.mark.parametrize("n, t", [(1, 1), (1, 4), (2, 3), (3, 1), (4, 4)])
-    def test_step_indices(self, n, t):
-        """Step j sits at j << 2n, C's bits above A's and B's, with A and B at
-        zero; one cached layout per (T, d), whose array cannot be written."""
+    def test_register_axes(self, n, t):
+        """A state of the layout reads as a row-major (T, d, d) array with axes
+        (C, B, A): basis state b sits at the values its C, B and A qubits
+        read little-endian, so step j with A = B = 0 sits at [j, 0, 0], index
+        j << 2n.  One cached layout per (T, d)."""
         lay = RegisterLayout.of(2 ** t, 2 ** n)
-        expected = [sum(((j >> k) & 1) << q for k, q in enumerate(lay.c_qubits)) for j in range(lay.num_steps)]
-        steps = lay.step_indices
-        assert steps.tolist() == expected == [j << 2 * n for j in range(2 ** t)]
-        assert RegisterLayout.of(2 ** t, 2 ** n).step_indices is steps
-        with pytest.raises(ValueError):
-            steps[0] = 1
+        assert RegisterLayout.of(2 ** t, 2 ** n) is lay
+        shape = (lay.num_steps, lay.token_dim, lay.token_dim)
+
+        def reads(b, qubits):
+            return sum(((b >> q) & 1) << k for k, q in enumerate(qubits))
+
+        for b in range(2 ** lay.num_qubits):
+            at = np.unravel_index(b, shape)
+            assert at == (reads(b, lay.c_qubits), reads(b, lay.b_qubits), reads(b, lay.a_qubits))
+        for j in range(lay.num_steps):
+            assert np.ravel_multi_index((j, 0, 0), shape) == j << 2 * n
 
 
 def explicit_select_matrix(num_qubits, controls, blocks):
@@ -385,21 +406,33 @@ def random_rows(shape, dim, rng):
     return reflection_rows(rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,)))
 
 
-def select_rows(state, controls, targets, vectors, phases):
-    """`_reflection_select` on one state, the row form's select of a single sequence."""
-    return _reflection_select(state.amplitudes[None], controls, targets, vectors, phases)[0]
+def reflect_on(states, register, vectors, phases):
+    """`_reflect` on register A or B of (S, T, d, d) states with axes
+    (sequence, C, B, A), row (s, j) on sequence s at step j: B is axis -2,
+    A the last axis, reflected through the transposed view."""
+    if register == "B":
+        return _reflect(vectors, phases, states)
+    return _reflect(vectors, phases, states.mT).mT
+
+
+def register_qubits(lay, register):
+    return {"A": lay.a_qubits, "B": lay.b_qubits}[register]
 
 
 class TestReflectionRows:
-    @pytest.mark.parametrize("targets", [(0,), (2,), (0, 2), (2, 0), (1, 3, 0)])
-    def test_kernel_and_adjoint_match_dense_oracle(self, targets):
+    @pytest.mark.parametrize("register, targets", [("A", (0, 1)), ("B", (2, 3)), ("all", (0, 1, 2, 3))])
+    def test_kernel_and_adjoint_match_dense_oracle(self, register, targets):
+        """One row on a 4-qubit state read as (B, A), or as one (16, 1) column."""
         rng = np.random.default_rng(sum(3 ** i * q for i, q in enumerate(targets)))
         vectors, phases = random_rows((1,), 2 ** len(targets), rng)
         state = random_state(4, rng)
         for applied in (phases, phases.conj()):
-            out = select_rows(state, (), targets, vectors, applied)
+            if register == "all":
+                out = _reflect(vectors, applied, state.amplitudes.reshape(16, 1))
+            else:
+                out = reflect_on(state.amplitudes.reshape(1, 1, 4, 4), register, vectors, applied)
             expected = dense_apply_oracle(state.amplitudes, reflection_matrix(vectors[0], applied[0]), targets, 4)
-            assert np.max(np.abs(out - expected)) <= 1e-12
+            assert np.max(np.abs(out.reshape(-1) - expected)) <= 1e-12
 
     def test_adjoint_is_conjugate_transpose_and_inverse(self):
         rng = np.random.default_rng(29)
@@ -408,9 +441,9 @@ class TestReflectionRows:
         assert np.max(np.abs(matrix @ matrix.conj().T - np.eye(8))) <= 1e-12
         assert np.max(np.abs(reflection_matrix(vectors[0], phases[0].conj()) - matrix.conj().T)) <= 1e-12
         state = random_state(3, rng)
-        there = StateVector(3, select_rows(state, (), (1, 0, 2), vectors, phases))
-        back = select_rows(there, (), (1, 0, 2), vectors, phases.conj())
-        assert np.max(np.abs(back - state.amplitudes)) <= 1e-12
+        there = _reflect(vectors, phases, state.amplitudes.reshape(8, 1))
+        back = _reflect(vectors, phases.conj(), there)
+        assert np.max(np.abs(back.reshape(-1) - state.amplitudes)) <= 1e-12
 
     @pytest.mark.parametrize("num_qubits", [1, 3, 6])
     def test_rows_are_one_column_householder_bit_for_bit(self, num_qubits):
@@ -488,82 +521,84 @@ class TestReflectionRows:
         for row in range(3):
             assert np.max(np.abs(out[row] - matrix @ x[row])) <= 1e-12
 
-    def test_adjoint_select_undoes_a_batched_select(self):
-        """The inverse encodings' round trip: conjugated phases undo the
-        select on every sequence of a batch, and the input is left as it was."""
+    @pytest.mark.parametrize("register", ["A", "B"])
+    def test_adjoint_select_undoes_a_batched_select(self, register):
+        """The inverse encodings' round trip on register axes: conjugated
+        phases undo the reflections on every (sequence, step) of a batch, the
+        result keeps the batch's memory order, and the input is left as it
+        was."""
         rng = np.random.default_rng(97)
         vectors, phases = random_rows((3, 4), 4, rng)
-        states = np.stack([random_state(5, rng).amplitudes for _ in range(3)])
+        states = np.stack([random_state(6, rng).amplitudes.reshape(4, 4, 4) for _ in range(3)])
         kept = states.copy()
-        there = _reflection_select(states, (4, 1), (0, 3), vectors, phases)
-        assert np.array_equal(states, kept)
-        back = _reflection_select(there, (4, 1), (0, 3), vectors, phases.conj())
+        there = reflect_on(states, register, vectors, phases)
+        assert np.array_equal(states, kept) and there.flags.c_contiguous
+        back = reflect_on(there, register, vectors, phases.conj())
         assert np.max(np.abs(back - states)) <= 1e-12
 
     def test_select_layout_rejected(self):
+        """Blocks of reflection rows on the controls, or beyond the register,
+        are refused by the public select."""
         vectors, phases = random_rows((2,), 4, np.random.default_rng(79))
+        blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), (0, 1)) for j in range(2)}
         with pytest.raises(ConfigurationError, match="disjoint"):
-            select_rows(StateVector.zero(3), (1,), (0, 1), vectors, phases)
+            apply_controlled_by_register(StateVector.zero(3), (1,), blocks)
+        blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), (1, 2)) for j in range(2)}
         with pytest.raises(ConfigurationError, match="exceed"):
-            select_rows(StateVector.zero(2), (0,), (1, 2), vectors, phases)
+            apply_controlled_by_register(StateVector.zero(2), (0,), blocks)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
-    num_controls=st.integers(1, 3),
-    num_seqs=st.integers(2, 4),
+    n=st.integers(1, 2),
+    t=st.integers(1, 2),
+    num_seqs=st.integers(1, 3),
+    register=st.sampled_from(["A", "B"]),
     adjoint=st.booleans(),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-# controls (3, 1): neither the top qubit, not in ascending order; targets
-# drawn from {0, 4, 2}, so some sit below a control
-@example(order=[3, 1, 0, 4, 2], num_controls=2, num_seqs=2, adjoint=False, seed=0)
-@example(order=[3, 1, 0, 4, 2], num_controls=2, num_seqs=3, adjoint=True, seed=1)
-def test_batched_reflection_select_matches_explicit_select_matrices(order, num_controls, num_seqs, adjoint, seed):
-    """S sequences, each with its own rows on one target tuple, in one
-    batched select; the adjoint conjugates the phases."""
-    num_qubits = len(order)
-    num_controls = min(num_controls, num_qubits - 1)
-    controls, free = tuple(order[:num_controls]), order[num_controls:]
+@example(n=2, t=2, num_seqs=2, register="A", adjoint=False, seed=0)
+@example(n=2, t=1, num_seqs=3, register="B", adjoint=True, seed=1)
+def test_batched_reflection_select_matches_explicit_select_matrices(n, t, num_seqs, register, adjoint, seed):
+    """S sequences, each with its own row per step, reflected on register A
+    or B of one (S, T, d, d) batch: each sequence gets the C-controlled
+    select of its rows' dense blocks; the adjoint conjugates the phases."""
+    lay = RegisterLayout.of(2 ** t, 2 ** n)
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, len(free) + 1))
-    targets = tuple(int(q) for q in rng.permutation(free)[:k])
-    vectors, phases = random_rows((num_seqs, 2 ** num_controls), 2 ** k, rng)
+    vectors, phases = random_rows((num_seqs, lay.num_steps), lay.token_dim, rng)
     if adjoint:
         phases = phases.conj()
-    states = np.stack([random_state(num_qubits, rng).amplitudes for _ in range(num_seqs)])
-    out = _reflection_select(states, controls, targets, vectors, phases)
-    assert out.shape == states.shape
+    states = np.stack([random_state(lay.num_qubits, rng).amplitudes for _ in range(num_seqs)])
+    out = reflect_on(states.reshape(num_seqs, lay.num_steps, lay.token_dim, lay.token_dim), register, vectors, phases)
+    assert out.shape == (num_seqs, lay.num_steps, lay.token_dim, lay.token_dim)
     for s in range(num_seqs):
-        blocks = {j: UnitaryBlock(reflection_matrix(vectors[s, j], phases[s, j]), targets)
-                  for j in range(2 ** num_controls)}
-        expected = explicit_select_matrix(num_qubits, controls, blocks) @ states[s]
-        assert np.max(np.abs(out[s] - expected)) <= 1e-12
+        blocks = {j: UnitaryBlock(reflection_matrix(vectors[s, j], phases[s, j]), register_qubits(lay, register))
+                  for j in range(lay.num_steps)}
+        expected = explicit_select_matrix(lay.num_qubits, lay.c_qubits, blocks) @ states[s]
+        assert np.max(np.abs(out[s].reshape(-1) - expected)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    order=st.integers(2, 6).flatmap(lambda m: st.permutations(range(m))),
-    num_controls=st.integers(1, 3),
+    n=st.integers(1, 3),
+    t=st.integers(1, 3),
+    register=st.sampled_from(["A", "B"]),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-@example(order=[3, 1, 0, 4, 2], num_controls=2, seed=0)
-def test_reflection_select_matches_select_of_dense_blocks(order, num_controls, seed):
-    """The row form and `apply_controlled_by_register` on the rows' dense
-    matrices give one state."""
-    num_qubits = len(order)
-    num_controls = min(num_controls, num_qubits - 1)
-    controls, free = tuple(order[:num_controls]), order[num_controls:]
+@example(n=2, t=2, register="A", seed=0)
+def test_reflection_select_matches_select_of_dense_blocks(n, t, register, seed):
+    """The row form on a register axis and `apply_controlled_by_register` on
+    the rows' dense matrices, controlled by register C, give one state."""
+    lay = RegisterLayout.of(2 ** t, 2 ** n)
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, len(free) + 1))
-    targets = tuple(int(q) for q in rng.permutation(free)[:k])
-    vectors, phases = random_rows((2 ** num_controls,), 2 ** k, rng)
-    state = random_state(num_qubits, rng)
-    out = select_rows(state, controls, targets, vectors, phases)
-    blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), targets) for j in range(2 ** num_controls)}
-    dense = apply_controlled_by_register(state, controls, blocks)
-    assert np.max(np.abs(out - dense.amplitudes)) <= 1e-12
+    vectors, phases = random_rows((lay.num_steps,), lay.token_dim, rng)
+    state = random_state(lay.num_qubits, rng)
+    out = reflect_on(state.amplitudes.reshape(1, lay.num_steps, lay.token_dim, lay.token_dim), register,
+                     vectors, phases)
+    blocks = {j: UnitaryBlock(reflection_matrix(vectors[j], phases[j]), register_qubits(lay, register))
+              for j in range(lay.num_steps)}
+    dense = apply_controlled_by_register(state, lay.c_qubits, blocks)
+    assert np.max(np.abs(out.reshape(-1) - dense.amplitudes)) <= 1e-12
 
 
 class TestNonFiniteBlocksRejected:
