@@ -27,8 +27,8 @@ def _stacked_rows(vectors) -> np.ndarray:
 
 def amplitude_encode(vectors, num_qubits: int | None) -> np.ndarray:
     """The unit rows of a (..., 2**n) stack of vectors: the amplitudes of their
-    n-qubit states.  ``num_qubits`` None takes rows of any length, as the
-    Householder step does.  A row's norm is sqrt(Re.Re + Im.Im), the bits of
+    n-qubit states.  ``num_qubits`` None takes rows of any length, as
+    `reflection_rows` does.  A row's norm is sqrt(Re.Re + Im.Im), the bits of
     `np.linalg.norm` of that row."""
     rows = _stacked_rows(vectors)
     if num_qubits is not None and rows.shape[-1:] != (2 ** num_qubits,):
@@ -43,19 +43,27 @@ def amplitude_encode(vectors, num_qubits: int | None) -> np.ndarray:
 
 def reflection_rows(columns) -> tuple[np.ndarray, np.ndarray]:
     """The Householder vectors and phases of the reflections whose first
-    columns are the unit rows u_j of (..., rows, dim) ``columns``: one
-    vectorized step for every row, checked once.
+    columns are the `amplitude_encode` unit rows u_j of (..., rows, dim)
+    ``columns``: one vectorized step for every row, checked once.  The
+    dense route hands its rows to that step directly, since they are unit
+    rows already (`_householder_rows`)."""
+    unit = amplitude_encode(columns, None)
+    if unit.ndim < 2:
+        raise ConfigurationError(f"columns of shape {unit.shape} are not stacked as (rows, dim)")
+    return _householder_rows(unit)
+
+
+def _householder_rows(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`reflection_rows` of (..., rows, dim) rows that are unit rows already,
+    with no second normalization; a row off unit norm fails the check.
 
     One Householder reflection H = I - v v^dag / v_1 maps e_1 to -u/phase,
     where phase is the phase of u's first entry (1 if that entry is zero), so
     -phase * H has first column u.  Row by row this is the same arithmetic,
-    bit for bit, as taking one column at a time with `np.linalg.norm` and
-    Python's ``abs``.  An inverse reflection only conjugates the phase
-    (``I - v v^dag / v_1`` is Hermitian), so the same check covers it.
+    bit for bit, as taking one column at a time with Python's ``abs``.  An
+    inverse reflection only conjugates the phase (``I - v v^dag / v_1`` is
+    Hermitian), so the same check covers it.
     """
-    unit = amplitude_encode(columns, None)
-    if unit.ndim < 2:
-        raise ConfigurationError(f"columns of shape {unit.shape} are not stacked as (rows, dim)")
     first = unit[..., 0]
     phases = np.divide(first, np.hypot(first.real, first.imag), out=np.ones_like(first), where=first != 0)
     # v = e_1 + u/phase has |v|^2 = 2 (1 + |u_1|) >= 2, so no cancellation.
@@ -141,10 +149,11 @@ def prepared_states(unit_tokens: np.ndarray) -> np.ndarray:
     prefix-j state, so the whole preparation is one `_reflect` of the S * T
     prefix rows on that scaled e_0: no zero batch and no select.  The prefix
     states come from one cumulative sum, the same additions in the same
-    order as `entangled_prefix_encoding`.
+    order as `entangled_prefix_encoding`, and are normalized once, by their
+    prefix weights: the Householder step takes those unit rows as they are.
     """
     layout = RegisterLayout.of(*unit_tokens.shape[-2:])
-    vectors, phases = reflection_rows(_normalized_prefixes(_prefix_sums(unit_tokens))[0])
+    vectors, phases = _householder_rows(_normalized_prefixes(_prefix_sums(unit_tokens))[0])
     first = np.zeros((layout.token_dim ** 2, 1), dtype=complex)
     first[0] = 1.0 / np.sqrt(layout.num_steps)
     return _reflect(vectors, phases, first).reshape(unit_tokens.shape + (layout.token_dim,))

@@ -34,10 +34,10 @@ import numpy as np
 from .ansatz import AnsatzParams, PhaseLayerParams, ansatz_vjp, phase_layer_vjp
 from .classical import causal_attention_vjp
 from .data import ZERO_NORM_TOL, check_int_range, freeze
-from .encodings import _check_prefix_weights, _stacked_rows, amplitude_encode, prepared_states, reflection_rows
-from .errors import ConfigurationError, DegeneratePredictionError
+from .encodings import _check_prefix_weights, _householder_rows, _stacked_rows, amplitude_encode, prepared_states
+from .errors import ConfigurationError, DegenerateInputError, DegeneratePredictionError
 from .objectives import StepProbabilities, renyi_half_from_expectation
-from .statevector import HADAMARD, OpCounter, RegisterLayout, StateVector, _check_unitaries, _reflect
+from .statevector import HADAMARD, UNITARY_ATOL, OpCounter, RegisterLayout, StateVector, _check_unitaries, _reflect
 
 # The dense route cuts its sequence axis into chunks whose working arrays
 # stay within DENSE_CHUNK_BYTES, at least one sequence each.  A stage holds
@@ -136,15 +136,16 @@ def circuit_stages(token_states, target_states, v_matrix, w_matrix, phase_diagon
     d, t, num_steps = lay.token_dim, lay.t, lay.num_steps
     # Controlled inverse encodings: branch j projects register A onto the
     # step-(j+1) target and register B onto the step-j token.  Both sets
-    # of rows come from one Householder step and one check, made when the
-    # first of them runs; each inverse conjugates the phases.  A is the
-    # batch's last axis, so its reflections act on the transposed view.
+    # of rows are checked as unit rows and go through one Householder step
+    # and one check, made when the first of them runs; each inverse
+    # conjugates the phases.  A is the batch's last axis, so its
+    # reflections act on the transposed view.
     rows = []
 
     def unencode(part):
         def apply(psi):
             if not rows:
-                rows.extend(reflection_rows(np.array((target_states, token_states))))
+                rows.extend(_householder_rows(_unit_rows(target_states, token_states)))
             vectors, phases = rows[0][part], rows[1][part].conj()
             return _reflect(vectors, phases, psi) if part else _reflect(vectors, phases, psi.mT).mT
         return apply
@@ -163,6 +164,24 @@ def circuit_stages(token_states, target_states, v_matrix, w_matrix, phase_diagon
         Stage("phase_layer", lambda psi: psi * phase_diagonal[:, None, None], ((num_steps, 1),)),
         Stage("hadamards", hadamards, ((2, t),)),
     )
+
+
+def _unit_rows(target_states, token_states) -> np.ndarray:
+    """The (2, S, T, d) stack of target and token rows, once each is checked
+    to be a unit row: its squared norm within `UNITARY_ATOL` of 1.  A
+    non-finite or zero row gets `amplitude_encode`'s error; any other row
+    off unit norm is a DegenerateInputError naming its rows, since the
+    inverse encodings do not normalize it."""
+    rows = np.array((target_states, token_states))
+    squared = np.vecdot(rows, rows).real
+    defect = np.abs(squared - 1.0)
+    if not defect.max() <= UNITARY_ATOL:  # NaN fails
+        amplitude_encode(rows, None)  # raises on a non-finite or zero row
+        part, seq, step = np.argwhere(defect > UNITARY_ATOL)[0]
+        raise DegenerateInputError(
+            f"{('target', 'token')[part]} rows are not unit rows: sequence {seq}, step {step} "
+            f"has a squared norm off 1 by {defect[part, seq, step]:.3e}")
+    return rows
 
 
 def _fold(stages) -> np.ndarray:
@@ -194,6 +213,10 @@ def dense_expectations(
     """All-zeros expectations of S sequences' full circuits by dense simulation:
     the circuit route's counterpart of `batched_expectations`, on the same
     (S, T, d) unit token and target rows, V and W matrices and phase diagonal.
+
+    The rows are read as they are, not normalized again, so both routes
+    read the same rows: each must be a unit row to `UNITARY_ATOL`, checked
+    once per chunk.
 
     V and W are checked once per call, and each select's reflections once
     per chunk.  The S circuits run as one (S, T, d, d) batch, in chunks of

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsalab.encodings import (
+    _householder_rows,
     _prefix_sums,
     amplitude_encode,
     entangled_prefix_encoding,
@@ -207,6 +208,36 @@ def test_reflection_dense_view_is_unitary_with_first_column(num_qubits, zero_fir
     assert np.max(np.abs(first[0, :, 0] - col / np.linalg.norm(col))) <= 1e-12
     with pytest.raises(DegenerateInputError):
         reflection_rows(np.zeros((1, dim)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    num_qubits=st.integers(1, 6),
+    num_rows=st.integers(1, 6),
+    zero_first=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+def test_householder_step_on_unit_rows_matches_reflection_rows(num_qubits, num_rows, zero_first, seed):
+    """The dense route's Householder step takes unit rows as they are: on
+    `amplitude_encode` rows its vectors and phases are `reflection_rows'`
+    to 1e-15, and on rows that normalizing leaves unchanged (basis rows
+    times 1, i or -i) they are the same bytes.  A row off unit norm
+    fails the reflection check."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** num_qubits
+    rows = amplitude_encode(rng.normal(size=(num_rows, dim)) + 1j * rng.normal(size=(num_rows, dim)), num_qubits)
+    if zero_first:
+        rows[:, 0] = 0.0
+        rows = amplitude_encode(rows, num_qubits)
+    for got, want in zip(_householder_rows(rows), reflection_rows(rows)):
+        assert np.max(np.abs(got - want)) <= 1e-15
+    basis = np.eye(dim, dtype=complex)[rng.integers(dim, size=num_rows)] * np.array([1, 1j, -1j])[
+        rng.integers(3, size=num_rows)][:, None]
+    assert amplitude_encode(basis, num_qubits).tobytes() == basis.tobytes()
+    for got, want in zip(_householder_rows(basis), reflection_rows(basis)):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ConfigurationError, match="is not unitary"):
+        _householder_rows(rows * (1 + 1e-6))
 
 
 class TestDegeneratePrefix:

@@ -712,6 +712,40 @@ def test_degenerate_sequence_in_a_batch_raises_typed_error(bad_seq, defect, matc
         dense_expectations(tok, tgt, *rest)
 
 
+@pytest.mark.parametrize("bad_seq", [0, 2])
+@pytest.mark.parametrize("defect, match", [("zero-token", "cannot amplitude-encode a zero vector"),
+                                           ("zero-target", "cannot amplitude-encode a zero vector"),
+                                           ("scaled-token", "token rows are not unit rows"),
+                                           ("scaled-target", "target rows are not unit rows")])
+def test_dense_pass_takes_only_unit_rows(bad_seq, defect, match):
+    """The inverse encodings read the token and target rows as they are
+    handed in, so a zero row, or a finite row off unit norm, stops the dense
+    pass with a DegenerateInputError in place of being normalized."""
+    _, (tok, tgt, *rest) = batch_instances(3, 1, 1, 13, True)
+    tok, tgt = tok.copy(), tgt.copy()
+    if defect == "zero-token":  # step 2: step 1's prefix weight stays the same
+        tok[bad_seq, 1] = 0.0
+    elif defect == "zero-target":
+        tgt[bad_seq, 0] = 0.0
+    elif defect == "scaled-token":
+        tok[bad_seq, 1] *= 1 + 1e-6
+    else:
+        tgt[bad_seq, 0] *= 1 + 1e-6
+    with pytest.raises(DegenerateInputError, match=match):
+        dense_expectations(tok, tgt, *rest)
+
+
+def test_dense_pass_reads_the_trainers_unit_rows():
+    """Rows divided by their `np.linalg.norm`, as the trainer hands them in,
+    are unit rows to the dense route: it agrees with `batched_expectations`
+    on the same arrays to 1e-12."""
+    rng = np.random.default_rng(29)
+    _, (_, _, *rest) = batch_instances(16, 2, 3, 29, True)
+    tok, tgt = (rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+                for rows in rng.normal(size=(2, 16, 8, 4)) + 1j * rng.normal(size=(2, 16, 8, 4)))
+    assert np.max(np.abs(dense_expectations(tok, tgt, *rest) - batched_expectations(tok, tgt, *rest)[0])) <= 1e-12
+
+
 def test_dense_pass_checks_shapes_against_the_layout():
     """The registers are read off the (S, T, d) rows: T and d must be
     powers of two, at least 2, the target rows must match the token rows
